@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, ShapeError, StateError, SolveError
+from .errors import DomainError, ParameterError, ShapeError, StateError
 
 Array = np.ndarray
 
@@ -61,44 +61,10 @@ class Tensor:
             return None
         return self.tape.grads[self.node_id]
 
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
     def item(self) -> float:
         if self.shape != (1, 1):
             raise ShapeError(f"item() needs a 1x1 tensor, got {self.shape}")
         return float(self.value[0, 0])
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            return shift(self, float(other))
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return shift(self, -float(other))
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / float(other))
-        return div(self, other)
-
-    def __neg__(self):
-        return negate(self)
 
     def __repr__(self):
         tag = "const" if self.tape is None else f"node {self.node_id}"
@@ -282,14 +248,6 @@ def sqrt(a) -> Tensor:
     return _unary("sqrt", a, np.sqrt, lambda g, x, y: g * 0.5 / np.maximum(y, 1e-300))
 
 
-def sin(a) -> Tensor:
-    return _unary("sin", a, np.sin, lambda g, x, y: g * np.cos(x))
-
-
-def cos(a) -> Tensor:
-    return _unary("cos", a, np.cos, lambda g, x, y: -g * np.sin(x))
-
-
 def tanh(a) -> Tensor:
     return _unary("tanh", a, np.tanh, lambda g, x, y: g * (1.0 - y * y))
 
@@ -310,12 +268,6 @@ def scale(a, c: float) -> Tensor:
     """Multiply by a Python constant (not a tape value)."""
     c = float(c)
     return _unary("scale", a, lambda x: x * c, lambda g, x, y: g * c)
-
-
-def shift(a, c: float) -> Tensor:
-    """Add a Python constant to every entry."""
-    c = float(c)
-    return _unary("shift", a, lambda x: x + c, lambda g, x, y: g)
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
@@ -409,17 +361,6 @@ def transpose(a) -> Tensor:
     return a.tape._record("transpose", (a,), lambda g: (g.T,), out)
 
 
-def reshape(a, rows: int, cols: int) -> Tensor:
-    a = _wrap(a)
-    if rows * cols != a.shape[0] * a.shape[1]:
-        raise ShapeError(f"reshape: {a.shape} -> ({rows}, {cols})")
-    out = a.value.reshape(rows, cols).copy()
-    if a.tape is None:
-        return Tensor(out)
-    m, n = a.shape
-    return a.tape._record("reshape", (a,), lambda g: (g.reshape(m, n),), out)
-
-
 def gather_rows(a, idx) -> Tensor:
     """Select rows by index; backward scatter-adds into the source."""
     a = _wrap(a)
@@ -475,66 +416,6 @@ def gather_elements(a, rows, cols) -> Tensor:
         return (acc,)
 
     return a.tape._record("gather_elements", (a,), bwd, out)
-
-
-def hstack(tensors: Sequence) -> Tensor:
-    """Concatenate columns; backward splits the gradient."""
-    ts = [_wrap(t) for t in tensors]
-    if not ts:
-        raise ShapeError("hstack: nothing to concatenate")
-    rows = ts[0].shape[0]
-    for t in ts:
-        if t.shape[0] != rows:
-            raise ShapeError("hstack: row counts differ")
-    out = np.hstack([t.value for t in ts])
-    tape = _tape_of(*ts)
-    if tape is None:
-        return Tensor(out)
-    widths = [t.shape[1] for t in ts]
-    offsets = np.cumsum([0] + widths)
-
-    def bwd(g):
-        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(ts)))
-
-    return tape._record("hstack", tuple(ts), bwd, out)
-
-
-def scalar_mul(s, a) -> Tensor:
-    """Multiply a matrix by a 1x1 tape scalar (both differentiable)."""
-    s, a = _wrap(s), _wrap(a)
-    if s.shape != (1, 1):
-        raise ShapeError(f"scalar_mul: scalar must be 1x1, got {s.shape}")
-    out = s.value[0, 0] * a.value
-    tape = _tape_of(s, a)
-    if tape is None:
-        return Tensor(out)
-    sv, av = s.value[0, 0], a.value
-
-    def bwd(g):
-        return (np.array([[float((g * av).sum())]]), g * sv)
-
-    return tape._record("scalar_mul", (s, a), bwd, out)
-
-
-def solve(a, b) -> Tensor:
-    """X = A^-1 B for square A; gradients flow to both operands."""
-    a, b = _wrap(a), _wrap(b)
-    if a.shape[0] != a.shape[1] or a.shape[0] != b.shape[0]:
-        raise ShapeError(f"solve: {a.shape} x {b.shape}")
-    try:
-        out = np.linalg.solve(a.value, b.value)
-    except np.linalg.LinAlgError as err:
-        raise SolveError(f"singular linear system: {err}") from err
-    tape = _tape_of(a, b)
-    if tape is None:
-        return Tensor(out)
-    a_t = a.value.T
-
-    def bwd(g):
-        gb = np.linalg.solve(a_t, g)
-        return (-gb @ out.T, gb)
-
-    return tape._record("solve", (a, b), bwd, out)
 
 
 def finite_difference_check(

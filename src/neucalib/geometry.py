@@ -1,7 +1,7 @@
 """Rigid-body algebra, pinhole projection, and training-time augmentation.
 
 Everything here is pure numpy on plain arrays; the differentiable pose
-refinement keeps its own tape-side projection in :mod:`neucalib.pnp`.
+refinement keeps its own projection and its gradient in :mod:`neucalib.pnp`.
 
 Conventions: a pose maps sensor-frame points into the camera frame,
 q = R p + t. Augmentation translates first, then rotates (p' = R_r (p + t_r)),

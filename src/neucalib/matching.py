@@ -186,21 +186,16 @@ def threshold_overlap(s_p, s_i, theta_p: float, theta_i: float,
     return OverlapSelection(points, pixels, point_fallback, pixel_fallback)
 
 
-def soft_match(logits: Tensor, selection: OverlapSelection, centers: np.ndarray,
-               temperature: float = 1.0, rescale_by_temperature: bool = False
+def soft_match(logits: Tensor, selection: OverlapSelection, centers: np.ndarray
                ) -> tuple[Tensor, Tensor]:
     """Soft assignment over selected pixels: weights and predicted coords.
 
-    By default the softmax runs on the (already temperature-scaled) logits;
-    ``rescale_by_temperature`` multiplies them back by the temperature first,
-    for the literal unscaled-similarity variant.
+    The softmax runs on the (already temperature-scaled) logits.
     """
     if selection.point_indices.size == 0 or selection.pixel_indices.size == 0:
         raise DegenerateBatchError("empty overlap selection for matching")
     sub = ad.gather_cols(ad.gather_rows(logits, selection.point_indices),
                          selection.pixel_indices)
-    if rescale_by_temperature:
-        sub = ad.scale(sub, temperature)
     weights = ad.softmax_rows(sub)
     coords = ad.matmul(weights, ad.constant(centers[selection.pixel_indices]))
     return weights, coords
@@ -216,12 +211,10 @@ def hard_match(logits, selection: OverlapSelection, centers: np.ndarray) -> np.n
     return centers[selection.pixel_indices[best]]
 
 
-def match_coords(logits, selection, centers, mode: str = "soft",
-                 temperature: float = 1.0, rescale_by_temperature: bool = False):
+def match_coords(logits, selection, centers, mode: str = "soft"):
     """Predicted pixel coordinates as a Tensor (soft, on-tape) or array (hard)."""
     if mode == "soft":
-        return soft_match(logits, selection, centers, temperature,
-                          rescale_by_temperature)[1]
+        return soft_match(logits, selection, centers)[1]
     if mode == "hard":
         return ad.constant(hard_match(logits, selection, centers))
     raise ParameterError(f"unknown match mode {mode!r}")

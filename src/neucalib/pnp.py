@@ -1,17 +1,18 @@
 """Differentiable pose estimation from 2D-3D correspondences.
 
 EPnP (single-beta case) provides a closed-form initialization from four
-control points; k unrolled Gauss-Newton steps on a 6-D local SE(3)
+control points; k damped Gauss-Newton steps on a 6-D local SE(3)
 parametrization then minimize the pixel reprojection error. The EPnP
 init is treated as a gradient constant: differentiating through the
 eigen-decomposition is ill-conditioned near eigenvalue crossings, while
-the unrolled refinement carries exact gradients of the finite procedure
-to the 2-D targets (and through them to the matching weights).
+the refinement carries exact gradients of the finite procedure to the
+2-D targets (and through them to the matching weights).
 
-Every quantity inside the refinement loop lives on the tape: the
-per-point Jacobian rows, the damped normal equations, the 6x6 solve, and
-the Rodrigues update, so reverse mode sees the true derivative of each
-step rather than a fixed-point approximation.
+The refinement runs in plain numpy and records a single tape node. Its
+hand-derived backward replays the k steps in reverse (Rodrigues update,
+damped 6x6 solve, normal equations, Jacobian rows, projection), so
+reverse mode sees the true derivative of each step rather than a
+fixed-point approximation.
 """
 
 from __future__ import annotations
@@ -23,18 +24,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import SolveError
-from .geometry import CameraIntrinsics, RigidPose, project_to_so3
+from .geometry import MIN_DEPTH, CameraIntrinsics, RigidPose, project_to_so3
 
 MIN_CORRESPONDENCES = 6
 GN_DAMPING = 1e-6
-MIN_DEPTH = 1e-6
+SERIES_THETA2 = 1e-8  # squared rotation angle below which Rodrigues uses its series
 DEGENERATE_SPREAD = 1e-8  # relative floor on the smallest principal extent
-
-_GENERATORS = (
-    np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]),
-    np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
-    np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
-)
 
 
 @dataclass
@@ -76,7 +71,7 @@ class PoseEstimate:
 
 @dataclass
 class RefinedPose:
-    """Pose after unrolled refinement, with both tape and numpy views."""
+    """Pose after refinement, with both tape and numpy views."""
 
     rotation: Tensor  # 3x3, tape-connected to the targets
     translation: Tensor  # 3x1
@@ -159,114 +154,157 @@ def _absolute_orientation(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray,
     return rot, dc - rot @ sc
 
 
-# --- unrolled Gauss-Newton refinement --------------------------------------
+# --- Gauss-Newton refinement -----------------------------------------------
 
-def _rodrigues(w: Tensor) -> Tensor:
-    """exp([w]x) on the tape; series branch keeps it smooth through zero."""
-    theta2 = ad.matmul(ad.transpose(w), w)  # 1x1
-    if theta2.value[0, 0] > 1e-8:
-        theta = ad.sqrt(theta2)
-        s = ad.div(ad.sin(theta), theta)
-        c = ad.div(ad.shift(ad.negate(ad.cos(theta)), 1.0), theta2)
-    else:
-        theta4 = ad.mul(theta2, theta2)
-        s = ad.add(ad.shift(ad.scale(theta2, -1.0 / 6.0), 1.0),
-                   ad.scale(theta4, 1.0 / 120.0))
-        c = ad.add(ad.shift(ad.scale(theta2, -1.0 / 24.0), 0.5),
-                   ad.scale(theta4, 1.0 / 720.0))
-    skew = None
-    for axis in range(3):
-        term = ad.scalar_mul(ad.gather_rows(w, [axis]), ad.constant(_GENERATORS[axis]))
-        skew = term if skew is None else ad.add(skew, term)
-    return ad.add(ad.add(ad.constant(np.eye(3)), ad.scalar_mul(s, skew)),
-                  ad.scalar_mul(c, ad.matmul(skew, skew)))
-
-
-def _residual_rows(rot: Tensor, trans: Tensor, pts_t: Tensor, ones_n: Tensor,
-                   k: CameraIntrinsics, tu: Tensor, tv: Tensor):
-    """Camera points and pixel residuals for the current pose, all on tape."""
-    q = ad.add(ad.matmul(rot, pts_t), ad.matmul(trans, ones_n))  # 3xN
-    x, y, z = (ad.gather_rows(q, [i]) for i in range(3))
-    if np.any(z.value <= MIN_DEPTH):
+def _residuals(rot: np.ndarray, trans: np.ndarray, points: np.ndarray,
+               k: CameraIntrinsics, targets: np.ndarray):
+    """Camera-frame points (3 x N) and the pixel residuals u - tu, v - tv."""
+    q = rot @ points.T + trans
+    x, y, z = q
+    if np.any(z <= MIN_DEPTH):
         raise SolveError("point depth collapsed during refinement")
-    u = ad.shift(ad.scale(ad.div(x, z), k.fx), k.cx)
-    v = ad.shift(ad.scale(ad.div(y, z), k.fy), k.cy)
-    return x, y, z, ad.sub(u, tu), ad.sub(v, tv)
+    return q, (x / z) * k.fx + k.cx - targets[:, 0], (y / z) * k.fy + k.cy - targets[:, 1]
+
+
+def _residuals_grad(q: np.ndarray, k: CameraIntrinsics, gru: np.ndarray,
+                    grv: np.ndarray) -> np.ndarray:
+    """Pull residual gradients back to the camera-frame points (3 x N)."""
+    x, y, z = q
+    gx, gy = gru * k.fx / z, grv * k.fy / z
+    return np.stack([gx, gy, -(gx * x + gy * y) / z])
+
+
+def _jacobian(q: np.ndarray, k: CameraIntrinsics):
+    """N x 6 rows of d(u, v) / d(omega, tau) for a left-composed increment:
+    [(q x a)^T, a^T] with a = (fx / z, 0, -fx x / z^2) for u, likewise for v."""
+    x, y, z = q
+    a1, a3 = (1.0 / z) * k.fx, (x / (z * z)) * -k.fx
+    b2, b3 = (1.0 / z) * k.fy, (y / (z * z)) * -k.fy
+    zero = np.zeros_like(z)
+    ju = np.stack([y * a3, z * a1 - x * a3, -(y * a1), a1, zero, a3], axis=1)
+    jv = np.stack([y * b3 - z * b2, -(x * b3), x * b2, zero, b2, b3], axis=1)
+    return ju, jv
+
+
+def _jacobian_grad(q: np.ndarray, k: CameraIntrinsics, gu: np.ndarray,
+                   gv: np.ndarray) -> np.ndarray:
+    """Pull gradients of the Jacobian rows back to the camera-frame points."""
+    x, y, z = q
+    a1, a3 = (1.0 / z) * k.fx, (x / (z * z)) * -k.fx
+    b2, b3 = (1.0 / z) * k.fy, (y / (z * z)) * -k.fy
+    ga1 = gu[:, 1] * z - gu[:, 2] * y + gu[:, 3]
+    ga3 = gu[:, 0] * y - gu[:, 1] * x + gu[:, 5]
+    gb2 = gv[:, 2] * x - gv[:, 0] * z + gv[:, 4]
+    gb3 = gv[:, 0] * y - gv[:, 1] * x + gv[:, 5]
+    gx = gv[:, 2] * b2 - gu[:, 1] * a3 - gv[:, 1] * b3 - ga3 * k.fx / (z * z)
+    gy = gu[:, 0] * a3 - gu[:, 2] * a1 + gv[:, 0] * b3 - gb3 * k.fy / (z * z)
+    gz = (gu[:, 1] * a1 - gv[:, 0] * b2
+          - (ga1 * a1 + gb2 * b2 + 2.0 * (ga3 * a3 + gb3 * b3)) / z)
+    return np.stack([gx, gy, gz])
+
+
+def _exp_so3(w: np.ndarray):
+    """exp([w]x) = I + s K + c K^2 with K = [w]x, plus what its gradient
+    needs; s and c switch to their Taylor series near zero angle."""
+    theta2 = float(w @ w)
+    if theta2 > SERIES_THETA2:
+        theta = np.sqrt(theta2)
+        s, c = np.sin(theta) / theta, (1.0 - np.cos(theta)) / theta2
+    else:
+        theta4 = theta2 * theta2
+        s = theta2 * (-1.0 / 6.0) + 1.0 + theta4 * (1.0 / 120.0)
+        c = theta2 * (-1.0 / 24.0) + 0.5 + theta4 * (1.0 / 720.0)
+    skew = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+    return np.eye(3) + s * skew + c * (skew @ skew), (w, skew, s, c, theta2)
+
+
+def _exp_so3_grad(g: np.ndarray, w: np.ndarray, skew: np.ndarray, s: float,
+                  c: float, theta2: float) -> np.ndarray:
+    """Pull the gradient of exp([w]x) back to w, on the branch the forward took."""
+    gk = s * g + c * (g @ skew.T + skew.T @ g)
+    gs, gc = (g * skew).sum(), (g * (skew @ skew)).sum()
+    if theta2 > SERIES_THETA2:
+        theta = np.sqrt(theta2)
+        g_theta = (gs * (theta * np.cos(theta) - np.sin(theta)) + gc * np.sin(theta)) / theta2
+        g_theta2 = g_theta / (2.0 * theta) - gc * c / theta2
+    else:
+        g_theta2 = gs * (theta2 / 60.0 - 1.0 / 6.0) + gc * (theta2 / 360.0 - 1.0 / 24.0)
+    gw = np.array([gk[2, 1] - gk[1, 2], gk[0, 2] - gk[2, 0], gk[1, 0] - gk[0, 1]])
+    return gw + 2.0 * g_theta2 * w
 
 
 def gauss_newton_refine(problem: PnPProblem, init: RigidPose,
                         k_iters: int = 5) -> RefinedPose:
-    """k unrolled damped Gauss-Newton steps minimizing reprojection error.
+    """k damped Gauss-Newton steps minimizing the reprojection error.
 
     The local parametrization is an axis-angle increment plus a translation
-    increment, composed on the left; every linear solve and pose update is
-    recorded so gradients reach the targets.
+    increment, composed on the left. The steps run in numpy; when the targets
+    are on a tape, one ``gauss_newton`` node records the refined rotation,
+    translation and RMS residual as a 3 x 5 matrix [R | t | (rms, 0, 0)],
+    and its backward replays the k steps in reverse to give the exact
+    target gradient of the finite procedure.
     """
     if k_iters < 1:
         raise SolveError("k_iters must be at least 1")
-    k = problem.intrinsics
-    n = problem.n
-    pts_t = ad.constant(problem.points.T)
-    ones_n = ad.constant(np.ones((1, n)))
-    zeros_col = ad.constant(np.zeros((n, 1)))
-    tu = ad.transpose(ad.gather_cols(problem.targets, [0]))  # 1xN
-    tv = ad.transpose(ad.gather_cols(problem.targets, [1]))
-    damping = ad.constant(GN_DAMPING * np.eye(6))
-
-    rot = ad.constant(init.rotation)
-    trans = ad.constant(init.translation.reshape(3, 1))
+    k, n, points = problem.intrinsics, problem.n, problem.points
+    targets = problem.target_values()
+    rot, trans = init.rotation, init.translation.reshape(3, 1)
     objectives: list[float] = []
+    steps = []
 
     for _ in range(k_iters):
-        x, y, z, ru, rv = _residual_rows(rot, trans, pts_t, ones_n, k, tu, tv)
-        objectives.append(float((ru.value ** 2).sum() + (rv.value ** 2).sum()))
-
-        inv_z = ad.div(ones_n, z)
-        qx, qy, qz = ad.transpose(x), ad.transpose(y), ad.transpose(z)
-        a1 = ad.transpose(ad.scale(inv_z, k.fx))  # N x 1 entries fx / z
-        a3 = ad.transpose(ad.scale(ad.div(x, ad.mul(z, z)), -k.fx))
-        b2 = ad.transpose(ad.scale(inv_z, k.fy))
-        b3 = ad.transpose(ad.scale(ad.div(y, ad.mul(z, z)), -k.fy))
-
-        # rows of the Jacobian: [(q x a)^T, a^T] with a = (a1, 0, a3)
-        u_mat = ad.hstack([
-            ad.mul(qy, a3),
-            ad.sub(ad.mul(qz, a1), ad.mul(qx, a3)),
-            ad.negate(ad.mul(qy, a1)),
-            a1, zeros_col, a3,
-        ])
-        v_mat = ad.hstack([
-            ad.sub(ad.mul(qy, b3), ad.mul(qz, b2)),
-            ad.negate(ad.mul(qx, b3)),
-            ad.mul(qx, b2),
-            zeros_col, b2, b3,
-        ])
-
-        h = ad.add(ad.add(ad.matmul(ad.transpose(u_mat), u_mat),
-                          ad.matmul(ad.transpose(v_mat), v_mat)), damping)
-        g = ad.add(ad.matmul(ad.transpose(u_mat), ad.transpose(ru)),
-                   ad.matmul(ad.transpose(v_mat), ad.transpose(rv)))
-        delta = ad.negate(ad.solve(h, g))  # 6 x 1
-        if not np.all(np.isfinite(delta.value)):
+        q, ru, rv = _residuals(rot, trans, points, k, targets)
+        objectives.append(float((ru ** 2).sum() + (rv ** 2).sum()))
+        ju, jv = _jacobian(q, k)
+        h = ju.T @ ju + jv.T @ jv + GN_DAMPING * np.eye(6)
+        try:
+            delta = -np.linalg.solve(h, ju.T @ ru + jv.T @ rv)
+        except np.linalg.LinAlgError as err:
+            raise SolveError(f"singular linear system: {err}") from err
+        if not np.all(np.isfinite(delta)):
             raise SolveError("non-finite Gauss-Newton update")
+        rot_delta, so3 = _exp_so3(delta[:3])
+        steps.append((rot, trans, q, ru, rv, ju, jv, h, delta, rot_delta, so3))
+        rot, trans = rot_delta @ rot, rot_delta @ trans + delta[3:, None]
 
-        rot_delta = _rodrigues(ad.gather_rows(delta, [0, 1, 2]))
-        rot = ad.matmul(rot_delta, rot)
-        trans = ad.add(ad.matmul(rot_delta, trans), ad.gather_rows(delta, [3, 4, 5]))
+    q_out, ru_out, rv_out = _residuals(rot, trans, points, k, targets)
+    objectives.append(float((ru_out ** 2).sum() + (rv_out ** 2).sum()))
+    rms = float(np.sqrt(((ru_out * ru_out).sum() + (rv_out * rv_out).sum()) * (1.0 / n)))
+    value = np.hstack([rot, trans, [[rms], [0.0], [0.0]]])
 
-    _, _, _, ru, rv = _residual_rows(rot, trans, pts_t, ones_n, k, tu, tv)
-    objectives.append(float((ru.value ** 2).sum() + (rv.value ** 2).sum()))
-    residual = ad.sqrt(ad.scale(ad.add(ad.reduce(ad.mul(ru, ru)),
-                                       ad.reduce(ad.mul(rv, rv))), 1.0 / n))
-    estimate = PoseEstimate(
-        pose=RigidPose(project_to_so3(rot.value), trans.value[:, 0]),
-        residual_px=residual.item(), iterations=k_iters)
-    return RefinedPose(rot, trans, residual, estimate, objectives)
+    def backward(g):
+        g_rot, g_trans = g[:, :3], g[:, 3:4]
+        scale = g[0, 4] / (n * max(rms, 1e-300))
+        gru, grv = scale * ru_out, scale * rv_out
+        g_q = _residuals_grad(q_out, k, gru, grv)
+        g_tu, g_tv = -gru, -grv
+        for rot_i, trans_i, q, ru, rv, ju, jv, h, delta, rot_delta, so3 in reversed(steps):
+            g_rot = g_rot + g_q @ points
+            g_trans = g_trans + g_q.sum(axis=1, keepdims=True)
+            g_w = _exp_so3_grad(g_rot @ rot_i.T + g_trans @ trans_i.T, *so3)
+            g_rhs = -np.linalg.solve(h.T, np.concatenate([g_w, g_trans[:, 0]]))
+            g_h = np.outer(g_rhs, delta)
+            g_h = g_h + g_h.T  # h = ju^T ju + jv^T jv
+            g_rot, g_trans = rot_delta.T @ g_rot, rot_delta.T @ g_trans
+            gru, grv = ju @ g_rhs, jv @ g_rhs
+            g_ju = ju @ g_h + np.outer(ru, g_rhs)
+            g_jv = jv @ g_h + np.outer(rv, g_rhs)
+            g_q = _residuals_grad(q, k, gru, grv) + _jacobian_grad(q, k, g_ju, g_jv)
+            g_tu, g_tv = g_tu - gru, g_tv - grv
+        return (np.stack([g_tu, g_tv], axis=1),)
+
+    tape = problem.targets.tape
+    node = (Tensor(value) if tape is None
+            else tape._record("gauss_newton", (problem.targets,), backward, value))
+    estimate = PoseEstimate(pose=RigidPose(project_to_so3(rot), trans[:, 0]),
+                            residual_px=rms, iterations=k_iters)
+    return RefinedPose(ad.gather_cols(node, [0, 1, 2]), ad.gather_cols(node, [3]),
+                       ad.gather_elements(node, [0], [4]), estimate, objectives)
 
 
 def solve_pose(problem: PnPProblem, k_iters: int = 5,
                init: RigidPose | None = None) -> RefinedPose:
-    """EPnP initialization (gradient-constant) plus unrolled refinement."""
+    """EPnP initialization (gradient-constant) plus Gauss-Newton refinement."""
     if init is None:
         init = epnp_init(problem)
     return gauss_newton_refine(problem, init, k_iters)

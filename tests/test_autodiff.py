@@ -92,19 +92,19 @@ class TestElementwise:
             lambda ps: ad.reduce(ad.mul(op(ps[0], ps[1]), ps[0])), [a0, b0])
         assert err < 1e-6
 
-    @pytest.mark.parametrize("op", [ad.exp, ad.log, ad.sqrt, ad.sin, ad.cos,
-                                    ad.tanh, ad.sigmoid, ad.negate])
+    @pytest.mark.parametrize("op", [ad.exp, ad.log, ad.sqrt, ad.tanh, ad.sigmoid,
+                                    ad.negate])
     def test_unary_grads(self, op):
         rng = np.random.default_rng(1)
         x0 = rng.uniform(0.2, 1.5, (2, 3))
         err = ad.finite_difference_check(lambda ps: ad.reduce(op(ps[0])), [x0])
         assert err < 1e-6
 
-    def test_scale_and_shift(self):
+    def test_scale(self):
         tape = ad.Tape()
         x = tape.parameter([[1.0, 2.0]])
-        y = ad.reduce(ad.shift(ad.scale(x, 3.0), -1.0))
-        assert y.item() == pytest.approx(7.0)
+        y = ad.reduce(ad.scale(x, 3.0))
+        assert y.item() == pytest.approx(9.0)
         tape.backward(y)
         np.testing.assert_allclose(x.grad, [[3.0, 3.0]])
 
@@ -199,17 +199,15 @@ class TestHuber:
 
 
 class TestStructuralOps:
-    def test_transpose_gather_hstack_reshape(self):
+    def test_transpose_and_gathers(self):
         rng = np.random.default_rng(4)
         x0 = rng.normal(size=(4, 3))
-        w = rng.normal(size=(6, 1))
+        w = rng.normal(size=(3, 3))
 
         def build(ps):
-            x = ps[0]
-            cols = ad.hstack([ad.gather_cols(x, [2]), ad.gather_cols(x, [0])])
+            cols = ad.gather_cols(ps[0], [2, 0, 2])
             picked = ad.gather_rows(ad.transpose(cols), [0, 1, 1])
-            flat = ad.reshape(picked, 6, 2)
-            return ad.reduce(ad.mul(ad.gather_cols(flat, [1]), w))
+            return ad.reduce(ad.mul(ad.gather_cols(picked, [3, 1, 3]), w))
 
         assert ad.finite_difference_check(build, [x0]) < 1e-6
 
@@ -221,25 +219,6 @@ class TestStructuralOps:
                 ad.gather_elements(ps[0], [0, 2, 0], [1, 2, 1]),
                 np.array([[1.0], [2.0], [3.0]]))), [x0])
         assert err < 1e-6
-
-    def test_scalar_mul(self):
-        rng = np.random.default_rng(6)
-        s0 = np.array([[1.3]])
-        m0 = rng.normal(size=(2, 3))
-        w = rng.normal(size=(2, 3))
-        err = ad.finite_difference_check(
-            lambda ps: ad.reduce(ad.mul(ad.scalar_mul(ps[0], ps[1]), w)), [s0, m0])
-        assert err < 1e-6
-
-    def test_solve_values_and_grads(self):
-        a0 = np.array([[4.0, 1.0], [1.0, 3.0]])
-        b0 = np.array([[1.0], [2.0]])
-        x = ad.solve(a0, b0)
-        np.testing.assert_allclose(a0 @ x.value, b0, atol=1e-12)
-        w = np.array([[0.7], [-1.2]])
-        err = ad.finite_difference_check(
-            lambda ps: ad.reduce(ad.mul(ad.solve(ps[0], ps[1]), w)), [a0, b0])
-        assert err < 1e-5
 
 
 class TestBackward:

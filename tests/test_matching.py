@@ -313,18 +313,6 @@ class TestSoftHardMatch:
         _, soft = mt.soft_match(ad.constant(vals * 1000.0), sel, centers)
         np.testing.assert_allclose(soft.value, hard, atol=1e-3)
 
-    def test_temperature_rescale_flag(self):
-        rng = np.random.default_rng(15)
-        raw = rng.normal(size=(3, 5))
-        tau = 0.07
-        sel = mt.OverlapSelection(np.arange(3), np.arange(5), False, False)
-        centers = rng.uniform(0, 5, (5, 2))
-        scaled = ad.constant(raw / tau)
-        _, rescaled = mt.soft_match(scaled, sel, centers, temperature=tau,
-                                    rescale_by_temperature=True)
-        _, direct = mt.soft_match(ad.constant(raw), sel, centers)
-        np.testing.assert_allclose(rescaled.value, direct.value, atol=1e-12)
-
     def test_soft_match_gradients_flow_to_logits(self):
         rng = np.random.default_rng(16)
         vals = rng.normal(size=(3, 6))

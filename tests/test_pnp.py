@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -194,3 +196,91 @@ class TestPoseLoss:
         gt = geo.RigidPose.identity()
         refined = self.make_refined(geo.rotation_about_z(math.pi), np.zeros(3))
         assert pnp.pose_loss(refined, gt, delta=1.0).item() == pytest.approx(3.0, abs=1e-12)
+
+
+class TestPoseNode:
+    """The refinement is one tape node whose backward replays the k steps."""
+
+    @staticmethod
+    def probe_loss(refined, w_rot, w_trans):
+        return ad.add(ad.reduce(ad.mul(refined.rotation, w_rot)),
+                      ad.reduce(ad.mul(refined.translation, w_trans)))
+
+    @pytest.mark.parametrize("k_iters", [1, 3, 8])
+    def test_target_gradient_vs_central_differences(self, k_iters):
+        # unequal focal lengths and a far init, so that every term of the
+        # replayed steps (including d delta / d H) carries weight
+        intr = geo.CameraIntrinsics(fx=100.0, fy=70.0, cx=32.0, cy=28.0, width=64, height=64)
+        pose, points, targets = random_instance(10, n=12, intr=intr)
+        rng = np.random.default_rng(10)
+        noisy = targets + rng.normal(scale=0.5, size=targets.shape)
+        init = geo.compose(geo.RigidPose(geo.rotation_from_axis_angle([0.6, -0.8, 0.0], 0.15),
+                                         [0.3, -0.2, 0.4]), pose)
+        w_rot, w_trans = rng.normal(size=(3, 3)), rng.normal(size=(3, 1))
+
+        def build(ps):
+            refined = pnp.gauss_newton_refine(pnp.PnPProblem(points, ps[0], intr),
+                                              init, k_iters=k_iters)
+            return ad.add(ad.add(self.probe_loss(refined, w_rot, w_trans), refined.residual),
+                          pnp.pose_loss(refined, pose))
+
+        assert ad.finite_difference_check(build, [noisy]) < 1e-5
+
+    def test_small_angle_series_branch_gradient(self, monkeypatch):
+        pose, points, targets = random_instance(11, n=12)
+        rng = np.random.default_rng(11)
+        noisy = targets + rng.normal(scale=1e-4, size=targets.shape)
+        w_rot, w_trans = rng.normal(size=(3, 3)), rng.normal(size=(3, 1))
+        angles2 = []
+        exp_so3 = pnp._exp_so3
+
+        def spy(w):
+            angles2.append(float(w @ w))
+            return exp_so3(w)
+
+        monkeypatch.setattr(pnp, "_exp_so3", spy)
+
+        def build(ps):
+            refined = pnp.gauss_newton_refine(pnp.PnPProblem(points, ps[0], INTR),
+                                              pose, k_iters=3)
+            return self.probe_loss(refined, w_rot, w_trans)
+
+        assert ad.finite_difference_check(build, [noisy]) < 1e-5
+        assert angles2 and max(angles2) <= pnp.SERIES_THETA2
+
+    def test_untracked_targets_record_nothing_and_match_tracked(self):
+        pose, points, targets = random_instance(12, n=20)
+        noisy = targets + np.random.default_rng(12).normal(scale=0.5, size=targets.shape)
+        init = pnp.epnp_init(pnp.PnPProblem(points, noisy, INTR))
+        tape = ad.Tape()
+        tracked = pnp.gauss_newton_refine(
+            pnp.PnPProblem(points, tape.parameter(noisy), INTR), init, k_iters=5)
+        untracked = pnp.gauss_newton_refine(pnp.PnPProblem(points, noisy, INTR), init, k_iters=5)
+        assert [node.op for node in tape.nodes] == [
+            "leaf", "gauss_newton", "gather_cols", "gather_cols", "gather_elements"]
+        for name in ("rotation", "translation", "residual"):
+            assert getattr(untracked, name).tape is None
+            assert np.array_equal(getattr(untracked, name).value, getattr(tracked, name).value)
+        assert untracked.objectives == tracked.objectives
+        assert np.array_equal(untracked.estimate.pose.rotation, tracked.estimate.pose.rotation)
+        assert np.array_equal(untracked.estimate.pose.translation,
+                              tracked.estimate.pose.translation)
+
+
+def test_tape_is_freed_without_the_cycle_collector():
+    # a backward closure that holds a Tensor keeps its tape in a reference
+    # cycle, so every training tape would live until a full collection
+    pose, points, targets = random_instance(13, n=16)
+    noisy = targets + np.random.default_rng(13).normal(scale=0.5, size=targets.shape)
+    init = pnp.epnp_init(pnp.PnPProblem(points, noisy, INTR))
+    gc.disable()
+    try:
+        tape = ad.Tape()
+        refined = pnp.gauss_newton_refine(
+            pnp.PnPProblem(points, tape.parameter(noisy), INTR), init, k_iters=5)
+        tape.backward(pnp.pose_loss(refined, pose))
+        alive = weakref.ref(tape)
+        del tape, refined
+        assert alive() is None
+    finally:
+        gc.enable()
