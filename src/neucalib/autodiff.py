@@ -2,8 +2,8 @@
 
 Every differentiable value is a 2-D matrix (vectors are n x 1 or 1 x n,
 scalars are 1 x 1). A :class:`Tape` records one node per operation in
-execution order; :func:`backward` replays the nodes in reverse exactly
-once. Tensors without a tape are constants and may be shared freely.
+execution order; :meth:`Tape.backward` replays the nodes in reverse
+exactly once. Tensors without a tape are constants and may be shared freely.
 
 There is no implicit broadcasting: binary elementwise operations demand
 exact shape equality, and any shape coercion (bias rows, column tiling)
@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, ShapeError, StateError
+from .errors import ParameterError, ShapeError, StateError
 
 Array = np.ndarray
 
@@ -103,11 +103,10 @@ class Tape:
         self.nodes.append(_Node(op, ids, backward_fn))
         return Tensor(value, tape=self, node_id=len(self.nodes) - 1)
 
-    def backward(self, loss: Tensor) -> dict[int, Array]:
+    def backward(self, loss: Tensor) -> None:
         """Reverse sweep from a scalar loss; fills every reachable gradient.
 
-        Returns the gradient map keyed by node id. A tape can be swept only
-        once; rebuild the graph for the next step.
+        A tape can be swept only once; rebuild the graph for the next step.
         """
         if self.consumed:
             raise StateError("tape already consumed by a previous backward()")
@@ -133,13 +132,6 @@ class Tape:
                     self.grads[in_id] = in_grad.copy()
                 else:
                     self.grads[in_id] += in_grad
-        return {i: g for i, g in enumerate(self.grads) if g is not None}
-
-
-def backward(loss: Tensor) -> dict[int, Array]:
-    if loss.tape is None:
-        raise StateError("loss is a constant; nothing to differentiate")
-    return loss.tape.backward(loss)
 
 
 def _wrap(x) -> Tensor:
@@ -156,6 +148,18 @@ def _tape_of(*tensors: Tensor) -> "Tape | None":
         elif tape is not t.tape:
             raise StateError("operands belong to different tapes")
     return tape
+
+
+def record(op: str, inputs: Sequence[Tensor], backward_fn, value: Array) -> Tensor:
+    """Record one fused op whose forward value was computed outside the tape.
+
+    ``backward_fn(g)`` returns one gradient (or None) per input. When no
+    input is tracked the result is a constant and nothing is recorded.
+    """
+    tape = _tape_of(*inputs)
+    if tape is None:
+        return Tensor(value)
+    return tape._record(op, tuple(inputs), backward_fn, value)
 
 
 # Backward rules live at module level so tests can fault-inject them.
@@ -208,11 +212,6 @@ def mul(a, b) -> Tensor:
     return _binary("mul", a, b, lambda x, y: x * y, lambda g, x, y: (g * y, g * x))
 
 
-def div(a, b) -> Tensor:
-    return _binary("div", a, b, lambda x, y: x / y,
-                   lambda g, x, y: (g / y, -g * x / (y * y)))
-
-
 def _unary(op: str, a, fwd, bwd) -> Tensor:
     a = _wrap(a)
     out = fwd(a.value)
@@ -220,32 +219,6 @@ def _unary(op: str, a, fwd, bwd) -> Tensor:
         return Tensor(out)
     av = a.value
     return a.tape._record(op, (a,), lambda g: (bwd(g, av, out),), out)
-
-
-def negate(a) -> Tensor:
-    return _unary("negate", a, lambda x: -x, lambda g, x, y: -g)
-
-
-def exp(a) -> Tensor:
-    return _unary("exp", a, np.exp, lambda g, x, y: g * y)
-
-
-def log(a) -> Tensor:
-    a = _wrap(a)
-    bad = a.value <= 0.0
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise DomainError(f"log: non-positive input {a.value[i, j]!r} at index ({i}, {j})")
-    return _unary("log", a, np.log, lambda g, x, y: g / x)
-
-
-def sqrt(a) -> Tensor:
-    a = _wrap(a)
-    bad = a.value < 0.0
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise DomainError(f"sqrt: negative input at index ({i}, {j})")
-    return _unary("sqrt", a, np.sqrt, lambda g, x, y: g * 0.5 / np.maximum(y, 1e-300))
 
 
 def tanh(a) -> Tensor:
@@ -270,17 +243,6 @@ def scale(a, c: float) -> Tensor:
     return _unary("scale", a, lambda x: x * c, lambda g, x, y: g * c)
 
 
-def clip(a, lo: float, hi: float) -> Tensor:
-    """Clamp entries to [lo, hi]; gradient passes only strictly inside."""
-    a = _wrap(a)
-    av = a.value
-    out = np.clip(av, lo, hi)
-    if a.tape is None:
-        return Tensor(out)
-    inside = (av > lo) & (av < hi)
-    return a.tape._record("clip", (a,), lambda g: (g * inside,), out)
-
-
 def softmax_rows(a) -> Tensor:
     """Row-wise softmax with row-max subtraction for overflow safety."""
     a = _wrap(a)
@@ -299,39 +261,16 @@ def softmax_rows(a) -> Tensor:
     return a.tape._record("softmax_rows", (a,), bwd, out)
 
 
-def reduce(a, kind: str = "sum", axis: str = "all") -> Tensor:
-    """Sum or mean over all entries, across rows, or across columns.
-
-    axis="rows" collapses the row dimension (result 1 x n);
-    axis="cols" collapses columns (result m x 1).
-    """
+def reduce(a) -> Tensor:
+    """Sum over all entries, as a 1 x 1 tensor."""
     a = _wrap(a)
-    if kind not in ("sum", "mean"):
-        raise ParameterError(f"reduce: unknown kind {kind!r}")
-    if axis not in ("all", "rows", "cols"):
-        raise ParameterError(f"reduce: unknown axis {axis!r}")
     m, n = a.shape
     if m == 0 or n == 0:
         raise ShapeError("reduce: empty tensor")
-    if axis == "all":
-        out = a.value.sum().reshape(1, 1)
-        count = m * n
-    elif axis == "rows":
-        out = a.value.sum(axis=0, keepdims=True)
-        count = m
-    else:
-        out = a.value.sum(axis=1, keepdims=True)
-        count = n
-    if kind == "mean":
-        out = out / count
+    out = a.value.sum().reshape(1, 1)
     if a.tape is None:
         return Tensor(out)
-    factor = 1.0 / count if kind == "mean" else 1.0
-
-    def bwd(g):
-        return (np.broadcast_to(g, (m, n)) * factor,)
-
-    return a.tape._record(f"reduce_{kind}_{axis}", (a,), bwd, out)
+    return a.tape._record("reduce_sum_all", (a,), lambda g: (np.full((m, n), g[0, 0]),), out)
 
 
 def huber(a, delta: float) -> Tensor:

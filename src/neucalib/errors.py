@@ -26,7 +26,7 @@ class StateError(NeucalibError):
 
 
 class NormalizationError(NeucalibError):
-    """A feature row has zero norm and cannot be unit-normalized."""
+    """A feature row has zero or non-finite norm and cannot be unit-normalized."""
 
 
 class DegenerateBatchError(NeucalibError):

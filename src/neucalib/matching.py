@@ -16,13 +16,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DegenerateBatchError, NormalizationError, ParameterError
+from .errors import DegenerateBatchError, DomainError, NormalizationError, ParameterError
 from .scene import PairSet
 
 PROB_CLAMP = 1e-7  # BCE probability floor/ceiling before the log
 
 ALIGNMENT_MODES = ("learnable", "cosine")
-MATCH_MODES = ("soft", "hard")
 
 
 @dataclass
@@ -60,13 +59,24 @@ def init_overlap_heads(rng: np.random.Generator, channels: int) -> dict[str, np.
 
 
 def normalize_rows(f: Tensor, what: str = "feature") -> Tensor:
-    """Unit-normalize each row; zero rows are a hard error."""
-    norms_sq = ad.reduce(ad.mul(f, f), "sum", "cols")  # m x 1
-    zero = np.flatnonzero(norms_sq.value[:, 0] <= 0.0)
+    """Unit-normalize each row; zero or non-finite rows are a hard error.
+
+    One ``normalize_rows`` node: with y = f / |f| per row, the row gradient
+    is (g - (g . y) y) / |f|.
+    """
+    norms = np.sqrt((f.value * f.value).sum(axis=1, keepdims=True))  # m x 1
+    bad = np.flatnonzero(~np.isfinite(norms[:, 0]))
+    if bad.size:
+        raise NormalizationError(f"non-finite {what} row at index {bad[0]}")
+    zero = np.flatnonzero(norms[:, 0] <= 0.0)
     if zero.size:
         raise NormalizationError(f"zero-norm {what} row at index {zero[0]}")
-    ones_row = ad.constant(np.ones((1, f.shape[1])))
-    return ad.div(f, ad.matmul(ad.sqrt(norms_sq), ones_row))
+    out = f.value / norms
+
+    def backward(g):
+        return ((g - out * (g * out).sum(axis=1, keepdims=True)) / norms,)
+
+    return ad.record("normalize_rows", (f,), backward, out)
 
 
 def similarity(f_p: Tensor, f_i: Tensor, transform: AlignmentTransform,
@@ -90,37 +100,48 @@ def infonce_loss(logits: Tensor, pairs: PairSet, direction: str = "point_to_pixe
     positive plus the anchor's negatives. Anchors lacking a positive or a
     negative are skipped (counted in the pair set); an empty anchor set is
     a degenerate batch.
+
+    One ``infonce`` node. With K terms, D_k the denominator of term k and
+    e = exp(shifted logits), the gradient at anchor a is
+    e_aj * sum_{k in P(a)} 1 / D_k / K at each negative j and
+    (e_ap / D_k - 1) / K at each positive p.
     """
     if direction == "point_to_pixel":
-        l, pos, neg = logits, pairs.pos_mask, pairs.neg_mask
+        vals, pos, neg = logits.value, pairs.pos_mask, pairs.neg_mask
     elif direction == "pixel_to_point":
-        l, pos, neg = ad.transpose(logits), pairs.pos_mask.T, pairs.neg_mask.T
+        vals, pos, neg = logits.value.T, pairs.pos_mask.T, pairs.neg_mask.T
     else:
         raise ParameterError(f"unknown InfoNCE direction {direction!r}")
 
-    usable = pos.any(axis=1) & neg.any(axis=1)
-    anchors = np.flatnonzero(usable)
+    anchors = np.flatnonzero(pos.any(axis=1) & neg.any(axis=1))
     if anchors.size == 0:
         raise DegenerateBatchError(f"no usable {direction} anchors")
+    shape = vals.shape
+    vals, pos, neg = vals[anchors], pos[anchors], neg[anchors]
 
-    vals = l.value
     # per-anchor max over its own positives and negatives keeps every exp
     # below 1; subtracting a constant leaves the gradient exact
-    row_max = np.where(pos | neg, vals, -np.inf).max(axis=1)
-    shift = np.where(np.isfinite(row_max), row_max, 0.0)[:, None]
+    shifted = vals - np.where(pos | neg, vals, -np.inf).max(axis=1, keepdims=True)
+    a_idx, p_idx = np.nonzero(pos)
+    pos_shifted = shifted[a_idx, p_idx]  # a copy: the exp below overwrites shifted
+    pos_exp = np.exp(pos_shifted)
+    neg_exp = np.exp(shifted, out=shifted)
+    neg_exp *= neg
+    denom = pos_exp + neg_exp.sum(axis=1)[a_idx]
+    if np.any(denom <= 0.0):
+        raise DomainError(f"{direction} InfoNCE denominator underflowed to zero")
+    count = a_idx.size
+    value = np.array([[(np.log(denom) - pos_shifted).sum() / count]])
 
-    shifted = ad.sub(l, ad.constant(np.broadcast_to(shift, vals.shape).copy()))
-    exp_all = ad.exp(shifted)
-    neg_sums = ad.matmul(ad.mul(exp_all, ad.constant(neg.astype(float))),
-                         ad.constant(np.ones((vals.shape[1], 1))))  # rows x 1
+    def backward(g):
+        scale = g[0, 0] / count
+        grad = neg_exp * (np.bincount(a_idx, weights=1.0 / denom) * scale)[:, None]
+        grad[a_idx, p_idx] += (pos_exp / denom - 1.0) * scale
+        full = np.zeros(shape)
+        full[anchors] = grad
+        return (full if direction == "point_to_pixel" else full.T,)
 
-    a_idx, p_idx = np.nonzero(pos[anchors])
-    a_idx = anchors[a_idx]
-    pos_shifted = ad.gather_elements(shifted, a_idx, p_idx)  # K x 1
-    pos_exp = ad.exp(pos_shifted)
-    denom = ad.add(pos_exp, ad.gather_rows(neg_sums, a_idx))
-    terms = ad.sub(ad.log(denom), pos_shifted)
-    return ad.reduce(terms, "mean")
+    return ad.record("infonce", (logits,), backward, value)
 
 
 def overlap_scores(f_p: Tensor, f_i: Tensor, p) -> tuple[Tensor, Tensor]:
@@ -135,22 +156,29 @@ def overlap_scores(f_p: Tensor, f_i: Tensor, p) -> tuple[Tensor, Tensor]:
 
 
 def overlap_bce_loss(s_p: Tensor, s_i: Tensor, point_labels, pixel_labels) -> Tensor:
-    """Mean BCE over points plus mean BCE over pixels."""
+    """Mean BCE over points plus mean BCE over pixels.
+
+    One ``overlap_bce`` node. Scores are clipped to [PROB_CLAMP,
+    1 - PROB_CLAMP] before the logs; the gradient is zero at and beyond
+    the clip bounds.
+    """
     point_labels = np.asarray(point_labels, dtype=float).reshape(-1, 1)
     pixel_labels = np.asarray(pixel_labels, dtype=float).reshape(-1, 1)
     if s_p.shape[0] != point_labels.shape[0] or s_i.shape[0] != pixel_labels.shape[0]:
         raise ParameterError("overlap label lengths do not match score lengths")
+    heads = [(scores.value, labels, np.clip(scores.value, PROB_CLAMP, 1.0 - PROB_CLAMP))
+             for scores, labels in ((s_p, point_labels), (s_i, pixel_labels))]
+    value = sum(-((y * np.log(s) + (1.0 - y) * np.log(1.0 - s)).sum() / y.shape[0])
+                for _, y, s in heads)
 
-    def bce(scores, labels):
-        s = ad.clip(scores, PROB_CLAMP, 1.0 - PROB_CLAMP)
-        y = ad.constant(labels)
-        one_minus_y = ad.constant(1.0 - labels)
-        ones = ad.constant(np.ones_like(labels))
-        term = ad.add(ad.mul(y, ad.log(s)),
-                      ad.mul(one_minus_y, ad.log(ad.sub(ones, s))))
-        return ad.negate(ad.reduce(term, "mean"))
+    def backward(g):
+        grads = []
+        for raw, y, s in heads:
+            inside = (raw > PROB_CLAMP) & (raw < 1.0 - PROB_CLAMP)
+            grads.append(inside * ((1.0 - y) / (1.0 - s) - y / s) * (g[0, 0] / y.shape[0]))
+        return tuple(grads)
 
-    return ad.add(bce(s_p, point_labels), bce(s_i, pixel_labels))
+    return ad.record("overlap_bce", (s_p, s_i), backward, np.array([[value]]))
 
 
 @dataclass
@@ -162,13 +190,12 @@ class OverlapSelection:
 
 
 def threshold_overlap(s_p, s_i, theta_p: float, theta_i: float,
-                      gt_point_mask=None, gt_pixel_mask=None,
-                      min_points: int = 1) -> OverlapSelection:
+                      gt_point_mask=None, gt_pixel_mask=None) -> OverlapSelection:
     """Index sets of entities whose scores exceed the thresholds.
 
-    When ground-truth masks are supplied, a selection that is empty (or has
-    fewer points than ``min_points``) falls back to the ground truth so the
-    pose stage never starves; the fallback is recorded in the result.
+    When ground-truth masks are supplied, an empty selection falls back to
+    the ground truth so the pose stage never starves; the fallback is
+    recorded in the result.
     """
     if not (0.0 < theta_p < 1.0 and 0.0 < theta_i < 1.0):
         raise ParameterError("overlap thresholds must lie in (0, 1)")
@@ -177,7 +204,7 @@ def threshold_overlap(s_p, s_i, theta_p: float, theta_i: float,
     points = np.flatnonzero(sp > theta_p)
     pixels = np.flatnonzero(si > theta_i)
     point_fallback = pixel_fallback = False
-    if points.size < min_points and gt_point_mask is not None:
+    if points.size == 0 and gt_point_mask is not None:
         points = np.flatnonzero(np.asarray(gt_point_mask, dtype=bool))
         point_fallback = True
     if pixels.size == 0 and gt_pixel_mask is not None:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tape, Tensor
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 
 PARAMS_MAGIC = b"NCLP"
 PARAMS_VERSION = 1
@@ -38,6 +38,9 @@ def gradients(bound: BoundParams) -> ParamDict:
 
 
 def save_params(params: ParamDict, path) -> None:
+    for name, value in params.items():
+        if np.ndim(value) != 2:
+            raise ParameterError(f"parameter {name!r} has shape {np.shape(value)}, not 2-D")
     parts = [PARAMS_MAGIC, struct.pack("<II", PARAMS_VERSION, len(params))]
     for name, value in params.items():
         raw = name.encode("utf-8")
@@ -53,21 +56,31 @@ def load_params(path) -> ParamDict:
     blob = Path(path).read_bytes()
     if blob[:4] != PARAMS_MAGIC:
         raise ConfigError(f"bad parameter file magic {blob[:4]!r}")
-    version, count = struct.unpack_from("<II", blob, 4)
+    off = 4
+
+    def take(size: int) -> int:
+        """Offset of the next ``size`` bytes, which must all be present."""
+        nonlocal off
+        if off + size > len(blob):
+            raise ConfigError(f"parameter file truncated: {len(blob)} bytes, "
+                              f"need {off + size}")
+        off += size
+        return off - size
+
+    version, count = struct.unpack_from("<II", blob, take(8))
     if version != PARAMS_VERSION:
         raise ConfigError(f"unsupported parameter file version {version}")
-    off = 12
     params: ParamDict = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off:off + name_len].decode("utf-8")
-        off += name_len
-        rows, cols = struct.unpack_from("<II", blob, off)
-        off += 8
-        arr = np.frombuffer(blob, "<f8", rows * cols, off).reshape(rows, cols).copy()
-        off += 8 * rows * cols
-        params[name] = arr
+        (name_len,) = struct.unpack_from("<I", blob, take(4))
+        start = take(name_len)
+        try:
+            name = blob[start:start + name_len].decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"parameter name at byte {start} is not UTF-8") from err
+        rows, cols = struct.unpack_from("<II", blob, take(8))
+        arr = np.frombuffer(blob, "<f8", rows * cols, take(8 * rows * cols))
+        params[name] = arr.reshape(rows, cols).copy()
     if off != len(blob):
         raise ConfigError(f"parameter file has {len(blob) - off} trailing bytes")
     return params

@@ -293,9 +293,7 @@ def gauss_newton_refine(problem: PnPProblem, init: RigidPose,
             g_tu, g_tv = g_tu - gru, g_tv - grv
         return (np.stack([g_tu, g_tv], axis=1),)
 
-    tape = problem.targets.tape
-    node = (Tensor(value) if tape is None
-            else tape._record("gauss_newton", (problem.targets,), backward, value))
+    node = ad.record("gauss_newton", (problem.targets,), backward, value)
     estimate = PoseEstimate(pose=RigidPose(project_to_so3(rot), trans[:, 0]),
                             residual_px=rms, iterations=k_iters)
     return RefinedPose(ad.gather_cols(node, [0, 1, 2]), ad.gather_cols(node, [3]),

@@ -301,9 +301,16 @@ def scene_to_bytes(sample: SceneSample) -> bytes:
 def scene_from_bytes(blob: bytes) -> SceneSample:
     if blob[:4] != MAGIC:
         raise ConfigError(f"bad scene magic {blob[:4]!r}")
+    if len(blob) < 20:
+        raise ConfigError(f"scene file truncated to {len(blob)} bytes inside its header")
     version, n, h, w = struct.unpack_from("<IIII", blob, 4)
     if version != FORMAT_VERSION:
         raise ConfigError(f"unsupported scene format version {version}")
+    # the header fixes every field's size, so one check covers them all:
+    # 148 bytes up to the pose, 41 per point (xyz, flag, uv), 1 per pixel
+    size = 148 + 41 * n + h * w
+    if len(blob) != size:
+        raise ConfigError(f"scene file has {len(blob)} bytes, its header implies {size}")
     off = 20
     fx, fy, cx, cy = struct.unpack_from("<4d", blob, off)
     off += 32
@@ -318,9 +325,6 @@ def scene_from_bytes(blob: bytes) -> SceneSample:
     px_overlap = np.frombuffer(blob, np.uint8, h * w, off).astype(bool)
     off += h * w
     proj = np.frombuffer(blob, "<f8", 2 * n, off).reshape(n, 2).copy()
-    off += 16 * n
-    if off != len(blob):
-        raise ConfigError(f"scene file has {len(blob) - off} trailing bytes")
     k = geo.CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=w, height=h)
     return SceneSample(points=points, intrinsics=k,
                        raw_pose=geo.RigidPose(rot, trans), grid=(h, w),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neucalib import autodiff as ad
-from neucalib.errors import DomainError, ParameterError, ShapeError, StateError
+from neucalib.errors import ParameterError, ShapeError, StateError
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -59,31 +59,11 @@ class TestMatmul:
 
 
 class TestElementwise:
-    def test_exp_zero(self):
-        np.testing.assert_array_equal(ad.exp([[0.0]]).value, [[1.0]])
-
-    def test_log_exp_inverse(self):
-        x = np.array([[0.5, -1.2]])
-        np.testing.assert_allclose(ad.log(ad.exp(x)).value, x, atol=1e-15)
-
-    def test_log_rejects_nonpositive(self):
-        with pytest.raises(DomainError, match=r"\(0, 1\)"):
-            ad.log([[1.0, -2.0]])
-
-    def test_exp_grad_analytic(self):
-        tape = ad.Tape()
-        x = tape.parameter([[2.0]])
-        tape.backward(ad.exp(x))
-        got = x.grad[0, 0]
-        central = (math.exp(2 + 1e-6) - math.exp(2 - 1e-6)) / 2e-6
-        assert abs(got - central) / central < 1e-9
-        assert abs(got - math.e**2) < 1e-12
-
     def test_no_implicit_broadcasting(self):
         with pytest.raises(ShapeError):
             ad.add(np.ones((2, 2)), np.ones((1, 2)))
 
-    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
     def test_binary_grads(self, op):
         rng = np.random.default_rng(0)
         a0 = rng.uniform(0.5, 2.0, (3, 2))
@@ -92,8 +72,7 @@ class TestElementwise:
             lambda ps: ad.reduce(ad.mul(op(ps[0], ps[1]), ps[0])), [a0, b0])
         assert err < 1e-6
 
-    @pytest.mark.parametrize("op", [ad.exp, ad.log, ad.sqrt, ad.tanh, ad.sigmoid,
-                                    ad.negate])
+    @pytest.mark.parametrize("op", [ad.tanh, ad.sigmoid])
     def test_unary_grads(self, op):
         rng = np.random.default_rng(1)
         x0 = rng.uniform(0.2, 1.5, (2, 3))
@@ -107,12 +86,6 @@ class TestElementwise:
         assert y.item() == pytest.approx(9.0)
         tape.backward(y)
         np.testing.assert_allclose(x.grad, [[3.0, 3.0]])
-
-    def test_clip_gradient_masks_outside(self):
-        tape = ad.Tape()
-        x = tape.parameter([[0.5, 2.0, -2.0]])
-        tape.backward(ad.reduce(ad.clip(x, -1.0, 1.0)))
-        np.testing.assert_allclose(x.grad, [[1.0, 0.0, 0.0]])
 
 
 class TestSoftmaxRows:
@@ -149,29 +122,14 @@ class TestReduce:
     def test_sum_all(self):
         assert ad.reduce([[1.0, 2.0], [3.0, 4.0]]).item() == 10.0
 
-    def test_mean_rows(self):
-        out = ad.reduce([[2.0], [4.0]], kind="mean", axis="rows")
-        np.testing.assert_array_equal(out.value, [[3.0]])
-
-    def test_mean_all_grad_uniform(self):
-        tape = ad.Tape()
-        x = tape.parameter(np.ones((2, 2)))
-        tape.backward(ad.reduce(x, kind="mean"))
-        np.testing.assert_allclose(x.grad, 0.25 * np.ones((2, 2)))
-
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
             ad.reduce(np.zeros((0, 3)))
 
-    @pytest.mark.parametrize("kind", ["sum", "mean"])
-    @pytest.mark.parametrize("axis", ["all", "rows", "cols"])
-    def test_grads(self, kind, axis):
-        rng = np.random.default_rng(3)
-        x0 = rng.normal(size=(3, 4))
-        w = rng.normal(size=(1, 1) if axis == "all" else
-                       ((1, 4) if axis == "rows" else (3, 1)))
+    def test_grad(self):
+        x0 = np.random.default_rng(3).normal(size=(3, 4))
         err = ad.finite_difference_check(
-            lambda ps: ad.reduce(ad.mul(ad.reduce(ps[0], kind, axis), w)), [x0])
+            lambda ps: ad.reduce(ad.mul(ad.reduce(ps[0]), [[-1.7]])), [x0])
         assert err < 1e-6
 
 
@@ -252,6 +210,17 @@ class TestBackward:
         t1, t2 = ad.Tape(), ad.Tape()
         with pytest.raises(StateError):
             ad.add(t1.parameter([[1.0]]), t2.parameter([[1.0]]))
+        with pytest.raises(StateError):
+            ad.record("fused", (t1.parameter([[1.0]]), t2.parameter([[1.0]])), None, [[0.0]])
+
+    def test_record_skips_untracked_inputs(self):
+        tape = ad.Tape()
+        x = tape.parameter([[2.0]])
+        const = ad.record("fused", (ad.constant([[1.0]]),), None, [[5.0]])
+        assert const.tape is None and len(tape.nodes) == 1
+        y = ad.record("fused", (ad.constant([[1.0]]), x), lambda g: (g, 3.0 * g), [[5.0]])
+        tape.backward(y)
+        assert x.grad[0, 0] == 3.0 and len(tape.nodes) == 2
 
     def test_fanout_accumulates(self):
         tape = ad.Tape()
@@ -267,7 +236,7 @@ class TestBackward:
         def run():
             tape = ad.Tape()
             x = tape.parameter(x0)
-            y = ad.reduce(ad.mul(ad.softmax_rows(ad.matmul(x, x)), ad.exp(ad.scale(x, 0.1))))
+            y = ad.reduce(ad.mul(ad.softmax_rows(ad.matmul(x, x)), ad.tanh(ad.scale(x, 0.1))))
             tape.backward(y)
             return x.grad.copy()
 
@@ -292,6 +261,6 @@ class TestFiniteDifferenceCheck:
         rng = np.random.default_rng(8)
         x0 = rng.uniform(0.5, 1.5, (2, 2))
         err = ad.finite_difference_check(
-            lambda ps: ad.reduce(ad.log(ad.add(ad.exp(ps[0]), ad.mul(ps[0], ps[0])))),
+            lambda ps: ad.reduce(ad.tanh(ad.add(ad.sigmoid(ps[0]), ad.mul(ps[0], ps[0])))),
             [x0])
         assert err < 1e-6

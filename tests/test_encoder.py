@@ -5,7 +5,7 @@ from neucalib import autodiff as ad
 from neucalib import encoder as enc
 from neucalib import params as pstore
 from neucalib import scene as sc
-from neucalib.errors import ParameterError
+from neucalib.errors import ConfigError, ParameterError
 
 
 def small_scene(seed=0, n_points=8, grid=(8, 8)):
@@ -146,8 +146,8 @@ class TestFuse:
         def build(tensors):
             p = dict(zip(names, tensors))
             out_p, out_i = enc.fuse(*enc.encode(scene, p), scene, p)
-            return ad.add(ad.reduce(ad.mul(out_p, probe_p), "mean"),
-                          ad.reduce(ad.mul(out_i, probe_i), "mean"))
+            return ad.add(ad.reduce(ad.mul(out_p, probe_p)),
+                          ad.reduce(ad.mul(out_i, probe_i)))
 
         err = ad.finite_difference_check(build, [p0[n] for n in names])
         assert err < 1e-4
@@ -168,8 +168,29 @@ class TestParamsIO:
         template = dict(p0)
         bad = dict(p0)
         bad["point_enc.l1.w"] = np.zeros((4, 4))
-        from neucalib.errors import ConfigError
         with pytest.raises(ConfigError):
             pstore.check_shapes(bad, template)
         with pytest.raises(ConfigError):
             pstore.check_shapes({k: v for k, v in p0.items() if "ffn" not in k}, template)
+
+    def test_every_truncation_rejected(self, tmp_path):
+        path = tmp_path / "m.nclp"
+        pstore.save_params({"w": np.ones((2, 3)), "bias": np.zeros((1, 2))}, path)
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ConfigError):
+                pstore.load_params(path)
+
+    def test_non_utf8_name_rejected(self, tmp_path):
+        path = tmp_path / "m.nclp"
+        pstore.save_params({"w": np.ones((1, 1))}, path)
+        path.write_bytes(path.read_bytes().replace(b"w", b"\xff"))
+        with pytest.raises(ConfigError, match="UTF-8"):
+            pstore.load_params(path)
+
+    def test_save_rejects_non_matrix_before_writing(self, tmp_path):
+        path = tmp_path / "m.nclp"
+        with pytest.raises(ParameterError, match="'b'"):
+            pstore.save_params({"w": np.ones((2, 2)), "b": np.ones(3)}, path)
+        assert not path.exists()

@@ -6,7 +6,7 @@ import pytest
 from neucalib import autodiff as ad
 from neucalib import matching as mt
 from neucalib import scene as sc
-from neucalib.errors import (DegenerateBatchError, NormalizationError,
+from neucalib.errors import (DegenerateBatchError, DomainError, NormalizationError,
                              ParameterError)
 
 
@@ -66,6 +66,26 @@ class TestSimilarity:
         f[0] = [1, 0, 0, 0]
         with pytest.raises(NormalizationError, match="index 1"):
             mt.normalize_rows(ad.constant(f))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        f = np.ones((3, 4))
+        f[2, 1] = bad
+        with pytest.raises(NormalizationError, match="non-finite .* index 2"):
+            mt.normalize_rows(ad.constant(f))
+
+    def test_normalize_rows_value_is_row_over_root_of_row_sum(self):
+        f = np.random.default_rng(20).normal(size=(6, 7)) * 3.0
+        out = mt.normalize_rows(ad.constant(f)).value
+        assert np.array_equal(out, f / np.sqrt((f * f).sum(axis=1, keepdims=True)))
+
+    def test_normalize_rows_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(18)
+        f0 = rng.normal(size=(4, 5))
+        probe = rng.normal(size=(4, 5))
+        err = ad.finite_difference_check(
+            lambda ps: ad.reduce(ad.mul(mt.normalize_rows(ps[0]), probe)), [f0])
+        assert err < 1e-6
 
 
 class TestInfoNCE:
@@ -157,6 +177,36 @@ class TestInfoNCE:
             lambda ps: mt.infonce_loss(ps[0], pairset(pos, neg)), [vals])
         assert err < 1e-6
 
+    def test_pixel_direction_gradient_matches_finite_differences(self):
+        # pixel anchors 0 and 2 have several positive points, pixel 3 has
+        # no negative, so its column must get no gradient
+        rng = np.random.default_rng(19)
+        vals = rng.normal(size=(4, 5))
+        pos = np.zeros((4, 5), dtype=bool)
+        neg = np.zeros((4, 5), dtype=bool)
+        pos[[0, 1, 3], 0] = True
+        pos[[1, 2], 2] = True
+        pos[0, 3] = True
+        neg[2:, 0] = True
+        neg[[0, 3], 2] = True
+        neg[:, 4] = True
+        tape = ad.Tape()
+        logits = tape.parameter(vals)
+        tape.backward(mt.infonce_loss(logits, pairset(pos, neg), "pixel_to_point"))
+        assert np.all(logits.grad[:, 3] == 0.0) and np.all(logits.grad[:, 1] == 0.0)
+        err = ad.finite_difference_check(
+            lambda ps: mt.infonce_loss(ps[0], pairset(pos, neg), "pixel_to_point"), [vals])
+        assert err < 1e-6
+
+    def test_underflowed_denominator_raises(self):
+        # the anchor's max sits on one positive; the other positive and the
+        # negative are so far below it that their exps underflow to zero
+        vals = np.array([[0.0, -800.0, -800.0]])
+        pos = np.array([[True, True, False]])
+        neg = np.array([[False, False, True]])
+        with pytest.raises(DomainError):
+            mt.infonce_loss(ad.constant(vals), pairset(pos, neg))
+
 
 class TestOverlap:
     def test_zero_head_gives_half_scores(self):
@@ -222,6 +272,44 @@ class TestOverlap:
         loss = mt.overlap_bce_loss(ad.constant(sp.reshape(-1, 1)),
                                    ad.constant(si.reshape(-1, 1)), yp, yi)
         assert loss.item() == pytest.approx(expected, abs=1e-12)
+
+    def test_bce_gradient_matches_finite_differences(self):
+        # scores inside the clip and far enough beyond it that both probes
+        # of the central difference stay clipped
+        sp = np.array([[0.02], [0.5], [0.97], [-0.3], [1.4]])
+        si = np.array([[0.3], [0.8], [0.03], [0.985]])
+        yp = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+        yi = np.array([0.0, 1.0, 1.0, 0.0])
+        err = ad.finite_difference_check(
+            lambda ps: mt.overlap_bce_loss(ps[0], ps[1], yp, yi), [sp, si])
+        assert err < 1e-6
+
+    def test_bce_untracked_scores_get_no_gradient(self):
+        rng = np.random.default_rng(21)
+        sp, si = rng.uniform(0.1, 0.9, (5, 1)), rng.uniform(0.1, 0.9, (3, 1))
+        yp, yi = rng.uniform(size=5) < 0.5, rng.uniform(size=3) < 0.5
+        tape = ad.Tape()
+        s_p = tape.parameter(sp)
+        loss = mt.overlap_bce_loss(s_p, ad.constant(si), yp, yi)
+        assert [node.op for node in tape.nodes] == ["leaf", "overlap_bce"]
+        const = mt.overlap_bce_loss(ad.constant(sp), ad.constant(si), yp, yi)
+        assert const.tape is None and const.item() == loss.item()
+        tape.backward(loss)
+        y = yp.reshape(-1, 1)
+        np.testing.assert_allclose(s_p.grad, ((1 - y) / (1 - sp) - y / sp) / 5, rtol=1e-14)
+
+    def test_bce_gradient_zero_at_and_beyond_clamp(self):
+        lo, hi = mt.PROB_CLAMP, 1.0 - mt.PROB_CLAMP
+        scores = np.array([[lo], [hi], [lo / 10], [1.0], [0.0], [hi + 1e-9]])
+        labels = np.array([1.0, 0.0, 0.0, 1.0, 1.0, 0.0])
+        tape = ad.Tape()
+        s_p, s_i = tape.parameter(scores), tape.parameter([[0.5]])
+        loss = mt.overlap_bce_loss(s_p, s_i, labels, [1.0])
+        tape.backward(loss)
+        np.testing.assert_array_equal(s_p.grad, np.zeros((6, 1)))
+        clipped = np.clip(scores[:, 0], lo, hi)
+        expected = -np.mean(labels * np.log(clipped) + (1 - labels) * np.log(1 - clipped))
+        assert loss.item() == pytest.approx(expected + math.log(2), abs=1e-12)
 
 
 class TestThreshold:

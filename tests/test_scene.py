@@ -198,6 +198,14 @@ class TestSceneIO:
         with pytest.raises(ConfigError):
             sc.scene_from_bytes(b"XXXX" + b"\x00" * 64)
 
+    def test_every_truncation_rejected(self):
+        blob = sc.scene_to_bytes(make_scene(seed=7))
+        for cut in range(len(blob)):
+            with pytest.raises(ConfigError):
+                sc.scene_from_bytes(blob[:cut])
+        with pytest.raises(ConfigError, match="header implies"):
+            sc.scene_from_bytes(blob + b"\x00")
+
     def test_dataset_round_trip(self, tmp_path):
         cfg = sc.SceneConfig(n_points=32, grid=(8, 8))
         scenes = [sc.generate_scene(np.random.default_rng([3, i]), cfg) for i in range(3)]
