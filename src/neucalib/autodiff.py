@@ -243,24 +243,6 @@ def scale(a, c: float) -> Tensor:
     return _unary("scale", a, lambda x: x * c, lambda g, x, y: g * c)
 
 
-def softmax_rows(a) -> Tensor:
-    """Row-wise softmax with row-max subtraction for overflow safety."""
-    a = _wrap(a)
-    if a.shape[1] < 1:
-        raise ShapeError("softmax_rows: need at least one column")
-    shifted = a.value - a.value.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
-    if a.tape is None:
-        return Tensor(out)
-
-    def bwd(g):
-        inner = (g * out).sum(axis=1, keepdims=True)
-        return (out * (g - inner),)
-
-    return a.tape._record("softmax_rows", (a,), bwd, out)
-
-
 def reduce(a) -> Tensor:
     """Sum over all entries, as a 1 x 1 tensor."""
     a = _wrap(a)
@@ -298,25 +280,6 @@ def transpose(a) -> Tensor:
     if a.tape is None:
         return Tensor(out)
     return a.tape._record("transpose", (a,), lambda g: (g.T,), out)
-
-
-def gather_rows(a, idx) -> Tensor:
-    """Select rows by index; backward scatter-adds into the source."""
-    a = _wrap(a)
-    idx = np.asarray(idx, dtype=np.intp).reshape(-1)
-    if idx.size == 0:
-        raise ShapeError("gather_rows: empty index set")
-    out = a.value[idx, :].copy()
-    if a.tape is None:
-        return Tensor(out)
-    m, n = a.shape
-
-    def bwd(g):
-        acc = np.zeros((m, n))
-        np.add.at(acc, idx, g)
-        return (acc,)
-
-    return a.tape._record("gather_rows", (a,), bwd, out)
 
 
 def gather_cols(a, idx) -> Tensor:

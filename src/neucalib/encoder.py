@@ -120,14 +120,33 @@ def encode(sample: SceneSample, p) -> tuple[Tensor, Tensor]:
 
 
 def attention(query: Tensor, keys: Tensor, p, name: str) -> tuple[Tensor, Tensor]:
-    """Single-head scaled dot-product attention; returns (output, weights)."""
-    channels = p[name + ".wq"].shape[0]
-    q = ad.matmul(query, p[name + ".wq"])
-    k = ad.matmul(keys, p[name + ".wk"])
-    v = ad.matmul(keys, p[name + ".wv"])
-    weights = ad.softmax_rows(ad.scale(ad.matmul(q, ad.transpose(k)),
-                                       1.0 / np.sqrt(channels)))
-    return ad.matmul(ad.matmul(weights, v), p[name + ".wo"]), weights
+    """Single-head scaled dot-product attention; returns (output, weights).
+
+    One ``attention`` node with inputs (query, keys, wq, wk, wv, wo) that
+    keeps q, k, v, A and A v. With c = 1/sqrt(C), A = softmax_rows(c q k^T)
+    and G = g wo^T: dA = G v^T, dS = c A (dA - rowsum(dA * A)), dq = dS k,
+    dk = dS^T q, dv = A^T G. The weights come back untracked.
+    """
+    ws = [p[f"{name}.{proj}"] for proj in ("wq", "wk", "wv", "wo")]
+    wq, wk, wv, wo = (w.value for w in ws)
+    x, y = query.value, keys.value
+    c = 1.0 / np.sqrt(wq.shape[0])
+    q, k, v = x @ wq, y @ wk, y @ wv
+    s = (q @ k.T) * c
+    a = np.exp(s - s.max(axis=1, keepdims=True))
+    a /= a.sum(axis=1, keepdims=True)
+    av = a @ v
+
+    def backward(g):
+        gv = g @ wo.T
+        ds = gv @ v.T
+        ds -= np.einsum("ij,ij->i", ds, a)[:, None]
+        ds *= a
+        dq, dk, dv = c * (ds @ k), c * (ds.T @ q), a.T @ gv
+        return (dq @ wq.T, dk @ wk.T + dv @ wv.T, x.T @ dq, y.T @ dk, y.T @ dv, av.T @ g)
+
+    out = ad.record("attention", (query, keys, *ws), backward, av @ wo)
+    return out, ad.constant(a)
 
 
 def fuse(f_p: Tensor, f_i: Tensor, sample: SceneSample, p) -> tuple[Tensor, Tensor]:

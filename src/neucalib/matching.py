@@ -217,15 +217,28 @@ def soft_match(logits: Tensor, selection: OverlapSelection, centers: np.ndarray
                ) -> tuple[Tensor, Tensor]:
     """Soft assignment over selected pixels: weights and predicted coords.
 
-    The softmax runs on the (already temperature-scaled) logits.
+    The softmax runs on the (already temperature-scaled) logits. One
+    ``soft_match`` node: with W the block's row softmax and dW = g centers^T,
+    the block gradient W (dW - rowsum(dW * W)) is scatter-added into the
+    N x M logits gradient, repeated indices adding up. Weights are untracked.
     """
-    if selection.point_indices.size == 0 or selection.pixel_indices.size == 0:
+    rows, cols = selection.point_indices, selection.pixel_indices
+    if rows.size == 0 or cols.size == 0:
         raise DegenerateBatchError("empty overlap selection for matching")
-    sub = ad.gather_cols(ad.gather_rows(logits, selection.point_indices),
-                         selection.pixel_indices)
-    weights = ad.softmax_rows(sub)
-    coords = ad.matmul(weights, ad.constant(centers[selection.pixel_indices]))
-    return weights, coords
+    pix = centers[cols]
+    sub = logits.value[np.ix_(rows, cols)]
+    w = np.exp(sub - sub.max(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    n, m = logits.shape
+
+    def backward(g):
+        dw = g @ pix.T
+        dw -= np.einsum("ij,ij->i", dw, w)[:, None]
+        dw *= w
+        flat = (rows[:, None] * m + cols[None, :]).ravel()
+        return (np.bincount(flat, weights=dw.ravel(), minlength=n * m).reshape(n, m),)
+
+    return ad.constant(w), ad.record("soft_match", (logits,), backward, w @ pix)
 
 
 def hard_match(logits, selection: OverlapSelection, centers: np.ndarray) -> np.ndarray:

@@ -50,6 +50,8 @@ class PnPProblem:
         if self.targets.shape != (self.points.shape[0], 2):
             raise SolveError(
                 f"targets shape {self.targets.shape} does not match {self.points.shape[0]} points")
+        if not (np.all(np.isfinite(self.points)) and np.all(np.isfinite(self.targets.value))):
+            raise SolveError("points and targets must be finite")
         if self.points.shape[0] < MIN_CORRESPONDENCES:
             raise SolveError(
                 f"need at least {MIN_CORRESPONDENCES} correspondences, got {self.points.shape[0]}")

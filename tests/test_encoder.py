@@ -89,6 +89,75 @@ class TestEncode:
         assert err < 1e-4
 
 
+class TestAttention:
+    NAMES = ("blk.wq", "blk.wk", "blk.wv", "blk.wo")
+
+    def weights(self, rng, channels):
+        return [rng.normal(0.0, 1.0 / np.sqrt(channels), (channels, channels))
+                for _ in self.NAMES]
+
+    def test_matches_naive_formula(self):
+        rng = np.random.default_rng(20)
+        wq, wk, wv, wo = self.weights(rng, 4)
+        x, y = rng.normal(size=(3, 4)), rng.normal(size=(6, 4))
+        out, weights = enc.attention(ad.constant(x), ad.constant(y),
+                                     dict(zip(self.NAMES, map(ad.constant, (wq, wk, wv, wo)))),
+                                     "blk")
+        e = np.exp((x @ wq) @ (y @ wk).T / 2.0)
+        a = e / e.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(weights.value, a, rtol=1e-13)
+        np.testing.assert_allclose(out.value, a @ (y @ wv) @ wo, rtol=1e-12)
+
+    def test_self_attention_gradients(self):
+        rng = np.random.default_rng(21)
+        x0, probe = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
+
+        def build(ps):
+            out, _ = enc.attention(ps[0], ps[0], dict(zip(self.NAMES, ps[1:])), "blk")
+            return ad.reduce(ad.mul(out, probe))
+
+        assert ad.finite_difference_check(build, [x0, *self.weights(rng, 4)]) < 1e-6
+
+    def test_cross_attention_gradients(self):
+        rng = np.random.default_rng(22)
+        x0, y0 = rng.normal(size=(3, 4)), rng.normal(size=(7, 4))
+        probe = rng.normal(size=(3, 4))
+
+        def build(ps):
+            out, _ = enc.attention(ps[0], ps[1], dict(zip(self.NAMES, ps[2:])), "blk")
+            return ad.reduce(ad.mul(out, probe))
+
+        assert ad.finite_difference_check(build, [x0, y0, *self.weights(rng, 4)]) < 1e-6
+
+    def test_large_scores_stay_finite(self):
+        # scores reach about 1e5, far past exp overflow without the row shift
+        rng = np.random.default_rng(23)
+        tape = ad.Tape()
+        x = tape.parameter(300.0 * rng.normal(size=(4, 4)))
+        y = tape.parameter(300.0 * rng.normal(size=(6, 4)))
+        p = {name: tape.parameter(w) for name, w in zip(self.NAMES, self.weights(rng, 4))}
+        out, weights = enc.attention(x, y, p, "blk")
+        assert np.all(np.isfinite(out.value))
+        np.testing.assert_allclose(weights.value.sum(axis=1), 1.0, atol=1e-12)
+        tape.backward(ad.reduce(out))
+        for t in (x, y, *p.values()):
+            assert np.all(np.isfinite(t.grad))
+
+    def test_records_one_node_and_untracked_inputs_record_nothing(self):
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(3, 4))
+        weights = self.weights(rng, 4)
+        tape = ad.Tape()
+        p = {name: tape.parameter(w) for name, w in zip(self.NAMES, weights)}
+        out, attn = enc.attention(ad.constant(x), ad.constant(x), p, "blk")
+        assert [node.op for node in tape.nodes[4:]] == ["attention"]
+        assert out.tape is tape and attn.tape is None
+        consts = {name: ad.constant(w) for name, w in zip(self.NAMES, weights)}
+        out_c, attn_c = enc.attention(ad.constant(x), ad.constant(x), consts, "blk")
+        assert out_c.tape is None and attn_c.tape is None and len(tape.nodes) == 5
+        np.testing.assert_array_equal(out_c.value, out.value)
+
+
 class TestFuse:
     def test_zero_attention_weights_leave_residual_plus_ffn(self):
         scene = small_scene()

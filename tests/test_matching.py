@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neucalib import autodiff as ad
 from neucalib import matching as mt
@@ -346,19 +348,39 @@ class TestSoftHardMatch:
         return np.stack([np.arange(m, dtype=float), np.zeros(m)], axis=1)
 
     def test_single_pixel_selection(self):
-        logits = ad.constant(np.array([[1.0, 5.0]]))
-        sel = mt.OverlapSelection(np.array([0]), np.array([1]), False, False)
+        logits = ad.constant(np.array([[1.0, 5.0], [-3.0, -900.0]]))
+        sel = mt.OverlapSelection(np.array([0, 1]), np.array([1]), False, False)
         centers = np.array([[0.0, 0.0], [3.0, 4.0]])
         w, coords = mt.soft_match(logits, sel, centers)
-        np.testing.assert_array_equal(w.value, [[1.0]])
-        np.testing.assert_array_equal(coords.value, [[3.0, 4.0]])
+        np.testing.assert_array_equal(w.value, [[1.0], [1.0]])
+        np.testing.assert_array_equal(coords.value, [[3.0, 4.0], [3.0, 4.0]])
 
     def test_uniform_logits_give_centroid(self):
         logits = ad.constant(np.zeros((1, 4)))
         sel = mt.OverlapSelection(np.array([0]), np.arange(4), False, False)
         corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        _, coords = mt.soft_match(logits, sel, corners)
+        w, coords = mt.soft_match(logits, sel, corners)
+        np.testing.assert_allclose(w.value, [[0.25] * 4], atol=1e-15)
         np.testing.assert_allclose(coords.value, [[0.5, 0.5]], atol=1e-15)
+
+    def test_two_to_one_logits(self):
+        logits = ad.constant(np.array([[math.log(2.0), 0.0]]))
+        sel = mt.OverlapSelection(np.array([0]), np.arange(2), False, False)
+        w, coords = mt.soft_match(logits, sel, self.centers(2))
+        np.testing.assert_allclose(w.value, [[2 / 3, 1 / 3]], atol=1e-12)
+        np.testing.assert_allclose(coords.value, [[1 / 3, 0.0]], atol=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.lists(st.floats(-700, 700), min_size=1, max_size=6),
+                    min_size=1, max_size=4).filter(
+                        lambda rows: len({len(r) for r in rows}) == 1))
+    def test_weight_rows_sum_to_one_at_extreme_logits(self, rows):
+        vals = np.array(rows, dtype=float)
+        sel = mt.OverlapSelection(np.arange(vals.shape[0]), np.arange(vals.shape[1]),
+                                  False, False)
+        w, coords = mt.soft_match(ad.constant(vals), sel, self.centers(vals.shape[1]))
+        np.testing.assert_allclose(w.value.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(np.isfinite(coords.value))
 
     def test_weight_rows_sum_to_one_and_match_naive_loop(self):
         rng = np.random.default_rng(12)
@@ -411,6 +433,35 @@ class TestSoftHardMatch:
             lambda ps: ad.reduce(ad.mul(
                 mt.soft_match(ps[0], sel, centers)[1], probe)), [vals])
         assert err < 1e-6
+
+    def test_soft_match_gradient_with_repeated_indices(self):
+        # repeated points and pixels land on the same logits entries, whose
+        # gradients the scatter in the backward must add up
+        rng = np.random.default_rng(18)
+        vals = rng.normal(size=(4, 5))
+        sel = mt.OverlapSelection(np.array([2, 0, 2, 3, 2]), np.array([1, 4, 1, 1, 0]),
+                                  False, False)
+        centers = rng.uniform(0, 5, (5, 2))
+        probe = rng.normal(size=(5, 2))
+        err = ad.finite_difference_check(
+            lambda ps: ad.reduce(ad.mul(
+                mt.soft_match(ps[0], sel, centers)[1], probe)), [vals])
+        assert err < 1e-6
+
+    def test_soft_match_records_one_node_and_untracked_weights(self):
+        rng = np.random.default_rng(19)
+        vals = rng.normal(size=(3, 4))
+        sel = mt.OverlapSelection(np.array([0, 2]), np.array([1, 3]), False, False)
+        centers = rng.uniform(0, 4, (4, 2))
+        tape = ad.Tape()
+        logits = tape.parameter(vals)
+        w, coords = mt.soft_match(logits, sel, centers)
+        assert [node.op for node in tape.nodes] == ["leaf", "soft_match"]
+        assert w.tape is None and coords.tape is tape
+        w_c, coords_c = mt.soft_match(ad.constant(vals), sel, centers)
+        assert w_c.tape is None and coords_c.tape is None and len(tape.nodes) == 2
+        np.testing.assert_array_equal(coords_c.value, coords.value)
+        np.testing.assert_array_equal(w_c.value, w.value)
 
 
 def test_learnable_and_cosine_bit_equal_with_identity_transform():

@@ -65,6 +65,16 @@ class TestEpnpInit:
         with pytest.raises(SolveError, match="at least 6"):
             pnp.PnPProblem(points, targets, INTR)
 
+    @pytest.mark.parametrize("where", ["target", "point"])
+    def test_non_finite_input_refused(self, where):
+        pose, points, targets = random_instance(5, n=12)
+        if where == "target":
+            targets[3, 1] = np.nan
+        else:
+            points[7, 0] = np.inf
+        with pytest.raises(SolveError, match="finite"):
+            pnp.solve_pose(pnp.PnPProblem(points, targets, INTR))
+
     def test_coplanar_points_refused(self):
         rng = np.random.default_rng(4)
         points = np.stack([rng.uniform(-3, 3, 16), rng.uniform(-3, 3, 16),

@@ -1,6 +1,6 @@
 """One training step and one calibration pass composed from the public layer
 functions on a 32-point 8x8 scene, pinning how many tape nodes each fused
-loss records."""
+op records."""
 
 import numpy as np
 
@@ -36,7 +36,8 @@ def test_training_step_records_one_node_per_fused_loss():
     pairs = sc.build_pairs(sample, 1.0, 4.0)
     tape = ad.Tape()
     p = pm.bind(tape, params)
-    f_p, f_i = enc.fuse(*enc.encode(sample, p), sample, p)
+    (f_p, f_i), ops = recorded(tape, enc.fuse, *enc.encode(sample, p), sample, p)
+    assert ops.count("attention") == 4 and len(ops) == 28
 
     logits, ops = recorded(tape, mt.similarity, f_p, f_i,
                            mt.AlignmentTransform(p["align.b"], TEMPERATURE))
@@ -51,6 +52,12 @@ def test_training_step_records_one_node_per_fused_loss():
                          sample.point_overlap_gt, sample.pixel_overlap_gt)
     assert ops == ["overlap_bce"]
     terms.append(term)
+    selection = mt.threshold_overlap(s_p, s_i, 0.5, 0.5,
+                                     sample.point_overlap_gt, sample.pixel_overlap_gt)
+    coords, ops = recorded(tape, mt.match_coords, logits, selection,
+                           sc.pixel_centers(sample.grid))
+    assert ops == ["soft_match"]
+    terms.append(ad.reduce(coords))
 
     loss = terms[0]
     for term in terms[1:]:
