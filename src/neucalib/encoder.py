@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from . import geometry as geo
 from .autodiff import Tensor
 from .errors import ParameterError
 from .scene import SceneSample, pixel_centers
@@ -95,14 +94,17 @@ def _mlp(x: Tensor, p, prefix: str) -> Tensor:
 
 def pixel_texture(sample: SceneSample) -> np.ndarray:
     """Per-pixel depth of the nearest projected point (0 with no overlap)."""
-    centers = pixel_centers(sample.grid)
+    h, w = sample.grid
     overlap = np.flatnonzero(sample.point_overlap_gt)
     if overlap.size == 0:
-        return np.zeros(centers.shape[0])
+        return np.zeros(h * w)
     proj = sample.gt_projection[overlap]
-    depth = geo.project(sample.points, sample.raw_pose, sample.intrinsics).depth[overlap]
-    d2 = ((centers[:, None, :] - proj[None, :, :]) ** 2).sum(axis=2)
-    return depth[np.argmin(d2, axis=1)]
+    depth = sample.raw_pose.apply(sample.points[overlap])[:, 2]
+    # squared distances as du^2 + dv^2, from the W' column and H' row offsets
+    du = np.subtract.outer(np.arange(w, dtype=np.float64), proj[:, 0])
+    dv = np.subtract.outer(np.arange(h, dtype=np.float64), proj[:, 1])
+    d2 = (dv * dv)[:, None, :] + (du * du)[None, :, :]  # H' x W' x K
+    return depth[np.argmin(d2.reshape(h * w, -1), axis=1)]
 
 
 def pixel_inputs(sample: SceneSample) -> np.ndarray:

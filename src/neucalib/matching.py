@@ -96,50 +96,84 @@ def similarity(f_p: Tensor, f_i: Tensor, transform: AlignmentTransform,
 def infonce_loss(logits: Tensor, pairs: PairSet, direction: str = "point_to_pixel") -> Tensor:
     """Mean contrastive term over usable (anchor, positive) pairs.
 
-    Each positive contributes one term whose denominator holds that
-    positive plus the anchor's negatives. Anchors lacking a positive or a
-    negative are skipped (counted in the pair set); an empty anchor set is
-    a degenerate batch.
+    Point anchors take every pixel as a candidate, pixel anchors every
+    overlapping point. Each positive contributes one term whose denominator
+    holds that positive plus the anchor's negatives: its candidates outside
+    its near list. Anchors lacking a positive or a negative are skipped;
+    an empty anchor set is a degenerate batch.
 
-    One ``infonce`` node. With K terms, D_k the denominator of term k and
-    e = exp(shifted logits), the gradient at anchor a is
+    One ``infonce`` node, built from the pair lists on the anchors x
+    candidates block of the logits. Annulus entries (near but not positive)
+    are set to -inf before the per-anchor max and the exp, so they weigh
+    nothing however large they are. With K terms, D_k the denominator of
+    term k and e = exp(shifted logits), the gradient at anchor a is
     e_aj * sum_{k in P(a)} 1 / D_k / K at each negative j and
     (e_ap / D_k - 1) / K at each positive p.
     """
+    if pairs.n_pixels != logits.shape[1]:
+        raise ParameterError(f"pairs cover {pairs.n_pixels} pixels, logits {logits.shape[1]}")
+    pos_pt, pos_px = np.divmod(pairs.positives, pairs.n_pixels)
+    near_pt, near_px = np.divmod(pairs.near, pairs.n_pixels)
+    cands = pairs.overlap_points
     if direction == "point_to_pixel":
-        vals, pos, neg = logits.value, pairs.pos_mask, pairs.neg_mask
+        vals = logits.value  # points x pixels
+        pos, near = (pos_pt, pos_px), (near_pt, near_px)
     elif direction == "pixel_to_point":
-        vals, pos, neg = logits.value.T, pairs.pos_mask.T, pairs.neg_mask.T
+        vals = logits.value[cands].T  # pixels x overlapping points
+        col = np.empty(logits.shape[0], dtype=np.int64)
+        col[cands] = np.arange(cands.size)
+        pos, near = (pos_px, col[pos_pt]), (near_px, col[near_pt])
     else:
         raise ParameterError(f"unknown InfoNCE direction {direction!r}")
 
-    anchors = np.flatnonzero(pos.any(axis=1) & neg.any(axis=1))
+    n_rows, width = vals.shape
+    has_pos = np.bincount(pos[0], minlength=n_rows) > 0
+    has_neg = np.bincount(near[0], minlength=n_rows) < width
+    anchors = np.flatnonzero(has_pos & has_neg)
     if anchors.size == 0:
         raise DegenerateBatchError(f"no usable {direction} anchors")
-    shape = vals.shape
-    vals, pos, neg = vals[anchors], pos[anchors], neg[anchors]
+    row = np.full(n_rows, -1)
+    row[anchors] = np.arange(anchors.size)
 
+    def block_index(anchor, col):
+        """(row, column) of pairs in the anchor block, for usable anchors."""
+        r = row[anchor]
+        keep = r >= 0
+        return r[keep], col[keep]
+
+    near_at = block_index(*near)
+    pos_r, pos_c = block_index(*pos)
+    pos_at = np.divmod(np.sort(pos_r * width + pos_c), width)  # row-major term order
+    block = vals[anchors]
+    pos_vals = block[pos_at]
+    block[near_at] = -np.inf
+    block[pos_at] = pos_vals
     # per-anchor max over its own positives and negatives keeps every exp
     # below 1; subtracting a constant leaves the gradient exact
-    shifted = vals - np.where(pos | neg, vals, -np.inf).max(axis=1, keepdims=True)
-    a_idx, p_idx = np.nonzero(pos)
-    pos_shifted = shifted[a_idx, p_idx]  # a copy: the exp below overwrites shifted
+    block -= block.max(axis=1, keepdims=True)
+    pos_shifted = block[pos_at]
     pos_exp = np.exp(pos_shifted)
-    neg_exp = np.exp(shifted, out=shifted)
-    neg_exp *= neg
+    neg_exp = np.exp(block, out=block)
+    neg_exp[pos_at] = 0.0
+    a_idx = pos_at[0]
     denom = pos_exp + neg_exp.sum(axis=1)[a_idx]
     if np.any(denom <= 0.0):
         raise DomainError(f"{direction} InfoNCE denominator underflowed to zero")
     count = a_idx.size
     value = np.array([[(np.log(denom) - pos_shifted).sum() / count]])
+    shape = logits.shape  # the closure holds no Tensor and no logits array
 
     def backward(g):
         scale = g[0, 0] / count
         grad = neg_exp * (np.bincount(a_idx, weights=1.0 / denom) * scale)[:, None]
-        grad[a_idx, p_idx] += (pos_exp / denom - 1.0) * scale
-        full = np.zeros(shape)
+        grad[pos_at] += (pos_exp / denom - 1.0) * scale
+        full = np.zeros((n_rows, width))
         full[anchors] = grad
-        return (full if direction == "point_to_pixel" else full.T,)
+        if direction == "point_to_pixel":
+            return (full,)
+        out = np.zeros(shape)
+        out[cands] = full.T
+        return (out,)
 
     return ad.record("infonce", (logits,), backward, value)
 

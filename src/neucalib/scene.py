@@ -105,32 +105,52 @@ def point_overlap_labels(points, pose, k: geo.CameraIntrinsics,
     return overlap, coords
 
 
+def _window_pixels(uv: np.ndarray, radius: float,
+                   grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Pixels whose centers lie in the square window ceil(uv - radius) ...
+    floor(uv + radius) around each row of ``uv``, clipped to the grid.
+
+    ``uv`` is K x 2 and finite. Returns (row, pixel): the row of ``uv`` and
+    the flat pixel index of each pair, ordered by row, then by pixel. The
+    work is O(K r^2), capped at O(K H' W') once the window covers the grid.
+    """
+    h, w = grid
+    lo = np.maximum(np.ceil(uv - radius), 0.0).astype(np.int64)
+    hi = np.minimum(np.floor(uv + radius), [w - 1.0, h - 1.0]).astype(np.int64)
+    span = hi - lo + 1  # K x 2, zero or less for an empty window
+    offs_u = np.arange(max(int(span[:, 0].max(initial=0)), 0))
+    offs_v = np.arange(max(int(span[:, 1].max(initial=0)), 0))
+    inside = (offs_v < span[:, 1:])[:, :, None] & (offs_u < span[:, :1])[:, None, :]
+    row, dv, du = np.nonzero(inside)
+    return row, (lo[row, 1] + dv) * w + lo[row, 0] + du
+
+
 def label_pixel_overlap(sample: SceneSample, radius: float = 1.0) -> np.ndarray:
     """Pixel (u, v) is overlapping iff some overlapping point's projection
     lies within Chebyshev distance ``radius`` of its center."""
     h, w = sample.grid
     labels = np.zeros(h * w, dtype=bool)
-    for uv in sample.gt_projection[sample.point_overlap_gt]:
-        u0 = max(0, int(np.ceil(uv[0] - radius)))
-        u1 = min(w - 1, int(np.floor(uv[0] + radius)))
-        v0 = max(0, int(np.ceil(uv[1] - radius)))
-        v1 = min(h - 1, int(np.floor(uv[1] + radius)))
-        for v in range(v0, v1 + 1):
-            labels[v * w + u0:v * w + u1 + 1] = True
+    _, pixel = _window_pixels(sample.gt_projection[sample.point_overlap_gt], radius, sample.grid)
+    labels[pixel] = True
     return labels
 
 
 @dataclass(frozen=True)
 class PairSet:
-    """Positive/negative point-pixel pairs for the contrastive losses.
+    """Positive and near point-pixel pairs for the contrastive losses.
 
-    Masks are over (all points) x (all pixels); rows of non-overlapping
-    points are entirely false. ``skipped_no_positive``/``skipped_no_negative``
-    count overlapping points excluded from the loss.
+    Pairs are flat indices ``point * n_pixels + pixel`` in ascending order,
+    and only overlapping points have any. ``near`` holds every pair within
+    r_n, positives included; an overlapping point's negatives are all the
+    pixels outside its near list, and a pixel's negatives are all the
+    overlapping points outside it. ``skipped_no_positive`` /
+    ``skipped_no_negative`` count overlapping points excluded from the loss.
     """
 
-    pos_mask: np.ndarray  # N x M bool
-    neg_mask: np.ndarray  # N x M bool
+    overlap_points: np.ndarray  # ascending indices of the overlapping points
+    n_pixels: int
+    positives: np.ndarray  # flat pairs at distance < r_p
+    near: np.ndarray  # flat pairs at distance <= r_n
     anchor_points: np.ndarray  # indices of usable point anchors
     skipped_no_positive: int
     skipped_no_negative: int
@@ -141,26 +161,24 @@ def build_pairs(sample: SceneSample, r_p: float, r_n: float) -> PairSet:
 
     Positives are pixels strictly closer than r_p to the point's projection;
     negatives strictly farther than r_n; the annulus in between belongs to
-    neither set.
+    neither set. Only the pixels in each projection's r_n window are
+    visited, so the work is O(N r_n^2) rather than O(N H' W').
     """
     if not (0.0 < r_p < r_n):
         raise ParameterError(f"margins must satisfy 0 < r_p < r_n, got {(r_p, r_n)}")
-    n, m = sample.n_points, sample.n_pixels
-    centers = pixel_centers(sample.grid)
-    pos = np.zeros((n, m), dtype=bool)
-    neg = np.zeros((n, m), dtype=bool)
-    overlap_idx = np.flatnonzero(sample.point_overlap_gt)
-    if overlap_idx.size:
-        diffs = sample.gt_projection[overlap_idx, None, :] - centers[None, :, :]
-        dist = np.sqrt((diffs ** 2).sum(axis=2))
-        pos[overlap_idx] = dist < r_p
-        neg[overlap_idx] = dist > r_n
-    has_pos = pos.any(axis=1)
-    has_neg = neg.any(axis=1)
-    anchors = np.flatnonzero(has_pos & has_neg)
-    skipped_pos = int((~has_pos[overlap_idx]).sum())
-    skipped_neg = int((has_pos[overlap_idx] & ~has_neg[overlap_idx]).sum())
-    return PairSet(pos, neg, anchors, skipped_pos, skipped_neg)
+    m = sample.n_pixels
+    overlap = np.flatnonzero(sample.point_overlap_gt)
+    uv = sample.gt_projection[overlap]
+    row, pixel = _window_pixels(uv, r_n, sample.grid)
+    v, u = np.divmod(pixel, sample.grid[1])
+    dx, dy = uv[row, 0] - u, uv[row, 1] - v
+    dist = np.sqrt(dx * dx + dy * dy)
+    near = dist <= r_n
+    row, pairs, pos = row[near], overlap[row[near]] * m + pixel[near], dist[near] < r_p
+    has_pos = np.bincount(row[pos], minlength=overlap.size) > 0
+    has_neg = np.bincount(row, minlength=overlap.size) < m
+    return PairSet(overlap, m, pairs[pos], pairs, overlap[has_pos & has_neg],
+                   int((~has_pos).sum()), int((has_pos & ~has_neg).sum()))
 
 
 def _sample_raw_pose(rng: np.random.Generator, cfg: SceneConfig) -> geo.RigidPose:
@@ -325,9 +343,24 @@ def scene_from_bytes(blob: bytes) -> SceneSample:
     px_overlap = np.frombuffer(blob, np.uint8, h * w, off).astype(bool)
     off += h * w
     proj = np.frombuffer(blob, "<f8", 2 * n, off).reshape(n, 2).copy()
-    k = geo.CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=w, height=h)
-    return SceneSample(points=points, intrinsics=k,
-                       raw_pose=geo.RigidPose(rot, trans), grid=(h, w),
+    if not (np.isfinite([fx, fy, cx, cy]).all() and np.isfinite(rot).all()
+            and np.isfinite(trans).all() and np.isfinite(points).all()):
+        raise ConfigError("scene file holds a non-finite intrinsic, pose or point value")
+    with np.errstate(all="ignore"):  # huge values overflow and fail the checks
+        try:
+            k = geo.CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=w, height=h)
+            pose = geo.RigidPose(rot, trans)
+        except ParameterError as err:
+            raise ConfigError(f"scene file holds an invalid camera: {err}") from err
+        depth = pose.apply(points[p_overlap])[:, 2]
+    # the SceneSample invariant on overlapping points: in front of the
+    # camera, projected inside the grid
+    uv = proj[p_overlap]
+    if not ((uv >= 0.0).all() and (uv < [w, h]).all()
+            and (depth > geo.MIN_DEPTH).all() and np.isfinite(depth).all()):
+        raise ConfigError("scene file has an overlapping point behind the camera "
+                          "or projected outside the grid")
+    return SceneSample(points=points, intrinsics=k, raw_pose=pose, grid=(h, w),
                        point_overlap_gt=p_overlap, pixel_overlap_gt=px_overlap,
                        gt_projection=proj)
 

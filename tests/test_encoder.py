@@ -3,6 +3,7 @@ import pytest
 
 from neucalib import autodiff as ad
 from neucalib import encoder as enc
+from neucalib import geometry as geo
 from neucalib import params as pstore
 from neucalib import scene as sc
 from neucalib.errors import ConfigError, ParameterError
@@ -11,6 +12,23 @@ from neucalib.errors import ConfigError, ParameterError
 def small_scene(seed=0, n_points=8, grid=(8, 8)):
     return sc.generate_scene(np.random.default_rng(seed),
                              sc.SceneConfig(n_points=n_points, grid=grid))
+
+
+def brute_force_texture(scene) -> np.ndarray:
+    """Per pixel, the depth of the overlapping point whose projection is
+    nearest its center; ties go to the lower point index."""
+    depth = scene.raw_pose.apply(scene.points)[:, 2]
+    tex = np.zeros(scene.n_pixels)
+    for j, (u, v) in enumerate(sc.pixel_centers(scene.grid)):
+        best = None
+        for i in np.flatnonzero(scene.point_overlap_gt):
+            du, dv = scene.gt_projection[i, 0] - u, scene.gt_projection[i, 1] - v
+            d2 = du * du + dv * dv
+            if best is None or d2 < best[0]:
+                best = (d2, i)
+        if best is not None:
+            tex[j] = depth[best[1]]
+    return tex
 
 
 def small_params(seed=0, channels=8, hidden=8):
@@ -61,18 +79,26 @@ class TestEncode:
         assert f_i.shape == (64, 8)
 
     def test_texture_channel_uses_depth(self):
-        scene = small_scene()
+        for scene in (small_scene(), small_scene(seed=3, n_points=40, grid=(6, 9))):
+            tex = enc.pixel_texture(scene)
+            assert tex.shape == (scene.n_pixels,)
+            assert (tex > 0).any()
+            np.testing.assert_array_equal(tex, brute_force_texture(scene))
+
+    def test_texture_tie_goes_to_lower_overlap_index(self):
+        # pixel (3, 3) is 0.5 from both projections; the first overlapping
+        # point wins even though it is the farther one
+        proj = np.array([[np.nan, np.nan], [2.5, 3.0], [3.5, 3.0]])
+        points = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 9.0], [0.0, 0.0, 4.0]])
+        scene = sc.SceneSample(
+            points=points, intrinsics=geo.CameraIntrinsics(1.0, 1.0, 0.0, 0.0, 8, 8),
+            raw_pose=geo.RigidPose.identity(), grid=(8, 8),
+            point_overlap_gt=np.array([False, True, True]),
+            pixel_overlap_gt=np.zeros(64, dtype=bool), gt_projection=proj)
         tex = enc.pixel_texture(scene)
-        assert tex.shape == (scene.n_pixels,)
-        assert (tex > 0).any()
-        # nearest-projection depth: check one pixel by brute force
-        centers = sc.pixel_centers(scene.grid)
-        from neucalib import geometry as geo
-        depth = geo.project(scene.points, scene.raw_pose, scene.intrinsics).depth
-        overlap = np.flatnonzero(scene.point_overlap_gt)
-        for j in [0, scene.n_pixels // 2, scene.n_pixels - 1]:
-            d = [np.hypot(*(scene.gt_projection[i] - centers[j])) for i in overlap]
-            assert tex[j] == depth[overlap[int(np.argmin(d))]]
+        assert tex[3 * 8 + 3] == 9.0
+        assert tex[3 * 8 + 4] == 4.0
+        np.testing.assert_array_equal(tex, brute_force_texture(scene))
 
     def test_first_layer_gradient_matches_finite_differences(self):
         scene = small_scene()

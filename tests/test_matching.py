@@ -24,10 +24,21 @@ def make_transform(tape, channels, temperature=1.0, raw=None):
 
 
 def pairset(pos, neg):
+    """Pair lists from dense N x M positive and negative masks.
+
+    A point with any positive or negative counts as overlapping; its near
+    list is every pixel that is not a negative, so entries in neither mask
+    form the annulus.
+    """
     pos = np.asarray(pos, dtype=bool)
     neg = np.asarray(neg, dtype=bool)
+    assert not (pos & neg).any(), "a pair cannot be both positive and negative"
+    overlap = np.flatnonzero(pos.any(axis=1) | neg.any(axis=1))
+    near = np.zeros_like(neg)
+    near[overlap] = ~neg[overlap]
     anchors = np.flatnonzero(pos.any(axis=1) & neg.any(axis=1))
-    return sc.PairSet(pos, neg, anchors, 0, 0)
+    return sc.PairSet(overlap, pos.shape[1], np.flatnonzero(pos), np.flatnonzero(near),
+                      anchors, 0, 0)
 
 
 class TestSimilarity:
@@ -142,6 +153,7 @@ class TestInfoNCE:
         neg = ~pos & (rng.uniform(size=(3, 4)) < 0.5)
         pos[0, 0] = True
         neg[0, 1] = True
+        neg &= ~pos
         fwd = mt.infonce_loss(ad.constant(vals), pairset(pos, neg), "pixel_to_point")
         ref = mt.infonce_loss(ad.constant(vals.T), pairset(pos.T, neg.T), "point_to_pixel")
         assert fwd.item() == pytest.approx(ref.item(), abs=1e-14)
@@ -189,7 +201,7 @@ class TestInfoNCE:
         pos[[0, 1, 3], 0] = True
         pos[[1, 2], 2] = True
         pos[0, 3] = True
-        neg[2:, 0] = True
+        neg[2, 0] = True
         neg[[0, 3], 2] = True
         neg[:, 4] = True
         tape = ad.Tape()
@@ -199,6 +211,41 @@ class TestInfoNCE:
         err = ad.finite_difference_check(
             lambda ps: mt.infonce_loss(ps[0], pairset(pos, neg), "pixel_to_point"), [vals])
         assert err < 1e-6
+
+    def test_huge_annulus_logit_weighs_nothing(self):
+        # an annulus logit far above the anchor's positive/negative max must
+        # neither overflow nor leak into the loss or the gradient
+        vals = np.array([[0.0, 800.0, -1.0]])
+        pos = np.array([[True, False, False]])
+        neg = np.array([[False, False, True]])
+        tape = ad.Tape()
+        logits = tape.parameter(vals)
+        loss = mt.infonce_loss(logits, pairset(pos, neg))
+        assert loss.item() == pytest.approx(math.log1p(math.exp(-1.0)), rel=1e-15)
+        tape.backward(loss)
+        q = math.exp(-1.0) / (1.0 + math.exp(-1.0))
+        np.testing.assert_allclose(logits.grad, [[-q, 0.0, q]], rtol=1e-15)
+
+    def test_annulus_and_non_overlapping_points_are_not_candidates(self):
+        # point 2 overlaps nothing; pixel 1 sits in point 0's annulus
+        vals = np.random.default_rng(21).normal(size=(3, 3))
+        pos = np.array([[True, False, False], [False, True, False], [False] * 3])
+        neg = np.array([[False, False, True], [True, False, True], [False] * 3])
+        p2x = mt.infonce_loss(ad.constant(vals), pairset(pos, neg)).item()
+        expected = [np.log(np.exp(vals[0, 0]) + np.exp(vals[0, 2])) - vals[0, 0],
+                    np.log(np.exp(vals[1, 1]) + np.exp(vals[1, 0]) + np.exp(vals[1, 2]))
+                    - vals[1, 1]]
+        assert p2x == pytest.approx(np.mean(expected), rel=1e-13)
+        # pixel 0: positive point 0, negative point 1; pixel 1: positive
+        # point 1, no negative (point 0 is in the annulus, point 2 no candidate)
+        x2p = mt.infonce_loss(ad.constant(vals), pairset(pos, neg), "pixel_to_point").item()
+        t0 = np.log(np.exp(vals[0, 0]) + np.exp(vals[1, 0])) - vals[0, 0]
+        assert x2p == pytest.approx(t0, rel=1e-13)
+
+    def test_pairs_built_for_another_grid_rejected(self):
+        pairs = pairset([[True, False]], [[False, True]])
+        with pytest.raises(ParameterError):
+            mt.infonce_loss(ad.constant(np.zeros((1, 3))), pairs)
 
     def test_underflowed_denominator_raises(self):
         # the anchor's max sits on one positive; the other positive and the

@@ -2,6 +2,9 @@
 functions on a 32-point 8x8 scene, pinning how many tape nodes each fused
 op records."""
 
+import gc
+import weakref
+
 import numpy as np
 
 from neucalib import autodiff as ad
@@ -29,6 +32,15 @@ def recorded(tape, fn, *args):
     start = len(tape.nodes)
     out = fn(*args)
     return out, [node.op for node in tape.nodes[start:]]
+
+
+def test_pair_set_holds_no_dense_array():
+    sample, _ = scene_and_params()
+    pairs = sc.build_pairs(sample, 1.0, 4.0)
+    arrays = [v for v in vars(pairs).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 4
+    for arr in arrays:
+        assert arr.ndim == 1 and arr.size < sample.n_points * sample.n_pixels
 
 
 def test_training_step_records_one_node_per_fused_loss():
@@ -88,3 +100,24 @@ def test_untracked_calibration_records_nothing():
     for out in [f_p, f_i, logits, s_p, s_i, coords, refined.rotation, *losses]:
         assert out.tape is None
     assert np.all(np.isfinite(refined.estimate.pose.rotation))
+
+
+def test_training_tape_is_freed_without_the_cycle_collector():
+    # a backward closure that held a tracked Tensor would tie the tape into
+    # a reference cycle and keep every step's tape alive until a gc pass
+    sample, params = scene_and_params()
+    pairs = sc.build_pairs(sample, 1.0, 4.0)
+    gc.disable()
+    try:
+        tape = ad.Tape()
+        p = pm.bind(tape, params)
+        f_p, f_i = enc.fuse(*enc.encode(sample, p), sample, p)
+        logits = mt.similarity(f_p, f_i, mt.AlignmentTransform(p["align.b"], TEMPERATURE))
+        loss = ad.add(mt.infonce_loss(logits, pairs, "point_to_pixel"),
+                      mt.infonce_loss(logits, pairs, "pixel_to_point"))
+        tape.backward(loss)
+        ref = weakref.ref(tape)
+        del tape, p, f_p, f_i, logits, loss
+        assert ref() is None
+    finally:
+        gc.enable()
