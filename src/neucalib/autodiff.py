@@ -5,10 +5,10 @@ scalars are 1 x 1). A :class:`Tape` records one node per operation in
 execution order; :meth:`Tape.backward` replays the nodes in reverse
 exactly once. Tensors without a tape are constants and may be shared freely.
 
-There is no implicit broadcasting: binary elementwise operations demand
-exact shape equality, and any shape coercion (bias rows, column tiling)
-is written out explicitly by callers. Tapes are single-use and rebuilt
-per training step, so data-dependent graph structure is fine.
+Elementwise operations demand equal shapes; the one broadcast is the bias
+row of :func:`dense`. Most nodes are coarse fused ops recorded through
+:func:`record`, each with a hand-derived backward. Tapes are single-use and
+rebuilt per training step, so data-dependent graph structure is fine.
 """
 
 from __future__ import annotations
@@ -162,30 +162,13 @@ def record(op: str, inputs: Sequence[Tensor], backward_fn, value: Array) -> Tens
     return tape._record(op, tuple(inputs), backward_fn, value)
 
 
-# Backward rules live at module level so tests can fault-inject them.
-
-def _matmul_grad_a(g: Array, b_val: Array) -> Array:
-    return g @ b_val.T
-
-
-def _matmul_grad_b(g: Array, a_val: Array) -> Array:
-    return a_val.T @ g
-
-
 def matmul(a, b) -> Tensor:
     """Matrix product; backward is dA = G B^T, dB = A^T G."""
     a, b = _wrap(a), _wrap(b)
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: {a.shape} x {b.shape}")
-    out = a.value @ b.value
-    tape = _tape_of(a, b)
-    if tape is None:
-        return Tensor(out)
     av, bv = a.value, b.value
-    return tape._record(
-        "matmul", (a, b),
-        lambda g: (_matmul_grad_a(g, bv), _matmul_grad_b(g, av)),
-        out)
+    return record("matmul", (a, b), lambda g: (g @ bv.T, av.T @ g), av @ bv)
 
 
 def _binary(op: str, a, b, fwd, bwd) -> Tensor:
@@ -208,57 +191,46 @@ def sub(a, b) -> Tensor:
     return _binary("sub", a, b, lambda x, y: x - y, lambda g, x, y: (g, -g))
 
 
-def mul(a, b) -> Tensor:
-    return _binary("mul", a, b, lambda x, y: x * y, lambda g, x, y: (g * y, g * x))
+def _sigmoid(z: Array) -> Array:
+    """Logistic function as 1 / (1 + e) for z >= 0 and e / (1 + e) below,
+    with e = exp(-|z|), so that no exp can overflow."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _unary(op: str, a, fwd, bwd) -> Tensor:
-    a = _wrap(a)
-    out = fwd(a.value)
-    if a.tape is None:
-        return Tensor(out)
-    av = a.value
-    return a.tape._record(op, (a,), lambda g: (bwd(g, av, out),), out)
+_ACTIVATIONS = {"none": lambda z: z, "tanh": np.tanh, "sigmoid": _sigmoid}
 
 
-def tanh(a) -> Tensor:
-    return _unary("tanh", a, np.tanh, lambda g, x, y: g * (1.0 - y * y))
+def dense(x, w, b, act: str = "none") -> Tensor:
+    """One dense layer, y = act(x w + b), with the 1 x n bias row broadcast.
 
+    One ``dense`` node that keeps x, w and y. With dz = g, g (1 - y^2) or
+    g y (1 - y) for none, tanh and sigmoid: dx = dz w^T, dw = x^T dz and
+    db = the column sums of dz.
+    """
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if act not in _ACTIVATIONS:
+        raise ParameterError(f"dense: unknown activation {act!r}")
+    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+        raise ShapeError(f"dense: {x.shape} x {w.shape} + {b.shape}")
+    xv, wv = x.value, w.value
+    y = _ACTIVATIONS[act](xv @ wv + b.value)
 
-def sigmoid(a) -> Tensor:
-    def fwd(x):
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
+    def backward(g):
+        if act == "tanh":
+            g = g * (1.0 - y * y)
+        elif act == "sigmoid":
+            g = g * y * (1.0 - y)
+        # a ones-row product sums columns in BLAS blocks, closer than sum(axis=0)
+        return g @ wv.T, xv.T @ g, np.ones((1, g.shape[0])) @ g
 
-    return _unary("sigmoid", a, fwd, lambda g, x, y: g * y * (1.0 - y))
-
-
-def scale(a, c: float) -> Tensor:
-    """Multiply by a Python constant (not a tape value)."""
-    c = float(c)
-    return _unary("scale", a, lambda x: x * c, lambda g, x, y: g * c)
-
-
-def reduce(a) -> Tensor:
-    """Sum over all entries, as a 1 x 1 tensor."""
-    a = _wrap(a)
-    m, n = a.shape
-    if m == 0 or n == 0:
-        raise ShapeError("reduce: empty tensor")
-    out = a.value.sum().reshape(1, 1)
-    if a.tape is None:
-        return Tensor(out)
-    return a.tape._record("reduce_sum_all", (a,), lambda g: (np.full((m, n), g[0, 0]),), out)
+    return record("dense", (x, w, b), backward, y)
 
 
 def huber(a, delta: float) -> Tensor:
     """Sum of elementwise Huber penalties: 0.5 x^2 inside |x| <= delta,
     delta (|x| - 0.5 delta) outside. Gradient is x clamped to +-delta."""
-    if delta <= 0:
+    if not (delta > 0):
         raise ParameterError(f"huber: delta must be positive, got {delta}")
     a = _wrap(a)
     av = a.value
@@ -272,14 +244,6 @@ def huber(a, delta: float) -> Tensor:
         return (g * np.clip(av, -delta, delta),)
 
     return a.tape._record("huber", (a,), bwd, out)
-
-
-def transpose(a) -> Tensor:
-    a = _wrap(a)
-    out = a.value.T.copy()
-    if a.tape is None:
-        return Tensor(out)
-    return a.tape._record("transpose", (a,), lambda g: (g.T,), out)
 
 
 def gather_cols(a, idx) -> Tensor:
@@ -331,7 +295,7 @@ def finite_difference_check(
     scalar loss; it is re-evaluated 2 x (number of scalar entries) times
     for the central differences, so keep probe problems small.
     """
-    if h <= 0:
+    if not (h > 0):
         raise ParameterError("finite_difference_check: h must be positive")
     values = [_as_matrix(v).copy() for v in values]
 

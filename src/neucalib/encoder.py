@@ -81,15 +81,9 @@ def fusion_depth(params) -> int:
                    default=-1)
 
 
-def _affine(x: Tensor, p, name: str) -> Tensor:
-    out = ad.matmul(x, p[name + ".w"])
-    bias = p[name + ".b"]
-    ones = ad.constant(np.ones((out.shape[0], 1)))
-    return ad.add(out, ad.matmul(ones, bias))
-
-
 def _mlp(x: Tensor, p, prefix: str) -> Tensor:
-    return _affine(ad.tanh(_affine(x, p, prefix + ".l1")), p, prefix + ".l2")
+    hidden = ad.dense(x, p[prefix + ".l1.w"], p[prefix + ".l1.b"], "tanh")
+    return ad.dense(hidden, p[prefix + ".l2.w"], p[prefix + ".l2.b"])
 
 
 def pixel_texture(sample: SceneSample) -> np.ndarray:

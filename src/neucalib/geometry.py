@@ -63,8 +63,10 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ParameterError("focal lengths must be positive")
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+            raise ParameterError(f"focal lengths must be finite and positive: {self.fx, self.fy}")
+        if not np.isfinite([self.cx, self.cy]).all():
+            raise ParameterError(f"principal point must be finite: {self.cx, self.cy}")
         if self.width < 1 or self.height < 1:
             raise ParameterError("image grid must be at least 1x1")
 
@@ -135,8 +137,8 @@ def sample_augmentation(rng: np.random.Generator, rot_range: float,
     uniform in the x-y square of half-width trans_range with zero z.
     Draw order (angle, tx, ty) is fixed for reproducibility.
     """
-    if rot_range < 0 or trans_range < 0:
-        raise ParameterError("augmentation ranges must be nonnegative")
+    if not (0 <= rot_range < np.inf and 0 <= trans_range < np.inf):
+        raise ParameterError(f"augmentation ranges must be finite, >= 0: {rot_range, trans_range}")
     angle = rng.uniform(-rot_range, rot_range) if rot_range > 0 else 0.0
     tx = rng.uniform(-trans_range, trans_range) if trans_range > 0 else 0.0
     ty = rng.uniform(-trans_range, trans_range) if trans_range > 0 else 0.0

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DegenerateBatchError, DomainError, NormalizationError, ParameterError
+from .errors import (DegenerateBatchError, DomainError, NormalizationError, ParameterError,
+                     ShapeError)
 from .scene import PairSet
 
 PROB_CLAMP = 1e-7  # BCE probability floor/ceiling before the log
@@ -37,11 +38,13 @@ class AlignmentTransform:
     temperature: float
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ParameterError("temperature must be positive")
+        if not (self.temperature > 0):
+            raise ParameterError(f"temperature must be positive, got {self.temperature}")
 
-    def matrix(self) -> Tensor:
-        return ad.scale(ad.add(self.raw, ad.transpose(self.raw)), 0.5)
+    def matrix(self) -> np.ndarray:
+        """The effective transform W = (B + B^T) / 2, as a plain array."""
+        raw = self.raw.value
+        return (raw + raw.T) * 0.5
 
 
 def init_alignment(rng: np.random.Generator, channels: int) -> dict[str, np.ndarray]:
@@ -81,16 +84,34 @@ def normalize_rows(f: Tensor, what: str = "feature") -> Tensor:
 
 def similarity(f_p: Tensor, f_i: Tensor, transform: AlignmentTransform,
                mode: str = "learnable") -> Tensor:
-    """N x M logits between row-normalized features, divided by temperature."""
+    """N x M logits between row-normalized features, divided by temperature.
+
+    One ``similarity`` node after the two ``normalize_rows`` nodes. With
+    c = 1/T, logits = c (x W) y^T in learnable mode and c x y^T in cosine
+    mode (no W, and B gets no gradient). With G = c g: dx = G y W,
+    dy = G^T (x W) and dB = (dW + dW^T) / 2 for dW = x^T G y.
+    """
     if mode not in ALIGNMENT_MODES:
         raise ParameterError(f"unknown alignment mode {mode!r}")
     fp = normalize_rows(f_p, "point feature")
     fi = normalize_rows(f_i, "pixel feature")
-    if mode == "learnable":
-        logits = ad.matmul(ad.matmul(fp, transform.matrix()), ad.transpose(fi))
-    else:
-        logits = ad.matmul(fp, ad.transpose(fi))
-    return ad.scale(logits, 1.0 / transform.temperature)
+    x, y = fp.value, fi.value
+    c = 1.0 / transform.temperature
+    w = transform.matrix() if mode == "learnable" else None
+    if x.shape[1] != y.shape[1] or (w is not None and w.shape != (x.shape[1],) * 2):
+        raise ShapeError(f"similarity: features {x.shape} vs {y.shape}, raw {transform.raw.shape}")
+    xw = x if w is None else x @ w
+
+    def backward(g):
+        gc = g * c
+        gy = gc @ y
+        if w is None:
+            return gy, gc.T @ xw
+        dw = x.T @ gy
+        return gy @ w, gc.T @ xw, (dw + dw.T) * 0.5
+
+    inputs = (fp, fi) if w is None else (fp, fi, transform.raw)
+    return ad.record("similarity", inputs, backward, (xw @ y.T) * c)
 
 
 def infonce_loss(logits: Tensor, pairs: PairSet, direction: str = "point_to_pixel") -> Tensor:
@@ -182,9 +203,7 @@ def overlap_scores(f_p: Tensor, f_i: Tensor, p) -> tuple[Tensor, Tensor]:
     """Per-entity logistic heads on the fused features, scores in (0, 1)."""
 
     def head(f, name):
-        logits = ad.matmul(f, p[f"overlap.{name}.w"])
-        ones = ad.constant(np.ones((f.shape[0], 1)))
-        return ad.sigmoid(ad.add(logits, ad.matmul(ones, p[f"overlap.{name}.b"])))
+        return ad.dense(f, p[f"overlap.{name}.w"], p[f"overlap.{name}.b"], "sigmoid")
 
     return head(f_p, "point"), head(f_i, "pixel")
 

@@ -1,4 +1,7 @@
+import inspect
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from neucalib import autodiff as ad
 from neucalib import matching as mt
 from neucalib.errors import ParameterError, ShapeError, StateError
+from tape_probe import weighted_sum
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -52,7 +56,7 @@ class TestMatmul:
 
         tape = ad.Tape()
         a = tape.parameter(a0)
-        loss = ad.reduce(ad.matmul(a, b0))
+        loss = weighted_sum(ad.matmul(a, b0))
         tape.backward(loss)
         np.testing.assert_allclose(a.grad, expected, rtol=1e-6)
 
@@ -62,29 +66,98 @@ class TestElementwise:
         with pytest.raises(ShapeError):
             ad.add(np.ones((2, 2)), np.ones((1, 2)))
 
-    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+    @pytest.mark.parametrize("op", [ad.add, ad.sub])
     def test_binary_grads(self, op):
         rng = np.random.default_rng(0)
         a0 = rng.uniform(0.5, 2.0, (3, 2))
         b0 = rng.uniform(0.5, 2.0, (3, 2))
+        probe = rng.normal(size=(3, 2))
         err = ad.finite_difference_check(
-            lambda ps: ad.reduce(ad.mul(op(ps[0], ps[1]), ps[0])), [a0, b0])
+            lambda ps: weighted_sum(op(ps[0], ps[1]), probe), [a0, b0])
         assert err < 1e-6
 
-    @pytest.mark.parametrize("op", [ad.tanh, ad.sigmoid])
-    def test_unary_grads(self, op):
-        rng = np.random.default_rng(1)
-        x0 = rng.uniform(0.2, 1.5, (2, 3))
-        err = ad.finite_difference_check(lambda ps: ad.reduce(op(ps[0])), [x0])
+
+def sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+class TestDense:
+    ACTS = {"none": lambda z: z, "tanh": np.tanh, "sigmoid": sigmoid}
+
+    @pytest.mark.parametrize("act", list(ACTS))
+    def test_value_is_activation_of_affine_map(self, act):
+        rng = np.random.default_rng(30)
+        x, w, b = rng.normal(size=(6, 4)), rng.normal(size=(4, 3)), rng.normal(size=(1, 3))
+        out = ad.dense(x, w, b, act).value
+        # the bias broadcast equals the ones-column product it replaces, bit for bit
+        assert np.array_equal(x @ w + b, x @ w + np.ones((6, 1)) @ b)
+        np.testing.assert_allclose(out, self.ACTS[act](x @ w + b), rtol=1e-15, atol=1e-300)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("act", list(ACTS))
+    def test_gradients_match_central_differences(self, act, n):
+        rng = np.random.default_rng(31 + n)
+        x0, w0, b0 = rng.normal(size=(n, 3)), rng.normal(size=(3, 4)), rng.normal(size=(1, 4))
+        probe = rng.normal(size=(n, 4))
+        err = ad.finite_difference_check(
+            lambda ps: weighted_sum(ad.dense(ps[0], ps[1], ps[2], act), probe), [x0, w0, b0])
         assert err < 1e-6
 
-    def test_scale(self):
+    def test_tanh_saturation(self):
+        # |z| of 3 to 6 leaves a derivative of 1e-5 to 1e-2 that differences
+        # still resolve; at |z| = 40 tanh is exactly +-1 and the gradient 0
+        rng = np.random.default_rng(33)
+        x0 = rng.uniform(3.0, 6.0, (4, 1)) * rng.choice([-1.0, 1.0], (4, 1))
+        probe = rng.normal(size=(4, 2))
+        err = ad.finite_difference_check(
+            lambda ps: weighted_sum(ad.dense(ps[0], ps[1], ps[2], "tanh"), probe),
+            [x0, [[1.0, -0.9]], [[0.1, -0.2]]])
+        assert err < 1e-6
         tape = ad.Tape()
-        x = tape.parameter([[1.0, 2.0]])
-        y = ad.reduce(ad.scale(x, 3.0))
-        assert y.item() == pytest.approx(9.0)
-        tape.backward(y)
-        np.testing.assert_allclose(x.grad, [[3.0, 3.0]])
+        x = tape.parameter([[40.0], [-40.0]])
+        y = ad.dense(x, [[1.0]], [[0.0]], "tanh")
+        np.testing.assert_array_equal(y.value, [[1.0], [-1.0]])
+        tape.backward(weighted_sum(y))
+        np.testing.assert_array_equal(x.grad, [[0.0], [0.0]])
+
+    def test_sigmoid_branches_at_large_magnitude(self):
+        z = np.array([[40.0], [-40.0], [39.5], [-39.5], [800.0], [-800.0]])
+        y = ad.dense(z, [[1.0]], [[0.0]], "sigmoid").value[:, 0]
+        for zi, yi in zip(z[:, 0], y):
+            expect = 1.0 / (1.0 + math.exp(-zi)) if zi >= 0 else math.exp(zi) / (1.0 + math.exp(zi))
+            assert yi == pytest.approx(expect, rel=1e-15, abs=0.0)
+        # the negative branch keeps full relative precision, so differences
+        # of a loss built from it alone resolve its e^z-sized gradient
+        err = ad.finite_difference_check(
+            lambda ps: weighted_sum(ad.dense(ps[0], ps[1], ps[2], "sigmoid"), [[0.7], [-1.3]]),
+            [[[-20.0], [-19.75]], [[2.0]], [[0.1]]])
+        assert err < 1e-6
+        # the positive branch rounds to exactly 1 there, with a zero gradient
+        tape = ad.Tape()
+        x = tape.parameter([[40.0], [-40.0]])
+        tape.backward(weighted_sum(ad.dense(x, [[1.0]], [[0.0]], "sigmoid")))
+        assert x.grad[0, 0] == 0.0
+        assert x.grad[1, 0] == pytest.approx(math.exp(-40.0) / (1.0 + math.exp(-40.0)) ** 2,
+                                             rel=1e-13)
+
+    def test_untracked_inputs_record_nothing(self):
+        rng = np.random.default_rng(34)
+        x, w, b = rng.normal(size=(3, 2)), rng.normal(size=(2, 2)), rng.normal(size=(1, 2))
+        tape = ad.Tape()
+        wt, bt = tape.parameter(w), tape.parameter(b)
+        const = ad.dense(ad.constant(x), ad.constant(w), b, "tanh")
+        assert const.tape is None and len(tape.nodes) == 2
+        out = ad.dense(x, wt, bt, "tanh")
+        assert [node.op for node in tape.nodes] == ["leaf", "leaf", "dense"]
+        np.testing.assert_array_equal(out.value, const.value)
+
+    def test_rejects_bad_shapes_and_activation(self):
+        with pytest.raises(ShapeError):
+            ad.dense(np.ones((3, 2)), np.ones((2, 4)), np.ones((3, 4)))
+        with pytest.raises(ShapeError):
+            ad.dense(np.ones((3, 2)), np.ones((3, 4)), np.ones((1, 4)))
+        with pytest.raises(ParameterError, match="relu"):
+            ad.dense(np.ones((3, 2)), np.ones((2, 4)), np.ones((1, 4)), "relu")
 
 
 class TestSoftmaxRows:
@@ -104,21 +177,6 @@ class TestSoftmaxRows:
         np.testing.assert_array_equal(out.value, [[1.0], [1.0]])
 
 
-class TestReduce:
-    def test_sum_all(self):
-        assert ad.reduce([[1.0, 2.0], [3.0, 4.0]]).item() == 10.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ShapeError):
-            ad.reduce(np.zeros((0, 3)))
-
-    def test_grad(self):
-        x0 = np.random.default_rng(3).normal(size=(3, 4))
-        err = ad.finite_difference_check(
-            lambda ps: ad.reduce(ad.mul(ad.reduce(ps[0]), [[-1.7]])), [x0])
-        assert err < 1e-6
-
-
 class TestHuber:
     def test_quadratic_branch(self):
         assert ad.huber([[0.5]], 1.0).item() == pytest.approx(0.125, abs=1e-15)
@@ -136,6 +194,11 @@ class TestHuber:
         with pytest.raises(ParameterError):
             ad.huber([[1.0]], 0.0)
 
+    @pytest.mark.parametrize("delta", [-1.0, math.nan])
+    def test_negative_or_nan_delta_rejected(self, delta):
+        with pytest.raises(ParameterError):
+            ad.huber([[1.0]], delta)
+
     def test_grad_away_from_kink(self):
         x0 = np.array([[0.4, -0.7, 2.5, -3.1]])
         err = ad.finite_difference_check(lambda ps: ad.huber(ps[0], 1.0), [x0])
@@ -143,25 +206,20 @@ class TestHuber:
 
 
 class TestStructuralOps:
-    def test_transpose_and_gathers(self):
+    def test_gather_cols_with_repeated_indices(self):
         rng = np.random.default_rng(4)
         x0 = rng.normal(size=(4, 3))
-        w = rng.normal(size=(3, 3))
-
-        def build(ps):
-            cols = ad.gather_cols(ps[0], [2, 0, 2])
-            picked = ad.gather_cols(ad.transpose(cols), [3, 1, 3])
-            return ad.reduce(ad.mul(picked, w))
-
-        assert ad.finite_difference_check(build, [x0]) < 1e-6
+        w = rng.normal(size=(4, 3))
+        err = ad.finite_difference_check(
+            lambda ps: weighted_sum(ad.gather_cols(ps[0], [2, 0, 2]), w), [x0])
+        assert err < 1e-6
 
     def test_gather_elements(self):
         rng = np.random.default_rng(5)
         x0 = rng.normal(size=(3, 3))
         err = ad.finite_difference_check(
-            lambda ps: ad.reduce(ad.mul(
-                ad.gather_elements(ps[0], [0, 2, 0], [1, 2, 1]),
-                np.array([[1.0], [2.0], [3.0]]))), [x0])
+            lambda ps: weighted_sum(ad.gather_elements(ps[0], [0, 2, 0], [1, 2, 1]),
+                                    [[1.0], [2.0], [3.0]]), [x0])
         assert err < 1e-6
 
 
@@ -169,14 +227,15 @@ class TestBackward:
     def test_sum_gradient_is_ones(self):
         tape = ad.Tape()
         x = tape.parameter([[1.0, 2.0, 3.0]])
-        tape.backward(ad.reduce(x))
+        tape.backward(weighted_sum(x))
         np.testing.assert_array_equal(x.grad, [[1.0, 1.0, 1.0]])
 
     def test_elementwise_square(self):
+        # x is both operands of one node; the two input gradients add up
         tape = ad.Tape()
-        x = tape.parameter([[1.0, 2.0]])
-        tape.backward(ad.reduce(ad.mul(x, x)))
-        np.testing.assert_allclose(x.grad, [[2.0, 4.0]])
+        x = tape.parameter([[3.0]])
+        tape.backward(ad.matmul(x, x))
+        assert x.grad[0, 0] == 6.0
 
     def test_non_scalar_loss_rejected(self):
         tape = ad.Tape()
@@ -187,7 +246,7 @@ class TestBackward:
     def test_second_backward_rejected(self):
         tape = ad.Tape()
         x = tape.parameter([[1.0]])
-        loss = ad.reduce(x)
+        loss = weighted_sum(x)
         tape.backward(loss)
         with pytest.raises(StateError):
             tape.backward(loss)
@@ -211,18 +270,18 @@ class TestBackward:
     def test_fanout_accumulates(self):
         tape = ad.Tape()
         x = tape.parameter([[3.0]])
-        y = ad.add(ad.mul(x, x), ad.scale(x, 2.0))  # x^2 + 2x
+        y = ad.add(ad.matmul(x, x), ad.add(x, x))  # x^2 + 2x
         tape.backward(y)
         assert x.grad[0, 0] == pytest.approx(8.0)
 
     def test_replay_determinism(self):
         rng = np.random.default_rng(7)
-        x0 = rng.normal(size=(4, 4))
+        x0, b, probe = rng.normal(size=(4, 4)), rng.normal(size=(1, 4)), rng.normal(size=(4, 4))
 
         def run():
             tape = ad.Tape()
             x = tape.parameter(x0)
-            y = ad.reduce(ad.mul(ad.sigmoid(ad.matmul(x, x)), ad.tanh(ad.scale(x, 0.1))))
+            y = weighted_sum(ad.dense(ad.dense(x, x, b, "sigmoid"), x, b, "tanh"), probe)
             tape.backward(y)
             return x.grad.copy()
 
@@ -233,7 +292,7 @@ class TestBackward:
 class TestFiniteDifferenceCheck:
     def test_square(self):
         err = ad.finite_difference_check(
-            lambda ps: ad.reduce(ad.mul(ps[0], ps[0])), [np.array([[3.0]])])
+            lambda ps: ad.matmul(ps[0], ps[0]), [np.array([[3.0]])])
         assert err < 1e-8
 
     def test_huber_kink_reported_not_asserted(self):
@@ -245,8 +304,25 @@ class TestFiniteDifferenceCheck:
 
     def test_chained_expression(self):
         rng = np.random.default_rng(8)
-        x0 = rng.uniform(0.5, 1.5, (2, 2))
-        err = ad.finite_difference_check(
-            lambda ps: ad.reduce(ad.tanh(ad.add(ad.sigmoid(ps[0]), ad.mul(ps[0], ps[0])))),
-            [x0])
-        assert err < 1e-6
+        x0, w0 = rng.uniform(0.5, 1.5, (2, 2)), rng.uniform(-1.0, 1.0, (2, 2))
+        b, probe = rng.normal(size=(1, 2)), rng.uniform(0.5, 1.5, (2, 2))
+
+        def build(ps):
+            hidden = ad.add(ad.dense(ps[0], ps[1], b, "sigmoid"), ad.matmul(ps[0], ps[0]))
+            return weighted_sum(ad.dense(hidden, ps[1], b, "tanh"), probe)
+
+        assert ad.finite_difference_check(build, [x0, w0]) < 1e-6
+
+
+def test_every_public_op_has_a_library_caller():
+    # an op that only tests call is dead weight; fused nodes go through record
+    infrastructure = {"Tensor", "Tape", "constant", "record", "finite_difference_check"}
+    public = [name for name, obj in vars(ad).items()
+              if not name.startswith("_") and inspect.getmodule(obj) is ad]
+    src = Path(ad.__file__).parent
+    library = "\n".join(path.read_text() for path in sorted(src.glob("*.py"))
+                        if path.name != "autodiff.py")
+    assert set(public) >= infrastructure
+    dead = [name for name in public if name not in infrastructure
+            and not re.search(rf"\bad\.{name}\(", library)]
+    assert dead == []

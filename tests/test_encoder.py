@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neucalib import autodiff as ad
 from neucalib import encoder as enc
@@ -7,6 +9,7 @@ from neucalib import geometry as geo
 from neucalib import params as pstore
 from neucalib import scene as sc
 from neucalib.errors import ConfigError, ParameterError
+from tape_probe import weighted_sum
 
 
 def small_scene(seed=0, n_points=8, grid=(8, 8)):
@@ -109,7 +112,7 @@ class TestEncode:
         def build(tensors):
             p = dict(zip(names, tensors))
             f_p, _ = enc.encode(scene, p)
-            return ad.reduce(ad.mul(f_p, probe))
+            return weighted_sum(f_p, probe)
 
         err = ad.finite_difference_check(build, [p0[n] for n in names])
         assert err < 1e-4
@@ -140,7 +143,7 @@ class TestAttention:
 
         def build(ps):
             out, _ = enc.attention(ps[0], ps[0], dict(zip(self.NAMES, ps[1:])), "blk")
-            return ad.reduce(ad.mul(out, probe))
+            return weighted_sum(out, probe)
 
         assert ad.finite_difference_check(build, [x0, *self.weights(rng, 4)]) < 1e-6
 
@@ -151,7 +154,7 @@ class TestAttention:
 
         def build(ps):
             out, _ = enc.attention(ps[0], ps[1], dict(zip(self.NAMES, ps[2:])), "blk")
-            return ad.reduce(ad.mul(out, probe))
+            return weighted_sum(out, probe)
 
         assert ad.finite_difference_check(build, [x0, y0, *self.weights(rng, 4)]) < 1e-6
 
@@ -165,7 +168,7 @@ class TestAttention:
         out, weights = enc.attention(x, y, p, "blk")
         assert np.all(np.isfinite(out.value))
         np.testing.assert_allclose(weights.value.sum(axis=1), 1.0, atol=1e-12)
-        tape.backward(ad.reduce(out))
+        tape.backward(weighted_sum(out))
         for t in (x, y, *p.values()):
             assert np.all(np.isfinite(t.grad))
 
@@ -241,8 +244,7 @@ class TestFuse:
         def build(tensors):
             p = dict(zip(names, tensors))
             out_p, out_i = enc.fuse(*enc.encode(scene, p), scene, p)
-            return ad.add(ad.reduce(ad.mul(out_p, probe_p)),
-                          ad.reduce(ad.mul(out_i, probe_i)))
+            return ad.add(weighted_sum(out_p, probe_p), weighted_sum(out_i, probe_i))
 
         err = ad.finite_difference_check(build, [p0[n] for n in names])
         assert err < 1e-4
@@ -276,6 +278,28 @@ class TestParamsIO:
             path.write_bytes(blob[:cut])
             with pytest.raises(ConfigError):
                 pstore.load_params(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 255)), max_size=8),
+           st.one_of(st.none(), st.integers(0, 10 ** 6)))
+    def test_corrupted_bytes_rejected_or_loaded_as_matrices(self, tmp_path_factory, edits, cut):
+        """A mutated or truncated file either fails to load with ConfigError
+        or loads into 2-D float64 arrays; nothing else escapes."""
+        path = tmp_path_factory.getbasetemp() / "fuzz.nclp"
+        pstore.save_params({"w": np.ones((2, 3)), "b": np.full((1, 2), -0.5),
+                            "empty": np.zeros((0, 4))}, path)
+        blob = bytearray(path.read_bytes())
+        for pos, byte in edits:
+            blob[pos % len(blob)] = byte
+        if cut is not None:
+            blob = blob[:cut % (len(blob) + 1)]
+        path.write_bytes(bytes(blob))
+        try:
+            loaded = pstore.load_params(path)
+        except ConfigError:
+            return
+        for arr in loaded.values():
+            assert arr.ndim == 2 and arr.dtype == np.float64
 
     def test_non_utf8_name_rejected(self, tmp_path):
         path = tmp_path / "m.nclp"

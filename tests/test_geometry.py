@@ -78,6 +78,20 @@ class TestPoseAlgebra:
             geo.RigidPose(np.eye(3) * 2.0, np.zeros(3))
 
 
+class TestIntrinsics:
+    VALID = dict(fx=100.0, fy=80.0, cx=50.0, cy=40.0, width=100, height=80)
+
+    @pytest.mark.parametrize("field, value", [
+        ("fx", math.nan), ("fy", math.nan), ("fx", 0.0), ("fy", -1.0), ("fx", math.inf),
+        ("cx", math.nan), ("cy", math.inf), ("cy", -math.inf), ("width", 0)])
+    def test_invalid_field_rejected(self, field, value):
+        with pytest.raises(ParameterError):
+            geo.CameraIntrinsics(**{**self.VALID, field: value})
+
+    def test_valid_intrinsics_construct(self):
+        assert geo.CameraIntrinsics(**self.VALID).fx == 100.0
+
+
 class TestProject:
     def test_optical_axis(self):
         res = geo.project([[0.0, 0.0, 5.0]], geo.RigidPose.identity(), INTR)
@@ -119,6 +133,13 @@ class TestAugmentation:
         rot, trans = geo.sample_augmentation(rng, 0.0, 0.0)
         np.testing.assert_array_equal(rot, np.eye(3))
         np.testing.assert_array_equal(trans, np.zeros(3))
+
+    @pytest.mark.parametrize("rot_range, trans_range", [
+        (math.nan, 1.0), (1.0, math.nan), (-0.1, 1.0), (1.0, -0.1), (math.inf, 1.0),
+        (1.0, math.inf)])
+    def test_invalid_ranges_rejected(self, rot_range, trans_range):
+        with pytest.raises(ParameterError):
+            geo.sample_augmentation(np.random.default_rng(0), rot_range, trans_range)
 
     def test_angles_within_range(self):
         rng = np.random.default_rng(19)

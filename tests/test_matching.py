@@ -9,7 +9,8 @@ from neucalib import autodiff as ad
 from neucalib import matching as mt
 from neucalib import scene as sc
 from neucalib.errors import (DegenerateBatchError, DomainError, NormalizationError,
-                             ParameterError)
+                             ParameterError, ShapeError)
+from tape_probe import weighted_sum
 
 
 def unit_rows(rng, n, c):
@@ -71,8 +72,63 @@ class TestSimilarity:
         rng = np.random.default_rng(3)
         tape = ad.Tape()
         t = make_transform(tape, 6, raw=rng.normal(size=(6, 6)))
-        w = t.matrix().value
+        w = t.matrix()
         assert np.max(np.abs(w - w.T)) == 0.0
+
+    @pytest.mark.parametrize("mode", mt.ALIGNMENT_MODES)
+    def test_gradients_match_central_differences(self, mode):
+        # a non-symmetric raw B: only its symmetric part may reach the logits
+        rng = np.random.default_rng(4)
+        f_p0, f_i0 = rng.normal(size=(4, 5)), rng.normal(size=(6, 5))
+        raw0 = np.eye(5) + rng.normal(scale=0.5, size=(5, 5))
+        probe = rng.normal(size=(4, 6))
+
+        def build(ps):
+            t = mt.AlignmentTransform(ps[2], 0.3)
+            return weighted_sum(mt.similarity(ps[0], ps[1], t, mode), probe)
+
+        assert ad.finite_difference_check(build, [f_p0, f_i0, raw0]) < 1e-6
+
+    def test_raw_gradient_is_symmetric_and_cosine_leaves_it_untouched(self):
+        rng = np.random.default_rng(5)
+        f_p, f_i = rng.normal(size=(4, 5)), rng.normal(size=(6, 5))
+        for mode in mt.ALIGNMENT_MODES:
+            tape = ad.Tape()
+            t = make_transform(tape, 5, raw=rng.normal(size=(5, 5)))
+            logits = mt.similarity(tape.parameter(f_p), tape.parameter(f_i), t, mode)
+            assert [node.op for node in tape.nodes[3:]] == [
+                "normalize_rows", "normalize_rows", "similarity"]
+            tape.backward(weighted_sum(logits, rng.normal(size=(4, 6))))
+            if mode == "cosine":
+                assert t.raw.grad is None
+            else:
+                assert np.array_equal(t.raw.grad, t.raw.grad.T)
+
+    def test_untracked_inputs_record_nothing(self):
+        rng = np.random.default_rng(6)
+        f_p, f_i = rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
+        tape = ad.Tape()
+        t = make_transform(tape, 4, raw=rng.normal(size=(4, 4)))
+        tracked = mt.similarity(ad.constant(f_p), ad.constant(f_i), t)
+        assert [node.op for node in tape.nodes] == ["leaf", "similarity"]
+        const_t = mt.AlignmentTransform(ad.constant(t.raw.value), 1.0)
+        const = mt.similarity(ad.constant(f_p), ad.constant(f_i), const_t)
+        assert const.tape is None and len(tape.nodes) == 2
+        np.testing.assert_array_equal(const.value, tracked.value)
+
+    def test_channel_mismatch_rejected(self):
+        tape = ad.Tape()
+        with pytest.raises(ShapeError):
+            mt.similarity(ad.constant(np.ones((2, 4))), ad.constant(np.ones((3, 4))),
+                          make_transform(tape, 5))
+        with pytest.raises(ShapeError):
+            mt.similarity(ad.constant(np.ones((2, 4))), ad.constant(np.ones((3, 5))),
+                          make_transform(tape, 4), "cosine")
+
+    @pytest.mark.parametrize("temperature", [0.0, -0.07, math.nan])
+    def test_temperature_must_be_positive(self, temperature):
+        with pytest.raises(ParameterError):
+            mt.AlignmentTransform(ad.constant(np.eye(2)), temperature)
 
     def test_zero_norm_row_rejected(self):
         f = np.zeros((2, 4))
@@ -97,7 +153,7 @@ class TestSimilarity:
         f0 = rng.normal(size=(4, 5))
         probe = rng.normal(size=(4, 5))
         err = ad.finite_difference_check(
-            lambda ps: ad.reduce(ad.mul(mt.normalize_rows(ps[0]), probe)), [f0])
+            lambda ps: weighted_sum(mt.normalize_rows(ps[0]), probe), [f0])
         assert err < 1e-6
 
 
@@ -477,8 +533,7 @@ class TestSoftHardMatch:
         centers = rng.uniform(0, 6, (6, 2))
         probe = rng.normal(size=(2, 2))
         err = ad.finite_difference_check(
-            lambda ps: ad.reduce(ad.mul(
-                mt.soft_match(ps[0], sel, centers)[1], probe)), [vals])
+            lambda ps: weighted_sum(mt.soft_match(ps[0], sel, centers)[1], probe), [vals])
         assert err < 1e-6
 
     def test_soft_match_gradient_with_repeated_indices(self):
@@ -491,8 +546,7 @@ class TestSoftHardMatch:
         centers = rng.uniform(0, 5, (5, 2))
         probe = rng.normal(size=(5, 2))
         err = ad.finite_difference_check(
-            lambda ps: ad.reduce(ad.mul(
-                mt.soft_match(ps[0], sel, centers)[1], probe)), [vals])
+            lambda ps: weighted_sum(mt.soft_match(ps[0], sel, centers)[1], probe), [vals])
         assert err < 1e-6
 
     def test_soft_match_records_one_node_and_untracked_weights(self):

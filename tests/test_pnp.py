@@ -9,6 +9,7 @@ from neucalib import autodiff as ad
 from neucalib import geometry as geo
 from neucalib import pnp
 from neucalib.errors import SolveError
+from tape_probe import weighted_sum
 
 INTR = geo.CameraIntrinsics(fx=100.0, fy=100.0, cx=32.0, cy=32.0, width=64, height=64)
 
@@ -213,8 +214,8 @@ class TestPoseNode:
 
     @staticmethod
     def probe_loss(refined, w_rot, w_trans):
-        return ad.add(ad.reduce(ad.mul(refined.rotation, w_rot)),
-                      ad.reduce(ad.mul(refined.translation, w_trans)))
+        return ad.add(weighted_sum(refined.rotation, w_rot),
+                      weighted_sum(refined.translation, w_trans))
 
     @pytest.mark.parametrize("k_iters", [1, 3, 8])
     def test_target_gradient_vs_central_differences(self, k_iters):

@@ -1,6 +1,6 @@
 """One training step and one calibration pass composed from the public layer
 functions on a 32-point 8x8 scene, pinning how many tape nodes each fused
-op records."""
+op records: 81 for the whole training step, 37 of them parameter leaves."""
 
 import gc
 import weakref
@@ -48,18 +48,22 @@ def test_training_step_records_one_node_per_fused_loss():
     pairs = sc.build_pairs(sample, 1.0, 4.0)
     tape = ad.Tape()
     p = pm.bind(tape, params)
-    (f_p, f_i), ops = recorded(tape, enc.fuse, *enc.encode(sample, p), sample, p)
-    assert ops.count("attention") == 4 and len(ops) == 28
+    assert len(tape.nodes) == 37
+    (f_p, f_i), ops = recorded(tape, enc.encode, sample, p)
+    assert ops == ["dense"] * 4
+    (f_p, f_i), ops = recorded(tape, enc.fuse, f_p, f_i, sample, p)
+    assert ops.count("attention") == 4 and ops.count("dense") == 4 and len(ops) == 18
 
     logits, ops = recorded(tape, mt.similarity, f_p, f_i,
                            mt.AlignmentTransform(p["align.b"], TEMPERATURE))
-    assert ops.count("normalize_rows") == 2 and len(ops) == 9
+    assert ops == ["normalize_rows", "normalize_rows", "similarity"]
     terms = []
     for direction in ("point_to_pixel", "pixel_to_point"):
         term, ops = recorded(tape, mt.infonce_loss, logits, pairs, direction)
         assert ops == ["infonce"]
         terms.append(term)
-    s_p, s_i = mt.overlap_scores(f_p, f_i, p)
+    (s_p, s_i), ops = recorded(tape, mt.overlap_scores, f_p, f_i, p)
+    assert ops == ["dense", "dense"]
     term, ops = recorded(tape, mt.overlap_bce_loss, s_p, s_i,
                          sample.point_overlap_gt, sample.pixel_overlap_gt)
     assert ops == ["overlap_bce"]
@@ -69,15 +73,23 @@ def test_training_step_records_one_node_per_fused_loss():
     coords, ops = recorded(tape, mt.match_coords, logits, selection,
                            sc.pixel_centers(sample.grid))
     assert ops == ["soft_match"]
-    terms.append(ad.reduce(coords))
+    problem = pnp.PnPProblem(sample.points[selection.point_indices], coords,
+                             sample.intrinsics)
+    refined, ops = recorded(tape, pnp.gauss_newton_refine, problem, pnp.epnp_init(problem), 5)
+    assert ops == ["gauss_newton", "gather_cols", "gather_cols", "gather_elements"]
+    term, ops = recorded(tape, pnp.pose_loss, refined, sample.raw_pose)
+    assert len(ops) == 6
+    terms.append(term)
 
     loss = terms[0]
     for term in terms[1:]:
         loss = ad.add(loss, term)
+    assert len(tape.nodes) == 81
     tape.backward(loss)
     grads = pm.gradients(p)
     assert all(np.all(np.isfinite(g)) for g in grads.values())
-    for name in ("align.b", "overlap.point.w", "overlap.pixel.b", "point_enc.l1.w"):
+    for name in ("align.b", "overlap.point.w", "overlap.pixel.b", "point_enc.l1.w",
+                 "point_enc.l2.b", "fuse.0.pixel.ffn.l1.b"):
         assert np.any(grads[name] != 0.0), name
 
 
