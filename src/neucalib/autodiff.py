@@ -5,10 +5,12 @@ scalars are 1 x 1). A :class:`Tape` records one node per operation in
 execution order; :meth:`Tape.backward` replays the nodes in reverse
 exactly once. Tensors without a tape are constants and may be shared freely.
 
-Elementwise operations demand equal shapes; the one broadcast is the bias
-row of :func:`dense`. Most nodes are coarse fused ops recorded through
-:func:`record`, each with a hand-derived backward. Tapes are single-use and
-rebuilt per training step, so data-dependent graph structure is fine.
+Every node is a coarse fused op recorded through :func:`record` with a
+hand-derived backward. This module defines two of them: :func:`add`, on
+equal shapes, and :func:`dense`, whose bias row is the one broadcast. The
+other stages (attention, similarity, the losses, matching, Gauss-Newton)
+record their own nodes. Tapes are single-use and rebuilt per training step,
+so data-dependent graph structure is fine.
 """
 
 from __future__ import annotations
@@ -162,33 +164,12 @@ def record(op: str, inputs: Sequence[Tensor], backward_fn, value: Array) -> Tens
     return tape._record(op, tuple(inputs), backward_fn, value)
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product; backward is dA = G B^T, dB = A^T G."""
-    a, b = _wrap(a), _wrap(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: {a.shape} x {b.shape}")
-    av, bv = a.value, b.value
-    return record("matmul", (a, b), lambda g: (g @ bv.T, av.T @ g), av @ bv)
-
-
-def _binary(op: str, a, b, fwd, bwd) -> Tensor:
+def add(a, b) -> Tensor:
+    """Elementwise sum of equal shapes; the backward passes g to both inputs."""
     a, b = _wrap(a), _wrap(b)
     if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} vs {b.shape} (no implicit broadcasting)")
-    out = fwd(a.value, b.value)
-    tape = _tape_of(a, b)
-    if tape is None:
-        return Tensor(out)
-    av, bv = a.value, b.value
-    return tape._record(op, (a, b), lambda g: bwd(g, av, bv), out)
-
-
-def add(a, b) -> Tensor:
-    return _binary("add", a, b, lambda x, y: x + y, lambda g, x, y: (g, g))
-
-
-def sub(a, b) -> Tensor:
-    return _binary("sub", a, b, lambda x, y: x - y, lambda g, x, y: (g, -g))
+        raise ShapeError(f"add: shapes {a.shape} vs {b.shape} (no implicit broadcasting)")
+    return record("add", (a, b), lambda g: (g, g), a.value + b.value)
 
 
 def _sigmoid(z: Array) -> Array:
@@ -225,63 +206,6 @@ def dense(x, w, b, act: str = "none") -> Tensor:
         return g @ wv.T, xv.T @ g, np.ones((1, g.shape[0])) @ g
 
     return record("dense", (x, w, b), backward, y)
-
-
-def huber(a, delta: float) -> Tensor:
-    """Sum of elementwise Huber penalties: 0.5 x^2 inside |x| <= delta,
-    delta (|x| - 0.5 delta) outside. Gradient is x clamped to +-delta."""
-    if not (delta > 0):
-        raise ParameterError(f"huber: delta must be positive, got {delta}")
-    a = _wrap(a)
-    av = a.value
-    absa = np.abs(av)
-    vals = np.where(absa <= delta, 0.5 * av * av, delta * (absa - 0.5 * delta))
-    out = vals.sum().reshape(1, 1)
-    if a.tape is None:
-        return Tensor(out)
-
-    def bwd(g):
-        return (g * np.clip(av, -delta, delta),)
-
-    return a.tape._record("huber", (a,), bwd, out)
-
-
-def gather_cols(a, idx) -> Tensor:
-    a = _wrap(a)
-    idx = np.asarray(idx, dtype=np.intp).reshape(-1)
-    if idx.size == 0:
-        raise ShapeError("gather_cols: empty index set")
-    out = a.value[:, idx].copy()
-    if a.tape is None:
-        return Tensor(out)
-    m, n = a.shape
-
-    def bwd(g):
-        acc = np.zeros((m, n))
-        np.add.at(acc.T, idx, g.T)
-        return (acc,)
-
-    return a.tape._record("gather_cols", (a,), bwd, out)
-
-
-def gather_elements(a, rows, cols) -> Tensor:
-    """Pick entries (rows[k], cols[k]) into a K x 1 column."""
-    a = _wrap(a)
-    rows = np.asarray(rows, dtype=np.intp).reshape(-1)
-    cols = np.asarray(cols, dtype=np.intp).reshape(-1)
-    if rows.shape != cols.shape or rows.size == 0:
-        raise ShapeError("gather_elements: row/col index lists must match and be nonempty")
-    out = a.value[rows, cols].reshape(-1, 1).copy()
-    if a.tape is None:
-        return Tensor(out)
-    m, n = a.shape
-
-    def bwd(g):
-        acc = np.zeros((m, n))
-        np.add.at(acc, (rows, cols), g[:, 0])
-        return (acc,)
-
-    return a.tape._record("gather_elements", (a,), bwd, out)
 
 
 def finite_difference_check(

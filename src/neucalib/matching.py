@@ -133,9 +133,12 @@ def infonce_loss(logits: Tensor, pairs: PairSet, direction: str = "point_to_pixe
     """
     if pairs.n_pixels != logits.shape[1]:
         raise ParameterError(f"pairs cover {pairs.n_pixels} pixels, logits {logits.shape[1]}")
+    cands = pairs.overlap_points
+    if cands.size and cands.max() >= logits.shape[0]:
+        raise ParameterError(
+            f"pairs index point {cands.max()}, logits have {logits.shape[0]} rows")
     pos_pt, pos_px = np.divmod(pairs.positives, pairs.n_pixels)
     near_pt, near_px = np.divmod(pairs.near, pairs.n_pixels)
-    cands = pairs.overlap_points
     if direction == "point_to_pixel":
         vals = logits.value  # points x pixels
         pos, near = (pos_pt, pos_px), (near_pt, near_px)

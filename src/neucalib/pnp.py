@@ -12,7 +12,8 @@ The refinement runs in plain numpy and records a single tape node. Its
 hand-derived backward replays the k steps in reverse (Rodrigues update,
 damped 6x6 solve, normal equations, Jacobian rows, projection), so
 reverse mode sees the true derivative of each step rather than a
-fixed-point approximation.
+fixed-point approximation. The pose loss is one more node on that output,
+so the whole pose stage is two nodes on the tape.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import SolveError
+from .errors import ParameterError, SolveError
 from .geometry import MIN_DEPTH, CameraIntrinsics, RigidPose, project_to_so3
 
 MIN_CORRESPONDENCES = 6
@@ -60,9 +61,6 @@ class PnPProblem:
     def n(self) -> int:
         return self.points.shape[0]
 
-    def target_values(self) -> np.ndarray:
-        return self.targets.value
-
 
 @dataclass(frozen=True)
 class PoseEstimate:
@@ -73,11 +71,14 @@ class PoseEstimate:
 
 @dataclass
 class RefinedPose:
-    """Pose after refinement, with both tape and numpy views."""
+    """Pose after refinement, with both tape and numpy views.
 
-    rotation: Tensor  # 3x3, tape-connected to the targets
-    translation: Tensor  # 3x1
-    residual: Tensor  # 1x1 RMS reprojection error
+    ``pose`` is the ``gauss_newton`` node itself, a 3 x 5 matrix
+    [R | t | (rms, 0, 0)] tape-connected to the targets: the refined
+    rotation and translation and the RMS reprojection error.
+    """
+
+    pose: Tensor  # 3 x 5 [R | t | (rms, 0, 0)]
     estimate: PoseEstimate  # detached summary with re-orthonormalized pose
     objectives: list[float]  # sum of squared residuals per iteration incl. final
 
@@ -112,7 +113,7 @@ def epnp_init(problem: PnPProblem) -> RigidPose:
     sign fixed by requiring positive median depth.
     """
     k = problem.intrinsics
-    targets = problem.target_values()
+    targets = problem.targets.value
     ctrl_w = control_points(problem.points)
     alphas = barycentric_coordinates(problem.points, ctrl_w)
 
@@ -243,13 +244,13 @@ def gauss_newton_refine(problem: PnPProblem, init: RigidPose,
     increment, composed on the left. The steps run in numpy; when the targets
     are on a tape, one ``gauss_newton`` node records the refined rotation,
     translation and RMS residual as a 3 x 5 matrix [R | t | (rms, 0, 0)],
-    and its backward replays the k steps in reverse to give the exact
-    target gradient of the finite procedure.
+    returned as ``RefinedPose.pose``. Its backward replays the k steps in
+    reverse to give the exact target gradient of the finite procedure.
     """
     if k_iters < 1:
         raise SolveError("k_iters must be at least 1")
     k, n, points = problem.intrinsics, problem.n, problem.points
-    targets = problem.target_values()
+    targets = problem.targets.value
     rot, trans = init.rotation, init.translation.reshape(3, 1)
     objectives: list[float] = []
     steps = []
@@ -298,8 +299,7 @@ def gauss_newton_refine(problem: PnPProblem, init: RigidPose,
     node = ad.record("gauss_newton", (problem.targets,), backward, value)
     estimate = PoseEstimate(pose=RigidPose(project_to_so3(rot), trans[:, 0]),
                             residual_px=rms, iterations=k_iters)
-    return RefinedPose(ad.gather_cols(node, [0, 1, 2]), ad.gather_cols(node, [3]),
-                       ad.gather_elements(node, [0], [4]), estimate, objectives)
+    return RefinedPose(node, estimate, objectives)
 
 
 def solve_pose(problem: PnPProblem, k_iters: int = 5,
@@ -310,9 +310,31 @@ def solve_pose(problem: PnPProblem, k_iters: int = 5,
     return gauss_newton_refine(problem, init, k_iters)
 
 
+def _huber_sum(err: np.ndarray, delta: float) -> float:
+    """Sum of 0.5 e^2 inside |e| <= delta and delta (|e| - 0.5 delta) outside."""
+    abs_err = np.abs(err)
+    vals = np.where(abs_err <= delta, 0.5 * err * err, delta * (abs_err - 0.5 * delta))
+    return float(vals.sum())
+
+
 def pose_loss(refined: RefinedPose, gt: RigidPose, delta: float = 1.0) -> Tensor:
-    """Huber penalty on R_gt^T R_hat - I plus Huber on t_gt - t_hat."""
-    rot_err = ad.sub(ad.matmul(ad.constant(gt.rotation.T), refined.rotation),
-                     ad.constant(np.eye(3)))
-    trans_err = ad.sub(ad.constant(gt.translation.reshape(3, 1)), refined.translation)
-    return ad.add(ad.huber(rot_err, delta), ad.huber(trans_err, delta))
+    """Huber penalty on e_R = R_gt^T R - I plus Huber on e_t = t_gt - t.
+
+    One ``pose_loss`` node on the 3 x 5 refined pose. With c = e clipped to
+    +-delta, its gradient is R_gt c_R in the R columns, -c_t in the t column
+    and 0 at the RMS residual.
+    """
+    if not (delta > 0):
+        raise ParameterError(f"pose_loss: Huber delta must be positive, got {delta}")
+    pose = refined.pose.value
+    rot_err = gt.rotation.T @ pose[:, :3] - np.eye(3)
+    trans_err = gt.translation.reshape(3, 1) - pose[:, 3:4]
+    value = _huber_sum(rot_err, delta) + _huber_sum(trans_err, delta)
+
+    def backward(g):
+        grad = np.zeros((3, 5))
+        grad[:, :3] = gt.rotation @ (g * np.clip(rot_err, -delta, delta))
+        grad[:, 3:4] = -(g * np.clip(trans_err, -delta, delta))
+        return (grad,)
+
+    return ad.record("pose_loss", (refined.pose,), backward, np.array([[value]]))

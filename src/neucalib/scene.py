@@ -49,6 +49,11 @@ class SceneConfig:
             raise ParameterError("n_points must be at least 8")
         if self.grid[0] < 4 or self.grid[1] < 4:
             raise ParameterError("grid must be at least 4x4")
+        if self.n_patches < 1:
+            raise ParameterError(f"n_patches must be at least 1, got {self.n_patches}")
+        if not (0.0 <= self.noise_fraction <= 1.0):
+            raise ParameterError(
+                f"noise_fraction must lie in [0, 1], got {self.noise_fraction}")
         lo, hi = self.overlap_band
         if not (0.0 < lo <= hi <= 1.0):
             raise ParameterError(f"overlap_band must satisfy 0 < lo <= hi <= 1, got {self.overlap_band}")
@@ -404,10 +409,19 @@ def load_dataset(data_dir) -> list[SceneSample]:
     manifest_path = data / "manifest.json"
     if not manifest_path.exists():
         raise ConfigError(f"no manifest.json in {data}")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as err:  # JSON and text decoding errors
+        raise ConfigError(f"{manifest_path} is not valid JSON: {err}") from err
+    samples = manifest.get("samples") if isinstance(manifest, dict) else None
+    if not isinstance(samples, list) or "count" not in manifest:
+        raise ConfigError(f"{manifest_path} needs a 'samples' list and a 'count'")
     scenes = []
-    for entry in manifest["samples"]:
-        scenes.append(load_scene(data / entry["file"]))
+    for entry in samples:
+        name = entry.get("file") if isinstance(entry, dict) else None
+        if not isinstance(name, str) or not (data / name).is_file():
+            raise ConfigError(f"manifest entry {entry!r} names no sample file in {data}")
+        scenes.append(load_scene(data / name))
     if len(scenes) != manifest["count"]:
         raise ConfigError("manifest count does not match sample entries")
     return scenes

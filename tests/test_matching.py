@@ -303,6 +303,14 @@ class TestInfoNCE:
         with pytest.raises(ParameterError):
             mt.infonce_loss(ad.constant(np.zeros((1, 3))), pairs)
 
+    @pytest.mark.parametrize("direction", ["point_to_pixel", "pixel_to_point"])
+    def test_pairs_built_for_more_points_rejected(self, direction):
+        cfg = sc.SceneConfig(n_points=64, grid=(8, 8))
+        pairs = sc.build_pairs(sc.generate_scene(np.random.default_rng(5), cfg), 1.0, 4.0)
+        assert pairs.overlap_points.max() >= 32
+        with pytest.raises(ParameterError, match="32 rows"):
+            mt.infonce_loss(ad.constant(np.zeros((32, 64))), pairs, direction)
+
     def test_underflowed_denominator_raises(self):
         # the anchor's max sits on one positive; the other positive and the
         # negative are so far below it that their exps underflow to zero

@@ -8,7 +8,7 @@ import pytest
 from neucalib import autodiff as ad
 from neucalib import geometry as geo
 from neucalib import pnp
-from neucalib.errors import SolveError
+from neucalib.errors import ParameterError, SolveError
 from tape_probe import weighted_sum
 
 INTR = geo.CameraIntrinsics(fx=100.0, fy=100.0, cx=32.0, cy=32.0, width=64, height=64)
@@ -26,6 +26,11 @@ def random_instance(seed, n=64, intr=INTR):
     points = geo.invert(pose).apply(cam)
     targets = geo.project(points, pose, intr).coords
     return pose, points, targets
+
+
+def pose_matrix(rot, trans, rms=0.0):
+    """The 3 x 5 layout of ``RefinedPose.pose``: [R | t | (rms, 0, 0)]."""
+    return np.hstack([rot, np.reshape(trans, (3, 1)), [[rms], [0.0], [0.0]]])
 
 
 def pose_errors(est: geo.RigidPose, gt: geo.RigidPose):
@@ -130,7 +135,8 @@ class TestGaussNewton:
 
         def build(ps):
             problem = pnp.PnPProblem(points, ps[0], INTR)
-            return pnp.gauss_newton_refine(problem, init, k_iters=5).residual
+            refined = pnp.gauss_newton_refine(problem, init, k_iters=5)
+            return weighted_sum(refined.pose, pose_matrix(np.zeros((3, 3)), np.zeros(3), 1.0))
 
         err = ad.finite_difference_check(build, [noisy])
         assert err < 1e-3
@@ -184,22 +190,41 @@ class TestSolvePose:
 
 
 class TestPoseLoss:
-    def make_refined(self, rot, trans):
-        return pnp.RefinedPose(
-            rotation=ad.constant(rot), translation=ad.constant(np.reshape(trans, (3, 1))),
-            residual=ad.constant([[0.0]]),
-            estimate=pnp.PoseEstimate(geo.RigidPose(rot, trans), 0.0, 0),
-            objectives=[])
+    GT = geo.RigidPose(geo.rotation_about_z(0.3), np.array([1.0, 2.0, 3.0]))
+
+    @staticmethod
+    def make_refined(rot, trans):
+        return pnp.RefinedPose(pose=ad.constant(pose_matrix(rot, trans)),
+                               estimate=pnp.PoseEstimate(geo.RigidPose(rot, trans), 0.0, 0),
+                               objectives=[])
+
+    @staticmethod
+    def loss_of(gt):
+        """The pose loss as a function of a tracked 3 x 5 pose."""
+        estimate = pnp.PoseEstimate(geo.RigidPose.identity(), 0.0, 0)
+        return lambda ps: pnp.pose_loss(pnp.RefinedPose(ps[0], estimate, []), gt)
 
     def test_zero_at_truth(self):
-        gt = geo.RigidPose(geo.rotation_about_z(0.3), np.array([1.0, 2.0, 3.0]))
-        refined = self.make_refined(gt.rotation, gt.translation)
-        assert pnp.pose_loss(refined, gt).item() == pytest.approx(0.0, abs=1e-30)
+        refined = self.make_refined(self.GT.rotation, self.GT.translation)
+        assert pnp.pose_loss(refined, self.GT).item() == pytest.approx(0.0, abs=1e-30)
 
     def test_quadratic_branch_translation(self):
         gt = geo.RigidPose.identity()
         refined = self.make_refined(np.eye(3), np.array([0.5, 0.0, 0.0]))
         assert pnp.pose_loss(refined, gt, delta=1.0).item() == pytest.approx(0.125, abs=1e-15)
+
+    def test_quadratic_branch_rotation(self):
+        # R_gt^T R = rotation by pi/3 about z: every entry of R_gt^T R - I
+        # (-0.5 twice, +-sqrt(3)/2) lies inside delta, so the sum is
+        # 0.5 * (0.25 + 0.25 + 0.75 + 0.75) = 1
+        refined = self.make_refined(self.GT.rotation @ geo.rotation_about_z(math.pi / 3),
+                                    self.GT.translation)
+        assert pnp.pose_loss(refined, self.GT, delta=1.0).item() == pytest.approx(1.0, abs=1e-12)
+
+    def test_linear_branch_translation(self):
+        gt = geo.RigidPose.identity()
+        refined = self.make_refined(np.eye(3), np.array([2.0, 0.0, 0.0]))
+        assert pnp.pose_loss(refined, gt, delta=1.0).item() == pytest.approx(1.5, abs=1e-15)
 
     def test_half_turn_rotation_value(self):
         # R_gt^T R = rotation by pi about z: diag(-1, -1, 1) - I has two
@@ -208,14 +233,48 @@ class TestPoseLoss:
         refined = self.make_refined(geo.rotation_about_z(math.pi), np.zeros(3))
         assert pnp.pose_loss(refined, gt, delta=1.0).item() == pytest.approx(3.0, abs=1e-12)
 
+    def test_clamped_gradient(self):
+        # e_R = diag(-2, -2, 0) and e_t = (3, -0.5, 0) clip to diag(-1, -1, 0)
+        # and (1, -0.5, 0); the gradient is R_gt c_R, -c_t and 0 at the rms
+        rot = self.GT.rotation @ geo.rotation_about_z(math.pi)
+        tape = ad.Tape()
+        pose = tape.parameter(pose_matrix(rot, self.GT.translation - [3.0, -0.5, 0.0], 7.0))
+        tape.backward(self.loss_of(self.GT)([pose]))
+        np.testing.assert_allclose(pose.grad[:, :3], self.GT.rotation @ np.diag([-1.0, -1.0, 0.0]),
+                                   atol=1e-15)
+        np.testing.assert_array_equal(pose.grad[:, 3:], [[-1.0, 0.0], [0.5, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan])
+    def test_nonpositive_or_nan_delta_rejected(self, delta):
+        with pytest.raises(ParameterError):
+            pnp.pose_loss(self.make_refined(np.eye(3), np.zeros(3)), self.GT, delta)
+
+    def test_grad_away_from_kink(self):
+        # error entries in both branches, each far from the kinks at +-delta
+        # next to the 1e-5 difference step; R need not be a rotation here
+        rng = np.random.default_rng(14)
+        pose0 = pose_matrix(rng.normal(scale=1.5, size=(3, 3)), rng.normal(scale=1.5, size=3),
+                            2.0)
+        rot_err = self.GT.rotation.T @ pose0[:, :3] - np.eye(3)
+        trans_err = self.GT.translation - pose0[:, 3]
+        errs = np.abs(np.concatenate([rot_err.ravel(), trans_err]))
+        assert np.abs(errs - 1.0).min() > 0.01 and errs.min() < 1.0 < errs.max()
+        assert ad.finite_difference_check(self.loss_of(self.GT), [pose0]) < 1e-6
+
+    def test_kink_reported_not_asserted(self):
+        # e_t[0] sits exactly on the Huber kink; the subgradient mismatch is
+        # expected, we only require the checker to return a finite number
+        gt = geo.RigidPose.identity()
+        pose0 = pose_matrix(np.eye(3), [-1.0, 0.0, 0.0])
+        assert math.isfinite(ad.finite_difference_check(self.loss_of(gt), [pose0]))
+
 
 class TestPoseNode:
     """The refinement is one tape node whose backward replays the k steps."""
 
     @staticmethod
-    def probe_loss(refined, w_rot, w_trans):
-        return ad.add(weighted_sum(refined.rotation, w_rot),
-                      weighted_sum(refined.translation, w_trans))
+    def probe_loss(refined, w_rot, w_trans, w_rms=0.0):
+        return weighted_sum(refined.pose, pose_matrix(w_rot, w_trans, w_rms))
 
     @pytest.mark.parametrize("k_iters", [1, 3, 8])
     def test_target_gradient_vs_central_differences(self, k_iters):
@@ -232,8 +291,27 @@ class TestPoseNode:
         def build(ps):
             refined = pnp.gauss_newton_refine(pnp.PnPProblem(points, ps[0], intr),
                                               init, k_iters=k_iters)
-            return ad.add(ad.add(self.probe_loss(refined, w_rot, w_trans), refined.residual),
+            return ad.add(self.probe_loss(refined, w_rot, w_trans, 1.0),
                           pnp.pose_loss(refined, pose))
+
+        assert ad.finite_difference_check(build, [noisy]) < 1e-5
+
+    @pytest.mark.parametrize("block", ["rotation", "translation", "rms"])
+    def test_block_gradient_vs_central_differences(self, block):
+        # weights on one block of the 3 x 5 pose alone, the padding under the
+        # rms included, so each block's share of the backward is checked apart
+        pose, points, targets = random_instance(15, n=12)
+        rng = np.random.default_rng(15)
+        noisy = targets + rng.normal(scale=0.5, size=targets.shape)
+        init = pnp.epnp_init(pnp.PnPProblem(points, noisy, INTR))
+        cols = {"rotation": slice(0, 3), "translation": slice(3, 4), "rms": slice(4, 5)}[block]
+        weights = np.zeros((3, 5))
+        weights[:, cols] = rng.normal(size=weights[:, cols].shape)
+
+        def build(ps):
+            refined = pnp.gauss_newton_refine(pnp.PnPProblem(points, ps[0], INTR),
+                                              init, k_iters=3)
+            return weighted_sum(refined.pose, weights)
 
         assert ad.finite_difference_check(build, [noisy]) < 1e-5
 
@@ -267,11 +345,9 @@ class TestPoseNode:
         tracked = pnp.gauss_newton_refine(
             pnp.PnPProblem(points, tape.parameter(noisy), INTR), init, k_iters=5)
         untracked = pnp.gauss_newton_refine(pnp.PnPProblem(points, noisy, INTR), init, k_iters=5)
-        assert [node.op for node in tape.nodes] == [
-            "leaf", "gauss_newton", "gather_cols", "gather_cols", "gather_elements"]
-        for name in ("rotation", "translation", "residual"):
-            assert getattr(untracked, name).tape is None
-            assert np.array_equal(getattr(untracked, name).value, getattr(tracked, name).value)
+        assert [node.op for node in tape.nodes] == ["leaf", "gauss_newton"]
+        assert untracked.pose.tape is None
+        assert np.array_equal(untracked.pose.value, tracked.pose.value)
         assert untracked.objectives == tracked.objectives
         assert np.array_equal(untracked.estimate.pose.rotation, tracked.estimate.pose.rotation)
         assert np.array_equal(untracked.estimate.pose.translation,

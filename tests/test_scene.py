@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -84,6 +85,13 @@ class TestGeneration:
     def test_too_few_points_rejected(self):
         with pytest.raises(ParameterError):
             sc.SceneConfig(n_points=4)
+
+    @pytest.mark.parametrize("field, value", [("n_patches", 0), ("noise_fraction", 1.5),
+                                              ("noise_fraction", -0.5),
+                                              ("noise_fraction", np.nan)])
+    def test_invalid_patch_count_or_noise_fraction_rejected(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            sc.SceneConfig(**{field: value})
 
     def test_augment_scene_preserves_labels_and_projection(self):
         sample = make_scene(seed=9)
@@ -356,6 +364,29 @@ class TestSceneIO:
         assert len(loaded) == 3
         for a, b in zip(scenes, loaded):
             assert np.array_equal(a.points, b.points)
+
+    @pytest.mark.parametrize("case", ["invalid_json", "top_level_list", "samples_not_list",
+                                      "no_samples", "no_count", "no_file", "missing_file"])
+    def test_malformed_manifest_rejected(self, tmp_path, case):
+        cfg = sc.SceneConfig(n_points=32, grid=(8, 8))
+        scenes = [sc.generate_scene(np.random.default_rng([4, i]), cfg) for i in range(2)]
+        out = sc.write_dataset(tmp_path / "data", scenes, cfg, seed=4)
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edits = {
+            "top_level_list": lambda m: [m],
+            "samples_not_list": lambda m: {**m, "samples": 3},
+            "no_samples": lambda m: {k: v for k, v in m.items() if k != "samples"},
+            "no_count": lambda m: {k: v for k, v in m.items() if k != "count"},
+            "no_file": lambda m: {**m, "samples": [{"n_points": 32}, *m["samples"][1:]]},
+            "missing_file": lambda m: {**m, "samples": [*m["samples"], {"file": "gone.nclr"}]},
+        }
+        if case == "invalid_json":
+            path.write_text(path.read_text()[:-10])
+        else:
+            path.write_text(json.dumps(edits[case](manifest)))
+        with pytest.raises(ConfigError):
+            sc.load_dataset(out)
 
     def test_pixel_centers_layout(self):
         centers = sc.pixel_centers((2, 3))

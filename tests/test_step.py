@@ -1,6 +1,6 @@
 """One training step and one calibration pass composed from the public layer
 functions on a 32-point 8x8 scene, pinning how many tape nodes each fused
-op records: 81 for the whole training step, 37 of them parameter leaves."""
+op records: 73 for the whole training step, 37 of them parameter leaves."""
 
 import gc
 import weakref
@@ -76,15 +76,15 @@ def test_training_step_records_one_node_per_fused_loss():
     problem = pnp.PnPProblem(sample.points[selection.point_indices], coords,
                              sample.intrinsics)
     refined, ops = recorded(tape, pnp.gauss_newton_refine, problem, pnp.epnp_init(problem), 5)
-    assert ops == ["gauss_newton", "gather_cols", "gather_cols", "gather_elements"]
+    assert ops == ["gauss_newton"]
     term, ops = recorded(tape, pnp.pose_loss, refined, sample.raw_pose)
-    assert len(ops) == 6
+    assert ops == ["pose_loss"]
     terms.append(term)
 
     loss = terms[0]
     for term in terms[1:]:
         loss = ad.add(loss, term)
-    assert len(tape.nodes) == 81
+    assert len(tape.nodes) == 73
     tape.backward(loss)
     grads = pm.gradients(p)
     assert all(np.all(np.isfinite(g)) for g in grads.values())
@@ -109,7 +109,7 @@ def test_untracked_calibration_records_nothing():
     losses = [mt.infonce_loss(logits, pairs, d) for d in ("point_to_pixel", "pixel_to_point")]
     losses.append(mt.overlap_bce_loss(s_p, s_i, sample.point_overlap_gt,
                                       sample.pixel_overlap_gt))
-    for out in [f_p, f_i, logits, s_p, s_i, coords, refined.rotation, *losses]:
+    for out in [f_p, f_i, logits, s_p, s_i, coords, refined.pose, *losses]:
         assert out.tape is None
     assert np.all(np.isfinite(refined.estimate.pose.rotation))
 
