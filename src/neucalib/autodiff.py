@@ -9,8 +9,10 @@ Every node is a coarse fused op recorded through :func:`record` with a
 hand-derived backward. This module defines two of them: :func:`add`, on
 equal shapes, and :func:`dense`, whose bias row is the one broadcast. The
 other stages (attention, similarity, the losses, matching, Gauss-Newton)
-record their own nodes. Tapes are single-use and rebuilt per training step,
-so data-dependent graph structure is fine.
+record their own nodes; attention and soft matching share the row softmax
+of :func:`softmax_rows` and its backward :func:`softmax_rows_grad`.
+Tapes are single-use and rebuilt per training step, so data-dependent
+graph structure is fine.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import numpy as np
 from .errors import ParameterError, ShapeError, StateError
 
 Array = np.ndarray
+
+FD_STEP = 1e-5  # central-difference step of finite_difference_check
 
 
 def _as_matrix(x) -> Array:
@@ -208,19 +212,32 @@ def dense(x, w, b, act: str = "none") -> Tensor:
     return record("dense", (x, w, b), backward, y)
 
 
-def finite_difference_check(
-    build: Callable[[list[Tensor]], Tensor],
-    values: Sequence[Array],
-    h: float = 1e-5,
-) -> float:
-    """Max relative error between tape gradients and central differences.
+def softmax_rows(s: Array) -> Array:
+    """Row softmax of a plain array, each row shifted by its max so that no
+    exp can overflow."""
+    a = np.exp(s - s.max(axis=1, keepdims=True))
+    a /= a.sum(axis=1, keepdims=True)
+    return a
+
+
+def softmax_rows_grad(a: Array, da: Array) -> Array:
+    """Gradient at the inputs of a = softmax_rows(s) from da at its output:
+    a (da - rowsum(da * a)). Overwrites and returns ``da``."""
+    da -= np.einsum("ij,ij->i", da, a)[:, None]
+    da *= a
+    return da
+
+
+def finite_difference_check(build: Callable[[list[Tensor]], Tensor],
+                            values: Sequence[Array]) -> float:
+    """Max relative error between tape gradients and central differences
+    with step FD_STEP.
 
     ``build`` receives freshly created tape parameters and returns the
     scalar loss; it is re-evaluated 2 x (number of scalar entries) times
     for the central differences, so keep probe problems small.
     """
-    if not (h > 0):
-        raise ParameterError("finite_difference_check: h must be positive")
+    h = FD_STEP
     values = [_as_matrix(v).copy() for v in values]
 
     tape = Tape()

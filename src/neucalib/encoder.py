@@ -128,16 +128,12 @@ def attention(query: Tensor, keys: Tensor, p, name: str) -> tuple[Tensor, Tensor
     x, y = query.value, keys.value
     c = 1.0 / np.sqrt(wq.shape[0])
     q, k, v = x @ wq, y @ wk, y @ wv
-    s = (q @ k.T) * c
-    a = np.exp(s - s.max(axis=1, keepdims=True))
-    a /= a.sum(axis=1, keepdims=True)
+    a = ad.softmax_rows((q @ k.T) * c)
     av = a @ v
 
     def backward(g):
         gv = g @ wo.T
-        ds = gv @ v.T
-        ds -= np.einsum("ij,ij->i", ds, a)[:, None]
-        ds *= a
+        ds = ad.softmax_rows_grad(a, gv @ v.T)
         dq, dk, dv = c * (ds @ k), c * (ds.T @ q), a.T @ gv
         return (dq @ wq.T, dk @ wk.T + dv @ wv.T, x.T @ dq, y.T @ dk, y.T @ dv, av.T @ g)
 

@@ -18,7 +18,7 @@ class DomainError(NeucalibError):
 
 
 class ParameterError(NeucalibError):
-    """An operation parameter (delta, axis, channel count, ...) is invalid."""
+    """An operation parameter (threshold, margin, channel count, ...) is invalid."""
 
 
 class StateError(NeucalibError):
@@ -44,7 +44,3 @@ class GenerationError(NeucalibError):
 
 class ConfigError(NeucalibError):
     """A configuration or serialized file is malformed or inconsistent."""
-
-
-class TrainingError(NeucalibError):
-    """The training loop hit an unrecoverable condition."""

@@ -245,27 +245,22 @@ class OverlapSelection:
     pixel_fallback: bool
 
 
-def threshold_overlap(s_p, s_i, theta_p: float, theta_i: float,
-                      gt_point_mask=None, gt_pixel_mask=None) -> OverlapSelection:
-    """Index sets of entities whose scores exceed the thresholds.
+def threshold_overlap(s_p: Tensor, s_i: Tensor, theta_p: float, theta_i: float,
+                      gt_point_mask, gt_pixel_mask) -> OverlapSelection:
+    """Index sets of entities whose n x 1 scores exceed the thresholds.
 
-    When ground-truth masks are supplied, an empty selection falls back to
-    the ground truth so the pose stage never starves; the fallback is
-    recorded in the result.
+    An empty selection falls back to the ground-truth mask so the pose
+    stage never starves; the fallback is recorded in the result.
     """
     if not (0.0 < theta_p < 1.0 and 0.0 < theta_i < 1.0):
         raise ParameterError("overlap thresholds must lie in (0, 1)")
-    sp = s_p.value[:, 0] if isinstance(s_p, Tensor) else np.asarray(s_p, dtype=float).reshape(-1)
-    si = s_i.value[:, 0] if isinstance(s_i, Tensor) else np.asarray(s_i, dtype=float).reshape(-1)
-    points = np.flatnonzero(sp > theta_p)
-    pixels = np.flatnonzero(si > theta_i)
-    point_fallback = pixel_fallback = False
-    if points.size == 0 and gt_point_mask is not None:
+    points = np.flatnonzero(s_p.value[:, 0] > theta_p)
+    pixels = np.flatnonzero(s_i.value[:, 0] > theta_i)
+    point_fallback, pixel_fallback = points.size == 0, pixels.size == 0
+    if point_fallback:
         points = np.flatnonzero(np.asarray(gt_point_mask, dtype=bool))
-        point_fallback = True
-    if pixels.size == 0 and gt_pixel_mask is not None:
+    if pixel_fallback:
         pixels = np.flatnonzero(np.asarray(gt_pixel_mask, dtype=bool))
-        pixel_fallback = True
     return OverlapSelection(points, pixels, point_fallback, pixel_fallback)
 
 
@@ -282,33 +277,28 @@ def soft_match(logits: Tensor, selection: OverlapSelection, centers: np.ndarray
     if rows.size == 0 or cols.size == 0:
         raise DegenerateBatchError("empty overlap selection for matching")
     pix = centers[cols]
-    sub = logits.value[np.ix_(rows, cols)]
-    w = np.exp(sub - sub.max(axis=1, keepdims=True))
-    w /= w.sum(axis=1, keepdims=True)
+    w = ad.softmax_rows(logits.value[np.ix_(rows, cols)])
     n, m = logits.shape
 
     def backward(g):
-        dw = g @ pix.T
-        dw -= np.einsum("ij,ij->i", dw, w)[:, None]
-        dw *= w
+        dw = ad.softmax_rows_grad(w, g @ pix.T)
         flat = (rows[:, None] * m + cols[None, :]).ravel()
         return (np.bincount(flat, weights=dw.ravel(), minlength=n * m).reshape(n, m),)
 
     return ad.constant(w), ad.record("soft_match", (logits,), backward, w @ pix)
 
 
-def hard_match(logits, selection: OverlapSelection, centers: np.ndarray) -> np.ndarray:
+def hard_match(logits: Tensor, selection: OverlapSelection, centers: np.ndarray) -> np.ndarray:
     """Argmax assignment (ties to the lowest pixel index); not differentiable."""
     if selection.point_indices.size == 0 or selection.pixel_indices.size == 0:
         raise DegenerateBatchError("empty overlap selection for matching")
-    vals = logits.value if isinstance(logits, Tensor) else np.asarray(logits)
-    sub = vals[np.ix_(selection.point_indices, selection.pixel_indices)]
+    sub = logits.value[np.ix_(selection.point_indices, selection.pixel_indices)]
     best = np.argmax(sub, axis=1)
     return centers[selection.pixel_indices[best]]
 
 
-def match_coords(logits, selection, centers, mode: str = "soft"):
-    """Predicted pixel coordinates as a Tensor (soft, on-tape) or array (hard)."""
+def match_coords(logits: Tensor, selection, centers, mode: str = "soft") -> Tensor:
+    """Predicted pixel coordinates: on the tape (soft) or a constant (hard)."""
     if mode == "soft":
         return soft_match(logits, selection, centers)[1]
     if mode == "hard":

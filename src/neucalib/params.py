@@ -53,7 +53,10 @@ def save_params(params: ParamDict, path) -> None:
 
 
 def load_params(path) -> ParamDict:
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as err:
+        raise ConfigError(f"cannot read parameter file {path}: {err}") from err
     if blob[:4] != PARAMS_MAGIC:
         raise ConfigError(f"bad parameter file magic {blob[:4]!r}")
     off = 4

@@ -24,13 +24,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ParameterError, SolveError
+from .errors import SolveError
 from .geometry import MIN_DEPTH, CameraIntrinsics, RigidPose, project_to_so3
 
 MIN_CORRESPONDENCES = 6
 GN_DAMPING = 1e-6
 SERIES_THETA2 = 1e-8  # squared rotation angle below which Rodrigues uses its series
 DEGENERATE_SPREAD = 1e-8  # relative floor on the smallest principal extent
+HUBER_DELTA = 1.0  # pose-loss error at which the Huber penalty turns linear
 
 
 @dataclass
@@ -302,39 +303,36 @@ def gauss_newton_refine(problem: PnPProblem, init: RigidPose,
     return RefinedPose(node, estimate, objectives)
 
 
-def solve_pose(problem: PnPProblem, k_iters: int = 5,
-               init: RigidPose | None = None) -> RefinedPose:
+def solve_pose(problem: PnPProblem, k_iters: int = 5) -> RefinedPose:
     """EPnP initialization (gradient-constant) plus Gauss-Newton refinement."""
-    if init is None:
-        init = epnp_init(problem)
-    return gauss_newton_refine(problem, init, k_iters)
+    return gauss_newton_refine(problem, epnp_init(problem), k_iters)
 
 
-def _huber_sum(err: np.ndarray, delta: float) -> float:
-    """Sum of 0.5 e^2 inside |e| <= delta and delta (|e| - 0.5 delta) outside."""
+def _huber_sum(err: np.ndarray) -> float:
+    """Sum of 0.5 e^2 inside |e| <= delta and delta (|e| - 0.5 delta) outside,
+    for delta = HUBER_DELTA."""
+    delta = HUBER_DELTA
     abs_err = np.abs(err)
     vals = np.where(abs_err <= delta, 0.5 * err * err, delta * (abs_err - 0.5 * delta))
     return float(vals.sum())
 
 
-def pose_loss(refined: RefinedPose, gt: RigidPose, delta: float = 1.0) -> Tensor:
+def pose_loss(refined: RefinedPose, gt: RigidPose) -> Tensor:
     """Huber penalty on e_R = R_gt^T R - I plus Huber on e_t = t_gt - t.
 
     One ``pose_loss`` node on the 3 x 5 refined pose. With c = e clipped to
-    +-delta, its gradient is R_gt c_R in the R columns, -c_t in the t column
-    and 0 at the RMS residual.
+    +-HUBER_DELTA, its gradient is R_gt c_R in the R columns, -c_t in the t
+    column and 0 at the RMS residual.
     """
-    if not (delta > 0):
-        raise ParameterError(f"pose_loss: Huber delta must be positive, got {delta}")
     pose = refined.pose.value
     rot_err = gt.rotation.T @ pose[:, :3] - np.eye(3)
     trans_err = gt.translation.reshape(3, 1) - pose[:, 3:4]
-    value = _huber_sum(rot_err, delta) + _huber_sum(trans_err, delta)
+    value = _huber_sum(rot_err) + _huber_sum(trans_err)
 
     def backward(g):
         grad = np.zeros((3, 5))
-        grad[:, :3] = gt.rotation @ (g * np.clip(rot_err, -delta, delta))
-        grad[:, 3:4] = -(g * np.clip(trans_err, -delta, delta))
+        grad[:, :3] = gt.rotation @ (g * np.clip(rot_err, -HUBER_DELTA, HUBER_DELTA))
+        grad[:, 3:4] = -(g * np.clip(trans_err, -HUBER_DELTA, HUBER_DELTA))
         return (grad,)
 
     return ad.record("pose_loss", (refined.pose,), backward, np.array([[value]]))

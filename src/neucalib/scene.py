@@ -5,7 +5,8 @@ few planar patches plus box noise in front of the camera, mapped into a
 "sensor" frame by the inverse of a random raw pose, and labeled by exact
 projection. The feature grid H' x W' doubles as the image: pixel (row v,
 col u) has its center at continuous coordinates (u, v) and flat index
-v * W' + u.
+v * W' + u. Only the scene size is configurable; the camera, depth band,
+patch layout, overlap band and pose spreads are module constants.
 
 Scenes serialize to a little-endian binary format (magic ``NCLR``) plus a
 ``manifest.json`` per dataset directory; the layout is bit-exact so that
@@ -28,39 +29,42 @@ MAGIC = b"NCLR"
 FORMAT_VERSION = 1
 SAMPLE_PATTERN = "sample_%06d.nclr"
 
+FOCAL_PX = 12.0
+Z_NEAR, Z_FAR = 4.0, 20.0  # meters, depth band of the in-frustum points
+N_PATCHES = 3
+NOISE_FRACTION = 0.25  # in-frustum points drawn as box noise, not patches
+OVERLAP_BAND = (0.6, 0.9)  # target in-frustum fraction
+POSE_ROT_SPREAD = 0.3  # radians, raw-pose rotation magnitude
+POSE_TRANS_SPREAD = 1.0  # meters, raw-pose translation magnitude
+
+
+def _is_count(x, least: int) -> bool:
+    return isinstance(x, (int, np.integer)) and x >= least
+
 
 @dataclass(frozen=True)
 class SceneConfig:
-    """Generation knobs; defaults give a 16 x 16 grid desk-scale scene."""
+    """Scene size; the defaults give a 256-point, 16 x 16 grid scene.
+
+    ``n_points`` is an integer of at least 8 and ``grid`` a pair of
+    integers of at least 4; numpy integers are stored as ints.
+    """
 
     n_points: int = 256
     grid: tuple[int, int] = (16, 16)  # (H', W')
-    focal_px: float = 12.0
-    z_near: float = 4.0
-    z_far: float = 20.0
-    n_patches: int = 3
-    noise_fraction: float = 0.25  # in-frustum points drawn as box noise, not patches
-    overlap_band: tuple[float, float] = (0.6, 0.9)  # target in-frustum fraction
-    pose_rot_spread: float = 0.3  # radians, raw-pose rotation magnitude
-    pose_trans_spread: float = 1.0  # meters, raw-pose translation magnitude
 
     def __post_init__(self):
-        if self.n_points < 8:
-            raise ParameterError("n_points must be at least 8")
-        if self.grid[0] < 4 or self.grid[1] < 4:
-            raise ParameterError("grid must be at least 4x4")
-        if self.n_patches < 1:
-            raise ParameterError(f"n_patches must be at least 1, got {self.n_patches}")
-        if not (0.0 <= self.noise_fraction <= 1.0):
-            raise ParameterError(
-                f"noise_fraction must lie in [0, 1], got {self.noise_fraction}")
-        lo, hi = self.overlap_band
-        if not (0.0 < lo <= hi <= 1.0):
-            raise ParameterError(f"overlap_band must satisfy 0 < lo <= hi <= 1, got {self.overlap_band}")
+        if not _is_count(self.n_points, 8):
+            raise ParameterError(f"n_points must be an integer >= 8, got {self.n_points!r}")
+        if not (isinstance(self.grid, (tuple, list)) and len(self.grid) == 2
+                and all(_is_count(g, 4) for g in self.grid)):
+            raise ParameterError(f"grid must be two integers >= 4, got {self.grid!r}")
+        object.__setattr__(self, "n_points", int(self.n_points))
+        object.__setattr__(self, "grid", (int(self.grid[0]), int(self.grid[1])))
 
     def intrinsics(self) -> geo.CameraIntrinsics:
         h, w = self.grid
-        return geo.CameraIntrinsics(fx=self.focal_px, fy=self.focal_px,
+        return geo.CameraIntrinsics(fx=FOCAL_PX, fy=FOCAL_PX,
                                     cx=w / 2.0, cy=h / 2.0, width=w, height=h)
 
 
@@ -130,12 +134,12 @@ def _window_pixels(uv: np.ndarray, radius: float,
     return row, (lo[row, 1] + dv) * w + lo[row, 0] + du
 
 
-def label_pixel_overlap(sample: SceneSample, radius: float = 1.0) -> np.ndarray:
+def label_pixel_overlap(sample: SceneSample) -> np.ndarray:
     """Pixel (u, v) is overlapping iff some overlapping point's projection
-    lies within Chebyshev distance ``radius`` of its center."""
+    lies within Chebyshev distance 1 of its center."""
     h, w = sample.grid
     labels = np.zeros(h * w, dtype=bool)
-    _, pixel = _window_pixels(sample.gt_projection[sample.point_overlap_gt], radius, sample.grid)
+    _, pixel = _window_pixels(sample.gt_projection[sample.point_overlap_gt], 1.0, sample.grid)
     labels[pixel] = True
     return labels
 
@@ -186,11 +190,11 @@ def build_pairs(sample: SceneSample, r_p: float, r_n: float) -> PairSet:
                    int((~has_pos).sum()), int((has_pos & ~has_neg).sum()))
 
 
-def _sample_raw_pose(rng: np.random.Generator, cfg: SceneConfig) -> geo.RigidPose:
+def _sample_raw_pose(rng: np.random.Generator) -> geo.RigidPose:
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
-    angle = rng.uniform(-cfg.pose_rot_spread, cfg.pose_rot_spread) if cfg.pose_rot_spread > 0 else 0.0
-    t = rng.uniform(-cfg.pose_trans_spread, cfg.pose_trans_spread, 3) if cfg.pose_trans_spread > 0 else np.zeros(3)
+    angle = rng.uniform(-POSE_ROT_SPREAD, POSE_ROT_SPREAD)
+    t = rng.uniform(-POSE_TRANS_SPREAD, POSE_TRANS_SPREAD, 3)
     return geo.RigidPose(geo.rotation_from_axis_angle(axis, angle), t)
 
 
@@ -199,43 +203,41 @@ def _sample_in_frustum(rng: np.random.Generator, cfg: SceneConfig, count: int) -
     project inside the grid with depth in a safe band."""
     h, w = cfg.grid
     k = cfg.intrinsics()
-    n_noise = int(round(count * cfg.noise_fraction))
+    n_noise = int(round(count * NOISE_FRACTION))
     n_patch = count - n_noise
 
     pts = []
-    if n_patch > 0:
-        sizes = np.full(cfg.n_patches, n_patch // cfg.n_patches)
-        sizes[: n_patch - sizes.sum()] += 1
-        for size in sizes:
-            if size == 0:
+    # count >= 8 gives n_patch >= 6, so each patch gets at least 2 points
+    sizes = np.full(N_PATCHES, n_patch // N_PATCHES)
+    sizes[: n_patch - sizes.sum()] += 1
+    for size in sizes:
+        center_uv = np.array([rng.uniform(1.0, w - 1.0), rng.uniform(1.0, h - 1.0)])
+        z0 = rng.uniform(Z_NEAR, Z_FAR)
+        q0 = geo.unproject(center_uv[None, :], [z0], k)[0]
+        normal = q0 / np.linalg.norm(q0) + 0.5 * rng.normal(size=3)
+        normal /= np.linalg.norm(normal)
+        radius = rng.uniform(1.5, max(2.0, min(h, w) / 2.0))
+        got = 0
+        attempts = 0
+        while got < size:
+            attempts += 1
+            if attempts > 100 * size:
+                raise GenerationError("could not place a planar patch inside the frustum")
+            uv = center_uv + rng.uniform(-radius, radius, 2)
+            if not (0.1 <= uv[0] <= w - 0.1 and 0.1 <= uv[1] <= h - 0.1):
                 continue
-            center_uv = np.array([rng.uniform(1.0, w - 1.0), rng.uniform(1.0, h - 1.0)])
-            z0 = rng.uniform(cfg.z_near, cfg.z_far)
-            q0 = geo.unproject(center_uv[None, :], [z0], k)[0]
-            normal = q0 / np.linalg.norm(q0) + 0.5 * rng.normal(size=3)
-            normal /= np.linalg.norm(normal)
-            radius = rng.uniform(1.5, max(2.0, min(h, w) / 2.0))
-            got = 0
-            attempts = 0
-            while got < size:
-                attempts += 1
-                if attempts > 100 * size:
-                    raise GenerationError("could not place a planar patch inside the frustum")
-                uv = center_uv + rng.uniform(-radius, radius, 2)
-                if not (0.1 <= uv[0] <= w - 0.1 and 0.1 <= uv[1] <= h - 0.1):
-                    continue
-                ray = np.array([(uv[0] - k.cx) / k.fx, (uv[1] - k.cy) / k.fy, 1.0])
-                denom = ray @ normal
-                if abs(denom) < 1e-3:
-                    continue
-                z = (q0 @ normal) / denom
-                if not (0.5 * cfg.z_near <= z <= 1.5 * cfg.z_far):
-                    continue
-                pts.append(ray * z)
-                got += 1
+            ray = np.array([(uv[0] - k.cx) / k.fx, (uv[1] - k.cy) / k.fy, 1.0])
+            denom = ray @ normal
+            if abs(denom) < 1e-3:
+                continue
+            z = (q0 @ normal) / denom
+            if not (0.5 * Z_NEAR <= z <= 1.5 * Z_FAR):
+                continue
+            pts.append(ray * z)
+            got += 1
     for _ in range(n_noise):
         uv = np.array([rng.uniform(0.1, w - 0.1), rng.uniform(0.1, h - 0.1)])
-        z = rng.uniform(cfg.z_near, cfg.z_far)
+        z = rng.uniform(Z_NEAR, Z_FAR)
         pts.append(geo.unproject(uv[None, :], [z], k)[0])
     return np.array(pts).reshape(count, 3)
 
@@ -248,13 +250,13 @@ def _sample_out_of_frustum(rng: np.random.Generator, cfg: SceneConfig, count: in
     for i in range(count):
         for attempt in range(100):
             if rng.uniform() < 0.5:  # behind the camera
-                q = np.array([rng.uniform(-cfg.z_far, cfg.z_far),
-                              rng.uniform(-cfg.z_far, cfg.z_far),
-                              -rng.uniform(1.0, cfg.z_far)])
+                q = np.array([rng.uniform(-Z_FAR, Z_FAR),
+                              rng.uniform(-Z_FAR, Z_FAR),
+                              -rng.uniform(1.0, Z_FAR)])
             else:  # positive depth, outside the image cone
                 u = rng.uniform(w + 2.0, 3.0 * w) * rng.choice([-1.0, 1.0])
                 v = rng.uniform(-h, 2.0 * h)
-                q = geo.unproject(np.array([[u, v]]), [rng.uniform(cfg.z_near, cfg.z_far)], k)[0]
+                q = geo.unproject(np.array([[u, v]]), [rng.uniform(Z_NEAR, Z_FAR)], k)[0]
             overlap, _ = point_overlap_labels(q[None, :], geo.RigidPose.identity(), k, cfg.grid)
             if not overlap[0]:
                 pts[i] = q
@@ -267,15 +269,15 @@ def _sample_out_of_frustum(rng: np.random.Generator, cfg: SceneConfig, count: in
 def generate_scene(rng: np.random.Generator, config: SceneConfig) -> SceneSample:
     """Deterministic scene generation: same generator state, same scene.
 
-    The in-frustum fraction is drawn from ``config.overlap_band`` and realized
+    The in-frustum fraction is drawn from ``OVERLAP_BAND`` and realized
     by construction (in-frustum points are sampled through the camera model),
     with a floor of 8 overlapping points so the pose solver always has
     correspondence headroom.
     """
     cfg = config
     k = cfg.intrinsics()
-    raw_pose = _sample_raw_pose(rng, cfg)
-    frac = rng.uniform(*cfg.overlap_band)
+    raw_pose = _sample_raw_pose(rng)
+    frac = rng.uniform(*OVERLAP_BAND)
     n_in = min(cfg.n_points, max(8, int(round(frac * cfg.n_points))))
     n_out = cfg.n_points - n_in
 
@@ -375,7 +377,11 @@ def save_scene(sample: SceneSample, path) -> None:
 
 
 def load_scene(path) -> SceneSample:
-    return scene_from_bytes(Path(path).read_bytes())
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as err:
+        raise ConfigError(f"cannot read scene file {path}: {err}") from err
+    return scene_from_bytes(blob)
 
 
 def write_dataset(out_dir, scenes: list[SceneSample], config: SceneConfig,
@@ -394,11 +400,8 @@ def write_dataset(out_dir, scenes: list[SceneSample], config: SceneConfig,
             "overlap_points": int(sample.point_overlap_gt.sum()),
             "overlap_pixels": int(sample.pixel_overlap_gt.sum()),
         })
-    cfg = asdict(config)
-    cfg["grid"] = list(config.grid)
-    cfg["overlap_band"] = list(config.overlap_band)
     manifest = {"format_version": FORMAT_VERSION, "count": len(scenes),
-                "seed": seed, "config": cfg, "samples": entries}
+                "seed": seed, "config": asdict(config), "samples": entries}
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return out
@@ -419,8 +422,8 @@ def load_dataset(data_dir) -> list[SceneSample]:
     scenes = []
     for entry in samples:
         name = entry.get("file") if isinstance(entry, dict) else None
-        if not isinstance(name, str) or not (data / name).is_file():
-            raise ConfigError(f"manifest entry {entry!r} names no sample file in {data}")
+        if not isinstance(name, str):
+            raise ConfigError(f"manifest entry {entry!r} names no sample file")
         scenes.append(load_scene(data / name))
     if len(scenes) != manifest["count"]:
         raise ConfigError("manifest count does not match sample entries")

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from neucalib import autodiff as ad
-from neucalib import matching as mt
 from neucalib.errors import ParameterError, ShapeError, StateError
 from tape_probe import weighted_sum
 
@@ -112,20 +111,22 @@ class TestDense:
 
 
 class TestSoftmaxRows:
-    # the row softmax is computed inside the fused soft_match node
-    def weights(self, logits):
-        logits = np.asarray(logits, dtype=float)
-        n, m = logits.shape
-        sel = mt.OverlapSelection(np.arange(n), np.arange(m), False, False)
-        return mt.soft_match(ad.constant(logits), sel, np.zeros((m, 2)))[0]
-
+    # the row softmax that the attention and soft_match nodes share
     def test_uniform(self):
-        out = self.weights([[0.0, 0.0, 0.0]])
-        np.testing.assert_allclose(out.value, [[1 / 3] * 3], atol=1e-15)
+        out = ad.softmax_rows(np.zeros((1, 3)))
+        np.testing.assert_allclose(out, [[1 / 3] * 3], atol=1e-15)
 
     def test_single_column(self):
-        out = self.weights([[5.0], [-3.0]])
-        np.testing.assert_array_equal(out.value, [[1.0], [1.0]])
+        out = ad.softmax_rows(np.array([[5.0], [-3.0]]))
+        np.testing.assert_array_equal(out, [[1.0], [1.0]])
+
+    def test_grad_is_the_jacobian_product(self):
+        # row i of the result is da_i (diag(a_i) - a_i^T a_i)
+        rng = np.random.default_rng(3)
+        a, da = ad.softmax_rows(rng.normal(size=(4, 5))), rng.normal(size=(4, 5))
+        expected = [d @ (np.diag(r) - np.outer(r, r)) for r, d in zip(a, da)]
+        np.testing.assert_allclose(ad.softmax_rows_grad(a, da.copy()), expected, rtol=1e-12,
+                                   atol=1e-15)
 
 
 class TestBackward:

@@ -260,6 +260,10 @@ class TestParamsIO:
         for name in p0:
             assert np.array_equal(loaded[name], p0[name])
 
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read"):
+            pstore.load_params(tmp_path / "gone.nclp")
+
     def test_shape_check(self):
         p0 = small_params(seed=12)
         template = dict(p0)

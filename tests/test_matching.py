@@ -425,16 +425,22 @@ class TestOverlap:
         assert loss.item() == pytest.approx(expected + math.log(2), abs=1e-12)
 
 
+def column(scores) -> ad.Tensor:
+    """Scores as the n x 1 constant tensor that the overlap heads produce."""
+    return ad.constant(np.reshape(scores, (-1, 1)))
+
+
 class TestThreshold:
     def test_all_above(self):
-        sel = mt.threshold_overlap(0.9 * np.ones(5), 0.9 * np.ones(6), 0.5, 0.5)
+        sel = mt.threshold_overlap(column(0.9 * np.ones(5)), column(0.9 * np.ones(6)), 0.5, 0.5,
+                                   np.zeros(5, bool), np.zeros(6, bool))
         assert sel.point_indices.size == 5 and sel.pixel_indices.size == 6
         assert not sel.point_fallback and not sel.pixel_fallback
 
     def test_fallback_engaged(self):
         gt_p = np.array([True, False, True])
         gt_i = np.array([False, True])
-        sel = mt.threshold_overlap(0.9 * np.ones(3), 0.5 * np.ones(2), 0.99, 0.99,
+        sel = mt.threshold_overlap(column(0.9 * np.ones(3)), column(0.5 * np.ones(2)), 0.99, 0.99,
                                    gt_point_mask=gt_p, gt_pixel_mask=gt_i)
         np.testing.assert_array_equal(sel.point_indices, [0, 2])
         np.testing.assert_array_equal(sel.pixel_indices, [1])
@@ -443,7 +449,8 @@ class TestThreshold:
     def test_matches_brute_force_filter(self):
         rng = np.random.default_rng(11)
         sp, si = rng.uniform(size=20), rng.uniform(size=30)
-        sel = mt.threshold_overlap(sp, si, 0.4, 0.6)
+        sel = mt.threshold_overlap(column(sp), column(si), 0.4, 0.6,
+                                   np.ones(20, bool), np.ones(30, bool))
         np.testing.assert_array_equal(sel.point_indices,
                                       [i for i in range(20) if sp[i] > 0.4])
         np.testing.assert_array_equal(sel.pixel_indices,
@@ -451,7 +458,8 @@ class TestThreshold:
 
     def test_threshold_validation(self):
         with pytest.raises(ParameterError):
-            mt.threshold_overlap(np.ones(2), np.ones(2), 0.0, 0.5)
+            mt.threshold_overlap(column(np.ones(2)), column(np.ones(2)), 0.0, 0.5,
+                                 np.ones(2, bool), np.ones(2, bool))
 
 
 class TestSoftHardMatch:

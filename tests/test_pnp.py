@@ -8,7 +8,7 @@ import pytest
 from neucalib import autodiff as ad
 from neucalib import geometry as geo
 from neucalib import pnp
-from neucalib.errors import ParameterError, SolveError
+from neucalib.errors import SolveError
 from tape_probe import weighted_sum
 
 INTR = geo.CameraIntrinsics(fx=100.0, fy=100.0, cx=32.0, cy=32.0, width=64, height=64)
@@ -183,7 +183,7 @@ class TestSolvePose:
         def build(ps):
             problem = pnp.PnPProblem(points, ps[0], INTR)
             refined = pnp.gauss_newton_refine(problem, init, k_iters=5)
-            return pnp.pose_loss(refined, pose, delta=1.0)
+            return pnp.pose_loss(refined, pose)
 
         err = ad.finite_difference_check(build, [noisy])
         assert err < 1e-3
@@ -211,7 +211,7 @@ class TestPoseLoss:
     def test_quadratic_branch_translation(self):
         gt = geo.RigidPose.identity()
         refined = self.make_refined(np.eye(3), np.array([0.5, 0.0, 0.0]))
-        assert pnp.pose_loss(refined, gt, delta=1.0).item() == pytest.approx(0.125, abs=1e-15)
+        assert pnp.pose_loss(refined, gt).item() == pytest.approx(0.125, abs=1e-15)
 
     def test_quadratic_branch_rotation(self):
         # R_gt^T R = rotation by pi/3 about z: every entry of R_gt^T R - I
@@ -219,19 +219,19 @@ class TestPoseLoss:
         # 0.5 * (0.25 + 0.25 + 0.75 + 0.75) = 1
         refined = self.make_refined(self.GT.rotation @ geo.rotation_about_z(math.pi / 3),
                                     self.GT.translation)
-        assert pnp.pose_loss(refined, self.GT, delta=1.0).item() == pytest.approx(1.0, abs=1e-12)
+        assert pnp.pose_loss(refined, self.GT).item() == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_branch_translation(self):
         gt = geo.RigidPose.identity()
         refined = self.make_refined(np.eye(3), np.array([2.0, 0.0, 0.0]))
-        assert pnp.pose_loss(refined, gt, delta=1.0).item() == pytest.approx(1.5, abs=1e-15)
+        assert pnp.pose_loss(refined, gt).item() == pytest.approx(1.5, abs=1e-15)
 
     def test_half_turn_rotation_value(self):
         # R_gt^T R = rotation by pi about z: diag(-1, -1, 1) - I has two
         # entries of -2, each contributing delta * (2 - 0.5 delta) = 1.5
         gt = geo.RigidPose.identity()
         refined = self.make_refined(geo.rotation_about_z(math.pi), np.zeros(3))
-        assert pnp.pose_loss(refined, gt, delta=1.0).item() == pytest.approx(3.0, abs=1e-12)
+        assert pnp.pose_loss(refined, gt).item() == pytest.approx(3.0, abs=1e-12)
 
     def test_clamped_gradient(self):
         # e_R = diag(-2, -2, 0) and e_t = (3, -0.5, 0) clip to diag(-1, -1, 0)
@@ -243,11 +243,6 @@ class TestPoseLoss:
         np.testing.assert_allclose(pose.grad[:, :3], self.GT.rotation @ np.diag([-1.0, -1.0, 0.0]),
                                    atol=1e-15)
         np.testing.assert_array_equal(pose.grad[:, 3:], [[-1.0, 0.0], [0.5, 0.0], [0.0, 0.0]])
-
-    @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan])
-    def test_nonpositive_or_nan_delta_rejected(self, delta):
-        with pytest.raises(ParameterError):
-            pnp.pose_loss(self.make_refined(np.eye(3), np.zeros(3)), self.GT, delta)
 
     def test_grad_away_from_kink(self):
         # error entries in both branches, each far from the kinks at +-delta

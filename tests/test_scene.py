@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -49,7 +50,26 @@ def brute_force_pixel_overlap(sample: sc.SceneSample, radius=1.0) -> np.ndarray:
     return labels
 
 
+# SHA-256 of scene_to_bytes(generate_scene(default_rng(seed), SceneConfig(n, grid))):
+# a change to generation that moves one bit of any scene fails here
+SCENE_DIGESTS = [
+    (32, (8, 8), 0, "34469406193bc3cbc2f397715a8c08d481e97af5aaa97c667d74cd59a6652e12"),
+    (32, (8, 8), 1, "8281937fc89d6ed1b46d6edb716add70b74c944b4851d547e8904ccefd82fe6a"),
+    (32, (8, 8), 2, "d504d473683980f08bf3c8c36f54db9a924230de3821d9a1220086220983603d"),
+    (32, (8, 8), 3, "b18a71c2848805cbf0b6fd4bbea38f3fdc1679fec8077ce104e58b2eeae44f66"),
+    (256, (16, 16), 0, "e8d41c46f4d0a42fa607255bd1b7cb2b43c09cda3c615c21350938d65f59a670"),
+    (256, (16, 16), 1, "9b9ee6046a11940c5b5e975210e48f7d52c2a5b25d4cdfd194fb52e507751c26"),
+    (256, (16, 16), 2, "74c5c6e489b824c430b2e79c5e2670a9817ba40670bf9cf2748a60a20cedd76c"),
+    (256, (16, 16), 3, "d17aeccb8611822a153020cf32ad4979185bdd40eb3adcd547d256997d12f31c"),
+]
+
+
 class TestGeneration:
+    @pytest.mark.parametrize("n_points, grid, seed, digest", SCENE_DIGESTS)
+    def test_scene_bytes_pinned(self, n_points, grid, seed, digest):
+        sample = make_scene(seed=seed, n_points=n_points, grid=grid)
+        assert hashlib.sha256(sc.scene_to_bytes(sample)).hexdigest() == digest
+
     def test_determinism_bitwise(self):
         a, b = make_scene(seed=7), make_scene(seed=7)
         assert np.array_equal(a.points, b.points)
@@ -86,12 +106,20 @@ class TestGeneration:
         with pytest.raises(ParameterError):
             sc.SceneConfig(n_points=4)
 
-    @pytest.mark.parametrize("field, value", [("n_patches", 0), ("noise_fraction", 1.5),
-                                              ("noise_fraction", -0.5),
-                                              ("noise_fraction", np.nan)])
-    def test_invalid_patch_count_or_noise_fraction_rejected(self, field, value):
+    @pytest.mark.parametrize("field, value", [("n_points", 10.5), ("n_points", "64"),
+                                              ("grid", (4.5, 8)), ("grid", (16,))])
+    def test_non_integer_size_rejected(self, field, value):
         with pytest.raises(ParameterError, match=field):
             sc.SceneConfig(**{field: value})
+
+    def test_numpy_integer_sizes_stored_as_ints(self, tmp_path):
+        cfg = sc.SceneConfig(n_points=np.int64(32), grid=(np.int32(8), np.int64(8)))
+        assert cfg == sc.SceneConfig(n_points=32, grid=(8, 8))
+        assert type(cfg.n_points) is int and all(type(g) is int for g in cfg.grid)
+        out = sc.write_dataset(tmp_path, [sc.generate_scene(np.random.default_rng(0), cfg)],
+                               cfg, seed=0)
+        assert json.loads((out / "manifest.json").read_text())["config"] == {
+            "n_points": 32, "grid": [8, 8]}
 
     def test_augment_scene_preserves_labels_and_projection(self):
         sample = make_scene(seed=9)
@@ -289,6 +317,10 @@ class TestSceneIO:
         assert loaded.intrinsics == sample.intrinsics
         # serialization itself is deterministic
         assert sc.scene_to_bytes(loaded) == path.read_bytes()
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read"):
+            sc.load_scene(tmp_path / "gone.nclr")
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ConfigError):
