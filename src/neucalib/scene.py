@@ -36,6 +36,7 @@ NOISE_FRACTION = 0.25  # in-frustum points drawn as box noise, not patches
 OVERLAP_BAND = (0.6, 0.9)  # target in-frustum fraction
 POSE_ROT_SPREAD = 0.3  # radians, raw-pose rotation magnitude
 POSE_TRANS_SPREAD = 1.0  # meters, raw-pose translation magnitude
+PATCH_PLANES = 10  # plane draws per patch before generation gives up
 
 
 def _is_count(x, least: int) -> bool:
@@ -198,71 +199,90 @@ def _sample_raw_pose(rng: np.random.Generator) -> geo.RigidPose:
     return geo.RigidPose(geo.rotation_from_axis_angle(axis, angle), t)
 
 
-def _sample_in_frustum(rng: np.random.Generator, cfg: SceneConfig, count: int) -> np.ndarray:
-    """Camera-frame points from planar patches plus box noise, all of which
-    project inside the grid with depth in a safe band."""
-    h, w = cfg.grid
-    k = cfg.intrinsics()
-    n_noise = int(round(count * NOISE_FRACTION))
-    n_patch = count - n_noise
-
-    pts = []
-    # count >= 8 gives n_patch >= 6, so each patch gets at least 2 points
-    sizes = np.full(N_PATCHES, n_patch // N_PATCHES)
-    sizes[: n_patch - sizes.sum()] += 1
-    for size in sizes:
+def _sample_patch(rng: np.random.Generator, k: geo.CameraIntrinsics,
+                  grid: tuple[int, int], size: int) -> np.ndarray:
+    """``size`` camera-frame points on one planar patch, drawing a new plane
+    whenever ``100 * size`` attempts on the current one leave it short."""
+    h, w = grid
+    for _ in range(PATCH_PLANES):
         center_uv = np.array([rng.uniform(1.0, w - 1.0), rng.uniform(1.0, h - 1.0)])
         z0 = rng.uniform(Z_NEAR, Z_FAR)
         q0 = geo.unproject(center_uv[None, :], [z0], k)[0]
         normal = q0 / np.linalg.norm(q0) + 0.5 * rng.normal(size=3)
         normal /= np.linalg.norm(normal)
         radius = rng.uniform(1.5, max(2.0, min(h, w) / 2.0))
-        got = 0
-        attempts = 0
-        while got < size:
-            attempts += 1
-            if attempts > 100 * size:
-                raise GenerationError("could not place a planar patch inside the frustum")
-            uv = center_uv + rng.uniform(-radius, radius, 2)
-            if not (0.1 <= uv[0] <= w - 0.1 and 0.1 <= uv[1] <= h - 0.1):
-                continue
-            ray = np.array([(uv[0] - k.cx) / k.fx, (uv[1] - k.cy) / k.fy, 1.0])
-            denom = ray @ normal
-            if abs(denom) < 1e-3:
-                continue
-            z = (q0 @ normal) / denom
-            if not (0.5 * Z_NEAR <= z <= 1.5 * Z_FAR):
-                continue
-            pts.append(ray * z)
-            got += 1
-    for _ in range(n_noise):
-        uv = np.array([rng.uniform(0.1, w - 0.1), rng.uniform(0.1, h - 0.1)])
-        z = rng.uniform(Z_NEAR, Z_FAR)
-        pts.append(geo.unproject(uv[None, :], [z], k)[0])
-    return np.array(pts).reshape(count, 3)
+        offset = q0 @ normal
+        pts, got, attempts = [], 0, 0
+        while got < size and attempts < 100 * size:
+            # each attempt accepts at most one point, so the sequential loop
+            # would make every attempt of this batch too
+            batch = min(size - got, 100 * size - attempts)
+            attempts += batch
+            uv = center_uv + rng.uniform(-radius, radius, (batch, 2))
+            rays = np.column_stack([(uv[:, 0] - k.cx) / k.fx, (uv[:, 1] - k.cy) / k.fy,
+                                    np.ones(batch)])
+            denom = np.matmul(rays[:, None, :], normal)[:, 0]
+            ok = (0.1 <= uv[:, 0]) & (uv[:, 0] <= w - 0.1) \
+                & (0.1 <= uv[:, 1]) & (uv[:, 1] <= h - 0.1) & (np.abs(denom) >= 1e-3)
+            z = offset / np.where(ok, denom, 1.0)
+            ok &= (0.5 * Z_NEAR <= z) & (z <= 1.5 * Z_FAR)
+            pts.append(rays[ok] * z[ok, None])
+            got += int(ok.sum())
+        if got == size:
+            return np.vstack(pts)
+    raise GenerationError("could not place a planar patch inside the frustum "
+                          f"on any of {PATCH_PLANES} planes")
+
+
+def _sample_in_frustum(rng: np.random.Generator, cfg: SceneConfig, count: int) -> np.ndarray:
+    """Camera-frame points from planar patches plus box noise, all of which
+    project inside the grid with depth in a safe band.
+
+    The draws are those of a loop making one attempt at a time: a patch
+    draws its attempts in batches of as many as it still needs, so no
+    batch holds an attempt that the loop would not have made, and the noise
+    draws its (u, v, z) triples in row-major order. The ray-plane dot
+    product goes one row at a time, through a stacked matmul, because a
+    matrix-vector product or a written-out sum rounds differently in some
+    rows and would move points.
+    """
+    h, w = cfg.grid
+    k = cfg.intrinsics()
+    n_noise = int(round(count * NOISE_FRACTION))
+    n_patch = count - n_noise
+    # count >= 8 gives n_patch >= 6, so each patch gets at least 2 points
+    sizes = np.full(N_PATCHES, n_patch // N_PATCHES)
+    sizes[: n_patch - sizes.sum()] += 1
+    pts = [_sample_patch(rng, k, cfg.grid, size) for size in sizes]
+    uvz = rng.uniform([0.1, 0.1, Z_NEAR], [w - 0.1, h - 0.1, Z_FAR], (n_noise, 3))
+    pts.append(geo.unproject(uvz[:, :2], uvz[:, 2], k))
+    return np.vstack(pts)
 
 
 def _sample_out_of_frustum(rng: np.random.Generator, cfg: SceneConfig, count: int) -> np.ndarray:
-    """Camera-frame points guaranteed not to overlap the grid."""
+    """Camera-frame points that do not overlap the grid.
+
+    No point can overlap: one behind the camera has depth at most -1, below
+    ``geo.MIN_DEPTH``, and one in the side cone is unprojected from a pixel
+    column at least 2 px outside [0, W'). The check after the loop guards
+    that argument; the loop stays scalar because the two branches make
+    different numbers of draws.
+    """
     h, w = cfg.grid
     k = cfg.intrinsics()
     pts = np.empty((count, 3))
     for i in range(count):
-        for attempt in range(100):
-            if rng.uniform() < 0.5:  # behind the camera
-                q = np.array([rng.uniform(-Z_FAR, Z_FAR),
-                              rng.uniform(-Z_FAR, Z_FAR),
-                              -rng.uniform(1.0, Z_FAR)])
-            else:  # positive depth, outside the image cone
-                u = rng.uniform(w + 2.0, 3.0 * w) * rng.choice([-1.0, 1.0])
-                v = rng.uniform(-h, 2.0 * h)
-                q = geo.unproject(np.array([[u, v]]), [rng.uniform(Z_NEAR, Z_FAR)], k)[0]
-            overlap, _ = point_overlap_labels(q[None, :], geo.RigidPose.identity(), k, cfg.grid)
-            if not overlap[0]:
-                pts[i] = q
-                break
-        else:
-            raise GenerationError("could not place an out-of-frustum point")
+        if rng.uniform() < 0.5:  # behind the camera
+            pts[i] = (rng.uniform(-Z_FAR, Z_FAR), rng.uniform(-Z_FAR, Z_FAR),
+                      -rng.uniform(1.0, Z_FAR))
+        else:  # positive depth, outside the image cone
+            u = rng.uniform(w + 2.0, 3.0 * w) * (-1.0, 1.0)[rng.integers(2)]
+            v = rng.uniform(-h, 2.0 * h)
+            z = rng.uniform(Z_NEAR, Z_FAR)
+            pts[i] = ((u - k.cx) / k.fx * z, (v - k.cy) / k.fy * z, z)
+    overlap, _ = point_overlap_labels(pts, geo.RigidPose.identity(), k, cfg.grid)
+    if overlap.any():
+        raise GenerationError(f"{int(overlap.sum())} out-of-frustum points overlap the grid")
     return pts
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from neucalib import encoder as enc
 from neucalib import geometry as geo
 from neucalib import scene as sc
-from neucalib.errors import ConfigError, NeucalibError, ParameterError
+from neucalib.errors import ConfigError, GenerationError, NeucalibError, ParameterError
 
 
 def make_scene(seed=0, **kwargs) -> sc.SceneSample:
@@ -50,6 +50,77 @@ def brute_force_pixel_overlap(sample: sc.SceneSample, radius=1.0) -> np.ndarray:
     return labels
 
 
+def oracle_in_frustum(rng, cfg, count):
+    """The one-attempt-at-a-time patch and noise sampler that the library's
+    batched one must replay draw for draw."""
+    h, w = cfg.grid
+    k = cfg.intrinsics()
+    n_noise = int(round(count * sc.NOISE_FRACTION))
+    n_patch = count - n_noise
+    pts = []
+    sizes = np.full(sc.N_PATCHES, n_patch // sc.N_PATCHES)
+    sizes[: n_patch - sizes.sum()] += 1
+    for size in sizes:
+        center_uv = np.array([rng.uniform(1.0, w - 1.0), rng.uniform(1.0, h - 1.0)])
+        z0 = rng.uniform(sc.Z_NEAR, sc.Z_FAR)
+        q0 = geo.unproject(center_uv[None, :], [z0], k)[0]
+        normal = q0 / np.linalg.norm(q0) + 0.5 * rng.normal(size=3)
+        normal /= np.linalg.norm(normal)
+        radius = rng.uniform(1.5, max(2.0, min(h, w) / 2.0))
+        got = 0
+        attempts = 0
+        while got < size:
+            attempts += 1
+            if attempts > 100 * size:
+                raise GenerationError("could not place a planar patch inside the frustum")
+            uv = center_uv + rng.uniform(-radius, radius, 2)
+            if not (0.1 <= uv[0] <= w - 0.1 and 0.1 <= uv[1] <= h - 0.1):
+                continue
+            ray = np.array([(uv[0] - k.cx) / k.fx, (uv[1] - k.cy) / k.fy, 1.0])
+            denom = ray @ normal
+            if abs(denom) < 1e-3:
+                continue
+            z = (q0 @ normal) / denom
+            if not (0.5 * sc.Z_NEAR <= z <= 1.5 * sc.Z_FAR):
+                continue
+            pts.append(ray * z)
+            got += 1
+    for _ in range(n_noise):
+        uv = np.array([rng.uniform(0.1, w - 0.1), rng.uniform(0.1, h - 0.1)])
+        z = rng.uniform(sc.Z_NEAR, sc.Z_FAR)
+        pts.append(geo.unproject(uv[None, :], [z], k)[0])
+    return np.array(pts).reshape(count, 3)
+
+
+def oracle_out_of_frustum(rng, cfg, count):
+    """The point-at-a-time out-of-frustum sampler, re-projecting each point."""
+    h, w = cfg.grid
+    k = cfg.intrinsics()
+    pts = np.empty((count, 3))
+    for i in range(count):
+        for _ in range(100):
+            if rng.uniform() < 0.5:
+                q = np.array([rng.uniform(-sc.Z_FAR, sc.Z_FAR),
+                              rng.uniform(-sc.Z_FAR, sc.Z_FAR),
+                              -rng.uniform(1.0, sc.Z_FAR)])
+            else:
+                u = rng.uniform(w + 2.0, 3.0 * w) * rng.choice([-1.0, 1.0])
+                v = rng.uniform(-h, 2.0 * h)
+                q = geo.unproject(np.array([[u, v]]), [rng.uniform(sc.Z_NEAR, sc.Z_FAR)], k)[0]
+            overlap, _ = sc.point_overlap_labels(q[None, :], geo.RigidPose.identity(), k, cfg.grid)
+            if not overlap[0]:
+                pts[i] = q
+                break
+        else:
+            raise GenerationError("could not place an out-of-frustum point")
+    return pts
+
+
+# (n_points, grid, seeds) for the oracle comparison
+ORACLE_CASES = [(8, (4, 9), range(60)), (32, (8, 8), range(60)), (100, (5, 17), range(60)),
+                (256, (16, 16), range(30)), (512, (24, 24), range(8))]
+
+
 # SHA-256 of scene_to_bytes(generate_scene(default_rng(seed), SceneConfig(n, grid))):
 # a change to generation that moves one bit of any scene fails here
 SCENE_DIGESTS = [
@@ -61,7 +132,14 @@ SCENE_DIGESTS = [
     (256, (16, 16), 1, "9b9ee6046a11940c5b5e975210e48f7d52c2a5b25d4cdfd194fb52e507751c26"),
     (256, (16, 16), 2, "74c5c6e489b824c430b2e79c5e2670a9817ba40670bf9cf2748a60a20cedd76c"),
     (256, (16, 16), 3, "d17aeccb8611822a153020cf32ad4979185bdd40eb3adcd547d256997d12f31c"),
+    (512, (24, 24), 0, "babe0427918f74ddab71f12cada3032e1eb384097c735d08dc2acc7242118142"),
+    (512, (24, 24), 1, "12b523ed94f41319e3de6705b0e17f49127ddd8ce085ee9ca4d7ae434bd12853"),
 ]
+
+# SHA-256 of the concatenated bytes of four 256/16² scenes drawn in sequence
+# from default_rng(301), as a dataset set-up draws them: a sampler that draws
+# one value too many or too few moves every scene after the first
+SEQUENCE_DIGEST = "621480ec7e2809305ca8c9595c377adbb9c15f6215c9b6979d39158f62be835f"
 
 
 class TestGeneration:
@@ -69,6 +147,43 @@ class TestGeneration:
     def test_scene_bytes_pinned(self, n_points, grid, seed, digest):
         sample = make_scene(seed=seed, n_points=n_points, grid=grid)
         assert hashlib.sha256(sc.scene_to_bytes(sample)).hexdigest() == digest
+
+    def test_scene_sequence_pinned(self):
+        rng, cfg = np.random.default_rng(301), sc.SceneConfig(n_points=256, grid=(16, 16))
+        blob = b"".join(sc.scene_to_bytes(sc.generate_scene(rng, cfg)) for _ in range(4))
+        assert hashlib.sha256(blob).hexdigest() == SEQUENCE_DIGEST
+
+    @pytest.mark.parametrize("n_points, grid, seeds", ORACLE_CASES)
+    def test_samplers_replay_the_sequential_draws(self, n_points, grid, seeds):
+        cfg = sc.SceneConfig(n_points=n_points, grid=grid)
+        compared = 0
+        for seed in seeds:
+            # every in-frustum count from 8 to n_points, and out-of-frustum
+            # counts down to 0
+            count = 8 + seed * 7 % (n_points - 7)
+            for library, oracle, n in [(sc._sample_in_frustum, oracle_in_frustum, count),
+                                       (sc._sample_out_of_frustum, oracle_out_of_frustum,
+                                        n_points - count)]:
+                ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                try:
+                    expected = oracle(ref, cfg, n)
+                except GenerationError:  # the library redraws the patch instead
+                    continue
+                got = library(ours, cfg, n)
+                assert got.tobytes() == expected.tobytes()
+                assert ours.bit_generator.state == ref.bit_generator.state
+                compared += 1
+        assert compared >= len(seeds)
+
+    @pytest.mark.parametrize("n_points, grid, seed",
+                             [(256, (16, 16), 6515), (256, (16, 16), 7105), (512, (24, 24), 2873)])
+    def test_infeasible_patch_plane_redrawn(self, n_points, grid, seed, monkeypatch):
+        sample = make_scene(seed=seed, n_points=n_points, grid=grid)
+        np.testing.assert_array_equal(sample.point_overlap_gt, brute_force_point_overlap(sample))
+        # with one plane per patch the same seed exhausts its attempts
+        monkeypatch.setattr(sc, "PATCH_PLANES", 1)
+        with pytest.raises(GenerationError, match="planar patch"):
+            make_scene(seed=seed, n_points=n_points, grid=grid)
 
     def test_determinism_bitwise(self):
         a, b = make_scene(seed=7), make_scene(seed=7)
