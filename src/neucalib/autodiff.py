@@ -17,15 +17,13 @@ graph structure is fine.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ParameterError, ShapeError, StateError
 
 Array = np.ndarray
-
-FD_STEP = 1e-5  # central-difference step of finite_difference_check
 
 
 def _as_matrix(x) -> Array:
@@ -45,8 +43,7 @@ class Tensor:
 
     ``value`` is the forward result; ``tape``/``node_id`` are set only for
     tracked tensors. Use :meth:`Tape.parameter` for leaves that need
-    gradients and :func:`constant` (or raw arrays, which most ops accept)
-    for fixed data.
+    gradients and :func:`constant` for fixed data.
     """
 
     __slots__ = ("value", "tape", "node_id")
@@ -140,10 +137,6 @@ class Tape:
                     self.grads[in_id] += in_grad
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _tape_of(*tensors: Tensor) -> "Tape | None":
     tape = None
     for t in tensors:
@@ -168,9 +161,8 @@ def record(op: str, inputs: Sequence[Tensor], backward_fn, value: Array) -> Tens
     return tape._record(op, tuple(inputs), backward_fn, value)
 
 
-def add(a, b) -> Tensor:
+def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of equal shapes; the backward passes g to both inputs."""
-    a, b = _wrap(a), _wrap(b)
     if a.shape != b.shape:
         raise ShapeError(f"add: shapes {a.shape} vs {b.shape} (no implicit broadcasting)")
     return record("add", (a, b), lambda g: (g, g), a.value + b.value)
@@ -186,14 +178,13 @@ def _sigmoid(z: Array) -> Array:
 _ACTIVATIONS = {"none": lambda z: z, "tanh": np.tanh, "sigmoid": _sigmoid}
 
 
-def dense(x, w, b, act: str = "none") -> Tensor:
+def dense(x: Tensor, w: Tensor, b: Tensor, act: str = "none") -> Tensor:
     """One dense layer, y = act(x w + b), with the 1 x n bias row broadcast.
 
     One ``dense`` node that keeps x, w and y. With dz = g, g (1 - y^2) or
     g y (1 - y) for none, tanh and sigmoid: dx = dz w^T, dw = x^T dz and
     db = the column sums of dz.
     """
-    x, w, b = _wrap(x), _wrap(w), _wrap(b)
     if act not in _ACTIVATIONS:
         raise ParameterError(f"dense: unknown activation {act!r}")
     if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
@@ -227,43 +218,3 @@ def softmax_rows_grad(a: Array, da: Array) -> Array:
     da *= a
     return da
 
-
-def finite_difference_check(build: Callable[[list[Tensor]], Tensor],
-                            values: Sequence[Array]) -> float:
-    """Max relative error between tape gradients and central differences
-    with step FD_STEP.
-
-    ``build`` receives freshly created tape parameters and returns the
-    scalar loss; it is re-evaluated 2 x (number of scalar entries) times
-    for the central differences, so keep probe problems small.
-    """
-    h = FD_STEP
-    values = [_as_matrix(v).copy() for v in values]
-
-    tape = Tape()
-    params = [tape.parameter(v) for v in values]
-    loss = build(params)
-    tape.backward(loss)
-    analytic = [np.zeros_like(v) if p.grad is None else p.grad.copy()
-                for p, v in zip(params, values)]
-
-    def eval_at(vals: list[Array]) -> float:
-        t = Tape()
-        ps = [t.parameter(v) for v in vals]
-        return build(ps).item()
-
-    worst = 0.0
-    for k, base in enumerate(values):
-        flat = base.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + h
-            up = eval_at(values)
-            flat[j] = orig - h
-            down = eval_at(values)
-            flat[j] = orig
-            central = (up - down) / (2.0 * h)
-            ana = analytic[k].reshape(-1)[j]
-            rel = abs(ana - central) / max(1e-12, abs(central))
-            worst = max(worst, rel)
-    return worst

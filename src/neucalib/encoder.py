@@ -55,10 +55,9 @@ def init_encoder_params(rng: np.random.Generator, channels: int = 32,
     """Gaussian init scaled by 1/sqrt(fan_in); biases start at zero."""
     p: dict[str, np.ndarray] = {}
 
-    def dense(name, rows, cols, bias=True):
+    def dense(name, rows, cols):
         p[name + ".w"] = rng.normal(0.0, 1.0 / np.sqrt(rows), (rows, cols))
-        if bias:
-            p[name + ".b"] = np.zeros((1, cols))
+        p[name + ".b"] = np.zeros((1, cols))
 
     dense("point_enc.l1", 3, hidden)
     dense("point_enc.l2", hidden, channels)
@@ -115,13 +114,13 @@ def encode(sample: SceneSample, p) -> tuple[Tensor, Tensor]:
     return f_p, f_i
 
 
-def attention(query: Tensor, keys: Tensor, p, name: str) -> tuple[Tensor, Tensor]:
-    """Single-head scaled dot-product attention; returns (output, weights).
+def attention(query: Tensor, keys: Tensor, p, name: str) -> Tensor:
+    """Single-head scaled dot-product attention, A v wo.
 
     One ``attention`` node with inputs (query, keys, wq, wk, wv, wo) that
     keeps q, k, v, A and A v. With c = 1/sqrt(C), A = softmax_rows(c q k^T)
     and G = g wo^T: dA = G v^T, dS = c A (dA - rowsum(dA * A)), dq = dS k,
-    dk = dS^T q, dv = A^T G. The weights come back untracked.
+    dk = dS^T q, dv = A^T G.
     """
     ws = [p[f"{name}.{proj}"] for proj in ("wq", "wk", "wv", "wo")]
     wq, wk, wv, wo = (w.value for w in ws)
@@ -137,8 +136,7 @@ def attention(query: Tensor, keys: Tensor, p, name: str) -> tuple[Tensor, Tensor
         dq, dk, dv = c * (ds @ k), c * (ds.T @ q), a.T @ gv
         return (dq @ wq.T, dk @ wk.T + dv @ wv.T, x.T @ dq, y.T @ dk, y.T @ dv, av.T @ g)
 
-    out = ad.record("attention", (query, keys, *ws), backward, av @ wo)
-    return out, ad.constant(a)
+    return ad.record("attention", (query, keys, *ws), backward, av @ wo)
 
 
 def fuse(f_p: Tensor, f_i: Tensor, sample: SceneSample, p) -> tuple[Tensor, Tensor]:
@@ -150,11 +148,11 @@ def fuse(f_p: Tensor, f_i: Tensor, sample: SceneSample, p) -> tuple[Tensor, Tens
     for layer in range(fusion_depth(p)):
         base = f"fuse.{layer}"
         xp, xi = ad.add(f_p, pe_p), ad.add(f_i, pe_i)
-        f_p = ad.add(f_p, attention(xp, xp, p, f"{base}.point.self")[0])
-        f_i = ad.add(f_i, attention(xi, xi, p, f"{base}.pixel.self")[0])
+        f_p = ad.add(f_p, attention(xp, xp, p, f"{base}.point.self"))
+        f_i = ad.add(f_i, attention(xi, xi, p, f"{base}.pixel.self"))
         xp, xi = ad.add(f_p, pe_p), ad.add(f_i, pe_i)
-        f_p = ad.add(f_p, attention(xp, xi, p, f"{base}.point.cross")[0])
-        f_i = ad.add(f_i, attention(xi, xp, p, f"{base}.pixel.cross")[0])
+        f_p = ad.add(f_p, attention(xp, xi, p, f"{base}.point.cross"))
+        f_i = ad.add(f_i, attention(xi, xp, p, f"{base}.pixel.cross"))
         f_p = ad.add(f_p, _mlp(f_p, p, f"{base}.point.ffn"))
         f_i = ad.add(f_i, _mlp(f_i, p, f"{base}.pixel.ffn"))
     return f_p, f_i

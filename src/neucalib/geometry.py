@@ -73,7 +73,6 @@ class CameraIntrinsics:
 
 class Projection(NamedTuple):
     coords: np.ndarray  # N x 2 pixel coordinates, NaN where invalid
-    depth: np.ndarray  # N camera-frame depths
     valid: np.ndarray  # N booleans, False where depth <= MIN_DEPTH
 
 
@@ -92,12 +91,6 @@ def rotation_about_z(angle: float) -> np.ndarray:
     return rotation_from_axis_angle([0.0, 0.0, 1.0], angle)
 
 
-def compose(a: RigidPose, b: RigidPose) -> RigidPose:
-    """Apply b first, then a."""
-    return RigidPose(a.rotation @ b.rotation,
-                     a.rotation @ b.translation + a.translation)
-
-
 def invert(a: RigidPose) -> RigidPose:
     rt = a.rotation.T
     return RigidPose(rt, -rt @ a.translation)
@@ -106,9 +99,9 @@ def invert(a: RigidPose) -> RigidPose:
 def project(points, pose: RigidPose, k: CameraIntrinsics) -> Projection:
     """Pinhole projection with perspective division.
 
-    Returns pixel coordinates (u along width, v along height), camera-frame
-    depths, and a validity mask; invalid entries get NaN coordinates rather
-    than raising, since downstream overlap labeling consumes the mask.
+    Returns pixel coordinates (u along width, v along height) and a
+    validity mask; invalid entries get NaN coordinates rather than raising,
+    since downstream overlap labeling consumes the mask.
     """
     q = pose.apply(points)
     depth = q[:, 2]
@@ -117,7 +110,7 @@ def project(points, pose: RigidPose, k: CameraIntrinsics) -> Projection:
     safe = np.where(valid, depth, 1.0)
     coords[:, 0] = np.where(valid, k.fx * q[:, 0] / safe + k.cx, np.nan)
     coords[:, 1] = np.where(valid, k.fy * q[:, 1] / safe + k.cy, np.nan)
-    return Projection(coords, depth, valid)
+    return Projection(coords, valid)
 
 
 def unproject(coords, depth, k: CameraIntrinsics) -> np.ndarray:

@@ -264,20 +264,28 @@ def threshold_overlap(s_p: Tensor, s_i: Tensor, theta_p: float, theta_i: float,
     return OverlapSelection(points, pixels, point_fallback, pixel_fallback)
 
 
-def soft_match(logits: Tensor, selection: OverlapSelection, centers: np.ndarray
-               ) -> tuple[Tensor, Tensor]:
-    """Soft assignment over selected pixels: weights and predicted coords.
+def match_coords(logits: Tensor, selection: OverlapSelection, centers: np.ndarray,
+                 mode: str = "soft") -> Tensor:
+    """Predicted pixel coordinates of the selected points over the selected
+    pixels, from the selected rows x selected columns block of the logits.
 
-    The softmax runs on the (already temperature-scaled) logits. One
+    Soft mode predicts the softmax-weighted mean of the pixel centers; the
+    softmax runs on the (already temperature-scaled) logits. It records one
     ``soft_match`` node: with W the block's row softmax and dW = g centers^T,
     the block gradient W (dW - rowsum(dW * W)) is scatter-added into the
-    N x M logits gradient, repeated indices adding up. Weights are untracked.
+    N x M logits gradient, repeated indices adding up. Hard mode takes each
+    row's argmax pixel (ties to the first selected one) as a constant.
     """
+    if mode not in ("soft", "hard"):
+        raise ParameterError(f"unknown match mode {mode!r}")
     rows, cols = selection.point_indices, selection.pixel_indices
     if rows.size == 0 or cols.size == 0:
         raise DegenerateBatchError("empty overlap selection for matching")
     pix = centers[cols]
-    w = ad.softmax_rows(logits.value[np.ix_(rows, cols)])
+    block = logits.value[np.ix_(rows, cols)]
+    if mode == "hard":
+        return ad.constant(pix[np.argmax(block, axis=1)])
+    w = ad.softmax_rows(block)
     n, m = logits.shape
 
     def backward(g):
@@ -285,22 +293,4 @@ def soft_match(logits: Tensor, selection: OverlapSelection, centers: np.ndarray
         flat = (rows[:, None] * m + cols[None, :]).ravel()
         return (np.bincount(flat, weights=dw.ravel(), minlength=n * m).reshape(n, m),)
 
-    return ad.constant(w), ad.record("soft_match", (logits,), backward, w @ pix)
-
-
-def hard_match(logits: Tensor, selection: OverlapSelection, centers: np.ndarray) -> np.ndarray:
-    """Argmax assignment (ties to the lowest pixel index); not differentiable."""
-    if selection.point_indices.size == 0 or selection.pixel_indices.size == 0:
-        raise DegenerateBatchError("empty overlap selection for matching")
-    sub = logits.value[np.ix_(selection.point_indices, selection.pixel_indices)]
-    best = np.argmax(sub, axis=1)
-    return centers[selection.pixel_indices[best]]
-
-
-def match_coords(logits: Tensor, selection, centers, mode: str = "soft") -> Tensor:
-    """Predicted pixel coordinates: on the tape (soft) or a constant (hard)."""
-    if mode == "soft":
-        return soft_match(logits, selection, centers)[1]
-    if mode == "hard":
-        return ad.constant(hard_match(logits, selection, centers))
-    raise ParameterError(f"unknown match mode {mode!r}")
+    return ad.record("soft_match", (logits,), backward, w @ pix)

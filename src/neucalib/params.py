@@ -81,6 +81,8 @@ def load_params(path) -> ParamDict:
             name = blob[start:start + name_len].decode("utf-8")
         except UnicodeDecodeError as err:
             raise ConfigError(f"parameter name at byte {start} is not UTF-8") from err
+        if name in params:
+            raise ConfigError(f"parameter file repeats the name {name!r}")
         rows, cols = struct.unpack_from("<II", blob, take(8))
         arr = np.frombuffer(blob, "<f8", rows * cols, take(8 * rows * cols))
         params[name] = arr.reshape(rows, cols).copy()

@@ -66,8 +66,6 @@ class PnPProblem:
 @dataclass(frozen=True)
 class PoseEstimate:
     pose: RigidPose
-    residual_px: float  # RMS reprojection error
-    iterations: int
 
 
 @dataclass
@@ -248,8 +246,8 @@ def gauss_newton_refine(problem: PnPProblem, init: RigidPose,
     returned as ``RefinedPose.pose``. Its backward replays the k steps in
     reverse to give the exact target gradient of the finite procedure.
     """
-    if k_iters < 1:
-        raise SolveError("k_iters must be at least 1")
+    if not (isinstance(k_iters, (int, np.integer)) and k_iters >= 1):
+        raise SolveError(f"k_iters must be an integer >= 1, got {k_iters!r}")
     k, n, points = problem.intrinsics, problem.n, problem.points
     targets = problem.targets.value
     rot, trans = init.rotation, init.translation.reshape(3, 1)
@@ -298,8 +296,7 @@ def gauss_newton_refine(problem: PnPProblem, init: RigidPose,
         return (np.stack([g_tu, g_tv], axis=1),)
 
     node = ad.record("gauss_newton", (problem.targets,), backward, value)
-    estimate = PoseEstimate(pose=RigidPose(project_to_so3(rot), trans[:, 0]),
-                            residual_px=rms, iterations=k_iters)
+    estimate = PoseEstimate(pose=RigidPose(project_to_so3(rot), trans[:, 0]))
     return RefinedPose(node, estimate, objectives)
 
 

@@ -161,7 +161,6 @@ class PairSet:
     n_pixels: int
     positives: np.ndarray  # flat pairs at distance < r_p
     near: np.ndarray  # flat pairs at distance <= r_n
-    anchor_points: np.ndarray  # indices of usable point anchors
     skipped_no_positive: int
     skipped_no_negative: int
 
@@ -187,8 +186,8 @@ def build_pairs(sample: SceneSample, r_p: float, r_n: float) -> PairSet:
     row, pairs, pos = row[near], overlap[row[near]] * m + pixel[near], dist[near] < r_p
     has_pos = np.bincount(row[pos], minlength=overlap.size) > 0
     has_neg = np.bincount(row, minlength=overlap.size) < m
-    return PairSet(overlap, m, pairs[pos], pairs, overlap[has_pos & has_neg],
-                   int((~has_pos).sum()), int((has_pos & ~has_neg).sum()))
+    return PairSet(overlap, m, pairs[pos], pairs, int((~has_pos).sum()),
+                   int((has_pos & ~has_neg).sum()))
 
 
 def _sample_raw_pose(rng: np.random.Generator) -> geo.RigidPose:
@@ -219,8 +218,7 @@ def _sample_patch(rng: np.random.Generator, k: geo.CameraIntrinsics,
             batch = min(size - got, 100 * size - attempts)
             attempts += batch
             uv = center_uv + rng.uniform(-radius, radius, (batch, 2))
-            rays = np.column_stack([(uv[:, 0] - k.cx) / k.fx, (uv[:, 1] - k.cy) / k.fy,
-                                    np.ones(batch)])
+            rays = geo.unproject(uv, np.ones(batch), k)
             denom = np.matmul(rays[:, None, :], normal)[:, 0]
             ok = (0.1 <= uv[:, 0]) & (uv[:, 0] <= w - 0.1) \
                 & (0.1 <= uv[:, 1]) & (uv[:, 1] <= h - 0.1) & (np.abs(denom) >= 1e-3)
@@ -271,15 +269,16 @@ def _sample_out_of_frustum(rng: np.random.Generator, cfg: SceneConfig, count: in
     h, w = cfg.grid
     k = cfg.intrinsics()
     pts = np.empty((count, 3))
+    side = np.zeros(count, dtype=bool)
     for i in range(count):
         if rng.uniform() < 0.5:  # behind the camera
             pts[i] = (rng.uniform(-Z_FAR, Z_FAR), rng.uniform(-Z_FAR, Z_FAR),
                       -rng.uniform(1.0, Z_FAR))
-        else:  # positive depth, outside the image cone
+        else:  # positive depth, outside the image cone: (u, v, z) for now
             u = rng.uniform(w + 2.0, 3.0 * w) * (-1.0, 1.0)[rng.integers(2)]
-            v = rng.uniform(-h, 2.0 * h)
-            z = rng.uniform(Z_NEAR, Z_FAR)
-            pts[i] = ((u - k.cx) / k.fx * z, (v - k.cy) / k.fy * z, z)
+            pts[i] = (u, rng.uniform(-h, 2.0 * h), rng.uniform(Z_NEAR, Z_FAR))
+            side[i] = True
+    pts[side] = geo.unproject(pts[side, :2], pts[side, 2], k)
     overlap, _ = point_overlap_labels(pts, geo.RigidPose.identity(), k, cfg.grid)
     if overlap.any():
         raise GenerationError(f"{int(overlap.sum())} out-of-frustum points overlap the grid")

@@ -8,13 +8,15 @@ import pytest
 
 from neucalib import autodiff as ad
 from neucalib.errors import ParameterError, ShapeError, StateError
-from tape_probe import weighted_sum
+from tape_probe import finite_difference_check, weighted_sum
+
+const = ad.constant
 
 
 class TestElementwise:
     def test_no_implicit_broadcasting(self):
         with pytest.raises(ShapeError):
-            ad.add(np.ones((2, 2)), np.ones((1, 2)))
+            ad.add(const(np.ones((2, 2))), const(np.ones((1, 2))))
 
     @pytest.mark.parametrize("op", [ad.add])
     def test_binary_grads(self, op):
@@ -22,7 +24,7 @@ class TestElementwise:
         a0 = rng.uniform(0.5, 2.0, (3, 2))
         b0 = rng.uniform(0.5, 2.0, (3, 2))
         probe = rng.normal(size=(3, 2))
-        err = ad.finite_difference_check(
+        err = finite_difference_check(
             lambda ps: weighted_sum(op(ps[0], ps[1]), probe), [a0, b0])
         assert err < 1e-6
 
@@ -38,7 +40,7 @@ class TestDense:
     def test_value_is_activation_of_affine_map(self, act):
         rng = np.random.default_rng(30)
         x, w, b = rng.normal(size=(6, 4)), rng.normal(size=(4, 3)), rng.normal(size=(1, 3))
-        out = ad.dense(x, w, b, act).value
+        out = ad.dense(const(x), const(w), const(b), act).value
         # the bias broadcast equals the ones-column product it replaces, bit for bit
         assert np.array_equal(x @ w + b, x @ w + np.ones((6, 1)) @ b)
         np.testing.assert_allclose(out, self.ACTS[act](x @ w + b), rtol=1e-15, atol=1e-300)
@@ -49,7 +51,7 @@ class TestDense:
         rng = np.random.default_rng(31 + n)
         x0, w0, b0 = rng.normal(size=(n, 3)), rng.normal(size=(3, 4)), rng.normal(size=(1, 4))
         probe = rng.normal(size=(n, 4))
-        err = ad.finite_difference_check(
+        err = finite_difference_check(
             lambda ps: weighted_sum(ad.dense(ps[0], ps[1], ps[2], act), probe), [x0, w0, b0])
         assert err < 1e-6
 
@@ -59,33 +61,33 @@ class TestDense:
         rng = np.random.default_rng(33)
         x0 = rng.uniform(3.0, 6.0, (4, 1)) * rng.choice([-1.0, 1.0], (4, 1))
         probe = rng.normal(size=(4, 2))
-        err = ad.finite_difference_check(
+        err = finite_difference_check(
             lambda ps: weighted_sum(ad.dense(ps[0], ps[1], ps[2], "tanh"), probe),
             [x0, [[1.0, -0.9]], [[0.1, -0.2]]])
         assert err < 1e-6
         tape = ad.Tape()
         x = tape.parameter([[40.0], [-40.0]])
-        y = ad.dense(x, [[1.0]], [[0.0]], "tanh")
+        y = ad.dense(x, const([[1.0]]), const([[0.0]]), "tanh")
         np.testing.assert_array_equal(y.value, [[1.0], [-1.0]])
         tape.backward(weighted_sum(y))
         np.testing.assert_array_equal(x.grad, [[0.0], [0.0]])
 
     def test_sigmoid_branches_at_large_magnitude(self):
         z = np.array([[40.0], [-40.0], [39.5], [-39.5], [800.0], [-800.0]])
-        y = ad.dense(z, [[1.0]], [[0.0]], "sigmoid").value[:, 0]
+        y = ad.dense(const(z), const([[1.0]]), const([[0.0]]), "sigmoid").value[:, 0]
         for zi, yi in zip(z[:, 0], y):
             expect = 1.0 / (1.0 + math.exp(-zi)) if zi >= 0 else math.exp(zi) / (1.0 + math.exp(zi))
             assert yi == pytest.approx(expect, rel=1e-15, abs=0.0)
         # the negative branch keeps full relative precision, so differences
         # of a loss built from it alone resolve its e^z-sized gradient
-        err = ad.finite_difference_check(
+        err = finite_difference_check(
             lambda ps: weighted_sum(ad.dense(ps[0], ps[1], ps[2], "sigmoid"), [[0.7], [-1.3]]),
             [[[-20.0], [-19.75]], [[2.0]], [[0.1]]])
         assert err < 1e-6
         # the positive branch rounds to exactly 1 there, with a zero gradient
         tape = ad.Tape()
         x = tape.parameter([[40.0], [-40.0]])
-        tape.backward(weighted_sum(ad.dense(x, [[1.0]], [[0.0]], "sigmoid")))
+        tape.backward(weighted_sum(ad.dense(x, const([[1.0]]), const([[0.0]]), "sigmoid")))
         assert x.grad[0, 0] == 0.0
         assert x.grad[1, 0] == pytest.approx(math.exp(-40.0) / (1.0 + math.exp(-40.0)) ** 2,
                                              rel=1e-13)
@@ -95,19 +97,22 @@ class TestDense:
         x, w, b = rng.normal(size=(3, 2)), rng.normal(size=(2, 2)), rng.normal(size=(1, 2))
         tape = ad.Tape()
         wt, bt = tape.parameter(w), tape.parameter(b)
-        const = ad.dense(ad.constant(x), ad.constant(w), b, "tanh")
-        assert const.tape is None and len(tape.nodes) == 2
-        out = ad.dense(x, wt, bt, "tanh")
+        untracked = ad.dense(const(x), const(w), const(b), "tanh")
+        assert untracked.tape is None and len(tape.nodes) == 2
+        out = ad.dense(const(x), wt, bt, "tanh")
         assert [node.op for node in tape.nodes] == ["leaf", "leaf", "dense"]
-        np.testing.assert_array_equal(out.value, const.value)
+        np.testing.assert_array_equal(out.value, untracked.value)
 
     def test_rejects_bad_shapes_and_activation(self):
+        def ones(*shape):
+            return const(np.ones(shape))
+
         with pytest.raises(ShapeError):
-            ad.dense(np.ones((3, 2)), np.ones((2, 4)), np.ones((3, 4)))
+            ad.dense(ones(3, 2), ones(2, 4), ones(3, 4))
         with pytest.raises(ShapeError):
-            ad.dense(np.ones((3, 2)), np.ones((3, 4)), np.ones((1, 4)))
+            ad.dense(ones(3, 2), ones(3, 4), ones(1, 4))
         with pytest.raises(ParameterError, match="relu"):
-            ad.dense(np.ones((3, 2)), np.ones((2, 4)), np.ones((1, 4)), "relu")
+            ad.dense(ones(3, 2), ones(2, 4), ones(1, 4), "relu")
 
 
 class TestSoftmaxRows:
@@ -140,7 +145,7 @@ class TestBackward:
         # x is both operands of one node; the two input gradients add up
         tape = ad.Tape()
         x = tape.parameter([[3.0]])
-        tape.backward(ad.dense(x, x, [[0.0]]))
+        tape.backward(ad.dense(x, x, const([[0.0]])))
         assert x.grad[0, 0] == 6.0
 
     def test_non_scalar_loss_rejected(self):
@@ -176,13 +181,14 @@ class TestBackward:
     def test_fanout_accumulates(self):
         tape = ad.Tape()
         x = tape.parameter([[3.0]])
-        y = ad.add(ad.dense(x, x, [[0.0]]), ad.add(x, x))  # x^2 + 2x
+        y = ad.add(ad.dense(x, x, const([[0.0]])), ad.add(x, x))  # x^2 + 2x
         tape.backward(y)
         assert x.grad[0, 0] == pytest.approx(8.0)
 
     def test_replay_determinism(self):
         rng = np.random.default_rng(7)
-        x0, b, probe = rng.normal(size=(4, 4)), rng.normal(size=(1, 4)), rng.normal(size=(4, 4))
+        x0, b = rng.normal(size=(4, 4)), const(rng.normal(size=(1, 4)))
+        probe = rng.normal(size=(4, 4))
 
         def run():
             tape = ad.Tape()
@@ -197,26 +203,26 @@ class TestBackward:
 
 class TestFiniteDifferenceCheck:
     def test_square(self):
-        err = ad.finite_difference_check(
-            lambda ps: ad.dense(ps[0], ps[0], [[0.0]]), [np.array([[3.0]])])
+        err = finite_difference_check(
+            lambda ps: ad.dense(ps[0], ps[0], const([[0.0]])), [np.array([[3.0]])])
         assert err < 1e-8
 
     def test_chained_expression(self):
         rng = np.random.default_rng(8)
         x0, w0 = rng.uniform(0.5, 1.5, (2, 2)), rng.uniform(-1.0, 1.0, (2, 2))
-        b, probe = rng.normal(size=(1, 2)), rng.uniform(0.5, 1.5, (2, 2))
-        zero = np.zeros((1, 2))
+        b, probe = const(rng.normal(size=(1, 2))), rng.uniform(0.5, 1.5, (2, 2))
+        zero = const(np.zeros((1, 2)))
 
         def build(ps):
             hidden = ad.add(ad.dense(ps[0], ps[1], b, "sigmoid"), ad.dense(ps[0], ps[0], zero))
             return weighted_sum(ad.dense(hidden, ps[1], b, "tanh"), probe)
 
-        assert ad.finite_difference_check(build, [x0, w0]) < 1e-6
+        assert finite_difference_check(build, [x0, w0]) < 1e-6
 
 
 def test_every_public_op_has_a_library_caller():
     # an op that only tests call is dead weight; fused nodes go through record
-    infrastructure = {"Tensor", "Tape", "constant", "record", "finite_difference_check"}
+    infrastructure = {"Tensor", "Tape", "constant", "record"}
     public = [name for name, obj in vars(ad).items()
               if not name.startswith("_") and inspect.getmodule(obj) is ad]
     src = Path(ad.__file__).parent

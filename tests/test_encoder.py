@@ -9,7 +9,7 @@ from neucalib import geometry as geo
 from neucalib import params as pstore
 from neucalib import scene as sc
 from neucalib.errors import ConfigError, ParameterError
-from tape_probe import weighted_sum
+from tape_probe import finite_difference_check, weighted_sum
 
 
 def small_scene(seed=0, n_points=8, grid=(8, 8)):
@@ -114,8 +114,26 @@ class TestEncode:
             f_p, _ = enc.encode(scene, p)
             return weighted_sum(f_p, probe)
 
-        err = ad.finite_difference_check(build, [p0[n] for n in names])
+        err = finite_difference_check(build, [p0[n] for n in names])
         assert err < 1e-4
+
+
+def attention_row_sums(query, keys, p, name):
+    """Row sums of the attention weights, read off the attention output.
+
+    The keys get an extra column of ones that only the value projection
+    reads: wk gains a zero row, so the scores do not change, and wv is zero
+    but for a ones row, so every value row is all ones. With wo the
+    identity, every entry of an output row is its weight row's sum.
+    """
+    wq, wk = p[name + ".wq"].value, p[name + ".wk"].value
+    channels = wq.shape[0]
+    ones_keys = np.hstack([keys.value, np.ones((keys.shape[0], 1))])
+    probe = {name + ".wq": wq, name + ".wk": np.vstack([wk, np.zeros((1, channels))]),
+             name + ".wv": np.vstack([np.zeros((channels, channels)), np.ones((1, channels))]),
+             name + ".wo": np.eye(channels)}
+    return enc.attention(ad.constant(query.value), ad.constant(ones_keys),
+                         {k: ad.constant(v) for k, v in probe.items()}, name).value
 
 
 class TestAttention:
@@ -129,12 +147,10 @@ class TestAttention:
         rng = np.random.default_rng(20)
         wq, wk, wv, wo = self.weights(rng, 4)
         x, y = rng.normal(size=(3, 4)), rng.normal(size=(6, 4))
-        out, weights = enc.attention(ad.constant(x), ad.constant(y),
-                                     dict(zip(self.NAMES, map(ad.constant, (wq, wk, wv, wo)))),
-                                     "blk")
+        out = enc.attention(ad.constant(x), ad.constant(y),
+                            dict(zip(self.NAMES, map(ad.constant, (wq, wk, wv, wo)))), "blk")
         e = np.exp((x @ wq) @ (y @ wk).T / 2.0)
         a = e / e.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(weights.value, a, rtol=1e-13)
         np.testing.assert_allclose(out.value, a @ (y @ wv) @ wo, rtol=1e-12)
 
     def test_self_attention_gradients(self):
@@ -142,10 +158,10 @@ class TestAttention:
         x0, probe = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
 
         def build(ps):
-            out, _ = enc.attention(ps[0], ps[0], dict(zip(self.NAMES, ps[1:])), "blk")
+            out = enc.attention(ps[0], ps[0], dict(zip(self.NAMES, ps[1:])), "blk")
             return weighted_sum(out, probe)
 
-        assert ad.finite_difference_check(build, [x0, *self.weights(rng, 4)]) < 1e-6
+        assert finite_difference_check(build, [x0, *self.weights(rng, 4)]) < 1e-6
 
     def test_cross_attention_gradients(self):
         rng = np.random.default_rng(22)
@@ -153,10 +169,10 @@ class TestAttention:
         probe = rng.normal(size=(3, 4))
 
         def build(ps):
-            out, _ = enc.attention(ps[0], ps[1], dict(zip(self.NAMES, ps[2:])), "blk")
+            out = enc.attention(ps[0], ps[1], dict(zip(self.NAMES, ps[2:])), "blk")
             return weighted_sum(out, probe)
 
-        assert ad.finite_difference_check(build, [x0, y0, *self.weights(rng, 4)]) < 1e-6
+        assert finite_difference_check(build, [x0, y0, *self.weights(rng, 4)]) < 1e-6
 
     def test_large_scores_stay_finite(self):
         # scores reach about 1e5, far past exp overflow without the row shift
@@ -165,9 +181,9 @@ class TestAttention:
         x = tape.parameter(300.0 * rng.normal(size=(4, 4)))
         y = tape.parameter(300.0 * rng.normal(size=(6, 4)))
         p = {name: tape.parameter(w) for name, w in zip(self.NAMES, self.weights(rng, 4))}
-        out, weights = enc.attention(x, y, p, "blk")
+        out = enc.attention(x, y, p, "blk")
         assert np.all(np.isfinite(out.value))
-        np.testing.assert_allclose(weights.value.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(attention_row_sums(x, y, p, "blk"), 1.0, atol=1e-12)
         tape.backward(weighted_sum(out))
         for t in (x, y, *p.values()):
             assert np.all(np.isfinite(t.grad))
@@ -178,12 +194,12 @@ class TestAttention:
         weights = self.weights(rng, 4)
         tape = ad.Tape()
         p = {name: tape.parameter(w) for name, w in zip(self.NAMES, weights)}
-        out, attn = enc.attention(ad.constant(x), ad.constant(x), p, "blk")
+        out = enc.attention(ad.constant(x), ad.constant(x), p, "blk")
         assert [node.op for node in tape.nodes[4:]] == ["attention"]
-        assert out.tape is tape and attn.tape is None
+        assert out.tape is tape
         consts = {name: ad.constant(w) for name, w in zip(self.NAMES, weights)}
-        out_c, attn_c = enc.attention(ad.constant(x), ad.constant(x), consts, "blk")
-        assert out_c.tape is None and attn_c.tape is None and len(tape.nodes) == 5
+        out_c = enc.attention(ad.constant(x), ad.constant(x), consts, "blk")
+        assert out_c.tape is None and len(tape.nodes) == 5
         np.testing.assert_array_equal(out_c.value, out.value)
 
 
@@ -210,8 +226,8 @@ class TestFuse:
         tape = ad.Tape()
         p = pstore.bind(tape, small_params(seed=6))
         f_p, f_i = enc.encode(scene, p)
-        _, weights = enc.attention(f_p, f_i, p, "fuse.0.point.cross")
-        np.testing.assert_allclose(weights.value.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(attention_row_sums(f_p, f_i, p, "fuse.0.point.cross"), 1.0,
+                                   atol=1e-12)
 
     def test_point_permutation_equivariance(self):
         scene = small_scene(seed=2, n_points=16)
@@ -246,7 +262,7 @@ class TestFuse:
             out_p, out_i = enc.fuse(*enc.encode(scene, p), scene, p)
             return ad.add(weighted_sum(out_p, probe_p), weighted_sum(out_i, probe_i))
 
-        err = ad.finite_difference_check(build, [p0[n] for n in names])
+        err = finite_difference_check(build, [p0[n] for n in names])
         assert err < 1e-4
 
 
@@ -310,6 +326,16 @@ class TestParamsIO:
         pstore.save_params({"w": np.ones((1, 1))}, path)
         path.write_bytes(path.read_bytes().replace(b"w", b"\xff"))
         with pytest.raises(ConfigError, match="UTF-8"):
+            pstore.load_params(path)
+
+    def test_repeated_name_rejected(self, tmp_path):
+        # two records both named "a": loading must not keep only the last
+        path = tmp_path / "m.nclp"
+        pstore.save_params({"a": np.ones((1, 1)), "b": np.full((1, 1), 2.0)}, path)
+        blob = path.read_bytes()
+        assert blob.count(b"b") == 1
+        path.write_bytes(blob.replace(b"b", b"a"))
+        with pytest.raises(ConfigError, match="repeats the name 'a'"):
             pstore.load_params(path)
 
     def test_save_rejects_non_matrix_before_writing(self, tmp_path):

@@ -10,7 +10,7 @@ from neucalib import matching as mt
 from neucalib import scene as sc
 from neucalib.errors import (DegenerateBatchError, DomainError, NormalizationError,
                              ParameterError, ShapeError)
-from tape_probe import weighted_sum
+from tape_probe import finite_difference_check, weighted_sum
 
 
 def unit_rows(rng, n, c):
@@ -37,9 +37,7 @@ def pairset(pos, neg):
     overlap = np.flatnonzero(pos.any(axis=1) | neg.any(axis=1))
     near = np.zeros_like(neg)
     near[overlap] = ~neg[overlap]
-    anchors = np.flatnonzero(pos.any(axis=1) & neg.any(axis=1))
-    return sc.PairSet(overlap, pos.shape[1], np.flatnonzero(pos), np.flatnonzero(near),
-                      anchors, 0, 0)
+    return sc.PairSet(overlap, pos.shape[1], np.flatnonzero(pos), np.flatnonzero(near), 0, 0)
 
 
 class TestSimilarity:
@@ -87,7 +85,7 @@ class TestSimilarity:
             t = mt.AlignmentTransform(ps[2], 0.3)
             return weighted_sum(mt.similarity(ps[0], ps[1], t, mode), probe)
 
-        assert ad.finite_difference_check(build, [f_p0, f_i0, raw0]) < 1e-6
+        assert finite_difference_check(build, [f_p0, f_i0, raw0]) < 1e-6
 
     def test_raw_gradient_is_symmetric_and_cosine_leaves_it_untouched(self):
         rng = np.random.default_rng(5)
@@ -152,7 +150,7 @@ class TestSimilarity:
         rng = np.random.default_rng(18)
         f0 = rng.normal(size=(4, 5))
         probe = rng.normal(size=(4, 5))
-        err = ad.finite_difference_check(
+        err = finite_difference_check(
             lambda ps: weighted_sum(mt.normalize_rows(ps[0]), probe), [f0])
         assert err < 1e-6
 
@@ -243,7 +241,7 @@ class TestInfoNCE:
         pos[:, 0] = True
         pos[1, 1] = True
         neg[:, 2:] = True
-        err = ad.finite_difference_check(
+        err = finite_difference_check(
             lambda ps: mt.infonce_loss(ps[0], pairset(pos, neg)), [vals])
         assert err < 1e-6
 
@@ -264,7 +262,7 @@ class TestInfoNCE:
         logits = tape.parameter(vals)
         tape.backward(mt.infonce_loss(logits, pairset(pos, neg), "pixel_to_point"))
         assert np.all(logits.grad[:, 3] == 0.0) and np.all(logits.grad[:, 1] == 0.0)
-        err = ad.finite_difference_check(
+        err = finite_difference_check(
             lambda ps: mt.infonce_loss(ps[0], pairset(pos, neg), "pixel_to_point"), [vals])
         assert err < 1e-6
 
@@ -354,7 +352,7 @@ class TestOverlap:
             s_p, s_i = mt.overlap_scores(ad.constant(f_val), ad.constant(f_val), p)
             return mt.overlap_bce_loss(s_p, s_i, labels, labels)
 
-        assert ad.finite_difference_check(build, [p0[n] for n in names]) < 1e-4
+        assert finite_difference_check(build, [p0[n] for n in names]) < 1e-4
 
     def test_bce_uniform_half(self):
         s = ad.constant(0.5 * np.ones((4, 1)))
@@ -393,7 +391,7 @@ class TestOverlap:
         si = np.array([[0.3], [0.8], [0.03], [0.985]])
         yp = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
         yi = np.array([0.0, 1.0, 1.0, 0.0])
-        err = ad.finite_difference_check(
+        err = finite_difference_check(
             lambda ps: mt.overlap_bce_loss(ps[0], ps[1], yp, yi), [sp, si])
         assert err < 1e-6
 
@@ -466,27 +464,29 @@ class TestSoftHardMatch:
     def centers(self, m):
         return np.stack([np.arange(m, dtype=float), np.zeros(m)], axis=1)
 
+    def weight_row_sums(self, logits, sel):
+        """Row sums of the soft weights: with every pixel center at (1, 1),
+        each predicted coordinate is its weight row's sum."""
+        return mt.match_coords(logits, sel, np.ones((logits.shape[1], 2))).value
+
     def test_single_pixel_selection(self):
         logits = ad.constant(np.array([[1.0, 5.0], [-3.0, -900.0]]))
         sel = mt.OverlapSelection(np.array([0, 1]), np.array([1]), False, False)
         centers = np.array([[0.0, 0.0], [3.0, 4.0]])
-        w, coords = mt.soft_match(logits, sel, centers)
-        np.testing.assert_array_equal(w.value, [[1.0], [1.0]])
+        coords = mt.match_coords(logits, sel, centers)
         np.testing.assert_array_equal(coords.value, [[3.0, 4.0], [3.0, 4.0]])
 
     def test_uniform_logits_give_centroid(self):
         logits = ad.constant(np.zeros((1, 4)))
         sel = mt.OverlapSelection(np.array([0]), np.arange(4), False, False)
         corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        w, coords = mt.soft_match(logits, sel, corners)
-        np.testing.assert_allclose(w.value, [[0.25] * 4], atol=1e-15)
+        coords = mt.match_coords(logits, sel, corners)
         np.testing.assert_allclose(coords.value, [[0.5, 0.5]], atol=1e-15)
 
     def test_two_to_one_logits(self):
         logits = ad.constant(np.array([[math.log(2.0), 0.0]]))
         sel = mt.OverlapSelection(np.array([0]), np.arange(2), False, False)
-        w, coords = mt.soft_match(logits, sel, self.centers(2))
-        np.testing.assert_allclose(w.value, [[2 / 3, 1 / 3]], atol=1e-12)
+        coords = mt.match_coords(logits, sel, self.centers(2))
         np.testing.assert_allclose(coords.value, [[1 / 3, 0.0]], atol=1e-12)
 
     @settings(max_examples=50, deadline=None)
@@ -494,11 +494,11 @@ class TestSoftHardMatch:
                     min_size=1, max_size=4).filter(
                         lambda rows: len({len(r) for r in rows}) == 1))
     def test_weight_rows_sum_to_one_at_extreme_logits(self, rows):
-        vals = np.array(rows, dtype=float)
+        vals = ad.constant(np.array(rows, dtype=float))
         sel = mt.OverlapSelection(np.arange(vals.shape[0]), np.arange(vals.shape[1]),
                                   False, False)
-        w, coords = mt.soft_match(ad.constant(vals), sel, self.centers(vals.shape[1]))
-        np.testing.assert_allclose(w.value.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(self.weight_row_sums(vals, sel), 1.0, atol=1e-12)
+        coords = mt.match_coords(vals, sel, self.centers(vals.shape[1]))
         assert np.all(np.isfinite(coords.value))
 
     def test_weight_rows_sum_to_one_and_match_naive_loop(self):
@@ -507,8 +507,8 @@ class TestSoftHardMatch:
         sel = mt.OverlapSelection(np.array([0, 2, 4]), np.array([1, 3, 5, 6]),
                                   False, False)
         centers = rng.uniform(0, 8, (8, 2))
-        w, coords = mt.soft_match(logits, sel, centers)
-        np.testing.assert_allclose(w.value.sum(axis=1), 1.0, atol=1e-12)
+        coords = mt.match_coords(logits, sel, centers)
+        np.testing.assert_allclose(self.weight_row_sums(logits, sel), 1.0, atol=1e-12)
         for a, i in enumerate(sel.point_indices):
             exps = [math.exp(logits.value[i, j]) for j in sel.pixel_indices]
             z = sum(exps)
@@ -521,7 +521,7 @@ class TestSoftHardMatch:
         logits = ad.constant(rng.normal(size=(4, 6)))
         sel = mt.OverlapSelection(np.arange(4), np.arange(6), False, False)
         centers = rng.uniform(0, 5, (6, 2))
-        _, coords = mt.soft_match(logits, sel, centers)
+        coords = mt.match_coords(logits, sel, centers)
         lo, hi = centers.min(axis=0), centers.max(axis=0)
         assert np.all(coords.value >= lo - 1e-12)
         assert np.all(coords.value <= hi + 1e-12)
@@ -530,17 +530,30 @@ class TestSoftHardMatch:
         vals = np.zeros((1, 8))
         vals[0, 3] = vals[0, 7] = 2.0
         sel = mt.OverlapSelection(np.array([0]), np.arange(8), False, False)
-        out = mt.hard_match(ad.constant(vals), sel, self.centers(8))
-        np.testing.assert_array_equal(out, [[3.0, 0.0]])
+        out = mt.match_coords(ad.constant(vals), sel, self.centers(8), "hard")
+        np.testing.assert_array_equal(out.value, [[3.0, 0.0]])
 
     def test_hard_match_is_sharp_soft_limit(self):
         rng = np.random.default_rng(14)
         vals = rng.normal(size=(5, 7))
         sel = mt.OverlapSelection(np.arange(5), np.arange(7), False, False)
         centers = rng.uniform(0, 7, (7, 2))
-        hard = mt.hard_match(ad.constant(vals), sel, centers)
-        _, soft = mt.soft_match(ad.constant(vals * 1000.0), sel, centers)
-        np.testing.assert_allclose(soft.value, hard, atol=1e-3)
+        hard = mt.match_coords(ad.constant(vals), sel, centers, "hard")
+        soft = mt.match_coords(ad.constant(vals * 1000.0), sel, centers)
+        np.testing.assert_allclose(soft.value, hard.value, atol=1e-3)
+
+    def test_empty_selection_or_unknown_mode_rejected(self):
+        logits = ad.constant(np.zeros((2, 3)))
+        centers = self.centers(3)
+        for mode in ("soft", "hard"):
+            for rows, cols in [([], [0, 1]), ([0], [])]:
+                sel = mt.OverlapSelection(np.array(rows, dtype=np.int64),
+                                          np.array(cols, dtype=np.int64), False, False)
+                with pytest.raises(DegenerateBatchError):
+                    mt.match_coords(logits, sel, centers, mode)
+        sel = mt.OverlapSelection(np.array([0]), np.array([0]), False, False)
+        with pytest.raises(ParameterError, match="argmax"):
+            mt.match_coords(logits, sel, centers, "argmax")
 
     def test_soft_match_gradients_flow_to_logits(self):
         rng = np.random.default_rng(16)
@@ -548,8 +561,8 @@ class TestSoftHardMatch:
         sel = mt.OverlapSelection(np.array([0, 2]), np.array([1, 3, 4]), False, False)
         centers = rng.uniform(0, 6, (6, 2))
         probe = rng.normal(size=(2, 2))
-        err = ad.finite_difference_check(
-            lambda ps: weighted_sum(mt.soft_match(ps[0], sel, centers)[1], probe), [vals])
+        err = finite_difference_check(
+            lambda ps: weighted_sum(mt.match_coords(ps[0], sel, centers), probe), [vals])
         assert err < 1e-6
 
     def test_soft_match_gradient_with_repeated_indices(self):
@@ -561,24 +574,25 @@ class TestSoftHardMatch:
                                   False, False)
         centers = rng.uniform(0, 5, (5, 2))
         probe = rng.normal(size=(5, 2))
-        err = ad.finite_difference_check(
-            lambda ps: weighted_sum(mt.soft_match(ps[0], sel, centers)[1], probe), [vals])
+        err = finite_difference_check(
+            lambda ps: weighted_sum(mt.match_coords(ps[0], sel, centers), probe), [vals])
         assert err < 1e-6
 
-    def test_soft_match_records_one_node_and_untracked_weights(self):
+    def test_soft_match_records_one_node_and_constant_logits_record_nothing(self):
         rng = np.random.default_rng(19)
         vals = rng.normal(size=(3, 4))
         sel = mt.OverlapSelection(np.array([0, 2]), np.array([1, 3]), False, False)
         centers = rng.uniform(0, 4, (4, 2))
         tape = ad.Tape()
         logits = tape.parameter(vals)
-        w, coords = mt.soft_match(logits, sel, centers)
+        coords = mt.match_coords(logits, sel, centers)
         assert [node.op for node in tape.nodes] == ["leaf", "soft_match"]
-        assert w.tape is None and coords.tape is tape
-        w_c, coords_c = mt.soft_match(ad.constant(vals), sel, centers)
-        assert w_c.tape is None and coords_c.tape is None and len(tape.nodes) == 2
+        assert coords.tape is tape
+        coords_c = mt.match_coords(ad.constant(vals), sel, centers)
+        assert coords_c.tape is None and len(tape.nodes) == 2
         np.testing.assert_array_equal(coords_c.value, coords.value)
-        np.testing.assert_array_equal(w_c.value, w.value)
+        hard = mt.match_coords(logits, sel, centers, "hard")
+        assert hard.tape is None and len(tape.nodes) == 2
 
 
 def test_learnable_and_cosine_bit_equal_with_identity_transform():

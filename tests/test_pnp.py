@@ -9,7 +9,7 @@ from neucalib import autodiff as ad
 from neucalib import geometry as geo
 from neucalib import pnp
 from neucalib.errors import SolveError
-from tape_probe import weighted_sum
+from tape_probe import finite_difference_check, weighted_sum
 
 INTR = geo.CameraIntrinsics(fx=100.0, fy=100.0, cx=32.0, cy=32.0, width=64, height=64)
 
@@ -26,6 +26,11 @@ def random_instance(seed, n=64, intr=INTR):
     points = geo.invert(pose).apply(cam)
     targets = geo.project(points, pose, intr).coords
     return pose, points, targets
+
+
+def compose(a: geo.RigidPose, b: geo.RigidPose) -> geo.RigidPose:
+    """The pose that applies b, then a."""
+    return geo.RigidPose(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
 
 
 def pose_matrix(rot, trans, rms=0.0):
@@ -95,7 +100,7 @@ class TestGaussNewton:
         pose, points, targets = random_instance(5)
         refined = pnp.gauss_newton_refine(
             pnp.PnPProblem(points, targets, INTR), pose, k_iters=3)
-        assert refined.estimate.residual_px < 1e-9
+        assert refined.pose.value[0, 4] < 1e-9  # the RMS reprojection error
         dt, dr = pose_errors(refined.estimate.pose, pose)
         assert dt < 1e-9 and dr < 1e-9
 
@@ -105,7 +110,7 @@ class TestGaussNewton:
             rng = np.random.default_rng(seed)
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
-            bad = geo.compose(
+            bad = compose(
                 geo.RigidPose(geo.rotation_from_axis_angle(axis, 0.1),
                               0.5 * rng.normal(size=3) / math.sqrt(3)), pose)
             refined = pnp.gauss_newton_refine(
@@ -119,13 +124,32 @@ class TestGaussNewton:
             rng = np.random.default_rng(seed)
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
-            bad = geo.compose(
+            bad = compose(
                 geo.RigidPose(geo.rotation_from_axis_angle(axis, 0.1),
                               0.2 * rng.normal(size=3)), pose)
             refined = pnp.gauss_newton_refine(
                 pnp.PnPProblem(points, targets, INTR), bad, k_iters=6)
             for before, after in zip(refined.objectives, refined.objectives[1:]):
                 assert after <= before + 1e-12
+
+    @pytest.mark.parametrize("k_iters", [0, -1, 2.5, math.nan, "3", None, 3.0])
+    def test_k_iters_not_a_positive_integer_rejected(self, k_iters):
+        pose, points, targets = random_instance(6, n=12)
+        problem = pnp.PnPProblem(points, targets, INTR)
+        with pytest.raises(SolveError, match="k_iters"):
+            pnp.gauss_newton_refine(problem, pose, k_iters)
+        with pytest.raises(SolveError, match="k_iters"):
+            pnp.solve_pose(problem, k_iters)
+
+    def test_numpy_integer_k_iters(self):
+        pose, points, targets = random_instance(7, n=12)
+        noisy = targets + np.random.default_rng(7).normal(scale=0.5, size=targets.shape)
+        problem = pnp.PnPProblem(points, noisy, INTR)
+        for k_iters in (np.int64(3), np.uint8(3)):
+            refined = pnp.gauss_newton_refine(problem, pose, k_iters)
+            assert len(refined.objectives) == 4
+            np.testing.assert_array_equal(refined.pose.value,
+                                          pnp.gauss_newton_refine(problem, pose, 3).pose.value)
 
     def test_residual_gradient_wrt_targets(self):
         pose, points, targets = random_instance(6, n=12)
@@ -138,7 +162,7 @@ class TestGaussNewton:
             refined = pnp.gauss_newton_refine(problem, init, k_iters=5)
             return weighted_sum(refined.pose, pose_matrix(np.zeros((3, 3)), np.zeros(3), 1.0))
 
-        err = ad.finite_difference_check(build, [noisy])
+        err = finite_difference_check(build, [noisy])
         assert err < 1e-3
 
 
@@ -185,7 +209,7 @@ class TestSolvePose:
             refined = pnp.gauss_newton_refine(problem, init, k_iters=5)
             return pnp.pose_loss(refined, pose)
 
-        err = ad.finite_difference_check(build, [noisy])
+        err = finite_difference_check(build, [noisy])
         assert err < 1e-3
 
 
@@ -195,13 +219,13 @@ class TestPoseLoss:
     @staticmethod
     def make_refined(rot, trans):
         return pnp.RefinedPose(pose=ad.constant(pose_matrix(rot, trans)),
-                               estimate=pnp.PoseEstimate(geo.RigidPose(rot, trans), 0.0, 0),
+                               estimate=pnp.PoseEstimate(geo.RigidPose(rot, trans)),
                                objectives=[])
 
     @staticmethod
     def loss_of(gt):
         """The pose loss as a function of a tracked 3 x 5 pose."""
-        estimate = pnp.PoseEstimate(geo.RigidPose.identity(), 0.0, 0)
+        estimate = pnp.PoseEstimate(geo.RigidPose.identity())
         return lambda ps: pnp.pose_loss(pnp.RefinedPose(ps[0], estimate, []), gt)
 
     def test_zero_at_truth(self):
@@ -254,14 +278,14 @@ class TestPoseLoss:
         trans_err = self.GT.translation - pose0[:, 3]
         errs = np.abs(np.concatenate([rot_err.ravel(), trans_err]))
         assert np.abs(errs - 1.0).min() > 0.01 and errs.min() < 1.0 < errs.max()
-        assert ad.finite_difference_check(self.loss_of(self.GT), [pose0]) < 1e-6
+        assert finite_difference_check(self.loss_of(self.GT), [pose0]) < 1e-6
 
     def test_kink_reported_not_asserted(self):
         # e_t[0] sits exactly on the Huber kink; the subgradient mismatch is
         # expected, we only require the checker to return a finite number
         gt = geo.RigidPose.identity()
         pose0 = pose_matrix(np.eye(3), [-1.0, 0.0, 0.0])
-        assert math.isfinite(ad.finite_difference_check(self.loss_of(gt), [pose0]))
+        assert math.isfinite(finite_difference_check(self.loss_of(gt), [pose0]))
 
 
 class TestPoseNode:
@@ -279,8 +303,8 @@ class TestPoseNode:
         pose, points, targets = random_instance(10, n=12, intr=intr)
         rng = np.random.default_rng(10)
         noisy = targets + rng.normal(scale=0.5, size=targets.shape)
-        init = geo.compose(geo.RigidPose(geo.rotation_from_axis_angle([0.6, -0.8, 0.0], 0.15),
-                                         [0.3, -0.2, 0.4]), pose)
+        init = compose(geo.RigidPose(geo.rotation_from_axis_angle([0.6, -0.8, 0.0], 0.15),
+                                     [0.3, -0.2, 0.4]), pose)
         w_rot, w_trans = rng.normal(size=(3, 3)), rng.normal(size=(3, 1))
 
         def build(ps):
@@ -289,7 +313,7 @@ class TestPoseNode:
             return ad.add(self.probe_loss(refined, w_rot, w_trans, 1.0),
                           pnp.pose_loss(refined, pose))
 
-        assert ad.finite_difference_check(build, [noisy]) < 1e-5
+        assert finite_difference_check(build, [noisy]) < 1e-5
 
     @pytest.mark.parametrize("block", ["rotation", "translation", "rms"])
     def test_block_gradient_vs_central_differences(self, block):
@@ -308,7 +332,7 @@ class TestPoseNode:
                                               init, k_iters=3)
             return weighted_sum(refined.pose, weights)
 
-        assert ad.finite_difference_check(build, [noisy]) < 1e-5
+        assert finite_difference_check(build, [noisy]) < 1e-5
 
     def test_small_angle_series_branch_gradient(self, monkeypatch):
         pose, points, targets = random_instance(11, n=12)
@@ -329,7 +353,7 @@ class TestPoseNode:
                                               pose, k_iters=3)
             return self.probe_loss(refined, w_rot, w_trans)
 
-        assert ad.finite_difference_check(build, [noisy]) < 1e-5
+        assert finite_difference_check(build, [noisy]) < 1e-5
         assert angles2 and max(angles2) <= pnp.SERIES_THETA2
 
     def test_untracked_targets_record_nothing_and_match_tracked(self):

@@ -321,7 +321,6 @@ def assert_matches_dense(sample, r_p, r_n):
     assert pairs.n_pixels == sample.n_pixels
     has_pos = pos.any(axis=1)
     has_neg = overlap & ~near.all(axis=1)
-    np.testing.assert_array_equal(pairs.anchor_points, np.flatnonzero(has_pos & has_neg))
     assert pairs.skipped_no_positive == int((overlap & ~has_pos).sum())
     assert pairs.skipped_no_negative == int((has_pos & ~has_neg).sum())
 
@@ -367,7 +366,7 @@ class TestBuildPairs:
         pairs = sc.build_pairs(with_projections((8, 8), proj), r_p=1.0, r_n=4.0)
         np.testing.assert_array_equal(pairs.positives, [5 * 8 + 2])
         np.testing.assert_array_equal(pairs.overlap_points, [0])
-        np.testing.assert_array_equal(pairs.anchor_points, [0])
+        assert pairs.skipped_no_positive == pairs.skipped_no_negative == 0
 
     def test_huge_negative_margin_degenerates(self):
         sample = make_scene(seed=4, grid=(8, 8), n_points=32)
@@ -376,7 +375,6 @@ class TestBuildPairs:
         # every pixel is near every overlapping point, so none has a negative
         np.testing.assert_array_equal(
             pairs.near, (overlap[:, None] * 64 + np.arange(64)).ravel())
-        assert pairs.anchor_points.size == 0
         assert pairs.skipped_no_positive + pairs.skipped_no_negative == overlap.size
 
     def test_matches_brute_force_filter(self):

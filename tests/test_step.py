@@ -38,7 +38,7 @@ def test_pair_set_holds_no_dense_array():
     sample, _ = scene_and_params()
     pairs = sc.build_pairs(sample, 1.0, 4.0)
     arrays = [v for v in vars(pairs).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 4
+    assert len(arrays) == 3
     for arr in arrays:
         assert arr.ndim == 1 and arr.size < sample.n_points * sample.n_pixels
 
