@@ -13,10 +13,20 @@ record their own nodes; attention and soft matching share the row softmax
 of :func:`softmax_rows` and its backward :func:`softmax_rows_grad`.
 Tapes are single-use and rebuilt per training step, so data-dependent
 graph structure is fine.
+
+Each step allocates and frees the same N x M temporaries again and again.
+On glibc, importing this module fixes the allocator's mmap and trim
+thresholds, so that freed blocks stay in the process for the next step
+instead of going back to the kernel and faulting in again, zero-filled.
+Other C libraries are left as they are. For the same reason
+:func:`softmax_rows` works in place on the fresh score block its callers
+pass, rather than allocating two more of the same size.
 """
 
 from __future__ import annotations
 
+import ctypes
+import platform
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +34,33 @@ import numpy as np
 from .errors import ParameterError, ShapeError, StateError
 
 Array = np.ndarray
+
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_memory() -> None:
+    """Stop glibc from handing each step's freed temporaries back to the kernel.
+
+    By default glibc raises its mmap threshold to the largest block freed so
+    far and its trim threshold to twice that. Once a 256 x 256 float64 block
+    has been freed, the trim threshold sits near 1 MB, an attention block
+    frees more than that at the top of the heap, the heap is trimmed, and the
+    next step faults every page back in. Fixing the mmap threshold at glibc's
+    64-bit maximum (32 MiB) also turns the dynamic adjustment off; the trim
+    threshold goes to the largest C int. ctypes truncates an out-of-range int
+    without warning, and a threshold of 0 would trim on every free.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
+
+
+_keep_freed_memory()
 
 
 def _as_matrix(x) -> Array:
@@ -59,7 +96,11 @@ class Tensor:
 
     @property
     def grad(self) -> Array | None:
-        """Gradient filled in by the owning tape's backward sweep."""
+        """Gradient filled in by the owning tape's backward sweep.
+
+        Only leaves keep theirs: the sweep drops an intermediate node's
+        gradient once it has been propagated, so that reads None.
+        """
         if self.tape is None or self.tape.grads is None or self.node_id is None:
             return None
         return self.tape.grads[self.node_id]
@@ -107,9 +148,12 @@ class Tape:
         return Tensor(value, tape=self, node_id=len(self.nodes) - 1)
 
     def backward(self, loss: Tensor) -> None:
-        """Reverse sweep from a scalar loss; fills every reachable gradient.
+        """Reverse sweep from a scalar loss; fills every leaf gradient it reaches.
 
-        A tape can be swept only once; rebuild the graph for the next step.
+        Each node's backward closure is released once the sweep has passed
+        it, and each intermediate gradient once it has been propagated, so
+        that the sweep frees the tape's N x M values as it goes. A tape can
+        be swept only once; rebuild the graph for the next step.
         """
         if self.consumed:
             raise StateError("tape already consumed by a previous backward()")
@@ -120,14 +164,14 @@ class Tape:
         self.consumed = True
         self.grads = [None] * len(self.nodes)
         self.grads[loss.node_id] = np.ones((1, 1))
-        for nid in range(loss.node_id, -1, -1):
-            g = self.grads[nid]
-            if g is None:
-                continue
+        for nid in range(len(self.nodes) - 1, -1, -1):
             node = self.nodes[nid]
-            if node.backward_fn is None:
+            backward_fn, node.backward_fn = node.backward_fn, None
+            g = self.grads[nid]
+            if g is None or backward_fn is None:
                 continue
-            input_grads = node.backward_fn(g)
+            self.grads[nid] = None
+            input_grads = backward_fn(g)
             for in_id, in_grad in zip(node.input_ids, input_grads):
                 if in_id is None or in_grad is None:
                     continue
@@ -205,10 +249,11 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str = "none") -> Tensor:
 
 def softmax_rows(s: Array) -> Array:
     """Row softmax of a plain array, each row shifted by its max so that no
-    exp can overflow."""
-    a = np.exp(s - s.max(axis=1, keepdims=True))
-    a /= a.sum(axis=1, keepdims=True)
-    return a
+    exp can overflow. Overwrites and returns ``s``: pass a fresh temporary."""
+    s -= s.max(axis=1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=1, keepdims=True)
+    return s
 
 
 def softmax_rows_grad(a: Array, da: Array) -> Array:

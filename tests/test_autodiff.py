@@ -125,6 +125,16 @@ class TestSoftmaxRows:
         out = ad.softmax_rows(np.array([[5.0], [-3.0]]))
         np.testing.assert_array_equal(out, [[1.0], [1.0]])
 
+    def test_overwrites_its_input_with_the_two_step_result(self):
+        rng = np.random.default_rng(5)
+        for shape in [(1, 1), (3, 7), (64, 48), (512, 576)]:
+            s = rng.normal(scale=20.0, size=shape)
+            expected = np.exp(s - s.max(axis=1, keepdims=True))
+            expected /= expected.sum(axis=1, keepdims=True)
+            out = ad.softmax_rows(s)
+            assert out is s
+            assert np.array_equal(out, expected)
+
     def test_grad_is_the_jacobian_product(self):
         # row i of the result is da_i (diag(a_i) - a_i^T a_i)
         rng = np.random.default_rng(3)
@@ -177,6 +187,17 @@ class TestBackward:
         y = ad.record("fused", (ad.constant([[1.0]]), x), lambda g: (g, 3.0 * g), [[5.0]])
         tape.backward(y)
         assert x.grad[0, 0] == 3.0 and len(tape.nodes) == 2
+
+    def test_sweep_releases_closures_and_intermediate_gradients(self):
+        tape = ad.Tape()
+        x, b = tape.parameter([[1.0, -2.0]]), tape.parameter([[0.5, 0.5]])
+        w = ad.constant([[1.0, 2.0], [3.0, 4.0]])
+        h = ad.dense(x, w, b, "tanh")
+        y = ad.add(h, h)
+        tape.backward(weighted_sum(y))
+        assert all(node.backward_fn is None for node in tape.nodes)
+        assert h.grad is None and y.grad is None
+        assert x.grad is not None and b.grad is not None
 
     def test_fanout_accumulates(self):
         tape = ad.Tape()

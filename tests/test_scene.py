@@ -511,14 +511,25 @@ class TestSceneIO:
             assert np.array_equal(a.points, b.points)
 
     @pytest.mark.parametrize("case", ["invalid_json", "top_level_list", "samples_not_list",
-                                      "no_samples", "no_count", "no_file", "missing_file"])
+                                      "no_samples", "no_count", "no_file", "missing_file",
+                                      "parent_path", "absolute_path", "dot", "dot_dot"])
     def test_malformed_manifest_rejected(self, tmp_path, case):
         cfg = sc.SceneConfig(n_points=32, grid=(8, 8))
         scenes = [sc.generate_scene(np.random.default_rng([4, i]), cfg) for i in range(2)]
         out = sc.write_dataset(tmp_path / "data", scenes, cfg, seed=4)
+        # a readable scene outside the dataset, which no manifest may name
+        sc.save_scene(scenes[0], tmp_path / "outside.nclr")
         path = out / "manifest.json"
         manifest = json.loads(path.read_text())
+
+        def first_file(name):
+            return lambda m: {**m, "samples": [{"file": name}, *m["samples"][1:]]}
+
         edits = {
+            "parent_path": first_file("../outside.nclr"),
+            "absolute_path": first_file(str(tmp_path / "outside.nclr")),
+            "dot": first_file("."),
+            "dot_dot": first_file(".."),
             "top_level_list": lambda m: [m],
             "samples_not_list": lambda m: {**m, "samples": 3},
             "no_samples": lambda m: {k: v for k, v in m.items() if k != "samples"},

@@ -3,9 +3,11 @@ functions on a 32-point 8x8 scene, pinning how many tape nodes each fused
 op records: 73 for the whole training step, 37 of them parameter leaves."""
 
 import gc
+import platform
 import weakref
 
 import numpy as np
+import pytest
 
 from neucalib import autodiff as ad
 from neucalib import encoder as enc
@@ -93,8 +95,8 @@ def test_training_step_records_one_node_per_fused_loss():
         assert np.any(grads[name] != 0.0), name
 
 
-def test_untracked_calibration_records_nothing():
-    sample, params = scene_and_params()
+def calibrate_untracked(sample, params):
+    """Scene to pose with constant weights; returns every stage's output."""
     p = {name: ad.constant(value) for name, value in params.items()}
     f_p, f_i = enc.fuse(*enc.encode(sample, p), sample, p)
     logits = mt.similarity(f_p, f_i, mt.AlignmentTransform(p["align.b"], TEMPERATURE))
@@ -105,6 +107,12 @@ def test_untracked_calibration_records_nothing():
     problem = pnp.PnPProblem(sample.points[selection.point_indices], coords,
                              sample.intrinsics)
     refined = pnp.gauss_newton_refine(problem, pnp.epnp_init(problem))
+    return f_p, f_i, logits, s_p, s_i, coords, refined
+
+
+def test_untracked_calibration_records_nothing():
+    sample, params = scene_and_params()
+    f_p, f_i, logits, s_p, s_i, coords, refined = calibrate_untracked(sample, params)
     pairs = sc.build_pairs(sample, 1.0, 4.0)
     losses = [mt.infonce_loss(logits, pairs, d) for d in ("point_to_pixel", "pixel_to_point")]
     losses.append(mt.overlap_bce_loss(s_p, s_i, sample.point_overlap_gt,
@@ -112,6 +120,27 @@ def test_untracked_calibration_records_nothing():
     for out in [f_p, f_i, logits, s_p, s_i, coords, refined.pose, *losses]:
         assert out.tape is None
     assert np.all(np.isfinite(refined.estimate.pose.rotation))
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="allocator policy is glibc's")
+def test_calibration_pass_does_not_fault_in_its_temporaries():
+    # freed N x M temporaries must stay in the process: if the allocator
+    # hands them back to the kernel, every pass faults each page in again.
+    # Scene size and model width are those of the calib_s256_g16 benchmark.
+    import resource  # POSIX only, like the allocator policy under test
+
+    rng = np.random.default_rng(0)
+    sample = sc.generate_scene(rng, sc.SceneConfig(n_points=256, grid=(16, 16)))
+    params = enc.init_encoder_params(rng, 32, 64)
+    params.update(mt.init_alignment(rng, 32))
+    params.update(mt.init_overlap_heads(rng, 32))
+    for _ in range(3):
+        calibrate_untracked(sample, params)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    calibrate_untracked(sample, params)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    # one 256 x 256 float64 array spans 128 pages of 4 KiB
+    assert faults < 256 * 256 * 8 // 4096, faults
 
 
 def test_training_tape_is_freed_without_the_cycle_collector():
