@@ -176,7 +176,7 @@ class Tape:
                 if in_id is None or in_grad is None:
                     continue
                 if self.grads[in_id] is None:
-                    self.grads[in_id] = in_grad.copy()
+                    self.grads[in_id] = in_grad
                 else:
                     self.grads[in_id] += in_grad
 
@@ -196,8 +196,10 @@ def _tape_of(*tensors: Tensor) -> "Tape | None":
 def record(op: str, inputs: Sequence[Tensor], backward_fn, value: Array) -> Tensor:
     """Record one fused op whose forward value was computed outside the tape.
 
-    ``backward_fn(g)`` returns one gradient (or None) per input. When no
-    input is tracked the result is a constant and nothing is recorded.
+    ``backward_fn(g)`` returns one gradient (or None) per input, each an
+    array that nothing else holds: the tape keeps a node's first gradient as
+    returned and adds later ones into it in place. When no input is tracked
+    the result is a constant and nothing is recorded.
     """
     tape = _tape_of(*inputs)
     if tape is None:
@@ -206,10 +208,10 @@ def record(op: str, inputs: Sequence[Tensor], backward_fn, value: Array) -> Tens
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of equal shapes; the backward passes g to both inputs."""
+    """Elementwise sum of equal shapes; the backward passes g to a and a copy to b."""
     if a.shape != b.shape:
         raise ShapeError(f"add: shapes {a.shape} vs {b.shape} (no implicit broadcasting)")
-    return record("add", (a, b), lambda g: (g, g), a.value + b.value)
+    return record("add", (a, b), lambda g: (g, g.copy()), a.value + b.value)
 
 
 def _sigmoid(z: Array) -> Array:

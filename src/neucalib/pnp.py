@@ -9,8 +9,8 @@ the refinement carries exact gradients of the finite procedure to the
 2-D targets (and through them to the matching weights).
 
 The refinement runs in plain numpy and records a single tape node. Its
-hand-derived backward replays the k steps in reverse (Rodrigues update,
-damped 6x6 solve, normal equations, Jacobian rows, projection), so
+hand-derived backward replays the k steps in reverse (Cayley rotation
+update, damped 6x6 solve, normal equations, Jacobian rows, projection), so
 reverse mode sees the true derivative of each step rather than a
 fixed-point approximation. The pose loss is one more node on that output,
 so the whole pose stage is two nodes on the tape.
@@ -29,7 +29,6 @@ from .geometry import MIN_DEPTH, CameraIntrinsics, RigidPose, project_to_so3
 
 MIN_CORRESPONDENCES = 6
 GN_DAMPING = 1e-6
-SERIES_THETA2 = 1e-8  # squared rotation angle below which Rodrigues uses its series
 DEGENERATE_SPREAD = 1e-8  # relative floor on the smallest principal extent
 HUBER_DELTA = 1.0  # pose-loss error at which the Huber penalty turns linear
 
@@ -147,12 +146,10 @@ def epnp_init(problem: PnPProblem) -> RigidPose:
 
 
 def _absolute_orientation(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form rigid fit dst ~= R src + t (Horn/Kabsch, no scale)."""
+    """Closed-form rigid fit dst ~= R src + t (Horn/Kabsch, no scale): R is
+    the rotation nearest the cross-covariance sum (d - dc)(s - sc)^T."""
     sc, dc = src.mean(axis=0), dst.mean(axis=0)
-    h = (src - sc).T @ (dst - dc)
-    u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+    rot = project_to_so3((dst - dc).T @ (src - sc))
     return rot, dc - rot @ sc
 
 
@@ -205,46 +202,36 @@ def _jacobian_grad(q: np.ndarray, k: CameraIntrinsics, gu: np.ndarray,
     return np.stack([gx, gy, gz])
 
 
-def _exp_so3(w: np.ndarray):
-    """exp([w]x) = I + s K + c K^2 with K = [w]x, plus what its gradient
-    needs; s and c switch to their Taylor series near zero angle."""
-    theta2 = float(w @ w)
-    if theta2 > SERIES_THETA2:
-        theta = np.sqrt(theta2)
-        s, c = np.sin(theta) / theta, (1.0 - np.cos(theta)) / theta2
-    else:
-        theta4 = theta2 * theta2
-        s = theta2 * (-1.0 / 6.0) + 1.0 + theta4 * (1.0 / 120.0)
-        c = theta2 * (-1.0 / 24.0) + 0.5 + theta4 * (1.0 / 720.0)
+def _cayley(w: np.ndarray):
+    """Cayley map (I - K/2)^-1 (I + K/2) = I + s K + (s/2) K^2 with K = [w]x
+    and s = 1 / (1 + |w|^2 / 4), plus what its gradient needs. It is a
+    rotation for every w and agrees with exp(K) to second order."""
     skew = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
-    return np.eye(3) + s * skew + c * (skew @ skew), (w, skew, s, c, theta2)
+    s = 1.0 / (1.0 + 0.25 * float(w @ w))
+    return np.eye(3) + s * skew + (0.5 * s) * (skew @ skew), (w, skew, s)
 
 
-def _exp_so3_grad(g: np.ndarray, w: np.ndarray, skew: np.ndarray, s: float,
-                  c: float, theta2: float) -> np.ndarray:
-    """Pull the gradient of exp([w]x) back to w, on the branch the forward took."""
-    gk = s * g + c * (g @ skew.T + skew.T @ g)
-    gs, gc = (g * skew).sum(), (g * (skew @ skew)).sum()
-    if theta2 > SERIES_THETA2:
-        theta = np.sqrt(theta2)
-        g_theta = (gs * (theta * np.cos(theta) - np.sin(theta)) + gc * np.sin(theta)) / theta2
-        g_theta2 = g_theta / (2.0 * theta) - gc * c / theta2
-    else:
-        g_theta2 = gs * (theta2 / 60.0 - 1.0 / 6.0) + gc * (theta2 / 360.0 - 1.0 / 24.0)
+def _cayley_grad(g: np.ndarray, w: np.ndarray, skew: np.ndarray, s: float) -> np.ndarray:
+    """Pull the gradient of the Cayley map back to w; ds/dw = -(s^2 / 2) w."""
+    gk = s * g + (0.5 * s) * (g @ skew.T + skew.T @ g)
+    g_s = (g * skew).sum() + 0.5 * (g * (skew @ skew)).sum()
     gw = np.array([gk[2, 1] - gk[1, 2], gk[0, 2] - gk[2, 0], gk[1, 0] - gk[0, 1]])
-    return gw + 2.0 * g_theta2 * w
+    return gw - (0.5 * s * s * g_s) * w
 
 
 def gauss_newton_refine(problem: PnPProblem, init: RigidPose,
                         k_iters: int = 5) -> RefinedPose:
     """k damped Gauss-Newton steps minimizing the reprojection error.
 
-    The local parametrization is an axis-angle increment plus a translation
-    increment, composed on the left. The steps run in numpy; when the targets
-    are on a tape, one ``gauss_newton`` node records the refined rotation,
-    translation and RMS residual as a 3 x 5 matrix [R | t | (rms, 0, 0)],
-    returned as ``RefinedPose.pose``. Its backward replays the k steps in
-    reverse to give the exact target gradient of the finite procedure.
+    Each step solves for a rotation vector w and a translation increment,
+    composed on the left. The rotation increment is the Cayley map of w. Its
+    derivative at w = 0 is [w]x, as for exp([w]x), so each step solves the
+    same system as an axis-angle update and has the same fixed point. The
+    steps run in numpy; when the targets are on a tape, one ``gauss_newton``
+    node records the refined rotation, translation and RMS residual as a
+    3 x 5 matrix [R | t | (rms, 0, 0)], returned as ``RefinedPose.pose``.
+    Its backward replays the k steps in reverse to give the exact target
+    gradient of the finite procedure.
     """
     if not (isinstance(k_iters, (int, np.integer)) and k_iters >= 1):
         raise SolveError(f"k_iters must be an integer >= 1, got {k_iters!r}")
@@ -265,8 +252,8 @@ def gauss_newton_refine(problem: PnPProblem, init: RigidPose,
             raise SolveError(f"singular linear system: {err}") from err
         if not np.all(np.isfinite(delta)):
             raise SolveError("non-finite Gauss-Newton update")
-        rot_delta, so3 = _exp_so3(delta[:3])
-        steps.append((rot, trans, q, ru, rv, ju, jv, h, delta, rot_delta, so3))
+        rot_delta, cayley = _cayley(delta[:3])
+        steps.append((rot, trans, q, ru, rv, ju, jv, h, delta, rot_delta, cayley))
         rot, trans = rot_delta @ rot, rot_delta @ trans + delta[3:, None]
 
     q_out, ru_out, rv_out = _residuals(rot, trans, points, k, targets)
@@ -280,10 +267,10 @@ def gauss_newton_refine(problem: PnPProblem, init: RigidPose,
         gru, grv = scale * ru_out, scale * rv_out
         g_q = _residuals_grad(q_out, k, gru, grv)
         g_tu, g_tv = -gru, -grv
-        for rot_i, trans_i, q, ru, rv, ju, jv, h, delta, rot_delta, so3 in reversed(steps):
+        for rot_i, trans_i, q, ru, rv, ju, jv, h, delta, rot_delta, cayley in reversed(steps):
             g_rot = g_rot + g_q @ points
             g_trans = g_trans + g_q.sum(axis=1, keepdims=True)
-            g_w = _exp_so3_grad(g_rot @ rot_i.T + g_trans @ trans_i.T, *so3)
+            g_w = _cayley_grad(g_rot @ rot_i.T + g_trans @ trans_i.T, *cayley)
             g_rhs = -np.linalg.solve(h.T, np.concatenate([g_w, g_trans[:, 0]]))
             g_h = np.outer(g_rhs, delta)
             g_h = g_h + g_h.T  # h = ju^T ju + jv^T jv

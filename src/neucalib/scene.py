@@ -443,10 +443,11 @@ def load_dataset(data_dir) -> list[SceneSample]:
         name = entry.get("file") if isinstance(entry, dict) else None
         if not isinstance(name, str):
             raise ConfigError(f"manifest entry {entry!r} names no sample file")
-        # a path would let the manifest read files outside the dataset
-        if Path(name).name != name or name in ("", ".", ".."):
-            raise ConfigError(f"manifest entry {name!r} is not a bare file name")
-        scenes.append(load_scene(data / name))
+        # a path or a symlink would let the manifest read files outside the dataset
+        path = data / name
+        if Path(name).name != name or name in ("", ".", "..") or path.is_symlink():
+            raise ConfigError(f"manifest entry {name!r} is not a bare file name or is a symlink")
+        scenes.append(load_scene(path))
     if len(scenes) != manifest["count"]:
         raise ConfigError("manifest count does not match sample entries")
     return scenes

@@ -206,6 +206,19 @@ class TestBackward:
         tape.backward(y)
         assert x.grad[0, 0] == pytest.approx(8.0)
 
+    def test_add_inputs_accumulate_into_separate_arrays(self):
+        # the sweep reaches the add first and keeps its input gradients as
+        # returned; the earlier nodes then add into x's and y's in place
+        rng = np.random.default_rng(3)
+        wx, wy, ws = (rng.normal(size=(2, 3)) for _ in range(3))
+        tape = ad.Tape()
+        x, y = tape.parameter(rng.normal(size=(2, 3))), tape.parameter(rng.normal(size=(2, 3)))
+        early = ad.add(weighted_sum(x, wx), weighted_sum(y, wy))
+        tape.backward(ad.add(early, weighted_sum(ad.add(x, y), ws)))
+        np.testing.assert_allclose(x.grad, ws + wx, rtol=1e-15)
+        np.testing.assert_allclose(y.grad, ws + wy, rtol=1e-15)
+        assert not np.shares_memory(x.grad, y.grad)
+
     def test_replay_determinism(self):
         rng = np.random.default_rng(7)
         x0, b = rng.normal(size=(4, 4)), const(rng.normal(size=(1, 4)))

@@ -288,6 +288,38 @@ class TestPoseLoss:
         assert math.isfinite(finite_difference_check(self.loss_of(gt), [pose0]))
 
 
+class TestCayley:
+    """The rotation update of each Gauss-Newton step."""
+
+    @staticmethod
+    def direction(seed):
+        axis = np.random.default_rng(seed).normal(size=3)
+        return axis / np.linalg.norm(axis)
+
+    @pytest.mark.parametrize("norm", [0.0, 1e-12, 1.0, 1e3])
+    def test_rotation_at_every_scale(self, norm):
+        rot, _ = pnp._cayley(norm * self.direction(20))
+        np.testing.assert_allclose(rot.T @ rot, np.eye(3), rtol=0, atol=1e-12)
+        assert abs(np.linalg.det(rot) - 1.0) < 1e-12
+
+    def test_agrees_with_axis_angle_to_third_order(self):
+        # the two maps differ first in the K coefficient, by |w|^2 / 12
+        axis = self.direction(21)
+        for angle in (1e-1, 1e-2, 1e-3):
+            rot, _ = pnp._cayley(angle * axis)
+            err = np.linalg.norm(rot - geo.rotation_from_axis_angle(axis, angle))
+            assert err <= angle ** 3 / 6
+
+    @pytest.mark.parametrize("norm", [0.0, 1e-3, 0.5, 3.0])
+    def test_gradient_vs_central_differences(self, norm):
+        rng = np.random.default_rng(22)
+        w, g, h = norm * self.direction(22), rng.normal(size=(3, 3)), 1e-6
+        _, saved = pnp._cayley(w)
+        numeric = [((g * pnp._cayley(w + h * e)[0]).sum()
+                    - (g * pnp._cayley(w - h * e)[0]).sum()) / (2 * h) for e in np.eye(3)]
+        np.testing.assert_allclose(pnp._cayley_grad(g, *saved), numeric, rtol=0, atol=1e-8)
+
+
 class TestPoseNode:
     """The refinement is one tape node whose backward replays the k steps."""
 
@@ -333,28 +365,6 @@ class TestPoseNode:
             return weighted_sum(refined.pose, weights)
 
         assert finite_difference_check(build, [noisy]) < 1e-5
-
-    def test_small_angle_series_branch_gradient(self, monkeypatch):
-        pose, points, targets = random_instance(11, n=12)
-        rng = np.random.default_rng(11)
-        noisy = targets + rng.normal(scale=1e-4, size=targets.shape)
-        w_rot, w_trans = rng.normal(size=(3, 3)), rng.normal(size=(3, 1))
-        angles2 = []
-        exp_so3 = pnp._exp_so3
-
-        def spy(w):
-            angles2.append(float(w @ w))
-            return exp_so3(w)
-
-        monkeypatch.setattr(pnp, "_exp_so3", spy)
-
-        def build(ps):
-            refined = pnp.gauss_newton_refine(pnp.PnPProblem(points, ps[0], INTR),
-                                              pose, k_iters=3)
-            return self.probe_loss(refined, w_rot, w_trans)
-
-        assert finite_difference_check(build, [noisy]) < 1e-5
-        assert angles2 and max(angles2) <= pnp.SERIES_THETA2
 
     def test_untracked_targets_record_nothing_and_match_tracked(self):
         pose, points, targets = random_instance(12, n=20)

@@ -544,6 +544,18 @@ class TestSceneIO:
         with pytest.raises(ConfigError):
             sc.load_dataset(out)
 
+    @pytest.mark.parametrize("target", ["outside.nclr", "data/sample_000001.nclr"])
+    def test_symlinked_sample_rejected(self, tmp_path, target):
+        cfg = sc.SceneConfig(n_points=32, grid=(8, 8))
+        scenes = [sc.generate_scene(np.random.default_rng([5, i]), cfg) for i in range(2)]
+        out = sc.write_dataset(tmp_path / "data", scenes, cfg, seed=5)
+        sc.save_scene(scenes[0], tmp_path / "outside.nclr")
+        sample = out / (sc.SAMPLE_PATTERN % 0)
+        sample.unlink()
+        sample.symlink_to(tmp_path / target)
+        with pytest.raises(ConfigError, match="symlink"):
+            sc.load_dataset(out)
+
     def test_pixel_centers_layout(self):
         centers = sc.pixel_centers((2, 3))
         np.testing.assert_array_equal(
