@@ -6,9 +6,10 @@ camera-frame depth of the nearest projected point and stands in for image
 appearance (a coordinate-only pixel branch would make matching
 unlearnable). Fusion runs per-modality self-attention, bidirectional
 cross-attention, and a feed-forward block, each wrapped in a residual
-connection, with sinusoidal position encodings added to the attention
-inputs. Positions come from coordinates, never indices, so the whole
-encoder commutes with point permutations.
+connection; each attention sublayer is one tape node that adds the
+sinusoidal position encodings to its inputs and its own residual.
+Positions come from coordinates, never indices, so the whole encoder
+commutes with point permutations.
 """
 
 from __future__ import annotations
@@ -114,45 +115,48 @@ def encode(sample: SceneSample, p) -> tuple[Tensor, Tensor]:
     return f_p, f_i
 
 
-def attention(query: Tensor, keys: Tensor, p, name: str) -> Tensor:
-    """Single-head scaled dot-product attention, A v wo.
+def attention(query: Tensor, keys: Tensor, pe_q: np.ndarray, pe_k: np.ndarray, p,
+              name: str) -> Tensor:
+    """Residual single-head attention sublayer, query + A v wo, with q, k and
+    v projected from x = query + pe_q and y = keys + pe_k.
 
     One ``attention`` node with inputs (query, keys, wq, wk, wv, wo) that
-    keeps q, k, v, A and A v. With c = 1/sqrt(C), A = softmax_rows(c q k^T)
-    and G = g wo^T: dA = G v^T, dS = c A (dA - rowsum(dA * A)), dq = dS k,
-    dk = dS^T q, dv = A^T G.
+    keeps the inputs, the encodings, q, k, v, A and A v; its backward
+    rebuilds x and y. With c = 1/sqrt(C), A = softmax_rows(c q k^T) and
+    G = g wo^T: dA = G v^T, dS = c A (dA - rowsum(dA * A)), dq = dS k,
+    dk = dS^T q, dv = A^T G, and the residual adds g to the query gradient.
     """
     ws = [p[f"{name}.{proj}"] for proj in ("wq", "wk", "wv", "wo")]
     wq, wk, wv, wo = (w.value for w in ws)
-    x, y = query.value, keys.value
+    f, h = query.value, keys.value
     c = 1.0 / np.sqrt(wq.shape[0])
+    x, y = f + pe_q, h + pe_k
     q, k, v = x @ wq, y @ wk, y @ wv
     a = ad.softmax_rows((q @ k.T) * c)
     av = a @ v
 
     def backward(g):
+        x, y = f + pe_q, h + pe_k
         gv = g @ wo.T
         ds = ad.softmax_rows_grad(a, gv @ v.T)
         dq, dk, dv = c * (ds @ k), c * (ds.T @ q), a.T @ gv
-        return (dq @ wq.T, dk @ wk.T + dv @ wv.T, x.T @ dq, y.T @ dk, y.T @ dv, av.T @ g)
+        return (dq @ wq.T + g, dk @ wk.T + dv @ wv.T, x.T @ dq, y.T @ dk, y.T @ dv, av.T @ g)
 
-    return ad.record("attention", (query, keys, *ws), backward, av @ wo)
+    return ad.record("attention", (query, keys, *ws), backward, f + av @ wo)
 
 
 def fuse(f_p: Tensor, f_i: Tensor, sample: SceneSample, p) -> tuple[Tensor, Tensor]:
     """Self-attention, bidirectional cross-attention, and feed-forward,
     each with a residual connection, repeated for every fusion layer."""
     channels = f_p.shape[1]
-    pe_p = ad.constant(sinusoidal_pe(sample.points, channels))
-    pe_i = ad.constant(sinusoidal_pe(pixel_centers(sample.grid), channels))
+    pe_p = sinusoidal_pe(sample.points, channels)
+    pe_i = sinusoidal_pe(pixel_centers(sample.grid), channels)
     for layer in range(fusion_depth(p)):
         base = f"fuse.{layer}"
-        xp, xi = ad.add(f_p, pe_p), ad.add(f_i, pe_i)
-        f_p = ad.add(f_p, attention(xp, xp, p, f"{base}.point.self"))
-        f_i = ad.add(f_i, attention(xi, xi, p, f"{base}.pixel.self"))
-        xp, xi = ad.add(f_p, pe_p), ad.add(f_i, pe_i)
-        f_p = ad.add(f_p, attention(xp, xi, p, f"{base}.point.cross"))
-        f_i = ad.add(f_i, attention(xi, xp, p, f"{base}.pixel.cross"))
+        f_p = attention(f_p, f_p, pe_p, pe_p, p, f"{base}.point.self")
+        f_i = attention(f_i, f_i, pe_i, pe_i, p, f"{base}.pixel.self")
+        f_p, f_i = (attention(f_p, f_i, pe_p, pe_i, p, f"{base}.point.cross"),
+                    attention(f_i, f_p, pe_i, pe_p, p, f"{base}.pixel.cross"))
         f_p = ad.add(f_p, _mlp(f_p, p, f"{base}.point.ffn"))
         f_i = ad.add(f_i, _mlp(f_i, p, f"{base}.pixel.ffn"))
     return f_p, f_i

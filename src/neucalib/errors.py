@@ -43,4 +43,5 @@ class GenerationError(NeucalibError):
 
 
 class ConfigError(NeucalibError):
-    """A configuration or serialized file is malformed or inconsistent."""
+    """A configuration or serialized file is malformed or inconsistent, or
+    cannot be read or written."""

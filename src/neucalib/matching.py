@@ -1,11 +1,11 @@
 """Cross-modal feature matching: learnable similarity, contrastive and
 overlap losses, and soft/hard point-to-pixel assignment.
 
-The learnable alignment is a symmetric bilinear form W_f = (B + B^T)/2 in
-feature space, divided by a temperature; cosine mode (W_f = identity) is
-kept as the ablation baseline. Soft matching predicts each point's image
-location as the softmax-weighted mean of candidate pixel centers, which
-is what keeps the downstream pose solver differentiable.
+One similarity node unit-normalises both feature sets' rows and applies
+the symmetric learnable form W_f = (B + B^T)/2 over a temperature; cosine
+mode (W_f = identity) is the ablation baseline. Soft matching predicts
+each point's image location as the softmax-weighted mean of candidate
+pixel centers, which keeps the downstream pose solver differentiable.
 """
 
 from __future__ import annotations
@@ -61,41 +61,33 @@ def init_overlap_heads(rng: np.random.Generator, channels: int) -> dict[str, np.
     }
 
 
-def normalize_rows(f: Tensor, what: str = "feature") -> Tensor:
-    """Unit-normalize each row; zero or non-finite rows are a hard error.
-
-    One ``normalize_rows`` node: with y = f / |f| per row, the row gradient
-    is (g - (g . y) y) / |f|.
-    """
-    norms = np.sqrt((f.value * f.value).sum(axis=1, keepdims=True))  # m x 1
+def _unit_rows(f: np.ndarray, what: str):
+    """Unit rows u = f / |f| and the pull-back d -> (d - (d . u) u) / |f| of
+    a row gradient; zero or non-finite rows are a hard error."""
+    norms = np.sqrt((f * f).sum(axis=1, keepdims=True))
     bad = np.flatnonzero(~np.isfinite(norms[:, 0]))
     if bad.size:
         raise NormalizationError(f"non-finite {what} row at index {bad[0]}")
     zero = np.flatnonzero(norms[:, 0] <= 0.0)
     if zero.size:
         raise NormalizationError(f"zero-norm {what} row at index {zero[0]}")
-    out = f.value / norms
-
-    def backward(g):
-        return ((g - out * (g * out).sum(axis=1, keepdims=True)) / norms,)
-
-    return ad.record("normalize_rows", (f,), backward, out)
+    out = f / norms
+    return out, lambda d: (d - out * (d * out).sum(axis=1, keepdims=True)) / norms
 
 
 def similarity(f_p: Tensor, f_i: Tensor, transform: AlignmentTransform,
                mode: str = "learnable") -> Tensor:
     """N x M logits between row-normalized features, divided by temperature.
 
-    One ``similarity`` node after the two ``normalize_rows`` nodes. With
-    c = 1/T, logits = c (x W) y^T in learnable mode and c x y^T in cosine
-    mode (no W, and B gets no gradient). With G = c g: dx = G y W,
-    dy = G^T (x W) and dB = (dW + dW^T) / 2 for dW = x^T G y.
+    One ``similarity`` node on the unit rows x, y of f_p, f_i. With c = 1/T,
+    logits = c (x W) y^T in learnable mode and c x y^T in cosine mode (no W,
+    and B gets no gradient). With G = c g: dx = G y W, dy = G^T (x W) and
+    dB = (dW + dW^T) / 2 for dW = x^T G y; dx, dy pull back through the norms.
     """
     if mode not in ALIGNMENT_MODES:
         raise ParameterError(f"unknown alignment mode {mode!r}")
-    fp = normalize_rows(f_p, "point feature")
-    fi = normalize_rows(f_i, "pixel feature")
-    x, y = fp.value, fi.value
+    x, x_back = _unit_rows(f_p.value, "point feature")
+    y, y_back = _unit_rows(f_i.value, "pixel feature")
     c = 1.0 / transform.temperature
     w = transform.matrix() if mode == "learnable" else None
     if x.shape[1] != y.shape[1] or (w is not None and w.shape != (x.shape[1],) * 2):
@@ -105,12 +97,13 @@ def similarity(f_p: Tensor, f_i: Tensor, transform: AlignmentTransform,
     def backward(g):
         gc = g * c
         gy = gc @ y
+        grads = x_back(gy if w is None else gy @ w), y_back(gc.T @ xw)
         if w is None:
-            return gy, gc.T @ xw
+            return grads
         dw = x.T @ gy
-        return gy @ w, gc.T @ xw, (dw + dw.T) * 0.5
+        return (*grads, (dw + dw.T) * 0.5)
 
-    inputs = (fp, fi) if w is None else (fp, fi, transform.raw)
+    inputs = (f_p, f_i) if w is None else (f_p, f_i, transform.raw)
     return ad.record("similarity", inputs, backward, (xw @ y.T) * c)
 
 

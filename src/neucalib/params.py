@@ -49,13 +49,16 @@ def save_params(params: ParamDict, path) -> None:
         parts.append(raw)
         parts.append(struct.pack("<II", arr.shape[0], arr.shape[1]))
         parts.append(arr.tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    try:
+        Path(path).write_bytes(b"".join(parts))
+    except (OSError, ValueError) as err:  # ValueError: a NUL byte in the path
+        raise ConfigError(f"cannot write parameter file {path}: {err}") from err
 
 
 def load_params(path) -> ParamDict:
     try:
         blob = Path(path).read_bytes()
-    except OSError as err:
+    except (OSError, ValueError) as err:  # ValueError: a NUL byte in the path
         raise ConfigError(f"cannot read parameter file {path}: {err}") from err
     if blob[:4] != PARAMS_MAGIC:
         raise ConfigError(f"bad parameter file magic {blob[:4]!r}")

@@ -392,13 +392,17 @@ def scene_from_bytes(blob: bytes) -> SceneSample:
 
 
 def save_scene(sample: SceneSample, path) -> None:
-    Path(path).write_bytes(scene_to_bytes(sample))
+    blob = scene_to_bytes(sample)
+    try:
+        Path(path).write_bytes(blob)
+    except (OSError, ValueError) as err:  # ValueError: a NUL byte in the path
+        raise ConfigError(f"cannot write scene file {path}: {err}") from err
 
 
 def load_scene(path) -> SceneSample:
     try:
         blob = Path(path).read_bytes()
-    except OSError as err:
+    except (OSError, ValueError) as err:  # ValueError: a NUL byte in the path
         raise ConfigError(f"cannot read scene file {path}: {err}") from err
     return scene_from_bytes(blob)
 
@@ -407,7 +411,10 @@ def write_dataset(out_dir, scenes: list[SceneSample], config: SceneConfig,
                   seed: int) -> Path:
     """Write sample files plus a manifest describing count and generation."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as err:  # ValueError: a NUL byte in the path
+        raise ConfigError(f"cannot make dataset directory {out}: {err}") from err
     entries = []
     for i, sample in enumerate(scenes):
         name = SAMPLE_PATTERN % i
@@ -421,8 +428,11 @@ def write_dataset(out_dir, scenes: list[SceneSample], config: SceneConfig,
         })
     manifest = {"format_version": FORMAT_VERSION, "count": len(scenes),
                 "seed": seed, "config": asdict(config), "samples": entries}
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    try:
+        (out / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    except OSError as err:
+        raise ConfigError(f"cannot write {out / 'manifest.json'}: {err}") from err
     return out
 
 
@@ -433,6 +443,8 @@ def load_dataset(data_dir) -> list[SceneSample]:
         raise ConfigError(f"no manifest.json in {data}")
     try:
         manifest = json.loads(manifest_path.read_text())
+    except OSError as err:
+        raise ConfigError(f"cannot read {manifest_path}: {err}") from err
     except ValueError as err:  # JSON and text decoding errors
         raise ConfigError(f"{manifest_path} is not valid JSON: {err}") from err
     samples = manifest.get("samples") if isinstance(manifest, dict) else None

@@ -118,13 +118,14 @@ class TestEncode:
         assert err < 1e-4
 
 
-def attention_row_sums(query, keys, p, name):
+def attention_row_sums(query, keys, pe_q, pe_k, p, name):
     """Row sums of the attention weights, read off the attention output.
 
-    The keys get an extra column of ones that only the value projection
-    reads: wk gains a zero row, so the scores do not change, and wv is zero
-    but for a ones row, so every value row is all ones. With wo the
-    identity, every entry of an output row is its weight row's sum.
+    The keys get an extra column of ones, with a zero encoding, that only
+    the value projection reads: wk gains a zero row, so the scores do not
+    change, and wv is zero but for a ones row, so every value row is all
+    ones. With wo the identity, every entry of an output row less its
+    residual is its weight row's sum.
     """
     wq, wk = p[name + ".wq"].value, p[name + ".wk"].value
     channels = wq.shape[0]
@@ -132,8 +133,10 @@ def attention_row_sums(query, keys, p, name):
     probe = {name + ".wq": wq, name + ".wk": np.vstack([wk, np.zeros((1, channels))]),
              name + ".wv": np.vstack([np.zeros((channels, channels)), np.ones((1, channels))]),
              name + ".wo": np.eye(channels)}
-    return enc.attention(ad.constant(query.value), ad.constant(ones_keys),
-                         {k: ad.constant(v) for k, v in probe.items()}, name).value
+    out = enc.attention(ad.constant(query.value), ad.constant(ones_keys),
+                        pe_q, np.hstack([pe_k, np.zeros((keys.shape[0], 1))]),
+                        {k: ad.constant(v) for k, v in probe.items()}, name)
+    return out.value - query.value
 
 
 class TestAttention:
@@ -146,19 +149,37 @@ class TestAttention:
     def test_matches_naive_formula(self):
         rng = np.random.default_rng(20)
         wq, wk, wv, wo = self.weights(rng, 4)
-        x, y = rng.normal(size=(3, 4)), rng.normal(size=(6, 4))
-        out = enc.attention(ad.constant(x), ad.constant(y),
+        f, h = rng.normal(size=(3, 4)), rng.normal(size=(6, 4))
+        pe_q, pe_k = rng.normal(size=(3, 4)), rng.normal(size=(6, 4))
+        out = enc.attention(ad.constant(f), ad.constant(h), pe_q, pe_k,
                             dict(zip(self.NAMES, map(ad.constant, (wq, wk, wv, wo)))), "blk")
+        x, y = f + pe_q, h + pe_k
         e = np.exp((x @ wq) @ (y @ wk).T / 2.0)
         a = e / e.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(out.value, a @ (y @ wv) @ wo, rtol=1e-12)
+        np.testing.assert_allclose(out.value, f + a @ (y @ wv) @ wo, rtol=1e-12)
+
+    @pytest.mark.parametrize("self_attention", [True, False])
+    def test_value_is_the_unfused_sublayer_bit_for_bit(self, self_attention):
+        # add the encodings, attend, add the residual, as separate steps
+        rng = np.random.default_rng(25)
+        wq, wk, wv, wo = self.weights(rng, 8)
+        f, pe_q = rng.normal(size=(5, 8)), rng.normal(size=(5, 8))
+        h, pe_k = (f, pe_q) if self_attention else (rng.normal(size=(7, 8)),
+                                                    rng.normal(size=(7, 8)))
+        out = enc.attention(ad.constant(f), ad.constant(h), pe_q, pe_k,
+                            dict(zip(self.NAMES, map(ad.constant, (wq, wk, wv, wo)))), "blk")
+        x, y = f + pe_q, h + pe_k
+        s = ((x @ wq) @ (y @ wk).T) * (1.0 / np.sqrt(8))
+        e = np.exp(s - s.max(axis=1, keepdims=True))
+        a = e / e.sum(axis=1, keepdims=True)
+        assert np.array_equal(out.value, f + (a @ (y @ wv)) @ wo)
 
     def test_self_attention_gradients(self):
         rng = np.random.default_rng(21)
-        x0, probe = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
+        x0, pe, probe = (rng.normal(size=(5, 4)) for _ in range(3))
 
         def build(ps):
-            out = enc.attention(ps[0], ps[0], dict(zip(self.NAMES, ps[1:])), "blk")
+            out = enc.attention(ps[0], ps[0], pe, pe, dict(zip(self.NAMES, ps[1:])), "blk")
             return weighted_sum(out, probe)
 
         assert finite_difference_check(build, [x0, *self.weights(rng, 4)]) < 1e-6
@@ -166,10 +187,11 @@ class TestAttention:
     def test_cross_attention_gradients(self):
         rng = np.random.default_rng(22)
         x0, y0 = rng.normal(size=(3, 4)), rng.normal(size=(7, 4))
+        pe_q, pe_k = rng.normal(size=(3, 4)), rng.normal(size=(7, 4))
         probe = rng.normal(size=(3, 4))
 
         def build(ps):
-            out = enc.attention(ps[0], ps[1], dict(zip(self.NAMES, ps[2:])), "blk")
+            out = enc.attention(ps[0], ps[1], pe_q, pe_k, dict(zip(self.NAMES, ps[2:])), "blk")
             return weighted_sum(out, probe)
 
         assert finite_difference_check(build, [x0, y0, *self.weights(rng, 4)]) < 1e-6
@@ -180,25 +202,27 @@ class TestAttention:
         tape = ad.Tape()
         x = tape.parameter(300.0 * rng.normal(size=(4, 4)))
         y = tape.parameter(300.0 * rng.normal(size=(6, 4)))
+        pe_q, pe_k = rng.normal(size=(4, 4)), rng.normal(size=(6, 4))
         p = {name: tape.parameter(w) for name, w in zip(self.NAMES, self.weights(rng, 4))}
-        out = enc.attention(x, y, p, "blk")
+        out = enc.attention(x, y, pe_q, pe_k, p, "blk")
         assert np.all(np.isfinite(out.value))
-        np.testing.assert_allclose(attention_row_sums(x, y, p, "blk"), 1.0, atol=1e-12)
+        np.testing.assert_allclose(attention_row_sums(x, y, pe_q, pe_k, p, "blk"), 1.0,
+                                   atol=1e-12)
         tape.backward(weighted_sum(out))
         for t in (x, y, *p.values()):
             assert np.all(np.isfinite(t.grad))
 
     def test_records_one_node_and_untracked_inputs_record_nothing(self):
         rng = np.random.default_rng(24)
-        x = rng.normal(size=(3, 4))
+        x, pe = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
         weights = self.weights(rng, 4)
         tape = ad.Tape()
         p = {name: tape.parameter(w) for name, w in zip(self.NAMES, weights)}
-        out = enc.attention(ad.constant(x), ad.constant(x), p, "blk")
+        out = enc.attention(ad.constant(x), ad.constant(x), pe, pe, p, "blk")
         assert [node.op for node in tape.nodes[4:]] == ["attention"]
         assert out.tape is tape
         consts = {name: ad.constant(w) for name, w in zip(self.NAMES, weights)}
-        out_c = enc.attention(ad.constant(x), ad.constant(x), consts, "blk")
+        out_c = enc.attention(ad.constant(x), ad.constant(x), pe, pe, consts, "blk")
         assert out_c.tape is None and len(tape.nodes) == 5
         np.testing.assert_array_equal(out_c.value, out.value)
 
@@ -226,8 +250,10 @@ class TestFuse:
         tape = ad.Tape()
         p = pstore.bind(tape, small_params(seed=6))
         f_p, f_i = enc.encode(scene, p)
-        np.testing.assert_allclose(attention_row_sums(f_p, f_i, p, "fuse.0.point.cross"), 1.0,
-                                   atol=1e-12)
+        pe_p = enc.sinusoidal_pe(scene.points, 8)
+        pe_i = enc.sinusoidal_pe(sc.pixel_centers(scene.grid), 8)
+        np.testing.assert_allclose(
+            attention_row_sums(f_p, f_i, pe_p, pe_i, p, "fuse.0.point.cross"), 1.0, atol=1e-12)
 
     def test_point_permutation_equivariance(self):
         scene = small_scene(seed=2, n_points=16)
@@ -279,6 +305,16 @@ class TestParamsIO:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             pstore.load_params(tmp_path / "gone.nclp")
+
+    @pytest.mark.parametrize("case", ["load_nul_byte", "save_missing_parent"])
+    def test_unusable_path_rejected(self, tmp_path, case):
+        calls = {
+            "load_nul_byte": lambda: pstore.load_params("a\0b"),
+            "save_missing_parent": lambda: pstore.save_params(
+                {"w": np.ones((1, 1))}, tmp_path / "gone" / "m.nclp"),
+        }
+        with pytest.raises(ConfigError, match="cannot"):
+            calls[case]()
 
     def test_shape_check(self):
         p0 = small_params(seed=12)

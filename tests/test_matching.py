@@ -94,8 +94,7 @@ class TestSimilarity:
             tape = ad.Tape()
             t = make_transform(tape, 5, raw=rng.normal(size=(5, 5)))
             logits = mt.similarity(tape.parameter(f_p), tape.parameter(f_i), t, mode)
-            assert [node.op for node in tape.nodes[3:]] == [
-                "normalize_rows", "normalize_rows", "similarity"]
+            assert [node.op for node in tape.nodes[3:]] == ["similarity"]
             tape.backward(weighted_sum(logits, rng.normal(size=(4, 6))))
             if mode == "cosine":
                 assert t.raw.grad is None
@@ -131,28 +130,46 @@ class TestSimilarity:
     def test_zero_norm_row_rejected(self):
         f = np.zeros((2, 4))
         f[0] = [1, 0, 0, 0]
-        with pytest.raises(NormalizationError, match="index 1"):
-            mt.normalize_rows(ad.constant(f))
+        for what, args in (("point", (f, np.ones((3, 4)))), ("pixel", (np.ones((3, 4)), f))):
+            with pytest.raises(NormalizationError,
+                               match=f"^zero-norm {what} feature row at index 1$"):
+                mt.similarity(*map(ad.constant, args), make_transform(ad.Tape(), 4))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_rejected(self, bad):
         f = np.ones((3, 4))
         f[2, 1] = bad
-        with pytest.raises(NormalizationError, match="non-finite .* index 2"):
-            mt.normalize_rows(ad.constant(f))
+        for what, args in (("point", (f, np.ones((2, 4)))), ("pixel", (np.ones((2, 4)), f))):
+            with pytest.raises(NormalizationError,
+                               match=f"^non-finite {what} feature row at index 2$"):
+                mt.similarity(*map(ad.constant, args), make_transform(ad.Tape(), 4))
 
-    def test_normalize_rows_value_is_row_over_root_of_row_sum(self):
-        f = np.random.default_rng(20).normal(size=(6, 7)) * 3.0
-        out = mt.normalize_rows(ad.constant(f)).value
-        assert np.array_equal(out, f / np.sqrt((f * f).sum(axis=1, keepdims=True)))
+    @pytest.mark.parametrize("mode", mt.ALIGNMENT_MODES)
+    def test_value_is_logits_of_rows_over_root_of_row_sum(self, mode):
+        rng = np.random.default_rng(20)
+        f_p, f_i = rng.normal(size=(6, 7)) * 3.0, rng.normal(size=(5, 7)) * 0.2
+        t = make_transform(ad.Tape(), 7, temperature=0.3, raw=rng.normal(size=(7, 7)))
+        x = f_p / np.sqrt((f_p * f_p).sum(axis=1, keepdims=True))
+        y = f_i / np.sqrt((f_i * f_i).sum(axis=1, keepdims=True))
+        xw = x @ t.matrix() if mode == "learnable" else x
+        out = mt.similarity(ad.constant(f_p), ad.constant(f_i), t, mode).value
+        assert np.array_equal(out, (xw @ y.T) * (1.0 / 0.3))
 
-    def test_normalize_rows_gradient_matches_finite_differences(self):
+    @pytest.mark.parametrize("mode", mt.ALIGNMENT_MODES)
+    def test_gradient_pulls_back_through_row_norms(self, mode):
+        # rows with norms from about 0.05 to 20, so that the pull-back
+        # through each row's norm carries weight
         rng = np.random.default_rng(18)
-        f0 = rng.normal(size=(4, 5))
-        probe = rng.normal(size=(4, 5))
-        err = finite_difference_check(
-            lambda ps: weighted_sum(mt.normalize_rows(ps[0]), probe), [f0])
-        assert err < 1e-6
+        f_p0 = rng.normal(size=(4, 5)) * np.array([[0.05], [0.7], [4.0], [20.0]])
+        f_i0 = rng.normal(size=(3, 5)) * np.array([[9.0], [0.1], [1.5]])
+        raw0 = np.eye(5) + rng.normal(scale=0.5, size=(5, 5))
+        probe = rng.normal(size=(4, 3))
+
+        def build(ps):
+            t = mt.AlignmentTransform(ps[2], 0.3)
+            return weighted_sum(mt.similarity(ps[0], ps[1], t, mode), probe)
+
+        assert finite_difference_check(build, [f_p0, f_i0, raw0]) < 1e-6
 
 
 class TestInfoNCE:

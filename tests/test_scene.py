@@ -512,7 +512,8 @@ class TestSceneIO:
 
     @pytest.mark.parametrize("case", ["invalid_json", "top_level_list", "samples_not_list",
                                       "no_samples", "no_count", "no_file", "missing_file",
-                                      "parent_path", "absolute_path", "dot", "dot_dot"])
+                                      "parent_path", "absolute_path", "dot", "dot_dot",
+                                      "nul_byte_name", "manifest_is_directory"])
     def test_malformed_manifest_rejected(self, tmp_path, case):
         cfg = sc.SceneConfig(n_points=32, grid=(8, 8))
         scenes = [sc.generate_scene(np.random.default_rng([4, i]), cfg) for i in range(2)]
@@ -530,6 +531,7 @@ class TestSceneIO:
             "absolute_path": first_file(str(tmp_path / "outside.nclr")),
             "dot": first_file("."),
             "dot_dot": first_file(".."),
+            "nul_byte_name": first_file("a\0b"),
             "top_level_list": lambda m: [m],
             "samples_not_list": lambda m: {**m, "samples": 3},
             "no_samples": lambda m: {k: v for k, v in m.items() if k != "samples"},
@@ -539,10 +541,30 @@ class TestSceneIO:
         }
         if case == "invalid_json":
             path.write_text(path.read_text()[:-10])
+        elif case == "manifest_is_directory":
+            path.unlink()
+            path.mkdir()
         else:
             path.write_text(json.dumps(edits[case](manifest)))
         with pytest.raises(ConfigError):
             sc.load_dataset(out)
+
+    @pytest.mark.parametrize("case", ["load_nul_byte", "save_missing_parent",
+                                      "dataset_onto_file", "dataset_manifest_is_directory"])
+    def test_unusable_path_rejected(self, tmp_path, case):
+        cfg = sc.SceneConfig(n_points=32, grid=(8, 8))
+        scene = sc.generate_scene(np.random.default_rng([6, 0]), cfg)
+        (tmp_path / "file").write_bytes(b"")
+        (tmp_path / "data" / "manifest.json").mkdir(parents=True)
+        calls = {
+            "load_nul_byte": lambda: sc.load_scene("x\0y"),
+            "save_missing_parent": lambda: sc.save_scene(scene, tmp_path / "gone" / "s.nclr"),
+            "dataset_onto_file": lambda: sc.write_dataset(tmp_path / "file", [scene], cfg, 6),
+            "dataset_manifest_is_directory":
+                lambda: sc.write_dataset(tmp_path / "data", [scene], cfg, 6),
+        }
+        with pytest.raises(ConfigError, match="cannot"):
+            calls[case]()
 
     @pytest.mark.parametrize("target", ["outside.nclr", "data/sample_000001.nclr"])
     def test_symlinked_sample_rejected(self, tmp_path, target):

@@ -1,6 +1,6 @@
 """One training step and one calibration pass composed from the public layer
 functions on a 32-point 8x8 scene, pinning how many tape nodes each fused
-op records: 73 for the whole training step, 37 of them parameter leaves."""
+op records: 63 for the whole training step, 37 of them parameter leaves."""
 
 import gc
 import platform
@@ -29,11 +29,55 @@ def scene_and_params():
     return sample, params
 
 
-def recorded(tape, fn, *args):
-    """Call ``fn`` and return its result with the ops it put on the tape."""
-    start = len(tape.nodes)
-    out = fn(*args)
-    return out, [node.op for node in tape.nodes[start:]]
+def training_step(tape, sample, params, stage=lambda fn, *args: fn(*args)):
+    """Every loss term of one training step on ``tape``, summed: InfoNCE both
+    ways, overlap BCE and the pose loss after soft matching and Gauss-Newton.
+    Each library call that records nodes goes through ``stage``. Returns the
+    bound parameters and the loss."""
+    pairs = sc.build_pairs(sample, 1.0, 4.0)
+    p = pm.bind(tape, params)
+    f_p, f_i = stage(enc.encode, sample, p)
+    f_p, f_i = stage(enc.fuse, f_p, f_i, sample, p)
+    logits = stage(mt.similarity, f_p, f_i, mt.AlignmentTransform(p["align.b"], TEMPERATURE))
+    terms = [stage(mt.infonce_loss, logits, pairs, direction)
+             for direction in ("point_to_pixel", "pixel_to_point")]
+    s_p, s_i = stage(mt.overlap_scores, f_p, f_i, p)
+    terms.append(stage(mt.overlap_bce_loss, s_p, s_i,
+                       sample.point_overlap_gt, sample.pixel_overlap_gt))
+    selection = mt.threshold_overlap(s_p, s_i, 0.5, 0.5,
+                                     sample.point_overlap_gt, sample.pixel_overlap_gt)
+    coords = stage(mt.match_coords, logits, selection, sc.pixel_centers(sample.grid))
+    problem = pnp.PnPProblem(sample.points[selection.point_indices], coords,
+                             sample.intrinsics)
+    refined = stage(pnp.gauss_newton_refine, problem, pnp.epnp_init(problem), 5)
+    terms.append(stage(pnp.pose_loss, refined, sample.raw_pose))
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = ad.add(loss, term)
+    return p, loss
+
+
+def tracked_tensors_held(fn) -> list:
+    """Tracked Tensors that a closure reaches through its cells, nested
+    closures, containers and object attributes."""
+    found, seen, stack = [], set(), [fn]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, ad.Tensor):
+            if obj.tape is not None:
+                found.append(obj)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in obj.__closure__)
+        elif isinstance(obj, (tuple, list, set, frozenset)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+            stack.extend(vars(obj).values())
+    return found
 
 
 def test_pair_set_holds_no_dense_array():
@@ -47,46 +91,29 @@ def test_pair_set_holds_no_dense_array():
 
 def test_training_step_records_one_node_per_fused_loss():
     sample, params = scene_and_params()
-    pairs = sc.build_pairs(sample, 1.0, 4.0)
     tape = ad.Tape()
-    p = pm.bind(tape, params)
-    assert len(tape.nodes) == 37
-    (f_p, f_i), ops = recorded(tape, enc.encode, sample, p)
-    assert ops == ["dense"] * 4
-    (f_p, f_i), ops = recorded(tape, enc.fuse, f_p, f_i, sample, p)
-    assert ops.count("attention") == 4 and ops.count("dense") == 4 and len(ops) == 18
+    ops = {}  # library function -> the ops its calls recorded, in order
 
-    logits, ops = recorded(tape, mt.similarity, f_p, f_i,
-                           mt.AlignmentTransform(p["align.b"], TEMPERATURE))
-    assert ops == ["normalize_rows", "normalize_rows", "similarity"]
-    terms = []
-    for direction in ("point_to_pixel", "pixel_to_point"):
-        term, ops = recorded(tape, mt.infonce_loss, logits, pairs, direction)
-        assert ops == ["infonce"]
-        terms.append(term)
-    (s_p, s_i), ops = recorded(tape, mt.overlap_scores, f_p, f_i, p)
-    assert ops == ["dense", "dense"]
-    term, ops = recorded(tape, mt.overlap_bce_loss, s_p, s_i,
-                         sample.point_overlap_gt, sample.pixel_overlap_gt)
-    assert ops == ["overlap_bce"]
-    terms.append(term)
-    selection = mt.threshold_overlap(s_p, s_i, 0.5, 0.5,
-                                     sample.point_overlap_gt, sample.pixel_overlap_gt)
-    coords, ops = recorded(tape, mt.match_coords, logits, selection,
-                           sc.pixel_centers(sample.grid))
-    assert ops == ["soft_match"]
-    problem = pnp.PnPProblem(sample.points[selection.point_indices], coords,
-                             sample.intrinsics)
-    refined, ops = recorded(tape, pnp.gauss_newton_refine, problem, pnp.epnp_init(problem), 5)
-    assert ops == ["gauss_newton"]
-    term, ops = recorded(tape, pnp.pose_loss, refined, sample.raw_pose)
-    assert ops == ["pose_loss"]
-    terms.append(term)
+    def stage(fn, *args):
+        start = len(tape.nodes)
+        out = fn(*args)
+        ops.setdefault(fn.__name__, []).extend(node.op for node in tape.nodes[start:])
+        return out
 
-    loss = terms[0]
-    for term in terms[1:]:
-        loss = ad.add(loss, term)
-    assert len(tape.nodes) == 73
+    p, loss = training_step(tape, sample, params, stage)
+    assert ops == {
+        "encode": ["dense"] * 4,
+        "fuse": ["attention"] * 4 + ["dense", "dense", "add"] * 2,
+        "similarity": ["similarity"],
+        "infonce_loss": ["infonce", "infonce"],
+        "overlap_scores": ["dense", "dense"],
+        "overlap_bce_loss": ["overlap_bce"],
+        "match_coords": ["soft_match"],
+        "gauss_newton_refine": ["gauss_newton"],
+        "pose_loss": ["pose_loss"],
+    }
+    assert [node.op for node in tape.nodes].count("leaf") == 37
+    assert len(tape.nodes) == 63
     tape.backward(loss)
     grads = pm.gradients(p)
     assert all(np.all(np.isfinite(g)) for g in grads.values())
@@ -147,18 +174,15 @@ def test_training_tape_is_freed_without_the_cycle_collector():
     # a backward closure that held a tracked Tensor would tie the tape into
     # a reference cycle and keep every step's tape alive until a gc pass
     sample, params = scene_and_params()
-    pairs = sc.build_pairs(sample, 1.0, 4.0)
     gc.disable()
     try:
         tape = ad.Tape()
-        p = pm.bind(tape, params)
-        f_p, f_i = enc.fuse(*enc.encode(sample, p), sample, p)
-        logits = mt.similarity(f_p, f_i, mt.AlignmentTransform(p["align.b"], TEMPERATURE))
-        loss = ad.add(mt.infonce_loss(logits, pairs, "point_to_pixel"),
-                      mt.infonce_loss(logits, pairs, "pixel_to_point"))
+        p, loss = training_step(tape, sample, params)
+        for node in tape.nodes:
+            assert tracked_tensors_held(node.backward_fn) == [], node.op
         tape.backward(loss)
         ref = weakref.ref(tape)
-        del tape, p, f_p, f_i, logits, loss
+        del tape, p, loss
         assert ref() is None
     finally:
         gc.enable()
