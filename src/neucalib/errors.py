@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one file reader and
+writer, which turn a failed path into :class:`ConfigError`.
 
 Every error raised by neucalib derives from :class:`NeucalibError` so the
 CLI can map library failures to a nonzero exit code in one place.
 """
+
+from pathlib import Path
 
 
 class NeucalibError(Exception):
@@ -45,3 +48,19 @@ class GenerationError(NeucalibError):
 class ConfigError(NeucalibError):
     """A configuration or serialized file is malformed or inconsistent, or
     cannot be read or written."""
+
+
+def read_file(path, what: str) -> bytes:
+    """The bytes of the ``what`` file at ``path``."""
+    try:
+        return Path(path).read_bytes()
+    except (OSError, ValueError) as err:  # ValueError: a NUL byte in the path
+        raise ConfigError(f"cannot read {what} {path}: {err}") from err
+
+
+def write_file(path, data: bytes, what: str) -> None:
+    """Write ``data`` as the ``what`` file at ``path``."""
+    try:
+        Path(path).write_bytes(data)
+    except (OSError, ValueError) as err:  # ValueError: a NUL byte in the path
+        raise ConfigError(f"cannot write {what} {path}: {err}") from err

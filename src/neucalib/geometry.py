@@ -53,22 +53,18 @@ class RigidPose:
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
-    """Pinhole parameters over an H x W pixel grid."""
+    """Pinhole parameters; the pixel grid they map onto is the scene's."""
 
     fx: float
     fy: float
     cx: float
     cy: float
-    width: int
-    height: int
 
     def __post_init__(self):
         if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
             raise ParameterError(f"focal lengths must be finite and positive: {self.fx, self.fy}")
         if not np.isfinite([self.cx, self.cy]).all():
             raise ParameterError(f"principal point must be finite: {self.cx, self.cy}")
-        if self.width < 1 or self.height < 1:
-            raise ParameterError("image grid must be at least 1x1")
 
 
 class Projection(NamedTuple):

@@ -9,12 +9,11 @@ in dict order so identical runs produce identical files.
 from __future__ import annotations
 
 import struct
-from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tape, Tensor
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, read_file, write_file
 
 PARAMS_MAGIC = b"NCLP"
 PARAMS_VERSION = 1
@@ -49,17 +48,11 @@ def save_params(params: ParamDict, path) -> None:
         parts.append(raw)
         parts.append(struct.pack("<II", arr.shape[0], arr.shape[1]))
         parts.append(arr.tobytes())
-    try:
-        Path(path).write_bytes(b"".join(parts))
-    except (OSError, ValueError) as err:  # ValueError: a NUL byte in the path
-        raise ConfigError(f"cannot write parameter file {path}: {err}") from err
+    write_file(path, b"".join(parts), "parameter file")
 
 
 def load_params(path) -> ParamDict:
-    try:
-        blob = Path(path).read_bytes()
-    except (OSError, ValueError) as err:  # ValueError: a NUL byte in the path
-        raise ConfigError(f"cannot read parameter file {path}: {err}") from err
+    blob = read_file(path, "parameter file")
     if blob[:4] != PARAMS_MAGIC:
         raise ConfigError(f"bad parameter file magic {blob[:4]!r}")
     off = 4

@@ -8,22 +8,24 @@ col u) has its center at continuous coordinates (u, v) and flat index
 v * W' + u. Only the scene size is configurable; the camera, depth band,
 patch layout, overlap band and pose spreads are module constants.
 
-Scenes serialize to a little-endian binary format (magic ``NCLR``) plus a
-``manifest.json`` per dataset directory; the layout is bit-exact so that
-regeneration with the same seed reproduces identical files.
+A scene serializes to one packed little-endian record, declared once by
+``_layout``: the magic ``NCLR``; the format version, N, H' and W' as uint32;
+fx, fy, cx, cy and the raw pose's rotation and translation as float64; then
+the N x 3 points, the N point and H'*W' pixel overlap flags (one byte each)
+and the N x 2 projections. A dataset directory holds the sample files and a
+``manifest.json`` that names them; the same seed writes bit-identical files.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import geometry as geo
-from .errors import ConfigError, GenerationError, ParameterError
+from .errors import ConfigError, GenerationError, ParameterError, read_file, write_file
 
 MAGIC = b"NCLR"
 FORMAT_VERSION = 1
@@ -65,8 +67,7 @@ class SceneConfig:
 
     def intrinsics(self) -> geo.CameraIntrinsics:
         h, w = self.grid
-        return geo.CameraIntrinsics(fx=FOCAL_PX, fy=FOCAL_PX,
-                                    cx=w / 2.0, cy=h / 2.0, width=w, height=h)
+        return geo.CameraIntrinsics(fx=FOCAL_PX, fy=FOCAL_PX, cx=w / 2.0, cy=h / 2.0)
 
 
 @dataclass(frozen=True)
@@ -138,8 +139,7 @@ def _window_pixels(uv: np.ndarray, radius: float,
 def label_pixel_overlap(sample: SceneSample) -> np.ndarray:
     """Pixel (u, v) is overlapping iff some overlapping point's projection
     lies within Chebyshev distance 1 of its center."""
-    h, w = sample.grid
-    labels = np.zeros(h * w, dtype=bool)
+    labels = np.zeros(sample.n_pixels, dtype=bool)
     _, pixel = _window_pixels(sample.gt_projection[sample.point_overlap_gt], 1.0, sample.grid)
     labels[pixel] = True
     return labels
@@ -325,56 +325,54 @@ def augment_scene(sample: SceneSample, rot: np.ndarray, trans: np.ndarray) -> Sc
 
 # --- binary scene format -------------------------------------------------
 
+def _layout(n: int, h: int, w: int) -> np.dtype:
+    try:
+        return np.dtype([
+            ("magic", "S4"), ("version", "<u4"), ("n", "<u4"), ("h", "<u4"), ("w", "<u4"),
+            ("intrinsics", "<f8", (4,)), ("rotation", "<f8", (3, 3)), ("translation", "<f8", (3,)),
+            ("points", "<f8", (n, 3)), ("point_overlap", "u1", (n,)),
+            ("pixel_overlap", "u1", (h * w,)), ("projection", "<f8", (n, 2)),
+        ])
+    except ValueError as err:  # numpy holds each dimension and the record in a C int
+        raise ConfigError(f"a scene of {n} points on a {h} x {w} grid "
+                          f"does not fit the scene format: {err}") from err
+
+
 def scene_to_bytes(sample: SceneSample) -> bytes:
     h, w = sample.grid
-    k = sample.intrinsics
-    parts = [
-        MAGIC,
-        struct.pack("<IIII", FORMAT_VERSION, sample.n_points, h, w),
-        struct.pack("<4d", k.fx, k.fy, k.cx, k.cy),
-        np.ascontiguousarray(sample.raw_pose.rotation, dtype="<f8").tobytes(),
-        np.ascontiguousarray(sample.raw_pose.translation, dtype="<f8").tobytes(),
-        np.ascontiguousarray(sample.points, dtype="<f8").tobytes(),
-        sample.point_overlap_gt.astype(np.uint8).tobytes(),
-        sample.pixel_overlap_gt.astype(np.uint8).tobytes(),
-        np.ascontiguousarray(sample.gt_projection, dtype="<f8").tobytes(),
-    ]
-    return b"".join(parts)
+    k, pose = sample.intrinsics, sample.raw_pose
+    return np.array((MAGIC, FORMAT_VERSION, sample.n_points, h, w, (k.fx, k.fy, k.cx, k.cy),
+                     pose.rotation, pose.translation, sample.points, sample.point_overlap_gt,
+                     sample.pixel_overlap_gt, sample.gt_projection),
+                    _layout(sample.n_points, h, w)).tobytes()
 
 
 def scene_from_bytes(blob: bytes) -> SceneSample:
     if blob[:4] != MAGIC:
         raise ConfigError(f"bad scene magic {blob[:4]!r}")
-    if len(blob) < 20:
+    head = _layout(0, 0, 0)
+    if len(blob) < head.itemsize:
         raise ConfigError(f"scene file truncated to {len(blob)} bytes inside its header")
-    version, n, h, w = struct.unpack_from("<IIII", blob, 4)
+    version, n, h, w = np.frombuffer(blob, head, 1)[["version", "n", "h", "w"]].item()
     if version != FORMAT_VERSION:
         raise ConfigError(f"unsupported scene format version {version}")
-    # the header fixes every field's size, so one check covers them all:
-    # 148 bytes up to the pose, 41 per point (xyz, flag, uv), 1 per pixel
-    size = 148 + 41 * n + h * w
-    if len(blob) != size:
-        raise ConfigError(f"scene file has {len(blob)} bytes, its header implies {size}")
-    off = 20
-    fx, fy, cx, cy = struct.unpack_from("<4d", blob, off)
-    off += 32
-    rot = np.frombuffer(blob, "<f8", 9, off).reshape(3, 3).copy()
-    off += 72
-    trans = np.frombuffer(blob, "<f8", 3, off).copy()
-    off += 24
-    points = np.frombuffer(blob, "<f8", 3 * n, off).reshape(n, 3).copy()
-    off += 24 * n
-    p_overlap = np.frombuffer(blob, np.uint8, n, off).astype(bool)
-    off += n
-    px_overlap = np.frombuffer(blob, np.uint8, h * w, off).astype(bool)
-    off += h * w
-    proj = np.frombuffer(blob, "<f8", 2 * n, off).reshape(n, 2).copy()
-    if not (np.isfinite([fx, fy, cx, cy]).all() and np.isfinite(rot).all()
-            and np.isfinite(trans).all() and np.isfinite(points).all()):
-        raise ConfigError("scene file holds a non-finite intrinsic, pose or point value")
+    if h < 1 or w < 1:
+        raise ConfigError(f"scene file has an empty {h} x {w} grid")
+    # the header fixes every field's size, so one check covers them all
+    layout = _layout(n, h, w)
+    if len(blob) != layout.itemsize:
+        raise ConfigError(f"scene file has {len(blob)} bytes, its header implies {layout.itemsize}")
+    rec = np.frombuffer(blob, layout, 1)[0]
+    fx, fy, cx, cy = rec["intrinsics"].tolist()
+    rot, trans, points, proj = (rec[f].copy() for f in
+                                ("rotation", "translation", "points", "projection"))
+    p_overlap, px_overlap = rec["point_overlap"].astype(bool), rec["pixel_overlap"].astype(bool)
+    # the camera checks its own values; nothing checks the translation and points
+    if not (np.isfinite(trans).all() and np.isfinite(points).all()):
+        raise ConfigError("scene file holds a non-finite translation or point value")
     with np.errstate(all="ignore"):  # huge values overflow and fail the checks
         try:
-            k = geo.CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=w, height=h)
+            k = geo.CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy)
             pose = geo.RigidPose(rot, trans)
         except ParameterError as err:
             raise ConfigError(f"scene file holds an invalid camera: {err}") from err
@@ -392,64 +390,45 @@ def scene_from_bytes(blob: bytes) -> SceneSample:
 
 
 def save_scene(sample: SceneSample, path) -> None:
-    blob = scene_to_bytes(sample)
-    try:
-        Path(path).write_bytes(blob)
-    except (OSError, ValueError) as err:  # ValueError: a NUL byte in the path
-        raise ConfigError(f"cannot write scene file {path}: {err}") from err
+    write_file(path, scene_to_bytes(sample), "scene file")
 
 
 def load_scene(path) -> SceneSample:
-    try:
-        blob = Path(path).read_bytes()
-    except (OSError, ValueError) as err:  # ValueError: a NUL byte in the path
-        raise ConfigError(f"cannot read scene file {path}: {err}") from err
-    return scene_from_bytes(blob)
+    return scene_from_bytes(read_file(path, "scene file"))
 
 
 def write_dataset(out_dir, scenes: list[SceneSample], config: SceneConfig,
                   seed: int) -> Path:
-    """Write sample files plus a manifest describing count and generation."""
+    """Write sample files plus a manifest naming them, ``config`` and ``seed`` (an int >= 0)."""
+    if not _is_count(seed, 0):
+        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as err:  # ValueError: a NUL byte in the path
         raise ConfigError(f"cannot make dataset directory {out}: {err}") from err
-    entries = []
-    for i, sample in enumerate(scenes):
-        name = SAMPLE_PATTERN % i
+    names = [SAMPLE_PATTERN % i for i in range(len(scenes))]
+    for name, sample in zip(names, scenes):
         save_scene(sample, out / name)
-        entries.append({
-            "file": name,
-            "n_points": sample.n_points,
-            "grid": list(sample.grid),
-            "overlap_points": int(sample.point_overlap_gt.sum()),
-            "overlap_pixels": int(sample.pixel_overlap_gt.sum()),
-        })
-    manifest = {"format_version": FORMAT_VERSION, "count": len(scenes),
-                "seed": seed, "config": asdict(config), "samples": entries}
-    try:
-        (out / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    except OSError as err:
-        raise ConfigError(f"cannot write {out / 'manifest.json'}: {err}") from err
+    manifest = {"format_version": FORMAT_VERSION, "count": len(scenes), "seed": int(seed),
+                "config": asdict(config), "samples": [{"file": name} for name in names]}
+    write_file(out / "manifest.json",
+               (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode(), "dataset manifest")
     return out
 
 
 def load_dataset(data_dir) -> list[SceneSample]:
     data = Path(data_dir)
     manifest_path = data / "manifest.json"
-    if not manifest_path.exists():
-        raise ConfigError(f"no manifest.json in {data}")
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except OSError as err:
-        raise ConfigError(f"cannot read {manifest_path}: {err}") from err
+        manifest = json.loads(read_file(manifest_path, "dataset manifest"))
     except ValueError as err:  # JSON and text decoding errors
         raise ConfigError(f"{manifest_path} is not valid JSON: {err}") from err
     samples = manifest.get("samples") if isinstance(manifest, dict) else None
     if not isinstance(samples, list) or "count" not in manifest:
         raise ConfigError(f"{manifest_path} needs a 'samples' list and a 'count'")
+    if manifest.get("format_version") != FORMAT_VERSION:
+        raise ConfigError(f"{manifest_path} is not of format version {FORMAT_VERSION}")
     scenes = []
     for entry in samples:
         name = entry.get("file") if isinstance(entry, dict) else None

@@ -94,7 +94,7 @@ class TestEncode:
         proj = np.array([[np.nan, np.nan], [2.5, 3.0], [3.5, 3.0]])
         points = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 9.0], [0.0, 0.0, 4.0]])
         scene = sc.SceneSample(
-            points=points, intrinsics=geo.CameraIntrinsics(1.0, 1.0, 0.0, 0.0, 8, 8),
+            points=points, intrinsics=geo.CameraIntrinsics(1.0, 1.0, 0.0, 0.0),
             raw_pose=geo.RigidPose.identity(), grid=(8, 8),
             point_overlap_gt=np.array([False, True, True]),
             pixel_overlap_gt=np.zeros(64, dtype=bool), gt_projection=proj)

@@ -16,7 +16,7 @@ def random_pose(rng) -> geo.RigidPose:
     return geo.RigidPose(r, rng.uniform(-5, 5, 3))
 
 
-INTR = geo.CameraIntrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0, width=100, height=100)
+INTR = geo.CameraIntrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0)
 
 
 class TestRotation:
@@ -61,11 +61,11 @@ class TestPoseAlgebra:
 
 
 class TestIntrinsics:
-    VALID = dict(fx=100.0, fy=80.0, cx=50.0, cy=40.0, width=100, height=80)
+    VALID = dict(fx=100.0, fy=80.0, cx=50.0, cy=40.0)
 
     @pytest.mark.parametrize("field, value", [
         ("fx", math.nan), ("fy", math.nan), ("fx", 0.0), ("fy", -1.0), ("fx", math.inf),
-        ("cx", math.nan), ("cy", math.inf), ("cy", -math.inf), ("width", 0)])
+        ("cx", math.nan), ("cy", math.inf), ("cy", -math.inf)])
     def test_invalid_field_rejected(self, field, value):
         with pytest.raises(ParameterError):
             geo.CameraIntrinsics(**{**self.VALID, field: value})

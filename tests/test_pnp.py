@@ -11,7 +11,7 @@ from neucalib import pnp
 from neucalib.errors import SolveError
 from tape_probe import finite_difference_check, weighted_sum
 
-INTR = geo.CameraIntrinsics(fx=100.0, fy=100.0, cx=32.0, cy=32.0, width=64, height=64)
+INTR = geo.CameraIntrinsics(fx=100.0, fy=100.0, cx=32.0, cy=32.0)
 
 
 def random_instance(seed, n=64, intr=INTR):
@@ -331,7 +331,7 @@ class TestPoseNode:
     def test_target_gradient_vs_central_differences(self, k_iters):
         # unequal focal lengths and a far init, so that every term of the
         # replayed steps (including d delta / d H) carries weight
-        intr = geo.CameraIntrinsics(fx=100.0, fy=70.0, cx=32.0, cy=28.0, width=64, height=64)
+        intr = geo.CameraIntrinsics(fx=100.0, fy=70.0, cx=32.0, cy=28.0)
         pose, points, targets = random_instance(10, n=12, intr=intr)
         rng = np.random.default_rng(10)
         noisy = targets + rng.normal(scale=0.5, size=targets.shape)

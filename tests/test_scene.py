@@ -232,9 +232,17 @@ class TestGeneration:
         assert cfg == sc.SceneConfig(n_points=32, grid=(8, 8))
         assert type(cfg.n_points) is int and all(type(g) is int for g in cfg.grid)
         out = sc.write_dataset(tmp_path, [sc.generate_scene(np.random.default_rng(0), cfg)],
-                               cfg, seed=0)
-        assert json.loads((out / "manifest.json").read_text())["config"] == {
-            "n_points": 32, "grid": [8, 8]}
+                               cfg, seed=np.int64(3))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == {"n_points": 32, "grid": [8, 8]}
+        assert manifest["seed"] == 3 and len(sc.load_dataset(out)) == 1
+
+    @pytest.mark.parametrize("seed", ["3", 3.5, -1, None])
+    def test_bad_dataset_seed_rejected_before_writing(self, tmp_path, seed):
+        scene = make_scene(seed=0, n_points=32, grid=(8, 8))
+        with pytest.raises(ParameterError, match="seed"):
+            sc.write_dataset(tmp_path / "data", [scene], sc.SceneConfig(32, (8, 8)), seed)
+        assert not (tmp_path / "data").exists()
 
     def test_augment_scene_preserves_labels_and_projection(self):
         sample = make_scene(seed=9)
@@ -288,7 +296,7 @@ def with_projections(grid, proj) -> sc.SceneSample:
     build_pairs reads nothing else."""
     proj = np.asarray(proj, dtype=np.float64).reshape(-1, 2)
     h, w = grid
-    k = geo.CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=w, height=h)
+    k = geo.CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
     return sc.SceneSample(points=np.zeros((len(proj), 3)), intrinsics=k,
                           raw_pose=geo.RigidPose.identity(), grid=grid,
                           point_overlap_gt=~np.isnan(proj[:, 0]),
@@ -466,18 +474,24 @@ class TestSceneIO:
         with pytest.raises(ConfigError, match="behind the camera"):
             sc.scene_from_bytes(sc.scene_to_bytes(replace(sample, points=points)))
 
-    @pytest.mark.parametrize("field", ["points", "rotation", "fx"])
+    @pytest.mark.parametrize("field", ["points", "rotation", "fx", "n", "h", "w", "empty_grid"])
     def test_non_finite_or_invalid_camera_rejected(self, field):
         sample = make_scene(seed=7)
         if field == "points":
             points = sample.points.copy()
             points[0, 2] = np.nan
             sample = replace(sample, points=points)
+        elif field == "empty_grid":  # a consistent file with no pixel at all
+            sample = replace(sample, grid=(0, 16), pixel_overlap_gt=np.zeros(0, dtype=bool),
+                             point_overlap_gt=np.zeros(sample.n_points, dtype=bool))
         blob = bytearray(sc.scene_to_bytes(sample))
         if field == "rotation":  # first rotation entry, header is 52 bytes
             blob[52:60] = np.array([2.0]).tobytes()
         elif field == "fx":
             blob[20:28] = np.array([-1.0]).tobytes()
+        elif field in ("n", "h", "w"):  # uint32 header fields after magic and version
+            at = 8 + 4 * "nhw".index(field)
+            blob[at:at + 4] = np.array([2 ** 32 - 1], dtype="<u4").tobytes()
         with pytest.raises(ConfigError):
             sc.scene_from_bytes(bytes(blob))
 
@@ -513,7 +527,8 @@ class TestSceneIO:
     @pytest.mark.parametrize("case", ["invalid_json", "top_level_list", "samples_not_list",
                                       "no_samples", "no_count", "no_file", "missing_file",
                                       "parent_path", "absolute_path", "dot", "dot_dot",
-                                      "nul_byte_name", "manifest_is_directory"])
+                                      "nul_byte_name", "manifest_is_directory",
+                                      "format_version_2"])
     def test_malformed_manifest_rejected(self, tmp_path, case):
         cfg = sc.SceneConfig(n_points=32, grid=(8, 8))
         scenes = [sc.generate_scene(np.random.default_rng([4, i]), cfg) for i in range(2)]
@@ -538,6 +553,7 @@ class TestSceneIO:
             "no_count": lambda m: {k: v for k, v in m.items() if k != "count"},
             "no_file": lambda m: {**m, "samples": [{"n_points": 32}, *m["samples"][1:]]},
             "missing_file": lambda m: {**m, "samples": [*m["samples"], {"file": "gone.nclr"}]},
+            "format_version_2": lambda m: {**m, "format_version": 2},
         }
         if case == "invalid_json":
             path.write_text(path.read_text()[:-10])

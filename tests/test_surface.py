@@ -1,12 +1,15 @@
 """The public surface of neucalib is what the library and the benchmark use."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "neucalib"
+CODE = [*sorted(LIBRARY.glob("*.py")), *sorted((ROOT / "stepbench").glob("*.py"))]
 
 # Public names kept ahead of their first caller, each for a ROADMAP item.
 PLANNED = {
@@ -14,6 +17,7 @@ PLANNED = {
     "save_params": "item 2, the training loop saves weights",
     "load_params": "item 2, the training loop reloads weights",
     "check_shapes": "item 2, reloaded weights must fit the model",
+    "RefinedPose.objectives": "item 2, the step record logs the GN objective",
 }
 
 
@@ -35,7 +39,7 @@ def referenced_names() -> set[str]:
     reads, imports or calls. Comments, docstrings and the name on a def or
     class line are not references."""
     used = set()
-    for path in [*sorted(LIBRARY.glob("*.py")), *sorted((ROOT / "stepbench").glob("*.py"))]:
+    for path in CODE:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -46,11 +50,52 @@ def referenced_names() -> set[str]:
     return used
 
 
+def public_fields() -> dict[str, tuple[Path, str]]:
+    """Each field of a public dataclass or NamedTuple, as ``Class.field``,
+    with the file and the class that define it."""
+    out = {}
+    for name, module in public_definitions().items():
+        cls = getattr(importlib.import_module(f"neucalib.{module}"), name)
+        if dataclasses.is_dataclass(cls):
+            names = [f.name for f in dataclasses.fields(cls)]
+        elif hasattr(cls, "_fields"):  # a NamedTuple
+            names = list(cls._fields)
+        else:
+            continue
+        out.update({f"{name}.{field}": (LIBRARY / f"{module}.py", name) for field in names})
+    return out
+
+
+def attribute_reads() -> dict[str, set[tuple[Path, str | None]]]:
+    """For each attribute name that the code of the library and of
+    stepbench/*.py reads, the places that read it: the file, and the
+    top-level class whose body holds the read (None outside any class)."""
+    reads = defaultdict(set)
+    for path in CODE:
+        for top in ast.parse(path.read_text(), str(path)).body:
+            owner = (path, top.name if isinstance(top, ast.ClassDef) else None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    reads[node.attr].add(owner)
+    return reads
+
+
 def test_every_public_definition_has_a_non_test_caller():
     defined, used = public_definitions(), referenced_names()
+    planned = {name for name in PLANNED if "." not in name}
     dangling = sorted(f"{module}.{name}" for name, module in defined.items()
-                      if name not in used and name not in PLANNED)
+                      if name not in used and name not in planned)
     assert dangling == []
     # a planned name leaves PLANNED once it exists and has a caller
-    assert set(PLANNED) <= set(defined)
-    assert sorted(set(PLANNED) & used) == []
+    assert planned <= set(defined)
+    assert sorted(planned & used) == []
+
+
+def test_every_public_field_is_read_outside_its_class():
+    fields, reads = public_fields(), attribute_reads()
+    read = {name for name, owner in fields.items() if reads[name.split(".")[1]] - {owner}}
+    planned = {name for name in PLANNED if "." in name}
+    assert sorted(set(fields) - read - planned) == []
+    # a planned field leaves PLANNED once it exists and has a reader
+    assert planned <= set(fields)
+    assert sorted(planned & read) == []
