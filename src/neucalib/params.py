@@ -37,17 +37,24 @@ def gradients(bound: BoundParams) -> ParamDict:
 
 
 def save_params(params: ParamDict, path) -> None:
-    for name, value in params.items():
-        if np.ndim(value) != 2:
-            raise ParameterError(f"parameter {name!r} has shape {np.shape(value)}, not 2-D")
+    """Write ``params`` to ``path``. Every name and value is checked before
+    anything is written."""
     parts = [PARAMS_MAGIC, struct.pack("<II", PARAMS_VERSION, len(params))]
     for name, value in params.items():
-        raw = name.encode("utf-8")
-        arr = np.ascontiguousarray(value, dtype="<f8")
-        parts.append(struct.pack("<I", len(raw)))
-        parts.append(raw)
-        parts.append(struct.pack("<II", arr.shape[0], arr.shape[1]))
-        parts.append(arr.tobytes())
+        try:
+            raw = name.encode("utf-8")
+        except (AttributeError, UnicodeEncodeError) as err:
+            raise ParameterError(f"parameter name {name!r} is not a UTF-8 string") from err
+        try:
+            arr = np.asarray(value)
+        except ValueError as err:  # a ragged nested list
+            raise ParameterError(f"parameter {name!r} is not an array: {err}") from err
+        if arr.ndim != 2:
+            raise ParameterError(f"parameter {name!r} has shape {arr.shape}, not 2-D")
+        if arr.dtype.kind not in "biuf":
+            raise ParameterError(f"parameter {name!r} holds {arr.dtype} values, not real numbers")
+        arr = np.ascontiguousarray(arr, dtype="<f8")
+        parts += [struct.pack("<I", len(raw)), raw, struct.pack("<II", *arr.shape), arr.tobytes()]
     write_file(path, b"".join(parts), "parameter file")
 
 

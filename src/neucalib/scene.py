@@ -341,10 +341,18 @@ def _layout(n: int, h: int, w: int) -> np.dtype:
 def scene_to_bytes(sample: SceneSample) -> bytes:
     h, w = sample.grid
     k, pose = sample.intrinsics, sample.raw_pose
-    return np.array((MAGIC, FORMAT_VERSION, sample.n_points, h, w, (k.fx, k.fy, k.cx, k.cy),
+    n = sample.n_points
+    if not (_is_count(h, 0) and _is_count(w, 0)):
+        raise ConfigError(f"scene grid {sample.grid} is not two integers >= 0")
+    for name, shape in (("points", (n, 3)), ("point_overlap_gt", (n,)),
+                        ("gt_projection", (n, 2)), ("pixel_overlap_gt", (h * w,))):
+        if np.shape(getattr(sample, name)) != shape:
+            raise ConfigError(f"scene {name} has shape {np.shape(getattr(sample, name))}, "
+                              f"but {n} points on a {h} x {w} grid need {shape}")
+    return np.array((MAGIC, FORMAT_VERSION, n, h, w, (k.fx, k.fy, k.cx, k.cy),
                      pose.rotation, pose.translation, sample.points, sample.point_overlap_gt,
                      sample.pixel_overlap_gt, sample.gt_projection),
-                    _layout(sample.n_points, h, w)).tobytes()
+                    _layout(n, h, w)).tobytes()
 
 
 def scene_from_bytes(blob: bytes) -> SceneSample:

@@ -379,3 +379,13 @@ class TestParamsIO:
         with pytest.raises(ParameterError, match="'b'"):
             pstore.save_params({"w": np.ones((2, 2)), "b": np.ones(3)}, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("entry", [("\ud800", np.ones((2, 2))), ("b", [["x"]]),
+                                       ("b", np.ones((2, 2)) * 1j), ("b", [[1.0, 2.0], [3.0]]),
+                                       (3, np.ones((2, 2)))],
+                             ids=["surrogate_name", "strings", "complex", "ragged", "int_name"])
+    def test_save_rejects_unwritable_entry_before_writing(self, tmp_path, entry):
+        path = tmp_path / "m.nclp"
+        with pytest.raises(ParameterError):
+            pstore.save_params({"w": np.ones((2, 2)), entry[0]: entry[1]}, path)
+        assert not path.exists()

@@ -495,6 +495,20 @@ class TestSceneIO:
         with pytest.raises(ConfigError):
             sc.scene_from_bytes(bytes(blob))
 
+    @pytest.mark.parametrize("case", ["wrong_grid", "negative_grid", "points_n_x_2",
+                                      "short_projection", "overlap_column"])
+    def test_inconsistent_sample_rejected_before_packing(self, case):
+        sample = make_scene(seed=7)
+        change = {
+            "wrong_grid": dict(grid=(16, 17)),
+            "negative_grid": dict(grid=(-16, -16)),
+            "points_n_x_2": dict(points=sample.points[:, :2]),
+            "short_projection": dict(gt_projection=sample.gt_projection[:-1]),
+            "overlap_column": dict(point_overlap_gt=sample.point_overlap_gt[:, None]),
+        }[case]
+        with pytest.raises(ConfigError, match="grid"):
+            sc.scene_to_bytes(replace(sample, **change))
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 255)),
                     min_size=1, max_size=8))

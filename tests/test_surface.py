@@ -1,4 +1,5 @@
-"""The public surface of neucalib is what the library and the benchmark use."""
+"""The public surface of neucalib is what the library and the benchmark use,
+and each private helper is one that the library itself calls."""
 
 import ast
 import dataclasses
@@ -21,25 +22,27 @@ PLANNED = {
 }
 
 
-def public_definitions() -> dict[str, str]:
-    """Each public function and class defined in a neucalib module, by name,
+def definitions(private: bool = False) -> dict[str, str]:
+    """Each public function and class defined in a neucalib module, or with
+    ``private`` each one whose name starts with a single underscore, by name,
     with the module that defines it."""
     out = {}
     for path in sorted(LIBRARY.glob("*.py")):
         module = importlib.import_module(f"neucalib.{path.stem}")
         for name, obj in vars(module).items():
-            if (not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+            if (name.startswith("_") == private and not name.startswith("__")
+                    and (inspect.isfunction(obj) or inspect.isclass(obj))
                     and inspect.getmodule(obj) is module):
                 out[name] = path.stem
     return out
 
 
-def referenced_names() -> set[str]:
-    """Every identifier that the code of the library and of stepbench/*.py
-    reads, imports or calls. Comments, docstrings and the name on a def or
-    class line are not references."""
+def referenced_names(paths=CODE) -> set[str]:
+    """Every identifier that the code in ``paths`` (by default the library
+    and stepbench/*.py) reads, imports or calls. Comments, docstrings and the
+    name on a def or class line are not references."""
     used = set()
-    for path in CODE:
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -54,7 +57,7 @@ def public_fields() -> dict[str, tuple[Path, str]]:
     """Each field of a public dataclass or NamedTuple, as ``Class.field``,
     with the file and the class that define it."""
     out = {}
-    for name, module in public_definitions().items():
+    for name, module in definitions().items():
         cls = getattr(importlib.import_module(f"neucalib.{module}"), name)
         if dataclasses.is_dataclass(cls):
             names = [f.name for f in dataclasses.fields(cls)]
@@ -81,7 +84,7 @@ def attribute_reads() -> dict[str, set[tuple[Path, str | None]]]:
 
 
 def test_every_public_definition_has_a_non_test_caller():
-    defined, used = public_definitions(), referenced_names()
+    defined, used = definitions(), referenced_names()
     planned = {name for name in PLANNED if "." not in name}
     dangling = sorted(f"{module}.{name}" for name, module in defined.items()
                       if name not in used and name not in planned)
@@ -99,3 +102,11 @@ def test_every_public_field_is_read_outside_its_class():
     # a planned field leaves PLANNED once it exists and has a reader
     assert planned <= set(fields)
     assert sorted(planned & read) == []
+
+
+def test_every_private_definition_has_a_library_caller():
+    # tests may call a private helper too, but only a library caller keeps it
+    used = referenced_names(sorted(LIBRARY.glob("*.py")))
+    private = definitions(private=True)
+    assert private  # the guard sees something
+    assert sorted(f"{module}.{name}" for name, module in private.items() if name not in used) == []
