@@ -9,8 +9,9 @@ Every node is a coarse fused op recorded through :func:`record` with a
 hand-derived backward. This module defines two of them: :func:`add`, on
 equal shapes, and :func:`dense`, whose bias row is the one broadcast. The
 other stages (attention, similarity, the losses, matching, Gauss-Newton)
-record their own nodes; attention and soft matching share the row softmax
-of :func:`softmax_rows` and its backward :func:`softmax_rows_grad`.
+record their own nodes, and each softmax lives with its one caller:
+attention's row-blocked kernel in ``encoder``, the row softmax of soft
+matching in ``matching`` and InfoNCE's masked one beside it.
 Tapes are single-use and rebuilt per training step, so data-dependent
 graph structure is fine.
 
@@ -18,9 +19,7 @@ Each step allocates and frees the same N x M temporaries again and again.
 On glibc, importing this module fixes the allocator's mmap and trim
 thresholds, so that freed blocks stay in the process for the next step
 instead of going back to the kernel and faulting in again, zero-filled.
-Other C libraries are left as they are. For the same reason
-:func:`softmax_rows` works in place on the fresh score block its callers
-pass, rather than allocating two more of the same size.
+Other C libraries are left as they are.
 """
 
 from __future__ import annotations
@@ -247,21 +246,4 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str = "none") -> Tensor:
         return g @ wv.T, xv.T @ g, np.ones((1, g.shape[0])) @ g
 
     return record("dense", (x, w, b), backward, y)
-
-
-def softmax_rows(s: Array) -> Array:
-    """Row softmax of a plain array, each row shifted by its max so that no
-    exp can overflow. Overwrites and returns ``s``: pass a fresh temporary."""
-    s -= s.max(axis=1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=1, keepdims=True)
-    return s
-
-
-def softmax_rows_grad(a: Array, da: Array) -> Array:
-    """Gradient at the inputs of a = softmax_rows(s) from da at its output:
-    a (da - rowsum(da * a)). Overwrites and returns ``da``."""
-    da -= np.einsum("ij,ij->i", da, a)[:, None]
-    da *= a
-    return da
 

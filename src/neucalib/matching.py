@@ -257,6 +257,16 @@ def threshold_overlap(s_p: Tensor, s_i: Tensor, theta_p: float, theta_i: float,
     return OverlapSelection(points, pixels, point_fallback, pixel_fallback)
 
 
+def _softmax_rows(s: np.ndarray) -> np.ndarray:
+    """Row softmax of a plain array, each row shifted by its max so that no
+    exp can overflow. Overwrites and returns ``s``: pass a fresh temporary,
+    so that no two more arrays of its size are allocated."""
+    s -= s.max(axis=1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=1, keepdims=True)
+    return s
+
+
 def match_coords(logits: Tensor, selection: OverlapSelection, centers: np.ndarray,
                  mode: str = "soft") -> Tensor:
     """Predicted pixel coordinates of the selected points over the selected
@@ -264,10 +274,13 @@ def match_coords(logits: Tensor, selection: OverlapSelection, centers: np.ndarra
 
     Soft mode predicts the softmax-weighted mean of the pixel centers; the
     softmax runs on the (already temperature-scaled) logits. It records one
-    ``soft_match`` node: with W the block's row softmax and dW = g centers^T,
-    the block gradient W (dW - rowsum(dW * W)) is scatter-added into the
-    N x M logits gradient, repeated indices adding up. Hard mode takes each
-    row's argmax pixel (ties to the first selected one) as a constant.
+    ``soft_match`` node that keeps W, the block's row softmax, and its
+    R x 2 value W centers. With dW = g centers^T, the block gradient
+    W (dW - rowsum(g * W centers)) is scatter-added into the N x M logits
+    gradient, repeated indices adding up; rowsum(g * W centers) equals
+    rowsum(dW * W), on R x 2 rather than on the whole block. Hard mode
+    takes each row's argmax pixel (ties to the first selected one) as a
+    constant.
     """
     if mode not in ("soft", "hard"):
         raise ParameterError(f"unknown match mode {mode!r}")
@@ -278,12 +291,15 @@ def match_coords(logits: Tensor, selection: OverlapSelection, centers: np.ndarra
     block = logits.value[np.ix_(rows, cols)]
     if mode == "hard":
         return ad.constant(pix[np.argmax(block, axis=1)])
-    w = ad.softmax_rows(block)
+    w = _softmax_rows(block)
+    out = w @ pix
     n, m = logits.shape
 
     def backward(g):
-        dw = ad.softmax_rows_grad(w, g @ pix.T)
+        dw = g @ pix.T
+        dw -= np.einsum("ij,ij->i", g, out)[:, None]
+        dw *= w
         flat = (rows[:, None] * m + cols[None, :]).ravel()
         return (np.bincount(flat, weights=dw.ravel(), minlength=n * m).reshape(n, m),)
 
-    return ad.record("soft_match", (logits,), backward, w @ pix)
+    return ad.record("soft_match", (logits,), backward, out)

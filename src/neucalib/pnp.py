@@ -38,6 +38,18 @@ DEGENERATE_SPREAD = 1e-8  # relative floor on the smallest principal extent
 HUBER_DELTA = 1.0  # pose-loss error at which the Huber penalty turns linear
 
 
+def _real_matrix(x, what: str) -> np.ndarray:
+    """``x`` as a float64 array, refusing values that are not real numbers,
+    which numpy would reject with ValueError or truncate from complex."""
+    try:
+        arr = np.asarray(x)
+    except ValueError as err:  # a ragged nested list
+        raise SolveError(f"{what} are not an array: {err}") from err
+    if arr.dtype.kind not in "biuf":
+        raise SolveError(f"{what} hold {arr.dtype} values, not real numbers")
+    return arr.astype(np.float64, copy=False)
+
+
 @dataclass
 class PnPProblem:
     """Known 3-D points, observed/predicted 2-D targets, and intrinsics.
@@ -50,11 +62,11 @@ class PnPProblem:
     intrinsics: CameraIntrinsics
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64)
+        self.points = _real_matrix(self.points, "points")
         if self.points.ndim != 2 or self.points.shape[1] != 3:
             raise SolveError(f"points must be N x 3, got shape {self.points.shape}")
         if not isinstance(self.targets, Tensor):
-            self.targets = ad.constant(np.asarray(self.targets, dtype=np.float64))
+            self.targets = ad.constant(_real_matrix(self.targets, "targets"))
         if self.targets.shape != (self.points.shape[0], 2):
             raise SolveError(
                 f"targets shape {self.targets.shape} does not match {self.points.shape[0]} points")

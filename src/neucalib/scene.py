@@ -342,8 +342,8 @@ def scene_to_bytes(sample: SceneSample) -> bytes:
     h, w = sample.grid
     k, pose = sample.intrinsics, sample.raw_pose
     n = sample.n_points
-    if not (_is_count(h, 0) and _is_count(w, 0)):
-        raise ConfigError(f"scene grid {sample.grid} is not two integers >= 0")
+    if not (_is_count(h, 1) and _is_count(w, 1)):
+        raise ConfigError(f"scene grid {sample.grid} is not two integers >= 1")
     for name, shape in (("points", (n, 3)), ("point_overlap_gt", (n,)),
                         ("gt_projection", (n, 2)), ("pixel_overlap_gt", (h * w,))):
         if np.shape(getattr(sample, name)) != shape:

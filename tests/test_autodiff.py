@@ -115,35 +115,6 @@ class TestDense:
             ad.dense(ones(3, 2), ones(2, 4), ones(1, 4), "relu")
 
 
-class TestSoftmaxRows:
-    # the row softmax that the attention and soft_match nodes share
-    def test_uniform(self):
-        out = ad.softmax_rows(np.zeros((1, 3)))
-        np.testing.assert_allclose(out, [[1 / 3] * 3], atol=1e-15)
-
-    def test_single_column(self):
-        out = ad.softmax_rows(np.array([[5.0], [-3.0]]))
-        np.testing.assert_array_equal(out, [[1.0], [1.0]])
-
-    def test_overwrites_its_input_with_the_two_step_result(self):
-        rng = np.random.default_rng(5)
-        for shape in [(1, 1), (3, 7), (64, 48), (512, 576)]:
-            s = rng.normal(scale=20.0, size=shape)
-            expected = np.exp(s - s.max(axis=1, keepdims=True))
-            expected /= expected.sum(axis=1, keepdims=True)
-            out = ad.softmax_rows(s)
-            assert out is s
-            assert np.array_equal(out, expected)
-
-    def test_grad_is_the_jacobian_product(self):
-        # row i of the result is da_i (diag(a_i) - a_i^T a_i)
-        rng = np.random.default_rng(3)
-        a, da = ad.softmax_rows(rng.normal(size=(4, 5))), rng.normal(size=(4, 5))
-        expected = [d @ (np.diag(r) - np.outer(r, r)) for r, d in zip(a, da)]
-        np.testing.assert_allclose(ad.softmax_rows_grad(a, da.copy()), expected, rtol=1e-12,
-                                   atol=1e-15)
-
-
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         tape = ad.Tape()

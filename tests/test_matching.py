@@ -477,6 +477,27 @@ class TestThreshold:
                                  np.ones(2, bool), np.ones(2, bool))
 
 
+class TestSoftmaxRows:
+    # the row softmax of the soft_match node
+    def test_uniform(self):
+        out = mt._softmax_rows(np.zeros((1, 3)))
+        np.testing.assert_allclose(out, [[1 / 3] * 3], atol=1e-15)
+
+    def test_single_column(self):
+        out = mt._softmax_rows(np.array([[5.0], [-3.0]]))
+        np.testing.assert_array_equal(out, [[1.0], [1.0]])
+
+    def test_overwrites_its_input_with_the_two_step_result(self):
+        rng = np.random.default_rng(5)
+        for shape in [(1, 1), (3, 7), (64, 48), (512, 576)]:
+            s = rng.normal(scale=20.0, size=shape)
+            expected = np.exp(s - s.max(axis=1, keepdims=True))
+            expected /= expected.sum(axis=1, keepdims=True)
+            out = mt._softmax_rows(s)
+            assert out is s
+            assert np.array_equal(out, expected)
+
+
 class TestSoftHardMatch:
     def centers(self, m):
         return np.stack([np.arange(m, dtype=float), np.zeros(m)], axis=1)

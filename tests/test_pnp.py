@@ -95,6 +95,22 @@ class TestEpnpInit:
         with pytest.raises(SolveError, match="finite"):
             pnp.solve_pose(pnp.PnPProblem(points, targets, INTR))
 
+    @pytest.mark.parametrize("where", ["target", "point"])
+    @pytest.mark.parametrize("kind", ["complex", "string", "ragged"])
+    def test_non_real_input_refused(self, where, kind):
+        # complex values would lose their imaginary part, strings raise ValueError
+        pose, points, targets = random_instance(5, n=12)
+        value = points if where == "point" else targets
+        if kind == "complex":
+            value = value + 1j
+        elif kind == "string":
+            value = value.astype(str)
+        else:
+            value = [*value.tolist()[:-1], [1.0]]
+        args = (value, targets) if where == "point" else (points, value)
+        with pytest.raises(SolveError, match="real numbers|not an array"):
+            pnp.PnPProblem(*args, INTR)
+
     def test_coplanar_points_refused(self):
         rng = np.random.default_rng(4)
         points = np.stack([rng.uniform(-3, 3, 16), rng.uniform(-3, 3, 16),

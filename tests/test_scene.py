@@ -481,11 +481,16 @@ class TestSceneIO:
             points = sample.points.copy()
             points[0, 2] = np.nan
             sample = replace(sample, points=points)
-        elif field == "empty_grid":  # a consistent file with no pixel at all
-            sample = replace(sample, grid=(0, 16), pixel_overlap_gt=np.zeros(0, dtype=bool),
-                             point_overlap_gt=np.zeros(sample.n_points, dtype=bool))
         blob = bytearray(sc.scene_to_bytes(sample))
-        if field == "rotation":  # first rotation entry, header is 52 bytes
+        if field == "empty_grid":  # a consistent file with no pixel, which the writer refuses
+            n = sample.n_points
+            full = np.frombuffer(blob, sc._layout(n, *sample.grid), 1)
+            empty = np.zeros(1, sc._layout(n, 0, 16))
+            for name in ("magic", "version", "n", "w", "intrinsics", "rotation", "translation",
+                         "points", "projection"):
+                empty[name] = full[name]
+            blob = bytearray(empty.tobytes())
+        elif field == "rotation":  # first rotation entry, header is 52 bytes
             blob[52:60] = np.array([2.0]).tobytes()
         elif field == "fx":
             blob[20:28] = np.array([-1.0]).tobytes()
@@ -495,13 +500,14 @@ class TestSceneIO:
         with pytest.raises(ConfigError):
             sc.scene_from_bytes(bytes(blob))
 
-    @pytest.mark.parametrize("case", ["wrong_grid", "negative_grid", "points_n_x_2",
-                                      "short_projection", "overlap_column"])
+    @pytest.mark.parametrize("case", ["wrong_grid", "negative_grid", "empty_grid",
+                                      "points_n_x_2", "short_projection", "overlap_column"])
     def test_inconsistent_sample_rejected_before_packing(self, case):
         sample = make_scene(seed=7)
         change = {
             "wrong_grid": dict(grid=(16, 17)),
             "negative_grid": dict(grid=(-16, -16)),
+            "empty_grid": dict(grid=(0, 16), pixel_overlap_gt=np.zeros(0, dtype=bool)),
             "points_n_x_2": dict(points=sample.points[:, :2]),
             "short_projection": dict(gt_projection=sample.gt_projection[:-1]),
             "overlap_column": dict(point_overlap_gt=sample.point_overlap_gt[:, None]),
