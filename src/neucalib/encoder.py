@@ -11,12 +11,10 @@ sinusoidal position encodings to its inputs and its own residual.
 Positions come from coordinates, never indices, so the whole encoder
 commutes with point permutations.
 
-An attention node keeps no N x M array. Its forward works through the
-query rows in blocks whose score block fits ATTENTION_BLOCK_BYTES and keeps
-only each row's log-sum-exp; its backward recomputes the softmax block by
-block from it (the online softmax of Milakov and Gimelshein,
-arXiv:1805.02867, and the recomputation of FlashAttention, Dao et al.,
-arXiv:2205.14135).
+An attention node keeps no N x M array. Its forward keeps only each query
+row's log-sum-exp, and its backward recomputes the softmax from it (the
+online softmax of Milakov and Gimelshein, arXiv:1805.02867, and the
+recomputation of FlashAttention, Dao et al., arXiv:2205.14135).
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from .scene import SceneSample, pixel_centers
 PE_BASE = 10000.0
 POINT_INPUT_SCALE = 0.1  # meters -> MLP-friendly range
 TEXTURE_SCALE = 0.05  # depth meters -> MLP-friendly range
-ATTENTION_BLOCK_BYTES = 16 << 20  # one float64 score block of an attention node
 
 
 def sinusoidal_pe(coords: np.ndarray, channels: int) -> np.ndarray:
@@ -125,19 +122,17 @@ def encode(sample: SceneSample, p) -> tuple[Tensor, Tensor]:
 
 def attention(query: Tensor, keys: Tensor, pe_q: np.ndarray, pe_k: np.ndarray, p,
               name: str) -> Tensor:
-    """Residual single-head attention sublayer, query + A v wo, with
-    A = softmax_rows(q k^T), q = x wq / sqrt(C), k = y wk and v = y wv, from
+    """Residual single-head attention sublayer, query + A v wo, where A is
+    the row softmax of q k^T, q = x wq / sqrt(C), k = y wk and v = y wv, from
     x = query + pe_q and y = keys + pe_k.
 
     One ``attention`` node with inputs (query, keys, wq, wk, wv, wo) that
     keeps the inputs, the encodings, q, k, v, A v and the N x 1 row
-    log-sum-exp L of q k^T, and no N x M array. Both passes go through the
-    rows of q in blocks of max(1, ATTENTION_BLOCK_BYTES // 8M); the last
-    block may be shorter. The backward rebuilds x and y, and each block's
-    A = exp(q k^T - L). With G = g wo^T and D = rowsum(G * A v), which
-    equals rowsum(G v^T * A): dS = A * (G v^T - D), dq = dS k, dk = dS^T q
-    and dv = A^T G; x wq gets dq / sqrt(C), and the residual adds g to the
-    query gradient.
+    log-sum-exp L of q k^T, and no N x M array. The backward rebuilds x
+    and y, and A = exp(q k^T - L). With G = g wo^T and D = rowsum(G * A v),
+    which equals rowsum(G v^T * A): dS = A * (G v^T - D), dq = dS k,
+    dk = dS^T q and dv = A^T G; x wq gets dq / sqrt(C), and the residual
+    adds g to the query gradient.
     """
     ws = [p[f"{name}.{proj}"] for proj in ("wq", "wk", "wv", "wo")]
     wq, wk, wv, wo = (w.value for w in ws)
@@ -145,37 +140,25 @@ def attention(query: Tensor, keys: Tensor, pe_q: np.ndarray, pe_k: np.ndarray, p
     c = 1.0 / np.sqrt(wq.shape[0])
     x, y = f + pe_q, h + pe_k
     q, k, v = (x @ wq) * c, y @ wk, y @ wv
-    rows = max(1, ATTENTION_BLOCK_BYTES // (8 * k.shape[0]))
-    blocks = [slice(i, i + rows) for i in range(0, q.shape[0], rows)]
-    av, lse = np.empty((q.shape[0], v.shape[1])), np.empty((q.shape[0], 1))
-    for b in blocks:
-        e = q[b] @ k.T
-        top = e.max(axis=1, keepdims=True)
-        e -= top
-        np.exp(e, out=e)
-        total = e.sum(axis=1, keepdims=True)
-        av[b] = (e @ v) / total
-        lse[b] = top + np.log(total)
+    e = q @ k.T
+    top = e.max(axis=1, keepdims=True)
+    e -= top
+    np.exp(e, out=e)
+    total = e.sum(axis=1, keepdims=True)
+    av = (e @ v) / total
+    lse = top + np.log(total)
 
     def backward(g):
         x, y = f + pe_q, h + pe_k
         gv = g @ wo.T
         d = np.einsum("ij,ij->i", gv, av)[:, None]
-        # [q, -L] [k, 1]^T = q k^T - L and [G, -D] [v, 1]^T = G v^T - D, so
-        # the products subtract, and no pass over an N x M block does
-        ones = np.ones((k.shape[0], 1))
-        q1, k1 = np.hstack([q, -lse]), np.hstack([k, ones])
-        g1, v1 = np.hstack([gv, -d]), np.hstack([v, ones])
-        dq, dk, dv = np.empty_like(q), np.zeros_like(k), np.zeros_like(v)
-        for b in blocks:
-            a = q1[b] @ k1.T
-            np.exp(a, out=a)
-            dv += a.T @ gv[b]
-            ds = g1[b] @ v1.T
-            ds *= a
-            dq[b] = ds @ k
-            dk += ds.T @ q[b]
-        dq *= c
+        a = q @ k.T
+        a -= lse
+        np.exp(a, out=a)
+        ds = gv @ v.T
+        ds -= d
+        ds *= a
+        dq, dk, dv = (ds @ k) * c, ds.T @ q, a.T @ gv
         return (dq @ wq.T + g, dk @ wk.T + dv @ wv.T, x.T @ dq, y.T @ dk, y.T @ dv, av.T @ g)
 
     return ad.record("attention", (query, keys, *ws), backward, f + av @ wo)

@@ -139,7 +139,7 @@ def attention_row_sums(query, keys, pe_q, pe_k, p, name):
     return out.value - query.value
 
 
-def unblocked_sublayer(f, h, pe_q, pe_k, ws, g):
+def two_step_sublayer(f, h, pe_q, pe_k, ws, g):
     """query + A v wo, with A the row softmax of the whole scaled score
     matrix, and the gradients of sum(g * out) at (query, keys, wq, wk, wv,
     wo) back through A: dA = G v^T, dS = c A (dA - rowsum(dA * A))."""
@@ -183,30 +183,27 @@ class TestAttention:
         np.testing.assert_allclose(out.value, f + a @ (y @ wv) @ wo, rtol=1e-12)
 
     @pytest.mark.parametrize("self_attention", [True, False])
-    def test_matches_the_unblocked_sublayer(self, self_attention, monkeypatch):
+    def test_matches_the_two_step_sublayer(self, self_attention):
         # the two-step softmax, then A v, with its hand gradient through A;
-        # the blocked kernel sums in another order, so 1e-12 relative
+        # the node normalises A v and recomputes A, so 1e-12 relative
         rng = np.random.default_rng(25)
         ws = self.weights(rng, 8)
         f, pe_q, g = (rng.normal(size=(5, 8)) for _ in range(3))
         h, pe_k = (f, pe_q) if self_attention else (rng.normal(size=(7, 8)),
                                                     rng.normal(size=(7, 8)))
-        want_value, want_grads = unblocked_sublayer(f, h, pe_q, pe_k, ws, g)
+        want_value, want_grads = two_step_sublayer(f, h, pe_q, pe_k, ws, g)
         if self_attention:
             want_grads = (want_grads[0] + want_grads[1], *want_grads[2:])
-        # one block, then blocks of 2 query rows with a ragged last block of 1
-        for budget in (enc.ATTENTION_BLOCK_BYTES, 2 * 8 * h.shape[0]):
-            monkeypatch.setattr(enc, "ATTENTION_BLOCK_BYTES", budget)
-            tape = ad.Tape()
-            query = tape.parameter(f)
-            keys = query if self_attention else tape.parameter(h)
-            p = {name: tape.parameter(w) for name, w in zip(self.NAMES, ws)}
-            out = enc.attention(query, keys, pe_q, pe_k, p, "blk")
-            tape.backward(weighted_sum(out, g))
-            inputs = (query,) if self_attention else (query, keys)
-            assert relative_error(out.value, want_value) < 1e-12
-            for t, want in zip((*inputs, *p.values()), want_grads, strict=True):
-                assert relative_error(t.grad, want) < 1e-12
+        tape = ad.Tape()
+        query = tape.parameter(f)
+        keys = query if self_attention else tape.parameter(h)
+        p = {name: tape.parameter(w) for name, w in zip(self.NAMES, ws)}
+        out = enc.attention(query, keys, pe_q, pe_k, p, "blk")
+        tape.backward(weighted_sum(out, g))
+        inputs = (query,) if self_attention else (query, keys)
+        assert relative_error(out.value, want_value) < 1e-12
+        for t, want in zip((*inputs, *p.values()), want_grads, strict=True):
+            assert relative_error(t.grad, want) < 1e-12
 
     def test_self_attention_gradients(self):
         rng = np.random.default_rng(21)
@@ -230,26 +227,8 @@ class TestAttention:
 
         assert finite_difference_check(build, [x0, y0, *self.weights(rng, 4)]) < 1e-6
 
-    @pytest.mark.parametrize("self_attention", [True, False])
-    def test_gradients_over_many_blocks(self, self_attention, monkeypatch):
-        # 2 x 8 x 7 bytes hold two rows of 7 scores: blocks of 2, 2, 2 and 1 rows
-        monkeypatch.setattr(enc, "ATTENTION_BLOCK_BYTES", 2 * 8 * 7)
-        rng = np.random.default_rng(27)
-        x0, y0, pe_q, pe_k, probe = (rng.normal(size=(7, 4)) for _ in range(5))
-        inputs = [x0] if self_attention else [x0, y0]
-
-        def build(ps):
-            keys, pe = (ps[0], pe_q) if self_attention else (ps[1], pe_k)
-            out = enc.attention(ps[0], keys, pe_q, pe,
-                                dict(zip(self.NAMES, ps[len(inputs):])), "blk")
-            return weighted_sum(out, probe)
-
-        assert finite_difference_check(build, [*inputs, *self.weights(rng, 4)]) < 1e-6
-
-    @pytest.mark.parametrize("budget", [enc.ATTENTION_BLOCK_BYTES, 8])
-    def test_node_keeps_no_query_by_key_array(self, budget, monkeypatch):
+    def test_node_keeps_no_query_by_key_array(self):
         # 5 x 7 = 35 entries, a size that no N x C or C x C array here has
-        monkeypatch.setattr(enc, "ATTENTION_BLOCK_BYTES", budget)
         rng = np.random.default_rng(26)
         tape = ad.Tape()
         x = tape.parameter(rng.normal(size=(5, 4)))
