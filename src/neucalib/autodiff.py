@@ -10,7 +10,7 @@ hand-derived backward. This module defines two of them: :func:`add`, on
 equal shapes, and :func:`dense`, whose bias row is the one broadcast. The
 other stages (attention, similarity, the losses, matching, Gauss-Newton)
 record their own nodes, and each softmax lives with its one caller:
-attention's row-blocked kernel in ``encoder``, the row softmax of soft
+attention's recomputing kernel in ``encoder``, the row softmax of soft
 matching in ``matching`` and InfoNCE's masked one beside it.
 Tapes are single-use and rebuilt per training step, so data-dependent
 graph structure is fine.
