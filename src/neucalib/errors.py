@@ -1,11 +1,14 @@
-"""Exception types shared across the package, and the one file reader and
-writer, which turn a failed path into :class:`ConfigError`.
+"""Exception types shared across the package, the one file reader and
+writer, which turn a failed path into :class:`ConfigError`, and the one
+check that an input holds real numbers.
 
 Every error raised by neucalib derives from :class:`NeucalibError` so the
 CLI can map library failures to a nonzero exit code in one place.
 """
 
 from pathlib import Path
+
+import numpy as np
 
 
 class NeucalibError(Exception):
@@ -64,3 +67,16 @@ def write_file(path, data: bytes, what: str) -> None:
         Path(path).write_bytes(data)
     except (OSError, ValueError) as err:  # ValueError: a NUL byte in the path
         raise ConfigError(f"cannot write {what} {path}: {err}") from err
+
+
+def real_array(x, what: str, error: type[NeucalibError]) -> np.ndarray:
+    """``x`` as a float64 array, refusing with ``error`` the ``what`` values
+    that are not real numbers, which numpy would reject with ValueError
+    (ragged lists, strings) or truncate (complex). Float64 input is not copied."""
+    try:
+        arr = np.asarray(x)
+    except ValueError as err:  # a ragged nested list
+        raise error(f"{what}: not an array: {err}") from err
+    if arr.dtype.kind not in "biuf":
+        raise error(f"{what}: {arr.dtype} values are not real numbers")
+    return arr.astype(np.float64, copy=False)

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import (DegenerateBatchError, DomainError, NormalizationError, ParameterError,
-                     ShapeError)
+                     ShapeError, real_array)
 from .scene import PairSet
 
 PROB_CLAMP = 1e-7  # BCE probability floor/ceiling before the log
@@ -75,6 +75,22 @@ def _unit_rows(f: np.ndarray, what: str):
     return out, lambda d: (d - out * (d * out).sum(axis=1, keepdims=True)) / norms
 
 
+def _index_array(idx, size: int, what: str, increasing: bool = False) -> np.ndarray:
+    """``idx`` as a 1-D integer array of entries in [0, size), strictly
+    increasing if ``increasing``; anything else is a ParameterError."""
+    idx = np.asarray(idx)
+    ok = idx.ndim == 1 and idx.dtype.kind in "iu"
+    if ok and idx.size:
+        ok = idx.min() >= 0 and idx.max() < size
+        if increasing:
+            ok = ok and bool(np.all(idx[1:] > idx[:-1]))
+    if not ok:
+        order = "strictly increasing " if increasing else ""
+        raise ParameterError(f"{what} must be a {order}integer vector in [0, {size}), "
+                             f"got {idx.dtype} of shape {idx.shape}")
+    return idx
+
+
 def similarity(f_p: Tensor, f_i: Tensor, transform: AlignmentTransform,
                mode: str = "learnable") -> Tensor:
     """N x M logits between row-normalized features, divided by temperature.
@@ -117,11 +133,15 @@ def infonce_loss(logits: Tensor, pairs: PairSet, direction: str = "point_to_pixe
     an empty anchor set is a degenerate batch.
 
     One ``infonce`` node, built from the pair lists on the anchors x
-    candidates block of the logits. Annulus entries (near but not positive)
-    are set to -inf before the per-anchor max and the exp, so they weigh
-    nothing however large they are. With K terms, D_k the denominator of
-    term k and e = exp(shifted logits), the gradient at anchor a is
-    e_aj * sum_{k in P(a)} 1 / D_k / K at each negative j and
+    candidates block of the logits. For point anchors that block is the
+    anchor rows of the logits; for pixel anchors it is the anchor columns x
+    overlapping-point rows, gathered from the transposed logits in one copy.
+    The gradient goes back through the same index into one fresh N x M
+    array. Pair indices must be integers in [0, N M). Annulus entries (near
+    but not positive) are set to -inf before the per-anchor max and the exp,
+    so they weigh nothing however large they are. With K terms, D_k the
+    denominator of term k and e = exp(shifted logits), the gradient at
+    anchor a is e_aj * sum_{k in P(a)} 1 / D_k / K at each negative j and
     (e_ap / D_k - 1) / K at each positive p.
     """
     if pairs.n_pixels != logits.shape[1]:
@@ -130,20 +150,24 @@ def infonce_loss(logits: Tensor, pairs: PairSet, direction: str = "point_to_pixe
     if cands.size and cands.max() >= logits.shape[0]:
         raise ParameterError(
             f"pairs index point {cands.max()}, logits have {logits.shape[0]} rows")
-    pos_pt, pos_px = np.divmod(pairs.positives, pairs.n_pixels)
-    near_pt, near_px = np.divmod(pairs.near, pairs.n_pixels)
+    n_pairs = logits.value.size
+    pos_pt, pos_px = np.divmod(_index_array(pairs.positives, n_pairs, "pairs.positives"),
+                               pairs.n_pixels)
+    near_pt, near_px = np.divmod(_index_array(pairs.near, n_pairs, "pairs.near"),
+                                 pairs.n_pixels)
     if direction == "point_to_pixel":
-        vals = logits.value  # points x pixels
+        orient = np.asarray  # anchors are rows of the logits, candidates all columns
+        n_rows, width = logits.shape
         pos, near = (pos_pt, pos_px), (near_pt, near_px)
     elif direction == "pixel_to_point":
-        vals = logits.value[cands].T  # pixels x overlapping points
+        orient = np.transpose  # anchors are columns, candidates the overlapping rows
+        n_rows, width = logits.shape[1], cands.size
         col = np.empty(logits.shape[0], dtype=np.int64)
         col[cands] = np.arange(cands.size)
         pos, near = (pos_px, col[pos_pt]), (near_px, col[near_pt])
     else:
         raise ParameterError(f"unknown InfoNCE direction {direction!r}")
 
-    n_rows, width = vals.shape
     has_pos = np.bincount(pos[0], minlength=n_rows) > 0
     has_neg = np.bincount(near[0], minlength=n_rows) < width
     anchors = np.flatnonzero(has_pos & has_neg)
@@ -151,6 +175,7 @@ def infonce_loss(logits: Tensor, pairs: PairSet, direction: str = "point_to_pixe
         raise DegenerateBatchError(f"no usable {direction} anchors")
     row = np.full(n_rows, -1)
     row[anchors] = np.arange(anchors.size)
+    at = anchors if direction == "point_to_pixel" else np.ix_(anchors, cands)
 
     def block_index(anchor, col):
         """(row, column) of pairs in the anchor block, for usable anchors."""
@@ -161,7 +186,7 @@ def infonce_loss(logits: Tensor, pairs: PairSet, direction: str = "point_to_pixe
     near_at = block_index(*near)
     pos_r, pos_c = block_index(*pos)
     pos_at = np.divmod(np.sort(pos_r * width + pos_c), width)  # row-major term order
-    block = vals[anchors]
+    block = orient(logits.value)[at]  # a C-ordered copy
     pos_vals = block[pos_at]
     block[near_at] = -np.inf
     block[pos_at] = pos_vals
@@ -184,12 +209,8 @@ def infonce_loss(logits: Tensor, pairs: PairSet, direction: str = "point_to_pixe
         scale = g[0, 0] / count
         grad = neg_exp * (np.bincount(a_idx, weights=1.0 / denom) * scale)[:, None]
         grad[pos_at] += (pos_exp / denom - 1.0) * scale
-        full = np.zeros((n_rows, width))
-        full[anchors] = grad
-        if direction == "point_to_pixel":
-            return (full,)
         out = np.zeros(shape)
-        out[cands] = full.T
+        orient(out)[at] = grad
         return (out,)
 
     return ad.record("infonce", (logits,), backward, value)
@@ -211,8 +232,8 @@ def overlap_bce_loss(s_p: Tensor, s_i: Tensor, point_labels, pixel_labels) -> Te
     1 - PROB_CLAMP] before the logs; the gradient is zero at and beyond
     the clip bounds.
     """
-    point_labels = np.asarray(point_labels, dtype=float).reshape(-1, 1)
-    pixel_labels = np.asarray(pixel_labels, dtype=float).reshape(-1, 1)
+    point_labels = real_array(point_labels, "point labels", ParameterError).reshape(-1, 1)
+    pixel_labels = real_array(pixel_labels, "pixel labels", ParameterError).reshape(-1, 1)
     if s_p.shape[0] != point_labels.shape[0] or s_i.shape[0] != pixel_labels.shape[0]:
         raise ParameterError("overlap label lengths do not match score lengths")
     heads = [(scores.value, labels, np.clip(scores.value, PROB_CLAMP, 1.0 - PROB_CLAMP))
@@ -232,6 +253,14 @@ def overlap_bce_loss(s_p: Tensor, s_i: Tensor, point_labels, pixel_labels) -> Te
 
 @dataclass
 class OverlapSelection:
+    """The points and pixels that the pose stage matches.
+
+    ``point_indices`` and ``pixel_indices`` are strictly increasing integer
+    vectors inside the N x M logits, as ``np.flatnonzero`` of a mask gives;
+    :func:`match_coords` refuses anything else. A fallback flag is set when
+    that side came from the ground-truth mask.
+    """
+
     point_indices: np.ndarray
     pixel_indices: np.ndarray
     point_fallback: bool
@@ -243,17 +272,23 @@ def threshold_overlap(s_p: Tensor, s_i: Tensor, theta_p: float, theta_i: float,
     """Index sets of entities whose n x 1 scores exceed the thresholds.
 
     An empty selection falls back to the ground-truth mask so the pose
-    stage never starves; the fallback is recorded in the result.
+    stage never starves; the fallback is recorded in the result. Each mask
+    must be a boolean vector with one entry per score.
     """
     if not (0.0 < theta_p < 1.0 and 0.0 < theta_i < 1.0):
         raise ParameterError("overlap thresholds must lie in (0, 1)")
+    masks = [np.asarray(gt_point_mask), np.asarray(gt_pixel_mask)]
+    for mask, scores, what in zip(masks, (s_p, s_i), ("point", "pixel")):
+        if mask.dtype != bool or mask.shape != (scores.shape[0],):
+            raise ParameterError(f"{what} fallback mask must be {scores.shape[0]} booleans, "
+                                 f"got {mask.dtype} of shape {mask.shape}")
     points = np.flatnonzero(s_p.value[:, 0] > theta_p)
     pixels = np.flatnonzero(s_i.value[:, 0] > theta_i)
     point_fallback, pixel_fallback = points.size == 0, pixels.size == 0
     if point_fallback:
-        points = np.flatnonzero(np.asarray(gt_point_mask, dtype=bool))
+        points = np.flatnonzero(masks[0])
     if pixel_fallback:
-        pixels = np.flatnonzero(np.asarray(gt_pixel_mask, dtype=bool))
+        pixels = np.flatnonzero(masks[1])
     return OverlapSelection(points, pixels, point_fallback, pixel_fallback)
 
 
@@ -272,34 +307,40 @@ def match_coords(logits: Tensor, selection: OverlapSelection, centers: np.ndarra
     """Predicted pixel coordinates of the selected points over the selected
     pixels, from the selected rows x selected columns block of the logits.
 
-    Soft mode predicts the softmax-weighted mean of the pixel centers; the
-    softmax runs on the (already temperature-scaled) logits. It records one
-    ``soft_match`` node that keeps W, the block's row softmax, and its
-    R x 2 value W centers. With dW = g centers^T, the block gradient
-    W (dW - rowsum(g * W centers)) is scatter-added into the N x M logits
-    gradient, repeated indices adding up; rowsum(g * W centers) equals
-    rowsum(dW * W), on R x 2 rather than on the whole block. Hard mode
-    takes each row's argmax pixel (ties to the first selected one) as a
-    constant.
+    The selection's index sets must be strictly increasing integer vectors
+    inside the N x M logits and ``centers`` must be M x 2; anything else is
+    a ParameterError. Soft mode predicts the softmax-weighted mean of the
+    pixel centers; the softmax runs on the (already temperature-scaled)
+    logits. It records one ``soft_match`` node that keeps W, the block's row
+    softmax, and its R x 2 value W centers. With dW = g centers^T, the block
+    gradient W (dW - rowsum(g * W centers)) is written into the selected
+    rows x selected columns of one fresh N x M array; rowsum(g * W centers)
+    equals rowsum(dW * W), on R x 2 rather than on the whole block. Hard
+    mode takes each row's argmax pixel (ties to the first selected one) as
+    a constant.
     """
     if mode not in ("soft", "hard"):
         raise ParameterError(f"unknown match mode {mode!r}")
-    rows, cols = selection.point_indices, selection.pixel_indices
+    n, m = logits.shape
+    rows = _index_array(selection.point_indices, n, "point indices", increasing=True)
+    cols = _index_array(selection.pixel_indices, m, "pixel indices", increasing=True)
     if rows.size == 0 or cols.size == 0:
         raise DegenerateBatchError("empty overlap selection for matching")
+    if np.shape(centers) != (m, 2):
+        raise ParameterError(f"centers must be {m} x 2, got shape {np.shape(centers)}")
     pix = centers[cols]
     block = logits.value[np.ix_(rows, cols)]
     if mode == "hard":
         return ad.constant(pix[np.argmax(block, axis=1)])
     w = _softmax_rows(block)
     out = w @ pix
-    n, m = logits.shape
 
     def backward(g):
         dw = g @ pix.T
         dw -= np.einsum("ij,ij->i", g, out)[:, None]
         dw *= w
-        flat = (rows[:, None] * m + cols[None, :]).ravel()
-        return (np.bincount(flat, weights=dw.ravel(), minlength=n * m).reshape(n, m),)
+        grad = np.zeros((n, m))
+        grad[np.ix_(rows, cols)] = dw
+        return (grad,)
 
     return ad.record("soft_match", (logits,), backward, out)

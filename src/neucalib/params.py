@@ -13,7 +13,7 @@ import struct
 import numpy as np
 
 from .autodiff import Tape, Tensor
-from .errors import ConfigError, ParameterError, read_file, write_file
+from .errors import ConfigError, ParameterError, read_file, real_array, write_file
 
 PARAMS_MAGIC = b"NCLP"
 PARAMS_VERSION = 1
@@ -45,14 +45,9 @@ def save_params(params: ParamDict, path) -> None:
             raw = name.encode("utf-8")
         except (AttributeError, UnicodeEncodeError) as err:
             raise ParameterError(f"parameter name {name!r} is not a UTF-8 string") from err
-        try:
-            arr = np.asarray(value)
-        except ValueError as err:  # a ragged nested list
-            raise ParameterError(f"parameter {name!r} is not an array: {err}") from err
+        arr = real_array(value, f"parameter {name!r}", ParameterError)
         if arr.ndim != 2:
             raise ParameterError(f"parameter {name!r} has shape {arr.shape}, not 2-D")
-        if arr.dtype.kind not in "biuf":
-            raise ParameterError(f"parameter {name!r} holds {arr.dtype} values, not real numbers")
         arr = np.ascontiguousarray(arr, dtype="<f8")
         parts += [struct.pack("<I", len(raw)), raw, struct.pack("<II", *arr.shape), arr.tobytes()]
     write_file(path, b"".join(parts), "parameter file")

@@ -29,25 +29,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import SolveError
+from .errors import SolveError, real_array
 from .geometry import MIN_DEPTH, CameraIntrinsics, RigidPose, project_to_so3
 
 MIN_CORRESPONDENCES = 6
 GN_DAMPING = 1e-6
 DEGENERATE_SPREAD = 1e-8  # relative floor on the smallest principal extent
 HUBER_DELTA = 1.0  # pose-loss error at which the Huber penalty turns linear
-
-
-def _real_matrix(x, what: str) -> np.ndarray:
-    """``x`` as a float64 array, refusing values that are not real numbers,
-    which numpy would reject with ValueError or truncate from complex."""
-    try:
-        arr = np.asarray(x)
-    except ValueError as err:  # a ragged nested list
-        raise SolveError(f"{what} are not an array: {err}") from err
-    if arr.dtype.kind not in "biuf":
-        raise SolveError(f"{what} hold {arr.dtype} values, not real numbers")
-    return arr.astype(np.float64, copy=False)
 
 
 @dataclass
@@ -62,11 +50,11 @@ class PnPProblem:
     intrinsics: CameraIntrinsics
 
     def __post_init__(self):
-        self.points = _real_matrix(self.points, "points")
+        self.points = real_array(self.points, "points", SolveError)
         if self.points.ndim != 2 or self.points.shape[1] != 3:
             raise SolveError(f"points must be N x 3, got shape {self.points.shape}")
         if not isinstance(self.targets, Tensor):
-            self.targets = ad.constant(_real_matrix(self.targets, "targets"))
+            self.targets = ad.constant(real_array(self.targets, "targets", SolveError))
         if self.targets.shape != (self.points.shape[0], 2):
             raise SolveError(
                 f"targets shape {self.targets.shape} does not match {self.points.shape[0]} points")

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -172,6 +174,9 @@ class TestSimilarity:
         assert finite_difference_check(build, [f_p0, f_i0, raw0]) < 1e-6
 
 
+DIRECTIONS = ("point_to_pixel", "pixel_to_point")
+
+
 class TestInfoNCE:
     def test_equal_logits_gives_log_one_plus_k(self):
         for k in (1, 3, 9):
@@ -318,13 +323,22 @@ class TestInfoNCE:
         with pytest.raises(ParameterError):
             mt.infonce_loss(ad.constant(np.zeros((1, 3))), pairs)
 
-    @pytest.mark.parametrize("direction", ["point_to_pixel", "pixel_to_point"])
-    def test_pairs_built_for_more_points_rejected(self, direction):
+    @pytest.mark.parametrize("direction, field, bad", [
+        *(pytest.param(d, None, None, id=d) for d in DIRECTIONS),
+        *(pytest.param(d, f, bad, id=f"{f}={bad}-{d}")
+          for f in ("positives", "near") for bad in (4096, -1, 1.0) for d in DIRECTIONS)])
+    def test_pairs_built_for_more_points_rejected(self, direction, field, bad):
         cfg = sc.SceneConfig(n_points=64, grid=(8, 8))
         pairs = sc.build_pairs(sc.generate_scene(np.random.default_rng(5), cfg), 1.0, 4.0)
         assert pairs.overlap_points.max() >= 32
-        with pytest.raises(ParameterError, match="32 rows"):
-            mt.infonce_loss(ad.constant(np.zeros((32, 64))), pairs, direction)
+        if field is None:
+            with pytest.raises(ParameterError, match="32 rows"):
+                mt.infonce_loss(ad.constant(np.zeros((32, 64))), pairs, direction)
+            return
+        # one flat pair index outside the 64 x 64 logits, or not an integer
+        pairs = replace(pairs, **{field: np.append(getattr(pairs, field), bad)})
+        with pytest.raises(ParameterError, match=rf"pairs\.{field} .*\[0, 4096\)"):
+            mt.infonce_loss(ad.constant(np.zeros((64, 64))), pairs, direction)
 
     def test_underflowed_denominator_raises(self):
         # the anchor's max sits on one positive; the other positive and the
@@ -426,6 +440,17 @@ class TestOverlap:
         y = yp.reshape(-1, 1)
         np.testing.assert_allclose(s_p.grad, ((1 - y) / (1 - sp) - y / sp) / 5, rtol=1e-14)
 
+    @pytest.mark.parametrize("labels", [["1", "0", "1"], [[1.0], [0.0, 1.0], [1.0]],
+                                        np.array([1.0, 0.0, 1.0]) + 0.5j],
+                             ids=["strings", "ragged", "complex"])
+    def test_bce_non_real_labels_rejected(self, labels):
+        # numpy would raise ValueError, or warn and drop the imaginary part
+        s = ad.constant(0.5 * np.ones((3, 1)))
+        with pytest.raises(ParameterError, match="labels"):
+            mt.overlap_bce_loss(s, s, labels, [1.0, 0.0, 1.0])
+        with pytest.raises(ParameterError, match="labels"):
+            mt.overlap_bce_loss(s, s, [1.0, 0.0, 1.0], labels)
+
     def test_bce_gradient_zero_at_and_beyond_clamp(self):
         lo, hi = mt.PROB_CLAMP, 1.0 - mt.PROB_CLAMP
         scores = np.array([[lo], [hi], [lo / 10], [1.0], [0.0], [hi + 1e-9]])
@@ -475,6 +500,15 @@ class TestThreshold:
         with pytest.raises(ParameterError):
             mt.threshold_overlap(column(np.ones(2)), column(np.ones(2)), 0.0, 0.5,
                                  np.ones(2, bool), np.ones(2, bool))
+        # each fallback mask must be one boolean per score: a longer mask
+        # would select points that have no score, and numpy reads any
+        # non-empty string as True
+        low = column(0.1 * np.ones(4))
+        for bad in (np.ones(9, bool), ["x", "", "False", "0"], np.ones(4), np.ones((4, 1), bool)):
+            with pytest.raises(ParameterError, match="point fallback mask"):
+                mt.threshold_overlap(low, low, 0.5, 0.5, bad, np.ones(4, bool))
+            with pytest.raises(ParameterError, match="pixel fallback mask"):
+                mt.threshold_overlap(low, low, 0.5, 0.5, np.ones(4, bool), bad)
 
 
 class TestSoftmaxRows:
@@ -603,18 +637,32 @@ class TestSoftHardMatch:
             lambda ps: weighted_sum(mt.match_coords(ps[0], sel, centers), probe), [vals])
         assert err < 1e-6
 
-    def test_soft_match_gradient_with_repeated_indices(self):
-        # repeated points and pixels land on the same logits entries, whose
-        # gradients the scatter in the backward must add up
-        rng = np.random.default_rng(18)
-        vals = rng.normal(size=(4, 5))
-        sel = mt.OverlapSelection(np.array([2, 0, 2, 3, 2]), np.array([1, 4, 1, 1, 0]),
-                                  False, False)
-        centers = rng.uniform(0, 5, (5, 2))
-        probe = rng.normal(size=(5, 2))
-        err = finite_difference_check(
-            lambda ps: weighted_sum(mt.match_coords(ps[0], sel, centers), probe), [vals])
-        assert err < 1e-6
+    def test_repeated_or_unsorted_indices_rejected(self):
+        # index sets are strictly increasing, as np.flatnonzero gives them;
+        # the backward writes each selected logits entry once
+        logits = ad.constant(np.zeros((4, 5)))
+        centers = self.centers(5)
+        good = np.array([0, 2, 3])
+        for bad in ([2, 0, 3], [0, 2, 2], [3, 2, 0]):
+            for rows, cols in [(bad, good), (good, bad)]:
+                sel = mt.OverlapSelection(np.array(rows), np.array(cols), False, False)
+                for mode in ("soft", "hard"):
+                    with pytest.raises(ParameterError, match="strictly increasing"):
+                        mt.match_coords(logits, sel, centers, mode)
+
+    @pytest.mark.parametrize("rows, cols, centers_shape", [
+        ([0, 2], [0], (3, 2)), ([0], [1, 3], (3, 2)), ([-1], [0], (3, 2)), ([0], [-1], (3, 2)),
+        ([0.0, 1.0], [0], (3, 2)), ([0], [0.0], (3, 2)), ([[0]], [0], (3, 2)),
+        ([0], [0, 1], (2, 2)), ([0], [0], (3, 3))],
+        ids=["row_past_end", "column_past_end", "row_minus_one", "column_minus_one",
+             "float_rows", "float_columns", "2d_rows", "short_centers", "centers_3_wide"])
+    def test_selection_outside_the_logits_rejected(self, rows, cols, centers_shape):
+        # numpy would raise IndexError, or read row -1 as the last row
+        logits = ad.constant(np.zeros((2, 3)))
+        sel = mt.OverlapSelection(np.array(rows), np.array(cols), False, False)
+        for mode in ("soft", "hard"):
+            with pytest.raises(ParameterError):
+                mt.match_coords(logits, sel, np.ones(centers_shape), mode)
 
     def test_soft_match_records_one_node_and_constant_logits_record_nothing(self):
         rng = np.random.default_rng(19)
@@ -647,3 +695,63 @@ def test_learnable_and_cosine_bit_equal_with_identity_transform():
             learn_val = loss.item()
         else:
             assert loss.item() == learn_val
+
+
+def traced_peak(fn, *args):
+    """fn(*args), and the bytes it allocated at its peak under tracemalloc
+    above what was allocated when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMatchingMemory:
+    # every row and column selected, so that a block is logits-sized. The
+    # slack covers numpy's chunked buffers for the two broadcast np.ix_
+    # indices (about 130 KB), index vectors and Python objects. Below about
+    # 8192 entries numpy expands the indices in full instead, so the logits
+    # are not smaller than this
+    N, M, SLACK = 192, 240, 192 << 10
+    BLOCK = N * M * 8
+
+    def node(self, build):
+        """The backward of the one node that ``build`` records on logits, and
+        a seed gradient of its output's shape; the backward is run once
+        untraced first."""
+        vals = np.random.default_rng(22).normal(size=(self.N, self.M))
+        tape = ad.Tape()
+        out = build(tape.parameter(vals))
+        backward = tape.nodes[-1].backward_fn
+        g = np.ones(out.shape)
+        backward(g)
+        return backward, g
+
+    def pairs(self):
+        """Every point overlaps, and each pixel has point j % N as its one
+        positive and every other point as a negative."""
+        pos = np.zeros((self.N, self.M), dtype=bool)
+        pos[np.arange(self.M) % self.N, np.arange(self.M)] = True
+        return pairset(pos, ~pos)
+
+    def test_soft_match_backward_allocates_one_block_and_the_gradient(self):
+        sel = mt.OverlapSelection(np.arange(self.N), np.arange(self.M), False, False)
+        centers = np.random.default_rng(23).uniform(0, 8, (self.M, 2))
+        backward, g = self.node(lambda logits: mt.match_coords(logits, sel, centers))
+        (grad,), peak = traced_peak(backward, g)
+        assert grad.shape == (self.N, self.M)
+        assert peak <= 2 * self.BLOCK + self.SLACK
+
+    def test_pixel_to_point_infonce_allocates_one_block_forward_and_two_backward(self):
+        pairs = self.pairs()
+        logits = ad.constant(np.random.default_rng(24).normal(size=(self.N, self.M)))
+        mt.infonce_loss(logits, pairs, "pixel_to_point")
+        _, peak = traced_peak(mt.infonce_loss, logits, pairs, "pixel_to_point")
+        assert peak <= self.BLOCK + self.SLACK
+        backward, g = self.node(lambda t: mt.infonce_loss(t, pairs, "pixel_to_point"))
+        (grad,), peak = traced_peak(backward, g)
+        assert np.count_nonzero(grad) == self.N * self.M
+        assert peak <= 2 * self.BLOCK + self.SLACK
