@@ -40,6 +40,8 @@ class RigidPose:
             raise ParameterError("rotation is not orthonormal within 1e-9")
         if abs(np.linalg.det(r) - 1.0) > ORTHONORMALITY_TOL:
             raise ParameterError("rotation determinant is not +1 within 1e-9")
+        if not np.isfinite(t).all():
+            raise ParameterError(f"translation must be finite: {t}")
 
     @staticmethod
     def identity() -> "RigidPose":

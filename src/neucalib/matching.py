@@ -162,9 +162,11 @@ def infonce_loss(logits: Tensor, pairs: PairSet, direction: str = "point_to_pixe
     elif direction == "pixel_to_point":
         orient = np.transpose  # anchors are columns, candidates the overlapping rows
         n_rows, width = logits.shape[1], cands.size
-        col = np.empty(logits.shape[0], dtype=np.int64)
+        col = np.full(logits.shape[0], -1)
         col[cands] = np.arange(cands.size)
         pos, near = (pos_px, col[pos_pt]), (near_px, col[near_pt])
+        if (pos[1] < 0).any() or (near[1] < 0).any():
+            raise ParameterError("pairs hold a point outside pairs.overlap_points")
     else:
         raise ParameterError(f"unknown InfoNCE direction {direction!r}")
 
@@ -207,7 +209,8 @@ def infonce_loss(logits: Tensor, pairs: PairSet, direction: str = "point_to_pixe
 
     def backward(g):
         scale = g[0, 0] / count
-        grad = neg_exp * (np.bincount(a_idx, weights=1.0 / denom) * scale)[:, None]
+        grad = neg_exp  # no later node reads the exps, so the gradient takes their block
+        grad *= (np.bincount(a_idx, weights=1.0 / denom) * scale)[:, None]
         grad[pos_at] += (pos_exp / denom - 1.0) * scale
         out = np.zeros(shape)
         orient(out)[at] = grad

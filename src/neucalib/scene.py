@@ -8,6 +8,9 @@ col u) has its center at continuous coordinates (u, v) and flat index
 v * W' + u. Only the scene size is configurable; the camera, depth band,
 patch layout, overlap band and pose spreads are module constants.
 
+One rule defines every label, and every ``SceneSample`` checks it where it is
+built: an overlapping point lies in front of the camera and projects inside the grid.
+
 A scene serializes to one packed little-endian record, declared once by
 ``_layout``: the magic ``NCLR``; the format version, N, H' and W' as uint32;
 fx, fy, cx, cy and the raw pose's rotation and translation as float64; then
@@ -39,6 +42,7 @@ OVERLAP_BAND = (0.6, 0.9)  # target in-frustum fraction
 POSE_ROT_SPREAD = 0.3  # radians, raw-pose rotation magnitude
 POSE_TRANS_SPREAD = 1.0  # meters, raw-pose translation magnitude
 PATCH_PLANES = 10  # plane draws per patch before generation gives up
+MIN_OVERLAP = 8  # overlapping points per scene, headroom for the pose solver
 
 
 def _is_count(x, least: int) -> bool:
@@ -49,16 +53,16 @@ def _is_count(x, least: int) -> bool:
 class SceneConfig:
     """Scene size; the defaults give a 256-point, 16 x 16 grid scene.
 
-    ``n_points`` is an integer of at least 8 and ``grid`` a pair of
-    integers of at least 4; numpy integers are stored as ints.
+    ``n_points`` is an integer of at least ``MIN_OVERLAP`` and ``grid`` a
+    pair of integers of at least 4; numpy integers are stored as ints.
     """
 
     n_points: int = 256
     grid: tuple[int, int] = (16, 16)  # (H', W')
 
     def __post_init__(self):
-        if not _is_count(self.n_points, 8):
-            raise ParameterError(f"n_points must be an integer >= 8, got {self.n_points!r}")
+        if not _is_count(self.n_points, MIN_OVERLAP):
+            raise ParameterError(f"n_points must be an integer >= {MIN_OVERLAP}: {self.n_points!r}")
         if not (isinstance(self.grid, (tuple, list)) and len(self.grid) == 2
                 and all(_is_count(g, 4) for g in self.grid)):
             raise ParameterError(f"grid must be two integers >= 4, got {self.grid!r}")
@@ -75,8 +79,12 @@ class SceneSample:
     """One synthetic (point cloud, image grid, intrinsics, raw pose) tuple.
 
     ``gt_projection`` holds raw-pose pixel coordinates per point, NaN where
-    the point does not overlap the grid; ``point_overlap_gt[i]`` is true iff
-    the point projects with positive depth into [0, W') x [0, H').
+    the point does not overlap the grid. Each sample checks the scene rule
+    where it is built, or raises ``ConfigError``: ``grid`` is a tuple of two
+    integers >= 1, ``points`` and ``gt_projection`` N x 3 and N x 2 float64
+    arrays, the masks boolean arrays of N and H'W'; every point is finite;
+    and every overlapping point has depth > ``geo.MIN_DEPTH`` under
+    ``raw_pose`` and its stored projection in [0, W') x [0, H').
     """
 
     points: np.ndarray  # N x 3, sensor frame
@@ -86,6 +94,26 @@ class SceneSample:
     point_overlap_gt: np.ndarray  # N bool
     pixel_overlap_gt: np.ndarray  # H'*W' bool
     gt_projection: np.ndarray  # N x 2, NaN where not overlapping
+
+    def __post_init__(self):
+        h, w = self.grid if isinstance(self.grid, tuple) and len(self.grid) == 2 else (0, 0)
+        if not (_is_count(h, 1) and _is_count(w, 1)):
+            raise ConfigError(f"scene grid {self.grid!r} is not a tuple of two integers >= 1")
+        n = self.points.shape[:1] if isinstance(self.points, np.ndarray) else ()
+        arrays = (("points", n + (3,), "float64"), ("gt_projection", n + (2,), "float64"),
+                  ("point_overlap_gt", n, "bool"), ("pixel_overlap_gt", (h * w,), "bool"))
+        for name, shape, dtype in arrays:
+            arr = getattr(self, name)
+            if not (isinstance(arr, np.ndarray) and arr.shape == shape and arr.dtype == dtype):
+                raise ConfigError(
+                    f"scene {name} is not a {dtype} array of shape {shape} on a {h} x {w} grid")
+        on, uv = self.point_overlap_gt, self.gt_projection[self.point_overlap_gt]
+        with np.errstate(all="ignore"):  # huge values overflow and fail the check
+            depth = self.raw_pose.apply(self.points[on])[:, 2]
+            if not (np.isfinite(self.points).all() and (depth > geo.MIN_DEPTH).all()
+                    and (uv >= 0.0).all() and (uv < [w, h]).all()):
+                raise ConfigError("scene has a non-finite point, or an overlapping point "
+                                  "behind the camera or projected outside the grid")
 
     @property
     def n_points(self) -> int:
@@ -109,8 +137,7 @@ def point_overlap_labels(points, pose, k: geo.CameraIntrinsics,
     h, w = grid
     proj = geo.project(points, pose, k)
     with np.errstate(invalid="ignore"):
-        inside = (proj.coords[:, 0] >= 0) & (proj.coords[:, 0] < w) \
-            & (proj.coords[:, 1] >= 0) & (proj.coords[:, 1] < h)
+        inside = ((proj.coords >= 0) & (proj.coords < [w, h])).all(axis=1)
     overlap = proj.valid & inside
     coords = np.where(overlap[:, None], proj.coords, np.nan)
     return overlap, coords
@@ -136,12 +163,11 @@ def _window_pixels(uv: np.ndarray, radius: float,
     return row, (lo[row, 1] + dv) * w + lo[row, 0] + du
 
 
-def label_pixel_overlap(sample: SceneSample) -> np.ndarray:
-    """Pixel (u, v) is overlapping iff some overlapping point's projection
-    lies within Chebyshev distance 1 of its center."""
-    labels = np.zeros(sample.n_pixels, dtype=bool)
-    _, pixel = _window_pixels(sample.gt_projection[sample.point_overlap_gt], 1.0, sample.grid)
-    labels[pixel] = True
+def label_pixel_overlap(uv: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
+    """Pixel (u, v) overlaps iff one of the overlapping projections ``uv``
+    (K x 2, inside the grid) lies within Chebyshev distance 1 of its center."""
+    labels = np.zeros(grid[0] * grid[1], dtype=bool)
+    labels[_window_pixels(uv, 1.0, grid)[1]] = True
     return labels
 
 
@@ -248,7 +274,7 @@ def _sample_in_frustum(rng: np.random.Generator, cfg: SceneConfig, count: int) -
     k = cfg.intrinsics()
     n_noise = int(round(count * NOISE_FRACTION))
     n_patch = count - n_noise
-    # count >= 8 gives n_patch >= 6, so each patch gets at least 2 points
+    # count >= MIN_OVERLAP gives n_patch >= 6, so each patch gets at least 2 points
     sizes = np.full(N_PATCHES, n_patch // N_PATCHES)
     sizes[: n_patch - sizes.sum()] += 1
     pts = [_sample_patch(rng, k, cfg.grid, size) for size in sizes]
@@ -290,29 +316,25 @@ def generate_scene(rng: np.random.Generator, config: SceneConfig) -> SceneSample
 
     The in-frustum fraction is drawn from ``OVERLAP_BAND`` and realized
     by construction (in-frustum points are sampled through the camera model),
-    with a floor of 8 overlapping points so the pose solver always has
-    correspondence headroom.
+    with a floor of ``MIN_OVERLAP`` overlapping points.
     """
-    cfg = config
-    k = cfg.intrinsics()
+    k = config.intrinsics()
     raw_pose = _sample_raw_pose(rng)
     frac = rng.uniform(*OVERLAP_BAND)
-    n_in = min(cfg.n_points, max(8, int(round(frac * cfg.n_points))))
-    n_out = cfg.n_points - n_in
+    n_in = min(config.n_points, max(MIN_OVERLAP, int(round(frac * config.n_points))))
 
-    cam_pts = np.vstack([_sample_in_frustum(rng, cfg, n_in),
-                         _sample_out_of_frustum(rng, cfg, n_out)])
-    cam_pts = cam_pts[rng.permutation(cfg.n_points)]
+    cam_pts = np.vstack([_sample_in_frustum(rng, config, n_in),
+                         _sample_out_of_frustum(rng, config, config.n_points - n_in)])
+    cam_pts = cam_pts[rng.permutation(config.n_points)]
     points = geo.invert(raw_pose).apply(cam_pts)
 
-    overlap, coords = point_overlap_labels(points, raw_pose, k, cfg.grid)
-    if overlap.sum() < 8:
+    overlap, coords = point_overlap_labels(points, raw_pose, k, config.grid)
+    if overlap.sum() < MIN_OVERLAP:
         raise GenerationError(f"only {int(overlap.sum())} overlapping points after construction")
-    sample = SceneSample(points=points, intrinsics=k, raw_pose=raw_pose,
-                         grid=cfg.grid, point_overlap_gt=overlap,
-                         pixel_overlap_gt=np.zeros(cfg.grid[0] * cfg.grid[1], dtype=bool),
-                         gt_projection=coords)
-    return replace(sample, pixel_overlap_gt=label_pixel_overlap(sample))
+    return SceneSample(points=points, intrinsics=k, raw_pose=raw_pose, grid=config.grid,
+                       point_overlap_gt=overlap,
+                       pixel_overlap_gt=label_pixel_overlap(coords[overlap], config.grid),
+                       gt_projection=coords)
 
 
 def augment_scene(sample: SceneSample, rot: np.ndarray, trans: np.ndarray) -> SceneSample:
@@ -339,16 +361,8 @@ def _layout(n: int, h: int, w: int) -> np.dtype:
 
 
 def scene_to_bytes(sample: SceneSample) -> bytes:
-    h, w = sample.grid
-    k, pose = sample.intrinsics, sample.raw_pose
-    n = sample.n_points
-    if not (_is_count(h, 1) and _is_count(w, 1)):
-        raise ConfigError(f"scene grid {sample.grid} is not two integers >= 1")
-    for name, shape in (("points", (n, 3)), ("point_overlap_gt", (n,)),
-                        ("gt_projection", (n, 2)), ("pixel_overlap_gt", (h * w,))):
-        if np.shape(getattr(sample, name)) != shape:
-            raise ConfigError(f"scene {name} has shape {np.shape(getattr(sample, name))}, "
-                              f"but {n} points on a {h} x {w} grid need {shape}")
+    """The packed ``.nclr`` record of a sample, which checked itself when built."""
+    (h, w), k, pose, n = sample.grid, sample.intrinsics, sample.raw_pose, sample.n_points
     return np.array((MAGIC, FORMAT_VERSION, n, h, w, (k.fx, k.fy, k.cx, k.cy),
                      pose.rotation, pose.translation, sample.points, sample.point_overlap_gt,
                      sample.pixel_overlap_gt, sample.gt_projection),
@@ -356,6 +370,7 @@ def scene_to_bytes(sample: SceneSample) -> bytes:
 
 
 def scene_from_bytes(blob: bytes) -> SceneSample:
+    """Parse one ``.nclr`` record; the format is checked here, the scene by ``SceneSample``."""
     if blob[:4] != MAGIC:
         raise ConfigError(f"bad scene magic {blob[:4]!r}")
     head = _layout(0, 0, 0)
@@ -364,37 +379,19 @@ def scene_from_bytes(blob: bytes) -> SceneSample:
     version, n, h, w = np.frombuffer(blob, head, 1)[["version", "n", "h", "w"]].item()
     if version != FORMAT_VERSION:
         raise ConfigError(f"unsupported scene format version {version}")
-    if h < 1 or w < 1:
-        raise ConfigError(f"scene file has an empty {h} x {w} grid")
     # the header fixes every field's size, so one check covers them all
     layout = _layout(n, h, w)
     if len(blob) != layout.itemsize:
         raise ConfigError(f"scene file has {len(blob)} bytes, its header implies {layout.itemsize}")
     rec = np.frombuffer(blob, layout, 1)[0]
-    fx, fy, cx, cy = rec["intrinsics"].tolist()
-    rot, trans, points, proj = (rec[f].copy() for f in
-                                ("rotation", "translation", "points", "projection"))
-    p_overlap, px_overlap = rec["point_overlap"].astype(bool), rec["pixel_overlap"].astype(bool)
-    # the camera checks its own values; nothing checks the translation and points
-    if not (np.isfinite(trans).all() and np.isfinite(points).all()):
-        raise ConfigError("scene file holds a non-finite translation or point value")
     with np.errstate(all="ignore"):  # huge values overflow and fail the checks
         try:
-            k = geo.CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy)
-            pose = geo.RigidPose(rot, trans)
+            k = geo.CameraIntrinsics(*rec["intrinsics"].tolist())
+            pose = geo.RigidPose(rec["rotation"].copy(), rec["translation"].copy())
         except ParameterError as err:
             raise ConfigError(f"scene file holds an invalid camera: {err}") from err
-        depth = pose.apply(points[p_overlap])[:, 2]
-    # the SceneSample invariant on overlapping points: in front of the
-    # camera, projected inside the grid
-    uv = proj[p_overlap]
-    if not ((uv >= 0.0).all() and (uv < [w, h]).all()
-            and (depth > geo.MIN_DEPTH).all() and np.isfinite(depth).all()):
-        raise ConfigError("scene file has an overlapping point behind the camera "
-                          "or projected outside the grid")
-    return SceneSample(points=points, intrinsics=k, raw_pose=pose, grid=(h, w),
-                       point_overlap_gt=p_overlap, pixel_overlap_gt=px_overlap,
-                       gt_projection=proj)
+    return SceneSample(rec["points"].copy(), k, pose, (h, w), rec["point_overlap"].astype(bool),
+                       rec["pixel_overlap"].astype(bool), rec["projection"].copy())
 
 
 def save_scene(sample: SceneSample, path) -> None:

@@ -55,6 +55,11 @@ class TestPoseAlgebra:
         np.testing.assert_allclose(geo.invert(p).apply(p.apply(pts)), pts, atol=1e-10)
         np.testing.assert_allclose(p.apply(geo.invert(p).apply(pts)), pts, atol=1e-10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_translation_rejected(self, bad):
+        with pytest.raises(ParameterError, match="translation"):
+            geo.RigidPose(np.eye(3), [0.0, bad, 0.0])
+
     def test_invalid_rotation_rejected(self):
         with pytest.raises(ParameterError):
             geo.RigidPose(np.eye(3) * 2.0, np.zeros(3))

@@ -326,7 +326,8 @@ class TestInfoNCE:
     @pytest.mark.parametrize("direction, field, bad", [
         *(pytest.param(d, None, None, id=d) for d in DIRECTIONS),
         *(pytest.param(d, f, bad, id=f"{f}={bad}-{d}")
-          for f in ("positives", "near") for bad in (4096, -1, 1.0) for d in DIRECTIONS)])
+          for f in ("positives", "near") for bad in (4096, -1, 1.0) for d in DIRECTIONS),
+        pytest.param("pixel_to_point", "overlap_points", None, id="overlap_points-pixel_to_point")])
     def test_pairs_built_for_more_points_rejected(self, direction, field, bad):
         cfg = sc.SceneConfig(n_points=64, grid=(8, 8))
         pairs = sc.build_pairs(sc.generate_scene(np.random.default_rng(5), cfg), 1.0, 4.0)
@@ -334,6 +335,13 @@ class TestInfoNCE:
         if field is None:
             with pytest.raises(ParameterError, match="32 rows"):
                 mt.infonce_loss(ad.constant(np.zeros((32, 64))), pairs, direction)
+            return
+        if field == "overlap_points":
+            # the first overlapping point keeps its pairs but is no candidate,
+            # so it has no candidate column to map them to
+            pairs = replace(pairs, overlap_points=pairs.overlap_points[1:])
+            with pytest.raises(ParameterError, match="outside pairs.overlap_points"):
+                mt.infonce_loss(ad.constant(np.zeros((64, 64))), pairs, direction)
             return
         # one flat pair index outside the 64 x 64 logits, or not an integer
         pairs = replace(pairs, **{field: np.append(getattr(pairs, field), bad)})
@@ -720,15 +728,17 @@ class TestMatchingMemory:
 
     def node(self, build):
         """The backward of the one node that ``build`` records on logits, and
-        a seed gradient of its output's shape; the backward is run once
-        untraced first."""
+        a seed gradient of its output's shape. A backward runs once, as on a
+        tape, so the node is built twice and the first backward run untraced."""
         vals = np.random.default_rng(22).normal(size=(self.N, self.M))
-        tape = ad.Tape()
-        out = build(tape.parameter(vals))
-        backward = tape.nodes[-1].backward_fn
+        backwards = []
+        for _ in range(2):
+            tape = ad.Tape()
+            out = build(tape.parameter(vals))
+            backwards.append(tape.nodes[-1].backward_fn)
         g = np.ones(out.shape)
-        backward(g)
-        return backward, g
+        backwards[0](g)
+        return backwards[1], g
 
     def pairs(self):
         """Every point overlaps, and each pixel has point j % N as its one
@@ -745,13 +755,16 @@ class TestMatchingMemory:
         assert grad.shape == (self.N, self.M)
         assert peak <= 2 * self.BLOCK + self.SLACK
 
-    def test_pixel_to_point_infonce_allocates_one_block_forward_and_two_backward(self):
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_infonce_allocates_one_block_each_way(self, direction):
+        """The forward allocates its block of exps, and the backward only the
+        N x M gradient: it writes its block over the exps."""
         pairs = self.pairs()
         logits = ad.constant(np.random.default_rng(24).normal(size=(self.N, self.M)))
-        mt.infonce_loss(logits, pairs, "pixel_to_point")
-        _, peak = traced_peak(mt.infonce_loss, logits, pairs, "pixel_to_point")
+        mt.infonce_loss(logits, pairs, direction)
+        _, peak = traced_peak(mt.infonce_loss, logits, pairs, direction)
         assert peak <= self.BLOCK + self.SLACK
-        backward, g = self.node(lambda t: mt.infonce_loss(t, pairs, "pixel_to_point"))
+        backward, g = self.node(lambda t: mt.infonce_loss(t, pairs, direction))
         (grad,), peak = traced_peak(backward, g)
         assert np.count_nonzero(grad) == self.N * self.M
-        assert peak <= 2 * self.BLOCK + self.SLACK
+        assert peak <= self.BLOCK + self.SLACK

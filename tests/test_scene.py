@@ -257,32 +257,101 @@ class TestGeneration:
             proj.coords[ok], sample.gt_projection[ok], atol=1e-9)
 
 
+# generated scenes for the writer/reader symmetry property
+SYMMETRY_BASES = [make_scene(seed=seed, n_points=16, grid=(8, 8)) for seed in range(3)] \
+    + [make_scene(seed=0, n_points=32, grid=(6, 9))]
+
+
+@st.composite
+def perturbed_scenes(draw):
+    """A generated scene and one change to its fields: a NaN or inf point,
+    an overlapping projection set to NaN or moved (mostly outside the grid),
+    an overlapping point moved along the optical axis (mostly behind the
+    camera), a short, 2-D, uint8 or float mask, a list or an empty grid, or
+    nothing."""
+    sample = draw(st.sampled_from(SYMMETRY_BASES))
+    (h, w), n = sample.grid, sample.n_points
+    i = draw(st.sampled_from(np.flatnonzero(sample.point_overlap_gt).tolist()))
+    kind = draw(st.sampled_from(["point", "projection", "depth", "point_mask", "pixel_mask",
+                                 "grid", "none"]))
+    if kind == "point":
+        points = sample.points.copy()
+        points[draw(st.integers(0, n - 1)), draw(st.integers(0, 2))] = \
+            draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        return sample, {"points": points}
+    if kind == "projection":
+        proj = sample.gt_projection.copy()
+        edge = float(max(h, w))
+        proj[i, draw(st.integers(0, 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf, -0.5, np.nextafter(0.0, -1.0), float(h),
+                             float(w), 1e300]) | st.floats(-edge, 2.0 * edge))
+        return sample, {"gt_projection": proj}
+    if kind == "depth":
+        pose, points = sample.raw_pose, sample.points.copy()
+        q = pose.apply(points[i])[0]
+        q[2] = draw(st.sampled_from([-1.0, 0.0, geo.MIN_DEPTH, 2.0 * geo.MIN_DEPTH, 1.0]))
+        points[i] = pose.rotation.T @ (q - pose.translation)
+        return sample, {"points": points}
+    if kind in ("point_mask", "pixel_mask"):
+        name = kind.replace("_mask", "_overlap_gt")
+        mask = getattr(sample, name)
+        mask = draw(st.sampled_from([
+            mask[:-1], mask[:, None], mask.reshape(1, -1), mask.astype(np.uint8),
+            mask.astype(np.uint8) * 2, mask.astype(np.float64)]))
+        return sample, {name: mask}
+    if kind == "grid":
+        return sample, draw(st.sampled_from([
+            {"grid": [h, w]}, {"grid": (0, w), "pixel_overlap_gt": np.zeros(0, dtype=bool)},
+            {"grid": (h, 0), "pixel_overlap_gt": np.zeros(0, dtype=bool)}]))
+    return sample, {}
+
+
+def assert_same_scene(a: sc.SceneSample, b: sc.SceneSample):
+    """Field by field, with NaN equal to NaN."""
+    for name in ("points", "point_overlap_gt", "pixel_overlap_gt", "gt_projection"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True), name
+    assert a.grid == b.grid and a.intrinsics == b.intrinsics
+    assert np.array_equal(a.raw_pose.rotation, b.raw_pose.rotation)
+    assert np.array_equal(a.raw_pose.translation, b.raw_pose.translation)
+
+
+class TestSceneRule:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(perturbed_scenes())
+    def test_sample_refuses_or_round_trips(self, case):
+        """Whatever sample can be built, the writer writes and the reader
+        reads back equal."""
+        sample, change = case
+        try:
+            changed = replace(sample, **change)
+        except ConfigError:
+            return
+        assert_same_scene(sc.scene_from_bytes(sc.scene_to_bytes(changed)), changed)
+
+    def test_nan_overlapping_projection_refused(self):
+        # pair building would meet it as a NaN distance
+        sample = make_scene(seed=7)
+        proj = sample.gt_projection.copy()
+        proj[np.flatnonzero(sample.point_overlap_gt)[0]] = np.nan
+        with pytest.raises(ConfigError, match="outside the grid"):
+            replace(sample, gt_projection=proj)
+
+    def test_short_point_mask_refused(self):
+        sample = make_scene(seed=7)
+        with pytest.raises(ConfigError, match="point_overlap_gt"):
+            replace(sample, point_overlap_gt=sample.point_overlap_gt[:-1])
+
+
 class TestPixelOverlap:
     def test_no_points_all_false(self):
-        sample = make_scene(seed=2)
-        empty = sc.SceneSample(
-            points=sample.points, intrinsics=sample.intrinsics,
-            raw_pose=sample.raw_pose, grid=sample.grid,
-            point_overlap_gt=np.zeros(sample.n_points, dtype=bool),
-            pixel_overlap_gt=sample.pixel_overlap_gt,
-            gt_projection=np.full_like(sample.gt_projection, np.nan))
-        assert not sc.label_pixel_overlap(empty).any()
+        assert not sc.label_pixel_overlap(np.zeros((0, 2)), (16, 16)).any()
 
     def test_single_point_on_center(self):
-        sample = make_scene(seed=2)
-        proj = np.full((sample.n_points, 2), np.nan)
-        proj[0] = [3.0, 3.0]
-        mask = np.zeros(sample.n_points, dtype=bool)
-        mask[0] = True
-        one = sc.SceneSample(
-            points=sample.points, intrinsics=sample.intrinsics,
-            raw_pose=sample.raw_pose, grid=sample.grid,
-            point_overlap_gt=mask, pixel_overlap_gt=sample.pixel_overlap_gt,
-            gt_projection=proj)
-        labels = sc.label_pixel_overlap(one)
-        w = sample.grid[1]
-        assert labels[3 * w + 3]
-        assert not labels[7 * w + 7]
+        labels = sc.label_pixel_overlap(np.array([[3.0, 3.0]]), (16, 16))
+        assert labels.shape == (256,)
+        # the 3 x 3 pixels around (3, 3), and no other
+        assert np.flatnonzero(labels).tolist() == [v * 16 + u for v in (2, 3, 4) for u in (2, 3, 4)]
 
     def test_matches_brute_force(self):
         for seed in range(4):
@@ -293,13 +362,17 @@ class TestPixelOverlap:
 
 def with_projections(grid, proj) -> sc.SceneSample:
     """A scene whose points project to ``proj`` (NaN rows do not overlap);
-    build_pairs reads nothing else."""
+    build_pairs reads nothing else. Overlapping points sit at depth 1, in
+    front of the camera, as the scene rule requires."""
     proj = np.asarray(proj, dtype=np.float64).reshape(-1, 2)
     h, w = grid
     k = geo.CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
-    return sc.SceneSample(points=np.zeros((len(proj), 3)), intrinsics=k,
+    overlap = ~np.isnan(proj[:, 0])
+    points = np.zeros((len(proj), 3))
+    points[overlap, 2] = 1.0
+    return sc.SceneSample(points=points, intrinsics=k,
                           raw_pose=geo.RigidPose.identity(), grid=grid,
-                          point_overlap_gt=~np.isnan(proj[:, 0]),
+                          point_overlap_gt=overlap,
                           pixel_overlap_gt=np.zeros(h * w, dtype=bool),
                           gt_projection=proj)
 
@@ -423,6 +496,16 @@ class TestBuildPairs:
 CORRUPTION_BASE = sc.scene_to_bytes(make_scene(seed=11, n_points=16, grid=(8, 8)))
 
 
+def edited_bytes(sample: sc.SceneSample, **fields) -> bytes:
+    """The bytes of ``sample`` with some record fields overwritten: a file
+    that the writer cannot produce, since every sample checks itself."""
+    rec = np.frombuffer(sc.scene_to_bytes(sample), sc._layout(sample.n_points, *sample.grid),
+                        1).copy()
+    for name, value in fields.items():
+        rec[name] = value
+    return rec.tobytes()
+
+
 class TestSceneIO:
     def test_round_trip_bit_exact(self, tmp_path):
         sample = make_scene(seed=6)
@@ -461,7 +544,7 @@ class TestSceneIO:
         proj = sample.gt_projection.copy()
         proj[np.flatnonzero(sample.point_overlap_gt)[3], 1] = bad
         with pytest.raises(ConfigError, match="outside the grid"):
-            sc.scene_from_bytes(sc.scene_to_bytes(replace(sample, gt_projection=proj)))
+            sc.scene_from_bytes(edited_bytes(sample, projection=proj))
 
     def test_overlapping_point_behind_camera_rejected(self):
         sample = make_scene(seed=7)
@@ -472,17 +555,21 @@ class TestSceneIO:
         q = pose.apply(points[i])[0]
         points[i] = pose.rotation.T @ (np.array([q[0], q[1], -1.0]) - pose.translation)
         with pytest.raises(ConfigError, match="behind the camera"):
-            sc.scene_from_bytes(sc.scene_to_bytes(replace(sample, points=points)))
+            sc.scene_from_bytes(edited_bytes(sample, points=points))
 
-    @pytest.mark.parametrize("field", ["points", "rotation", "fx", "n", "h", "w", "empty_grid"])
+    @pytest.mark.parametrize("field", ["points", "translation", "rotation", "fx", "n", "h", "w",
+                                       "empty_grid"])
     def test_non_finite_or_invalid_camera_rejected(self, field):
         sample = make_scene(seed=7)
-        if field == "points":
-            points = sample.points.copy()
-            points[0, 2] = np.nan
-            sample = replace(sample, points=points)
         blob = bytearray(sc.scene_to_bytes(sample))
-        if field == "empty_grid":  # a consistent file with no pixel, which the writer refuses
+        if field == "points":  # a non-finite point that overlaps nothing
+            i = np.flatnonzero(~sample.point_overlap_gt)[0]
+            points = sample.points.copy()
+            points[i, 2] = np.nan
+            blob = bytearray(edited_bytes(sample, points=points))
+        elif field == "translation":
+            blob = bytearray(edited_bytes(sample, translation=[0.0, np.inf, 0.0]))
+        elif field == "empty_grid":  # a consistent file with no pixel
             n = sample.n_points
             full = np.frombuffer(blob, sc._layout(n, *sample.grid), 1)
             empty = np.zeros(1, sc._layout(n, 0, 16))
@@ -503,6 +590,7 @@ class TestSceneIO:
     @pytest.mark.parametrize("case", ["wrong_grid", "negative_grid", "empty_grid",
                                       "points_n_x_2", "short_projection", "overlap_column"])
     def test_inconsistent_sample_rejected_before_packing(self, case):
+        """The sample refuses itself, so the writer never sees it."""
         sample = make_scene(seed=7)
         change = {
             "wrong_grid": dict(grid=(16, 17)),
@@ -513,7 +601,7 @@ class TestSceneIO:
             "overlap_column": dict(point_overlap_gt=sample.point_overlap_gt[:, None]),
         }[case]
         with pytest.raises(ConfigError, match="grid"):
-            sc.scene_to_bytes(replace(sample, **change))
+            replace(sample, **change)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 255)),
