@@ -15,6 +15,15 @@ matching in ``matching`` and InfoNCE's masked one beside it.
 Tapes are single-use and rebuilt per training step, so data-dependent
 graph structure is fine.
 
+A backward owns the gradient it is handed and may overwrite it. It returns
+per input either a full gradient or a :class:`Block`, the values of one
+index block of that input: the tape zero-fills the input's gradient only
+when a block is its first contribution and otherwise adds the block in
+place, so the losses that read one block of the N x M logits allocate no
+N x M array of their own. The sweep releases each node's closure and its
+gradient before it accumulates what the node returned, so that the node's
+kept arrays are freed before the tape allocates.
+
 Each step allocates and frees the same N x M temporaries again and again.
 On glibc, importing this module fixes the allocator's mmap and trim
 thresholds, so that freed blocks stay in the process for the next step
@@ -26,7 +35,7 @@ from __future__ import annotations
 
 import ctypes
 import platform
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -119,6 +128,16 @@ def constant(x) -> Tensor:
     return Tensor(x)
 
 
+class Block(NamedTuple):
+    """A gradient that is zero outside one index block of its input:
+    ``values`` at ``input[index]``, where ``index`` is a row index array or
+    an ``np.ix_`` pair, and ``shape`` is the input's shape."""
+
+    index: object
+    values: Array
+    shape: tuple[int, int]
+
+
 class _Node:
     __slots__ = ("op", "input_ids", "backward_fn")
 
@@ -149,10 +168,14 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Reverse sweep from a scalar loss; fills every leaf gradient it reaches.
 
-        Each node's backward closure is released once the sweep has passed
-        it, and each intermediate gradient once it has been propagated, so
-        that the sweep frees the tape's N x M values as it goes. A tape can
-        be swept only once; rebuild the graph for the next step.
+        Each node's backward closure and its gradient are released as soon
+        as the node has run, before the sweep accumulates the gradients it
+        returned, and each intermediate gradient once it has been propagated,
+        so that the sweep frees the tape's N x M values as it goes. The first
+        full gradient an input receives is kept as returned and later ones
+        are added into it in place; a :class:`Block` is added into its block,
+        on a zero-filled gradient if it is the first. A tape can be swept
+        only once; rebuild the graph for the next step.
         """
         if self.consumed:
             raise StateError("tape already consumed by a previous backward()")
@@ -164,20 +187,33 @@ class Tape:
         self.grads = [None] * len(self.nodes)
         self.grads[loss.node_id] = np.ones((1, 1))
         for nid in range(len(self.nodes) - 1, -1, -1):
-            node = self.nodes[nid]
-            backward_fn, node.backward_fn = node.backward_fn, None
-            g = self.grads[nid]
-            if g is None or backward_fn is None:
+            self._propagate(nid)
+
+    def _propagate(self, nid: int) -> None:
+        """Run node ``nid``'s backward and accumulate what it returns; every
+        array it touched is released when this returns."""
+        node = self.nodes[nid]
+        backward_fn, node.backward_fn = node.backward_fn, None
+        g = self.grads[nid]
+        if g is None or backward_fn is None:
+            return
+        self.grads[nid] = None
+        input_grads = backward_fn(g)
+        del backward_fn, g  # the node's kept arrays go before the tape allocates
+        for in_id, in_grad in zip(node.input_ids, input_grads):
+            if in_id is None or in_grad is None:
                 continue
-            self.grads[nid] = None
-            input_grads = backward_fn(g)
-            for in_id, in_grad in zip(node.input_ids, input_grads):
-                if in_id is None or in_grad is None:
-                    continue
-                if self.grads[in_id] is None:
-                    self.grads[in_id] = in_grad
+            acc = self.grads[in_id]
+            if isinstance(in_grad, Block):
+                if acc is None:
+                    acc = self.grads[in_id] = np.zeros(in_grad.shape)
+                    acc[in_grad.index] = in_grad.values
                 else:
-                    self.grads[in_id] += in_grad
+                    acc[in_grad.index] += in_grad.values
+            elif acc is None:
+                self.grads[in_id] = in_grad
+            else:
+                acc += in_grad
 
 
 def _tape_of(*tensors: Tensor) -> "Tape | None":
@@ -195,10 +231,13 @@ def _tape_of(*tensors: Tensor) -> "Tape | None":
 def record(op: str, inputs: Sequence[Tensor], backward_fn, value: Array) -> Tensor:
     """Record one fused op whose forward value was computed outside the tape.
 
-    ``backward_fn(g)`` returns one gradient (or None) per input, each an
-    array that nothing else holds: the tape keeps a node's first gradient as
-    returned and adds later ones into it in place. When no input is tracked
-    the result is a constant and nothing is recorded.
+    ``backward_fn(g)`` owns ``g`` and may overwrite it. It returns one
+    gradient (or None) per input: either an array that nothing else holds,
+    which the tape keeps as the input's first gradient or adds into it in
+    place, or a :class:`Block` of the input's gradient, which the tape adds
+    into its block (on a zero-filled gradient if it is the first). The tape
+    releases ``backward_fn`` and ``g`` before it accumulates. When no input
+    is tracked the result is a constant and nothing is recorded.
     """
     tape = _tape_of(*inputs)
     if tape is None:

@@ -36,7 +36,7 @@ class RigidPose:
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
-        if not np.allclose(r.T @ r, np.eye(3), atol=ORTHONORMALITY_TOL):
+        if not np.allclose(r.T @ r, np.eye(3), rtol=0.0, atol=ORTHONORMALITY_TOL):
             raise ParameterError("rotation is not orthonormal within 1e-9")
         if abs(np.linalg.det(r) - 1.0) > ORTHONORMALITY_TOL:
             raise ParameterError("rotation determinant is not +1 within 1e-9")

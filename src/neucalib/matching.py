@@ -111,16 +111,18 @@ def similarity(f_p: Tensor, f_i: Tensor, transform: AlignmentTransform,
     xw = x if w is None else x @ w
 
     def backward(g):
-        gc = g * c
-        gy = gc @ y
-        grads = x_back(gy if w is None else gy @ w), y_back(gc.T @ xw)
+        g *= c  # the node owns g
+        gy = g @ y
+        grads = x_back(gy if w is None else gy @ w), y_back(g.T @ xw)
         if w is None:
             return grads
         dw = x.T @ gy
         return (*grads, (dw + dw.T) * 0.5)
 
     inputs = (f_p, f_i) if w is None else (f_p, f_i, transform.raw)
-    return ad.record("similarity", inputs, backward, (xw @ y.T) * c)
+    logits = xw @ y.T
+    logits *= c
+    return ad.record("similarity", inputs, backward, logits)
 
 
 def infonce_loss(logits: Tensor, pairs: PairSet, direction: str = "point_to_pixel") -> Tensor:
@@ -136,12 +138,15 @@ def infonce_loss(logits: Tensor, pairs: PairSet, direction: str = "point_to_pixe
     candidates block of the logits. For point anchors that block is the
     anchor rows of the logits; for pixel anchors it is the anchor columns x
     overlapping-point rows, gathered from the transposed logits in one copy.
-    The gradient goes back through the same index into one fresh N x M
-    array. Pair indices must be integers in [0, N M). Annulus entries (near
-    but not positive) are set to -inf before the per-anchor max and the exp,
-    so they weigh nothing however large they are. With K terms, D_k the
-    denominator of term k and e = exp(shifted logits), the gradient at
-    anchor a is e_aj * sum_{k in P(a)} 1 / D_k / K at each negative j and
+    The backward writes its gradient over that block of exps and hands it
+    to the tape as an :class:`~neucalib.autodiff.Block` of the logits, so
+    it allocates no N x M array. Pair indices must be integers in [0, N M),
+    and every pair's point must be in ``pairs.overlap_points``, in either
+    direction. Annulus entries (near but not positive) are set to -inf
+    before the per-anchor max and the exp, so they weigh nothing however
+    large they are. With K terms, D_k the denominator of term k and
+    e = exp(shifted logits), the gradient at anchor a is
+    e_aj * sum_{k in P(a)} 1 / D_k / K at each negative j and
     (e_ap / D_k - 1) / K at each positive p.
     """
     if pairs.n_pixels != logits.shape[1]:
@@ -155,6 +160,10 @@ def infonce_loss(logits: Tensor, pairs: PairSet, direction: str = "point_to_pixe
                                pairs.n_pixels)
     near_pt, near_px = np.divmod(_index_array(pairs.near, n_pairs, "pairs.near"),
                                  pairs.n_pixels)
+    col = np.full(logits.shape[0], -1)  # each point's candidate column, -1 if none
+    col[cands] = np.arange(cands.size)
+    if (col[pos_pt] < 0).any() or (col[near_pt] < 0).any():
+        raise ParameterError("pairs hold a point outside pairs.overlap_points")
     if direction == "point_to_pixel":
         orient = np.asarray  # anchors are rows of the logits, candidates all columns
         n_rows, width = logits.shape
@@ -162,11 +171,7 @@ def infonce_loss(logits: Tensor, pairs: PairSet, direction: str = "point_to_pixe
     elif direction == "pixel_to_point":
         orient = np.transpose  # anchors are columns, candidates the overlapping rows
         n_rows, width = logits.shape[1], cands.size
-        col = np.full(logits.shape[0], -1)
-        col[cands] = np.arange(cands.size)
         pos, near = (pos_px, col[pos_pt]), (near_px, col[near_pt])
-        if (pos[1] < 0).any() or (near[1] < 0).any():
-            raise ParameterError("pairs hold a point outside pairs.overlap_points")
     else:
         raise ParameterError(f"unknown InfoNCE direction {direction!r}")
 
@@ -177,13 +182,16 @@ def infonce_loss(logits: Tensor, pairs: PairSet, direction: str = "point_to_pixe
         raise DegenerateBatchError(f"no usable {direction} anchors")
     row = np.full(n_rows, -1)
     row[anchors] = np.arange(anchors.size)
-    at = anchors if direction == "point_to_pixel" else np.ix_(anchors, cands)
+    if direction == "point_to_pixel":
+        at = index = anchors  # the block in the oriented logits, and in the logits
+    else:
+        at, index = np.ix_(anchors, cands), np.ix_(cands, anchors)
 
-    def block_index(anchor, col):
+    def block_index(anchor, cand):
         """(row, column) of pairs in the anchor block, for usable anchors."""
         r = row[anchor]
         keep = r >= 0
-        return r[keep], col[keep]
+        return r[keep], cand[keep]
 
     near_at = block_index(*near)
     pos_r, pos_c = block_index(*pos)
@@ -212,9 +220,7 @@ def infonce_loss(logits: Tensor, pairs: PairSet, direction: str = "point_to_pixe
         grad = neg_exp  # no later node reads the exps, so the gradient takes their block
         grad *= (np.bincount(a_idx, weights=1.0 / denom) * scale)[:, None]
         grad[pos_at] += (pos_exp / denom - 1.0) * scale
-        out = np.zeros(shape)
-        orient(out)[at] = grad
-        return (out,)
+        return (ad.Block(index, orient(grad), shape),)
 
     return ad.record("infonce", (logits,), backward, value)
 
@@ -316,9 +322,10 @@ def match_coords(logits: Tensor, selection: OverlapSelection, centers: np.ndarra
     pixel centers; the softmax runs on the (already temperature-scaled)
     logits. It records one ``soft_match`` node that keeps W, the block's row
     softmax, and its R x 2 value W centers. With dW = g centers^T, the block
-    gradient W (dW - rowsum(g * W centers)) is written into the selected
-    rows x selected columns of one fresh N x M array; rowsum(g * W centers)
-    equals rowsum(dW * W), on R x 2 rather than on the whole block. Hard
+    gradient W (dW - rowsum(g * W centers)) is written over W and handed to
+    the tape as an :class:`~neucalib.autodiff.Block` of the logits at the
+    selected rows x selected columns; rowsum(g * W centers) equals
+    rowsum(dW * W), on R x 2 rather than on the whole block. Hard
     mode takes each row's argmax pixel (ties to the first selected one) as
     a constant.
     """
@@ -341,9 +348,8 @@ def match_coords(logits: Tensor, selection: OverlapSelection, centers: np.ndarra
     def backward(g):
         dw = g @ pix.T
         dw -= np.einsum("ij,ij->i", g, out)[:, None]
-        dw *= w
-        grad = np.zeros((n, m))
-        grad[np.ix_(rows, cols)] = dw
-        return (grad,)
+        grad = w  # no later node reads W, so the gradient takes its buffer
+        grad *= dw
+        return (ad.Block(np.ix_(rows, cols), grad, (n, m)),)
 
     return ad.record("soft_match", (logits,), backward, out)

@@ -190,6 +190,47 @@ class TestBackward:
         np.testing.assert_allclose(y.grad, ws + wy, rtol=1e-15)
         assert not np.shares_memory(x.grad, y.grad)
 
+    def test_add_hands_each_input_its_own_gradient(self):
+        # a backward owns the g it is handed: each probe scales its g in
+        # place, so a g that add shared between its inputs would show both
+        # scalings in both leaf gradients
+        tape = ad.Tape()
+        x, y = tape.parameter([[1.0, 2.0]]), tape.parameter([[3.0, 4.0]])
+
+        def probe(t, c):
+            def backward(g):
+                g *= c
+                return (g,)
+
+            return ad.record("probe", (t,), backward, t.value * c)
+
+        tape.backward(weighted_sum(ad.add(probe(x, 2.0), probe(y, 3.0))))
+        np.testing.assert_array_equal(x.grad, [[2.0, 2.0]])
+        np.testing.assert_array_equal(y.grad, [[3.0, 3.0]])
+
+    @pytest.mark.parametrize("full_first", [False, True])
+    def test_blocks_add_into_their_index_block(self, full_first):
+        # a row block and an np.ix_ block of one input; with full_first a
+        # full gradient reaches it before them, otherwise the tape zero-fills
+        rng = np.random.default_rng(9)
+        rows, ix = np.array([0, 2]), np.ix_([1, 2], [0, 3])
+        va, vb, w = rng.normal(size=(2, 4)), rng.normal(size=(2, 2)), rng.normal(size=(3, 4))
+        tape = ad.Tape()
+        x = tape.parameter(rng.normal(size=(3, 4)))
+
+        def block(index, values):
+            return ad.record("block", (x,),
+                             lambda g: (ad.Block(index, g[0, 0] * values, x.shape),), [[0.0]])
+
+        loss = ad.add(block(rows, va), block(ix, vb))
+        if full_first:
+            loss = ad.add(loss, weighted_sum(x, w))
+        tape.backward(loss)
+        want = w.copy() if full_first else np.zeros((3, 4))
+        want[ix] += vb  # the sweep meets the later block first
+        want[rows] += va
+        np.testing.assert_array_equal(x.grad, want)
+
     def test_replay_determinism(self):
         rng = np.random.default_rng(7)
         x0, b = rng.normal(size=(4, 4)), const(rng.normal(size=(1, 4)))

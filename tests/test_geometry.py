@@ -64,6 +64,14 @@ class TestPoseAlgebra:
         with pytest.raises(ParameterError):
             geo.RigidPose(np.eye(3) * 2.0, np.zeros(3))
 
+    def test_rotation_off_by_more_than_the_tolerance_rejected(self):
+        # det 1, but R^T R is off the identity by 5e-6 on its diagonal: far
+        # outside 1e-9, though within allclose's default relative tolerance
+        r = np.diag([1.0 + 2.5e-6, 1.0, 1.0 / (1.0 + 2.5e-6)])
+        assert abs(np.linalg.det(r) - 1.0) <= geo.ORTHONORMALITY_TOL
+        with pytest.raises(ParameterError, match="orthonormal"):
+            geo.RigidPose(r, np.zeros(3))
+
 
 class TestIntrinsics:
     VALID = dict(fx=100.0, fy=80.0, cx=50.0, cy=40.0)

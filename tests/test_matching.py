@@ -327,7 +327,7 @@ class TestInfoNCE:
         *(pytest.param(d, None, None, id=d) for d in DIRECTIONS),
         *(pytest.param(d, f, bad, id=f"{f}={bad}-{d}")
           for f in ("positives", "near") for bad in (4096, -1, 1.0) for d in DIRECTIONS),
-        pytest.param("pixel_to_point", "overlap_points", None, id="overlap_points-pixel_to_point")])
+        *(pytest.param(d, "overlap_points", None, id=f"overlap_points-{d}") for d in DIRECTIONS)])
     def test_pairs_built_for_more_points_rejected(self, direction, field, bad):
         cfg = sc.SceneConfig(n_points=64, grid=(8, 8))
         pairs = sc.build_pairs(sc.generate_scene(np.random.default_rng(5), cfg), 1.0, 4.0)
@@ -337,8 +337,8 @@ class TestInfoNCE:
                 mt.infonce_loss(ad.constant(np.zeros((32, 64))), pairs, direction)
             return
         if field == "overlap_points":
-            # the first overlapping point keeps its pairs but is no candidate,
-            # so it has no candidate column to map them to
+            # the first overlapping point keeps its pairs but leaves
+            # overlap_points, so it may be neither an anchor nor a candidate
             pairs = replace(pairs, overlap_points=pairs.overlap_points[1:])
             with pytest.raises(ParameterError, match="outside pairs.overlap_points"):
                 mt.infonce_loss(ad.constant(np.zeros((64, 64))), pairs, direction)
@@ -726,19 +726,27 @@ class TestMatchingMemory:
     N, M, SLACK = 192, 240, 192 << 10
     BLOCK = N * M * 8
 
-    def node(self, build):
-        """The backward of the one node that ``build`` records on logits, and
-        a seed gradient of its output's shape. A backward runs once, as on a
-        tape, so the node is built twice and the first backward run untraced."""
+    def backward(self, *terms):
+        """The logits gradient and the tracemalloc peak of one tape's
+        backward() on the sum of ``terms``, each built on one shared logits
+        leaf. The peak counts the leaf's gradient but not the arrays that
+        the nodes keep. A first tape is swept untraced, so that numpy's
+        one-time buffers are not counted."""
         vals = np.random.default_rng(22).normal(size=(self.N, self.M))
-        backwards = []
-        for _ in range(2):
+
+        def build():
             tape = ad.Tape()
-            out = build(tape.parameter(vals))
-            backwards.append(tape.nodes[-1].backward_fn)
-        g = np.ones(out.shape)
-        backwards[0](g)
-        return backwards[1], g
+            logits = tape.parameter(vals)
+            loss = weighted_sum(terms[0](logits))
+            for term in terms[1:]:
+                loss = ad.add(loss, weighted_sum(term(logits)))
+            return tape, logits, loss
+
+        tape, _, loss = build()
+        tape.backward(loss)
+        tape, logits, loss = build()
+        _, peak = traced_peak(tape.backward, loss)
+        return logits.grad, peak
 
     def pairs(self):
         """Every point overlaps, and each pixel has point j % N as its one
@@ -747,24 +755,40 @@ class TestMatchingMemory:
         pos[np.arange(self.M) % self.N, np.arange(self.M)] = True
         return pairset(pos, ~pos)
 
-    def test_soft_match_backward_allocates_one_block_and_the_gradient(self):
+    def soft_match(self):
         sel = mt.OverlapSelection(np.arange(self.N), np.arange(self.M), False, False)
         centers = np.random.default_rng(23).uniform(0, 8, (self.M, 2))
-        backward, g = self.node(lambda logits: mt.match_coords(logits, sel, centers))
-        (grad,), peak = traced_peak(backward, g)
+        return lambda logits: mt.match_coords(logits, sel, centers)
+
+    def test_soft_match_backward_allocates_one_block_and_the_gradient(self):
+        """dW, then the zero-filled logits gradient once dW is gone: the
+        block gradient is written over W."""
+        grad, peak = self.backward(self.soft_match())
         assert grad.shape == (self.N, self.M)
-        assert peak <= 2 * self.BLOCK + self.SLACK
+        assert peak <= self.BLOCK + self.SLACK
 
     @pytest.mark.parametrize("direction", DIRECTIONS)
     def test_infonce_allocates_one_block_each_way(self, direction):
         """The forward allocates its block of exps, and the backward only the
-        N x M gradient: it writes its block over the exps."""
+        logits gradient: it writes its block over the exps."""
         pairs = self.pairs()
         logits = ad.constant(np.random.default_rng(24).normal(size=(self.N, self.M)))
         mt.infonce_loss(logits, pairs, direction)
         _, peak = traced_peak(mt.infonce_loss, logits, pairs, direction)
         assert peak <= self.BLOCK + self.SLACK
-        backward, g = self.node(lambda t: mt.infonce_loss(t, pairs, direction))
-        (grad,), peak = traced_peak(backward, g)
+        grad, peak = self.backward(lambda t: mt.infonce_loss(t, pairs, direction))
         assert np.count_nonzero(grad) == self.N * self.M
         assert peak <= self.BLOCK + self.SLACK
+
+    def test_three_terms_on_one_logits_peak_at_two_blocks(self):
+        """Both InfoNCE directions and soft matching add their blocks into
+        one logits gradient: the first into the zero-filled gradient, the
+        others through one gathered temporary each. Soft matching is
+        recorded first, so its backward runs when the gradient already
+        exists: the gradient and dW, then the gradient and the gathered
+        block."""
+        pairs = self.pairs()
+        grad, peak = self.backward(self.soft_match(), *(
+            lambda t, d=d: mt.infonce_loss(t, pairs, d) for d in DIRECTIONS))
+        assert np.count_nonzero(grad) == self.N * self.M
+        assert peak <= 2 * self.BLOCK + self.SLACK
