@@ -1,6 +1,6 @@
 """Exception types shared across the package, the one file reader and
 writer, which turn a failed path into :class:`ConfigError`, and the one
-check that an input holds real numbers.
+check of each input kind: ``real_array``, ``index_set`` and ``is_count``.
 
 Every error raised by neucalib derives from :class:`NeucalibError` so the
 CLI can map library failures to a nonzero exit code in one place.
@@ -80,3 +80,17 @@ def real_array(x, what: str, error: type[NeucalibError]) -> np.ndarray:
     if arr.dtype.kind not in "biuf":
         raise error(f"{what}: {arr.dtype} values are not real numbers")
     return arr.astype(np.float64, copy=False)
+
+
+def index_set(x, what: str) -> np.ndarray:
+    """``x``, if it is a 1-D ``np.intp`` array of strictly increasing entries >= 0
+    (``np.flatnonzero`` gives one), else a ParameterError; no narrower dtype can wrap."""
+    if not (isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == np.intp
+            and (x.size == 0 or x[0] >= 0) and (x[1:] > x[:-1]).all()):
+        raise ParameterError(f"{what} must be a strictly increasing intp array of entries >= 0")
+    return x
+
+
+def is_count(x, least: int) -> bool:
+    """Whether ``x`` is a Python or numpy integer, not a bool, of at least ``least``."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= least

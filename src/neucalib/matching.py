@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import (DegenerateBatchError, DomainError, NormalizationError, ParameterError,
-                     ShapeError, real_array)
+                     ShapeError, index_set, real_array)
 from .scene import PairSet
 
 PROB_CLAMP = 1e-7  # BCE probability floor/ceiling before the log
@@ -75,22 +75,6 @@ def _unit_rows(f: np.ndarray, what: str):
     return out, lambda d: (d - out * (d * out).sum(axis=1, keepdims=True)) / norms
 
 
-def _index_array(idx, size: int, what: str, increasing: bool = False) -> np.ndarray:
-    """``idx`` as a 1-D integer array of entries in [0, size), strictly
-    increasing if ``increasing``; anything else is a ParameterError."""
-    idx = np.asarray(idx)
-    ok = idx.ndim == 1 and idx.dtype.kind in "iu"
-    if ok and idx.size:
-        ok = idx.min() >= 0 and idx.max() < size
-        if increasing:
-            ok = ok and bool(np.all(idx[1:] > idx[:-1]))
-    if not ok:
-        order = "strictly increasing " if increasing else ""
-        raise ParameterError(f"{what} must be a {order}integer vector in [0, {size}), "
-                             f"got {idx.dtype} of shape {idx.shape}")
-    return idx
-
-
 def similarity(f_p: Tensor, f_i: Tensor, transform: AlignmentTransform,
                mode: str = "learnable") -> Tensor:
     """N x M logits between row-normalized features, divided by temperature.
@@ -140,30 +124,21 @@ def infonce_loss(logits: Tensor, pairs: PairSet, direction: str = "point_to_pixe
     overlapping-point rows, gathered from the transposed logits in one copy.
     The backward writes its gradient over that block of exps and hands it
     to the tape as an :class:`~neucalib.autodiff.Block` of the logits, so
-    it allocates no N x M array. Pair indices must be integers in [0, N M),
-    and every pair's point must be in ``pairs.overlap_points``, in either
-    direction. Annulus entries (near but not positive) are set to -inf
-    before the per-anchor max and the exp, so they weigh nothing however
-    large they are. With K terms, D_k the denominator of term k and
-    e = exp(shifted logits), the gradient at anchor a is
-    e_aj * sum_{k in P(a)} 1 / D_k / K at each negative j and
+    it allocates no N x M array. The pairs checked their own rule when
+    built (:class:`~neucalib.scene.PairSet`); here ``pairs.n_pixels`` must
+    be M and the last overlapping point below N. Annulus entries (near but
+    not positive) are set to -inf before the per-anchor max and the exp, so
+    they weigh nothing however large they are. With K terms, D_k the
+    denominator of term k and e = exp(shifted logits), the gradient at
+    anchor a is e_aj * sum_{k in P(a)} 1 / D_k / K at each negative j and
     (e_ap / D_k - 1) / K at each positive p.
     """
-    if pairs.n_pixels != logits.shape[1]:
-        raise ParameterError(f"pairs cover {pairs.n_pixels} pixels, logits {logits.shape[1]}")
     cands = pairs.overlap_points
-    if cands.size and cands.max() >= logits.shape[0]:
-        raise ParameterError(
-            f"pairs index point {cands.max()}, logits have {logits.shape[0]} rows")
-    n_pairs = logits.value.size
-    pos_pt, pos_px = np.divmod(_index_array(pairs.positives, n_pairs, "pairs.positives"),
-                               pairs.n_pixels)
-    near_pt, near_px = np.divmod(_index_array(pairs.near, n_pairs, "pairs.near"),
-                                 pairs.n_pixels)
-    col = np.full(logits.shape[0], -1)  # each point's candidate column, -1 if none
-    col[cands] = np.arange(cands.size)
-    if (col[pos_pt] < 0).any() or (col[near_pt] < 0).any():
-        raise ParameterError("pairs hold a point outside pairs.overlap_points")
+    if pairs.n_pixels != logits.shape[1] or (cands.size and cands[-1] >= logits.shape[0]):
+        raise ParameterError(f"pairs of {pairs.n_pixels} pixels and points {cands[-1:]} do not "
+                             f"fit logits of {logits.shape[0]} rows, {logits.shape[1]} columns")
+    pos_pt, pos_px = np.divmod(pairs.positives, pairs.n_pixels)
+    near_pt, near_px = np.divmod(pairs.near, pairs.n_pixels)
     if direction == "point_to_pixel":
         orient = np.asarray  # anchors are rows of the logits, candidates all columns
         n_rows, width = logits.shape
@@ -171,7 +146,8 @@ def infonce_loss(logits: Tensor, pairs: PairSet, direction: str = "point_to_pixe
     elif direction == "pixel_to_point":
         orient = np.transpose  # anchors are columns, candidates the overlapping rows
         n_rows, width = logits.shape[1], cands.size
-        pos, near = (pos_px, col[pos_pt]), (near_px, col[near_pt])
+        pos = pos_px, np.searchsorted(cands, pos_pt)
+        near = near_px, np.searchsorted(cands, near_pt)
     else:
         raise ParameterError(f"unknown InfoNCE direction {direction!r}")
 
@@ -260,20 +236,24 @@ def overlap_bce_loss(s_p: Tensor, s_i: Tensor, point_labels, pixel_labels) -> Te
     return ad.record("overlap_bce", (s_p, s_i), backward, np.array([[value]]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class OverlapSelection:
     """The points and pixels that the pose stage matches.
 
-    ``point_indices`` and ``pixel_indices`` are strictly increasing integer
-    vectors inside the N x M logits, as ``np.flatnonzero`` of a mask gives;
-    :func:`match_coords` refuses anything else. A fallback flag is set when
-    that side came from the ground-truth mask.
+    It checks its rule where it is built, or raises ``ParameterError``: both
+    index fields are index sets (``errors.index_set``); :func:`match_coords`
+    checks that they fit its logits. A fallback flag is set when that side
+    came from the ground-truth mask.
     """
 
     point_indices: np.ndarray
     pixel_indices: np.ndarray
     point_fallback: bool
     pixel_fallback: bool
+
+    def __post_init__(self):
+        index_set(self.point_indices, "point indices")
+        index_set(self.pixel_indices, "pixel indices")
 
 
 def threshold_overlap(s_p: Tensor, s_i: Tensor, theta_p: float, theta_i: float,
@@ -286,18 +266,15 @@ def threshold_overlap(s_p: Tensor, s_i: Tensor, theta_p: float, theta_i: float,
     """
     if not (0.0 < theta_p < 1.0 and 0.0 < theta_i < 1.0):
         raise ParameterError("overlap thresholds must lie in (0, 1)")
-    masks = [np.asarray(gt_point_mask), np.asarray(gt_pixel_mask)]
-    for mask, scores, what in zip(masks, (s_p, s_i), ("point", "pixel")):
+    sides = []  # (indices, fallback) of the points, then of the pixels
+    for scores, theta, mask, what in ((s_p, theta_p, np.asarray(gt_point_mask), "point"),
+                                      (s_i, theta_i, np.asarray(gt_pixel_mask), "pixel")):
         if mask.dtype != bool or mask.shape != (scores.shape[0],):
             raise ParameterError(f"{what} fallback mask must be {scores.shape[0]} booleans, "
                                  f"got {mask.dtype} of shape {mask.shape}")
-    points = np.flatnonzero(s_p.value[:, 0] > theta_p)
-    pixels = np.flatnonzero(s_i.value[:, 0] > theta_i)
-    point_fallback, pixel_fallback = points.size == 0, pixels.size == 0
-    if point_fallback:
-        points = np.flatnonzero(masks[0])
-    if pixel_fallback:
-        pixels = np.flatnonzero(masks[1])
+        picked = np.flatnonzero(scores.value[:, 0] > theta)
+        sides.append((picked, False) if picked.size else (np.flatnonzero(mask), True))
+    (points, point_fallback), (pixels, pixel_fallback) = sides
     return OverlapSelection(points, pixels, point_fallback, pixel_fallback)
 
 
@@ -316,28 +293,28 @@ def match_coords(logits: Tensor, selection: OverlapSelection, centers: np.ndarra
     """Predicted pixel coordinates of the selected points over the selected
     pixels, from the selected rows x selected columns block of the logits.
 
-    The selection's index sets must be strictly increasing integer vectors
-    inside the N x M logits and ``centers`` must be M x 2; anything else is
-    a ParameterError. Soft mode predicts the softmax-weighted mean of the
-    pixel centers; the softmax runs on the (already temperature-scaled)
-    logits. It records one ``soft_match`` node that keeps W, the block's row
-    softmax, and its R x 2 value W centers. With dW = g centers^T, the block
-    gradient W (dW - rowsum(g * W centers)) is written over W and handed to
-    the tape as an :class:`~neucalib.autodiff.Block` of the logits at the
-    selected rows x selected columns; rowsum(g * W centers) equals
-    rowsum(dW * W), on R x 2 rather than on the whole block. Hard
-    mode takes each row's argmax pixel (ties to the first selected one) as
-    a constant.
+    The selection checked its index sets when built; here both must be non-
+    empty (else a DegenerateBatchError) and inside the N x M logits, and
+    ``centers`` M x 2 (else a ParameterError). Soft mode predicts the softmax-
+    weighted mean of the pixel centers; the softmax runs on the (already
+    temperature-scaled) logits. It records one ``soft_match`` node that keeps
+    W, the block's row softmax, and its R x 2 value W centers. With dW = g
+    centers^T, the block gradient W (dW - rowsum(g * W centers)) is written
+    over W and handed to the tape as an :class:`~neucalib.autodiff.Block` of
+    the logits at the selected rows x selected columns; rowsum(g * W centers)
+    equals rowsum(dW * W), on R x 2 rather than on the whole block. Hard mode
+    takes each row's argmax pixel (ties to the first selected one) as a
+    constant.
     """
     if mode not in ("soft", "hard"):
         raise ParameterError(f"unknown match mode {mode!r}")
     n, m = logits.shape
-    rows = _index_array(selection.point_indices, n, "point indices", increasing=True)
-    cols = _index_array(selection.pixel_indices, m, "pixel indices", increasing=True)
+    rows, cols = selection.point_indices, selection.pixel_indices
     if rows.size == 0 or cols.size == 0:
         raise DegenerateBatchError("empty overlap selection for matching")
-    if np.shape(centers) != (m, 2):
-        raise ParameterError(f"centers must be {m} x 2, got shape {np.shape(centers)}")
+    if rows[-1] >= n or cols[-1] >= m or np.shape(centers) != (m, 2):
+        raise ParameterError(f"selection reaches point {rows[-1]} and pixel {cols[-1]}, centers "
+                             f"have shape {np.shape(centers)}: logits are {n} x {m}")
     pix = centers[cols]
     block = logits.value[np.ix_(rows, cols)]
     if mode == "hard":

@@ -46,8 +46,8 @@ def save_params(params: ParamDict, path) -> None:
         except (AttributeError, UnicodeEncodeError) as err:
             raise ParameterError(f"parameter name {name!r} is not a UTF-8 string") from err
         arr = real_array(value, f"parameter {name!r}", ParameterError)
-        if arr.ndim != 2:
-            raise ParameterError(f"parameter {name!r} has shape {arr.shape}, not 2-D")
+        if arr.ndim != 2 or max(arr.shape) >= 2**32:  # the format holds each side in a uint32
+            raise ParameterError(f"parameter {name!r}: shape {arr.shape} is not 2-D below 2**32")
         arr = np.ascontiguousarray(arr, dtype="<f8")
         parts += [struct.pack("<I", len(raw)), raw, struct.pack("<II", *arr.shape), arr.tobytes()]
     write_file(path, b"".join(parts), "parameter file")

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import SolveError, real_array
+from .errors import SolveError, is_count, real_array
 from .geometry import MIN_DEPTH, CameraIntrinsics, RigidPose, project_to_so3
 
 MIN_CORRESPONDENCES = 6
@@ -192,7 +192,7 @@ def gauss_newton_refine(problem: PnPProblem, init: RigidPose,
     steps in reverse to give the exact target gradient of the finite
     procedure.
     """
-    if not (isinstance(k_iters, (int, np.integer)) and k_iters >= 1):
+    if not is_count(k_iters, 1):
         raise SolveError(f"k_iters must be an integer >= 1, got {k_iters!r}")
     k, n, points = problem.intrinsics, problem.n, problem.points
     targets = problem.targets.value

@@ -28,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry as geo
-from .errors import ConfigError, GenerationError, ParameterError, read_file, write_file
+from .errors import (ConfigError, GenerationError, ParameterError, index_set, is_count,
+                     read_file, write_file)
 
 MAGIC = b"NCLR"
 FORMAT_VERSION = 1
@@ -45,10 +46,6 @@ PATCH_PLANES = 10  # plane draws per patch before generation gives up
 MIN_OVERLAP = 8  # overlapping points per scene, headroom for the pose solver
 
 
-def _is_count(x, least: int) -> bool:
-    return isinstance(x, (int, np.integer)) and x >= least
-
-
 @dataclass(frozen=True)
 class SceneConfig:
     """Scene size; the defaults give a 256-point, 16 x 16 grid scene.
@@ -61,10 +58,10 @@ class SceneConfig:
     grid: tuple[int, int] = (16, 16)  # (H', W')
 
     def __post_init__(self):
-        if not _is_count(self.n_points, MIN_OVERLAP):
+        if not is_count(self.n_points, MIN_OVERLAP):
             raise ParameterError(f"n_points must be an integer >= {MIN_OVERLAP}: {self.n_points!r}")
         if not (isinstance(self.grid, (tuple, list)) and len(self.grid) == 2
-                and all(_is_count(g, 4) for g in self.grid)):
+                and all(is_count(g, 4) for g in self.grid)):
             raise ParameterError(f"grid must be two integers >= 4, got {self.grid!r}")
         object.__setattr__(self, "n_points", int(self.n_points))
         object.__setattr__(self, "grid", (int(self.grid[0]), int(self.grid[1])))
@@ -97,7 +94,7 @@ class SceneSample:
 
     def __post_init__(self):
         h, w = self.grid if isinstance(self.grid, tuple) and len(self.grid) == 2 else (0, 0)
-        if not (_is_count(h, 1) and _is_count(w, 1)):
+        if not (is_count(h, 1) and is_count(w, 1)):
             raise ConfigError(f"scene grid {self.grid!r} is not a tuple of two integers >= 1")
         n = self.points.shape[:1] if isinstance(self.points, np.ndarray) else ()
         arrays = (("points", n + (3,), "float64"), ("gt_projection", n + (2,), "float64"),
@@ -181,6 +178,10 @@ class PairSet:
     pixels outside its near list, and a pixel's negatives are all the
     overlapping points outside it. ``skipped_no_positive`` /
     ``skipped_no_negative`` count overlapping points excluded from the loss.
+
+    It checks the pair rule where it is built, or raises ``ParameterError``:
+    ``n_pixels`` is an intp count >= 1, the index fields are index sets and every
+    pair's point is in ``overlap_points``. ``infonce_loss`` fits it to logits.
     """
 
     overlap_points: np.ndarray  # ascending indices of the overlapping points
@@ -189,6 +190,17 @@ class PairSet:
     near: np.ndarray  # flat pairs at distance <= r_n
     skipped_no_positive: int
     skipped_no_negative: int
+
+    def __post_init__(self):
+        if not (is_count(self.n_pixels, 1) and self.n_pixels <= np.iinfo(np.intp).max):
+            raise ParameterError(f"pairs.n_pixels must be an intp integer >= 1: {self.n_pixels!r}")
+        points = index_set(self.overlap_points, "pairs.overlap_points")
+        for name in ("positives", "near"):
+            pair_points = index_set(getattr(self, name), f"pairs.{name}") // self.n_pixels
+            pair_points = pair_points[np.diff(pair_points, prepend=-1) != 0]  # each once
+            at = np.searchsorted(points, pair_points)
+            if not (at < points.size).all() or (points[at] != pair_points).any():
+                raise ParameterError(f"pairs.{name} hold a point outside pairs.overlap_points")
 
 
 def build_pairs(sample: SceneSample, r_p: float, r_n: float) -> PairSet:
@@ -405,7 +417,7 @@ def load_scene(path) -> SceneSample:
 def write_dataset(out_dir, scenes: list[SceneSample], config: SceneConfig,
                   seed: int) -> Path:
     """Write sample files plus a manifest naming them, ``config`` and ``seed`` (an int >= 0)."""
-    if not _is_count(seed, 0):
+    if not is_count(seed, 0):
         raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
     out = Path(out_dir)
     try:

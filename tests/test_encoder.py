@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from neucalib import autodiff as ad
 from neucalib import encoder as enc
@@ -336,7 +337,48 @@ class TestFuse:
         assert err < 1e-4
 
 
+@st.composite
+def param_stores(draw):
+    """A dict that save_params may be handed: UTF-8 names and others, and
+    arrays of any dimension, real or not, with NaN and inf, empty ones
+    whose zero-length side hides a side too long for the format, ragged
+    lists and strings."""
+    names = st.text(max_size=6) | st.sampled_from(["\ud800", 1, None, b"w"])
+    values = (
+        hnp.arrays(st.sampled_from([np.float64, np.float32, np.float16, ">f8", np.int64,
+                                    np.uint8, np.bool_, np.complex128]),
+                   hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3))
+        | st.sampled_from([(2**32, 0), (0, 2**32), (0, 0), (3, 0)]).map(np.zeros)
+        | st.lists(st.lists(st.floats(), max_size=3), max_size=3)
+        | st.text(max_size=3))
+    return draw(st.dictionaries(names, values, max_size=4))
+
+
 class TestParamsIO:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(param_stores())
+    def test_saved_params_read_back_equal(self, tmp_path_factory, params):
+        """Whatever save_params accepts, load_params reads back with the same
+        names in the same order and the same float64 values, NaN equal to NaN."""
+        path = tmp_path_factory.getbasetemp() / "symmetry.nclp"
+        try:
+            pstore.save_params(params, path)
+        except ParameterError:
+            return
+        loaded = pstore.load_params(path)
+        assert list(loaded) == list(params)
+        for name, value in params.items():
+            assert loaded[name].dtype == np.float64
+            assert np.array_equal(loaded[name], np.asarray(value, dtype=np.float64),
+                                  equal_nan=True)
+
+    def test_side_too_long_for_the_format_rejected(self, tmp_path):
+        # an empty array can have a side of 2**32, which struct.pack refused
+        for shape in [(2**32, 0), (0, 2**32)]:
+            with pytest.raises(ParameterError, match="2\\*\\*32"):
+                pstore.save_params({"w": np.zeros(shape)}, tmp_path / "m.nclp")
+        assert not (tmp_path / "m.nclp").exists()
+
     def test_round_trip(self, tmp_path):
         p0 = small_params(seed=11)
         path = tmp_path / "m.nclp"

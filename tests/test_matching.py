@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from neucalib import autodiff as ad
 from neucalib import matching as mt
 from neucalib import scene as sc
-from neucalib.errors import (DegenerateBatchError, DomainError, NormalizationError,
-                             ParameterError, ShapeError)
+from neucalib.errors import (DegenerateBatchError, DomainError, NeucalibError,
+                             NormalizationError, ParameterError, ShapeError)
 from tape_probe import finite_difference_check, weighted_sum
 
 
@@ -336,17 +336,16 @@ class TestInfoNCE:
             with pytest.raises(ParameterError, match="32 rows"):
                 mt.infonce_loss(ad.constant(np.zeros((32, 64))), pairs, direction)
             return
+        # the pair set refuses itself, whichever direction would read it
         if field == "overlap_points":
             # the first overlapping point keeps its pairs but leaves
             # overlap_points, so it may be neither an anchor nor a candidate
-            pairs = replace(pairs, overlap_points=pairs.overlap_points[1:])
             with pytest.raises(ParameterError, match="outside pairs.overlap_points"):
-                mt.infonce_loss(ad.constant(np.zeros((64, 64))), pairs, direction)
+                replace(pairs, overlap_points=pairs.overlap_points[1:])
             return
         # one flat pair index outside the 64 x 64 logits, or not an integer
-        pairs = replace(pairs, **{field: np.append(getattr(pairs, field), bad)})
-        with pytest.raises(ParameterError, match=rf"pairs\.{field} .*\[0, 4096\)"):
-            mt.infonce_loss(ad.constant(np.zeros((64, 64))), pairs, direction)
+        with pytest.raises(ParameterError, match=rf"pairs\.{field} "):
+            replace(pairs, **{field: np.append(getattr(pairs, field), bad)})
 
     def test_underflowed_denominator_raises(self):
         # the anchor's max sits on one positive; the other positive and the
@@ -647,25 +646,30 @@ class TestSoftHardMatch:
 
     def test_repeated_or_unsorted_indices_rejected(self):
         # index sets are strictly increasing, as np.flatnonzero gives them;
-        # the backward writes each selected logits entry once
-        logits = ad.constant(np.zeros((4, 5)))
-        centers = self.centers(5)
+        # the soft_match backward writes each selected logits entry once.
+        # The selection refuses itself, before any match mode reads it
         good = np.array([0, 2, 3])
         for bad in ([2, 0, 3], [0, 2, 2], [3, 2, 0]):
             for rows, cols in [(bad, good), (good, bad)]:
-                sel = mt.OverlapSelection(np.array(rows), np.array(cols), False, False)
-                for mode in ("soft", "hard"):
-                    with pytest.raises(ParameterError, match="strictly increasing"):
-                        mt.match_coords(logits, sel, centers, mode)
+                with pytest.raises(ParameterError, match="strictly increasing"):
+                    mt.OverlapSelection(np.array(rows), np.array(cols), False, False)
 
-    @pytest.mark.parametrize("rows, cols, centers_shape", [
-        ([0, 2], [0], (3, 2)), ([0], [1, 3], (3, 2)), ([-1], [0], (3, 2)), ([0], [-1], (3, 2)),
-        ([0.0, 1.0], [0], (3, 2)), ([0], [0.0], (3, 2)), ([[0]], [0], (3, 2)),
-        ([0], [0, 1], (2, 2)), ([0], [0], (3, 3))],
+    @pytest.mark.parametrize("rows, cols, centers_shape, refused_by_selection", [
+        ([0, 2], [0], (3, 2), False), ([0], [1, 3], (3, 2), False),
+        ([-1], [0], (3, 2), True), ([0], [-1], (3, 2), True), ([0.0, 1.0], [0], (3, 2), True),
+        ([0], [0.0], (3, 2), True), ([[0]], [0], (3, 2), True),
+        ([0], [0, 1], (2, 2), False), ([0], [0], (3, 3), False)],
         ids=["row_past_end", "column_past_end", "row_minus_one", "column_minus_one",
              "float_rows", "float_columns", "2d_rows", "short_centers", "centers_3_wide"])
-    def test_selection_outside_the_logits_rejected(self, rows, cols, centers_shape):
-        # numpy would raise IndexError, or read row -1 as the last row
+    def test_selection_outside_the_logits_rejected(self, rows, cols, centers_shape,
+                                                   refused_by_selection):
+        # numpy would raise IndexError, or read row -1 as the last row. A
+        # negative, float or 2-D index set is no selection at all; one past
+        # the end of these logits is refused by the matcher that reads it
+        if refused_by_selection:
+            with pytest.raises(ParameterError, match="must be a strictly increasing"):
+                mt.OverlapSelection(np.array(rows), np.array(cols), False, False)
+            return
         logits = ad.constant(np.zeros((2, 3)))
         sel = mt.OverlapSelection(np.array(rows), np.array(cols), False, False)
         for mode in ("soft", "hard"):
@@ -687,6 +691,118 @@ class TestSoftHardMatch:
         np.testing.assert_array_equal(coords_c.value, coords.value)
         hard = mt.match_coords(logits, sel, centers, "hard")
         assert hard.tape is None and len(tape.nodes) == 2
+
+
+def rule_base(seed, n_points, grid):
+    """A built pair set and threshold selection of one generated scene, with
+    random logits and the pixel centers that both consumers read."""
+    rng = np.random.default_rng(seed)
+    scene = sc.generate_scene(rng, sc.SceneConfig(n_points=n_points, grid=grid))
+    n, m = scene.n_points, scene.n_pixels
+    selection = mt.threshold_overlap(column(rng.uniform(size=n)), column(rng.uniform(size=m)),
+                                     0.5, 0.5, scene.point_overlap_gt, scene.pixel_overlap_gt)
+    return (sc.build_pairs(scene, 1.0, 2.5), selection, rng.normal(size=(n, m)),
+            sc.pixel_centers(grid))
+
+
+RULE_BASES = [rule_base(0, 16, (8, 8)), rule_base(1, 16, (8, 8)), rule_base(2, 32, (6, 9))]
+
+
+@st.composite
+def perturbed_index_records(draw):
+    """A base, its pair set or its selection, and one change to it: an index
+    field made float, bool, a narrower or unsigned integer or 2-D, or given
+    a negative, repeated or swapped entry, an entry past the logits, or (for
+    a pair set) a pair on a point outside ``overlap_points``; a bool, float
+    or wrong ``n_pixels``; or nothing."""
+    base = draw(st.sampled_from(RULE_BASES))
+    pairs, selection, logits, _ = base
+    (n, m), record = logits.shape, draw(st.sampled_from(base[:2]))
+    kind = draw(st.sampled_from(["float", "bool", "narrow", "2d", "negative", "repeated",
+                                 "swapped", "past_end", "outside", "n_pixels", "none"]))
+    if kind == "none":
+        return base, record, {}
+    if kind == "n_pixels":
+        return base, pairs, {"n_pixels": draw(st.sampled_from(
+            [True, float(m), 0, -m, m - 1, m + 1, np.int64(m), 2**70, np.uint64(2**64 - 1)]))}
+    names = ["point_indices", "pixel_indices"] if record is selection \
+        else ["overlap_points", "positives", "near"]
+    name = draw(st.sampled_from(names))
+    idx = getattr(record, name)
+    i = draw(st.integers(0, idx.size - 2))
+    if kind == "outside" and record is pairs:
+        if name == "overlap_points":
+            return base, record, {name: np.delete(idx, i)}
+        point = draw(st.sampled_from(np.setdiff1d(np.arange(n), pairs.overlap_points).tolist()))
+        return base, record, {name: np.union1d(idx, [point * m + draw(st.integers(0, m - 1))])}
+    bound = {"point_indices": n, "pixel_indices": m, "overlap_points": n}.get(name, n * m)
+    changed = {
+        "float": lambda: idx.astype(np.float64), "bool": lambda: idx.astype(bool),
+        "narrow": lambda: idx.astype(draw(st.sampled_from([np.int8, np.int32, np.uint64]))),
+        "2d": lambda: draw(st.sampled_from([idx[None, :], idx[:, None]])),
+        "negative": lambda: np.insert(idx, 0, -draw(st.integers(1, 3))),
+        "repeated": lambda: np.insert(idx, i, idx[i]),
+        "swapped": lambda: np.concatenate([idx[:i], idx[i + 1:i + 2], idx[i:i + 1], idx[i + 2:]]),
+        "past_end": lambda: np.append(idx, bound + draw(st.integers(0, 2))),
+        "outside": lambda: np.delete(idx, i),  # a smaller selection is still one
+    }[kind]()
+    return base, record, {name: changed}
+
+
+def returns_or_raises_neucalib_error(build):
+    """Run ``build`` on a fresh tape, and the backward of what it returns
+    when that is on the tape; a NeucalibError is an answer too."""
+    tape = ad.Tape()
+    try:
+        out = build(tape)
+        if out.tape is tape:
+            tape.backward(weighted_sum(out))
+    except NeucalibError:
+        pass
+
+
+class TestPairRule:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(perturbed_index_records())
+    def test_record_refuses_or_its_consumers_answer(self, case):
+        """A pair set or selection either refuses the change with
+        ParameterError, or both InfoNCE directions and soft and hard
+        matching return a value or raise a NeucalibError."""
+        (pairs, selection, logits, centers), record, change = case
+        try:
+            changed = replace(record, **change)
+        except ParameterError:
+            return
+        if isinstance(changed, sc.PairSet):
+            pairs = changed
+        else:
+            selection = changed
+        for direction in DIRECTIONS:
+            returns_or_raises_neucalib_error(
+                lambda tape: mt.infonce_loss(tape.parameter(logits), pairs, direction))
+        for mode in ("soft", "hard"):
+            returns_or_raises_neucalib_error(
+                lambda tape: mt.match_coords(tape.parameter(logits), selection, centers, mode))
+
+    # 4 x 3 logits; pairs (point, pixel) (0, 0), (1, 1), (3, 0) and near ones
+    PROBE = sc.PairSet(np.array([0, 1, 3]), 3, np.array([0, 4, 9]), np.array([0, 1, 4, 9, 10]),
+                       0, 0)
+
+    @pytest.mark.parametrize("change", [
+        {"overlap_points": np.array([0.0, 1.0, 3.0])},
+        {"overlap_points": np.array([[0, 1, 3]])},
+        {"overlap_points": np.array([-1]), "positives": np.array([9]), "near": np.array([9])},
+        {"overlap_points": np.array([0, 1, 1, 3])},
+        {"positives": np.array([0, 0, 4, 9])}],
+        ids=["float_overlap_points", "2d_overlap_points", "overlap_point_minus_one",
+             "repeated_overlap_point", "repeated_positive"])
+    def test_malformed_pair_set_refused(self, change):
+        # InfoNCE met these as numpy's IndexError or ValueError, read point
+        # -1 as point 3, or weighed a repeated point or positive twice
+        for direction in DIRECTIONS:
+            mt.infonce_loss(ad.constant(np.zeros((4, 3))), self.PROBE, direction)
+        with pytest.raises(ParameterError, match="must be a strictly increasing"):
+            replace(self.PROBE, **change)
 
 
 def test_learnable_and_cosine_bit_equal_with_identity_transform():

@@ -157,7 +157,8 @@ class TestGaussNewton:
             for before, after in zip(refined.objectives, refined.objectives[1:]):
                 assert after <= before + 1e-12
 
-    @pytest.mark.parametrize("k_iters", [0, -1, 2.5, math.nan, "3", None, 3.0])
+    @pytest.mark.parametrize("k_iters", [0, -1, 2.5, math.nan, "3", None, 3.0,
+                                         True, np.True_])
     def test_k_iters_not_a_positive_integer_rejected(self, k_iters):
         pose, points, targets = random_instance(6, n=12)
         problem = pnp.PnPProblem(points, targets, INTR)

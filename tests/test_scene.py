@@ -237,8 +237,9 @@ class TestGeneration:
         assert manifest["config"] == {"n_points": 32, "grid": [8, 8]}
         assert manifest["seed"] == 3 and len(sc.load_dataset(out)) == 1
 
-    @pytest.mark.parametrize("seed", ["3", 3.5, -1, None])
+    @pytest.mark.parametrize("seed", ["3", 3.5, -1, None, True, False, np.True_])
     def test_bad_dataset_seed_rejected_before_writing(self, tmp_path, seed):
+        # a bool is no count: the manifest would record True as the seed 1
         scene = make_scene(seed=0, n_points=32, grid=(8, 8))
         with pytest.raises(ParameterError, match="seed"):
             sc.write_dataset(tmp_path / "data", [scene], sc.SceneConfig(32, (8, 8)), seed)
