@@ -9,9 +9,9 @@ Every node is a coarse fused op recorded through :func:`record` with a
 hand-derived backward. This module defines two of them: :func:`add`, on
 equal shapes, and :func:`dense`, whose bias row is the one broadcast. The
 other stages (attention, similarity, the losses, matching, Gauss-Newton)
-record their own nodes, and each softmax lives with its one caller:
-attention's recomputing kernel in ``encoder``, the row softmax of soft
-matching in ``matching`` and InfoNCE's masked one beside it.
+record their own nodes, and each softmax is written inside its one node:
+attention's recomputing kernel in ``encoder``, soft matching's and
+InfoNCE's masked one in ``matching``.
 Tapes are single-use and rebuilt per training step, so data-dependent
 graph structure is fine.
 

@@ -14,21 +14,26 @@ commutes with point permutations.
 An attention node keeps no N x M array. Its forward keeps only each query
 row's log-sum-exp, and its backward recomputes the softmax from it (the
 online softmax of Milakov and Gimelshein, arXiv:1805.02867, and the
-recomputation of FlashAttention, Dao et al., arXiv:2205.14135).
+recomputation of FlashAttention, Dao et al., arXiv:2205.14135). Row sums
+and the log-sum-exp ride in the matmuls through a ones column, so the N x M
+scores get one elementwise pass forward (exp) and two backward (exp, * A).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ParameterError
+from .errors import ParameterError, ShapeError, is_count, real_array
 from .scene import SceneSample, pixel_centers
 
 PE_BASE = 10000.0
 POINT_INPUT_SCALE = 0.1  # meters -> MLP-friendly range
 TEXTURE_SCALE = 0.05  # depth meters -> MLP-friendly range
+EXP_LIMIT = 500.0  # scores within +-this need no row shift: exp(score) is finite and normal
 
 
 def sinusoidal_pe(coords: np.ndarray, channels: int) -> np.ndarray:
@@ -37,14 +42,11 @@ def sinusoidal_pe(coords: np.ndarray, channels: int) -> np.ndarray:
     Each of the d input dimensions gets channels // (2d) geometrically
     spaced frequencies (base 10000); leftover channels stay zero.
     """
-    coords = np.asarray(coords, dtype=np.float64)
-    if coords.ndim != 2:
-        raise ParameterError("coords must be M x d")
-    d = coords.shape[1]
-    if channels % 2 != 0:
-        raise ParameterError(f"position encoding needs an even channel count, got {channels}")
-    if channels < 2 * d:
-        raise ParameterError(f"need at least {2 * d} channels for {d}-D coordinates")
+    coords = real_array(coords, "coords", ParameterError)
+    d = coords.shape[1] if coords.ndim == 2 else 0
+    if d < 1 or not is_count(channels, 2 * d) or channels % 2 != 0:
+        raise ParameterError(f"coords of shape {coords.shape} must be M x d, d >= 1, and need "
+                             f"an even channel count of at least 2d, got {channels!r}")
     pairs = channels // (2 * d)
     freqs = PE_BASE ** (-np.arange(pairs) / pairs)
     out = np.zeros((coords.shape[0], channels))
@@ -124,39 +126,51 @@ def attention(query: Tensor, keys: Tensor, pe_q: np.ndarray, pe_k: np.ndarray, p
               name: str) -> Tensor:
     """Residual single-head attention sublayer, query + A v wo, where A is
     the row softmax of q k^T, q = x wq / sqrt(C), k = y wk and v = y wv, from
-    x = query + pe_q and y = keys + pe_k.
+    x = query + pe_q and y = keys + pe_k; other shapes are a ShapeError.
 
-    One ``attention`` node with inputs (query, keys, wq, wk, wv, wo) that
-    keeps the inputs, the encodings, q, k, v, A v and the N x 1 row
-    log-sum-exp L of q k^T, and no N x M array. The backward rebuilds x
-    and y, and A = exp(q k^T - L). With G = g wo^T and D = rowsum(G * A v),
-    which equals rowsum(G v^T * A): dS = A * (G v^T - D), dq = dS k,
-    dk = dS^T q and dv = A^T G; x wq gets dq / sqrt(C), and the residual
-    adds g to the query gradient.
+    One ``attention`` node with inputs (query, keys, wq, wk, wv, wo). Scores
+    lie within +-C max|q| max|k|; up to EXP_LIMIT the forward takes e =
+    exp(q k^T) unshifted, above it each row is shifted by its max. One matmul
+    e [v | 1] gives e v and the row sums l: A v = e v / l, and the row
+    log-sum-exp is L = shift + log l. The node keeps the inputs, the
+    encodings, [q | -L], one [k | 1 | v | 1] allocation and A v, and no N x M
+    array. The backward rebuilds x, y and A = exp([q | -L] [k | 1]^T). With
+    G = g wo^T and D = rowsum(G * A v), which equals rowsum(G v^T * A):
+    dS = A * ([G | -D] [v | 1]^T), dq = dS k, dk = dS^T q and dv = A^T G;
+    x wq gets dq / sqrt(C), and the residual adds g to the query gradient.
     """
     ws = [p[f"{name}.{proj}"] for proj in ("wq", "wk", "wv", "wo")]
     wq, wk, wv, wo = (w.value for w in ws)
     f, h = query.value, keys.value
-    c = 1.0 / np.sqrt(wq.shape[0])
+    (n, ch), m = f.shape, h.shape[0]
+    shapes = [np.shape(a) for a in (pe_q, h, pe_k, wq, wk, wv, wo)]
+    if shapes != [f.shape, (m, ch), (m, ch), *[(ch, ch)] * 4] or 0 in (m, ch):
+        raise ShapeError(f"attention {name}: query {f.shape}, then {shapes}")
+    c = 1.0 / np.sqrt(ch)
     x, y = f + pe_q, h + pe_k
-    q, k, v = (x @ wq) * c, y @ wk, y @ wv
+    qs = np.empty((n, ch + 1))  # [q | -L]
+    q = np.multiply(x @ wq, c, out=qs[:, :ch])
+    kv = np.ones((m, 2 * ch + 2))  # [k | 1 | v | 1]
+    k1, v1 = kv[:, :ch + 1], kv[:, ch + 1:]
+    k, v = np.matmul(y, wk, out=k1[:, :ch]), np.matmul(y, wv, out=v1[:, :ch])
     e = q @ k.T
-    top = e.max(axis=1, keepdims=True)
-    e -= top
+    shift = 0.0
+    if ch * np.abs(q).max(initial=0.0) * np.abs(k).max() > EXP_LIMIT:
+        shift = e.max(axis=1, keepdims=True)
+        e -= shift
     np.exp(e, out=e)
-    total = e.sum(axis=1, keepdims=True)
-    av = (e @ v) / total
-    lse = top + np.log(total)
+    r = e @ v1  # [e v | l]
+    av = r[:, :ch] / r[:, ch:]
+    qs[:, ch:] = -(shift + np.log(r[:, ch:]))
 
     def backward(g):
         x, y = f + pe_q, h + pe_k
-        gv = g @ wo.T
-        d = np.einsum("ij,ij->i", gv, av)[:, None]
-        a = q @ k.T
-        a -= lse
+        gd = np.empty((n, ch + 1))  # [G | -D]
+        gv = np.matmul(g, wo.T, out=gd[:, :ch])
+        gd[:, ch] = -np.einsum("ij,ij->i", gv, av)
+        a = qs @ k1.T
         np.exp(a, out=a)
-        ds = gv @ v.T
-        ds -= d
+        ds = gd @ v1.T
         ds *= a
         dq, dk, dv = (ds @ k) * c, ds.T @ q, a.T @ gv
         return (dq @ wq.T + g, dk @ wk.T + dv @ wv.T, x.T @ dq, y.T @ dk, y.T @ dv, av.T @ g)
@@ -164,12 +178,20 @@ def attention(query: Tensor, keys: Tensor, pe_q: np.ndarray, pe_k: np.ndarray, p
     return ad.record("attention", (query, keys, *ws), backward, f + av @ wo)
 
 
+@functools.lru_cache(maxsize=8)
+def _pixel_pe(grid: tuple[int, int], channels: int) -> np.ndarray:
+    """Read-only pixel position encodings, which every step on a grid shares."""
+    pe = sinusoidal_pe(pixel_centers(grid), channels)
+    pe.flags.writeable = False
+    return pe
+
+
 def fuse(f_p: Tensor, f_i: Tensor, sample: SceneSample, p) -> tuple[Tensor, Tensor]:
     """Self-attention, bidirectional cross-attention, and feed-forward,
     each with a residual connection, repeated for every fusion layer."""
     channels = f_p.shape[1]
     pe_p = sinusoidal_pe(sample.points, channels)
-    pe_i = sinusoidal_pe(pixel_centers(sample.grid), channels)
+    pe_i = _pixel_pe(sample.grid, channels)
     for layer in range(fusion_depth(p)):
         base = f"fuse.{layer}"
         f_p = attention(f_p, f_p, pe_p, pe_p, p, f"{base}.point.self")

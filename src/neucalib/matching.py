@@ -6,6 +6,8 @@ the symmetric learnable form W_f = (B + B^T)/2 over a temperature; cosine
 mode (W_f = identity) is the ablation baseline. Soft matching predicts
 each point's image location as the softmax-weighted mean of candidate
 pixel centers, which keeps the downstream pose solver differentiable.
+The temperature scales N x C rows, not the N x M logits, and soft matching
+takes its row sums from its matmul, through a ones column.
 """
 
 from __future__ import annotations
@@ -80,9 +82,10 @@ def similarity(f_p: Tensor, f_i: Tensor, transform: AlignmentTransform,
     """N x M logits between row-normalized features, divided by temperature.
 
     One ``similarity`` node on the unit rows x, y of f_p, f_i. With c = 1/T,
-    logits = c (x W) y^T in learnable mode and c x y^T in cosine mode (no W,
-    and B gets no gradient). With G = c g: dx = G y W, dy = G^T (x W) and
-    dB = (dW + dW^T) / 2 for dW = x^T G y; dx, dy pull back through the norms.
+    logits = (c x W) y^T in learnable mode and (c x) y^T in cosine mode (no
+    W, and B gets no gradient); the node keeps c x W. With gy = c g y:
+    dx = gy W, dy = g^T (c x W) and dB = (dW + dW^T) / 2 for dW = x^T gy;
+    dx, dy pull back through the norms. c scales only N x C arrays.
     """
     if mode not in ALIGNMENT_MODES:
         raise ParameterError(f"unknown alignment mode {mode!r}")
@@ -92,11 +95,11 @@ def similarity(f_p: Tensor, f_i: Tensor, transform: AlignmentTransform,
     w = transform.matrix() if mode == "learnable" else None
     if x.shape[1] != y.shape[1] or (w is not None and w.shape != (x.shape[1],) * 2):
         raise ShapeError(f"similarity: features {x.shape} vs {y.shape}, raw {transform.raw.shape}")
-    xw = x if w is None else x @ w
+    xw = (x if w is None else x @ w) * c
 
     def backward(g):
-        g *= c  # the node owns g
         gy = g @ y
+        gy *= c
         grads = x_back(gy if w is None else gy @ w), y_back(g.T @ xw)
         if w is None:
             return grads
@@ -104,9 +107,7 @@ def similarity(f_p: Tensor, f_i: Tensor, transform: AlignmentTransform,
         return (*grads, (dw + dw.T) * 0.5)
 
     inputs = (f_p, f_i) if w is None else (f_p, f_i, transform.raw)
-    logits = xw @ y.T
-    logits *= c
-    return ad.record("similarity", inputs, backward, logits)
+    return ad.record("similarity", inputs, backward, xw @ y.T)
 
 
 def infonce_loss(logits: Tensor, pairs: PairSet, direction: str = "point_to_pixel") -> Tensor:
@@ -278,16 +279,6 @@ def threshold_overlap(s_p: Tensor, s_i: Tensor, theta_p: float, theta_i: float,
     return OverlapSelection(points, pixels, point_fallback, pixel_fallback)
 
 
-def _softmax_rows(s: np.ndarray) -> np.ndarray:
-    """Row softmax of a plain array, each row shifted by its max so that no
-    exp can overflow. Overwrites and returns ``s``: pass a fresh temporary,
-    so that no two more arrays of its size are allocated."""
-    s -= s.max(axis=1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=1, keepdims=True)
-    return s
-
-
 def match_coords(logits: Tensor, selection: OverlapSelection, centers: np.ndarray,
                  mode: str = "soft") -> Tensor:
     """Predicted pixel coordinates of the selected points over the selected
@@ -295,16 +286,17 @@ def match_coords(logits: Tensor, selection: OverlapSelection, centers: np.ndarra
 
     The selection checked its index sets when built; here both must be non-
     empty (else a DegenerateBatchError) and inside the N x M logits, and
-    ``centers`` M x 2 (else a ParameterError). Soft mode predicts the softmax-
-    weighted mean of the pixel centers; the softmax runs on the (already
-    temperature-scaled) logits. It records one ``soft_match`` node that keeps
-    W, the block's row softmax, and its R x 2 value W centers. With dW = g
-    centers^T, the block gradient W (dW - rowsum(g * W centers)) is written
-    over W and handed to the tape as an :class:`~neucalib.autodiff.Block` of
-    the logits at the selected rows x selected columns; rowsum(g * W centers)
-    equals rowsum(dW * W), on R x 2 rather than on the whole block. Hard mode
-    takes each row's argmax pixel (ties to the first selected one) as a
-    constant.
+    ``centers`` M x 2 real numbers (else a ParameterError). Soft mode
+    predicts the softmax-weighted mean of the pixel centers; the softmax runs
+    on the (already temperature-scaled) logits. Each block row is shifted by
+    its max and exponentiated in place, to e, and one matmul e [c | 1] of the
+    selected centers gives e c and the row sums s: the value is e c / s, and
+    W = e / s is never formed. It records one ``soft_match`` node that keeps
+    e, [c | 1], s and the value. With r = rowsum(g * value), the block
+    gradient W (g c^T - r) = e * ([g / s | -r / s] [c | 1]^T) is written over
+    e and handed to the tape as an :class:`~neucalib.autodiff.Block` of the
+    logits at the selected rows x columns. Hard mode takes each row's argmax
+    pixel (ties to the first selected one) as a constant.
     """
     if mode not in ("soft", "hard"):
         raise ParameterError(f"unknown match mode {mode!r}")
@@ -312,21 +304,23 @@ def match_coords(logits: Tensor, selection: OverlapSelection, centers: np.ndarra
     rows, cols = selection.point_indices, selection.pixel_indices
     if rows.size == 0 or cols.size == 0:
         raise DegenerateBatchError("empty overlap selection for matching")
-    if rows[-1] >= n or cols[-1] >= m or np.shape(centers) != (m, 2):
+    centers = real_array(centers, "centers", ParameterError)
+    if rows[-1] >= n or cols[-1] >= m or centers.shape != (m, 2):
         raise ParameterError(f"selection reaches point {rows[-1]} and pixel {cols[-1]}, centers "
-                             f"have shape {np.shape(centers)}: logits are {n} x {m}")
-    pix = centers[cols]
+                             f"have shape {centers.shape}: logits are {n} x {m}")
+    pix = np.column_stack([centers[cols], np.ones(cols.size)])  # [c | 1]
     block = logits.value[np.ix_(rows, cols)]
     if mode == "hard":
-        return ad.constant(pix[np.argmax(block, axis=1)])
-    w = _softmax_rows(block)
-    out = w @ pix
+        return ad.constant(pix[np.argmax(block, axis=1), :2])
+    block -= block.max(axis=1, keepdims=True)
+    e = np.exp(block, out=block)
+    r = e @ pix  # [e c | s]
+    s = r[:, 2:]
+    out = r[:, :2] / s
 
     def backward(g):
-        dw = g @ pix.T
-        dw -= np.einsum("ij,ij->i", g, out)[:, None]
-        grad = w  # no later node reads W, so the gradient takes its buffer
-        grad *= dw
+        gd = np.column_stack([g, -np.einsum("ij,ij->i", g, out)]) / s
+        grad = np.multiply(e, gd @ pix.T, out=e)  # no later node reads e
         return (ad.Block(np.ix_(rows, cols), grad, (n, m)),)
 
     return ad.record("soft_match", (logits,), backward, out)

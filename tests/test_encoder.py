@@ -9,7 +9,7 @@ from neucalib import encoder as enc
 from neucalib import geometry as geo
 from neucalib import params as pstore
 from neucalib import scene as sc
-from neucalib.errors import ConfigError, ParameterError
+from neucalib.errors import ConfigError, ParameterError, ShapeError
 from tape_probe import finite_difference_check, weighted_sum
 
 
@@ -64,6 +64,22 @@ class TestSinusoidalPE:
     def test_too_few_channels_rejected(self):
         with pytest.raises(ParameterError):
             enc.sinusoidal_pe(np.zeros((2, 3)), 4)
+
+    @pytest.mark.parametrize("channels", [32.0, np.float64(32.0), "32", None],
+                             ids=["float", "numpy_float", "string", "none"])
+    def test_non_integer_channels_rejected(self, channels):
+        # 32.0 raised TypeError in the frequency count
+        with pytest.raises(ParameterError, match="channel count"):
+            enc.sinusoidal_pe(np.zeros((2, 2)), channels)
+
+    @pytest.mark.parametrize("coords", [[["a", "b"]], [[0.0, 1.0], [2.0]],
+                                        np.zeros((2, 2)) + 0.5j, np.zeros((2, 0))],
+                             ids=["strings", "ragged", "complex", "no_dimension"])
+    def test_non_real_coords_rejected(self, coords):
+        # numpy raised ValueError, warned and dropped the imaginary part, or
+        # divided by the zero dimension count
+        with pytest.raises(ParameterError, match="coords"):
+            enc.sinusoidal_pe(coords, 8)
 
 
 class TestEncode:
@@ -122,22 +138,31 @@ class TestEncode:
 def attention_row_sums(query, keys, pe_q, pe_k, p, name):
     """Row sums of the attention weights, read off the attention output.
 
-    The keys get an extra column of ones, with a zero encoding, that only
-    the value projection reads: wk gains a zero row, so the scores do not
-    change, and wv is zero but for a ones row, so every value row is all
-    ones. With wo the identity, every entry of an output row less its
-    residual is its weight row's sum.
+    Every array gets one more channel. The keys' new channel is all ones,
+    with a zero encoding, and only the value projection reads it: wq and wk
+    gain a zero row and column, so the scores do not change (wq is scaled by
+    sqrt((C + 1) / C) against the wider 1 / sqrt(C + 1)), and wv is zero but
+    for a ones row, so every value row is all ones. With wo the identity,
+    every entry of an output row less its residual is its weight row's sum.
     """
     wq, wk = p[name + ".wq"].value, p[name + ".wk"].value
     channels = wq.shape[0]
-    ones_keys = np.hstack([keys.value, np.ones((keys.shape[0], 1))])
-    probe = {name + ".wq": wq, name + ".wk": np.vstack([wk, np.zeros((1, channels))]),
-             name + ".wv": np.vstack([np.zeros((channels, channels)), np.ones((1, channels))]),
-             name + ".wo": np.eye(channels)}
-    out = enc.attention(ad.constant(query.value), ad.constant(ones_keys),
-                        pe_q, np.hstack([pe_k, np.zeros((keys.shape[0], 1))]),
-                        {k: ad.constant(v) for k, v in probe.items()}, name)
-    return out.value - query.value
+
+    def grow(a, fill=0.0):
+        return np.hstack([a, np.full((a.shape[0], 1), fill)])
+
+    def pad(w):
+        return np.pad(w, ((0, 1), (0, 1)))
+
+    ones_row = np.zeros((channels + 1, channels + 1))
+    ones_row[-1] = 1.0
+    probe = {name + ".wq": pad(wq) * np.sqrt((channels + 1) / channels),
+             name + ".wk": pad(wk), name + ".wv": ones_row,
+             name + ".wo": np.eye(channels + 1)}
+    out = enc.attention(ad.constant(grow(query.value)), ad.constant(grow(keys.value, 1.0)),
+                        grow(pe_q), grow(pe_k), {k: ad.constant(v) for k, v in probe.items()},
+                        name)
+    return (out.value - grow(query.value))[:, :channels]
 
 
 def two_step_sublayer(f, h, pe_q, pe_k, ws, g):
@@ -229,17 +254,19 @@ class TestAttention:
         assert finite_difference_check(build, [x0, y0, *self.weights(rng, 4)]) < 1e-6
 
     def test_node_keeps_no_query_by_key_array(self):
-        # 5 x 7 = 35 entries, a size that no N x C or C x C array here has
+        # 9 x 11 = 99 entries; every N x C and M x C array here, and each
+        # buffer that a kept view holds alive, is smaller
         rng = np.random.default_rng(26)
         tape = ad.Tape()
-        x = tape.parameter(rng.normal(size=(5, 4)))
-        y = tape.parameter(rng.normal(size=(7, 4)))
-        p = {name: tape.parameter(w) for name, w in zip(self.NAMES, self.weights(rng, 4))}
-        enc.attention(x, y, rng.normal(size=(5, 4)), rng.normal(size=(7, 4)), p, "blk")
+        x = tape.parameter(rng.normal(size=(9, 2)))
+        y = tape.parameter(rng.normal(size=(11, 2)))
+        p = {name: tape.parameter(w) for name, w in zip(self.NAMES, self.weights(rng, 2))}
+        enc.attention(x, y, rng.normal(size=(9, 2)), rng.normal(size=(11, 2)), p, "blk")
         kept = [cell.cell_contents for cell in tape.nodes[-1].backward_fn.__closure__]
         arrays = [a for a in kept if isinstance(a, np.ndarray)]
         assert len(arrays) >= 10
-        assert all(a.size != 5 * 7 for a in arrays)
+        buffers = arrays + [a.base for a in arrays if a.base is not None]
+        assert all(a.size < 9 * 11 for a in buffers)
 
     def test_large_scores_stay_finite(self):
         # scores reach about 1e5, far past exp overflow without the row shift
@@ -256,6 +283,92 @@ class TestAttention:
         tape.backward(weighted_sum(out))
         for t in (x, y, *p.values()):
             assert np.all(np.isfinite(t.grad))
+
+    def limit_probe(self, seed, bound):
+        """Weights and (query, keys, encodings) of a cross-attention probe
+        whose score bound C max|q| max|k| is ``bound`` while its scores stay
+        of order one: wq and wk are the identity, the encodings put
+        q[:, 0] = t / 2 and k[:, 0] = 0, and t sets the bound."""
+        rng = np.random.default_rng(seed)
+        ws = [np.eye(4), np.eye(4), *self.weights(rng, 4)[2:]]
+        f, pe_q = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        h, pe_k = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
+        pe_k[:, 0] = -h[:, 0]
+        t = bound / (2.0 * np.abs(h + pe_k).max())
+        pe_q[:, 0] = t - f[:, 0]
+        q, k = (f + pe_q) @ ws[0] / 2.0, (h + pe_k) @ ws[1]
+        assert 4 * np.abs(q).max() * np.abs(k).max() == pytest.approx(bound, rel=1e-12)
+        assert np.abs(q @ k.T).max() < 10.0
+        return ws, (f, h, pe_q, pe_k)
+
+    def check_against_two_step(self, ws, f, h, pe_q, pe_k):
+        """The sublayer's value and gradients, and the two-step sublayer's."""
+        g = np.random.default_rng(28).normal(size=f.shape)
+        tape = ad.Tape()
+        query, keys = tape.parameter(f), tape.parameter(h)
+        p = {name: tape.parameter(w) for name, w in zip(self.NAMES, ws)}
+        out = enc.attention(query, keys, pe_q, pe_k, p, "blk")
+        tape.backward(weighted_sum(out, g))
+        grads = [t.grad for t in (query, keys, *p.values())]
+        return (out.value, grads), two_step_sublayer(f, h, pe_q, pe_k, ws, g)
+
+    LIMIT_SIDES = pytest.mark.parametrize("bound", [0.98 * enc.EXP_LIMIT, 1.02 * enc.EXP_LIMIT],
+                                          ids=["below_limit", "past_limit"])
+
+    @LIMIT_SIDES
+    def test_both_sides_of_the_shift_limit_match_the_two_step_sublayer(self, bound):
+        # below the limit the exps are taken unshifted, past it each row is
+        # shifted by its max; the scores are the same on both sides
+        ws, inputs = self.limit_probe(27, bound)
+        (value, grads), (want_value, want_grads) = self.check_against_two_step(ws, *inputs)
+        assert relative_error(value, want_value) < 1e-12
+        for got, want in zip(grads, want_grads, strict=True):
+            assert relative_error(got, want) < 1e-12
+
+    @LIMIT_SIDES
+    def test_gradients_on_both_sides_of_the_shift_limit(self, bound):
+        ws, (f, h, pe_q, pe_k) = self.limit_probe(29, bound)
+        probe = np.random.default_rng(30).normal(size=f.shape)
+
+        def build(ps):
+            out = enc.attention(ps[0], ps[1], pe_q, pe_k, dict(zip(self.NAMES, ps[2:])), "blk")
+            return weighted_sum(out, probe)
+
+        assert finite_difference_check(build, [f, h, *ws]) < 1e-6
+
+    def test_scores_far_past_the_limit_match_the_two_step_sublayer(self):
+        # inputs x300 put scores near 4e5, where the rounding of the scores
+        # alone, eps max|s|, moves A and so every gradient by about that
+        # much of the largest gradient entry; a kernel that subtracts L in
+        # its own pass differs from the two-step sublayer by as much
+        rng = np.random.default_rng(27)
+        ws = self.weights(rng, 4)
+        f, h = 300.0 * rng.normal(size=(3, 4)), 300.0 * rng.normal(size=(5, 4))
+        pe_q, pe_k = 300.0 * rng.normal(size=(3, 4)), 300.0 * rng.normal(size=(5, 4))
+        (value, grads), (want_value, want_grads) = self.check_against_two_step(
+            ws, f, h, pe_q, pe_k)
+        scores = ((f + pe_q) @ ws[0] / 2.0) @ ((h + pe_k) @ ws[1]).T
+        assert np.abs(scores).max() > 1e5
+        assert relative_error(value, want_value) < 1e-12
+        largest = max(np.abs(want).max() for want in want_grads)
+        tolerance = np.finfo(float).eps * np.abs(scores).max() * largest
+        for got, want in zip(grads, want_grads, strict=True):
+            assert np.abs(got - want).max() < tolerance
+
+    @pytest.mark.parametrize("change", ["pe_q", "pe_k", "wq", "wv", "wo", "keys"])
+    def test_mismatched_shapes_rejected(self, change):
+        # numpy raised ValueError for a wrong encoding, and matmul for a weight
+        rng = np.random.default_rng(31)
+        args = {"query": rng.normal(size=(3, 4)), "keys": rng.normal(size=(5, 4)),
+                "pe_q": rng.normal(size=(3, 4)), "pe_k": rng.normal(size=(5, 4))}
+        p = dict(zip(self.NAMES, self.weights(rng, 4)))
+        if change in ("pe_q", "pe_k", "keys"):
+            args[change] = rng.normal(size=(args[change].shape[0], 5))
+        else:
+            p[f"blk.{change}"] = rng.normal(size=(4, 5) if change == "wq" else (5, 4))
+        with pytest.raises(ShapeError):
+            enc.attention(ad.constant(args["query"]), ad.constant(args["keys"]), args["pe_q"],
+                          args["pe_k"], {k: ad.constant(v) for k, v in p.items()}, "blk")
 
     def test_records_one_node_and_untracked_inputs_record_nothing(self):
         rng = np.random.default_rng(24)
@@ -299,6 +412,14 @@ class TestFuse:
         pe_i = enc.sinusoidal_pe(sc.pixel_centers(scene.grid), 8)
         np.testing.assert_allclose(
             attention_row_sums(f_p, f_i, pe_p, pe_i, p, "fuse.0.point.cross"), 1.0, atol=1e-12)
+
+    def test_pixel_encodings_are_shared_and_read_only(self):
+        # fuse reads them for every step on a grid; they depend on the grid alone
+        pe = enc._pixel_pe((6, 9), 8)
+        assert pe is enc._pixel_pe((6, 9), 8)
+        assert not pe.flags.writeable
+        assert np.array_equal(pe, enc.sinusoidal_pe(sc.pixel_centers((6, 9)), 8))
+        assert enc._pixel_pe((9, 6), 8).shape == (54, 8)
 
     def test_point_permutation_equivariance(self):
         scene = small_scene(seed=2, n_points=16)

@@ -155,7 +155,7 @@ class TestSimilarity:
         y = f_i / np.sqrt((f_i * f_i).sum(axis=1, keepdims=True))
         xw = x @ t.matrix() if mode == "learnable" else x
         out = mt.similarity(ad.constant(f_p), ad.constant(f_i), t, mode).value
-        assert np.array_equal(out, (xw @ y.T) * (1.0 / 0.3))
+        assert np.array_equal(out, (xw * (1.0 / 0.3)) @ y.T)
 
     @pytest.mark.parametrize("mode", mt.ALIGNMENT_MODES)
     def test_gradient_pulls_back_through_row_norms(self, mode):
@@ -519,24 +519,34 @@ class TestThreshold:
 
 
 class TestSoftmaxRows:
-    # the row softmax of the soft_match node
+    # the row softmax of the soft_match node, read off its coordinates
+    @staticmethod
+    def soft(logits, centers):
+        sel = mt.OverlapSelection(np.arange(logits.shape[0]), np.arange(logits.shape[1]),
+                                  False, False)
+        return mt.match_coords(ad.constant(logits), sel, centers).value
+
     def test_uniform(self):
-        out = mt._softmax_rows(np.zeros((1, 3)))
-        np.testing.assert_allclose(out, [[1 / 3] * 3], atol=1e-15)
+        centers = np.array([[0.0, 3.0], [6.0, 0.0], [3.0, 6.0]])
+        out = self.soft(np.zeros((1, 3)), centers)
+        np.testing.assert_allclose(out, [[3.0, 3.0]], atol=1e-15)
 
     def test_single_column(self):
-        out = mt._softmax_rows(np.array([[5.0], [-3.0]]))
-        np.testing.assert_array_equal(out, [[1.0], [1.0]])
+        out = self.soft(np.array([[5.0], [-3.0]]), np.array([[1.5, -2.0]]))
+        np.testing.assert_array_equal(out, [[1.5, -2.0], [1.5, -2.0]])
 
-    def test_overwrites_its_input_with_the_two_step_result(self):
+    def test_matches_the_two_step_result(self):
+        # shift and exp, then the row sums from the ones column of [c | 1]:
+        # the two-step softmax's weighted centers to 1e-12 relative
         rng = np.random.default_rng(5)
         for shape in [(1, 1), (3, 7), (64, 48), (512, 576)]:
             s = rng.normal(scale=20.0, size=shape)
-            expected = np.exp(s - s.max(axis=1, keepdims=True))
-            expected /= expected.sum(axis=1, keepdims=True)
-            out = mt._softmax_rows(s)
-            assert out is s
-            assert np.array_equal(out, expected)
+            centers = rng.uniform(0.0, 24.0, (shape[1], 2))
+            w = np.exp(s - s.max(axis=1, keepdims=True))
+            w /= w.sum(axis=1, keepdims=True)
+            expected = w @ centers
+            out = self.soft(s, centers)
+            assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 class TestSoftHardMatch:
@@ -643,6 +653,39 @@ class TestSoftHardMatch:
         err = finite_difference_check(
             lambda ps: weighted_sum(mt.match_coords(ps[0], sel, centers), probe), [vals])
         assert err < 1e-6
+
+    def test_nearly_one_hot_row_gradients(self):
+        # the first row puts about 0.999 of its weight on one pixel
+        rng = np.random.default_rng(32)
+        vals = rng.normal(size=(3, 5))
+        vals[0] = [8.0, 0.5, -1.0, 0.0, 0.3]
+        sel = mt.OverlapSelection(np.array([0, 1, 2]), np.arange(5), False, False)
+        centers = rng.uniform(0, 6, (5, 2))
+        probe = rng.normal(size=(3, 2))
+        err = finite_difference_check(
+            lambda ps: weighted_sum(mt.match_coords(ps[0], sel, centers), probe), [vals])
+        assert err < 1e-6
+
+    def test_nested_list_centers_are_read_as_an_array(self):
+        # indexing the list raised TypeError
+        logits = ad.constant(np.random.default_rng(33).normal(size=(2, 3)))
+        sel = mt.OverlapSelection(np.array([0]), np.array([0, 1]), False, False)
+        for mode in ("soft", "hard"):
+            want = mt.match_coords(logits, sel, self.centers(3), mode).value
+            got = mt.match_coords(logits, sel, self.centers(3).tolist(), mode).value
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("centers", [np.full((3, 2), "1.0"), [[0.0, 0.0], [1.0], [2.0, 0.0]],
+                                         np.ones((3, 2)) + 0.5j],
+                             ids=["strings", "ragged", "complex"])
+    def test_non_real_centers_rejected(self, centers):
+        # numpy raised UFuncTypeError or ValueError, or warned and dropped
+        # the imaginary part
+        logits = ad.constant(np.zeros((2, 3)))
+        sel = mt.OverlapSelection(np.array([0]), np.array([0, 1]), False, False)
+        for mode in ("soft", "hard"):
+            with pytest.raises(ParameterError, match="centers"):
+                mt.match_coords(logits, sel, centers, mode)
 
     def test_repeated_or_unsorted_indices_rejected(self):
         # index sets are strictly increasing, as np.flatnonzero gives them;

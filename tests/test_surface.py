@@ -31,7 +31,7 @@ def definitions(private: bool = False) -> dict[str, str]:
         module = importlib.import_module(f"neucalib.{path.stem}")
         for name, obj in vars(module).items():
             if (name.startswith("_") == private and not name.startswith("__")
-                    and (inspect.isfunction(obj) or inspect.isclass(obj))
+                    and (inspect.isfunction(inspect.unwrap(obj)) or inspect.isclass(obj))
                     and inspect.getmodule(obj) is module):
                 out[name] = path.stem
     return out
