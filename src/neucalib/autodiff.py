@@ -39,7 +39,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, StateError
+from .errors import ParameterError, ShapeError, StateError, real_array
 
 Array = np.ndarray
 
@@ -72,15 +72,11 @@ _keep_freed_memory()
 
 
 def _as_matrix(x) -> Array:
-    """Coerce input to a 2-D float64 array (1-D becomes a row vector)."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    elif arr.ndim != 2:
+    """Real input as a 2-D float64 array (a scalar or 1-D input becomes a row)."""
+    arr = real_array(x, "tensor value", ParameterError)
+    if arr.ndim > 2:
         raise ShapeError(f"tensors are 2-D matrices, got ndim={arr.ndim}")
-    return np.ascontiguousarray(arr)
+    return np.ascontiguousarray(arr if arr.ndim == 2 else arr.reshape(1, -1))
 
 
 class Tensor:

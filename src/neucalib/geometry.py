@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, real_array
 
 ORTHONORMALITY_TOL = 1e-9
 MIN_DEPTH = 1e-6  # meters; at or below this a projection is flagged invalid
@@ -32,8 +32,10 @@ class RigidPose:
     translation: np.ndarray  # (3,)
 
     def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
-        t = np.asarray(self.translation, dtype=np.float64).reshape(3)
+        r = real_array(self.rotation, "rotation", ParameterError)
+        t = real_array(self.translation, "translation", ParameterError)
+        if r.shape != (3, 3) or t.shape != (3,):
+            raise ParameterError(f"rotation must be 3 x 3 and translation 3: {r.shape}, {t.shape}")
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
         if not np.allclose(r.T @ r, np.eye(3), rtol=0.0, atol=ORTHONORMALITY_TOL):

@@ -40,8 +40,9 @@ class AlignmentTransform:
     temperature: float
 
     def __post_init__(self):
-        if not (self.temperature > 0):
-            raise ParameterError(f"temperature must be positive, got {self.temperature}")
+        t = real_array(self.temperature, "temperature", ParameterError)
+        if not (t.ndim == 0 and 0.0 < t < np.inf):
+            raise ParameterError(f"temperature must be finite and positive, got {t}")
 
     def matrix(self) -> np.ndarray:
         """The effective transform W = (B + B^T) / 2, as a plain array."""
@@ -222,6 +223,8 @@ def overlap_bce_loss(s_p: Tensor, s_i: Tensor, point_labels, pixel_labels) -> Te
     pixel_labels = real_array(pixel_labels, "pixel labels", ParameterError).reshape(-1, 1)
     if s_p.shape[0] != point_labels.shape[0] or s_i.shape[0] != pixel_labels.shape[0]:
         raise ParameterError("overlap label lengths do not match score lengths")
+    if not all(((y >= 0.0) & (y <= 1.0)).all() for y in (point_labels, pixel_labels)):
+        raise ParameterError("overlap labels must lie in [0, 1]")  # NaN fails the test too
     heads = [(scores.value, labels, np.clip(scores.value, PROB_CLAMP, 1.0 - PROB_CLAMP))
              for scores, labels in ((s_p, point_labels), (s_i, pixel_labels))]
     value = sum(-((y * np.log(s) + (1.0 - y) * np.log(1.0 - s)).sum() / y.shape[0])

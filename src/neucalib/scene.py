@@ -15,14 +15,15 @@ A scene serializes to one packed little-endian record, declared once by
 ``_layout``: the magic ``NCLR``; the format version, N, H' and W' as uint32;
 fx, fy, cx, cy and the raw pose's rotation and translation as float64; then
 the N x 3 points, the N point and H'*W' pixel overlap flags (one byte each)
-and the N x 2 projections. A dataset directory holds the sample files and a
-``manifest.json`` that names them; the same seed writes bit-identical files.
+and the N x 2 projections. A dataset is one file, ``scenes.nclr``: the magic
+``NCLD``, the format version and scene count as uint32 and the seed as uint64,
+then the scenes' records back to back, each sized by its own header. The same
+seed writes a bit-identical file.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +33,10 @@ from .errors import (ConfigError, GenerationError, ParameterError, index_set, is
                      read_file, write_file)
 
 MAGIC = b"NCLR"
+DATASET_MAGIC = b"NCLD"
 FORMAT_VERSION = 1
-SAMPLE_PATTERN = "sample_%06d.nclr"
+DATASET_FILE = "scenes.nclr"
+_DATASET_HEAD = np.dtype([("magic", "S4"), ("version", "<u4"), ("count", "<u4"), ("seed", "<u8")])
 
 FOCAL_PX = 12.0
 Z_NEAR, Z_FAR = 4.0, 20.0  # meters, depth band of the in-frustum points
@@ -381,18 +384,9 @@ def scene_to_bytes(sample: SceneSample) -> bytes:
                     _layout(n, h, w)).tobytes()
 
 
-def scene_from_bytes(blob: bytes) -> SceneSample:
+def scene_from_bytes(blob) -> SceneSample:
     """Parse one ``.nclr`` record; the format is checked here, the scene by ``SceneSample``."""
-    if blob[:4] != MAGIC:
-        raise ConfigError(f"bad scene magic {blob[:4]!r}")
-    head = _layout(0, 0, 0)
-    if len(blob) < head.itemsize:
-        raise ConfigError(f"scene file truncated to {len(blob)} bytes inside its header")
-    version, n, h, w = np.frombuffer(blob, head, 1)[["version", "n", "h", "w"]].item()
-    if version != FORMAT_VERSION:
-        raise ConfigError(f"unsupported scene format version {version}")
-    # the header fixes every field's size, so one check covers them all
-    layout = _layout(n, h, w)
+    layout = _record_layout(blob)
     if len(blob) != layout.itemsize:
         raise ConfigError(f"scene file has {len(blob)} bytes, its header implies {layout.itemsize}")
     rec = np.frombuffer(blob, layout, 1)[0]
@@ -402,60 +396,61 @@ def scene_from_bytes(blob: bytes) -> SceneSample:
             pose = geo.RigidPose(rec["rotation"].copy(), rec["translation"].copy())
         except ParameterError as err:
             raise ConfigError(f"scene file holds an invalid camera: {err}") from err
-    return SceneSample(rec["points"].copy(), k, pose, (h, w), rec["point_overlap"].astype(bool),
-                       rec["pixel_overlap"].astype(bool), rec["projection"].copy())
+    return SceneSample(rec["points"].copy(), k, pose, rec[["h", "w"]].item(),
+                       rec["point_overlap"].astype(bool), rec["pixel_overlap"].astype(bool),
+                       rec["projection"].copy())
 
 
-def save_scene(sample: SceneSample, path) -> None:
-    write_file(path, scene_to_bytes(sample), "scene file")
-
-
-def load_scene(path) -> SceneSample:
-    return scene_from_bytes(read_file(path, "scene file"))
+def _record_layout(blob) -> np.dtype:
+    """The layout, and so the size, that the record header opening ``blob`` declares."""
+    if blob[:4] != MAGIC:
+        raise ConfigError(f"bad scene magic {bytes(blob[:4])!r}")
+    head = _layout(0, 0, 0)
+    if len(blob) < head.itemsize:
+        raise ConfigError(f"scene file truncated to {len(blob)} bytes inside its header")
+    version, n, h, w = np.frombuffer(blob, head, 1)[["version", "n", "h", "w"]].item()
+    if version != FORMAT_VERSION:
+        raise ConfigError(f"unsupported scene format version {version}")
+    return _layout(n, h, w)
 
 
 def write_dataset(out_dir, scenes: list[SceneSample], config: SceneConfig,
                   seed: int) -> Path:
-    """Write sample files plus a manifest naming them, ``config`` and ``seed`` (an int >= 0)."""
-    if not is_count(seed, 0):
-        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
+    """Write ``out_dir/scenes.nclr``, once every scene is known to have
+    ``config``'s size and ``seed`` to be an integer in [0, 2**64)."""
+    if not (is_count(seed, 0) and seed < 2 ** 64):
+        raise ParameterError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    for i, sample in enumerate(scenes):
+        if (sample.n_points, sample.grid) != (config.n_points, config.grid):
+            raise ParameterError(f"scene {i} has {sample.n_points} points on a {sample.grid} "
+                                 f"grid, the config {config.n_points} on {config.grid}")
+    head = np.array((DATASET_MAGIC, FORMAT_VERSION, len(scenes), seed), _DATASET_HEAD)
+    blob = b"".join([head.tobytes(), *map(scene_to_bytes, scenes)])
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as err:  # ValueError: a NUL byte in the path
         raise ConfigError(f"cannot make dataset directory {out}: {err}") from err
-    names = [SAMPLE_PATTERN % i for i in range(len(scenes))]
-    for name, sample in zip(names, scenes):
-        save_scene(sample, out / name)
-    manifest = {"format_version": FORMAT_VERSION, "count": len(scenes), "seed": int(seed),
-                "config": asdict(config), "samples": [{"file": name} for name in names]}
-    write_file(out / "manifest.json",
-               (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode(), "dataset manifest")
+    write_file(out / DATASET_FILE, blob, "dataset file")
     return out
 
 
 def load_dataset(data_dir) -> list[SceneSample]:
-    data = Path(data_dir)
-    manifest_path = data / "manifest.json"
-    try:
-        manifest = json.loads(read_file(manifest_path, "dataset manifest"))
-    except ValueError as err:  # JSON and text decoding errors
-        raise ConfigError(f"{manifest_path} is not valid JSON: {err}") from err
-    samples = manifest.get("samples") if isinstance(manifest, dict) else None
-    if not isinstance(samples, list) or "count" not in manifest:
-        raise ConfigError(f"{manifest_path} needs a 'samples' list and a 'count'")
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise ConfigError(f"{manifest_path} is not of format version {FORMAT_VERSION}")
+    """The scenes of ``data_dir/scenes.nclr``, or a ConfigError for a bad
+    head, a short record, or bytes left after the head's count of records."""
+    blob = memoryview(read_file(Path(data_dir) / DATASET_FILE, "dataset file"))
+    at = _DATASET_HEAD.itemsize
+    if len(blob) < at:
+        raise ConfigError(f"dataset file truncated to {len(blob)} bytes inside its head")
+    magic, version, count, _ = np.frombuffer(blob, _DATASET_HEAD, 1).item()
+    if magic != DATASET_MAGIC or version != FORMAT_VERSION:
+        raise ConfigError(f"dataset file is not of magic {DATASET_MAGIC!r} and format "
+                          f"version {FORMAT_VERSION}: {magic!r}, {version}")
     scenes = []
-    for entry in samples:
-        name = entry.get("file") if isinstance(entry, dict) else None
-        if not isinstance(name, str):
-            raise ConfigError(f"manifest entry {entry!r} names no sample file")
-        # a path or a symlink would let the manifest read files outside the dataset
-        path = data / name
-        if Path(name).name != name or name in ("", ".", "..") or path.is_symlink():
-            raise ConfigError(f"manifest entry {name!r} is not a bare file name or is a symlink")
-        scenes.append(load_scene(path))
-    if len(scenes) != manifest["count"]:
-        raise ConfigError("manifest count does not match sample entries")
+    for _ in range(count):
+        size = _record_layout(blob[at:]).itemsize
+        scenes.append(scene_from_bytes(blob[at:at + size]))
+        at += size
+    if at != len(blob):
+        raise ConfigError(f"dataset file has {len(blob) - at} bytes after its {count} scenes")
     return scenes

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from neucalib import autodiff as ad
+from neucalib import params as pstore
 from neucalib.errors import ParameterError, ShapeError, StateError
 from tape_probe import finite_difference_check, weighted_sum
 
@@ -113,6 +114,30 @@ class TestDense:
             ad.dense(ones(3, 2), ones(3, 4), ones(1, 4))
         with pytest.raises(ParameterError, match="relu"):
             ad.dense(ones(3, 2), ones(2, 4), ones(1, 4), "relu")
+
+
+class TestValues:
+    MAKERS = {"constant": ad.constant, "tensor": ad.Tensor,
+              "parameter": lambda x: ad.Tape().parameter(x),
+              "bind": lambda x: pstore.bind(ad.Tape(), {"w": x})["w"]}
+
+    @pytest.mark.parametrize("make", MAKERS)
+    @pytest.mark.parametrize("value", ["1.5", [[1.0], [2.0, 3.0]], np.array([1.0 + 2.0j]), None],
+                             ids=["string", "ragged", "complex", "none"])
+    def test_non_real_value_rejected(self, make, value):
+        # numpy would raise ValueError or TypeError, or warn and drop the imaginary part
+        with pytest.raises(ParameterError, match="tensor value"):
+            self.MAKERS[make](value)
+
+    @pytest.mark.parametrize("value, shape", [(2, (1, 1)), ([1, 2], (1, 2)), (np.ones((3, 2)),
+                                               (3, 2)), (np.ones(0), (1, 0))])
+    def test_values_become_float_matrices(self, value, shape):
+        t = ad.constant(value)
+        assert t.shape == shape and t.value.dtype == np.float64 and t.value.flags.c_contiguous
+
+    def test_more_than_two_dimensions_rejected(self):
+        with pytest.raises(ShapeError, match="ndim=3"):
+            ad.constant(np.ones((1, 1, 1)))
 
 
 class TestBackward:

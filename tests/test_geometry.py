@@ -60,6 +60,30 @@ class TestPoseAlgebra:
         with pytest.raises(ParameterError, match="translation"):
             geo.RigidPose(np.eye(3), [0.0, bad, 0.0])
 
+    @pytest.mark.parametrize("rotation, translation", [
+        (np.eye(2), np.zeros(3)), (np.eye(3).ravel(), np.zeros(3)), (np.eye(3), np.zeros(2)),
+        (np.eye(3), np.zeros((3, 1)))], ids=["rotation_2x2", "rotation_flat", "translation_2",
+                                              "translation_column"])
+    def test_misshapen_field_rejected(self, rotation, translation):
+        # numpy would reshape a flat rotation, or raise ValueError on a 2 x 2 one
+        with pytest.raises(ParameterError, match="3 x 3"):
+            geo.RigidPose(rotation, translation)
+
+    @pytest.mark.parametrize("field", ["rotation", "translation"])
+    @pytest.mark.parametrize("value", ["eye", None], ids=["string", "none"])
+    def test_non_numeric_field_rejected(self, field, value):
+        fields = {"rotation": np.eye(3), "translation": np.zeros(3), field: value}
+        with pytest.raises(ParameterError, match=field):
+            geo.RigidPose(**fields)
+
+    @pytest.mark.parametrize("field", ["rotation", "translation"])
+    def test_complex_field_rejected(self, field):
+        # numpy would warn and drop the imaginary part, which the tests turn into an error
+        fields = {"rotation": np.eye(3), "translation": np.zeros(3)}
+        fields[field] = fields[field] + 0j
+        with pytest.raises(ParameterError, match=field):
+            geo.RigidPose(**fields)
+
     def test_invalid_rotation_rejected(self):
         with pytest.raises(ParameterError):
             geo.RigidPose(np.eye(3) * 2.0, np.zeros(3))

@@ -129,6 +129,11 @@ class TestSimilarity:
         with pytest.raises(ParameterError):
             mt.AlignmentTransform(ad.constant(np.eye(2)), temperature)
 
+    @pytest.mark.parametrize("temperature", [math.inf, "0.07", None, 0.07j, np.ones(1)])
+    def test_temperature_must_be_a_finite_real_scalar(self, temperature):
+        with pytest.raises(ParameterError, match="temperature"):
+            mt.AlignmentTransform(ad.constant(np.eye(2)), temperature)
+
     def test_zero_norm_row_rejected(self):
         f = np.zeros((2, 4))
         f[0] = [1, 0, 0, 0]
@@ -457,6 +462,14 @@ class TestOverlap:
             mt.overlap_bce_loss(s, s, labels, [1.0, 0.0, 1.0])
         with pytest.raises(ParameterError, match="labels"):
             mt.overlap_bce_loss(s, s, [1.0, 0.0, 1.0], labels)
+
+    @pytest.mark.parametrize("bad", [2.0, -0.5, math.nan, math.inf, -math.inf])
+    def test_bce_labels_outside_the_unit_interval_rejected(self, bad):
+        s = ad.constant(0.5 * np.ones((3, 1)))
+        with pytest.raises(ParameterError, match=r"\[0, 1\]"):
+            mt.overlap_bce_loss(s, s, [1.0, bad, 0.0], [1.0, 0.0, 1.0])
+        with pytest.raises(ParameterError, match=r"\[0, 1\]"):
+            mt.overlap_bce_loss(s, s, [1.0, 0.0, 1.0], [bad, 0.0, 1.0])
 
     def test_bce_gradient_zero_at_and_beyond_clamp(self):
         lo, hi = mt.PROB_CLAMP, 1.0 - mt.PROB_CLAMP

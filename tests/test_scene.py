@@ -1,5 +1,5 @@
 import hashlib
-import json
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -141,6 +141,8 @@ SCENE_DIGESTS = [
 # one value too many or too few moves every scene after the first
 SEQUENCE_DIGEST = "621480ec7e2809305ca8c9595c377adbb9c15f6215c9b6979d39158f62be835f"
 
+HEAD_SIZE = 20  # dataset file head: magic, version and count as uint32, seed as uint64
+
 
 class TestGeneration:
     @pytest.mark.parametrize("n_points, grid, seed, digest", SCENE_DIGESTS)
@@ -233,17 +235,37 @@ class TestGeneration:
         assert type(cfg.n_points) is int and all(type(g) is int for g in cfg.grid)
         out = sc.write_dataset(tmp_path, [sc.generate_scene(np.random.default_rng(0), cfg)],
                                cfg, seed=np.int64(3))
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"] == {"n_points": 32, "grid": [8, 8]}
-        assert manifest["seed"] == 3 and len(sc.load_dataset(out)) == 1
+        head = (out / sc.DATASET_FILE).read_bytes()[:HEAD_SIZE]
+        assert head == sc.DATASET_MAGIC + struct.pack("<IIQ", sc.FORMAT_VERSION, 1, 3)
+        assert len(sc.load_dataset(out)) == 1
 
-    @pytest.mark.parametrize("seed", ["3", 3.5, -1, None, True, False, np.True_])
+    @pytest.mark.parametrize("seed", ["3", 3.5, -1, None, True, False, np.True_, 2 ** 64])
     def test_bad_dataset_seed_rejected_before_writing(self, tmp_path, seed):
-        # a bool is no count: the manifest would record True as the seed 1
+        # a bool is no count: the head would record True as the seed 1
         scene = make_scene(seed=0, n_points=32, grid=(8, 8))
         with pytest.raises(ParameterError, match="seed"):
             sc.write_dataset(tmp_path / "data", [scene], sc.SceneConfig(32, (8, 8)), seed)
         assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("n_points, grid", [(40, (8, 8)), (32, (8, 9)), (32, (9, 8))])
+    def test_scene_of_another_size_rejected_before_writing(self, tmp_path, n_points, grid):
+        # the head records no config, so a scene must have the one it is written under
+        scenes = [make_scene(seed=0, n_points=32, grid=(8, 8)),
+                  make_scene(seed=1, n_points=n_points, grid=grid)]
+        with pytest.raises(ParameterError, match="scene 1 has"):
+            sc.write_dataset(tmp_path / "data", scenes, sc.SceneConfig(32, (8, 8)), 0)
+        assert not (tmp_path / "data").exists()
+
+    def test_dataset_file_pinned(self, tmp_path):
+        """The same seed writes the same file: the head, then the records
+        of the sequence that SEQUENCE_DIGEST pins."""
+        rng, cfg = np.random.default_rng(301), sc.SceneConfig(n_points=256, grid=(16, 16))
+        scenes = [sc.generate_scene(rng, cfg) for _ in range(4)]
+        blobs = [(sc.write_dataset(tmp_path / name, scenes, cfg, 301) / sc.DATASET_FILE)
+                 .read_bytes() for name in ("a", "b")]
+        assert blobs[0] == blobs[1]
+        assert blobs[0][:HEAD_SIZE] == b"NCLD" + struct.pack("<IIQ", 1, 4, 301)
+        assert hashlib.sha256(blobs[0][HEAD_SIZE:]).hexdigest() == SEQUENCE_DIGEST
 
     def test_augment_scene_preserves_labels_and_projection(self):
         sample = make_scene(seed=9)
@@ -510,22 +532,21 @@ def edited_bytes(sample: sc.SceneSample, **fields) -> bytes:
 class TestSceneIO:
     def test_round_trip_bit_exact(self, tmp_path):
         sample = make_scene(seed=6)
-        path = tmp_path / "s.nclr"
-        sc.save_scene(sample, path)
-        loaded = sc.load_scene(path)
+        out = sc.write_dataset(tmp_path, [sample], sc.SceneConfig(), seed=6)
+        (loaded,) = sc.load_dataset(out)
         assert np.array_equal(loaded.points, sample.points)
         assert np.array_equal(loaded.gt_projection, sample.gt_projection, equal_nan=True)
         assert np.array_equal(loaded.point_overlap_gt, sample.point_overlap_gt)
         assert np.array_equal(loaded.pixel_overlap_gt, sample.pixel_overlap_gt)
         assert np.array_equal(loaded.raw_pose.rotation, sample.raw_pose.rotation)
         assert np.array_equal(loaded.raw_pose.translation, sample.raw_pose.translation)
-        assert loaded.intrinsics == sample.intrinsics
+        assert loaded.intrinsics == sample.intrinsics and loaded.grid == sample.grid
         # serialization itself is deterministic
-        assert sc.scene_to_bytes(loaded) == path.read_bytes()
+        assert sc.scene_to_bytes(loaded) == (out / sc.DATASET_FILE).read_bytes()[HEAD_SIZE:]
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
-            sc.load_scene(tmp_path / "gone.nclr")
+            sc.load_dataset(tmp_path)
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ConfigError):
@@ -633,75 +654,58 @@ class TestSceneIO:
         for a, b in zip(scenes, loaded):
             assert np.array_equal(a.points, b.points)
 
-    @pytest.mark.parametrize("case", ["invalid_json", "top_level_list", "samples_not_list",
-                                      "no_samples", "no_count", "no_file", "missing_file",
-                                      "parent_path", "absolute_path", "dot", "dot_dot",
-                                      "nul_byte_name", "manifest_is_directory",
-                                      "format_version_2"])
-    def test_malformed_manifest_rejected(self, tmp_path, case):
+    @pytest.mark.parametrize("case", ["cut_in_head", "cut_at_record", "cut_in_record",
+                                      "trailing_byte", "magic", "version", "count_low",
+                                      "count_high", "record_magic", "short_record"])
+    def test_malformed_dataset_rejected(self, tmp_path, case):
         cfg = sc.SceneConfig(n_points=32, grid=(8, 8))
-        scenes = [sc.generate_scene(np.random.default_rng([4, i]), cfg) for i in range(2)]
+        scenes = [sc.generate_scene(np.random.default_rng([4, i]), cfg) for i in range(3)]
         out = sc.write_dataset(tmp_path / "data", scenes, cfg, seed=4)
-        # a readable scene outside the dataset, which no manifest may name
-        sc.save_scene(scenes[0], tmp_path / "outside.nclr")
-        path = out / "manifest.json"
-        manifest = json.loads(path.read_text())
+        path = out / sc.DATASET_FILE
+        blob = path.read_bytes()
+        record = len(sc.scene_to_bytes(scenes[0]))
+        ends = [HEAD_SIZE + i * record for i in range(3)]  # each record boundary but the last
 
-        def first_file(name):
-            return lambda m: {**m, "samples": [{"file": name}, *m["samples"][1:]]}
+        def head(version=1, count=3):
+            return blob[:4] + struct.pack("<II", version, count) + blob[12:]
 
         edits = {
-            "parent_path": first_file("../outside.nclr"),
-            "absolute_path": first_file(str(tmp_path / "outside.nclr")),
-            "dot": first_file("."),
-            "dot_dot": first_file(".."),
-            "nul_byte_name": first_file("a\0b"),
-            "top_level_list": lambda m: [m],
-            "samples_not_list": lambda m: {**m, "samples": 3},
-            "no_samples": lambda m: {k: v for k, v in m.items() if k != "samples"},
-            "no_count": lambda m: {k: v for k, v in m.items() if k != "count"},
-            "no_file": lambda m: {**m, "samples": [{"n_points": 32}, *m["samples"][1:]]},
-            "missing_file": lambda m: {**m, "samples": [*m["samples"], {"file": "gone.nclr"}]},
-            "format_version_2": lambda m: {**m, "format_version": 2},
-        }
-        if case == "invalid_json":
-            path.write_text(path.read_text()[:-10])
-        elif case == "manifest_is_directory":
-            path.unlink()
-            path.mkdir()
-        else:
-            path.write_text(json.dumps(edits[case](manifest)))
-        with pytest.raises(ConfigError):
-            sc.load_dataset(out)
+            "cut_in_head": [blob[:cut] for cut in range(HEAD_SIZE)],
+            "cut_at_record": [blob[:end] for end in ends],
+            "cut_in_record": [blob[:end + 1] for end in ends] + [blob[:-1]],
+            "trailing_byte": [blob + b"\0"],
+            "magic": [b"NCLR" + blob[4:], b"\0" * HEAD_SIZE + blob[HEAD_SIZE:]],
+            "version": [head(version=0), head(version=2)],
+            "count_low": [head(count=0), head(count=2)],
+            "count_high": [head(count=4), head(count=2 ** 32 - 1)],
+            "record_magic": [blob[:ends[1]] + b"XXXX" + blob[ends[1] + 4:]],
+            # the middle record one byte short, the last one shifted onto its end
+            "short_record": [blob[:ends[2] - 1] + blob[ends[2]:]],
+        }[case]
+        for edited in edits:
+            path.write_bytes(edited)
+            with pytest.raises(ConfigError):
+                sc.load_dataset(out)
 
-    @pytest.mark.parametrize("case", ["load_nul_byte", "save_missing_parent",
-                                      "dataset_onto_file", "dataset_manifest_is_directory"])
+    @pytest.mark.parametrize("case", ["load_nul_byte", "write_nul_byte", "load_missing_parent",
+                                      "load_directory", "dataset_onto_file",
+                                      "dataset_file_is_directory"])
     def test_unusable_path_rejected(self, tmp_path, case):
         cfg = sc.SceneConfig(n_points=32, grid=(8, 8))
         scene = sc.generate_scene(np.random.default_rng([6, 0]), cfg)
         (tmp_path / "file").write_bytes(b"")
-        (tmp_path / "data" / "manifest.json").mkdir(parents=True)
+        (tmp_path / "data" / sc.DATASET_FILE).mkdir(parents=True)
         calls = {
-            "load_nul_byte": lambda: sc.load_scene("x\0y"),
-            "save_missing_parent": lambda: sc.save_scene(scene, tmp_path / "gone" / "s.nclr"),
+            "load_nul_byte": lambda: sc.load_dataset("x\0y"),
+            "write_nul_byte": lambda: sc.write_dataset("x\0y", [scene], cfg, 6),
+            "load_missing_parent": lambda: sc.load_dataset(tmp_path / "gone" / "data"),
+            "load_directory": lambda: sc.load_dataset(tmp_path / "data"),
             "dataset_onto_file": lambda: sc.write_dataset(tmp_path / "file", [scene], cfg, 6),
-            "dataset_manifest_is_directory":
+            "dataset_file_is_directory":
                 lambda: sc.write_dataset(tmp_path / "data", [scene], cfg, 6),
         }
         with pytest.raises(ConfigError, match="cannot"):
             calls[case]()
-
-    @pytest.mark.parametrize("target", ["outside.nclr", "data/sample_000001.nclr"])
-    def test_symlinked_sample_rejected(self, tmp_path, target):
-        cfg = sc.SceneConfig(n_points=32, grid=(8, 8))
-        scenes = [sc.generate_scene(np.random.default_rng([5, i]), cfg) for i in range(2)]
-        out = sc.write_dataset(tmp_path / "data", scenes, cfg, seed=5)
-        sc.save_scene(scenes[0], tmp_path / "outside.nclr")
-        sample = out / (sc.SAMPLE_PATTERN % 0)
-        sample.unlink()
-        sample.symlink_to(tmp_path / target)
-        with pytest.raises(ConfigError, match="symlink"):
-            sc.load_dataset(out)
 
     def test_pixel_centers_layout(self):
         centers = sc.pixel_centers((2, 3))
