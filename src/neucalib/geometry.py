@@ -22,6 +22,7 @@ from .errors import ParameterError, real_array
 
 ORTHONORMALITY_TOL = 1e-9
 MIN_DEPTH = 1e-6  # meters; at or below this a projection is flagged invalid
+_EYE = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,9 @@ class RigidPose:
             raise ParameterError(f"rotation must be 3 x 3 and translation 3: {r.shape}, {t.shape}")
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
-        if not np.allclose(r.T @ r, np.eye(3), rtol=0.0, atol=ORTHONORMALITY_TOL):
+        with np.errstate(all="ignore"):  # inf and huge entries fail the test, as NaN does
+            off = np.abs(r.T @ r - _EYE).max()
+        if not off <= ORTHONORMALITY_TOL:
             raise ParameterError("rotation is not orthonormal within 1e-9")
         if abs(np.linalg.det(r) - 1.0) > ORTHONORMALITY_TOL:
             raise ParameterError("rotation determinant is not +1 within 1e-9")
@@ -50,9 +53,9 @@ class RigidPose:
         return RigidPose(np.eye(3), np.zeros(3))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        """Transform an N x 3 array of points into this pose's target frame."""
-        pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        return pts @ self.rotation.T + self.translation
+        """Transform an N x 3 array of points, or one 3-vector as a 1 x 3
+        array, into this pose's target frame."""
+        return _points(points) @ self.rotation.T + self.translation
 
 
 @dataclass(frozen=True)
@@ -106,10 +109,11 @@ def project(points, pose: RigidPose, k: CameraIntrinsics) -> Projection:
     q = pose.apply(points)
     depth = q[:, 2]
     valid = depth > MIN_DEPTH
-    coords = np.full((q.shape[0], 2), np.nan)
     safe = np.where(valid, depth, 1.0)
-    coords[:, 0] = np.where(valid, k.fx * q[:, 0] / safe + k.cx, np.nan)
-    coords[:, 1] = np.where(valid, k.fy * q[:, 1] / safe + k.cy, np.nan)
+    coords = np.empty((q.shape[0], 2))
+    coords[:, 0] = k.fx * q[:, 0] / safe + k.cx
+    coords[:, 1] = k.fy * q[:, 1] / safe + k.cy
+    coords[~valid] = np.nan
     return Projection(coords, valid)
 
 
@@ -140,8 +144,9 @@ def sample_augmentation(rng: np.random.Generator, rot_range: float,
 
 def apply_augmentation(points, rot: np.ndarray, trans: np.ndarray) -> np.ndarray:
     """p' = R_r (p + t_r): translate, then rotate."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    return (pts + np.asarray(trans).reshape(3)) @ np.asarray(rot).T
+    pts = _points(points)
+    rot, trans = _augmentation(rot, trans)
+    return (pts + trans) @ rot.T
 
 
 def recompute_gt_pose(raw: RigidPose, rot: np.ndarray, trans: np.ndarray) -> RigidPose:
@@ -150,10 +155,29 @@ def recompute_gt_pose(raw: RigidPose, rot: np.ndarray, trans: np.ndarray) -> Rig
     t_gt = t_raw - R_raw t_r and R_gt = R_raw R_r^-1, so that
     R_gt p' + t_gt = R_raw p + t_raw for p' = R_r (p + t_r).
     """
-    rot = np.asarray(rot, dtype=np.float64).reshape(3, 3)
-    trans = np.asarray(trans, dtype=np.float64).reshape(3)
+    rot, trans = _augmentation(rot, trans)
     return RigidPose(raw.rotation @ rot.T,
                      raw.translation - raw.rotation @ trans)
+
+
+def _points(points) -> np.ndarray:
+    """Real N x 3 ``points``, or one 3-vector as 1 x 3, as float64 (not
+    copied if they are), else a ParameterError."""
+    pts = real_array(points, "points", ParameterError)
+    if pts.ndim not in (1, 2) or pts.shape[-1:] != (3,):
+        raise ParameterError(f"points must be N x 3 or one 3-vector, got shape {pts.shape}")
+    return pts.reshape(-1, 3)
+
+
+def _augmentation(rot, trans) -> tuple[np.ndarray, np.ndarray]:
+    """A real 3 x 3 augmentation rotation and 3-vector translation as float64,
+    else a ParameterError."""
+    rot = real_array(rot, "augmentation rotation", ParameterError)
+    trans = real_array(trans, "augmentation translation", ParameterError)
+    if rot.shape != (3, 3) or trans.shape != (3,):
+        raise ParameterError("augmentation rotation must be 3 x 3 and translation 3, "
+                             f"got {rot.shape}, {trans.shape}")
+    return rot, trans
 
 
 def geodesic_angle(r_a: np.ndarray, r_b: np.ndarray) -> float:

@@ -24,6 +24,7 @@ seed writes a bit-identical file.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,7 @@ POSE_ROT_SPREAD = 0.3  # radians, raw-pose rotation magnitude
 POSE_TRANS_SPREAD = 1.0  # meters, raw-pose translation magnitude
 PATCH_PLANES = 10  # plane draws per patch before generation gives up
 MIN_OVERLAP = 8  # overlapping points per scene, headroom for the pose solver
+_IDENTITY = geo.RigidPose.identity()
 
 
 @dataclass(frozen=True)
@@ -107,9 +109,10 @@ class SceneSample:
             if not (isinstance(arr, np.ndarray) and arr.shape == shape and arr.dtype == dtype):
                 raise ConfigError(
                     f"scene {name} is not a {dtype} array of shape {shape} on a {h} x {w} grid")
-        on, uv = self.point_overlap_gt, self.gt_projection[self.point_overlap_gt]
+        on = np.flatnonzero(self.point_overlap_gt)
+        uv = self.gt_projection.take(on, axis=0)
         with np.errstate(all="ignore"):  # huge values overflow and fail the check
-            depth = self.raw_pose.apply(self.points[on])[:, 2]
+            depth = self.raw_pose.apply(self.points.take(on, axis=0))[:, 2]
             if not (np.isfinite(self.points).all() and (depth > geo.MIN_DEPTH).all()
                     and (uv >= 0.0).all() and (uv < [w, h]).all()):
                 raise ConfigError("scene has a non-finite point, or an overlapping point "
@@ -136,9 +139,9 @@ def point_overlap_labels(points, pose, k: geo.CameraIntrinsics,
     """Exact overlap mask and projections for points under a pose."""
     h, w = grid
     proj = geo.project(points, pose, k)
+    u, v = proj.coords.T
     with np.errstate(invalid="ignore"):
-        inside = ((proj.coords >= 0) & (proj.coords < [w, h])).all(axis=1)
-    overlap = proj.valid & inside
+        overlap = proj.valid & (u >= 0) & (u < w) & (v >= 0) & (v < h)
     coords = np.where(overlap[:, None], proj.coords, np.nan)
     return overlap, coords
 
@@ -231,10 +234,20 @@ def build_pairs(sample: SceneSample, r_p: float, r_n: float) -> PairSet:
                    int((has_pos & ~has_neg).sum()))
 
 
+def _uniform(rng: np.random.Generator, low: float, high: float, size=None):
+    """``rng.uniform(low, high, size)`` at a fraction of its per-call cost:
+    the same doubles from the same 64-bit words of the generator, because
+    numpy's C computes each as ``low + (high - low) * next_double`` and
+    ``rng.random`` returns ``next_double`` (numpy 1.24 through 2.4). The
+    identity needs that C built without fused multiply-add, as numpy's
+    x86-64 Linux wheels are; ``TestUniformDraw`` pins it."""
+    return low + (high - low) * rng.random(size)
+
+
 def _sample_raw_pose(rng: np.random.Generator) -> geo.RigidPose:
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
-    angle = rng.uniform(-POSE_ROT_SPREAD, POSE_ROT_SPREAD)
+    angle = _uniform(rng, -POSE_ROT_SPREAD, POSE_ROT_SPREAD)
     t = rng.uniform(-POSE_TRANS_SPREAD, POSE_TRANS_SPREAD, 3)
     return geo.RigidPose(geo.rotation_from_axis_angle(axis, angle), t)
 
@@ -242,31 +255,45 @@ def _sample_raw_pose(rng: np.random.Generator) -> geo.RigidPose:
 def _sample_patch(rng: np.random.Generator, k: geo.CameraIntrinsics,
                   grid: tuple[int, int], size: int) -> np.ndarray:
     """``size`` camera-frame points on one planar patch, drawing a new plane
-    whenever ``100 * size`` attempts on the current one leave it short."""
+    whenever ``100 * size`` attempts on the current one leave it short.
+
+    Each uniform draw, the plane's scalars and a batch's (u, v) offsets in
+    [-radius, radius), is ``rng.uniform``'s double through ``_uniform``.
+    A ray is ``geo.unproject`` at depth 1.0 without the multiply by 1.0,
+    which changes no bit.
+    """
     h, w = grid
+    c, f, edge = np.array([k.cx, k.cy]), np.array([k.fx, k.fy]), np.array([w - 0.1, h - 0.1])
     for _ in range(PATCH_PLANES):
-        center_uv = np.array([rng.uniform(1.0, w - 1.0), rng.uniform(1.0, h - 1.0)])
-        z0 = rng.uniform(Z_NEAR, Z_FAR)
+        center_uv = np.array([_uniform(rng, 1.0, w - 1.0), _uniform(rng, 1.0, h - 1.0)])
+        z0 = _uniform(rng, Z_NEAR, Z_FAR)
         q0 = geo.unproject(center_uv[None, :], [z0], k)[0]
         normal = q0 / np.linalg.norm(q0) + 0.5 * rng.normal(size=3)
         normal /= np.linalg.norm(normal)
-        radius = rng.uniform(1.5, max(2.0, min(h, w) / 2.0))
+        radius = _uniform(rng, 1.5, max(2.0, min(h, w) / 2.0))
         offset = q0 @ normal
         pts, got, attempts = [], 0, 0
         while got < size and attempts < 100 * size:
-            # each attempt accepts at most one point, so the sequential loop
-            # would make every attempt of this batch too
-            batch = min(size - got, 100 * size - attempts)
-            attempts += batch
-            uv = center_uv + rng.uniform(-radius, radius, (batch, 2))
-            rays = geo.unproject(uv, np.ones(batch), k)
+            state, need = rng.bit_generator.state, size - got
+            batch = min(2 * need, 100 * size - attempts)
+            uv = center_uv + _uniform(rng, -radius, radius, (batch, 2))
+            rays = np.ones((batch, 3))
+            rays[:, :2] = (uv - c) / f
             denom = np.matmul(rays[:, None, :], normal)[:, 0]
-            ok = (0.1 <= uv[:, 0]) & (uv[:, 0] <= w - 0.1) \
-                & (0.1 <= uv[:, 1]) & (uv[:, 1] <= h - 0.1) & (np.abs(denom) >= 1e-3)
+            ok = ((0.1 <= uv) & (uv <= edge)).all(axis=1) & (np.abs(denom) >= 1e-3)
             z = offset / np.where(ok, denom, 1.0)
             ok &= (0.5 * Z_NEAR <= z) & (z <= 1.5 * Z_FAR)
+            hits = np.flatnonzero(ok)
+            if hits.size >= need and hits[need - 1] + 1 < batch:
+                # the sequential loop stops at the attempt that completes the
+                # patch: rewind the generator and redraw only the attempts made
+                batch = int(hits[need - 1]) + 1
+                rng.bit_generator.state = state
+                rng.random((batch, 2))
+                ok[batch:] = False
+            attempts += batch
             pts.append(rays[ok] * z[ok, None])
-            got += int(ok.sum())
+            got += np.count_nonzero(ok)
         if got == size:
             return np.vstack(pts)
     raise GenerationError("could not place a planar patch inside the frustum "
@@ -278,9 +305,10 @@ def _sample_in_frustum(rng: np.random.Generator, cfg: SceneConfig, count: int) -
     project inside the grid with depth in a safe band.
 
     The draws are those of a loop making one attempt at a time: a patch
-    draws its attempts in batches of as many as it still needs, so no
-    batch holds an attempt that the loop would not have made, and the noise
-    draws its (u, v, z) triples in row-major order. The ray-plane dot
+    draws batches of twice the attempts it still needs, and rewinds the
+    generator to just after the attempt that completes it, so no attempt
+    that the loop would not have made stays drawn; the noise draws its
+    (u, v, z) triples in row-major order. The ray-plane dot
     product goes one row at a time, through a stacked matmul, because a
     matrix-vector product or a written-out sum rounds differently in some
     rows and would move points.
@@ -305,22 +333,24 @@ def _sample_out_of_frustum(rng: np.random.Generator, cfg: SceneConfig, count: in
     ``geo.MIN_DEPTH``, and one in the side cone is unprojected from a pixel
     column at least 2 px outside [0, W'). The check after the loop guards
     that argument; the loop stays scalar because the two branches make
-    different numbers of draws.
+    different numbers of draws. Each value is ``rng.uniform``'s, through
+    ``_uniform``, and the branch coin ``rng.random() < 0.5`` is
+    ``rng.uniform() < 0.5``, whose double is ``0.0 + 1.0 * next_double``.
     """
     h, w = cfg.grid
     k = cfg.intrinsics()
     pts = np.empty((count, 3))
     side = np.zeros(count, dtype=bool)
     for i in range(count):
-        if rng.uniform() < 0.5:  # behind the camera
-            pts[i] = (rng.uniform(-Z_FAR, Z_FAR), rng.uniform(-Z_FAR, Z_FAR),
-                      -rng.uniform(1.0, Z_FAR))
+        if rng.random() < 0.5:  # behind the camera
+            pts[i] = (_uniform(rng, -Z_FAR, Z_FAR), _uniform(rng, -Z_FAR, Z_FAR),
+                      -_uniform(rng, 1.0, Z_FAR))
         else:  # positive depth, outside the image cone: (u, v, z) for now
-            u = rng.uniform(w + 2.0, 3.0 * w) * (-1.0, 1.0)[rng.integers(2)]
-            pts[i] = (u, rng.uniform(-h, 2.0 * h), rng.uniform(Z_NEAR, Z_FAR))
+            u = _uniform(rng, w + 2.0, 3.0 * w) * (-1.0, 1.0)[rng.integers(2)]
+            pts[i] = (u, _uniform(rng, -h, 2.0 * h), _uniform(rng, Z_NEAR, Z_FAR))
             side[i] = True
     pts[side] = geo.unproject(pts[side, :2], pts[side, 2], k)
-    overlap, _ = point_overlap_labels(pts, geo.RigidPose.identity(), k, cfg.grid)
+    overlap, _ = point_overlap_labels(pts, _IDENTITY, k, cfg.grid)
     if overlap.any():
         raise GenerationError(f"{int(overlap.sum())} out-of-frustum points overlap the grid")
     return pts
@@ -335,7 +365,7 @@ def generate_scene(rng: np.random.Generator, config: SceneConfig) -> SceneSample
     """
     k = config.intrinsics()
     raw_pose = _sample_raw_pose(rng)
-    frac = rng.uniform(*OVERLAP_BAND)
+    frac = _uniform(rng, *OVERLAP_BAND)
     n_in = min(config.n_points, max(MIN_OVERLAP, int(round(frac * config.n_points))))
 
     cam_pts = np.vstack([_sample_in_frustum(rng, config, n_in),
@@ -362,6 +392,7 @@ def augment_scene(sample: SceneSample, rot: np.ndarray, trans: np.ndarray) -> Sc
 
 # --- binary scene format -------------------------------------------------
 
+@lru_cache(maxsize=16)  # a dataset's records share one size
 def _layout(n: int, h: int, w: int) -> np.dtype:
     try:
         return np.dtype([
@@ -416,11 +447,16 @@ def _record_layout(blob) -> np.dtype:
 
 def write_dataset(out_dir, scenes: list[SceneSample], config: SceneConfig,
                   seed: int) -> Path:
-    """Write ``out_dir/scenes.nclr``, once every scene is known to have
-    ``config``'s size and ``seed`` to be an integer in [0, 2**64)."""
+    """Write ``out_dir/scenes.nclr``, once ``config`` is known to be a
+    ``SceneConfig``, every scene a ``SceneSample`` of its size and ``seed``
+    an integer in [0, 2**64)."""
     if not (is_count(seed, 0) and seed < 2 ** 64):
         raise ParameterError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    if not isinstance(config, SceneConfig):
+        raise ParameterError(f"config must be a SceneConfig, got {type(config).__name__}")
     for i, sample in enumerate(scenes):
+        if not isinstance(sample, SceneSample):
+            raise ParameterError(f"scene {i} is a {type(sample).__name__}, not a SceneSample")
         if (sample.n_points, sample.grid) != (config.n_points, config.grid):
             raise ParameterError(f"scene {i} has {sample.n_points} points on a {sample.grid} "
                                  f"grid, the config {config.n_points} on {config.grid}")

@@ -60,6 +60,29 @@ class TestPoseAlgebra:
         with pytest.raises(ParameterError, match="translation"):
             geo.RigidPose(np.eye(3), [0.0, bad, 0.0])
 
+    @pytest.mark.parametrize("at", [(0, 0), (1, 2)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rotation_rejected(self, bad, at):
+        # inf makes R^T R hold NaN, which numpy warns about, and fails the test as NaN does
+        r = np.eye(3)
+        r[at] = bad
+        with pytest.raises(ParameterError, match="orthonormal"):
+            geo.RigidPose(r, np.zeros(3))
+
+    @pytest.mark.parametrize("points", [
+        "abc", np.ones(5), np.ones((2, 3)) + 0j, np.ones((2, 2, 3)), [[1.0, 2.0, 3.0], [4.0]]],
+        ids=["string", "five", "complex", "three_dim", "ragged"])
+    def test_non_real_or_misshapen_points_rejected(self, points):
+        # numpy would raise ValueError, warn and drop the imaginary part, or
+        # read a 2 x 2 x 3 array as four points
+        with pytest.raises(ParameterError, match="points"):
+            geo.RigidPose.identity().apply(points)
+
+    def test_points_read_without_a_copy(self):
+        pts = np.ones((4, 3))
+        assert np.shares_memory(geo._points(pts), pts)
+        np.testing.assert_array_equal(geo.RigidPose.identity().apply([1, 2, 3]), [[1.0, 2.0, 3.0]])
+
     @pytest.mark.parametrize("rotation, translation", [
         (np.eye(2), np.zeros(3)), (np.eye(3).ravel(), np.zeros(3)), (np.eye(3), np.zeros(2)),
         (np.eye(3), np.zeros((3, 1)))], ids=["rotation_2x2", "rotation_flat", "translation_2",
@@ -183,6 +206,19 @@ class TestAugmentation:
         pts = np.random.default_rng(21).normal(size=(8, 3))
         out = geo.apply_augmentation(pts, np.eye(3), np.zeros(3))
         np.testing.assert_array_equal(out, pts)
+
+    @pytest.mark.parametrize("rot, trans", [
+        ("abc", np.zeros(3)), (np.eye(3), "abc"), (np.eye(3) + 0j, np.zeros(3)),
+        (np.eye(3), np.zeros(3) + 0j), (np.eye(3).ravel(), np.zeros(3)),
+        (np.eye(3), np.zeros((3, 1)))],
+        ids=["string_rotation", "string_translation", "complex_rotation",
+             "complex_translation", "flat_rotation", "column_translation"])
+    def test_non_real_or_misshapen_augmentation_rejected(self, rot, trans):
+        raw = geo.RigidPose.identity()
+        with pytest.raises(ParameterError, match="augmentation"):
+            geo.recompute_gt_pose(raw, rot, trans)
+        with pytest.raises(ParameterError, match="augmentation"):
+            geo.apply_augmentation(np.zeros((2, 3)), rot, trans)
 
     def test_pure_translation(self):
         pts = np.zeros((2, 3))

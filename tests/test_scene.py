@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from neucalib import encoder as enc
@@ -141,6 +141,10 @@ SCENE_DIGESTS = [
 # one value too many or too few moves every scene after the first
 SEQUENCE_DIGEST = "621480ec7e2809305ca8c9595c377adbb9c15f6215c9b6979d39158f62be835f"
 
+# the same for four 512/24² scenes from default_rng(301), redrawn on
+# GenerationError as the set-up redraws them
+SEQUENCE_DIGEST_512 = "1d9b819141c837d2ab30b10562f453a379e2f60fdafea3a86d081f0914243e77"
+
 HEAD_SIZE = 20  # dataset file head: magic, version and count as uint32, seed as uint64
 
 
@@ -154,6 +158,17 @@ class TestGeneration:
         rng, cfg = np.random.default_rng(301), sc.SceneConfig(n_points=256, grid=(16, 16))
         blob = b"".join(sc.scene_to_bytes(sc.generate_scene(rng, cfg)) for _ in range(4))
         assert hashlib.sha256(blob).hexdigest() == SEQUENCE_DIGEST
+
+    def test_scene_sequence_pinned_at_512(self):
+        rng, cfg = np.random.default_rng(301), sc.SceneConfig(n_points=512, grid=(24, 24))
+        scenes = []
+        while len(scenes) < 4:
+            try:
+                scenes.append(sc.generate_scene(rng, cfg))
+            except GenerationError:
+                pass
+        blob = b"".join(map(sc.scene_to_bytes, scenes))
+        assert hashlib.sha256(blob).hexdigest() == SEQUENCE_DIGEST_512
 
     @pytest.mark.parametrize("n_points, grid, seeds", ORACLE_CASES)
     def test_samplers_replay_the_sequential_draws(self, n_points, grid, seeds):
@@ -256,6 +271,16 @@ class TestGeneration:
             sc.write_dataset(tmp_path / "data", scenes, sc.SceneConfig(32, (8, 8)), 0)
         assert not (tmp_path / "data").exists()
 
+    @pytest.mark.parametrize("config, scene", [(None, "scene"), ("config", None),
+                                               ("config", "config")],
+                             ids=["config_none", "scene_none", "scene_is_config"])
+    def test_non_config_or_non_scene_rejected_before_writing(self, tmp_path, config, scene):
+        cfg = sc.SceneConfig(32, (8, 8))
+        values = {"config": cfg, "scene": make_scene(seed=0, n_points=32, grid=(8, 8)), None: None}
+        with pytest.raises(ParameterError, match="SceneConfig|SceneSample"):
+            sc.write_dataset(tmp_path / "data", [values[scene]], values[config], 0)
+        assert not (tmp_path / "data").exists()
+
     def test_dataset_file_pinned(self, tmp_path):
         """The same seed writes the same file: the head, then the records
         of the sequence that SEQUENCE_DIGEST pins."""
@@ -278,6 +303,59 @@ class TestGeneration:
         ok = sample.point_overlap_gt
         np.testing.assert_allclose(
             proj.coords[ok], sample.gt_projection[ok], atol=1e-9)
+
+    @pytest.mark.parametrize("rot, trans", [("abc", np.zeros(3)), (np.eye(3), "abc"),
+                                            (np.eye(3) + 0j, np.zeros(3))],
+                             ids=["string_rotation", "string_translation", "complex_rotation"])
+    def test_non_real_augmentation_rejected(self, rot, trans):
+        with pytest.raises(ParameterError, match="augmentation"):
+            sc.augment_scene(make_scene(seed=9), rot, trans)
+
+
+def generator_bounds(grid):
+    """Every (low, high) pair that scene generation draws between on ``grid``,
+    but the patch offsets', which are (-radius, radius) for a drawn radius."""
+    h, w = grid
+    return [(-sc.POSE_ROT_SPREAD, sc.POSE_ROT_SPREAD), sc.OVERLAP_BAND, (1.0, w - 1.0),
+            (1.0, h - 1.0), (sc.Z_NEAR, sc.Z_FAR), (1.5, max(2.0, min(h, w) / 2.0)),
+            (-sc.Z_FAR, sc.Z_FAR), (1.0, sc.Z_FAR), (w + 2.0, 3.0 * w), (-h, 2.0 * h)]
+
+
+GRIDS = [grid for _, grid, _ in ORACLE_CASES]
+finite = st.floats(-1e300, 1e300)
+
+
+@st.composite
+def uniform_bounds(draw):
+    """A pair the generator uses, a patch offset range, or any pair low <= high
+    of finite floats whose range is finite."""
+    radius = draw(st.sampled_from(GRIDS).flatmap(
+        lambda g: st.floats(1.5, max(2.0, min(g) / 2.0))))
+    low, high = draw(st.sampled_from([b for g in GRIDS for b in generator_bounds(g)])
+                     | st.just((-radius, radius)) | st.tuples(finite, finite).map(sorted))
+    assume(np.isfinite(high - low))
+    return low, high
+
+
+class TestUniformDraw:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(uniform_bounds(), st.sampled_from([None, 3, (5, 2)]), st.integers(0, 2 ** 32),
+           st.booleans())
+    def test_uniform_is_generator_uniform(self, bounds, size, seed, half_word):
+        """The same doubles and the same generator state as ``Generator.uniform``,
+        also with half a word left over from an ``integers(2)`` draw."""
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        if half_word:
+            ours.integers(2), ref.integers(2)
+        got, expected = sc._uniform(ours, *bounds, size), ref.uniform(*bounds, size)
+        assert np.asarray(got).dtype == np.float64 and np.shape(got) == np.shape(expected)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_coin_is_generator_uniform(self):
+        ours, ref = np.random.default_rng(5), np.random.default_rng(5)
+        assert [ours.random() for _ in range(64)] == [ref.uniform() for _ in range(64)]
+        assert ours.bit_generator.state == ref.bit_generator.state
 
 
 # generated scenes for the writer/reader symmetry property
