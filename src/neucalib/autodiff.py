@@ -13,16 +13,9 @@ record their own nodes, and each softmax is written inside its one node:
 attention's recomputing kernel in ``encoder``, soft matching's and
 InfoNCE's masked one in ``matching``.
 Tapes are single-use and rebuilt per training step, so data-dependent
-graph structure is fine.
-
-A backward owns the gradient it is handed and may overwrite it. It returns
-per input either a full gradient or a :class:`Block`, the values of one
-index block of that input: the tape zero-fills the input's gradient only
-when a block is its first contribution and otherwise adds the block in
-place, so the losses that read one block of the N x M logits allocate no
-N x M array of their own. The sweep releases each node's closure and its
-gradient before it accumulates what the node returned, so that the node's
-kept arrays are freed before the tape allocates.
+graph structure is fine. :func:`record` states once how a backward hands
+its gradients to the tape: the losses that read one block of the N x M
+logits return a :class:`Block` and allocate no N x M array of their own.
 
 Each step allocates and frees the same N x M temporaries again and again.
 On glibc, importing this module fixes the allocator's mmap and trim
@@ -162,17 +155,10 @@ class Tape:
         return Tensor(value, tape=self, node_id=len(self.nodes) - 1)
 
     def backward(self, loss: Tensor) -> None:
-        """Reverse sweep from a scalar loss; fills every leaf gradient it reaches.
-
-        Each node's backward closure and its gradient are released as soon
-        as the node has run, before the sweep accumulates the gradients it
-        returned, and each intermediate gradient once it has been propagated,
-        so that the sweep frees the tape's N x M values as it goes. The first
-        full gradient an input receives is kept as returned and later ones
-        are added into it in place; a :class:`Block` is added into its block,
-        on a zero-filled gradient if it is the first. A tape can be swept
-        only once; rebuild the graph for the next step.
-        """
+        """Reverse sweep from a scalar loss; fills every leaf gradient it
+        reaches, accumulating as :func:`record` states, and drops each
+        intermediate gradient once propagated, so the sweep frees the tape's
+        N x M values as it goes. A tape can be swept only once."""
         if self.consumed:
             raise StateError("tape already consumed by a previous backward()")
         if loss.tape is not self:
@@ -265,7 +251,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str = "none") -> Tensor:
     g y (1 - y) for none, tanh and sigmoid: dx = dz w^T, dw = x^T dz and
     db = the column sums of dz.
     """
-    if act not in _ACTIVATIONS:
+    if not (isinstance(act, str) and act in _ACTIVATIONS):
         raise ParameterError(f"dense: unknown activation {act!r}")
     if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
         raise ShapeError(f"dense: {x.shape} x {w.shape} + {b.shape}")

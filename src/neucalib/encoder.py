@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ParameterError, ShapeError, is_count, real_array
+from .errors import ParameterError, ShapeError, is_count
 from .scene import SceneSample, pixel_centers
 
 PE_BASE = 10000.0
@@ -36,17 +36,13 @@ TEXTURE_SCALE = 0.05  # depth meters -> MLP-friendly range
 EXP_LIMIT = 500.0  # scores within +-this need no row shift: exp(score) is finite and normal
 
 
-def sinusoidal_pe(coords: np.ndarray, channels: int) -> np.ndarray:
-    """Interleaved sin/cos encodings of each coordinate dimension.
+def _sinusoidal_pe(coords: np.ndarray, channels: int) -> np.ndarray:
+    """Interleaved sin/cos encodings of each dimension of M x d ``coords``.
 
     Each of the d input dimensions gets channels // (2d) geometrically
     spaced frequencies (base 10000); leftover channels stay zero.
     """
-    coords = real_array(coords, "coords", ParameterError)
-    d = coords.shape[1] if coords.ndim == 2 else 0
-    if d < 1 or not is_count(channels, 2 * d) or channels % 2 != 0:
-        raise ParameterError(f"coords of shape {coords.shape} must be M x d, d >= 1, and need "
-                             f"an even channel count of at least 2d, got {channels!r}")
+    d = coords.shape[1]
     pairs = channels // (2 * d)
     freqs = PE_BASE ** (-np.arange(pairs) / pairs)
     out = np.zeros((coords.shape[0], channels))
@@ -61,6 +57,9 @@ def sinusoidal_pe(coords: np.ndarray, channels: int) -> np.ndarray:
 def init_encoder_params(rng: np.random.Generator, channels: int = 32,
                         hidden: int = 64, fusion_layers: int = 1) -> dict[str, np.ndarray]:
     """Gaussian init scaled by 1/sqrt(fan_in); biases start at zero."""
+    if not (is_count(channels, 1) and is_count(hidden, 1) and is_count(fusion_layers, 0)):
+        raise ParameterError(f"channels and hidden must be integers >= 1, fusion_layers >= 0: "
+                             f"{channels, hidden, fusion_layers}")
     p: dict[str, np.ndarray] = {}
 
     def dense(name, rows, cols):
@@ -83,7 +82,7 @@ def init_encoder_params(rng: np.random.Generator, channels: int = 32,
     return p
 
 
-def fusion_depth(params) -> int:
+def _fusion_depth(params) -> int:
     return 1 + max((int(k.split(".")[1]) for k in params if k.startswith("fuse.")),
                    default=-1)
 
@@ -93,7 +92,7 @@ def _mlp(x: Tensor, p, prefix: str) -> Tensor:
     return ad.dense(hidden, p[prefix + ".l2.w"], p[prefix + ".l2.b"])
 
 
-def pixel_texture(sample: SceneSample) -> np.ndarray:
+def _pixel_texture(sample: SceneSample) -> np.ndarray:
     """Per-pixel depth of the nearest projected point (0 with no overlap)."""
     h, w = sample.grid
     overlap = np.flatnonzero(sample.point_overlap_gt)
@@ -108,21 +107,20 @@ def pixel_texture(sample: SceneSample) -> np.ndarray:
     return depth[np.argmin(d2.reshape(h * w, -1), axis=1)]
 
 
-def pixel_inputs(sample: SceneSample) -> np.ndarray:
+def _pixel_inputs(sample: SceneSample) -> np.ndarray:
     """(u, v, texture) rows, scaled into the tanh-friendly unit range."""
-    centers = pixel_centers(sample.grid)
-    s = float(max(sample.grid))
-    return np.column_stack([centers / s, pixel_texture(sample) * TEXTURE_SCALE])
+    uv = pixel_centers(sample.grid) / float(max(sample.grid))
+    return np.column_stack([uv, _pixel_texture(sample) * TEXTURE_SCALE])
 
 
 def encode(sample: SceneSample, p) -> tuple[Tensor, Tensor]:
     """Per-point and per-pixel features, (N x C, H'W' x C), on the tape."""
     f_p = _mlp(ad.constant(sample.points * POINT_INPUT_SCALE), p, "point_enc")
-    f_i = _mlp(ad.constant(pixel_inputs(sample)), p, "pixel_enc")
+    f_i = _mlp(ad.constant(_pixel_inputs(sample)), p, "pixel_enc")
     return f_p, f_i
 
 
-def attention(query: Tensor, keys: Tensor, pe_q: np.ndarray, pe_k: np.ndarray, p,
+def _attention(query: Tensor, keys: Tensor, pe_q: np.ndarray, pe_k: np.ndarray, p,
               name: str) -> Tensor:
     """Residual single-head attention sublayer, query + A v wo, where A is
     the row softmax of q k^T, q = x wq / sqrt(C), k = y wk and v = y wv, from
@@ -181,7 +179,7 @@ def attention(query: Tensor, keys: Tensor, pe_q: np.ndarray, pe_k: np.ndarray, p
 @functools.lru_cache(maxsize=8)
 def _pixel_pe(grid: tuple[int, int], channels: int) -> np.ndarray:
     """Read-only pixel position encodings, which every step on a grid shares."""
-    pe = sinusoidal_pe(pixel_centers(grid), channels)
+    pe = _sinusoidal_pe(pixel_centers(grid), channels)
     pe.flags.writeable = False
     return pe
 
@@ -190,14 +188,14 @@ def fuse(f_p: Tensor, f_i: Tensor, sample: SceneSample, p) -> tuple[Tensor, Tens
     """Self-attention, bidirectional cross-attention, and feed-forward,
     each with a residual connection, repeated for every fusion layer."""
     channels = f_p.shape[1]
-    pe_p = sinusoidal_pe(sample.points, channels)
+    pe_p = _sinusoidal_pe(sample.points, channels)
     pe_i = _pixel_pe(sample.grid, channels)
-    for layer in range(fusion_depth(p)):
+    for layer in range(_fusion_depth(p)):
         base = f"fuse.{layer}"
-        f_p = attention(f_p, f_p, pe_p, pe_p, p, f"{base}.point.self")
-        f_i = attention(f_i, f_i, pe_i, pe_i, p, f"{base}.pixel.self")
-        f_p, f_i = (attention(f_p, f_i, pe_p, pe_i, p, f"{base}.point.cross"),
-                    attention(f_i, f_p, pe_i, pe_p, p, f"{base}.pixel.cross"))
+        f_p = _attention(f_p, f_p, pe_p, pe_p, p, f"{base}.point.self")
+        f_i = _attention(f_i, f_i, pe_i, pe_i, p, f"{base}.pixel.self")
+        f_p, f_i = (_attention(f_p, f_i, pe_p, pe_i, p, f"{base}.point.cross"),
+                    _attention(f_i, f_p, pe_i, pe_p, p, f"{base}.pixel.cross"))
         f_p = ad.add(f_p, _mlp(f_p, p, f"{base}.point.ffn"))
         f_i = ad.add(f_i, _mlp(f_i, p, f"{base}.pixel.ffn"))
     return f_p, f_i

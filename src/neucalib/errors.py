@@ -1,9 +1,14 @@
-"""Exception types shared across the package, the one file reader and
-writer, which turn a failed path into :class:`ConfigError`, and the one
-check of each input kind: ``real_array``, ``index_set`` and ``is_count``.
+"""Exception types shared across the package, and the one check of each input kind.
 
-Every error raised by neucalib derives from :class:`NeucalibError` so the
-CLI can map library failures to a nonzero exit code in one place.
+The contract's boundary is the public surface: every public function and
+class raises only :class:`NeucalibError` on bad input, so the CLI can map
+library failures to a nonzero exit code in one place, while a private helper
+trusts its library callers and checks nothing. Each input kind is checked
+once, where it enters, by one helper: real arrays, and real scalars read as
+0-d or 1-d arrays, by ``real_array``; index sets by ``index_set``; counts by
+``is_count``; paths by ``read_file`` and ``write_file``, which turn any
+failure into :class:`ConfigError`. ``tests/test_contract.py`` holds every
+public name to this with one table of bad inputs.
 """
 
 from pathlib import Path
@@ -57,7 +62,7 @@ def read_file(path, what: str) -> bytes:
     """The bytes of the ``what`` file at ``path``."""
     try:
         return Path(path).read_bytes()
-    except (OSError, ValueError) as err:  # ValueError: a NUL byte in the path
+    except (OSError, TypeError, ValueError) as err:  # not a path, or a NUL byte in it
         raise ConfigError(f"cannot read {what} {path}: {err}") from err
 
 
@@ -65,7 +70,7 @@ def write_file(path, data: bytes, what: str) -> None:
     """Write ``data`` as the ``what`` file at ``path``."""
     try:
         Path(path).write_bytes(data)
-    except (OSError, ValueError) as err:  # ValueError: a NUL byte in the path
+    except (OSError, TypeError, ValueError) as err:  # not a path, or a NUL byte in it
         raise ConfigError(f"cannot write {what} {path}: {err}") from err
 
 

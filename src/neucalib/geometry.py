@@ -7,7 +7,7 @@ Conventions: a pose maps sensor-frame points into the camera frame,
 q = R p + t. Augmentation translates first, then rotates (p' = R_r (p + t_r)),
 which is the unique order under which the recomputed ground-truth pose
 t_gt = t_raw - R_raw t_r, R_gt = R_raw R_r^-1 reproduces the original
-projections exactly; ``recompute_gt_pose`` and the tests pin this identity.
+projections exactly; ``augment`` returns both and the tests pin this identity.
 """
 
 from __future__ import annotations
@@ -55,7 +55,9 @@ class RigidPose:
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform an N x 3 array of points, or one 3-vector as a 1 x 3
         array, into this pose's target frame."""
-        return _points(points) @ self.rotation.T + self.translation
+        pts = _points(points)
+        with np.errstate(all="ignore"):  # non-finite points give NaN
+            return pts @ self.rotation.T + self.translation
 
 
 @dataclass(frozen=True)
@@ -68,10 +70,9 @@ class CameraIntrinsics:
     cy: float
 
     def __post_init__(self):
-        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
-            raise ParameterError(f"focal lengths must be finite and positive: {self.fx, self.fy}")
-        if not np.isfinite([self.cx, self.cy]).all():
-            raise ParameterError(f"principal point must be finite: {self.cx, self.cy}")
+        k = real_array((self.fx, self.fy, self.cx, self.cy), "intrinsics", ParameterError)
+        if not (k.shape == (4,) and np.isfinite(k).all() and (k[:2] > 0).all()):
+            raise ParameterError(f"intrinsics must be finite, the focal lengths > 0: {k}")
 
 
 class Projection(NamedTuple):
@@ -80,18 +81,15 @@ class Projection(NamedTuple):
 
 
 def rotation_from_axis_angle(axis, angle: float) -> np.ndarray:
-    """Rodrigues rotation about a unit axis."""
-    axis = np.asarray(axis, dtype=np.float64).reshape(3)
-    if abs(np.linalg.norm(axis) - 1.0) > ORTHONORMALITY_TOL:
-        raise ParameterError(f"axis must be unit length, |axis| = {np.linalg.norm(axis)}")
+    """Rodrigues rotation about a unit 3-vector axis by a finite angle."""
+    axis, a = real_array(axis, "axis", ParameterError), real_array(angle, "angle", ParameterError)
+    if not (axis.shape == (3,) and abs(np.linalg.norm(axis) - 1.0) <= ORTHONORMALITY_TOL
+            and a.shape == () and np.isfinite(a)):
+        raise ParameterError(f"axis must be a unit 3-vector and angle finite: {axis}, {angle!r}")
     k = np.array([[0.0, -axis[2], axis[1]],
                   [axis[2], 0.0, -axis[0]],
                   [-axis[1], axis[0], 0.0]])
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
-
-
-def rotation_about_z(angle: float) -> np.ndarray:
-    return rotation_from_axis_angle([0.0, 0.0, 1.0], angle)
 
 
 def invert(a: RigidPose) -> RigidPose:
@@ -111,18 +109,22 @@ def project(points, pose: RigidPose, k: CameraIntrinsics) -> Projection:
     valid = depth > MIN_DEPTH
     safe = np.where(valid, depth, 1.0)
     coords = np.empty((q.shape[0], 2))
-    coords[:, 0] = k.fx * q[:, 0] / safe + k.cx
-    coords[:, 1] = k.fy * q[:, 1] / safe + k.cy
+    with np.errstate(all="ignore"):  # non-finite points give NaN
+        coords[:, 0] = k.fx * q[:, 0] / safe + k.cx
+        coords[:, 1] = k.fy * q[:, 1] / safe + k.cy
     coords[~valid] = np.nan
     return Projection(coords, valid)
 
 
 def unproject(coords, depth, k: CameraIntrinsics) -> np.ndarray:
-    """Inverse of :func:`project` at known depth, in the camera frame."""
-    coords = np.asarray(coords, dtype=np.float64).reshape(-1, 2)
-    depth = np.asarray(depth, dtype=np.float64).reshape(-1)
-    x = (coords[:, 0] - k.cx) / k.fx * depth
-    y = (coords[:, 1] - k.cy) / k.fy * depth
+    """Inverse of :func:`project`: N x 2 pixels at N depths to N x 3 camera-frame points."""
+    coords = real_array(coords, "coords", ParameterError)
+    depth = real_array(depth, "depth", ParameterError)
+    if coords.ndim != 2 or coords.shape[1] != 2 or depth.shape != coords.shape[:1]:
+        raise ParameterError(f"coords must be N x 2 and depth N, got {coords.shape}, {depth.shape}")
+    with np.errstate(all="ignore"):  # non-finite input gives NaN
+        x = (coords[:, 0] - k.cx) / k.fx * depth
+        y = (coords[:, 1] - k.cy) / k.fy * depth
     return np.stack([x, y, depth], axis=1)
 
 
@@ -134,30 +136,30 @@ def sample_augmentation(rng: np.random.Generator, rot_range: float,
     uniform in the x-y square of half-width trans_range with zero z.
     Draw order (angle, tx, ty) is fixed for reproducibility.
     """
-    if not (0 <= rot_range < np.inf and 0 <= trans_range < np.inf):
+    ranges = real_array((rot_range, trans_range), "augmentation ranges", ParameterError)
+    if not (ranges.shape == (2,) and (0 <= ranges).all() and (ranges < np.inf).all()):
         raise ParameterError(f"augmentation ranges must be finite, >= 0: {rot_range, trans_range}")
     angle = rng.uniform(-rot_range, rot_range) if rot_range > 0 else 0.0
     tx = rng.uniform(-trans_range, trans_range) if trans_range > 0 else 0.0
     ty = rng.uniform(-trans_range, trans_range) if trans_range > 0 else 0.0
-    return rotation_about_z(angle), np.array([tx, ty, 0.0])
+    return rotation_from_axis_angle([0.0, 0.0, 1.0], angle), np.array([tx, ty, 0.0])
 
 
-def apply_augmentation(points, rot: np.ndarray, trans: np.ndarray) -> np.ndarray:
-    """p' = R_r (p + t_r): translate, then rotate."""
+def augment(points, raw: RigidPose, rot, trans) -> tuple[np.ndarray, RigidPose]:
+    """Points p' = R_r (p + t_r), for a 3 x 3 rotation ``rot`` and 3-vector
+    ``trans``, and the pose under which they project as ``points`` do under
+    ``raw``: t_gt = t_raw - R_raw t_r and R_gt = R_raw R_r^-1, so that
+    R_gt p' + t_gt = R_raw p + t_raw."""
     pts = _points(points)
-    rot, trans = _augmentation(rot, trans)
-    return (pts + trans) @ rot.T
-
-
-def recompute_gt_pose(raw: RigidPose, rot: np.ndarray, trans: np.ndarray) -> RigidPose:
-    """Ground-truth pose for augmented points: projections stay fixed.
-
-    t_gt = t_raw - R_raw t_r and R_gt = R_raw R_r^-1, so that
-    R_gt p' + t_gt = R_raw p + t_raw for p' = R_r (p + t_r).
-    """
-    rot, trans = _augmentation(rot, trans)
-    return RigidPose(raw.rotation @ rot.T,
-                     raw.translation - raw.rotation @ trans)
+    rot = real_array(rot, "augmentation rotation", ParameterError)
+    trans = real_array(trans, "augmentation translation", ParameterError)
+    if rot.shape != (3, 3) or trans.shape != (3,):
+        raise ParameterError("augmentation rotation must be 3 x 3 and translation 3, "
+                             f"got {rot.shape}, {trans.shape}")
+    with np.errstate(all="ignore"):  # non-finite input gives NaN, which RigidPose refuses
+        moved = (pts + trans) @ rot.T
+        r_gt, t_gt = raw.rotation @ rot.T, raw.translation - raw.rotation @ trans
+    return moved, RigidPose(r_gt, t_gt)
 
 
 def _points(points) -> np.ndarray:
@@ -169,27 +171,26 @@ def _points(points) -> np.ndarray:
     return pts.reshape(-1, 3)
 
 
-def _augmentation(rot, trans) -> tuple[np.ndarray, np.ndarray]:
-    """A real 3 x 3 augmentation rotation and 3-vector translation as float64,
-    else a ParameterError."""
-    rot = real_array(rot, "augmentation rotation", ParameterError)
-    trans = real_array(trans, "augmentation translation", ParameterError)
-    if rot.shape != (3, 3) or trans.shape != (3,):
-        raise ParameterError("augmentation rotation must be 3 x 3 and translation 3, "
-                             f"got {rot.shape}, {trans.shape}")
-    return rot, trans
+def _matrix3(m, what: str) -> np.ndarray:
+    """A finite real 3 x 3 ``m`` as float64, else a ParameterError."""
+    m = real_array(m, what, ParameterError)
+    if m.shape != (3, 3) or not np.isfinite(m).all():
+        raise ParameterError(f"{what} must be a finite 3 x 3 matrix, got shape {m.shape}")
+    return m
 
 
 def geodesic_angle(r_a: np.ndarray, r_b: np.ndarray) -> float:
-    """Rotation angle of r_a^T r_b, in radians."""
-    delta = np.asarray(r_a).T @ np.asarray(r_b)
-    c = (np.trace(delta) - 1.0) / 2.0
-    return math.acos(min(1.0, max(-1.0, c)))
+    """Rotation angle in [0, pi] of D = r_a^T r_b, in radians, as atan2 of its
+    sine |axial(D - D^T)| / 2 and cosine (tr D - 1) / 2: small angles keep the
+    digits that acos of the cosine alone rounds away (to 0 below about 1e-8)."""
+    d = _matrix3(r_a, "r_a").T @ _matrix3(r_b, "r_b")
+    sine = 0.5 * math.hypot(d[2, 1] - d[1, 2], d[0, 2] - d[2, 0], d[1, 0] - d[0, 1])
+    return math.atan2(sine, 0.5 * (np.trace(d) - 1.0))
 
 
 def project_to_so3(m: np.ndarray) -> np.ndarray:
     """Nearest rotation matrix in the Frobenius sense (SVD projection)."""
-    u, _, vt = np.linalg.svd(np.asarray(m, dtype=np.float64).reshape(3, 3))
+    u, _, vt = np.linalg.svd(_matrix3(m, "matrix"))
     r = u @ vt
     if np.linalg.det(r) < 0:
         u = u.copy()

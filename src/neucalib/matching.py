@@ -6,8 +6,6 @@ the symmetric learnable form W_f = (B + B^T)/2 over a temperature; cosine
 mode (W_f = identity) is the ablation baseline. Soft matching predicts
 each point's image location as the softmax-weighted mean of candidate
 pixel centers, which keeps the downstream pose solver differentiable.
-The temperature scales N x C rows, not the N x M logits, and soft matching
-takes its row sums from its matmul, through a ones column.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import (DegenerateBatchError, DomainError, NormalizationError, ParameterError,
-                     ShapeError, index_set, real_array)
+                     ShapeError, index_set, is_count, real_array)
 from .scene import PairSet
 
 PROB_CLAMP = 1e-7  # BCE probability floor/ceiling before the log
@@ -27,13 +25,13 @@ PROB_CLAMP = 1e-7  # BCE probability floor/ceiling before the log
 ALIGNMENT_MODES = ("learnable", "cosine")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlignmentTransform:
     """Symmetric learnable transform plus temperature.
 
     ``raw`` is the unconstrained B; the effective transform (B + B^T)/2 is
     symmetric by construction, so the similarity matrix transposes cleanly
-    between the two modal directions.
+    between the two modal directions. It is frozen, so its temperature check holds.
     """
 
     raw: Tensor  # C x C tape parameter
@@ -52,10 +50,14 @@ class AlignmentTransform:
 
 def init_alignment(rng: np.random.Generator, channels: int) -> dict[str, np.ndarray]:
     # start near the identity so early training behaves like cosine mode
+    if not is_count(channels, 1):
+        raise ParameterError(f"channels must be an integer >= 1, got {channels!r}")
     return {"align.b": np.eye(channels) + rng.normal(0.0, 0.01, (channels, channels))}
 
 
 def init_overlap_heads(rng: np.random.Generator, channels: int) -> dict[str, np.ndarray]:
+    if not is_count(channels, 1):
+        raise ParameterError(f"channels must be an integer >= 1, got {channels!r}")
     return {
         "overlap.point.w": rng.normal(0.0, 1.0 / np.sqrt(channels), (channels, 1)),
         "overlap.point.b": np.zeros((1, 1)),
@@ -88,7 +90,7 @@ def similarity(f_p: Tensor, f_i: Tensor, transform: AlignmentTransform,
     dx = gy W, dy = g^T (c x W) and dB = (dW + dW^T) / 2 for dW = x^T gy;
     dx, dy pull back through the norms. c scales only N x C arrays.
     """
-    if mode not in ALIGNMENT_MODES:
+    if not (isinstance(mode, str) and mode in ALIGNMENT_MODES):
         raise ParameterError(f"unknown alignment mode {mode!r}")
     x, x_back = _unit_rows(f_p.value, "point feature")
     y, y_back = _unit_rows(f_i.value, "pixel feature")
@@ -135,6 +137,8 @@ def infonce_loss(logits: Tensor, pairs: PairSet, direction: str = "point_to_pixe
     anchor a is e_aj * sum_{k in P(a)} 1 / D_k / K at each negative j and
     (e_ap / D_k - 1) / K at each positive p.
     """
+    if not (isinstance(direction, str) and direction in ("point_to_pixel", "pixel_to_point")):
+        raise ParameterError(f"unknown InfoNCE direction {direction!r}")
     cands = pairs.overlap_points
     if pairs.n_pixels != logits.shape[1] or (cands.size and cands[-1] >= logits.shape[0]):
         raise ParameterError(f"pairs of {pairs.n_pixels} pixels and points {cands[-1:]} do not "
@@ -145,13 +149,11 @@ def infonce_loss(logits: Tensor, pairs: PairSet, direction: str = "point_to_pixe
         orient = np.asarray  # anchors are rows of the logits, candidates all columns
         n_rows, width = logits.shape
         pos, near = (pos_pt, pos_px), (near_pt, near_px)
-    elif direction == "pixel_to_point":
+    else:
         orient = np.transpose  # anchors are columns, candidates the overlapping rows
         n_rows, width = logits.shape[1], cands.size
         pos = pos_px, np.searchsorted(cands, pos_pt)
         near = near_px, np.searchsorted(cands, near_pt)
-    else:
-        raise ParameterError(f"unknown InfoNCE direction {direction!r}")
 
     has_pos = np.bincount(pos[0], minlength=n_rows) > 0
     has_neg = np.bincount(near[0], minlength=n_rows) < width
@@ -266,16 +268,17 @@ def threshold_overlap(s_p: Tensor, s_i: Tensor, theta_p: float, theta_i: float,
 
     An empty selection falls back to the ground-truth mask so the pose
     stage never starves; the fallback is recorded in the result. Each mask
-    must be a boolean vector with one entry per score.
+    must be a bool array with one entry per score.
     """
-    if not (0.0 < theta_p < 1.0 and 0.0 < theta_i < 1.0):
+    thetas = real_array((theta_p, theta_i), "overlap thresholds", ParameterError)
+    if not (thetas.shape == (2,) and ((0.0 < thetas) & (thetas < 1.0)).all()):
         raise ParameterError("overlap thresholds must lie in (0, 1)")
     sides = []  # (indices, fallback) of the points, then of the pixels
-    for scores, theta, mask, what in ((s_p, theta_p, np.asarray(gt_point_mask), "point"),
-                                      (s_i, theta_i, np.asarray(gt_pixel_mask), "pixel")):
-        if mask.dtype != bool or mask.shape != (scores.shape[0],):
-            raise ParameterError(f"{what} fallback mask must be {scores.shape[0]} booleans, "
-                                 f"got {mask.dtype} of shape {mask.shape}")
+    for scores, theta, mask, what in ((s_p, theta_p, gt_point_mask, "point"),
+                                      (s_i, theta_i, gt_pixel_mask, "pixel")):
+        if not (isinstance(mask, np.ndarray) and mask.dtype == bool
+                and mask.shape == (scores.shape[0],)):
+            raise ParameterError(f"{what} fallback mask must be a bool array of {scores.shape[0]}")
         picked = np.flatnonzero(scores.value[:, 0] > theta)
         sides.append((picked, False) if picked.size else (np.flatnonzero(mask), True))
     (points, point_fallback), (pixels, pixel_fallback) = sides
@@ -301,7 +304,7 @@ def match_coords(logits: Tensor, selection: OverlapSelection, centers: np.ndarra
     logits at the selected rows x columns. Hard mode takes each row's argmax
     pixel (ties to the first selected one) as a constant.
     """
-    if mode not in ("soft", "hard"):
+    if not (isinstance(mode, str) and mode in ("soft", "hard")):
         raise ParameterError(f"unknown match mode {mode!r}")
     n, m = logits.shape
     rows, cols = selection.point_indices, selection.pixel_indices

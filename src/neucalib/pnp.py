@@ -38,11 +38,12 @@ DEGENERATE_SPREAD = 1e-8  # relative floor on the smallest principal extent
 HUBER_DELTA = 1.0  # pose-loss error at which the Huber penalty turns linear
 
 
-@dataclass
+@dataclass(frozen=True)
 class PnPProblem:
     """Known 3-D points, observed/predicted 2-D targets, and intrinsics.
 
-    ``targets`` may be a tape tensor (the trainable path) or a plain array.
+    ``targets`` may be a tape tensor (the trainable path) or a plain array,
+    stored as a constant tensor. The problem is frozen, so its check holds.
     """
 
     points: np.ndarray  # N x 3
@@ -50,19 +51,18 @@ class PnPProblem:
     intrinsics: CameraIntrinsics
 
     def __post_init__(self):
-        self.points = real_array(self.points, "points", SolveError)
-        if self.points.ndim != 2 or self.points.shape[1] != 3:
-            raise SolveError(f"points must be N x 3, got shape {self.points.shape}")
-        if not isinstance(self.targets, Tensor):
-            self.targets = ad.constant(real_array(self.targets, "targets", SolveError))
-        if self.targets.shape != (self.points.shape[0], 2):
-            raise SolveError(
-                f"targets shape {self.targets.shape} does not match {self.points.shape[0]} points")
-        if not (np.all(np.isfinite(self.points)) and np.all(np.isfinite(self.targets.value))):
+        points, targets = real_array(self.points, "points", SolveError), self.targets
+        value = targets.value if isinstance(targets, Tensor) else real_array(
+            targets, "targets", SolveError)
+        if points.ndim != 2 or points.shape[1] != 3 or value.shape != (points.shape[0], 2):
+            raise SolveError(f"points must be N x 3, targets N x 2: {points.shape}, {value.shape}")
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "targets", targets if isinstance(targets, Tensor)
+                           else ad.constant(value))
+        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(value))):
             raise SolveError("points and targets must be finite")
-        if self.points.shape[0] < MIN_CORRESPONDENCES:
-            raise SolveError(
-                f"need at least {MIN_CORRESPONDENCES} correspondences, got {self.points.shape[0]}")
+        if points.shape[0] < MIN_CORRESPONDENCES:
+            raise SolveError(f"need at least {MIN_CORRESPONDENCES} points, got {len(points)}")
 
     @property
     def n(self) -> int:
@@ -186,11 +186,8 @@ def gauss_newton_refine(problem: PnPProblem, init: RigidPose,
     derivative at w = 0 is [w]x, as for exp([w]x), so each step solves the
     same system as an axis-angle update and has the same fixed point. The
     Jacobian of the 2N stacked residuals is the 6 x 2N array [q x a; a].
-    The steps run in numpy; when the targets are on a tape, one
-    ``gauss_newton`` node records the refined pose as a 3 x 4 matrix
-    [R | t], returned as ``RefinedPose.pose``. Its backward replays the k
-    steps in reverse to give the exact target gradient of the finite
-    procedure.
+    With targets on a tape, the one ``gauss_newton`` node is
+    ``RefinedPose.pose``, and its backward replays the k steps in reverse.
     """
     if not is_count(k_iters, 1):
         raise SolveError(f"k_iters must be an integer >= 1, got {k_iters!r}")

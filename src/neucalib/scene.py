@@ -31,7 +31,7 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import (ConfigError, GenerationError, ParameterError, index_set, is_count,
-                     read_file, write_file)
+                     read_file, real_array, write_file)
 
 MAGIC = b"NCLR"
 DATASET_MAGIC = b"NCLD"
@@ -128,13 +128,15 @@ class SceneSample:
 
 
 def pixel_centers(grid: tuple[int, int]) -> np.ndarray:
-    """(H'*W') x 2 array of (u, v) centers in flat row-major order."""
+    """(H'*W') x 2 array of (u, v) centers in flat row-major order of a tuple grid."""
+    if not (isinstance(grid, tuple) and len(grid) == 2 and all(is_count(g, 1) for g in grid)):
+        raise ParameterError(f"grid must be a tuple of two integers >= 1, got {grid!r}")
     h, w = grid
     v, u = np.mgrid[0:h, 0:w]
     return np.stack([u.reshape(-1), v.reshape(-1)], axis=1).astype(np.float64)
 
 
-def point_overlap_labels(points, pose, k: geo.CameraIntrinsics,
+def _point_overlap_labels(points, pose, k: geo.CameraIntrinsics,
                          grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Exact overlap mask and projections for points under a pose."""
     h, w = grid
@@ -166,7 +168,7 @@ def _window_pixels(uv: np.ndarray, radius: float,
     return row, (lo[row, 1] + dv) * w + lo[row, 0] + du
 
 
-def label_pixel_overlap(uv: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
+def _label_pixel_overlap(uv: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
     """Pixel (u, v) overlaps iff one of the overlapping projections ``uv``
     (K x 2, inside the grid) lies within Chebyshev distance 1 of its center."""
     labels = np.zeros(grid[0] * grid[1], dtype=bool)
@@ -217,7 +219,8 @@ def build_pairs(sample: SceneSample, r_p: float, r_n: float) -> PairSet:
     neither set. Only the pixels in each projection's r_n window are
     visited, so the work is O(N r_n^2) rather than O(N H' W').
     """
-    if not (0.0 < r_p < r_n):
+    margins = real_array((r_p, r_n), "margins", ParameterError)
+    if not (margins.shape == (2,) and 0.0 < margins[0] < margins[1]):
         raise ParameterError(f"margins must satisfy 0 < r_p < r_n, got {(r_p, r_n)}")
     m = sample.n_pixels
     overlap = np.flatnonzero(sample.point_overlap_gt)
@@ -350,7 +353,7 @@ def _sample_out_of_frustum(rng: np.random.Generator, cfg: SceneConfig, count: in
             pts[i] = (u, _uniform(rng, -h, 2.0 * h), _uniform(rng, Z_NEAR, Z_FAR))
             side[i] = True
     pts[side] = geo.unproject(pts[side, :2], pts[side, 2], k)
-    overlap, _ = point_overlap_labels(pts, _IDENTITY, k, cfg.grid)
+    overlap, _ = _point_overlap_labels(pts, _IDENTITY, k, cfg.grid)
     if overlap.any():
         raise GenerationError(f"{int(overlap.sum())} out-of-frustum points overlap the grid")
     return pts
@@ -373,21 +376,20 @@ def generate_scene(rng: np.random.Generator, config: SceneConfig) -> SceneSample
     cam_pts = cam_pts[rng.permutation(config.n_points)]
     points = geo.invert(raw_pose).apply(cam_pts)
 
-    overlap, coords = point_overlap_labels(points, raw_pose, k, config.grid)
+    overlap, coords = _point_overlap_labels(points, raw_pose, k, config.grid)
     if overlap.sum() < MIN_OVERLAP:
         raise GenerationError(f"only {int(overlap.sum())} overlapping points after construction")
     return SceneSample(points=points, intrinsics=k, raw_pose=raw_pose, grid=config.grid,
                        point_overlap_gt=overlap,
-                       pixel_overlap_gt=label_pixel_overlap(coords[overlap], config.grid),
+                       pixel_overlap_gt=_label_pixel_overlap(coords[overlap], config.grid),
                        gt_projection=coords)
 
 
 def augment_scene(sample: SceneSample, rot: np.ndarray, trans: np.ndarray) -> SceneSample:
     """Points move, labels stay: the pose is recomputed so projections are
     unchanged, which is exactly why the overlap ground truth carries over."""
-    return replace(sample,
-                   points=geo.apply_augmentation(sample.points, rot, trans),
-                   raw_pose=geo.recompute_gt_pose(sample.raw_pose, rot, trans))
+    points, raw_pose = geo.augment(sample.points, sample.raw_pose, rot, trans)
+    return replace(sample, points=points, raw_pose=raw_pose)
 
 
 # --- binary scene format -------------------------------------------------
@@ -415,11 +417,18 @@ def scene_to_bytes(sample: SceneSample) -> bytes:
                     _layout(n, h, w)).tobytes()
 
 
-def scene_from_bytes(blob) -> SceneSample:
-    """Parse one ``.nclr`` record; the format is checked here, the scene by ``SceneSample``."""
-    layout = _record_layout(blob)
-    if len(blob) != layout.itemsize:
-        raise ConfigError(f"scene file has {len(blob)} bytes, its header implies {layout.itemsize}")
+def _scene_from_bytes(blob) -> tuple[SceneSample, int]:
+    """The scene of the ``.nclr`` record that opens ``blob``, and the record's
+    size; the format is checked here, the scene by ``SceneSample``."""
+    head = _layout(0, 0, 0)
+    if blob[:4] != MAGIC or len(blob) < head.itemsize:
+        raise ConfigError(f"scene record of {len(blob)} bytes opens with no {MAGIC!r} header")
+    version, n, h, w = np.frombuffer(blob, head, 1)[["version", "n", "h", "w"]].item()
+    if version != FORMAT_VERSION:
+        raise ConfigError(f"unsupported scene format version {version}")
+    layout = _layout(n, h, w)
+    if len(blob) < layout.itemsize:
+        raise ConfigError(f"scene record of {len(blob)} bytes; its header says {layout.itemsize}")
     rec = np.frombuffer(blob, layout, 1)[0]
     with np.errstate(all="ignore"):  # huge values overflow and fail the checks
         try:
@@ -429,44 +438,31 @@ def scene_from_bytes(blob) -> SceneSample:
             raise ConfigError(f"scene file holds an invalid camera: {err}") from err
     return SceneSample(rec["points"].copy(), k, pose, rec[["h", "w"]].item(),
                        rec["point_overlap"].astype(bool), rec["pixel_overlap"].astype(bool),
-                       rec["projection"].copy())
-
-
-def _record_layout(blob) -> np.dtype:
-    """The layout, and so the size, that the record header opening ``blob`` declares."""
-    if blob[:4] != MAGIC:
-        raise ConfigError(f"bad scene magic {bytes(blob[:4])!r}")
-    head = _layout(0, 0, 0)
-    if len(blob) < head.itemsize:
-        raise ConfigError(f"scene file truncated to {len(blob)} bytes inside its header")
-    version, n, h, w = np.frombuffer(blob, head, 1)[["version", "n", "h", "w"]].item()
-    if version != FORMAT_VERSION:
-        raise ConfigError(f"unsupported scene format version {version}")
-    return _layout(n, h, w)
+                       rec["projection"].copy()), layout.itemsize
 
 
 def write_dataset(out_dir, scenes: list[SceneSample], config: SceneConfig,
                   seed: int) -> Path:
     """Write ``out_dir/scenes.nclr``, once ``config`` is known to be a
-    ``SceneConfig``, every scene a ``SceneSample`` of its size and ``seed``
-    an integer in [0, 2**64)."""
+    ``SceneConfig``, ``scenes`` a list of ``SceneSample`` of its size and
+    ``seed`` an integer in [0, 2**64)."""
     if not (is_count(seed, 0) and seed < 2 ** 64):
         raise ParameterError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     if not isinstance(config, SceneConfig):
         raise ParameterError(f"config must be a SceneConfig, got {type(config).__name__}")
+    if not (isinstance(scenes, list) and all(isinstance(s, SceneSample) for s in scenes)):
+        raise ParameterError("scenes must be a list of SceneSample")
     for i, sample in enumerate(scenes):
-        if not isinstance(sample, SceneSample):
-            raise ParameterError(f"scene {i} is a {type(sample).__name__}, not a SceneSample")
         if (sample.n_points, sample.grid) != (config.n_points, config.grid):
             raise ParameterError(f"scene {i} has {sample.n_points} points on a {sample.grid} "
                                  f"grid, the config {config.n_points} on {config.grid}")
     head = np.array((DATASET_MAGIC, FORMAT_VERSION, len(scenes), seed), _DATASET_HEAD)
     blob = b"".join([head.tobytes(), *map(scene_to_bytes, scenes)])
-    out = Path(out_dir)
     try:
+        out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as err:  # ValueError: a NUL byte in the path
-        raise ConfigError(f"cannot make dataset directory {out}: {err}") from err
+    except (OSError, TypeError, ValueError) as err:  # not a path, or a NUL byte in it
+        raise ConfigError(f"cannot make dataset directory {out_dir}: {err}") from err
     write_file(out / DATASET_FILE, blob, "dataset file")
     return out
 
@@ -474,7 +470,11 @@ def write_dataset(out_dir, scenes: list[SceneSample], config: SceneConfig,
 def load_dataset(data_dir) -> list[SceneSample]:
     """The scenes of ``data_dir/scenes.nclr``, or a ConfigError for a bad
     head, a short record, or bytes left after the head's count of records."""
-    blob = memoryview(read_file(Path(data_dir) / DATASET_FILE, "dataset file"))
+    try:
+        path = Path(data_dir) / DATASET_FILE
+    except TypeError as err:
+        raise ConfigError(f"cannot read dataset directory {data_dir!r}: {err}") from err
+    blob = memoryview(read_file(path, "dataset file"))
     at = _DATASET_HEAD.itemsize
     if len(blob) < at:
         raise ConfigError(f"dataset file truncated to {len(blob)} bytes inside its head")
@@ -484,8 +484,8 @@ def load_dataset(data_dir) -> list[SceneSample]:
                           f"version {FORMAT_VERSION}: {magic!r}, {version}")
     scenes = []
     for _ in range(count):
-        size = _record_layout(blob[at:]).itemsize
-        scenes.append(scene_from_bytes(blob[at:at + size]))
+        scene, size = _scene_from_bytes(blob[at:])
+        scenes.append(scene)
         at += size
     if at != len(blob):
         raise ConfigError(f"dataset file has {len(blob) - at} bytes after its {count} scenes")

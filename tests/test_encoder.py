@@ -41,45 +41,21 @@ def small_params(seed=0, channels=8, hidden=8):
 
 class TestSinusoidalPE:
     def test_zero_coordinate(self):
-        pe = enc.sinusoidal_pe(np.zeros((1, 1)), 8)
+        pe = enc._sinusoidal_pe(np.zeros((1, 1)), 8)
         np.testing.assert_array_equal(pe[0, 0::2], 0.0)
         np.testing.assert_array_equal(pe[0, 1::2], 1.0)
 
     def test_bounded(self):
         rng = np.random.default_rng(1)
-        pe = enc.sinusoidal_pe(rng.uniform(-50, 50, (64, 3)), 30)
+        pe = enc._sinusoidal_pe(rng.uniform(-50, 50, (64, 3)), 30)
         assert np.all(pe >= -1.0) and np.all(pe <= 1.0)
 
     def test_distinct_rows_on_grid(self):
         centers = sc.pixel_centers((8, 8))
-        pe = enc.sinusoidal_pe(centers, 16)
+        pe = enc._sinusoidal_pe(centers, 16)
         for i in range(len(pe)):
             for j in range(i + 1, len(pe)):
                 assert not np.allclose(pe[i], pe[j], atol=1e-9), (i, j)
-
-    def test_odd_channels_rejected(self):
-        with pytest.raises(ParameterError):
-            enc.sinusoidal_pe(np.zeros((2, 2)), 7)
-
-    def test_too_few_channels_rejected(self):
-        with pytest.raises(ParameterError):
-            enc.sinusoidal_pe(np.zeros((2, 3)), 4)
-
-    @pytest.mark.parametrize("channels", [32.0, np.float64(32.0), "32", None],
-                             ids=["float", "numpy_float", "string", "none"])
-    def test_non_integer_channels_rejected(self, channels):
-        # 32.0 raised TypeError in the frequency count
-        with pytest.raises(ParameterError, match="channel count"):
-            enc.sinusoidal_pe(np.zeros((2, 2)), channels)
-
-    @pytest.mark.parametrize("coords", [[["a", "b"]], [[0.0, 1.0], [2.0]],
-                                        np.zeros((2, 2)) + 0.5j, np.zeros((2, 0))],
-                             ids=["strings", "ragged", "complex", "no_dimension"])
-    def test_non_real_coords_rejected(self, coords):
-        # numpy raised ValueError, warned and dropped the imaginary part, or
-        # divided by the zero dimension count
-        with pytest.raises(ParameterError, match="coords"):
-            enc.sinusoidal_pe(coords, 8)
 
 
 class TestEncode:
@@ -100,7 +76,7 @@ class TestEncode:
 
     def test_texture_channel_uses_depth(self):
         for scene in (small_scene(), small_scene(seed=3, n_points=40, grid=(6, 9))):
-            tex = enc.pixel_texture(scene)
+            tex = enc._pixel_texture(scene)
             assert tex.shape == (scene.n_pixels,)
             assert (tex > 0).any()
             np.testing.assert_array_equal(tex, brute_force_texture(scene))
@@ -115,7 +91,7 @@ class TestEncode:
             raw_pose=geo.RigidPose.identity(), grid=(8, 8),
             point_overlap_gt=np.array([False, True, True]),
             pixel_overlap_gt=np.zeros(64, dtype=bool), gt_projection=proj)
-        tex = enc.pixel_texture(scene)
+        tex = enc._pixel_texture(scene)
         assert tex[3 * 8 + 3] == 9.0
         assert tex[3 * 8 + 4] == 4.0
         np.testing.assert_array_equal(tex, brute_force_texture(scene))
@@ -159,7 +135,7 @@ def attention_row_sums(query, keys, pe_q, pe_k, p, name):
     probe = {name + ".wq": pad(wq) * np.sqrt((channels + 1) / channels),
              name + ".wk": pad(wk), name + ".wv": ones_row,
              name + ".wo": np.eye(channels + 1)}
-    out = enc.attention(ad.constant(grow(query.value)), ad.constant(grow(keys.value, 1.0)),
+    out = enc._attention(ad.constant(grow(query.value)), ad.constant(grow(keys.value, 1.0)),
                         grow(pe_q), grow(pe_k), {k: ad.constant(v) for k, v in probe.items()},
                         name)
     return (out.value - grow(query.value))[:, :channels]
@@ -201,7 +177,7 @@ class TestAttention:
         wq, wk, wv, wo = self.weights(rng, 4)
         f, h = rng.normal(size=(3, 4)), rng.normal(size=(6, 4))
         pe_q, pe_k = rng.normal(size=(3, 4)), rng.normal(size=(6, 4))
-        out = enc.attention(ad.constant(f), ad.constant(h), pe_q, pe_k,
+        out = enc._attention(ad.constant(f), ad.constant(h), pe_q, pe_k,
                             dict(zip(self.NAMES, map(ad.constant, (wq, wk, wv, wo)))), "blk")
         x, y = f + pe_q, h + pe_k
         e = np.exp((x @ wq) @ (y @ wk).T / 2.0)
@@ -224,7 +200,7 @@ class TestAttention:
         query = tape.parameter(f)
         keys = query if self_attention else tape.parameter(h)
         p = {name: tape.parameter(w) for name, w in zip(self.NAMES, ws)}
-        out = enc.attention(query, keys, pe_q, pe_k, p, "blk")
+        out = enc._attention(query, keys, pe_q, pe_k, p, "blk")
         tape.backward(weighted_sum(out, g))
         inputs = (query,) if self_attention else (query, keys)
         assert relative_error(out.value, want_value) < 1e-12
@@ -236,7 +212,7 @@ class TestAttention:
         x0, pe, probe = (rng.normal(size=(5, 4)) for _ in range(3))
 
         def build(ps):
-            out = enc.attention(ps[0], ps[0], pe, pe, dict(zip(self.NAMES, ps[1:])), "blk")
+            out = enc._attention(ps[0], ps[0], pe, pe, dict(zip(self.NAMES, ps[1:])), "blk")
             return weighted_sum(out, probe)
 
         assert finite_difference_check(build, [x0, *self.weights(rng, 4)]) < 1e-6
@@ -248,7 +224,7 @@ class TestAttention:
         probe = rng.normal(size=(3, 4))
 
         def build(ps):
-            out = enc.attention(ps[0], ps[1], pe_q, pe_k, dict(zip(self.NAMES, ps[2:])), "blk")
+            out = enc._attention(ps[0], ps[1], pe_q, pe_k, dict(zip(self.NAMES, ps[2:])), "blk")
             return weighted_sum(out, probe)
 
         assert finite_difference_check(build, [x0, y0, *self.weights(rng, 4)]) < 1e-6
@@ -261,7 +237,7 @@ class TestAttention:
         x = tape.parameter(rng.normal(size=(9, 2)))
         y = tape.parameter(rng.normal(size=(11, 2)))
         p = {name: tape.parameter(w) for name, w in zip(self.NAMES, self.weights(rng, 2))}
-        enc.attention(x, y, rng.normal(size=(9, 2)), rng.normal(size=(11, 2)), p, "blk")
+        enc._attention(x, y, rng.normal(size=(9, 2)), rng.normal(size=(11, 2)), p, "blk")
         kept = [cell.cell_contents for cell in tape.nodes[-1].backward_fn.__closure__]
         arrays = [a for a in kept if isinstance(a, np.ndarray)]
         assert len(arrays) >= 10
@@ -276,7 +252,7 @@ class TestAttention:
         y = tape.parameter(300.0 * rng.normal(size=(6, 4)))
         pe_q, pe_k = rng.normal(size=(4, 4)), rng.normal(size=(6, 4))
         p = {name: tape.parameter(w) for name, w in zip(self.NAMES, self.weights(rng, 4))}
-        out = enc.attention(x, y, pe_q, pe_k, p, "blk")
+        out = enc._attention(x, y, pe_q, pe_k, p, "blk")
         assert np.all(np.isfinite(out.value))
         np.testing.assert_allclose(attention_row_sums(x, y, pe_q, pe_k, p, "blk"), 1.0,
                                    atol=1e-12)
@@ -307,7 +283,7 @@ class TestAttention:
         tape = ad.Tape()
         query, keys = tape.parameter(f), tape.parameter(h)
         p = {name: tape.parameter(w) for name, w in zip(self.NAMES, ws)}
-        out = enc.attention(query, keys, pe_q, pe_k, p, "blk")
+        out = enc._attention(query, keys, pe_q, pe_k, p, "blk")
         tape.backward(weighted_sum(out, g))
         grads = [t.grad for t in (query, keys, *p.values())]
         return (out.value, grads), two_step_sublayer(f, h, pe_q, pe_k, ws, g)
@@ -331,7 +307,7 @@ class TestAttention:
         probe = np.random.default_rng(30).normal(size=f.shape)
 
         def build(ps):
-            out = enc.attention(ps[0], ps[1], pe_q, pe_k, dict(zip(self.NAMES, ps[2:])), "blk")
+            out = enc._attention(ps[0], ps[1], pe_q, pe_k, dict(zip(self.NAMES, ps[2:])), "blk")
             return weighted_sum(out, probe)
 
         assert finite_difference_check(build, [f, h, *ws]) < 1e-6
@@ -367,7 +343,7 @@ class TestAttention:
         else:
             p[f"blk.{change}"] = rng.normal(size=(4, 5) if change == "wq" else (5, 4))
         with pytest.raises(ShapeError):
-            enc.attention(ad.constant(args["query"]), ad.constant(args["keys"]), args["pe_q"],
+            enc._attention(ad.constant(args["query"]), ad.constant(args["keys"]), args["pe_q"],
                           args["pe_k"], {k: ad.constant(v) for k, v in p.items()}, "blk")
 
     def test_records_one_node_and_untracked_inputs_record_nothing(self):
@@ -376,11 +352,11 @@ class TestAttention:
         weights = self.weights(rng, 4)
         tape = ad.Tape()
         p = {name: tape.parameter(w) for name, w in zip(self.NAMES, weights)}
-        out = enc.attention(ad.constant(x), ad.constant(x), pe, pe, p, "blk")
+        out = enc._attention(ad.constant(x), ad.constant(x), pe, pe, p, "blk")
         assert [node.op for node in tape.nodes[4:]] == ["attention"]
         assert out.tape is tape
         consts = {name: ad.constant(w) for name, w in zip(self.NAMES, weights)}
-        out_c = enc.attention(ad.constant(x), ad.constant(x), pe, pe, consts, "blk")
+        out_c = enc._attention(ad.constant(x), ad.constant(x), pe, pe, consts, "blk")
         assert out_c.tape is None and len(tape.nodes) == 5
         np.testing.assert_array_equal(out_c.value, out.value)
 
@@ -408,8 +384,8 @@ class TestFuse:
         tape = ad.Tape()
         p = pstore.bind(tape, small_params(seed=6))
         f_p, f_i = enc.encode(scene, p)
-        pe_p = enc.sinusoidal_pe(scene.points, 8)
-        pe_i = enc.sinusoidal_pe(sc.pixel_centers(scene.grid), 8)
+        pe_p = enc._sinusoidal_pe(scene.points, 8)
+        pe_i = enc._sinusoidal_pe(sc.pixel_centers(scene.grid), 8)
         np.testing.assert_allclose(
             attention_row_sums(f_p, f_i, pe_p, pe_i, p, "fuse.0.point.cross"), 1.0, atol=1e-12)
 
@@ -418,7 +394,7 @@ class TestFuse:
         pe = enc._pixel_pe((6, 9), 8)
         assert pe is enc._pixel_pe((6, 9), 8)
         assert not pe.flags.writeable
-        assert np.array_equal(pe, enc.sinusoidal_pe(sc.pixel_centers((6, 9)), 8))
+        assert np.array_equal(pe, enc._sinusoidal_pe(sc.pixel_centers((6, 9)), 8))
         assert enc._pixel_pe((9, 6), 8).shape == (54, 8)
 
     def test_point_permutation_equivariance(self):
@@ -476,7 +452,7 @@ def param_stores(draw):
 
 
 class TestParamsIO:
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(param_stores())
     def test_saved_params_read_back_equal(self, tmp_path_factory, params):
         """Whatever save_params accepts, load_params reads back with the same
@@ -542,7 +518,7 @@ class TestParamsIO:
             with pytest.raises(ConfigError):
                 pstore.load_params(path)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 255)), max_size=8),
            st.one_of(st.none(), st.integers(0, 10 ** 6)))
     def test_corrupted_bytes_rejected_or_loaded_as_matrices(self, tmp_path_factory, edits, cut):

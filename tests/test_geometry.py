@@ -204,7 +204,7 @@ class TestAugmentation:
 
     def test_identity_augmentation_keeps_points(self):
         pts = np.random.default_rng(21).normal(size=(8, 3))
-        out = geo.apply_augmentation(pts, np.eye(3), np.zeros(3))
+        out, _ = geo.augment(pts, geo.RigidPose.identity(), np.eye(3), np.zeros(3))
         np.testing.assert_array_equal(out, pts)
 
     @pytest.mark.parametrize("rot, trans", [
@@ -214,29 +214,26 @@ class TestAugmentation:
         ids=["string_rotation", "string_translation", "complex_rotation",
              "complex_translation", "flat_rotation", "column_translation"])
     def test_non_real_or_misshapen_augmentation_rejected(self, rot, trans):
-        raw = geo.RigidPose.identity()
         with pytest.raises(ParameterError, match="augmentation"):
-            geo.recompute_gt_pose(raw, rot, trans)
-        with pytest.raises(ParameterError, match="augmentation"):
-            geo.apply_augmentation(np.zeros((2, 3)), rot, trans)
+            geo.augment(np.zeros((2, 3)), geo.RigidPose.identity(), rot, trans)
 
     def test_pure_translation(self):
         pts = np.zeros((2, 3))
-        out = geo.apply_augmentation(pts, np.eye(3), [1.0, 2.0, 0.0])
+        out, _ = geo.augment(pts, geo.RigidPose.identity(), np.eye(3), [1.0, 2.0, 0.0])
         np.testing.assert_allclose(out, [[1, 2, 0], [1, 2, 0]])
 
 
 class TestRecomputeGtPose:
     def test_identity_rotations(self):
         raw = geo.RigidPose(np.eye(3), np.array([1.0, 2.0, 3.0]))
-        gt = geo.recompute_gt_pose(raw, np.eye(3), np.array([0.5, 0.0, 0.0]))
+        _, gt = geo.augment(np.zeros(3), raw, np.eye(3), np.array([0.5, 0.0, 0.0]))
         np.testing.assert_allclose(gt.translation, [0.5, 2.0, 3.0])
         np.testing.assert_allclose(gt.rotation, np.eye(3))
 
     def test_trivial_augmentation_is_noop(self):
         rng = np.random.default_rng(22)
         raw = random_pose(rng)
-        gt = geo.recompute_gt_pose(raw, np.eye(3), np.zeros(3))
+        _, gt = geo.augment(np.zeros(3), raw, np.eye(3), np.zeros(3))
         np.testing.assert_allclose(gt.rotation, raw.rotation, atol=1e-15)
         np.testing.assert_allclose(gt.translation, raw.translation, atol=1e-15)
 
@@ -253,15 +250,14 @@ class TestRecomputeGtPose:
             cam = np.stack([rng.uniform(-10, 10, 16), rng.uniform(-10, 10, 16),
                             rng.uniform(1.0, 30.0, 16)], axis=1)
             pts = geo.invert(raw).apply(cam)
-            aug = geo.apply_augmentation(pts, rot, trans)
-            gt = geo.recompute_gt_pose(raw, rot, trans)
+            aug, gt = geo.augment(pts, raw, rot, trans)
             before = geo.project(pts, raw, INTR)
             after = geo.project(aug, gt, INTR)
             np.testing.assert_array_equal(before.valid, after.valid)
             assert np.max(np.abs(before.coords - after.coords)) < 1e-9
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi),
        st.floats(-math.pi, math.pi))
 def test_rotation_invariants_hold_for_any_axis_angle(ax, ay, angle):
@@ -272,6 +268,16 @@ def test_rotation_invariants_hold_for_any_axis_angle(ax, ay, angle):
     r = geo.rotation_from_axis_angle(axis, angle)
     np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-9)
     assert abs(np.linalg.det(r) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("angle", [1e-9, 1e-8, 1e-7, 1e-5, 1e-3, 0.5, math.pi / 2, 3.0,
+                                   math.pi - 1e-6, math.pi])
+def test_geodesic_angle_to_one_part_in_a_million(angle):
+    # acos((tr D - 1) / 2) read 0.0 at 1e-8 rad and 9.88e-8 at 1e-7 rad
+    base = random_pose(np.random.default_rng(25)).rotation
+    turn = geo.rotation_from_axis_angle([0.0, 0.6, 0.8], angle)
+    for r_a, r_b in [(np.eye(3), turn), (base, base @ turn), (base @ turn, base)]:
+        assert geo.geodesic_angle(r_a, r_b) == pytest.approx(angle, rel=1e-6)
 
 
 def test_project_to_so3_restores_rotation():

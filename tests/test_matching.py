@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -133,6 +133,12 @@ class TestSimilarity:
     def test_temperature_must_be_a_finite_real_scalar(self, temperature):
         with pytest.raises(ParameterError, match="temperature"):
             mt.AlignmentTransform(ad.constant(np.eye(2)), temperature)
+
+    def test_temperature_cannot_be_set_after_its_check(self):
+        transform = mt.AlignmentTransform(ad.constant(np.eye(2)), 0.07)
+        with pytest.raises(FrozenInstanceError):
+            transform.temperature = -1.0
+        assert transform.temperature == 0.07
 
     def test_zero_norm_row_rejected(self):
         f = np.zeros((2, 4))
@@ -591,7 +597,7 @@ class TestSoftHardMatch:
         coords = mt.match_coords(logits, sel, self.centers(2))
         np.testing.assert_allclose(coords.value, [[1 / 3, 0.0]], atol=1e-12)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(st.lists(st.lists(st.floats(-700, 700), min_size=1, max_size=6),
                     min_size=1, max_size=4).filter(
                         lambda rows: len({len(r) for r in rows}) == 1))
@@ -818,7 +824,7 @@ def returns_or_raises_neucalib_error(build):
 
 
 class TestPairRule:
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(perturbed_index_records())
     def test_record_refuses_or_its_consumers_answer(self, case):
         """A pair set or selection either refuses the change with

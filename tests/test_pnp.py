@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -26,6 +27,10 @@ def random_instance(seed, n=64, intr=INTR):
     points = geo.invert(pose).apply(cam)
     targets = geo.project(points, pose, intr).coords
     return pose, points, targets
+
+
+def about_z(angle):
+    return geo.rotation_from_axis_angle([0.0, 0.0, 1.0], angle)
 
 
 def compose(a: geo.RigidPose, b: geo.RigidPose) -> geo.RigidPose:
@@ -110,6 +115,13 @@ class TestEpnpInit:
         args = (value, targets) if where == "point" else (points, value)
         with pytest.raises(SolveError, match="real numbers|not an array"):
             pnp.PnPProblem(*args, INTR)
+
+    def test_fields_cannot_be_set_after_the_check(self):
+        _, points, targets = random_instance(5, n=12)
+        problem = pnp.PnPProblem(points, targets, INTR)
+        with pytest.raises(FrozenInstanceError):
+            problem.points = points[:2]
+        assert problem.n == 12 and isinstance(problem.targets, ad.Tensor)
 
     def test_coplanar_points_refused(self):
         rng = np.random.default_rng(4)
@@ -226,7 +238,7 @@ class TestSolvePose:
 
 
 class TestPoseLoss:
-    GT = geo.RigidPose(geo.rotation_about_z(0.3), np.array([1.0, 2.0, 3.0]))
+    GT = geo.RigidPose(about_z(0.3), np.array([1.0, 2.0, 3.0]))
 
     @staticmethod
     def make_refined(rot, trans):
@@ -253,7 +265,7 @@ class TestPoseLoss:
         # R_gt^T R = rotation by pi/3 about z: every entry of R_gt^T R - I
         # (-0.5 twice, +-sqrt(3)/2) lies inside delta, so the sum is
         # 0.5 * (0.25 + 0.25 + 0.75 + 0.75) = 1
-        refined = self.make_refined(self.GT.rotation @ geo.rotation_about_z(math.pi / 3),
+        refined = self.make_refined(self.GT.rotation @ about_z(math.pi / 3),
                                     self.GT.translation)
         assert pnp.pose_loss(refined, self.GT).item() == pytest.approx(1.0, abs=1e-12)
 
@@ -266,13 +278,13 @@ class TestPoseLoss:
         # R_gt^T R = rotation by pi about z: diag(-1, -1, 1) - I has two
         # entries of -2, each contributing delta * (2 - 0.5 delta) = 1.5
         gt = geo.RigidPose.identity()
-        refined = self.make_refined(geo.rotation_about_z(math.pi), np.zeros(3))
+        refined = self.make_refined(about_z(math.pi), np.zeros(3))
         assert pnp.pose_loss(refined, gt).item() == pytest.approx(3.0, abs=1e-12)
 
     def test_clamped_gradient(self):
         # e_R = diag(-2, -2, 0) and e_t = (3, -0.5, 0) clip to diag(-1, -1, 0)
         # and (1, -0.5, 0); the gradient is R_gt c_R and -c_t
-        rot = self.GT.rotation @ geo.rotation_about_z(math.pi)
+        rot = self.GT.rotation @ about_z(math.pi)
         tape = ad.Tape()
         pose = tape.parameter(pose_matrix(rot, self.GT.translation - [3.0, -0.5, 0.0]))
         tape.backward(self.loss_of(self.GT)([pose]))

@@ -107,7 +107,7 @@ def oracle_out_of_frustum(rng, cfg, count):
                 u = rng.uniform(w + 2.0, 3.0 * w) * rng.choice([-1.0, 1.0])
                 v = rng.uniform(-h, 2.0 * h)
                 q = geo.unproject(np.array([[u, v]]), [rng.uniform(sc.Z_NEAR, sc.Z_FAR)], k)[0]
-            overlap, _ = sc.point_overlap_labels(q[None, :], geo.RigidPose.identity(), k, cfg.grid)
+            overlap, _ = sc._point_overlap_labels(q[None, :], geo.RigidPose.identity(), k, cfg.grid)
             if not overlap[0]:
                 pts[i] = q
                 break
@@ -230,7 +230,7 @@ class TestGeneration:
 
     def test_behind_camera_not_overlapping(self):
         k = sc.SceneConfig().intrinsics()
-        overlap, _ = sc.point_overlap_labels(
+        overlap, _ = sc._point_overlap_labels(
             [[0.0, 0.0, -5.0]], geo.RigidPose.identity(), k, (16, 16))
         assert not overlap[0]
 
@@ -338,7 +338,7 @@ def uniform_bounds(draw):
 
 
 class TestUniformDraw:
-    @settings(max_examples=400, deadline=None, derandomize=True)
+    @settings(max_examples=400)
     @given(uniform_bounds(), st.sampled_from([None, 3, (5, 2)]), st.integers(0, 2 ** 32),
            st.booleans())
     def test_uniform_is_generator_uniform(self, bounds, size, seed, half_word):
@@ -418,7 +418,7 @@ def assert_same_scene(a: sc.SceneSample, b: sc.SceneSample):
 
 
 class TestSceneRule:
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(perturbed_scenes())
     def test_sample_refuses_or_round_trips(self, case):
         """Whatever sample can be built, the writer writes and the reader
@@ -428,7 +428,7 @@ class TestSceneRule:
             changed = replace(sample, **change)
         except ConfigError:
             return
-        assert_same_scene(sc.scene_from_bytes(sc.scene_to_bytes(changed)), changed)
+        assert_same_scene(sc._scene_from_bytes(sc.scene_to_bytes(changed))[0], changed)
 
     def test_nan_overlapping_projection_refused(self):
         # pair building would meet it as a NaN distance
@@ -446,10 +446,10 @@ class TestSceneRule:
 
 class TestPixelOverlap:
     def test_no_points_all_false(self):
-        assert not sc.label_pixel_overlap(np.zeros((0, 2)), (16, 16)).any()
+        assert not sc._label_pixel_overlap(np.zeros((0, 2)), (16, 16)).any()
 
     def test_single_point_on_center(self):
-        labels = sc.label_pixel_overlap(np.array([[3.0, 3.0]]), (16, 16))
+        labels = sc._label_pixel_overlap(np.array([[3.0, 3.0]]), (16, 16))
         assert labels.shape == (256,)
         # the 3 x 3 pixels around (3, 3), and no other
         assert np.flatnonzero(labels).tolist() == [v * 16 + u for v in (2, 3, 4) for u in (2, 3, 4)]
@@ -563,7 +563,7 @@ class TestBuildPairs:
         for seed, r_p, r_n in [(5, 1.0, 4.0), (6, 0.5, 2.3), (7, 1.5, 1.6), (8, 2.0, 9.0)]:
             assert_matches_dense(make_scene(seed=seed, grid=(8, 8), n_points=48), r_p, r_n)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(projections_and_margins())
     def test_matches_brute_force_on_edges_and_exact_margins(self, case):
         grid, proj, r_p, r_n = case
@@ -628,15 +628,16 @@ class TestSceneIO:
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ConfigError):
-            sc.scene_from_bytes(b"XXXX" + b"\x00" * 64)
+            sc._scene_from_bytes(b"XXXX" + b"\x00" * 64)
 
     def test_every_truncation_rejected(self):
         blob = sc.scene_to_bytes(make_scene(seed=7))
         for cut in range(len(blob)):
             with pytest.raises(ConfigError):
-                sc.scene_from_bytes(blob[:cut])
-        with pytest.raises(ConfigError, match="header implies"):
-            sc.scene_from_bytes(blob + b"\x00")
+                sc._scene_from_bytes(blob[:cut])
+        # a record reads as much as its header declares; the dataset reader
+        # refuses what is left after the last one
+        assert sc._scene_from_bytes(blob + b"\x00")[1] == len(blob)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300, -0.5, 16.0])
     def test_overlapping_projection_outside_grid_rejected(self, bad):
@@ -644,7 +645,7 @@ class TestSceneIO:
         proj = sample.gt_projection.copy()
         proj[np.flatnonzero(sample.point_overlap_gt)[3], 1] = bad
         with pytest.raises(ConfigError, match="outside the grid"):
-            sc.scene_from_bytes(edited_bytes(sample, projection=proj))
+            sc._scene_from_bytes(edited_bytes(sample, projection=proj))
 
     def test_overlapping_point_behind_camera_rejected(self):
         sample = make_scene(seed=7)
@@ -655,7 +656,7 @@ class TestSceneIO:
         q = pose.apply(points[i])[0]
         points[i] = pose.rotation.T @ (np.array([q[0], q[1], -1.0]) - pose.translation)
         with pytest.raises(ConfigError, match="behind the camera"):
-            sc.scene_from_bytes(edited_bytes(sample, points=points))
+            sc._scene_from_bytes(edited_bytes(sample, points=points))
 
     @pytest.mark.parametrize("field", ["points", "translation", "rotation", "fx", "n", "h", "w",
                                        "empty_grid"])
@@ -685,7 +686,7 @@ class TestSceneIO:
             at = 8 + 4 * "nhw".index(field)
             blob[at:at + 4] = np.array([2 ** 32 - 1], dtype="<u4").tobytes()
         with pytest.raises(ConfigError):
-            sc.scene_from_bytes(bytes(blob))
+            sc._scene_from_bytes(bytes(blob))
 
     @pytest.mark.parametrize("case", ["wrong_grid", "negative_grid", "empty_grid",
                                       "points_n_x_2", "short_projection", "overlap_column"])
@@ -703,7 +704,7 @@ class TestSceneIO:
         with pytest.raises(ConfigError, match="grid"):
             replace(sample, **change)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 255)),
                     min_size=1, max_size=8))
     def test_corrupted_bytes_rejected_or_harmless(self, edits):
@@ -714,12 +715,12 @@ class TestSceneIO:
         for pos, byte in edits:
             blob[pos % len(blob)] = byte
         try:
-            sample = sc.scene_from_bytes(bytes(blob))
+            sample, _ = sc._scene_from_bytes(bytes(blob))
         except ConfigError:
             return
         try:
             sc.build_pairs(sample, 1.0, 4.0)
-            enc.pixel_texture(sample)
+            enc._pixel_texture(sample)
         except NeucalibError:
             pass
 
