@@ -14,7 +14,7 @@ attention's recomputing kernel in ``encoder``, soft matching's and
 InfoNCE's masked one in ``matching``.
 Tapes are single-use and rebuilt per training step, so data-dependent
 graph structure is fine. :func:`record` states once how a backward hands
-its gradients to the tape: the losses that read one block of the N x M
+its gradients to the tape: the losses that read one row block of the N x M
 logits return a :class:`Block` and allocate no N x M array of their own.
 
 Each step allocates and frees the same N x M temporaries again and again.
@@ -118,11 +118,11 @@ def constant(x) -> Tensor:
 
 
 class Block(NamedTuple):
-    """A gradient that is zero outside one index block of its input:
-    ``values`` at ``input[index]``, where ``index`` is a row index array or
-    an ``np.ix_`` pair, and ``shape`` is the input's shape."""
+    """A gradient that is zero outside some rows of its input: ``values``
+    at ``input[index]``, where ``index`` is a strictly increasing row index
+    array and ``shape`` is the input's shape."""
 
-    index: object
+    index: Array
     values: Array
     shape: tuple[int, int]
 
@@ -217,7 +217,7 @@ def record(op: str, inputs: Sequence[Tensor], backward_fn, value: Array) -> Tens
     gradient (or None) per input: either an array that nothing else holds,
     which the tape keeps as the input's first gradient or adds into it in
     place, or a :class:`Block` of the input's gradient, which the tape adds
-    into its block (on a zero-filled gradient if it is the first). The tape
+    into its rows (on a zero-filled gradient if it is the first). The tape
     releases ``backward_fn`` and ``g`` before it accumulates. When no input
     is tracked the result is a constant and nothing is recorded.
     """

@@ -77,7 +77,7 @@ class CameraIntrinsics:
 
 class Projection(NamedTuple):
     coords: np.ndarray  # N x 2 pixel coordinates, NaN where invalid
-    valid: np.ndarray  # N booleans, False where depth <= MIN_DEPTH
+    valid: np.ndarray  # N booleans, False where depth <= MIN_DEPTH or coords are not finite
 
 
 def rotation_from_axis_angle(axis, angle: float) -> np.ndarray:
@@ -102,16 +102,18 @@ def project(points, pose: RigidPose, k: CameraIntrinsics) -> Projection:
 
     Returns pixel coordinates (u along width, v along height) and a
     validity mask; invalid entries get NaN coordinates rather than raising,
-    since downstream overlap labeling consumes the mask.
+    since downstream overlap labeling consumes the mask. A valid point has
+    a finite depth above MIN_DEPTH and finite coordinates.
     """
     q = pose.apply(points)
     depth = q[:, 2]
-    valid = depth > MIN_DEPTH
+    valid = (depth > MIN_DEPTH) & np.isfinite(depth)
     safe = np.where(valid, depth, 1.0)
     coords = np.empty((q.shape[0], 2))
-    with np.errstate(all="ignore"):  # non-finite points give NaN
+    with np.errstate(all="ignore"):  # non-finite or huge points give NaN or inf
         coords[:, 0] = k.fx * q[:, 0] / safe + k.cx
         coords[:, 1] = k.fy * q[:, 1] / safe + k.cy
+    valid &= np.isfinite(coords[:, 0]) & np.isfinite(coords[:, 1])
     coords[~valid] = np.nan
     return Projection(coords, valid)
 

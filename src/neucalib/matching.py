@@ -122,85 +122,74 @@ def infonce_loss(logits: Tensor, pairs: PairSet, direction: str = "point_to_pixe
     its near list. Anchors lacking a positive or a negative are skipped;
     an empty anchor set is a degenerate batch.
 
-    One ``infonce`` node, built from the pair lists on the anchors x
-    candidates block of the logits. For point anchors that block is the
-    anchor rows of the logits; for pixel anchors it is the anchor columns x
-    overlapping-point rows, gathered from the transposed logits in one copy.
-    The backward writes its gradient over that block of exps and hands it
-    to the tape as an :class:`~neucalib.autodiff.Block` of the logits, so
-    it allocates no N x M array. The pairs checked their own rule when
-    built (:class:`~neucalib.scene.PairSet`); here ``pairs.n_pixels`` must
-    be M and the last overlapping point below N. Annulus entries (near but
-    not positive) are set to -inf before the per-anchor max and the exp, so
-    they weigh nothing however large they are. With K terms, D_k the
+    One ``infonce`` node on the overlapping points' rows of the logits, a
+    block that holds every candidate pair of both directions: point anchors
+    are its rows and pixel anchors its columns, so a direction is the axis
+    it reduces along. The flat pairs, rebased into the block by each point's
+    rank in ``overlap_points``, mask it by 1-D takes and puts. The backward
+    writes its gradient over the block of exps and hands it to the tape as
+    a :class:`~neucalib.autodiff.Block` of those rows. The pairs checked
+    their own rule when built (:class:`~neucalib.scene.PairSet`); here
+    ``pairs.n_pixels`` must be M and the last overlapping point below N.
+    Annulus entries (near but not positive) are -inf for the per-anchor max,
+    so they weigh nothing however large they are, and 0 before and after the
+    exp, which runs several times slower on -inf. With K terms, D_k the
     denominator of term k and e = exp(shifted logits), the gradient at
     anchor a is e_aj * sum_{k in P(a)} 1 / D_k / K at each negative j and
     (e_ap / D_k - 1) / K at each positive p.
     """
     if not (isinstance(direction, str) and direction in ("point_to_pixel", "pixel_to_point")):
         raise ParameterError(f"unknown InfoNCE direction {direction!r}")
-    cands = pairs.overlap_points
-    if pairs.n_pixels != logits.shape[1] or (cands.size and cands[-1] >= logits.shape[0]):
+    cands, (n, m) = pairs.overlap_points, logits.shape
+    if pairs.n_pixels != m or (cands.size and cands[-1] >= n):
         raise ParameterError(f"pairs of {pairs.n_pixels} pixels and points {cands[-1:]} do not "
-                             f"fit logits of {logits.shape[0]} rows, {logits.shape[1]} columns")
-    pos_pt, pos_px = np.divmod(pairs.positives, pairs.n_pixels)
-    near_pt, near_px = np.divmod(pairs.near, pairs.n_pixels)
-    if direction == "point_to_pixel":
-        orient = np.asarray  # anchors are rows of the logits, candidates all columns
-        n_rows, width = logits.shape
-        pos, near = (pos_pt, pos_px), (near_pt, near_px)
-    else:
-        orient = np.transpose  # anchors are columns, candidates the overlapping rows
-        n_rows, width = logits.shape[1], cands.size
-        pos = pos_px, np.searchsorted(cands, pos_pt)
-        near = near_px, np.searchsorted(cands, near_pt)
+                             f"fit logits of {n} rows, {m} columns")
+    # the block axis along which an anchor's candidates lie
+    axis, n_anchors, width = (1, cands.size, m) if direction == "point_to_pixel" \
+        else (0, m, cands.size)
+    rank = np.arange(cands.size)
 
-    has_pos = np.bincount(pos[0], minlength=n_rows) > 0
-    has_neg = np.bincount(near[0], minlength=n_rows) < width
-    anchors = np.flatnonzero(has_pos & has_neg)
-    if anchors.size == 0:
+    def rebase(ids):
+        """Flat pairs as flat block indices, their anchors and the pair count
+        per anchor. A point's pairs are one run of ``ids``, shifted by its rank."""
+        run = np.diff(np.searchsorted(ids, cands * m), append=ids.size)
+        at = ids - np.repeat((cands - rank) * m, run)
+        anchor = np.repeat(rank, run) if axis == 1 else at - np.repeat(rank * m, run)
+        return at, anchor, run if axis == 1 else np.bincount(anchor, minlength=m)
+
+    (pos, pos_anchor, n_pos), (near, _, n_near) = rebase(pairs.positives), rebase(pairs.near)
+    keep = ((n_pos > 0) & (n_near < width))[pos_anchor]
+    terms, a_idx = pos[keep], pos_anchor[keep]  # ascending, so in row-major order
+    if terms.size == 0:
         raise DegenerateBatchError(f"no usable {direction} anchors")
-    row = np.full(n_rows, -1)
-    row[anchors] = np.arange(anchors.size)
-    if direction == "point_to_pixel":
-        at = index = anchors  # the block in the oriented logits, and in the logits
-    else:
-        at, index = np.ix_(anchors, cands), np.ix_(cands, anchors)
-
-    def block_index(anchor, cand):
-        """(row, column) of pairs in the anchor block, for usable anchors."""
-        r = row[anchor]
-        keep = r >= 0
-        return r[keep], cand[keep]
-
-    near_at = block_index(*near)
-    pos_r, pos_c = block_index(*pos)
-    pos_at = np.divmod(np.sort(pos_r * width + pos_c), width)  # row-major term order
-    block = orient(logits.value)[at]  # a C-ordered copy
-    pos_vals = block[pos_at]
-    block[near_at] = -np.inf
-    block[pos_at] = pos_vals
+    block = logits.value[cands]  # a C-ordered copy
+    flat = block.reshape(-1)  # a view, for the 1-D takes and puts
+    term_vals = flat[terms]
+    flat[near] = -np.inf
+    flat[terms] = term_vals
     # per-anchor max over its own positives and negatives keeps every exp
-    # below 1; subtracting a constant leaves the gradient exact
-    block -= block.max(axis=1, keepdims=True)
-    pos_shifted = block[pos_at]
-    pos_exp = np.exp(pos_shifted)
+    # below 1; subtracting a constant leaves the gradient exact. An unusable
+    # anchor may have no candidate left, and any finite shift serves it
+    peak = block.max(axis=axis, keepdims=True)
+    peak[np.isneginf(peak)] = 0.0
+    block -= peak
+    term_shifted = flat[terms]
+    flat[near] = 0.0
     neg_exp = np.exp(block, out=block)
-    neg_exp[pos_at] = 0.0
-    a_idx = pos_at[0]
-    denom = pos_exp + neg_exp.sum(axis=1)[a_idx]
+    flat[near] = 0.0
+    term_exp = np.exp(term_shifted)
+    denom = term_exp + neg_exp.sum(axis=axis)[a_idx]
     if np.any(denom <= 0.0):
         raise DomainError(f"{direction} InfoNCE denominator underflowed to zero")
-    count = a_idx.size
-    value = np.array([[(np.log(denom) - pos_shifted).sum() / count]])
-    shape = logits.shape  # the closure holds no Tensor and no logits array
+    value = np.array([[(np.log(denom) - term_shifted).sum() / terms.size]])
 
     def backward(g):
-        scale = g[0, 0] / count
+        scale = g[0, 0] / terms.size
         grad = neg_exp  # no later node reads the exps, so the gradient takes their block
-        grad *= (np.bincount(a_idx, weights=1.0 / denom) * scale)[:, None]
-        grad[pos_at] += (pos_exp / denom - 1.0) * scale
-        return (ad.Block(index, orient(grad), shape),)
+        weight = np.bincount(a_idx, weights=1.0 / denom, minlength=n_anchors) * scale
+        grad *= np.expand_dims(weight, axis)
+        flat[terms] = (term_exp / denom - 1.0) * scale  # a positive's exp was zeroed
+        return (ad.Block(cands, grad, (n, m)),)  # the closure holds no Tensor and no logits
 
     return ad.record("infonce", (logits,), backward, value)
 
@@ -288,21 +277,23 @@ def threshold_overlap(s_p: Tensor, s_i: Tensor, theta_p: float, theta_i: float,
 def match_coords(logits: Tensor, selection: OverlapSelection, centers: np.ndarray,
                  mode: str = "soft") -> Tensor:
     """Predicted pixel coordinates of the selected points over the selected
-    pixels, from the selected rows x selected columns block of the logits.
+    pixels, from the selected rows of the logits.
 
     The selection checked its index sets when built; here both must be non-
     empty (else a DegenerateBatchError) and inside the N x M logits, and
     ``centers`` M x 2 real numbers (else a ParameterError). Soft mode
     predicts the softmax-weighted mean of the pixel centers; the softmax runs
-    on the (already temperature-scaled) logits. Each block row is shifted by
-    its max and exponentiated in place, to e, and one matmul e [c | 1] of the
-    selected centers gives e c and the row sums s: the value is e c / s, and
-    W = e / s is never formed. It records one ``soft_match`` node that keeps
-    e, [c | 1], s and the value. With r = rowsum(g * value), the block
-    gradient W (g c^T - r) = e * ([g / s | -r / s] [c | 1]^T) is written over
-    e and handed to the tape as an :class:`~neucalib.autodiff.Block` of the
-    logits at the selected rows x columns. Hard mode takes each row's argmax
-    pixel (ties to the first selected one) as a constant.
+    on the (already temperature-scaled) logits. Pixels left out of the
+    selection are -inf for each row's max and 0 before the exp, so that it
+    sees only finite input; their rows of [c | 1] are zero. Each row is
+    shifted by its max and exponentiated in place, to e, and one matmul
+    e [c | 1] gives e c and the row sums s: the value is e c / s, and W = e / s
+    is never formed. It records one ``soft_match`` node that keeps e,
+    [c | 1], s and the value. With r = rowsum(g * value), the gradient
+    W (g c^T - r) = e * ([g / s | -r / s] [c | 1]^T), zero at left-out
+    pixels, is written over e and handed to the tape as an
+    :class:`~neucalib.autodiff.Block` of the selected rows. Hard mode takes
+    each row's argmax pixel (ties to the first selected one) as a constant.
     """
     if not (isinstance(mode, str) and mode in ("soft", "hard")):
         raise ParameterError(f"unknown match mode {mode!r}")
@@ -314,11 +305,17 @@ def match_coords(logits: Tensor, selection: OverlapSelection, centers: np.ndarra
     if rows[-1] >= n or cols[-1] >= m or centers.shape != (m, 2):
         raise ParameterError(f"selection reaches point {rows[-1]} and pixel {cols[-1]}, centers "
                              f"have shape {centers.shape}: logits are {n} x {m}")
-    pix = np.column_stack([centers[cols], np.ones(cols.size)])  # [c | 1]
-    block = logits.value[np.ix_(rows, cols)]
+    left = np.ones(m, dtype=bool)
+    left[cols] = False
+    block = logits.value[rows]  # a C-ordered copy
+    if cols.size < m:  # a full selection masks nothing
+        np.copyto(block, -np.inf, where=left)
     if mode == "hard":
-        return ad.constant(pix[np.argmax(block, axis=1), :2])
+        return ad.constant(centers[np.argmax(block, axis=1)])
+    pix = np.where(left[:, None], 0.0, np.column_stack([centers, np.ones(m)]))  # [c | 1]
     block -= block.max(axis=1, keepdims=True)
+    if cols.size < m:
+        np.copyto(block, 0.0, where=left)
     e = np.exp(block, out=block)
     r = e @ pix  # [e c | s]
     s = r[:, 2:]
@@ -327,6 +324,6 @@ def match_coords(logits: Tensor, selection: OverlapSelection, centers: np.ndarra
     def backward(g):
         gd = np.column_stack([g, -np.einsum("ij,ij->i", g, out)]) / s
         grad = np.multiply(e, gd @ pix.T, out=e)  # no later node reads e
-        return (ad.Block(np.ix_(rows, cols), grad, (n, m)),)
+        return (ad.Block(rows, grad, (n, m)),)
 
     return ad.record("soft_match", (logits,), backward, out)

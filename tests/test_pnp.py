@@ -101,19 +101,17 @@ class TestEpnpInit:
             pnp.solve_pose(pnp.PnPProblem(points, targets, INTR))
 
     @pytest.mark.parametrize("where", ["target", "point"])
-    @pytest.mark.parametrize("kind", ["complex", "string", "ragged"])
-    def test_non_real_input_refused(self, where, kind):
-        # complex values would lose their imaginary part, strings raise ValueError
-        pose, points, targets = random_instance(5, n=12)
+    @pytest.mark.parametrize("kind, wording", [("complex", "not real numbers"),
+                                               ("ragged", "not an array")],
+                             ids=["complex", "ragged"])
+    def test_non_real_input_refused(self, where, kind, wording):
+        # the refusal's two wordings: complex values would lose their
+        # imaginary part, and a ragged list is no array
+        _, points, targets = random_instance(5, n=12)
         value = points if where == "point" else targets
-        if kind == "complex":
-            value = value + 1j
-        elif kind == "string":
-            value = value.astype(str)
-        else:
-            value = [*value.tolist()[:-1], [1.0]]
+        value = value + 1j if kind == "complex" else [*value.tolist()[:-1], [1.0]]
         args = (value, targets) if where == "point" else (points, value)
-        with pytest.raises(SolveError, match="real numbers|not an array"):
+        with pytest.raises(SolveError, match=wording):
             pnp.PnPProblem(*args, INTR)
 
     def test_fields_cannot_be_set_after_the_check(self):

@@ -304,13 +304,6 @@ class TestGeneration:
         np.testing.assert_allclose(
             proj.coords[ok], sample.gt_projection[ok], atol=1e-9)
 
-    @pytest.mark.parametrize("rot, trans", [("abc", np.zeros(3)), (np.eye(3), "abc"),
-                                            (np.eye(3) + 0j, np.zeros(3))],
-                             ids=["string_rotation", "string_translation", "complex_rotation"])
-    def test_non_real_augmentation_rejected(self, rot, trans):
-        with pytest.raises(ParameterError, match="augmentation"):
-            sc.augment_scene(make_scene(seed=9), rot, trans)
-
 
 def generator_bounds(grid):
     """Every (low, high) pair that scene generation draws between on ``grid``,
