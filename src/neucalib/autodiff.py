@@ -16,6 +16,9 @@ Tapes are single-use and rebuilt per training step, so data-dependent
 graph structure is fine. :func:`record` states once how a backward hands
 its gradients to the tape: the losses that read one row block of the N x M
 logits return a :class:`Block` and allocate no N x M array of their own.
+Every value and every gradient the tape holds is float64. A node may compute
+inside its backward in float32, as attention does with its N x M recompute,
+and hands the tape float64 gradients.
 
 Each step allocates and frees the same N x M temporaries again and again.
 On glibc, importing this module fixes the allocator's mmap and trim

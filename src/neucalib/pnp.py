@@ -135,29 +135,30 @@ def epnp_init(problem: PnPProblem) -> RigidPose:
 
 # --- Gauss-Newton refinement -----------------------------------------------
 
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Column-wise cross products of two 3 x K arrays (np.cross costs far
-    more per call at these sizes)."""
+def _cross(u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Column-wise cross products of two 3 x K arrays, into ``out`` if given
+    (np.cross costs far more per call at these sizes)."""
     return np.stack([u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
-                     u[0] * v[1] - u[1] * v[0]])
+                     u[0] * v[1] - u[1] * v[0]], out=out)
 
 
-def _project(rot: np.ndarray, trans: np.ndarray, points: np.ndarray,
-             k: CameraIntrinsics, targets: np.ndarray):
-    """Camera-frame points q (3 x N), the pixel residuals (u - tu, v - tv)
-    stacked into one vector of length 2N, and the gradients a (3 x 2N) of u
-    and v at q in the same order: (fx / z, 0, -fx x / z^2) for u and
-    (0, fy / z, -fy y / z^2) for v."""
-    q = rot @ points.T + trans
+def _project(rot: np.ndarray, trans: np.ndarray, points_t: np.ndarray,
+             k: CameraIntrinsics, target_uv: np.ndarray, a: np.ndarray):
+    """Camera-frame points q = rot points_t + trans (3 x N) and the pixel
+    residuals (u - tu, v - tv) stacked into one vector of length 2N, against
+    ``target_uv``, the targets stacked the same way. Writes the gradients of
+    u and v at q, in the same order, into the zeroed 3 x 2N ``a``:
+    (fx / z, 0, -fx x / z^2) for u and (0, fy / z, -fy y / z^2) for v."""
+    q = rot @ points_t + trans
     x, y, z = q
     if np.any(z <= MIN_DEPTH):
         raise SolveError("point depth collapsed during refinement")
     n = z.size
-    a = np.zeros((3, 2 * n))
-    a[0, :n], a[1, n:] = (1.0 / z) * k.fx, (1.0 / z) * k.fy
-    a[2, :n], a[2, n:] = (x / (z * z)) * -k.fx, (y / (z * z)) * -k.fy
-    r = np.concatenate([(x / z) * k.fx + k.cx, (y / z) * k.fy + k.cy]) - targets.T.ravel()
-    return q, r, a
+    inv_z, z2 = 1.0 / z, z * z
+    a[0, :n], a[1, n:] = inv_z * k.fx, inv_z * k.fy
+    a[2, :n], a[2, n:] = (x / z2) * -k.fx, (y / z2) * -k.fy
+    r = np.concatenate([(x / z) * k.fx + k.cx, (y / z) * k.fy + k.cy]) - target_uv
+    return q, r
 
 
 def _cayley(w: np.ndarray):
@@ -185,26 +186,30 @@ def gauss_newton_refine(problem: PnPProblem, init: RigidPose,
     composed on the left. The rotation increment is the Cayley map of w. Its
     derivative at w = 0 is [w]x, as for exp([w]x), so each step solves the
     same system as an axis-angle update and has the same fixed point. The
-    Jacobian of the 2N stacked residuals is the 6 x 2N array [q x a; a].
+    Jacobian of the 2N stacked residuals is the 6 x 2N array [q x a; a];
+    ``_project`` writes a straight into its lower rows.
     With targets on a tape, the one ``gauss_newton`` node is
     ``RefinedPose.pose``, and its backward replays the k steps in reverse.
     """
     if not is_count(k_iters, 1):
         raise SolveError(f"k_iters must be an integer >= 1, got {k_iters!r}")
     k, n, points = problem.intrinsics, problem.n, problem.points
-    targets = problem.targets.value
+    points_t, target_uv = np.ascontiguousarray(points.T), problem.targets.value.T.ravel()
+    damping = GN_DAMPING * np.eye(6)
     rot, trans = init.rotation, init.translation.reshape(3, 1)
     objectives: list[float] = []
     steps = []
 
     for i in range(k_iters + 1):
-        q, r, a = _project(rot, trans, points, k, targets)
+        jac = np.zeros((6, 2 * n))
+        a = jac[3:]
+        q, r = _project(rot, trans, points_t, k, target_uv, a)
         objectives.append(float(r @ r))
         if i == k_iters:
             break
         qq = np.hstack([q, q])
-        jac = np.vstack([_cross(qq, a), a])
-        h = jac @ jac.T + GN_DAMPING * np.eye(6)
+        _cross(qq, a, out=jac[:3])
+        h = jac @ jac.T + damping
         try:
             delta = -np.linalg.solve(h, jac @ r)
         except np.linalg.LinAlgError as err:

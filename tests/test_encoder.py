@@ -161,6 +161,17 @@ def two_step_sublayer(f, h, pe_q, pe_k, ws, g):
     return f + av @ wo, grads
 
 
+@pytest.fixture
+def float64_backward(monkeypatch):
+    """Attention's backward in float64: a check of the float64 derivation
+    keeps its float64 tolerance and runs the lines the library runs in
+    float32."""
+    monkeypatch.setattr(enc, "BACKWARD_DTYPE", np.float64)
+
+
+FLOAT64_BACKWARD = pytest.mark.usefixtures("float64_backward")
+
+
 def relative_error(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
@@ -184,6 +195,7 @@ class TestAttention:
         a = e / e.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(out.value, f + a @ (y @ wv) @ wo, rtol=1e-12)
 
+    @FLOAT64_BACKWARD
     @pytest.mark.parametrize("self_attention", [True, False])
     def test_matches_the_two_step_sublayer(self, self_attention):
         # the two-step softmax, then A v, with its hand gradient through A;
@@ -207,6 +219,7 @@ class TestAttention:
         for t, want in zip((*inputs, *p.values()), want_grads, strict=True):
             assert relative_error(t.grad, want) < 1e-12
 
+    @FLOAT64_BACKWARD
     def test_self_attention_gradients(self):
         rng = np.random.default_rng(21)
         x0, pe, probe = (rng.normal(size=(5, 4)) for _ in range(3))
@@ -217,6 +230,7 @@ class TestAttention:
 
         assert finite_difference_check(build, [x0, *self.weights(rng, 4)]) < 1e-6
 
+    @FLOAT64_BACKWARD
     def test_cross_attention_gradients(self):
         rng = np.random.default_rng(22)
         x0, y0 = rng.normal(size=(3, 4)), rng.normal(size=(7, 4))
@@ -277,20 +291,25 @@ class TestAttention:
         assert np.abs(q @ k.T).max() < 10.0
         return ws, (f, h, pe_q, pe_k)
 
-    def check_against_two_step(self, ws, f, h, pe_q, pe_k):
-        """The sublayer's value and gradients, and the two-step sublayer's."""
-        g = np.random.default_rng(28).normal(size=f.shape)
+    def sublayer(self, ws, f, h, pe_q, pe_k, g):
+        """The sublayer's value and its (query, keys, wq, wk, wv, wo)
+        gradients of sum(g * out)."""
         tape = ad.Tape()
         query, keys = tape.parameter(f), tape.parameter(h)
         p = {name: tape.parameter(w) for name, w in zip(self.NAMES, ws)}
         out = enc._attention(query, keys, pe_q, pe_k, p, "blk")
         tape.backward(weighted_sum(out, g))
-        grads = [t.grad for t in (query, keys, *p.values())]
-        return (out.value, grads), two_step_sublayer(f, h, pe_q, pe_k, ws, g)
+        return out.value, [t.grad for t in (query, keys, *p.values())]
+
+    def check_against_two_step(self, ws, f, h, pe_q, pe_k):
+        """The sublayer's value and gradients, and the two-step sublayer's."""
+        g = np.random.default_rng(28).normal(size=f.shape)
+        return self.sublayer(ws, f, h, pe_q, pe_k, g), two_step_sublayer(f, h, pe_q, pe_k, ws, g)
 
     LIMIT_SIDES = pytest.mark.parametrize("bound", [0.98 * enc.EXP_LIMIT, 1.02 * enc.EXP_LIMIT],
                                           ids=["below_limit", "past_limit"])
 
+    @FLOAT64_BACKWARD
     @LIMIT_SIDES
     def test_both_sides_of_the_shift_limit_match_the_two_step_sublayer(self, bound):
         # below the limit the exps are taken unshifted, past it each row is
@@ -312,6 +331,7 @@ class TestAttention:
 
         assert finite_difference_check(build, [f, h, *ws]) < 1e-6
 
+    @FLOAT64_BACKWARD
     def test_scores_far_past_the_limit_match_the_two_step_sublayer(self):
         # inputs x300 put scores near 4e5, where the rounding of the scores
         # alone, eps max|s|, moves A and so every gradient by about that
@@ -330,6 +350,54 @@ class TestAttention:
         tolerance = np.finfo(float).eps * np.abs(scores).max() * largest
         for got, want in zip(grads, want_grads, strict=True):
             assert np.abs(got - want).max() < tolerance
+
+    def benchmark_sized_probe(self, bound):
+        """Weights, inputs and output gradient of a benchmark-like
+        cross-attention, 256 queries and 288 keys at the benchmarks' C = 32,
+        with the query inputs scaled so that the score bound C max|q| max|k|
+        is ``bound``; also the largest |score|."""
+        n, m, ch = 256, 288, 32
+        rng = np.random.default_rng(32)
+        ws = self.weights(rng, ch)
+        f, pe_q, g = (rng.normal(size=(n, ch)) for _ in range(3))
+        h, pe_k = rng.normal(size=(m, ch)), rng.normal(size=(m, ch))
+        q, k = (f + pe_q) @ ws[0] / np.sqrt(ch), (h + pe_k) @ ws[1]
+        scale = bound / (ch * np.abs(q).max() * np.abs(k).max())
+        return (ws, scale * f, h, scale * pe_q, pe_k, g), scale * np.abs(q @ k.T).max()
+
+    def sublayer_per_backward_dtype(self, monkeypatch, args):
+        """The sublayer's value and gradients with the backward in float64,
+        then in float32."""
+        runs = []
+        for dtype in (np.float64, np.float32):
+            monkeypatch.setattr(enc, "BACKWARD_DTYPE", dtype)
+            runs.append(self.sublayer(*args))
+        return runs
+
+    @LIMIT_SIDES
+    def test_float32_backward_matches_float64_at_benchmark_size(self, bound, monkeypatch):
+        # The float32 backward rounds each exponent [q | -L] [k | 1]^T, whose
+        # two parts cancel: an absolute error of a few float32 eps times
+        # |s| + |L|, and L = log rowsum(exp(s)) reaches max|s| + log M. So
+        # each recomputed A entry, and through A each gradient, moves by about
+        # eps32 (2 max|s| + log M) of its size. The probe's largest scores are
+        # 31 and 33, where 1.5e-6 to 3.6e-6 was measured against a tolerance
+        # of 3.3e-5; the factor 4 leaves room for other draws and BLAS builds
+        args, largest_score = self.benchmark_sized_probe(bound)
+        (_, want), (_, got) = self.sublayer_per_backward_dtype(monkeypatch, args)
+        tolerance = 4 * np.finfo(np.float32).eps * (2 * largest_score + np.log(288))
+        assert 10.0 < largest_score < bound / 10.0
+        for have, exact in zip(got, want, strict=True):
+            assert have.dtype == np.float64
+            assert relative_error(have, exact) < tolerance
+        assert not np.array_equal(got[0], want[0])  # the float32 path ran
+
+    @LIMIT_SIDES
+    def test_backward_dtype_never_reaches_the_value(self, bound, monkeypatch):
+        args, _ = self.benchmark_sized_probe(bound)
+        (want, _), (got, _) = self.sublayer_per_backward_dtype(monkeypatch, args)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("change", ["pe_q", "pe_k", "wq", "wv", "wo", "keys"])
     def test_mismatched_shapes_rejected(self, change):
@@ -417,6 +485,7 @@ class TestFuse:
         np.testing.assert_allclose(perm_p, base_p[perm], atol=1e-12)
         np.testing.assert_allclose(perm_i, base_i, atol=1e-12)
 
+    @FLOAT64_BACKWARD
     def test_encode_fuse_gradient_matches_finite_differences(self):
         scene = small_scene()
         p0 = small_params(seed=9)

@@ -349,8 +349,15 @@ class TestProjection:
     H = 1e-6
 
     @classmethod
+    def project(cls, rot, trans, points, targets):
+        """q, the residuals and a for N x 3 points and N x 2 targets."""
+        a = np.zeros((3, 2 * len(points)))
+        q, r = pnp._project(rot, trans, points.T, cls.INTR, targets.T.ravel(), a)
+        return q, r, a
+
+    @classmethod
     def residuals(cls, rot, trans, points):
-        return pnp._project(rot, trans, points, cls.INTR, np.zeros((len(points), 2)))[1]
+        return cls.project(rot, trans, points, np.zeros((len(points), 2)))[1]
 
     def test_gradient_vs_central_differences(self):
         # u_i and v_i depend on q_i alone, so shifting one coordinate of every
@@ -358,7 +365,7 @@ class TestProjection:
         pose, points, _ = random_instance(16, n=8, intr=self.INTR)
         q = pose.apply(points)
         rot, trans = np.eye(3), np.zeros((3, 1))
-        _, _, a = pnp._project(rot, trans, q, self.INTR, np.zeros((8, 2)))
+        _, _, a = self.project(rot, trans, q, np.zeros((8, 2)))
         numeric = [(self.residuals(rot, trans, q + self.H * e)
                     - self.residuals(rot, trans, q - self.H * e)) / (2 * self.H) for e in np.eye(3)]
         np.testing.assert_allclose(a, numeric, rtol=1e-6, atol=1e-6)
@@ -368,7 +375,7 @@ class TestProjection:
         # j-th coordinate of (w, tau), applied as R <- C(w) R, t <- C(w) t + tau
         pose, points, targets = random_instance(17, n=8, intr=self.INTR)
         rot, trans = pose.rotation, pose.translation.reshape(3, 1)
-        q, _, a = pnp._project(rot, trans, points, self.INTR, targets)
+        q, _, a = self.project(rot, trans, points, targets)
         jac = np.vstack([pnp._cross(np.hstack([q, q]), a), a])
 
         def moved(delta):

@@ -122,6 +122,32 @@ def test_training_step_records_one_node_per_fused_loss():
         assert np.any(grads[name] != 0.0), name
 
 
+def test_backward_dtype_never_reaches_a_loss_term(monkeypatch):
+    # attention's backward computes in enc.BACKWARD_DTYPE; no forward value,
+    # and so no term, may depend on it, while the gradients do
+    sample, params = scene_and_params()
+    runs = []
+    for dtype in (np.float64, np.float32):
+        monkeypatch.setattr(enc, "BACKWARD_DTYPE", dtype)
+        terms = []
+
+        def stage(fn, *args):
+            out = fn(*args)
+            if fn in (mt.infonce_loss, mt.overlap_bce_loss, pnp.pose_loss):
+                terms.append(out.value)
+            return out
+
+        tape = ad.Tape()
+        p, loss = training_step(tape, sample, params, stage)
+        tape.backward(loss)
+        runs.append(([*terms, loss.value], pm.gradients(p)))
+    (want, want_grads), (got, got_grads) = runs
+    assert len(got) == 5
+    for have, exact in zip(got, want, strict=True):
+        np.testing.assert_array_equal(have, exact)
+    assert any(not np.array_equal(got_grads[name], want_grads[name]) for name in want_grads)
+
+
 def calibrate_untracked(sample, params):
     """Scene to pose with constant weights; returns every stage's output."""
     p = {name: ad.constant(value) for name, value in params.items()}
