@@ -68,11 +68,11 @@ _keep_freed_memory()
 
 
 def _as_matrix(x) -> Array:
-    """Real input as a 2-D float64 array (a scalar or 1-D input becomes a row)."""
+    """Real 2-D input as a C-contiguous float64 array."""
     arr = real_array(x, "tensor value", ParameterError)
-    if arr.ndim > 2:
+    if arr.ndim != 2:
         raise ShapeError(f"tensors are 2-D matrices, got ndim={arr.ndim}")
-    return np.ascontiguousarray(arr if arr.ndim == 2 else arr.reshape(1, -1))
+    return np.ascontiguousarray(arr)
 
 
 class Tensor:

@@ -53,8 +53,7 @@ class RigidPose:
         return RigidPose(np.eye(3), np.zeros(3))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        """Transform an N x 3 array of points, or one 3-vector as a 1 x 3
-        array, into this pose's target frame."""
+        """Transform an N x 3 array of points into this pose's target frame."""
         pts = _points(points)
         with np.errstate(all="ignore"):  # non-finite points give NaN
             return pts @ self.rotation.T + self.translation
@@ -136,14 +135,15 @@ def sample_augmentation(rng: np.random.Generator, rot_range: float,
 
     The angle is uniform in [-rot_range, rot_range]; the translation is
     uniform in the x-y square of half-width trans_range with zero z.
-    Draw order (angle, tx, ty) is fixed for reproducibility.
+    Draw order (angle, tx, ty) is fixed for reproducibility; a zero range
+    draws too, and gives 0.0.
     """
     ranges = real_array((rot_range, trans_range), "augmentation ranges", ParameterError)
     if not (ranges.shape == (2,) and (0 <= ranges).all() and (ranges < np.inf).all()):
         raise ParameterError(f"augmentation ranges must be finite, >= 0: {rot_range, trans_range}")
-    angle = rng.uniform(-rot_range, rot_range) if rot_range > 0 else 0.0
-    tx = rng.uniform(-trans_range, trans_range) if trans_range > 0 else 0.0
-    ty = rng.uniform(-trans_range, trans_range) if trans_range > 0 else 0.0
+    angle = rng.uniform(-rot_range, rot_range)
+    tx = rng.uniform(-trans_range, trans_range)
+    ty = rng.uniform(-trans_range, trans_range)
     return rotation_from_axis_angle([0.0, 0.0, 1.0], angle), np.array([tx, ty, 0.0])
 
 
@@ -165,12 +165,11 @@ def augment(points, raw: RigidPose, rot, trans) -> tuple[np.ndarray, RigidPose]:
 
 
 def _points(points) -> np.ndarray:
-    """Real N x 3 ``points``, or one 3-vector as 1 x 3, as float64 (not
-    copied if they are), else a ParameterError."""
+    """Real N x 3 ``points`` as float64 (not copied if they are), else a ParameterError."""
     pts = real_array(points, "points", ParameterError)
-    if pts.ndim not in (1, 2) or pts.shape[-1:] != (3,):
-        raise ParameterError(f"points must be N x 3 or one 3-vector, got shape {pts.shape}")
-    return pts.reshape(-1, 3)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ParameterError(f"points must be N x 3, got shape {pts.shape}")
+    return pts
 
 
 def _matrix3(m, what: str) -> np.ndarray:

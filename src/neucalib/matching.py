@@ -125,41 +125,35 @@ def infonce_loss(logits: Tensor, pairs: PairSet, direction: str = "point_to_pixe
     One ``infonce`` node on the overlapping points' rows of the logits, a
     block that holds every candidate pair of both directions: point anchors
     are its rows and pixel anchors its columns, so a direction is the axis
-    it reduces along. The flat pairs, rebased into the block by each point's
-    rank in ``overlap_points``, mask it by 1-D takes and puts. The backward
-    writes its gradient over the block of exps and hands it to the tape as
-    a :class:`~neucalib.autodiff.Block` of those rows. The pairs checked
-    their own rule when built (:class:`~neucalib.scene.PairSet`); here
-    ``pairs.n_pixels`` must be M and the last overlapping point below N.
-    Annulus entries (near but not positive) are -inf for the per-anchor max,
-    so they weigh nothing however large they are, and 0 before and after the
-    exp, which runs several times slower on -inf. With K terms, D_k the
-    denominator of term k and e = exp(shifted logits), the gradient at
-    anchor a is e_aj * sum_{k in P(a)} 1 / D_k / K at each negative j and
+    it reduces along. The pairs, flat indices ``i * M + pixel`` into this
+    block for the i-th point of ``overlap_points``, mask it by 1-D takes and
+    puts: a pair's point anchor is its index // M and its pixel anchor its
+    index % M. The backward writes its gradient over the block of exps and
+    hands it to the tape as a :class:`~neucalib.autodiff.Block` of those
+    rows. The pairs checked their own rule when built
+    (:class:`~neucalib.scene.PairSet`); here ``pairs.n_pixels`` must be M
+    and the last overlapping point below N. Annulus entries (near but not
+    positive) are -inf for the per-anchor max, so they weigh nothing however
+    large they are, and 0 before and after the exp, which runs several times
+    slower on -inf. With K terms, D_k the denominator of term k and
+    e = exp(shifted logits), the gradient at anchor a is
+    e_aj * sum_{k in P(a)} 1 / D_k / K at each negative j and
     (e_ap / D_k - 1) / K at each positive p.
     """
     if not (isinstance(direction, str) and direction in ("point_to_pixel", "pixel_to_point")):
         raise ParameterError(f"unknown InfoNCE direction {direction!r}")
-    cands, (n, m) = pairs.overlap_points, logits.shape
+    cands, near, (n, m) = pairs.overlap_points, pairs.near, logits.shape
     if pairs.n_pixels != m or (cands.size and cands[-1] >= n):
         raise ParameterError(f"pairs of {pairs.n_pixels} pixels and points {cands[-1:]} do not "
                              f"fit logits of {n} rows, {m} columns")
     # the block axis along which an anchor's candidates lie
     axis, n_anchors, width = (1, cands.size, m) if direction == "point_to_pixel" \
         else (0, m, cands.size)
-    rank = np.arange(cands.size)
-
-    def rebase(ids):
-        """Flat pairs as flat block indices, their anchors and the pair count
-        per anchor. A point's pairs are one run of ``ids``, shifted by its rank."""
-        run = np.diff(np.searchsorted(ids, cands * m), append=ids.size)
-        at = ids - np.repeat((cands - rank) * m, run)
-        anchor = np.repeat(rank, run) if axis == 1 else at - np.repeat(rank * m, run)
-        return at, anchor, run if axis == 1 else np.bincount(anchor, minlength=m)
-
-    (pos, pos_anchor, n_pos), (near, _, n_near) = rebase(pairs.positives), rebase(pairs.near)
+    pos_anchor, near_anchor = (pairs.positives // m, near // m) if axis == 1 \
+        else (pairs.positives % m, near % m)
+    n_pos, n_near = (np.bincount(a, minlength=n_anchors) for a in (pos_anchor, near_anchor))
     keep = ((n_pos > 0) & (n_near < width))[pos_anchor]
-    terms, a_idx = pos[keep], pos_anchor[keep]  # ascending, so in row-major order
+    terms, a_idx = pairs.positives[keep], pos_anchor[keep]  # ascending, so in row-major order
     if terms.size == 0:
         raise DegenerateBatchError(f"no usable {direction} anchors")
     block = logits.value[cands]  # a C-ordered copy

@@ -74,7 +74,7 @@ class PoseEstimate:
     pose: RigidPose
 
 
-@dataclass
+@dataclass(frozen=True)
 class RefinedPose:
     """Pose after refinement, with both tape and numpy views.
 

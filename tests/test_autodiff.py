@@ -123,8 +123,8 @@ class TestValues:
         with pytest.raises(ParameterError, match="tensor value"):
             ad.constant(value)
 
-    @pytest.mark.parametrize("value, shape", [(2, (1, 1)), ([1, 2], (1, 2)), (np.ones((3, 2)),
-                                               (3, 2)), (np.ones(0), (1, 0))])
+    @pytest.mark.parametrize("value, shape", [([[2]], (1, 1)), ([[1, 2]], (1, 2)),
+                                              (np.ones((3, 2)), (3, 2)), (np.ones((0, 2)), (0, 2))])
     def test_values_become_float_matrices(self, value, shape):
         t = ad.constant(value)
         assert t.shape == shape and t.value.dtype == np.float64 and t.value.flags.c_contiguous
@@ -132,6 +132,12 @@ class TestValues:
     def test_more_than_two_dimensions_rejected(self):
         with pytest.raises(ShapeError, match="ndim=3"):
             ad.constant(np.ones((1, 1, 1)))
+
+    @pytest.mark.parametrize("value", [2, [1, 2], np.ones(0)], ids=["scalar", "list", "empty"])
+    def test_fewer_than_two_dimensions_rejected(self, value):
+        # a tensor is a matrix: a scalar or a vector is not made into a row
+        with pytest.raises(ShapeError, match="2-D matrices"):
+            ad.constant(value)
 
 
 class TestBackward:

@@ -69,8 +69,8 @@ class TestPoseAlgebra:
         with pytest.raises(ParameterError, match="orthonormal"):
             geo.RigidPose(r, np.zeros(3))
 
-    @pytest.mark.parametrize("points", [np.ones(5), np.ones((2, 2, 3))],
-                             ids=["five", "three_dim"])
+    @pytest.mark.parametrize("points", [np.ones(5), np.ones((2, 2, 3)), np.ones(3)],
+                             ids=["five", "three_dim", "one_vector"])
     def test_non_real_or_misshapen_points_rejected(self, points):
         # numpy would read a 2 x 2 x 3 array as four points
         with pytest.raises(ParameterError, match="points"):
@@ -79,7 +79,7 @@ class TestPoseAlgebra:
     def test_points_read_without_a_copy(self):
         pts = np.ones((4, 3))
         assert np.shares_memory(geo._points(pts), pts)
-        np.testing.assert_array_equal(geo.RigidPose.identity().apply([1, 2, 3]), [[1.0, 2.0, 3.0]])
+        np.testing.assert_array_equal(geo.RigidPose.identity().apply([[1, 2, 3]]), [[1.0, 2.0, 3.0]])
 
     @pytest.mark.parametrize("rotation, translation", [
         (np.eye(2), np.zeros(3)), (np.eye(3).ravel(), np.zeros(3)), (np.eye(3), np.zeros(2)),
@@ -171,10 +171,13 @@ class TestProject:
 
 class TestAugmentation:
     def test_zero_ranges_identity(self):
-        rng = np.random.default_rng(18)
+        # a zero range draws too, as any range does, and the draw gives 0.0
+        rng, twin = np.random.default_rng(18), np.random.default_rng(18)
         rot, trans = geo.sample_augmentation(rng, 0.0, 0.0)
         np.testing.assert_array_equal(rot, np.eye(3))
         np.testing.assert_array_equal(trans, np.zeros(3))
+        twin.random(3)
+        assert rng.random() == twin.random()
 
     @pytest.mark.parametrize("rot_range, trans_range", [
         (math.nan, 1.0), (1.0, math.nan), (-0.1, 1.0), (1.0, -0.1), (math.inf, 1.0),
@@ -222,14 +225,14 @@ class TestAugmentation:
 class TestRecomputeGtPose:
     def test_identity_rotations(self):
         raw = geo.RigidPose(np.eye(3), np.array([1.0, 2.0, 3.0]))
-        _, gt = geo.augment(np.zeros(3), raw, np.eye(3), np.array([0.5, 0.0, 0.0]))
+        _, gt = geo.augment(np.zeros((1, 3)), raw, np.eye(3), np.array([0.5, 0.0, 0.0]))
         np.testing.assert_allclose(gt.translation, [0.5, 2.0, 3.0])
         np.testing.assert_allclose(gt.rotation, np.eye(3))
 
     def test_trivial_augmentation_is_noop(self):
         rng = np.random.default_rng(22)
         raw = random_pose(rng)
-        _, gt = geo.augment(np.zeros(3), raw, np.eye(3), np.zeros(3))
+        _, gt = geo.augment(np.zeros((1, 3)), raw, np.eye(3), np.zeros(3))
         np.testing.assert_allclose(gt.rotation, raw.rotation, atol=1e-15)
         np.testing.assert_allclose(gt.translation, raw.translation, atol=1e-15)
 

@@ -27,7 +27,8 @@ def make_transform(tape, channels, temperature=1.0, raw=None):
 
 
 def pairset(pos, neg):
-    """Pair lists from dense N x M positive and negative masks.
+    """Pair lists from dense N x M positive and negative masks, as flat
+    indices into the block of the overlapping points' rows.
 
     A point with any positive or negative counts as overlapping; its near
     list is every pixel that is not a negative, so entries in neither mask
@@ -39,7 +40,8 @@ def pairset(pos, neg):
     overlap = np.flatnonzero(pos.any(axis=1) | neg.any(axis=1))
     near = np.zeros_like(neg)
     near[overlap] = ~neg[overlap]
-    return sc.PairSet(overlap, pos.shape[1], np.flatnonzero(pos), np.flatnonzero(near), 0, 0)
+    return sc.PairSet(overlap, pos.shape[1], np.flatnonzero(pos[overlap]),
+                      np.flatnonzero(near[overlap]), 0, 0)
 
 
 class TestSimilarity:
@@ -349,9 +351,8 @@ class TestInfoNCE:
             return
         # the pair set refuses itself, whichever direction would read it
         if field == "overlap_points":
-            # the first overlapping point keeps its pairs but leaves
-            # overlap_points, so it may be neither an anchor nor a candidate
-            with pytest.raises(ParameterError, match="outside pairs.overlap_points"):
+            # the block loses its first row, so the last point's pairs lie past it
+            with pytest.raises(ParameterError, match="of a block of"):
                 replace(pairs, overlap_points=pairs.overlap_points[1:])
             return
         # one flat pair index outside the 64 x 64 logits, or not an integer
@@ -775,9 +776,10 @@ RULE_BASES = [rule_base(0, 16, (8, 8)), rule_base(1, 16, (8, 8)), rule_base(2, 3
 def perturbed_index_records(draw):
     """A base, its pair set or its selection, and one change to it: an index
     field made float, bool, a narrower or unsigned integer or 2-D, or given
-    a negative, repeated or swapped entry, an entry past the logits, or (for
-    a pair set) a pair on a point outside ``overlap_points``; a bool, float
-    or wrong ``n_pixels``; or nothing."""
+    a negative, repeated or swapped entry, an entry past the logits (for a
+    pair set, past the block of its K overlapping points' rows), one entry
+    dropped, or (for a pair set) a pair in a row between K and N; a bool,
+    float or wrong ``n_pixels``; or nothing."""
     base = draw(st.sampled_from(RULE_BASES))
     pairs, selection, logits, _ = base
     (n, m), record = logits.shape, draw(st.sampled_from(base[:2]))
@@ -793,12 +795,11 @@ def perturbed_index_records(draw):
     name = draw(st.sampled_from(names))
     idx = getattr(record, name)
     i = draw(st.integers(0, idx.size - 2))
-    if kind == "outside" and record is pairs:
-        if name == "overlap_points":
-            return base, record, {name: np.delete(idx, i)}
-        point = draw(st.sampled_from(np.setdiff1d(np.arange(n), pairs.overlap_points).tolist()))
-        return base, record, {name: np.union1d(idx, [point * m + draw(st.integers(0, m - 1))])}
-    bound = {"point_indices": n, "pixel_indices": m, "overlap_points": n}.get(name, n * m)
+    k = pairs.overlap_points.size
+    if kind == "outside" and name in ("positives", "near"):
+        row = draw(st.integers(k, n - 1))
+        return base, record, {name: np.union1d(idx, [row * m + draw(st.integers(0, m - 1))])}
+    bound = {"point_indices": n, "pixel_indices": m, "overlap_points": n}.get(name, k * m)
     changed = {
         "float": lambda: idx.astype(np.float64), "bool": lambda: idx.astype(bool),
         "narrow": lambda: idx.astype(draw(st.sampled_from([np.int8, np.int32, np.uint64]))),
@@ -847,16 +848,17 @@ class TestPairRule:
             returns_or_raises_neucalib_error(
                 lambda tape: mt.match_coords(tape.parameter(logits), selection, centers, mode))
 
-    # 4 x 3 logits; pairs (point, pixel) (0, 0), (1, 1), (3, 0) and near ones
-    PROBE = sc.PairSet(np.array([0, 1, 3]), 3, np.array([0, 4, 9]), np.array([0, 1, 4, 9, 10]),
+    # 4 x 3 logits; pairs (point, pixel) (0, 0), (1, 1), (3, 0) and near ones,
+    # as (row, pixel) (0, 0), (1, 1), (2, 0) of the block of rows 0, 1 and 3
+    PROBE = sc.PairSet(np.array([0, 1, 3]), 3, np.array([0, 4, 6]), np.array([0, 1, 4, 6, 7]),
                        0, 0)
 
     @pytest.mark.parametrize("change", [
         {"overlap_points": np.array([0.0, 1.0, 3.0])},
         {"overlap_points": np.array([[0, 1, 3]])},
-        {"overlap_points": np.array([-1]), "positives": np.array([9]), "near": np.array([9])},
+        {"overlap_points": np.array([-1]), "positives": np.array([0]), "near": np.array([0])},
         {"overlap_points": np.array([0, 1, 1, 3])},
-        {"positives": np.array([0, 0, 4, 9])}],
+        {"positives": np.array([0, 0, 4, 6])}],
         ids=["float_overlap_points", "2d_overlap_points", "overlap_point_minus_one",
              "repeated_overlap_point", "repeated_positive"])
     def test_malformed_pair_set_refused(self, change):
@@ -907,6 +909,48 @@ def test_exp_sees_only_finite_input(monkeypatch):
     assert got == want
     np.testing.assert_array_equal(grad, want_grad)
     assert grad[0, 1] == grad[1, 4] == 0.0 and not grad[2].any()
+
+
+def dense_infonce(vals, pos, neg):
+    """InfoNCE over the rows of dense masks, with its gradient: each row with
+    a positive and a negative is an anchor, and each of its positives one
+    term against all of its negatives. Plain exps, no shift."""
+    e = np.exp(vals)
+    usable = pos.any(axis=1) & neg.any(axis=1)
+    anchor, p = np.nonzero(pos & usable[:, None])
+    denom = e[anchor, p] + (e * neg).sum(axis=1)[anchor]
+    value = np.mean(np.log(denom) - vals[anchor, p])
+    grad = np.zeros_like(vals)
+    np.add.at(grad, (anchor, p), e[anchor, p] / denom - 1.0)
+    grad += neg * e * np.bincount(anchor, 1.0 / denom, vals.shape[0])[:, None]
+    return value, grad / anchor.size
+
+
+@pytest.mark.parametrize("grid", [(16, 16), (12, 20)])
+def test_infonce_of_built_pairs_matches_dense_masks(grid):
+    """Both directions on the pairs of a generated scene, against N x M
+    masks built from the projections: a positive lies closer than r_p, a
+    near pair within r_n, and a negative is any other overlapping pair."""
+    rng = np.random.default_rng(41)
+    scene = sc.generate_scene(rng, sc.SceneConfig(n_points=96, grid=grid))
+    r_p, r_n = 1.5, 4.0
+    pairs = sc.build_pairs(scene, r_p, r_n)
+    overlap = scene.point_overlap_gt
+    # the overlapping points are no prefix of the points, so a row is no point id
+    assert not overlap[:overlap.sum()].all()
+    d = scene.gt_projection[:, None, :] - sc.pixel_centers(grid)[None, :, :]
+    dist = np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])  # NaN off the overlap
+    pos, neg = dist < r_p, overlap[:, None] & ~(dist <= r_n)
+    vals = rng.normal(size=(scene.n_points, scene.n_pixels)) * 3.0
+    x2p, x2p_grad = dense_infonce(vals.T, pos.T, neg.T)
+    for direction, (want, want_grad) in (("point_to_pixel", dense_infonce(vals, pos, neg)),
+                                         ("pixel_to_point", (x2p, x2p_grad.T))):
+        tape = ad.Tape()
+        logits = tape.parameter(vals)
+        loss = mt.infonce_loss(logits, pairs, direction)
+        tape.backward(loss)
+        assert loss.item() == pytest.approx(float(want), rel=1e-12)
+        np.testing.assert_allclose(logits.grad, want_grad, rtol=1e-12, atol=0.0)
 
 
 def test_learnable_and_cosine_bit_equal_with_identity_transform():

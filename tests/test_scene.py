@@ -239,7 +239,8 @@ class TestGeneration:
             sc.SceneConfig(n_points=4)
 
     @pytest.mark.parametrize("field, value", [("n_points", 10.5), ("n_points", "64"),
-                                              ("grid", (4.5, 8)), ("grid", (16,))])
+                                              ("grid", (4.5, 8)), ("grid", (16,)),
+                                              ("grid", [16, 16])])
     def test_non_integer_size_rejected(self, field, value):
         with pytest.raises(ParameterError, match=field):
             sc.SceneConfig(**{field: value})
@@ -382,7 +383,7 @@ def perturbed_scenes(draw):
         return sample, {"gt_projection": proj}
     if kind == "depth":
         pose, points = sample.raw_pose, sample.points.copy()
-        q = pose.apply(points[i])[0]
+        q = pose.apply(points[i:i + 1])[0]
         q[2] = draw(st.sampled_from([-1.0, 0.0, geo.MIN_DEPTH, 2.0 * geo.MIN_DEPTH, 1.0]))
         points[i] = pose.rotation.T @ (q - pose.translation)
         return sample, {"points": points}
@@ -489,9 +490,10 @@ def dense_pairs(sample: sc.SceneSample, r_p, r_n):
 def assert_matches_dense(sample, r_p, r_n):
     pairs = sc.build_pairs(sample, r_p, r_n)
     pos, near = dense_pairs(sample, r_p, r_n)
-    np.testing.assert_array_equal(pairs.positives, np.flatnonzero(pos))
-    np.testing.assert_array_equal(pairs.near, np.flatnonzero(near))
     overlap = sample.point_overlap_gt
+    # pairs index the block of the overlapping points' rows
+    np.testing.assert_array_equal(pairs.positives, np.flatnonzero(pos[overlap]))
+    np.testing.assert_array_equal(pairs.near, np.flatnonzero(near[overlap]))
     np.testing.assert_array_equal(pairs.overlap_points, np.flatnonzero(overlap))
     assert pairs.n_pixels == sample.n_pixels
     has_pos = pos.any(axis=1)
@@ -546,11 +548,10 @@ class TestBuildPairs:
     def test_huge_negative_margin_degenerates(self):
         sample = make_scene(seed=4, grid=(8, 8), n_points=32)
         pairs = sc.build_pairs(sample, r_p=1.0, r_n=1000.0)
-        overlap = np.flatnonzero(sample.point_overlap_gt)
+        k = np.count_nonzero(sample.point_overlap_gt)
         # every pixel is near every overlapping point, so none has a negative
-        np.testing.assert_array_equal(
-            pairs.near, (overlap[:, None] * 64 + np.arange(64)).ravel())
-        assert pairs.skipped_no_positive + pairs.skipped_no_negative == overlap.size
+        np.testing.assert_array_equal(pairs.near, np.arange(k * 64))
+        assert pairs.skipped_no_positive + pairs.skipped_no_negative == k
 
     def test_matches_brute_force_filter(self):
         for seed, r_p, r_n in [(5, 1.0, 4.0), (6, 0.5, 2.3), (7, 1.5, 1.6), (8, 2.0, 9.0)]:
@@ -646,7 +647,7 @@ class TestSceneIO:
         points = sample.points.copy()
         # move the point along the optical axis to depth -1 in the camera frame
         pose = sample.raw_pose
-        q = pose.apply(points[i])[0]
+        q = pose.apply(points[i:i + 1])[0]
         points[i] = pose.rotation.T @ (np.array([q[0], q[1], -1.0]) - pose.translation)
         with pytest.raises(ConfigError, match="behind the camera"):
             sc._scene_from_bytes(edited_bytes(sample, points=points))

@@ -104,6 +104,15 @@ def test_every_public_field_is_read_outside_its_class():
     assert sorted(planned & read) == []
 
 
+def test_every_public_dataclass_is_frozen():
+    # a record checks its rule where it is built, and no field can change after
+    classes = [getattr(importlib.import_module(f"neucalib.{module}"), name)
+               for name, module in definitions().items()]
+    records = [cls for cls in classes if dataclasses.is_dataclass(cls)]
+    assert records  # the guard sees something
+    assert sorted(cls.__name__ for cls in records if not cls.__dataclass_params__.frozen) == []
+
+
 def test_every_private_definition_has_a_library_caller():
     # tests may call a private helper too, but only a library caller keeps it
     used = referenced_names(sorted(LIBRARY.glob("*.py")))
