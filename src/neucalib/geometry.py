@@ -4,8 +4,11 @@ Everything here is pure numpy on plain arrays; the differentiable pose
 refinement keeps its own projection and its gradient in :mod:`neucalib.pnp`.
 
 Conventions: a pose maps sensor-frame points into the camera frame,
-q = R p + t. Augmentation translates first, then rotates (p' = R_r (p + t_r)),
-which is the unique order under which the recomputed ground-truth pose
+q = R p + t. ``project`` and ``unproject`` state the pinhole model once, on
+the camera frame, as inverses of each other: a caller applies any pose
+first, and a NaN pixel coordinate marks a point the camera cannot see.
+Augmentation translates first, then rotates (p' = R_r (p + t_r)), which is
+the unique order under which the recomputed ground-truth pose
 t_gt = t_raw - R_raw t_r, R_gt = R_raw R_r^-1 reproduces the original
 projections exactly; ``augment`` returns both and the tests pin this identity.
 """
@@ -14,14 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError, real_array
 
 ORTHONORMALITY_TOL = 1e-9
-MIN_DEPTH = 1e-6  # meters; at or below this a projection is flagged invalid
+MIN_DEPTH = 1e-6  # meters; at or below this a point projects to NaN
 _EYE = np.eye(3)
 
 
@@ -48,10 +50,6 @@ class RigidPose:
         if not np.isfinite(t).all():
             raise ParameterError(f"translation must be finite: {t}")
 
-    @staticmethod
-    def identity() -> "RigidPose":
-        return RigidPose(np.eye(3), np.zeros(3))
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform an N x 3 array of points into this pose's target frame."""
         pts = _points(points)
@@ -74,11 +72,6 @@ class CameraIntrinsics:
             raise ParameterError(f"intrinsics must be finite, the focal lengths > 0: {k}")
 
 
-class Projection(NamedTuple):
-    coords: np.ndarray  # N x 2 pixel coordinates, NaN where invalid
-    valid: np.ndarray  # N booleans, False where depth <= MIN_DEPTH or coords are not finite
-
-
 def rotation_from_axis_angle(axis, angle: float) -> np.ndarray:
     """Rodrigues rotation about a unit 3-vector axis by a finite angle."""
     axis, a = real_array(axis, "axis", ParameterError), real_array(angle, "angle", ParameterError)
@@ -96,25 +89,18 @@ def invert(a: RigidPose) -> RigidPose:
     return RigidPose(rt, -rt @ a.translation)
 
 
-def project(points, pose: RigidPose, k: CameraIntrinsics) -> Projection:
-    """Pinhole projection with perspective division.
-
-    Returns pixel coordinates (u along width, v along height) and a
-    validity mask; invalid entries get NaN coordinates rather than raising,
-    since downstream overlap labeling consumes the mask. A valid point has
-    a finite depth above MIN_DEPTH and finite coordinates.
-    """
-    q = pose.apply(points)
+def project(points, k: CameraIntrinsics) -> np.ndarray:
+    """Pinhole projection of N x 3 camera-frame points to N x 2 pixel
+    coordinates (u along width, v along height). A row is NaN, not an error,
+    where its point cannot be seen: the depth is not a finite number above
+    MIN_DEPTH, or a coordinate is not finite (a non-finite or huge point)."""
+    q = _points(points)
     depth = q[:, 2]
-    valid = (depth > MIN_DEPTH) & np.isfinite(depth)
-    safe = np.where(valid, depth, 1.0)
-    coords = np.empty((q.shape[0], 2))
-    with np.errstate(all="ignore"):  # non-finite or huge points give NaN or inf
-        coords[:, 0] = k.fx * q[:, 0] / safe + k.cx
-        coords[:, 1] = k.fy * q[:, 1] / safe + k.cy
-    valid &= np.isfinite(coords[:, 0]) & np.isfinite(coords[:, 1])
-    coords[~valid] = np.nan
-    return Projection(coords, valid)
+    with np.errstate(all="ignore"):  # non-finite, huge or zero-depth points give NaN or inf
+        coords = q[:, :2] * (k.fx, k.fy) / depth[:, None] + (k.cx, k.cy)
+    seen = (depth > MIN_DEPTH) & np.isfinite(depth) & np.isfinite(coords).all(axis=1)
+    coords[~seen] = np.nan
+    return coords
 
 
 def unproject(coords, depth, k: CameraIntrinsics) -> np.ndarray:

@@ -48,7 +48,6 @@ POSE_ROT_SPREAD = 0.3  # radians, raw-pose rotation magnitude
 POSE_TRANS_SPREAD = 1.0  # meters, raw-pose translation magnitude
 PATCH_PLANES = 10  # plane draws per patch before generation gives up
 MIN_OVERLAP = 8  # overlapping points per scene, headroom for the pose solver
-_IDENTITY = geo.RigidPose.identity()
 
 
 @dataclass(frozen=True)
@@ -85,8 +84,9 @@ class SceneSample:
     where it is built, or raises ``ConfigError``: ``grid`` is a tuple of two
     integers >= 1, ``points`` and ``gt_projection`` N x 3 and N x 2 float64
     arrays, the masks boolean arrays of N and H'W'; every point is finite;
-    and every overlapping point has depth > ``geo.MIN_DEPTH`` under
-    ``raw_pose`` and its stored projection in [0, W') x [0, H').
+    every overlapping point has depth > ``geo.MIN_DEPTH`` under
+    ``raw_pose`` and its stored projection in [0, W') x [0, H'); and every
+    other point's stored projection is NaN.
     """
 
     points: np.ndarray  # N x 3, sensor frame
@@ -114,9 +114,11 @@ class SceneSample:
         with np.errstate(all="ignore"):  # huge values overflow and fail the check
             depth = self.raw_pose.apply(self.points.take(on, axis=0))[:, 2]
             if not (np.isfinite(self.points).all() and (depth > geo.MIN_DEPTH).all()
-                    and (uv >= 0.0).all() and (uv < [w, h]).all()):
-                raise ConfigError("scene has a non-finite point, or an overlapping point "
-                                  "behind the camera or projected outside the grid")
+                    and (uv >= 0.0).all() and (uv < [w, h]).all()
+                    and np.isnan(self.gt_projection[~self.point_overlap_gt]).all()):
+                raise ConfigError("scene has a non-finite point, an overlapping point "
+                                  "behind the camera or projected outside the grid, or a "
+                                  "non-overlapping point whose projection is not NaN")
 
     @property
     def n_points(self) -> int:
@@ -136,15 +138,16 @@ def pixel_centers(grid: tuple[int, int]) -> np.ndarray:
     return np.stack([u.reshape(-1), v.reshape(-1)], axis=1).astype(np.float64)
 
 
-def _point_overlap_labels(points, pose, k: geo.CameraIntrinsics,
-                         grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Exact overlap mask and projections for points under a pose."""
+def _point_overlap_labels(cam_pts, k: geo.CameraIntrinsics,
+                          grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Exact overlap mask of N x 3 camera-frame points, those projecting into
+    [0, W') x [0, H'), and their projections, NaN on every other row."""
     h, w = grid
-    proj = geo.project(points, pose, k)
-    u, v = proj.coords.T
-    with np.errstate(invalid="ignore"):
-        overlap = proj.valid & (u >= 0) & (u < w) & (v >= 0) & (v < h)
-    coords = np.where(overlap[:, None], proj.coords, np.nan)
+    coords = geo.project(cam_pts, k)
+    u, v = coords.T
+    with np.errstate(invalid="ignore"):  # a NaN compares as outside the grid
+        overlap = (u >= 0) & (u < w) & (v >= 0) & (v < h)
+    coords[~overlap] = np.nan
     return overlap, coords
 
 
@@ -264,11 +267,10 @@ def _sample_patch(rng: np.random.Generator, k: geo.CameraIntrinsics,
 
     Each uniform draw, the plane's scalars and a batch's (u, v) offsets in
     [-radius, radius), is ``rng.uniform``'s double through ``_uniform``.
-    A ray is ``geo.unproject`` at depth 1.0 without the multiply by 1.0,
-    which changes no bit.
+    A ray is ``geo.unproject`` of its (u, v) at depth 1.0.
     """
     h, w = grid
-    c, f, edge = np.array([k.cx, k.cy]), np.array([k.fx, k.fy]), np.array([w - 0.1, h - 0.1])
+    edge = np.array([w - 0.1, h - 0.1])
     for _ in range(PATCH_PLANES):
         center_uv = np.array([_uniform(rng, 1.0, w - 1.0), _uniform(rng, 1.0, h - 1.0)])
         z0 = _uniform(rng, Z_NEAR, Z_FAR)
@@ -282,8 +284,7 @@ def _sample_patch(rng: np.random.Generator, k: geo.CameraIntrinsics,
             state, need = rng.bit_generator.state, size - got
             batch = min(2 * need, 100 * size - attempts)
             uv = center_uv + _uniform(rng, -radius, radius, (batch, 2))
-            rays = np.ones((batch, 3))
-            rays[:, :2] = (uv - c) / f
+            rays = geo.unproject(uv, np.ones(batch), k)
             denom = np.matmul(rays[:, None, :], normal)[:, 0]
             ok = ((0.1 <= uv) & (uv <= edge)).all(axis=1) & (np.abs(denom) >= 1e-3)
             z = offset / np.where(ok, denom, 1.0)
@@ -305,7 +306,8 @@ def _sample_patch(rng: np.random.Generator, k: geo.CameraIntrinsics,
                           f"on any of {PATCH_PLANES} planes")
 
 
-def _sample_in_frustum(rng: np.random.Generator, cfg: SceneConfig, count: int) -> np.ndarray:
+def _sample_in_frustum(rng: np.random.Generator, k: geo.CameraIntrinsics,
+                       grid: tuple[int, int], count: int) -> np.ndarray:
     """Camera-frame points from planar patches plus box noise, all of which
     project inside the grid with depth in a safe band.
 
@@ -318,20 +320,20 @@ def _sample_in_frustum(rng: np.random.Generator, cfg: SceneConfig, count: int) -
     matrix-vector product or a written-out sum rounds differently in some
     rows and would move points.
     """
-    h, w = cfg.grid
-    k = cfg.intrinsics()
+    h, w = grid
     n_noise = int(round(count * NOISE_FRACTION))
     n_patch = count - n_noise
     # count >= MIN_OVERLAP gives n_patch >= 6, so each patch gets at least 2 points
     sizes = np.full(N_PATCHES, n_patch // N_PATCHES)
     sizes[: n_patch - sizes.sum()] += 1
-    pts = [_sample_patch(rng, k, cfg.grid, size) for size in sizes]
+    pts = [_sample_patch(rng, k, grid, size) for size in sizes]
     uvz = rng.uniform([0.1, 0.1, Z_NEAR], [w - 0.1, h - 0.1, Z_FAR], (n_noise, 3))
     pts.append(geo.unproject(uvz[:, :2], uvz[:, 2], k))
     return np.vstack(pts)
 
 
-def _sample_out_of_frustum(rng: np.random.Generator, cfg: SceneConfig, count: int) -> np.ndarray:
+def _sample_out_of_frustum(rng: np.random.Generator, k: geo.CameraIntrinsics,
+                           grid: tuple[int, int], count: int) -> np.ndarray:
     """Camera-frame points that do not overlap the grid.
 
     No point can overlap: one behind the camera has depth at most -1, below
@@ -342,8 +344,7 @@ def _sample_out_of_frustum(rng: np.random.Generator, cfg: SceneConfig, count: in
     ``_uniform``, and the branch coin ``rng.random() < 0.5`` is
     ``rng.uniform() < 0.5``, whose double is ``0.0 + 1.0 * next_double``.
     """
-    h, w = cfg.grid
-    k = cfg.intrinsics()
+    h, w = grid
     pts = np.empty((count, 3))
     side = np.zeros(count, dtype=bool)
     for i in range(count):
@@ -355,7 +356,7 @@ def _sample_out_of_frustum(rng: np.random.Generator, cfg: SceneConfig, count: in
             pts[i] = (u, _uniform(rng, -h, 2.0 * h), _uniform(rng, Z_NEAR, Z_FAR))
             side[i] = True
     pts[side] = geo.unproject(pts[side, :2], pts[side, 2], k)
-    overlap, _ = _point_overlap_labels(pts, _IDENTITY, k, cfg.grid)
+    overlap, _ = _point_overlap_labels(pts, k, grid)
     if overlap.any():
         raise GenerationError(f"{int(overlap.sum())} out-of-frustum points overlap the grid")
     return pts
@@ -373,12 +374,12 @@ def generate_scene(rng: np.random.Generator, config: SceneConfig) -> SceneSample
     frac = _uniform(rng, *OVERLAP_BAND)
     n_in = min(config.n_points, max(MIN_OVERLAP, int(round(frac * config.n_points))))
 
-    cam_pts = np.vstack([_sample_in_frustum(rng, config, n_in),
-                         _sample_out_of_frustum(rng, config, config.n_points - n_in)])
+    cam_pts = np.vstack([_sample_in_frustum(rng, k, config.grid, n_in),
+                         _sample_out_of_frustum(rng, k, config.grid, config.n_points - n_in)])
     cam_pts = cam_pts[rng.permutation(config.n_points)]
     points = geo.invert(raw_pose).apply(cam_pts)
 
-    overlap, coords = _point_overlap_labels(points, raw_pose, k, config.grid)
+    overlap, coords = _point_overlap_labels(raw_pose.apply(points), k, config.grid)
     if overlap.sum() < MIN_OVERLAP:
         raise GenerationError(f"only {int(overlap.sum())} overlapping points after construction")
     return SceneSample(points=points, intrinsics=k, raw_pose=raw_pose, grid=config.grid,
@@ -444,7 +445,7 @@ def _scene_from_bytes(blob) -> tuple[SceneSample, int]:
 
 
 def write_dataset(out_dir, scenes: list[SceneSample], config: SceneConfig,
-                  seed: int) -> Path:
+                  seed: int) -> None:
     """Write ``out_dir/scenes.nclr``, once ``config`` is known to be a
     ``SceneConfig``, ``scenes`` a list of ``SceneSample`` of its size and
     ``seed`` an integer in [0, 2**64)."""
@@ -466,7 +467,6 @@ def write_dataset(out_dir, scenes: list[SceneSample], config: SceneConfig,
     except (OSError, TypeError, ValueError) as err:  # not a path, or a NUL byte in it
         raise ConfigError(f"cannot make dataset directory {out_dir}: {err}") from err
     write_file(out / DATASET_FILE, blob, "dataset file")
-    return out
 
 
 def load_dataset(data_dir) -> list[SceneSample]:

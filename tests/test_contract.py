@@ -51,7 +51,7 @@ S_P, S_I = mt.overlap_scores(F_P, F_I, WEIGHTS)
 PAIRS = sc.build_pairs(SCENE, 1.0, 4.0)
 SELECTION = mt.OverlapSelection(OVERLAP, PIXELS, False, False)
 PROBLEM = pnp.PnPProblem(SCENE.points[OVERLAP], SCENE.gt_projection[OVERLAP], SCENE.intrinsics)
-EYE = geo.RigidPose.identity()
+EYE = geo.RigidPose(np.eye(3), np.zeros(3))
 ONES = np.ones((2, 3))
 
 
@@ -102,7 +102,6 @@ TABLE = {
     # geometry
     "CameraIntrinsics": (ParameterError, lambda fx=12.0, fy=12.0, cx=4.0, cy=4.0:
                          geo.CameraIntrinsics(fx, fy, cx, cy)),
-    "Projection": (NeucalibError, lambda: geo.Projection(np.zeros((1, 2)), np.ones(1, bool))),
     "RigidPose": (ParameterError, lambda rotation=np.eye(3), translation=np.zeros(3),
                   points=ONES: geo.RigidPose(rotation, translation).apply(points)),
     "augment": (ParameterError, lambda points=ONES, rot=np.eye(3), trans=np.zeros(3):
@@ -110,8 +109,7 @@ TABLE = {
     "geodesic_angle": (ParameterError, lambda r_a=np.eye(3), r_b=np.eye(3):
                        geo.geodesic_angle(r_a, r_b)),
     "invert": (NeucalibError, lambda: geo.invert(SCENE.raw_pose)),
-    "project": (ParameterError, lambda points=ONES: geo.project(points, SCENE.raw_pose,
-                                                                 SCENE.intrinsics)),
+    "project": (ParameterError, lambda points=ONES: geo.project(points, SCENE.intrinsics)),
     "project_to_so3": (ParameterError, lambda m=np.eye(3): geo.project_to_so3(m)),
     "rotation_from_axis_angle": (ParameterError, lambda axis=np.array([0.0, 0.6, 0.8]),
                                  angle=0.3: geo.rotation_from_axis_angle(axis, angle)),

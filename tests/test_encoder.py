@@ -88,7 +88,7 @@ class TestEncode:
         points = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 9.0], [0.0, 0.0, 4.0]])
         scene = sc.SceneSample(
             points=points, intrinsics=geo.CameraIntrinsics(1.0, 1.0, 0.0, 0.0),
-            raw_pose=geo.RigidPose.identity(), grid=(8, 8),
+            raw_pose=geo.RigidPose(np.eye(3), np.zeros(3)), grid=(8, 8),
             point_overlap_gt=np.array([False, True, True]),
             pixel_overlap_gt=np.zeros(64, dtype=bool), gt_projection=proj)
         tex = enc._pixel_texture(scene)

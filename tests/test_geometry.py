@@ -17,6 +17,7 @@ def random_pose(rng) -> geo.RigidPose:
 
 
 INTR = geo.CameraIntrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0)
+EYE = geo.RigidPose(np.eye(3), np.zeros(3))
 
 
 class TestRotation:
@@ -46,7 +47,7 @@ class TestPoseAlgebra:
     def test_identity_neutral(self):
         rng = np.random.default_rng(12)
         pts = rng.normal(size=(4, 3))
-        np.testing.assert_array_equal(geo.RigidPose.identity().apply(pts), pts)
+        np.testing.assert_array_equal(EYE.apply(pts), pts)
 
     def test_inverse(self):
         rng = np.random.default_rng(13)
@@ -74,12 +75,12 @@ class TestPoseAlgebra:
     def test_non_real_or_misshapen_points_rejected(self, points):
         # numpy would read a 2 x 2 x 3 array as four points
         with pytest.raises(ParameterError, match="points"):
-            geo.RigidPose.identity().apply(points)
+            EYE.apply(points)
 
     def test_points_read_without_a_copy(self):
         pts = np.ones((4, 3))
         assert np.shares_memory(geo._points(pts), pts)
-        np.testing.assert_array_equal(geo.RigidPose.identity().apply([[1, 2, 3]]), [[1.0, 2.0, 3.0]])
+        np.testing.assert_array_equal(EYE.apply([[1, 2, 3]]), [[1.0, 2.0, 3.0]])
 
     @pytest.mark.parametrize("rotation, translation", [
         (np.eye(2), np.zeros(3)), (np.eye(3).ravel(), np.zeros(3)), (np.eye(3), np.zeros(2)),
@@ -127,26 +128,20 @@ class TestIntrinsics:
 
 class TestProject:
     def test_optical_axis(self):
-        res = geo.project([[0.0, 0.0, 5.0]], geo.RigidPose.identity(), INTR)
-        np.testing.assert_allclose(res.coords, [[50.0, 50.0]])
-        assert res.valid[0]
+        np.testing.assert_allclose(geo.project([[0.0, 0.0, 5.0]], INTR), [[50.0, 50.0]])
 
     def test_offset_point(self):
-        res = geo.project([[1.0, 0.0, 5.0]], geo.RigidPose.identity(), INTR)
-        np.testing.assert_allclose(res.coords, [[70.0, 50.0]])
+        np.testing.assert_allclose(geo.project([[1.0, 0.0, 5.0]], INTR), [[70.0, 50.0]])
 
     def test_behind_camera_flagged(self):
-        res = geo.project([[0.0, 0.0, -1.0]], geo.RigidPose.identity(), INTR)
-        assert not res.valid[0]
-        assert np.isnan(res.coords[0]).all()
-        # a camera-frame point that is not all finite is invalid too: the
-        # rotation turns [0, 0, inf] into [NaN, NaN, inf], and a huge x
-        # overflows its pixel coordinate
-        bad = [[0.0, 0.0, np.inf], [np.inf, 0.0, 5.0], [0.0, -np.inf, 5.0], [np.nan, 0.0, 5.0],
-               [0.0, 0.0, np.nan], [1e308, 0.0, 5.0], [0.0, 0.0, 5.0]]
-        res = geo.project(bad, geo.RigidPose.identity(), INTR)
-        np.testing.assert_array_equal(res.valid, [False] * 6 + [True])
-        assert np.isnan(res.coords[:6]).all() and np.isfinite(res.coords[6]).all()
+        assert np.isnan(geo.project([[0.0, 0.0, -1.0]], INTR)).all()
+        # a point at or below MIN_DEPTH, or not all finite, cannot be seen
+        # either, and a huge x overflows its pixel coordinate
+        bad = [[0.0, 0.0, 0.0], [0.0, 0.0, geo.MIN_DEPTH], [0.0, 0.0, np.inf],
+               [np.inf, 0.0, 5.0], [0.0, -np.inf, 5.0], [np.nan, 0.0, 5.0], [0.0, 0.0, np.nan],
+               [1e308, 0.0, 5.0], [0.0, 0.0, 5.0]]
+        coords = geo.project(bad, INTR)
+        assert np.isnan(coords[:8]).all() and np.isfinite(coords[8]).all()
 
     def test_unproject_round_trip(self):
         rng = np.random.default_rng(16)
@@ -154,19 +149,19 @@ class TestProject:
         depth = rng.uniform(1.0, 30.0, 64)
         pts = geo.unproject(coords, depth, INTR)
         np.testing.assert_array_equal(pts[:, 2], depth)
-        res = geo.project(pts, geo.RigidPose.identity(), INTR)
-        np.testing.assert_allclose(res.coords, coords, atol=1e-9)
+        np.testing.assert_allclose(geo.project(pts, INTR), coords, atol=1e-9)
 
-    def test_pose_equivariance(self):
-        # projecting under a pose == projecting the transformed points
+    def test_project_round_trip(self):
+        # unproject inverts project on every point in front of the camera,
+        # and a point behind it projects to a NaN row
         rng = np.random.default_rng(17)
-        pose = random_pose(rng)
         pts = rng.uniform(-3, 3, (32, 3))
-        lhs = geo.project(pts, pose, INTR)
-        rhs = geo.project(pose.apply(pts), geo.RigidPose.identity(), INTR)
-        np.testing.assert_array_equal(lhs.valid, rhs.valid)
-        both = lhs.valid & rhs.valid
-        np.testing.assert_allclose(lhs.coords[both], rhs.coords[both], atol=1e-9)
+        coords = geo.project(pts, INTR)
+        seen = pts[:, 2] > geo.MIN_DEPTH
+        assert 0 < seen.sum() < 32
+        assert np.isnan(coords[~seen]).all()
+        np.testing.assert_allclose(geo.unproject(coords[seen], pts[seen, 2], INTR), pts[seen],
+                                   atol=1e-9)
 
 
 class TestAugmentation:
@@ -206,7 +201,7 @@ class TestAugmentation:
 
     def test_identity_augmentation_keeps_points(self):
         pts = np.random.default_rng(21).normal(size=(8, 3))
-        out, _ = geo.augment(pts, geo.RigidPose.identity(), np.eye(3), np.zeros(3))
+        out, _ = geo.augment(pts, EYE, np.eye(3), np.zeros(3))
         np.testing.assert_array_equal(out, pts)
 
     @pytest.mark.parametrize("rot, trans", [(np.eye(3).ravel(), np.zeros(3)),
@@ -214,11 +209,11 @@ class TestAugmentation:
                              ids=["flat_rotation", "column_translation"])
     def test_non_real_or_misshapen_augmentation_rejected(self, rot, trans):
         with pytest.raises(ParameterError, match="augmentation"):
-            geo.augment(np.zeros((2, 3)), geo.RigidPose.identity(), rot, trans)
+            geo.augment(np.zeros((2, 3)), EYE, rot, trans)
 
     def test_pure_translation(self):
         pts = np.zeros((2, 3))
-        out, _ = geo.augment(pts, geo.RigidPose.identity(), np.eye(3), [1.0, 2.0, 0.0])
+        out, _ = geo.augment(pts, EYE, np.eye(3), [1.0, 2.0, 0.0])
         np.testing.assert_allclose(out, [[1, 2, 0], [1, 2, 0]])
 
 
@@ -250,10 +245,10 @@ class TestRecomputeGtPose:
                             rng.uniform(1.0, 30.0, 16)], axis=1)
             pts = geo.invert(raw).apply(cam)
             aug, gt = geo.augment(pts, raw, rot, trans)
-            before = geo.project(pts, raw, INTR)
-            after = geo.project(aug, gt, INTR)
-            np.testing.assert_array_equal(before.valid, after.valid)
-            assert np.max(np.abs(before.coords - after.coords)) < 1e-9
+            before = geo.project(raw.apply(pts), INTR)
+            after = geo.project(gt.apply(aug), INTR)
+            np.testing.assert_array_equal(np.isnan(before), np.isnan(after))
+            assert np.max(np.abs(before - after)) < 1e-9
 
 
 @settings(max_examples=100)

@@ -13,6 +13,7 @@ from neucalib.errors import SolveError
 from tape_probe import finite_difference_check, weighted_sum
 
 INTR = geo.CameraIntrinsics(fx=100.0, fy=100.0, cx=32.0, cy=32.0)
+EYE = geo.RigidPose(np.eye(3), np.zeros(3))
 
 
 def random_instance(seed, n=64, intr=INTR):
@@ -25,7 +26,7 @@ def random_instance(seed, n=64, intr=INTR):
     cam = np.stack([rng.uniform(-4, 4, n), rng.uniform(-4, 4, n),
                     rng.uniform(4.0, 20.0, n)], axis=1)
     points = geo.invert(pose).apply(cam)
-    targets = geo.project(points, pose, intr).coords
+    targets = geo.project(pose.apply(points), intr)
     return pose, points, targets
 
 
@@ -63,7 +64,7 @@ class TestEpnpInit:
         rng = np.random.default_rng(1)
         points = np.stack([rng.uniform(-4, 4, 32), rng.uniform(-4, 4, 32),
                            rng.uniform(4, 20, 32)], axis=1)
-        targets = geo.project(points, geo.RigidPose.identity(), INTR).coords
+        targets = geo.project(points, INTR)
         est = pnp.epnp_init(pnp.PnPProblem(points, targets, INTR))
         np.testing.assert_allclose(est.rotation, np.eye(3), atol=1e-6)
         np.testing.assert_allclose(est.translation, np.zeros(3), atol=1e-6)
@@ -75,7 +76,7 @@ class TestEpnpInit:
         pose = geo.RigidPose(geo.rotation_from_axis_angle([0.0, 0.6, 0.8], 0.7), [0.5, -1.0, 2.0])
         cam = rng.normal(size=(20, 3)) * [20.0, 1.0, 0.5] + [0.0, 0.0, 30.0]
         points = geo.invert(pose).apply(cam)
-        targets = geo.project(points, pose, INTR).coords
+        targets = geo.project(pose.apply(points), INTR)
         dt, dr = pose_errors(pnp.epnp_init(pnp.PnPProblem(points, targets, INTR)), pose)
         assert dt < 1e-6 and dr < 1e-6
 
@@ -125,7 +126,7 @@ class TestEpnpInit:
         rng = np.random.default_rng(4)
         points = np.stack([rng.uniform(-3, 3, 16), rng.uniform(-3, 3, 16),
                            np.full(16, 8.0)], axis=1)
-        targets = geo.project(points, geo.RigidPose.identity(), INTR).coords
+        targets = geo.project(points, INTR)
         with pytest.raises(SolveError, match="coplanar|collinear"):
             pnp.epnp_init(pnp.PnPProblem(points, targets, INTR))
 
@@ -247,7 +248,7 @@ class TestPoseLoss:
     @staticmethod
     def loss_of(gt):
         """The pose loss as a function of a tracked 3 x 4 pose."""
-        estimate = pnp.PoseEstimate(geo.RigidPose.identity())
+        estimate = pnp.PoseEstimate(EYE)
         return lambda ps: pnp.pose_loss(pnp.RefinedPose(ps[0], estimate, []), gt)
 
     def test_zero_at_truth(self):
@@ -255,7 +256,7 @@ class TestPoseLoss:
         assert pnp.pose_loss(refined, self.GT).item() == pytest.approx(0.0, abs=1e-30)
 
     def test_quadratic_branch_translation(self):
-        gt = geo.RigidPose.identity()
+        gt = EYE
         refined = self.make_refined(np.eye(3), np.array([0.5, 0.0, 0.0]))
         assert pnp.pose_loss(refined, gt).item() == pytest.approx(0.125, abs=1e-15)
 
@@ -268,14 +269,14 @@ class TestPoseLoss:
         assert pnp.pose_loss(refined, self.GT).item() == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_branch_translation(self):
-        gt = geo.RigidPose.identity()
+        gt = EYE
         refined = self.make_refined(np.eye(3), np.array([2.0, 0.0, 0.0]))
         assert pnp.pose_loss(refined, gt).item() == pytest.approx(1.5, abs=1e-15)
 
     def test_half_turn_rotation_value(self):
         # R_gt^T R = rotation by pi about z: diag(-1, -1, 1) - I has two
         # entries of -2, each contributing delta * (2 - 0.5 delta) = 1.5
-        gt = geo.RigidPose.identity()
+        gt = EYE
         refined = self.make_refined(about_z(math.pi), np.zeros(3))
         assert pnp.pose_loss(refined, gt).item() == pytest.approx(3.0, abs=1e-12)
 
@@ -304,7 +305,7 @@ class TestPoseLoss:
     def test_kink_reported_not_asserted(self):
         # e_t[0] sits exactly on the Huber kink; the subgradient mismatch is
         # expected, we only require the checker to return a finite number
-        gt = geo.RigidPose.identity()
+        gt = EYE
         pose0 = pose_matrix(np.eye(3), [-1.0, 0.0, 0.0])
         assert math.isfinite(finite_difference_check(self.loss_of(gt), [pose0]))
 

@@ -107,7 +107,7 @@ def oracle_out_of_frustum(rng, cfg, count):
                 u = rng.uniform(w + 2.0, 3.0 * w) * rng.choice([-1.0, 1.0])
                 v = rng.uniform(-h, 2.0 * h)
                 q = geo.unproject(np.array([[u, v]]), [rng.uniform(sc.Z_NEAR, sc.Z_FAR)], k)[0]
-            overlap, _ = sc._point_overlap_labels(q[None, :], geo.RigidPose.identity(), k, cfg.grid)
+            overlap, _ = sc._point_overlap_labels(q[None, :], k, cfg.grid)
             if not overlap[0]:
                 pts[i] = q
                 break
@@ -186,7 +186,7 @@ class TestGeneration:
                     expected = oracle(ref, cfg, n)
                 except GenerationError:  # the library redraws the patch instead
                     continue
-                got = library(ours, cfg, n)
+                got = library(ours, cfg.intrinsics(), cfg.grid, n)
                 assert got.tobytes() == expected.tobytes()
                 assert ours.bit_generator.state == ref.bit_generator.state
                 compared += 1
@@ -230,9 +230,8 @@ class TestGeneration:
 
     def test_behind_camera_not_overlapping(self):
         k = sc.SceneConfig().intrinsics()
-        overlap, _ = sc._point_overlap_labels(
-            [[0.0, 0.0, -5.0]], geo.RigidPose.identity(), k, (16, 16))
-        assert not overlap[0]
+        overlap, coords = sc._point_overlap_labels([[0.0, 0.0, -5.0]], k, (16, 16))
+        assert not overlap[0] and np.isnan(coords[0]).all()
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ParameterError):
@@ -249,11 +248,11 @@ class TestGeneration:
         cfg = sc.SceneConfig(n_points=np.int64(32), grid=(np.int32(8), np.int64(8)))
         assert cfg == sc.SceneConfig(n_points=32, grid=(8, 8))
         assert type(cfg.n_points) is int and all(type(g) is int for g in cfg.grid)
-        out = sc.write_dataset(tmp_path, [sc.generate_scene(np.random.default_rng(0), cfg)],
-                               cfg, seed=np.int64(3))
-        head = (out / sc.DATASET_FILE).read_bytes()[:HEAD_SIZE]
+        sc.write_dataset(tmp_path, [sc.generate_scene(np.random.default_rng(0), cfg)], cfg,
+                         seed=np.int64(3))
+        head = (tmp_path / sc.DATASET_FILE).read_bytes()[:HEAD_SIZE]
         assert head == sc.DATASET_MAGIC + struct.pack("<IIQ", sc.FORMAT_VERSION, 1, 3)
-        assert len(sc.load_dataset(out)) == 1
+        assert len(sc.load_dataset(tmp_path)) == 1
 
     @pytest.mark.parametrize("seed", ["3", 3.5, -1, None, True, False, np.True_, 2 ** 64])
     def test_bad_dataset_seed_rejected_before_writing(self, tmp_path, seed):
@@ -287,23 +286,29 @@ class TestGeneration:
         of the sequence that SEQUENCE_DIGEST pins."""
         rng, cfg = np.random.default_rng(301), sc.SceneConfig(n_points=256, grid=(16, 16))
         scenes = [sc.generate_scene(rng, cfg) for _ in range(4)]
-        blobs = [(sc.write_dataset(tmp_path / name, scenes, cfg, 301) / sc.DATASET_FILE)
-                 .read_bytes() for name in ("a", "b")]
+        for name in ("a", "b"):
+            sc.write_dataset(tmp_path / name, scenes, cfg, 301)
+        blobs = [(tmp_path / name / sc.DATASET_FILE).read_bytes() for name in ("a", "b")]
         assert blobs[0] == blobs[1]
         assert blobs[0][:HEAD_SIZE] == b"NCLD" + struct.pack("<IIQ", 1, 4, 301)
         assert hashlib.sha256(blobs[0][HEAD_SIZE:]).hexdigest() == SEQUENCE_DIGEST
 
-    def test_augment_scene_preserves_labels_and_projection(self):
-        sample = make_scene(seed=9)
+    @pytest.mark.parametrize("n_points, grid", [(256, (16, 16)), (512, (24, 24))])
+    def test_augment_scene_preserves_labels_and_projection(self, n_points, grid):
+        sample = make_scene(seed=9, n_points=n_points, grid=grid)
         rng = np.random.default_rng(1)
         rot, trans = geo.sample_augmentation(rng, np.pi, 5.0)
         aug = sc.augment_scene(sample, rot, trans)
         assert not np.allclose(aug.points, sample.points)
         np.testing.assert_array_equal(aug.point_overlap_gt, sample.point_overlap_gt)
-        proj = geo.project(aug.points, aug.raw_pose, aug.intrinsics)
+        proj = geo.project(aug.raw_pose.apply(aug.points), aug.intrinsics)
         ok = sample.point_overlap_gt
-        np.testing.assert_allclose(
-            proj.coords[ok], sample.gt_projection[ok], atol=1e-9)
+        np.testing.assert_allclose(proj[ok], sample.gt_projection[ok], atol=1e-9)
+        # the pixel texture reads each overlapping point's depth under the
+        # recomputed pose, which moves it by rounding alone
+        texture = enc._pixel_texture(sample)
+        np.testing.assert_allclose(enc._pixel_texture(aug), texture, rtol=0.0,
+                                   atol=8 * np.finfo(np.float64).eps * texture.max())
 
 
 def generator_bounds(grid):
@@ -432,6 +437,17 @@ class TestSceneRule:
         with pytest.raises(ConfigError, match="outside the grid"):
             replace(sample, gt_projection=proj)
 
+    def test_number_on_a_non_overlapping_row_refused(self):
+        # NaN marks a point that does not overlap; a reader could take a
+        # number there for a projection
+        sample = make_scene(seed=7)
+        proj = sample.gt_projection.copy()
+        proj[np.flatnonzero(~sample.point_overlap_gt)[0]] = [3.0, 4.0]
+        with pytest.raises(ConfigError, match="not NaN"):
+            replace(sample, gt_projection=proj)
+        with pytest.raises(ConfigError, match="not NaN"):
+            sc._scene_from_bytes(edited_bytes(sample, projection=proj))
+
     def test_short_point_mask_refused(self):
         sample = make_scene(seed=7)
         with pytest.raises(ConfigError, match="point_overlap_gt"):
@@ -466,7 +482,7 @@ def with_projections(grid, proj) -> sc.SceneSample:
     points = np.zeros((len(proj), 3))
     points[overlap, 2] = 1.0
     return sc.SceneSample(points=points, intrinsics=k,
-                          raw_pose=geo.RigidPose.identity(), grid=grid,
+                          raw_pose=geo.RigidPose(np.eye(3), np.zeros(3)), grid=grid,
                           point_overlap_gt=overlap,
                           pixel_overlap_gt=np.zeros(h * w, dtype=bool),
                           gt_projection=proj)
@@ -604,8 +620,8 @@ def edited_bytes(sample: sc.SceneSample, **fields) -> bytes:
 class TestSceneIO:
     def test_round_trip_bit_exact(self, tmp_path):
         sample = make_scene(seed=6)
-        out = sc.write_dataset(tmp_path, [sample], sc.SceneConfig(), seed=6)
-        (loaded,) = sc.load_dataset(out)
+        sc.write_dataset(tmp_path, [sample], sc.SceneConfig(), seed=6)
+        (loaded,) = sc.load_dataset(tmp_path)
         assert np.array_equal(loaded.points, sample.points)
         assert np.array_equal(loaded.gt_projection, sample.gt_projection, equal_nan=True)
         assert np.array_equal(loaded.point_overlap_gt, sample.point_overlap_gt)
@@ -614,7 +630,7 @@ class TestSceneIO:
         assert np.array_equal(loaded.raw_pose.translation, sample.raw_pose.translation)
         assert loaded.intrinsics == sample.intrinsics and loaded.grid == sample.grid
         # serialization itself is deterministic
-        assert sc.scene_to_bytes(loaded) == (out / sc.DATASET_FILE).read_bytes()[HEAD_SIZE:]
+        assert sc.scene_to_bytes(loaded) == (tmp_path / sc.DATASET_FILE).read_bytes()[HEAD_SIZE:]
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -721,8 +737,8 @@ class TestSceneIO:
     def test_dataset_round_trip(self, tmp_path):
         cfg = sc.SceneConfig(n_points=32, grid=(8, 8))
         scenes = [sc.generate_scene(np.random.default_rng([3, i]), cfg) for i in range(3)]
-        out = sc.write_dataset(tmp_path / "data", scenes, cfg, seed=3)
-        loaded = sc.load_dataset(out)
+        sc.write_dataset(tmp_path / "data", scenes, cfg, seed=3)
+        loaded = sc.load_dataset(tmp_path / "data")
         assert len(loaded) == 3
         for a, b in zip(scenes, loaded):
             assert np.array_equal(a.points, b.points)
@@ -733,7 +749,8 @@ class TestSceneIO:
     def test_malformed_dataset_rejected(self, tmp_path, case):
         cfg = sc.SceneConfig(n_points=32, grid=(8, 8))
         scenes = [sc.generate_scene(np.random.default_rng([4, i]), cfg) for i in range(3)]
-        out = sc.write_dataset(tmp_path / "data", scenes, cfg, seed=4)
+        out = tmp_path / "data"
+        sc.write_dataset(out, scenes, cfg, seed=4)
         path = out / sc.DATASET_FILE
         blob = path.read_bytes()
         record = len(sc.scene_to_bytes(scenes[0]))

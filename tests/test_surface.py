@@ -119,3 +119,39 @@ def test_every_private_definition_has_a_library_caller():
     private = definitions(private=True)
     assert private  # the guard sees something
     assert sorted(f"{module}.{name}" for name, module in private.items() if name not in used) == []
+
+
+def returns_a_value(fn: ast.FunctionDef) -> bool:
+    """Whether the body of ``fn``, outside any nested def, class or lambda,
+    has a ``return`` of something other than None."""
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Return) and node.value is not None and not (
+                isinstance(node.value, ast.Constant) and node.value.value is None):
+            return True
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def test_every_public_return_value_is_read():
+    # a result that every library and stepbench caller throws away is
+    # deleted: a call counts as a read unless it stands alone as a statement,
+    # and so does a reference that is no call, such as a function passed on
+    valued = {top.name for path in sorted(LIBRARY.glob("*.py"))
+              for top in ast.parse(path.read_text(), str(path)).body
+              if isinstance(top, ast.FunctionDef) and not top.name.startswith("_")
+              and returns_a_value(top)}
+    assert valued  # the guard sees something
+    read = set()
+    for path in CODE:
+        tree = ast.parse(path.read_text(), str(path))
+        discarded = {id(node.value.func) for node in ast.walk(tree)
+                     if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)}
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in valued and id(node) not in discarded:
+                read.add(name)
+    planned = {name for name in PLANNED if "." not in name}
+    assert sorted(valued - read - planned) == []
