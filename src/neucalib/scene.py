@@ -11,20 +11,20 @@ patch layout, overlap band and pose spreads are module constants.
 One rule defines every label, and every ``SceneSample`` checks it where it is
 built: an overlapping point lies in front of the camera and projects inside the grid.
 
-A scene serializes to one packed little-endian record, declared once by
-``_layout``: the magic ``NCLR``; the format version, N, H' and W' as uint32;
-fx, fy, cx, cy and the raw pose's rotation and translation as float64; then
-the N x 3 points, the N point and H'*W' pixel overlap flags (one byte each)
-and the N x 2 projections. A dataset is one file, ``scenes.nclr``: the magic
-``NCLD``, the format version and scene count as uint32 and the seed as uint64,
-then the scenes' records back to back, each sized by its own header. The same
-seed writes a bit-identical file.
+A scene is its points, raw pose, grid and projections; the camera and both
+overlap masks follow from them. Its packed little-endian record, format
+version 2, is declared once by ``_layout``: the magic ``NCLR``; the version,
+N, H' and W' as uint32; then the raw pose's rotation and translation, the
+N x 3 points and the N x 2 projections (NaN rows off the grid) as float64. A
+dataset is one file, ``scenes.nclr``: the magic ``NCLD``, the version and
+scene count as uint32 and the seed as uint64, then the records back to back,
+each sized by its own header. The same seed writes a bit-identical file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from .errors import (ConfigError, GenerationError, ParameterError, index_set, is
 
 MAGIC = b"NCLR"
 DATASET_MAGIC = b"NCLD"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 DATASET_FILE = "scenes.nclr"
 _DATASET_HEAD = np.dtype([("magic", "S4"), ("version", "<u4"), ("count", "<u4"), ("seed", "<u8")])
 
@@ -48,14 +48,15 @@ POSE_ROT_SPREAD = 0.3  # radians, raw-pose rotation magnitude
 POSE_TRANS_SPREAD = 1.0  # meters, raw-pose translation magnitude
 PATCH_PLANES = 10  # plane draws per patch before generation gives up
 MIN_OVERLAP = 8  # overlapping points per scene, headroom for the pose solver
+_MAX_PIXELS = 1 << 16  # per grid; a record's header alone sizes its grid
 
 
 @dataclass(frozen=True)
 class SceneConfig:
     """Scene size; the defaults give a 256-point, 16 x 16 grid scene.
 
-    ``n_points`` is an integer of at least ``MIN_OVERLAP`` and ``grid`` a
-    tuple of two integers of at least 4; numpy integers are stored as ints.
+    ``n_points`` is an integer of at least ``MIN_OVERLAP`` and ``grid`` a tuple of
+    two integers >= 4 of at most ``_MAX_PIXELS`` pixels; numpy integers are stored as ints.
     """
 
     n_points: int = 256
@@ -65,60 +66,71 @@ class SceneConfig:
         if not is_count(self.n_points, MIN_OVERLAP):
             raise ParameterError(f"n_points must be an integer >= {MIN_OVERLAP}: {self.n_points!r}")
         if not (isinstance(self.grid, tuple) and len(self.grid) == 2
-                and all(is_count(g, 4) for g in self.grid)):
-            raise ParameterError(f"grid must be a tuple of two integers >= 4: {self.grid!r}")
+                and all(is_count(g, 4) for g in self.grid)
+                and int(self.grid[0]) * int(self.grid[1]) <= _MAX_PIXELS):
+            raise ParameterError(f"grid must be a tuple of two integers >= 4 "
+                                 f"of at most {_MAX_PIXELS} pixels: {self.grid!r}")
         object.__setattr__(self, "n_points", int(self.n_points))
         object.__setattr__(self, "grid", (int(self.grid[0]), int(self.grid[1])))
 
-    def intrinsics(self) -> geo.CameraIntrinsics:
-        h, w = self.grid
-        return geo.CameraIntrinsics(fx=FOCAL_PX, fy=FOCAL_PX, cx=w / 2.0, cy=h / 2.0)
+
+@lru_cache(maxsize=16)  # a grid's camera, FOCAL_PX centred on it, shared by its scenes
+def _camera(grid: tuple[int, int]) -> geo.CameraIntrinsics:
+    return geo.CameraIntrinsics(fx=FOCAL_PX, fy=FOCAL_PX, cx=grid[1] / 2.0, cy=grid[0] / 2.0)
 
 
 @dataclass(frozen=True)
 class SceneSample:
-    """One synthetic (point cloud, image grid, intrinsics, raw pose) tuple.
-
-    ``gt_projection`` holds raw-pose pixel coordinates per point, NaN where
-    the point does not overlap the grid. Each sample checks the scene rule
-    where it is built, or raises ``ConfigError``: ``grid`` is a tuple of two
-    integers >= 1, ``points`` and ``gt_projection`` N x 3 and N x 2 float64
-    arrays, the masks boolean arrays of N and H'W'; every point is finite;
-    every overlapping point has depth > ``geo.MIN_DEPTH`` under
-    ``raw_pose`` and its stored projection in [0, W') x [0, H'); and every
-    other point's stored projection is NaN.
+    """One synthetic scene from four inputs: ``points`` (N x 3, sensor frame),
+    ``raw_pose``, ``grid`` (H', W') and ``gt_projection``, each point's pixel
+    coordinates under the raw pose, a row of NaN where it misses the grid.
+    Three attributes are derived: ``intrinsics``, the grid's camera;
+    ``point_overlap_gt``, the N rows of ``gt_projection`` not all NaN; and
+    ``pixel_overlap_gt``, the H'W' pixels within Chebyshev distance 1 of an
+    overlapping projection. Each sample checks the scene rule where it is
+    built, or raises ``ConfigError``: ``grid`` is a tuple of two integers >= 1
+    of at most ``_MAX_PIXELS`` pixels, ``points`` and ``gt_projection`` N x 3
+    and N x 2 float64 arrays; every point is finite; every overlapping point
+    has depth > ``geo.MIN_DEPTH`` under ``raw_pose`` and its projection in
+    [0, W') x [0, H'), so a row that is half NaN is refused.
     """
 
     points: np.ndarray  # N x 3, sensor frame
-    intrinsics: geo.CameraIntrinsics
     raw_pose: geo.RigidPose
     grid: tuple[int, int]  # (H', W')
-    point_overlap_gt: np.ndarray  # N bool
-    pixel_overlap_gt: np.ndarray  # H'*W' bool
     gt_projection: np.ndarray  # N x 2, NaN where not overlapping
 
     def __post_init__(self):
         h, w = self.grid if isinstance(self.grid, tuple) and len(self.grid) == 2 else (0, 0)
-        if not (is_count(h, 1) and is_count(w, 1)):
-            raise ConfigError(f"scene grid {self.grid!r} is not a tuple of two integers >= 1")
+        if not (is_count(h, 1) and is_count(w, 1) and int(h) * int(w) <= _MAX_PIXELS):
+            raise ConfigError(f"scene grid {self.grid!r} is not two integers >= 1 of at most "
+                              f"{_MAX_PIXELS} pixels")
         n = self.points.shape[:1] if isinstance(self.points, np.ndarray) else ()
-        arrays = (("points", n + (3,), "float64"), ("gt_projection", n + (2,), "float64"),
-                  ("point_overlap_gt", n, "bool"), ("pixel_overlap_gt", (h * w,), "bool"))
-        for name, shape, dtype in arrays:
+        for name, shape in (("points", n + (3,)), ("gt_projection", n + (2,))):
             arr = getattr(self, name)
-            if not (isinstance(arr, np.ndarray) and arr.shape == shape and arr.dtype == dtype):
+            if not (isinstance(arr, np.ndarray) and arr.shape == shape and arr.dtype == "float64"):
                 raise ConfigError(
-                    f"scene {name} is not a {dtype} array of shape {shape} on a {h} x {w} grid")
+                    f"scene {name} is not a float64 array of shape {shape} on a {h} x {w} grid")
         on = np.flatnonzero(self.point_overlap_gt)
         uv = self.gt_projection.take(on, axis=0)
         with np.errstate(all="ignore"):  # huge values overflow and fail the check
             depth = self.raw_pose.apply(self.points.take(on, axis=0))[:, 2]
             if not (np.isfinite(self.points).all() and (depth > geo.MIN_DEPTH).all()
-                    and (uv >= 0.0).all() and (uv < [w, h]).all()
-                    and np.isnan(self.gt_projection[~self.point_overlap_gt]).all()):
-                raise ConfigError("scene has a non-finite point, an overlapping point "
-                                  "behind the camera or projected outside the grid, or a "
-                                  "non-overlapping point whose projection is not NaN")
+                    and (uv >= 0.0).all() and (uv < [w, h]).all()):
+                raise ConfigError("scene has a non-finite point, or a projection row not all NaN "
+                                  "(an overlapping point) behind the camera or outside the grid")
+
+    @property
+    def intrinsics(self) -> geo.CameraIntrinsics:
+        return _camera(self.grid)
+
+    @cached_property
+    def point_overlap_gt(self) -> np.ndarray:  # N bool
+        return ~np.isnan(self.gt_projection).all(axis=1)
+
+    @cached_property
+    def pixel_overlap_gt(self) -> np.ndarray:  # H'*W' bool
+        return _label_pixel_overlap(self.gt_projection[self.point_overlap_gt], self.grid)
 
     @property
     def n_points(self) -> int:
@@ -138,17 +150,15 @@ def pixel_centers(grid: tuple[int, int]) -> np.ndarray:
     return np.stack([u.reshape(-1), v.reshape(-1)], axis=1).astype(np.float64)
 
 
-def _point_overlap_labels(cam_pts, k: geo.CameraIntrinsics,
-                          grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Exact overlap mask of N x 3 camera-frame points, those projecting into
-    [0, W') x [0, H'), and their projections, NaN on every other row."""
+def _grid_projection(cam_pts, k: geo.CameraIntrinsics, grid: tuple[int, int]) -> np.ndarray:
+    """Projections of N x 3 camera-frame points, a row of NaN for each point
+    that does not project into [0, W') x [0, H')."""
     h, w = grid
     coords = geo.project(cam_pts, k)
     u, v = coords.T
     with np.errstate(invalid="ignore"):  # a NaN compares as outside the grid
-        overlap = (u >= 0) & (u < w) & (v >= 0) & (v < h)
-    coords[~overlap] = np.nan
-    return overlap, coords
+        coords[~((u >= 0) & (u < w) & (v >= 0) & (v < h))] = np.nan
+    return coords
 
 
 def _window_pixels(uv: np.ndarray, radius: float,
@@ -356,9 +366,9 @@ def _sample_out_of_frustum(rng: np.random.Generator, k: geo.CameraIntrinsics,
             pts[i] = (u, _uniform(rng, -h, 2.0 * h), _uniform(rng, Z_NEAR, Z_FAR))
             side[i] = True
     pts[side] = geo.unproject(pts[side, :2], pts[side, 2], k)
-    overlap, _ = _point_overlap_labels(pts, k, grid)
-    if overlap.any():
-        raise GenerationError(f"{int(overlap.sum())} out-of-frustum points overlap the grid")
+    hits = np.count_nonzero(~np.isnan(_grid_projection(pts, k, grid)).all(axis=1))
+    if hits:
+        raise GenerationError(f"{hits} out-of-frustum points overlap the grid")
     return pts
 
 
@@ -369,7 +379,7 @@ def generate_scene(rng: np.random.Generator, config: SceneConfig) -> SceneSample
     by construction (in-frustum points are sampled through the camera model),
     with a floor of ``MIN_OVERLAP`` overlapping points.
     """
-    k = config.intrinsics()
+    k = _camera(config.grid)
     raw_pose = _sample_raw_pose(rng)
     frac = _uniform(rng, *OVERLAP_BAND)
     n_in = min(config.n_points, max(MIN_OVERLAP, int(round(frac * config.n_points))))
@@ -379,13 +389,12 @@ def generate_scene(rng: np.random.Generator, config: SceneConfig) -> SceneSample
     cam_pts = cam_pts[rng.permutation(config.n_points)]
     points = geo.invert(raw_pose).apply(cam_pts)
 
-    overlap, coords = _point_overlap_labels(raw_pose.apply(points), k, config.grid)
-    if overlap.sum() < MIN_OVERLAP:
-        raise GenerationError(f"only {int(overlap.sum())} overlapping points after construction")
-    return SceneSample(points=points, intrinsics=k, raw_pose=raw_pose, grid=config.grid,
-                       point_overlap_gt=overlap,
-                       pixel_overlap_gt=_label_pixel_overlap(coords[overlap], config.grid),
-                       gt_projection=coords)
+    sample = SceneSample(points, raw_pose, config.grid,
+                         _grid_projection(raw_pose.apply(points), k, config.grid))
+    overlap = np.count_nonzero(sample.point_overlap_gt)
+    if overlap < MIN_OVERLAP:
+        raise GenerationError(f"only {overlap} overlapping points after construction")
+    return sample
 
 
 def augment_scene(sample: SceneSample, rot: np.ndarray, trans: np.ndarray) -> SceneSample:
@@ -398,49 +407,43 @@ def augment_scene(sample: SceneSample, rot: np.ndarray, trans: np.ndarray) -> Sc
 # --- binary scene format -------------------------------------------------
 
 @lru_cache(maxsize=16)  # a dataset's records share one size
-def _layout(n: int, h: int, w: int) -> np.dtype:
+def _layout(n: int) -> np.dtype:
     try:
         return np.dtype([
             ("magic", "S4"), ("version", "<u4"), ("n", "<u4"), ("h", "<u4"), ("w", "<u4"),
-            ("intrinsics", "<f8", (4,)), ("rotation", "<f8", (3, 3)), ("translation", "<f8", (3,)),
-            ("points", "<f8", (n, 3)), ("point_overlap", "u1", (n,)),
-            ("pixel_overlap", "u1", (h * w,)), ("projection", "<f8", (n, 2)),
+            ("rotation", "<f8", (3, 3)), ("translation", "<f8", (3,)),
+            ("points", "<f8", (n, 3)), ("projection", "<f8", (n, 2)),
         ])
     except ValueError as err:  # numpy holds each dimension and the record in a C int
-        raise ConfigError(f"a scene of {n} points on a {h} x {w} grid "
-                          f"does not fit the scene format: {err}") from err
+        raise ConfigError(f"a scene of {n} points does not fit the scene format: {err}") from err
 
 
 def scene_to_bytes(sample: SceneSample) -> bytes:
     """The packed ``.nclr`` record of a sample, which checked itself when built."""
-    (h, w), k, pose, n = sample.grid, sample.intrinsics, sample.raw_pose, sample.n_points
-    return np.array((MAGIC, FORMAT_VERSION, n, h, w, (k.fx, k.fy, k.cx, k.cy),
-                     pose.rotation, pose.translation, sample.points, sample.point_overlap_gt,
-                     sample.pixel_overlap_gt, sample.gt_projection),
-                    _layout(n, h, w)).tobytes()
+    (h, w), pose, n = sample.grid, sample.raw_pose, sample.n_points
+    return np.array((MAGIC, FORMAT_VERSION, n, h, w, pose.rotation, pose.translation,
+                     sample.points, sample.gt_projection), _layout(n)).tobytes()
 
 
 def _scene_from_bytes(blob) -> tuple[SceneSample, int]:
     """The scene of the ``.nclr`` record that opens ``blob``, and the record's
     size; the format is checked here, the scene by ``SceneSample``."""
-    head = _layout(0, 0, 0)
+    head = _layout(0)
     if blob[:4] != MAGIC or len(blob) < head.itemsize:
         raise ConfigError(f"scene record of {len(blob)} bytes opens with no {MAGIC!r} header")
     version, n, h, w = np.frombuffer(blob, head, 1)[["version", "n", "h", "w"]].item()
     if version != FORMAT_VERSION:
         raise ConfigError(f"unsupported scene format version {version}")
-    layout = _layout(n, h, w)
+    layout = _layout(n)
     if len(blob) < layout.itemsize:
         raise ConfigError(f"scene record of {len(blob)} bytes; its header says {layout.itemsize}")
     rec = np.frombuffer(blob, layout, 1)[0]
-    with np.errstate(all="ignore"):  # huge values overflow and fail the checks
+    with np.errstate(all="ignore"):  # huge values overflow and fail the check
         try:
-            k = geo.CameraIntrinsics(*rec["intrinsics"].tolist())
             pose = geo.RigidPose(rec["rotation"].copy(), rec["translation"].copy())
         except ParameterError as err:
-            raise ConfigError(f"scene file holds an invalid camera: {err}") from err
-    return SceneSample(rec["points"].copy(), k, pose, rec[["h", "w"]].item(),
-                       rec["point_overlap"].astype(bool), rec["pixel_overlap"].astype(bool),
+            raise ConfigError(f"scene file holds an invalid raw pose: {err}") from err
+    return SceneSample(rec["points"].copy(), pose, rec[["h", "w"]].item(),
                        rec["projection"].copy()), layout.itemsize
 
 

@@ -167,10 +167,8 @@ TABLE = {
     "SceneConfig": (ParameterError, lambda n_points=32, grid=(8, 8):
                     sc.SceneConfig(n_points, grid)),
     "SceneSample": (ConfigError, lambda points=SCENE.points, grid=SCENE.grid,
-                    point_overlap_gt=SCENE.point_overlap_gt,
-                    pixel_overlap_gt=SCENE.pixel_overlap_gt, gt_projection=SCENE.gt_projection:
-                    sc.SceneSample(points, SCENE.intrinsics, SCENE.raw_pose, grid,
-                                   point_overlap_gt, pixel_overlap_gt, gt_projection)),
+                    gt_projection=SCENE.gt_projection:
+                    sc.SceneSample(points, SCENE.raw_pose, grid, gt_projection)),
     "augment_scene": (ParameterError, lambda rot=np.eye(3), trans=np.zeros(3):
                       sc.augment_scene(SCENE, rot, trans)),
     "build_pairs": (ParameterError, lambda r_p=1.0, r_n=4.0: sc.build_pairs(SCENE, r_p, r_n)),

@@ -86,11 +86,8 @@ class TestEncode:
         # point wins even though it is the farther one
         proj = np.array([[np.nan, np.nan], [2.5, 3.0], [3.5, 3.0]])
         points = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 9.0], [0.0, 0.0, 4.0]])
-        scene = sc.SceneSample(
-            points=points, intrinsics=geo.CameraIntrinsics(1.0, 1.0, 0.0, 0.0),
-            raw_pose=geo.RigidPose(np.eye(3), np.zeros(3)), grid=(8, 8),
-            point_overlap_gt=np.array([False, True, True]),
-            pixel_overlap_gt=np.zeros(64, dtype=bool), gt_projection=proj)
+        scene = sc.SceneSample(points=points, raw_pose=geo.RigidPose(np.eye(3), np.zeros(3)),
+                               grid=(8, 8), gt_projection=proj)
         tex = enc._pixel_texture(scene)
         assert tex[3 * 8 + 3] == 9.0
         assert tex[3 * 8 + 4] == 4.0
@@ -469,10 +466,8 @@ class TestFuse:
         scene = small_scene(seed=2, n_points=16)
         perm = np.random.default_rng(7).permutation(16)
         from dataclasses import replace
-        permuted = replace(
-            scene, points=scene.points[perm],
-            point_overlap_gt=scene.point_overlap_gt[perm],
-            gt_projection=scene.gt_projection[perm])
+        permuted = replace(scene, points=scene.points[perm],
+                           gt_projection=scene.gt_projection[perm])
         p0 = small_params(seed=8)
 
         def run(s):

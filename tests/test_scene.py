@@ -50,11 +50,25 @@ def brute_force_pixel_overlap(sample: sc.SceneSample, radius=1.0) -> np.ndarray:
     return labels
 
 
+def version_1_record(sample: sc.SceneSample) -> bytes:
+    """``sample`` packed as a record of format version 1, which also stored
+    the camera and both overlap masks (one byte per flag)."""
+    (h, w), n, k, pose = sample.grid, sample.n_points, sample.intrinsics, sample.raw_pose
+    layout = np.dtype([
+        ("magic", "S4"), ("version", "<u4"), ("n", "<u4"), ("h", "<u4"), ("w", "<u4"),
+        ("intrinsics", "<f8", (4,)), ("rotation", "<f8", (3, 3)), ("translation", "<f8", (3,)),
+        ("points", "<f8", (n, 3)), ("point_overlap", "u1", (n,)),
+        ("pixel_overlap", "u1", (h * w,)), ("projection", "<f8", (n, 2))])
+    return np.array((b"NCLR", 1, n, h, w, (k.fx, k.fy, k.cx, k.cy), pose.rotation,
+                     pose.translation, sample.points, sample.point_overlap_gt,
+                     sample.pixel_overlap_gt, sample.gt_projection), layout).tobytes()
+
+
 def oracle_in_frustum(rng, cfg, count):
     """The one-attempt-at-a-time patch and noise sampler that the library's
     batched one must replay draw for draw."""
     h, w = cfg.grid
-    k = cfg.intrinsics()
+    k = sc._camera(cfg.grid)
     n_noise = int(round(count * sc.NOISE_FRACTION))
     n_patch = count - n_noise
     pts = []
@@ -95,7 +109,7 @@ def oracle_in_frustum(rng, cfg, count):
 def oracle_out_of_frustum(rng, cfg, count):
     """The point-at-a-time out-of-frustum sampler, re-projecting each point."""
     h, w = cfg.grid
-    k = cfg.intrinsics()
+    k = sc._camera(cfg.grid)
     pts = np.empty((count, 3))
     for i in range(count):
         for _ in range(100):
@@ -107,8 +121,7 @@ def oracle_out_of_frustum(rng, cfg, count):
                 u = rng.uniform(w + 2.0, 3.0 * w) * rng.choice([-1.0, 1.0])
                 v = rng.uniform(-h, 2.0 * h)
                 q = geo.unproject(np.array([[u, v]]), [rng.uniform(sc.Z_NEAR, sc.Z_FAR)], k)[0]
-            overlap, _ = sc._point_overlap_labels(q[None, :], k, cfg.grid)
-            if not overlap[0]:
+            if np.isnan(sc._grid_projection(q[None, :], k, cfg.grid)).all():
                 pts[i] = q
                 break
         else:
@@ -121,37 +134,50 @@ ORACLE_CASES = [(8, (4, 9), range(60)), (32, (8, 8), range(60)), (100, (5, 17), 
                 (256, (16, 16), range(30)), (512, (24, 24), range(8))]
 
 
-# SHA-256 of scene_to_bytes(generate_scene(default_rng(seed), SceneConfig(n, grid))):
-# a change to generation that moves one bit of any scene fails here
+# SHA-256 of generate_scene(default_rng(seed), SceneConfig(n, grid)) as a
+# version-1 record and as scene_to_bytes writes it: a change to generation that
+# moves one bit of any scene fails here, and the first shows that the camera and
+# masks the scene derives are the ones that format version 1 stored
 SCENE_DIGESTS = [
-    (32, (8, 8), 0, "34469406193bc3cbc2f397715a8c08d481e97af5aaa97c667d74cd59a6652e12"),
-    (32, (8, 8), 1, "8281937fc89d6ed1b46d6edb716add70b74c944b4851d547e8904ccefd82fe6a"),
-    (32, (8, 8), 2, "d504d473683980f08bf3c8c36f54db9a924230de3821d9a1220086220983603d"),
-    (32, (8, 8), 3, "b18a71c2848805cbf0b6fd4bbea38f3fdc1679fec8077ce104e58b2eeae44f66"),
-    (256, (16, 16), 0, "e8d41c46f4d0a42fa607255bd1b7cb2b43c09cda3c615c21350938d65f59a670"),
-    (256, (16, 16), 1, "9b9ee6046a11940c5b5e975210e48f7d52c2a5b25d4cdfd194fb52e507751c26"),
-    (256, (16, 16), 2, "74c5c6e489b824c430b2e79c5e2670a9817ba40670bf9cf2748a60a20cedd76c"),
-    (256, (16, 16), 3, "d17aeccb8611822a153020cf32ad4979185bdd40eb3adcd547d256997d12f31c"),
-    (512, (24, 24), 0, "babe0427918f74ddab71f12cada3032e1eb384097c735d08dc2acc7242118142"),
-    (512, (24, 24), 1, "12b523ed94f41319e3de6705b0e17f49127ddd8ce085ee9ca4d7ae434bd12853"),
+    (32, (8, 8), 0, "34469406193bc3cbc2f397715a8c08d481e97af5aaa97c667d74cd59a6652e12",
+     "aaeed752ce518d09cf1e2c67773ea428f05654398840e0059c1c1bd6fdf8ef03"),
+    (32, (8, 8), 1, "8281937fc89d6ed1b46d6edb716add70b74c944b4851d547e8904ccefd82fe6a",
+     "25dc18026b1d3e2e14f705df6e92c522f64529ac7a0b1339b08a84b0510f4d94"),
+    (32, (8, 8), 2, "d504d473683980f08bf3c8c36f54db9a924230de3821d9a1220086220983603d",
+     "8f57be96152b153a5516bffbcf70f95c5249aaf0600b03b13a0798f509a18b40"),
+    (32, (8, 8), 3, "b18a71c2848805cbf0b6fd4bbea38f3fdc1679fec8077ce104e58b2eeae44f66",
+     "9cf3d032de31e26963768e863533d1700bcdfce41f0e3514afbcaf3d56977c67"),
+    (256, (16, 16), 0, "e8d41c46f4d0a42fa607255bd1b7cb2b43c09cda3c615c21350938d65f59a670",
+     "d42a32bb47dfee5682bdf08b09654873ad6b74cdedd3b0fcc263d747cc4acd6a"),
+    (256, (16, 16), 1, "9b9ee6046a11940c5b5e975210e48f7d52c2a5b25d4cdfd194fb52e507751c26",
+     "d2aa2406a0469ec2aaf415ab3d27417278a156704f128422bc0dc120b9cbe308"),
+    (256, (16, 16), 2, "74c5c6e489b824c430b2e79c5e2670a9817ba40670bf9cf2748a60a20cedd76c",
+     "7a372781698876964ff115f82fb11b7089b8e1f187d8e90739c53a1ae249747e"),
+    (256, (16, 16), 3, "d17aeccb8611822a153020cf32ad4979185bdd40eb3adcd547d256997d12f31c",
+     "38561fe85135599ce512fc636700cd8e05abb21cd6d6ee7fc4a60211e8bbce19"),
+    (512, (24, 24), 0, "babe0427918f74ddab71f12cada3032e1eb384097c735d08dc2acc7242118142",
+     "4a0a7b9c87130de3a20995e360a120ea3154fbc05fd362e6299455a81d766287"),
+    (512, (24, 24), 1, "12b523ed94f41319e3de6705b0e17f49127ddd8ce085ee9ca4d7ae434bd12853",
+     "4786f07d69987be2f9039429f3861ebd12fb4c104159c92a5483e9e3fb0862be"),
 ]
 
 # SHA-256 of the concatenated bytes of four 256/16² scenes drawn in sequence
 # from default_rng(301), as a dataset set-up draws them: a sampler that draws
 # one value too many or too few moves every scene after the first
-SEQUENCE_DIGEST = "621480ec7e2809305ca8c9595c377adbb9c15f6215c9b6979d39158f62be835f"
+SEQUENCE_DIGEST = "0142ff883a9eb0e64073620aace8a8a7f2a2ab1103a4da931868d7bd43e65823"
 
 # the same for four 512/24² scenes from default_rng(301), redrawn on
 # GenerationError as the set-up redraws them
-SEQUENCE_DIGEST_512 = "1d9b819141c837d2ab30b10562f453a379e2f60fdafea3a86d081f0914243e77"
+SEQUENCE_DIGEST_512 = "afd98aa9b821575c1579f436a4b4d5862a7763c958749d3702bb459cc48f49c2"
 
 HEAD_SIZE = 20  # dataset file head: magic, version and count as uint32, seed as uint64
 
 
 class TestGeneration:
-    @pytest.mark.parametrize("n_points, grid, seed, digest", SCENE_DIGESTS)
-    def test_scene_bytes_pinned(self, n_points, grid, seed, digest):
+    @pytest.mark.parametrize("n_points, grid, seed, version_1, digest", SCENE_DIGESTS)
+    def test_scene_bytes_pinned(self, n_points, grid, seed, version_1, digest):
         sample = make_scene(seed=seed, n_points=n_points, grid=grid)
+        assert hashlib.sha256(version_1_record(sample)).hexdigest() == version_1
         assert hashlib.sha256(sc.scene_to_bytes(sample)).hexdigest() == digest
 
     def test_scene_sequence_pinned(self):
@@ -186,7 +212,7 @@ class TestGeneration:
                     expected = oracle(ref, cfg, n)
                 except GenerationError:  # the library redraws the patch instead
                     continue
-                got = library(ours, cfg.intrinsics(), cfg.grid, n)
+                got = library(ours, sc._camera(cfg.grid), cfg.grid, n)
                 assert got.tobytes() == expected.tobytes()
                 assert ours.bit_generator.state == ref.bit_generator.state
                 compared += 1
@@ -229,9 +255,8 @@ class TestGeneration:
         assert np.isnan(sample.gt_projection[~sample.point_overlap_gt]).all()
 
     def test_behind_camera_not_overlapping(self):
-        k = sc.SceneConfig().intrinsics()
-        overlap, coords = sc._point_overlap_labels([[0.0, 0.0, -5.0]], k, (16, 16))
-        assert not overlap[0] and np.isnan(coords[0]).all()
+        coords = sc._grid_projection([[0.0, 0.0, -5.0]], sc._camera((16, 16)), (16, 16))
+        assert np.isnan(coords[0]).all()
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ParameterError):
@@ -290,7 +315,7 @@ class TestGeneration:
             sc.write_dataset(tmp_path / name, scenes, cfg, 301)
         blobs = [(tmp_path / name / sc.DATASET_FILE).read_bytes() for name in ("a", "b")]
         assert blobs[0] == blobs[1]
-        assert blobs[0][:HEAD_SIZE] == b"NCLD" + struct.pack("<IIQ", 1, 4, 301)
+        assert blobs[0][:HEAD_SIZE] == b"NCLD" + struct.pack("<IIQ", sc.FORMAT_VERSION, 4, 301)
         assert hashlib.sha256(blobs[0][HEAD_SIZE:]).hexdigest() == SEQUENCE_DIGEST
 
     @pytest.mark.parametrize("n_points, grid", [(256, (16, 16)), (512, (24, 24))])
@@ -301,6 +326,8 @@ class TestGeneration:
         aug = sc.augment_scene(sample, rot, trans)
         assert not np.allclose(aug.points, sample.points)
         np.testing.assert_array_equal(aug.point_overlap_gt, sample.point_overlap_gt)
+        np.testing.assert_array_equal(aug.pixel_overlap_gt, sample.pixel_overlap_gt)
+        assert aug.intrinsics == sample.intrinsics
         proj = geo.project(aug.raw_pose.apply(aug.points), aug.intrinsics)
         ok = sample.point_overlap_gt
         np.testing.assert_allclose(proj[ok], sample.gt_projection[ok], atol=1e-9)
@@ -365,15 +392,13 @@ SYMMETRY_BASES = [make_scene(seed=seed, n_points=16, grid=(8, 8)) for seed in ra
 @st.composite
 def perturbed_scenes(draw):
     """A generated scene and one change to its fields: a NaN or inf point,
-    an overlapping projection set to NaN or moved (mostly outside the grid),
-    an overlapping point moved along the optical axis (mostly behind the
-    camera), a short, 2-D, uint8 or float mask, a list or an empty grid, or
-    nothing."""
+    one coordinate of an overlapping projection set to NaN or moved (mostly
+    outside the grid), an overlapping point moved along the optical axis
+    (mostly behind the camera), a list or an empty grid, or nothing."""
     sample = draw(st.sampled_from(SYMMETRY_BASES))
     (h, w), n = sample.grid, sample.n_points
     i = draw(st.sampled_from(np.flatnonzero(sample.point_overlap_gt).tolist()))
-    kind = draw(st.sampled_from(["point", "projection", "depth", "point_mask", "pixel_mask",
-                                 "grid", "none"]))
+    kind = draw(st.sampled_from(["point", "projection", "depth", "grid", "none"]))
     if kind == "point":
         points = sample.points.copy()
         points[draw(st.integers(0, n - 1)), draw(st.integers(0, 2))] = \
@@ -392,17 +417,8 @@ def perturbed_scenes(draw):
         q[2] = draw(st.sampled_from([-1.0, 0.0, geo.MIN_DEPTH, 2.0 * geo.MIN_DEPTH, 1.0]))
         points[i] = pose.rotation.T @ (q - pose.translation)
         return sample, {"points": points}
-    if kind in ("point_mask", "pixel_mask"):
-        name = kind.replace("_mask", "_overlap_gt")
-        mask = getattr(sample, name)
-        mask = draw(st.sampled_from([
-            mask[:-1], mask[:, None], mask.reshape(1, -1), mask.astype(np.uint8),
-            mask.astype(np.uint8) * 2, mask.astype(np.float64)]))
-        return sample, {name: mask}
     if kind == "grid":
-        return sample, draw(st.sampled_from([
-            {"grid": [h, w]}, {"grid": (0, w), "pixel_overlap_gt": np.zeros(0, dtype=bool)},
-            {"grid": (h, 0), "pixel_overlap_gt": np.zeros(0, dtype=bool)}]))
+        return sample, {"grid": draw(st.sampled_from([[h, w], (0, w), (h, 0)]))}
     return sample, {}
 
 
@@ -429,29 +445,30 @@ class TestSceneRule:
             return
         assert_same_scene(sc._scene_from_bytes(sc.scene_to_bytes(changed))[0], changed)
 
+    @staticmethod
+    def assert_half_nan_rows_refused(sample, row):
+        """(NaN, v) and (u, NaN) on ``row`` are refused when built and when read:
+        a row that is not all NaN is an overlapping point's, and NaN lies
+        outside the grid."""
+        for col in (0, 1):
+            proj = sample.gt_projection.copy()
+            proj[row] = [3.0, 4.0]
+            proj[row, col] = np.nan
+            with pytest.raises(ConfigError, match="projection row not all NaN"):
+                replace(sample, gt_projection=proj)
+            with pytest.raises(ConfigError, match="projection row not all NaN"):
+                sc._scene_from_bytes(edited_bytes(sample, projection=proj))
+
     def test_nan_overlapping_projection_refused(self):
         # pair building would meet it as a NaN distance
         sample = make_scene(seed=7)
-        proj = sample.gt_projection.copy()
-        proj[np.flatnonzero(sample.point_overlap_gt)[0]] = np.nan
-        with pytest.raises(ConfigError, match="outside the grid"):
-            replace(sample, gt_projection=proj)
+        self.assert_half_nan_rows_refused(sample, np.flatnonzero(sample.point_overlap_gt)[0])
 
     def test_number_on_a_non_overlapping_row_refused(self):
         # NaN marks a point that does not overlap; a reader could take a
-        # number there for a projection
+        # lone number there for half a projection
         sample = make_scene(seed=7)
-        proj = sample.gt_projection.copy()
-        proj[np.flatnonzero(~sample.point_overlap_gt)[0]] = [3.0, 4.0]
-        with pytest.raises(ConfigError, match="not NaN"):
-            replace(sample, gt_projection=proj)
-        with pytest.raises(ConfigError, match="not NaN"):
-            sc._scene_from_bytes(edited_bytes(sample, projection=proj))
-
-    def test_short_point_mask_refused(self):
-        sample = make_scene(seed=7)
-        with pytest.raises(ConfigError, match="point_overlap_gt"):
-            replace(sample, point_overlap_gt=sample.point_overlap_gt[:-1])
+        self.assert_half_nan_rows_refused(sample, np.flatnonzero(~sample.point_overlap_gt)[0])
 
 
 class TestPixelOverlap:
@@ -476,16 +493,10 @@ def with_projections(grid, proj) -> sc.SceneSample:
     build_pairs reads nothing else. Overlapping points sit at depth 1, in
     front of the camera, as the scene rule requires."""
     proj = np.asarray(proj, dtype=np.float64).reshape(-1, 2)
-    h, w = grid
-    k = geo.CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
-    overlap = ~np.isnan(proj[:, 0])
     points = np.zeros((len(proj), 3))
-    points[overlap, 2] = 1.0
-    return sc.SceneSample(points=points, intrinsics=k,
-                          raw_pose=geo.RigidPose(np.eye(3), np.zeros(3)), grid=grid,
-                          point_overlap_gt=overlap,
-                          pixel_overlap_gt=np.zeros(h * w, dtype=bool),
-                          gt_projection=proj)
+    points[~np.isnan(proj[:, 0]), 2] = 1.0
+    return sc.SceneSample(points=points, raw_pose=geo.RigidPose(np.eye(3), np.zeros(3)),
+                          grid=grid, gt_projection=proj)
 
 
 def dense_pairs(sample: sc.SceneSample, r_p, r_n):
@@ -610,8 +621,7 @@ CORRUPTION_BASE = sc.scene_to_bytes(make_scene(seed=11, n_points=16, grid=(8, 8)
 def edited_bytes(sample: sc.SceneSample, **fields) -> bytes:
     """The bytes of ``sample`` with some record fields overwritten: a file
     that the writer cannot produce, since every sample checks itself."""
-    rec = np.frombuffer(sc.scene_to_bytes(sample), sc._layout(sample.n_points, *sample.grid),
-                        1).copy()
+    rec = np.frombuffer(sc.scene_to_bytes(sample), sc._layout(sample.n_points), 1).copy()
     for name, value in fields.items():
         rec[name] = value
     return rec.tobytes()
@@ -668,7 +678,7 @@ class TestSceneIO:
         with pytest.raises(ConfigError, match="behind the camera"):
             sc._scene_from_bytes(edited_bytes(sample, points=points))
 
-    @pytest.mark.parametrize("field", ["points", "translation", "rotation", "fx", "n", "h", "w",
+    @pytest.mark.parametrize("field", ["points", "translation", "rotation", "n", "h", "w",
                                        "empty_grid"])
     def test_non_finite_or_invalid_camera_rejected(self, field):
         sample = make_scene(seed=7)
@@ -680,36 +690,40 @@ class TestSceneIO:
             blob = bytearray(edited_bytes(sample, points=points))
         elif field == "translation":
             blob = bytearray(edited_bytes(sample, translation=[0.0, np.inf, 0.0]))
-        elif field == "empty_grid":  # a consistent file with no pixel
-            n = sample.n_points
-            full = np.frombuffer(blob, sc._layout(n, *sample.grid), 1)
-            empty = np.zeros(1, sc._layout(n, 0, 16))
-            for name in ("magic", "version", "n", "w", "intrinsics", "rotation", "translation",
-                         "points", "projection"):
-                empty[name] = full[name]
-            blob = bytearray(empty.tobytes())
-        elif field == "rotation":  # first rotation entry, header is 52 bytes
-            blob[52:60] = np.array([2.0]).tobytes()
-        elif field == "fx":
-            blob[20:28] = np.array([-1.0]).tobytes()
+        elif field == "empty_grid":  # a file of the right length with no pixel
+            blob = bytearray(edited_bytes(sample, h=0))
+        elif field == "rotation":  # first rotation entry, header is 20 bytes
+            blob[20:28] = np.array([2.0]).tobytes()
         elif field in ("n", "h", "w"):  # uint32 header fields after magic and version
             at = 8 + 4 * "nhw".index(field)
             blob[at:at + 4] = np.array([2 ** 32 - 1], dtype="<u4").tobytes()
         with pytest.raises(ConfigError):
             sc._scene_from_bytes(bytes(blob))
 
+    def test_grid_of_more_than_max_pixels_refused(self):
+        # a record's header alone sizes its grid: one edited byte of H' would
+        # otherwise ask the texture channel for gigabytes
+        sample = make_scene(seed=7)  # 16 x 16
+        rows = sc._MAX_PIXELS // 16
+        assert sc._scene_from_bytes(edited_bytes(sample, h=rows))[0].grid == (rows, 16)
+        with pytest.raises(ConfigError, match="pixels"):
+            sc._scene_from_bytes(edited_bytes(sample, h=rows + 1))
+        sc.SceneConfig(grid=(rows, 16))
+        with pytest.raises(ParameterError, match="pixels"):
+            sc.SceneConfig(grid=(rows + 1, 16))
+
     @pytest.mark.parametrize("case", ["wrong_grid", "negative_grid", "empty_grid",
-                                      "points_n_x_2", "short_projection", "overlap_column"])
+                                      "points_n_x_2", "short_projection", "projection_column"])
     def test_inconsistent_sample_rejected_before_packing(self, case):
         """The sample refuses itself, so the writer never sees it."""
         sample = make_scene(seed=7)
         change = {
-            "wrong_grid": dict(grid=(16, 17)),
+            "wrong_grid": dict(grid=(16, 8)),  # too narrow for the projections
             "negative_grid": dict(grid=(-16, -16)),
-            "empty_grid": dict(grid=(0, 16), pixel_overlap_gt=np.zeros(0, dtype=bool)),
+            "empty_grid": dict(grid=(0, 16)),
             "points_n_x_2": dict(points=sample.points[:, :2]),
             "short_projection": dict(gt_projection=sample.gt_projection[:-1]),
-            "overlap_column": dict(point_overlap_gt=sample.point_overlap_gt[:, None]),
+            "projection_column": dict(gt_projection=sample.gt_projection[:, :1]),
         }[case]
         with pytest.raises(ConfigError, match="grid"):
             replace(sample, **change)
@@ -756,7 +770,7 @@ class TestSceneIO:
         record = len(sc.scene_to_bytes(scenes[0]))
         ends = [HEAD_SIZE + i * record for i in range(3)]  # each record boundary but the last
 
-        def head(version=1, count=3):
+        def head(version=sc.FORMAT_VERSION, count=3):
             return blob[:4] + struct.pack("<II", version, count) + blob[12:]
 
         edits = {
@@ -765,7 +779,7 @@ class TestSceneIO:
             "cut_in_record": [blob[:end + 1] for end in ends] + [blob[:-1]],
             "trailing_byte": [blob + b"\0"],
             "magic": [b"NCLR" + blob[4:], b"\0" * HEAD_SIZE + blob[HEAD_SIZE:]],
-            "version": [head(version=0), head(version=2)],
+            "version": [head(version=sc.FORMAT_VERSION - 1), head(version=sc.FORMAT_VERSION + 1)],
             "count_low": [head(count=0), head(count=2)],
             "count_high": [head(count=4), head(count=2 ** 32 - 1)],
             "record_magic": [blob[:ends[1]] + b"XXXX" + blob[ends[1] + 4:]],
@@ -776,6 +790,20 @@ class TestSceneIO:
             path.write_bytes(edited)
             with pytest.raises(ConfigError):
                 sc.load_dataset(out)
+
+    def test_version_1_record_refused(self, tmp_path):
+        """A whole version-1 record is refused alone and inside a dataset file."""
+        sample = make_scene(seed=7, n_points=32, grid=(8, 8))
+        record = version_1_record(sample)
+        assert (len(record), len(sc.scene_to_bytes(sample))) == (1524, 1396)
+        with pytest.raises(ConfigError, match="version 1"):
+            sc._scene_from_bytes(record)
+        # the head a version-1 writer wrote, and a current head over the old record
+        for version in (1, sc.FORMAT_VERSION):
+            head = sc.DATASET_MAGIC + struct.pack("<IIQ", version, 1, 7)
+            (tmp_path / sc.DATASET_FILE).write_bytes(head + record)
+            with pytest.raises(ConfigError, match="version"):
+                sc.load_dataset(tmp_path)
 
     @pytest.mark.parametrize("case", ["load_nul_byte", "write_nul_byte", "load_missing_parent",
                                       "load_directory", "dataset_onto_file",
