@@ -4,9 +4,10 @@ Everything here is pure numpy on plain arrays; the differentiable pose
 refinement keeps its own projection and its gradient in :mod:`neucalib.pnp`.
 
 Conventions: a pose maps sensor-frame points into the camera frame,
-q = R p + t. ``project`` and ``unproject`` state the pinhole model once, on
-the camera frame, as inverses of each other: a caller applies any pose
-first, and a NaN pixel coordinate marks a point the camera cannot see.
+q = R p + t. ``project`` states the pinhole model once, on the camera
+frame: a caller applies any pose first, and a NaN pixel coordinate marks a
+point the camera cannot see. Its inverse, the private ``_unproject``, serves
+scene generation alone and checks nothing.
 Augmentation translates first, then rotates (p' = R_r (p + t_r)), which is
 the unique order under which the recomputed ground-truth pose
 t_gt = t_raw - R_raw t_r, R_gt = R_raw R_r^-1 reproduces the original
@@ -103,15 +104,11 @@ def project(points, k: CameraIntrinsics) -> np.ndarray:
     return coords
 
 
-def unproject(coords, depth, k: CameraIntrinsics) -> np.ndarray:
-    """Inverse of :func:`project`: N x 2 pixels at N depths to N x 3 camera-frame points."""
-    coords = real_array(coords, "coords", ParameterError)
-    depth = real_array(depth, "depth", ParameterError)
-    if coords.ndim != 2 or coords.shape[1] != 2 or depth.shape != coords.shape[:1]:
-        raise ParameterError(f"coords must be N x 2 and depth N, got {coords.shape}, {depth.shape}")
-    with np.errstate(all="ignore"):  # non-finite input gives NaN
-        x = (coords[:, 0] - k.cx) / k.fx * depth
-        y = (coords[:, 1] - k.cy) / k.fy * depth
+def _unproject(coords: np.ndarray, depth: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
+    """Inverse of :func:`project`: finite N x 2 float64 pixels at N depths to
+    N x 3 camera-frame points."""
+    x = (coords[:, 0] - k.cx) / k.fx * depth
+    y = (coords[:, 1] - k.cy) / k.fy * depth
     return np.stack([x, y, depth], axis=1)
 
 

@@ -8,17 +8,15 @@ col u) has its center at continuous coordinates (u, v) and flat index
 v * W' + u. Only the scene size is configurable; the camera, depth band,
 patch layout, overlap band and pose spreads are module constants.
 
-One rule defines every label, and every ``SceneSample`` checks it where it is
-built: an overlapping point lies in front of the camera and projects inside the grid.
-
-A scene is its points, raw pose, grid and projections; the camera and both
-overlap masks follow from them. Its packed little-endian record, format
-version 2, is declared once by ``_layout``: the magic ``NCLR``; the version,
-N, H' and W' as uint32; then the raw pose's rotation and translation, the
-N x 3 points and the N x 2 projections (NaN rows off the grid) as float64. A
-dataset is one file, ``scenes.nclr``: the magic ``NCLD``, the version and
-scene count as uint32 and the seed as uint64, then the records back to back,
-each sized by its own header. The same seed writes a bit-identical file.
+A scene is its points, raw pose and grid, and every label follows from them
+by one rule: a point overlaps iff it lies in front of the camera and projects
+inside the grid. Its packed little-endian record, format version 3, is
+declared once by ``_layout``: the magic ``NCLR``; the version, N, H' and W'
+as uint32; then the raw pose's rotation and translation and the N x 3 points
+as float64. A dataset is one file, ``scenes.nclr``: the magic ``NCLD``, the
+version and scene count as uint32 and the seed as uint64, then the records
+back to back, each sized by its own header. The same seed writes a
+bit-identical file.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from .errors import (ConfigError, GenerationError, ParameterError, index_set, is
 
 MAGIC = b"NCLR"
 DATASET_MAGIC = b"NCLD"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 DATASET_FILE = "scenes.nclr"
 _DATASET_HEAD = np.dtype([("magic", "S4"), ("version", "<u4"), ("count", "<u4"), ("seed", "<u8")])
 
@@ -55,8 +53,8 @@ _MAX_PIXELS = 1 << 16  # per grid; a record's header alone sizes its grid
 class SceneConfig:
     """Scene size; the defaults give a 256-point, 16 x 16 grid scene.
 
-    ``n_points`` is an integer of at least ``MIN_OVERLAP`` and ``grid`` a tuple of
-    two integers >= 4 of at most ``_MAX_PIXELS`` pixels; numpy integers are stored as ints.
+    ``n_points`` is an integer of at least ``MIN_OVERLAP`` and ``grid`` passes
+    ``_is_grid`` with sides >= 4; numpy integers are stored as ints.
     """
 
     n_points: int = 256
@@ -65,13 +63,18 @@ class SceneConfig:
     def __post_init__(self):
         if not is_count(self.n_points, MIN_OVERLAP):
             raise ParameterError(f"n_points must be an integer >= {MIN_OVERLAP}: {self.n_points!r}")
-        if not (isinstance(self.grid, tuple) and len(self.grid) == 2
-                and all(is_count(g, 4) for g in self.grid)
-                and int(self.grid[0]) * int(self.grid[1]) <= _MAX_PIXELS):
+        if not _is_grid(self.grid, 4):
             raise ParameterError(f"grid must be a tuple of two integers >= 4 "
                                  f"of at most {_MAX_PIXELS} pixels: {self.grid!r}")
         object.__setattr__(self, "n_points", int(self.n_points))
         object.__setattr__(self, "grid", (int(self.grid[0]), int(self.grid[1])))
+
+
+def _is_grid(grid, least: int) -> bool:
+    """Whether ``grid`` is a tuple of two integers >= ``least`` of at most
+    ``_MAX_PIXELS`` pixels."""
+    return (isinstance(grid, tuple) and len(grid) == 2 and all(is_count(g, least) for g in grid)
+            and int(grid[0]) * int(grid[1]) <= _MAX_PIXELS)
 
 
 @lru_cache(maxsize=16)  # a grid's camera, FOCAL_PX centred on it, shared by its scenes
@@ -81,48 +84,37 @@ def _camera(grid: tuple[int, int]) -> geo.CameraIntrinsics:
 
 @dataclass(frozen=True)
 class SceneSample:
-    """One synthetic scene from four inputs: ``points`` (N x 3, sensor frame),
-    ``raw_pose``, ``grid`` (H', W') and ``gt_projection``, each point's pixel
-    coordinates under the raw pose, a row of NaN where it misses the grid.
-    Three attributes are derived: ``intrinsics``, the grid's camera;
+    """One synthetic scene from three inputs: ``points`` (N x 3, sensor
+    frame), ``raw_pose`` and ``grid`` (H', W'). Four attributes are derived:
+    ``intrinsics``, the grid's camera; ``gt_projection``, each point's pixel
+    coordinates under the raw pose, a row of NaN where it misses the grid;
     ``point_overlap_gt``, the N rows of ``gt_projection`` not all NaN; and
     ``pixel_overlap_gt``, the H'W' pixels within Chebyshev distance 1 of an
     overlapping projection. Each sample checks the scene rule where it is
-    built, or raises ``ConfigError``: ``grid`` is a tuple of two integers >= 1
-    of at most ``_MAX_PIXELS`` pixels, ``points`` and ``gt_projection`` N x 3
-    and N x 2 float64 arrays; every point is finite; every overlapping point
-    has depth > ``geo.MIN_DEPTH`` under ``raw_pose`` and its projection in
-    [0, W') x [0, H'), so a row that is half NaN is refused.
+    built, or raises ``ConfigError``: ``grid`` passes ``_is_grid`` with sides
+    >= 1, and ``points`` is an N x 3 float64 array of finite values.
     """
 
     points: np.ndarray  # N x 3, sensor frame
     raw_pose: geo.RigidPose
     grid: tuple[int, int]  # (H', W')
-    gt_projection: np.ndarray  # N x 2, NaN where not overlapping
 
     def __post_init__(self):
-        h, w = self.grid if isinstance(self.grid, tuple) and len(self.grid) == 2 else (0, 0)
-        if not (is_count(h, 1) and is_count(w, 1) and int(h) * int(w) <= _MAX_PIXELS):
+        if not _is_grid(self.grid, 1):
             raise ConfigError(f"scene grid {self.grid!r} is not two integers >= 1 of at most "
                               f"{_MAX_PIXELS} pixels")
-        n = self.points.shape[:1] if isinstance(self.points, np.ndarray) else ()
-        for name, shape in (("points", n + (3,)), ("gt_projection", n + (2,))):
-            arr = getattr(self, name)
-            if not (isinstance(arr, np.ndarray) and arr.shape == shape and arr.dtype == "float64"):
-                raise ConfigError(
-                    f"scene {name} is not a float64 array of shape {shape} on a {h} x {w} grid")
-        on = np.flatnonzero(self.point_overlap_gt)
-        uv = self.gt_projection.take(on, axis=0)
-        with np.errstate(all="ignore"):  # huge values overflow and fail the check
-            depth = self.raw_pose.apply(self.points.take(on, axis=0))[:, 2]
-            if not (np.isfinite(self.points).all() and (depth > geo.MIN_DEPTH).all()
-                    and (uv >= 0.0).all() and (uv < [w, h]).all()):
-                raise ConfigError("scene has a non-finite point, or a projection row not all NaN "
-                                  "(an overlapping point) behind the camera or outside the grid")
+        pts = self.points
+        if not (isinstance(pts, np.ndarray) and pts.ndim == 2 and pts.shape[1] == 3
+                and pts.dtype == "float64" and np.isfinite(pts).all()):
+            raise ConfigError("scene points are not an N x 3 float64 array of finite values")
 
     @property
     def intrinsics(self) -> geo.CameraIntrinsics:
         return _camera(self.grid)
+
+    @cached_property
+    def gt_projection(self) -> np.ndarray:  # N x 2, NaN where not overlapping
+        return _grid_projection(self.raw_pose.apply(self.points), self.intrinsics, self.grid)
 
     @cached_property
     def point_overlap_gt(self) -> np.ndarray:  # N bool
@@ -142,9 +134,11 @@ class SceneSample:
 
 
 def pixel_centers(grid: tuple[int, int]) -> np.ndarray:
-    """(H'*W') x 2 array of (u, v) centers in flat row-major order of a tuple grid."""
-    if not (isinstance(grid, tuple) and len(grid) == 2 and all(is_count(g, 1) for g in grid)):
-        raise ParameterError(f"grid must be a tuple of two integers >= 1, got {grid!r}")
+    """(H'*W') x 2 array of (u, v) centers in flat row-major order of a grid
+    that passes ``_is_grid`` with sides >= 1."""
+    if not _is_grid(grid, 1):
+        raise ParameterError(f"grid must be a tuple of two integers >= 1 of at most "
+                             f"{_MAX_PIXELS} pixels, got {grid!r}")
     h, w = grid
     v, u = np.mgrid[0:h, 0:w]
     return np.stack([u.reshape(-1), v.reshape(-1)], axis=1).astype(np.float64)
@@ -237,11 +231,18 @@ def build_pairs(sample: SceneSample, r_p: float, r_n: float) -> PairSet:
     margins = real_array((r_p, r_n), "margins", ParameterError)
     if not (margins.shape == (2,) and 0.0 < margins[0] < margins[1]):
         raise ParameterError(f"margins must satisfy 0 < r_p < r_n, got {(r_p, r_n)}")
-    m = sample.n_pixels
-    overlap = np.flatnonzero(sample.point_overlap_gt)
-    uv = sample.gt_projection[overlap]
-    row, pixel = _window_pixels(uv, r_n, sample.grid)
-    v, u = np.divmod(pixel, sample.grid[1])
+    return _label_pairs(sample.gt_projection, sample.grid, r_p, r_n)
+
+
+def _label_pairs(proj: np.ndarray, grid: tuple[int, int], r_p: float, r_n: float) -> PairSet:
+    """``build_pairs`` on N x 2 projections ``proj`` (a row of NaN for a point
+    that does not overlap, any other row inside ``grid``), for margins
+    0 < r_p < r_n."""
+    m = grid[0] * grid[1]
+    overlap = np.flatnonzero(~np.isnan(proj).all(axis=1))
+    uv = proj[overlap]
+    row, pixel = _window_pixels(uv, r_n, grid)
+    v, u = np.divmod(pixel, grid[1])
     dx, dy = uv[row, 0] - u, uv[row, 1] - v
     dist = np.sqrt(dx * dx + dy * dy)
     near = dist <= r_n
@@ -277,14 +278,14 @@ def _sample_patch(rng: np.random.Generator, k: geo.CameraIntrinsics,
 
     Each uniform draw, the plane's scalars and a batch's (u, v) offsets in
     [-radius, radius), is ``rng.uniform``'s double through ``_uniform``.
-    A ray is ``geo.unproject`` of its (u, v) at depth 1.0.
+    A ray is ``geo._unproject`` of its (u, v) at depth 1.0.
     """
     h, w = grid
     edge = np.array([w - 0.1, h - 0.1])
     for _ in range(PATCH_PLANES):
         center_uv = np.array([_uniform(rng, 1.0, w - 1.0), _uniform(rng, 1.0, h - 1.0)])
         z0 = _uniform(rng, Z_NEAR, Z_FAR)
-        q0 = geo.unproject(center_uv[None, :], [z0], k)[0]
+        q0 = geo._unproject(center_uv[None, :], np.array([z0]), k)[0]
         normal = q0 / np.linalg.norm(q0) + 0.5 * rng.normal(size=3)
         normal /= np.linalg.norm(normal)
         radius = _uniform(rng, 1.5, max(2.0, min(h, w) / 2.0))
@@ -294,7 +295,7 @@ def _sample_patch(rng: np.random.Generator, k: geo.CameraIntrinsics,
             state, need = rng.bit_generator.state, size - got
             batch = min(2 * need, 100 * size - attempts)
             uv = center_uv + _uniform(rng, -radius, radius, (batch, 2))
-            rays = geo.unproject(uv, np.ones(batch), k)
+            rays = geo._unproject(uv, np.ones(batch), k)
             denom = np.matmul(rays[:, None, :], normal)[:, 0]
             ok = ((0.1 <= uv) & (uv <= edge)).all(axis=1) & (np.abs(denom) >= 1e-3)
             z = offset / np.where(ok, denom, 1.0)
@@ -338,7 +339,7 @@ def _sample_in_frustum(rng: np.random.Generator, k: geo.CameraIntrinsics,
     sizes[: n_patch - sizes.sum()] += 1
     pts = [_sample_patch(rng, k, grid, size) for size in sizes]
     uvz = rng.uniform([0.1, 0.1, Z_NEAR], [w - 0.1, h - 0.1, Z_FAR], (n_noise, 3))
-    pts.append(geo.unproject(uvz[:, :2], uvz[:, 2], k))
+    pts.append(geo._unproject(uvz[:, :2], uvz[:, 2], k))
     return np.vstack(pts)
 
 
@@ -365,7 +366,7 @@ def _sample_out_of_frustum(rng: np.random.Generator, k: geo.CameraIntrinsics,
             u = _uniform(rng, w + 2.0, 3.0 * w) * (-1.0, 1.0)[rng.integers(2)]
             pts[i] = (u, _uniform(rng, -h, 2.0 * h), _uniform(rng, Z_NEAR, Z_FAR))
             side[i] = True
-    pts[side] = geo.unproject(pts[side, :2], pts[side, 2], k)
+    pts[side] = geo._unproject(pts[side, :2], pts[side, 2], k)
     hits = np.count_nonzero(~np.isnan(_grid_projection(pts, k, grid)).all(axis=1))
     if hits:
         raise GenerationError(f"{hits} out-of-frustum points overlap the grid")
@@ -389,8 +390,7 @@ def generate_scene(rng: np.random.Generator, config: SceneConfig) -> SceneSample
     cam_pts = cam_pts[rng.permutation(config.n_points)]
     points = geo.invert(raw_pose).apply(cam_pts)
 
-    sample = SceneSample(points, raw_pose, config.grid,
-                         _grid_projection(raw_pose.apply(points), k, config.grid))
+    sample = SceneSample(points, raw_pose, config.grid)
     overlap = np.count_nonzero(sample.point_overlap_gt)
     if overlap < MIN_OVERLAP:
         raise GenerationError(f"only {overlap} overlapping points after construction")
@@ -398,8 +398,9 @@ def generate_scene(rng: np.random.Generator, config: SceneConfig) -> SceneSample
 
 
 def augment_scene(sample: SceneSample, rot: np.ndarray, trans: np.ndarray) -> SceneSample:
-    """Points move, labels stay: the pose is recomputed so projections are
-    unchanged, which is exactly why the overlap ground truth carries over."""
+    """Points move, labels stay: the pose is recomputed so that the derived
+    projections move by rounding alone, and the labels carry over unless a
+    projection lies within that rounding of a label's boundary."""
     points, raw_pose = geo.augment(sample.points, sample.raw_pose, rot, trans)
     return replace(sample, points=points, raw_pose=raw_pose)
 
@@ -411,8 +412,7 @@ def _layout(n: int) -> np.dtype:
     try:
         return np.dtype([
             ("magic", "S4"), ("version", "<u4"), ("n", "<u4"), ("h", "<u4"), ("w", "<u4"),
-            ("rotation", "<f8", (3, 3)), ("translation", "<f8", (3,)),
-            ("points", "<f8", (n, 3)), ("projection", "<f8", (n, 2)),
+            ("rotation", "<f8", (3, 3)), ("translation", "<f8", (3,)), ("points", "<f8", (n, 3)),
         ])
     except ValueError as err:  # numpy holds each dimension and the record in a C int
         raise ConfigError(f"a scene of {n} points does not fit the scene format: {err}") from err
@@ -422,7 +422,7 @@ def scene_to_bytes(sample: SceneSample) -> bytes:
     """The packed ``.nclr`` record of a sample, which checked itself when built."""
     (h, w), pose, n = sample.grid, sample.raw_pose, sample.n_points
     return np.array((MAGIC, FORMAT_VERSION, n, h, w, pose.rotation, pose.translation,
-                     sample.points, sample.gt_projection), _layout(n)).tobytes()
+                     sample.points), _layout(n)).tobytes()
 
 
 def _scene_from_bytes(blob) -> tuple[SceneSample, int]:
@@ -443,8 +443,7 @@ def _scene_from_bytes(blob) -> tuple[SceneSample, int]:
             pose = geo.RigidPose(rec["rotation"].copy(), rec["translation"].copy())
         except ParameterError as err:
             raise ConfigError(f"scene file holds an invalid raw pose: {err}") from err
-    return SceneSample(rec["points"].copy(), pose, rec[["h", "w"]].item(),
-                       rec["projection"].copy()), layout.itemsize
+    return SceneSample(rec["points"].copy(), pose, rec[["h", "w"]].item()), layout.itemsize
 
 
 def write_dataset(out_dir, scenes: list[SceneSample], config: SceneConfig,

@@ -115,9 +115,6 @@ TABLE = {
                                  angle=0.3: geo.rotation_from_axis_angle(axis, angle)),
     "sample_augmentation": (ParameterError, lambda rot_range=0.5, trans_range=1.0:
                             geo.sample_augmentation(_rng(), rot_range, trans_range)),
-    # the first pixel is the principal point, where an infinite depth meets 0 * inf
-    "unproject": (ParameterError, lambda coords=np.array([[4.0, 4.0], [1.0, 6.0]]),
-                  depth=np.array([4.0, 6.0]): geo.unproject(coords, depth, SCENE.intrinsics)),
     # matching
     "AlignmentTransform": (ParameterError, lambda temperature=0.07: mt.AlignmentTransform(
         WEIGHTS["align.b"], temperature).matrix()),
@@ -166,9 +163,8 @@ TABLE = {
                     skipped_no_negative)),
     "SceneConfig": (ParameterError, lambda n_points=32, grid=(8, 8):
                     sc.SceneConfig(n_points, grid)),
-    "SceneSample": (ConfigError, lambda points=SCENE.points, grid=SCENE.grid,
-                    gt_projection=SCENE.gt_projection:
-                    sc.SceneSample(points, SCENE.raw_pose, grid, gt_projection)),
+    "SceneSample": (ConfigError, lambda points=SCENE.points, grid=SCENE.grid:
+                    sc.SceneSample(points, SCENE.raw_pose, grid)),
     "augment_scene": (ParameterError, lambda rot=np.eye(3), trans=np.zeros(3):
                       sc.augment_scene(SCENE, rot, trans)),
     "build_pairs": (ParameterError, lambda r_p=1.0, r_n=4.0: sc.build_pairs(SCENE, r_p, r_n)),

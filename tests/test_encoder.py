@@ -83,14 +83,16 @@ class TestEncode:
 
     def test_texture_tie_goes_to_lower_overlap_index(self):
         # pixel (3, 3) is 0.5 from both projections; the first overlapping
-        # point wins even though it is the farther one
-        proj = np.array([[np.nan, np.nan], [2.5, 3.0], [3.5, 3.0]])
-        points = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 9.0], [0.0, 0.0, 4.0]])
+        # point wins even though it is the farther one. The points are dyadic,
+        # so the camera (f = 12, centre (4, 4)) projects them exactly.
+        points = np.array([[0.0, 0.0, -1.0], [-1.5, -1.0, 12.0], [-0.25, -0.5, 6.0]])
         scene = sc.SceneSample(points=points, raw_pose=geo.RigidPose(np.eye(3), np.zeros(3)),
-                               grid=(8, 8), gt_projection=proj)
+                               grid=(8, 8))
+        assert np.array_equal(scene.gt_projection, [[np.nan, np.nan], [2.5, 3.0], [3.5, 3.0]],
+                              equal_nan=True)
         tex = enc._pixel_texture(scene)
-        assert tex[3 * 8 + 3] == 9.0
-        assert tex[3 * 8 + 4] == 4.0
+        assert tex[3 * 8 + 3] == 12.0
+        assert tex[3 * 8 + 4] == 6.0
         np.testing.assert_array_equal(tex, brute_force_texture(scene))
 
     def test_first_layer_gradient_matches_finite_differences(self):
@@ -466,8 +468,7 @@ class TestFuse:
         scene = small_scene(seed=2, n_points=16)
         perm = np.random.default_rng(7).permutation(16)
         from dataclasses import replace
-        permuted = replace(scene, points=scene.points[perm],
-                           gt_projection=scene.gt_projection[perm])
+        permuted = replace(scene, points=scene.points[perm])
         p0 = small_params(seed=8)
 
         def run(s):

@@ -147,12 +147,12 @@ class TestProject:
         rng = np.random.default_rng(16)
         coords = rng.uniform(0, 100, (64, 2))
         depth = rng.uniform(1.0, 30.0, 64)
-        pts = geo.unproject(coords, depth, INTR)
+        pts = geo._unproject(coords, depth, INTR)
         np.testing.assert_array_equal(pts[:, 2], depth)
         np.testing.assert_allclose(geo.project(pts, INTR), coords, atol=1e-9)
 
     def test_project_round_trip(self):
-        # unproject inverts project on every point in front of the camera,
+        # _unproject inverts project on every point in front of the camera,
         # and a point behind it projects to a NaN row
         rng = np.random.default_rng(17)
         pts = rng.uniform(-3, 3, (32, 3))
@@ -160,7 +160,7 @@ class TestProject:
         seen = pts[:, 2] > geo.MIN_DEPTH
         assert 0 < seen.sum() < 32
         assert np.isnan(coords[~seen]).all()
-        np.testing.assert_allclose(geo.unproject(coords[seen], pts[seen, 2], INTR), pts[seen],
+        np.testing.assert_allclose(geo._unproject(coords[seen], pts[seen, 2], INTR), pts[seen],
                                    atol=1e-9)
 
 

@@ -52,7 +52,7 @@ def brute_force_pixel_overlap(sample: sc.SceneSample, radius=1.0) -> np.ndarray:
 
 def version_1_record(sample: sc.SceneSample) -> bytes:
     """``sample`` packed as a record of format version 1, which also stored
-    the camera and both overlap masks (one byte per flag)."""
+    the camera, both overlap masks (one byte per flag) and the projections."""
     (h, w), n, k, pose = sample.grid, sample.n_points, sample.intrinsics, sample.raw_pose
     layout = np.dtype([
         ("magic", "S4"), ("version", "<u4"), ("n", "<u4"), ("h", "<u4"), ("w", "<u4"),
@@ -62,6 +62,18 @@ def version_1_record(sample: sc.SceneSample) -> bytes:
     return np.array((b"NCLR", 1, n, h, w, (k.fx, k.fy, k.cx, k.cy), pose.rotation,
                      pose.translation, sample.points, sample.point_overlap_gt,
                      sample.pixel_overlap_gt, sample.gt_projection), layout).tobytes()
+
+
+def version_2_record(sample: sc.SceneSample) -> bytes:
+    """``sample`` packed as a record of format version 2, which also stored
+    the projections."""
+    (h, w), n, pose = sample.grid, sample.n_points, sample.raw_pose
+    layout = np.dtype([
+        ("magic", "S4"), ("version", "<u4"), ("n", "<u4"), ("h", "<u4"), ("w", "<u4"),
+        ("rotation", "<f8", (3, 3)), ("translation", "<f8", (3,)), ("points", "<f8", (n, 3)),
+        ("projection", "<f8", (n, 2))])
+    return np.array((b"NCLR", 2, n, h, w, pose.rotation, pose.translation, sample.points,
+                     sample.gt_projection), layout).tobytes()
 
 
 def oracle_in_frustum(rng, cfg, count):
@@ -77,7 +89,7 @@ def oracle_in_frustum(rng, cfg, count):
     for size in sizes:
         center_uv = np.array([rng.uniform(1.0, w - 1.0), rng.uniform(1.0, h - 1.0)])
         z0 = rng.uniform(sc.Z_NEAR, sc.Z_FAR)
-        q0 = geo.unproject(center_uv[None, :], [z0], k)[0]
+        q0 = geo._unproject(center_uv[None, :], np.array([z0]), k)[0]
         normal = q0 / np.linalg.norm(q0) + 0.5 * rng.normal(size=3)
         normal /= np.linalg.norm(normal)
         radius = rng.uniform(1.5, max(2.0, min(h, w) / 2.0))
@@ -102,7 +114,7 @@ def oracle_in_frustum(rng, cfg, count):
     for _ in range(n_noise):
         uv = np.array([rng.uniform(0.1, w - 0.1), rng.uniform(0.1, h - 0.1)])
         z = rng.uniform(sc.Z_NEAR, sc.Z_FAR)
-        pts.append(geo.unproject(uv[None, :], [z], k)[0])
+        pts.append(geo._unproject(uv[None, :], np.array([z]), k)[0])
     return np.array(pts).reshape(count, 3)
 
 
@@ -120,7 +132,8 @@ def oracle_out_of_frustum(rng, cfg, count):
             else:
                 u = rng.uniform(w + 2.0, 3.0 * w) * rng.choice([-1.0, 1.0])
                 v = rng.uniform(-h, 2.0 * h)
-                q = geo.unproject(np.array([[u, v]]), [rng.uniform(sc.Z_NEAR, sc.Z_FAR)], k)[0]
+                z = rng.uniform(sc.Z_NEAR, sc.Z_FAR)
+                q = geo._unproject(np.array([[u, v]]), np.array([z]), k)[0]
             if np.isnan(sc._grid_projection(q[None, :], k, cfg.grid)).all():
                 pts[i] = q
                 break
@@ -136,39 +149,39 @@ ORACLE_CASES = [(8, (4, 9), range(60)), (32, (8, 8), range(60)), (100, (5, 17), 
 
 # SHA-256 of generate_scene(default_rng(seed), SceneConfig(n, grid)) as a
 # version-1 record and as scene_to_bytes writes it: a change to generation that
-# moves one bit of any scene fails here, and the first shows that the camera and
-# masks the scene derives are the ones that format version 1 stored
+# moves one bit of any scene fails here, and the first shows that the camera,
+# masks and projections the scene derives are the ones that format version 1 stored
 SCENE_DIGESTS = [
     (32, (8, 8), 0, "34469406193bc3cbc2f397715a8c08d481e97af5aaa97c667d74cd59a6652e12",
-     "aaeed752ce518d09cf1e2c67773ea428f05654398840e0059c1c1bd6fdf8ef03"),
+     "13087cb0f92d37737afe800f2c7d367440c47d7e7c2db3afcbc7bf96386cc69c"),
     (32, (8, 8), 1, "8281937fc89d6ed1b46d6edb716add70b74c944b4851d547e8904ccefd82fe6a",
-     "25dc18026b1d3e2e14f705df6e92c522f64529ac7a0b1339b08a84b0510f4d94"),
+     "654b690c1eb02c7c049c661ec92fae387210ce7a5b9040e94dbff5b2e756159f"),
     (32, (8, 8), 2, "d504d473683980f08bf3c8c36f54db9a924230de3821d9a1220086220983603d",
-     "8f57be96152b153a5516bffbcf70f95c5249aaf0600b03b13a0798f509a18b40"),
+     "0cd2b42e4a26dd14f4eb2d8664c8b3fe50822d4c5ba97c3b2caa56f6b52d52b8"),
     (32, (8, 8), 3, "b18a71c2848805cbf0b6fd4bbea38f3fdc1679fec8077ce104e58b2eeae44f66",
-     "9cf3d032de31e26963768e863533d1700bcdfce41f0e3514afbcaf3d56977c67"),
+     "4c8ebe37c87503b56791a0f628a49f7da8b1a8976e820c9b0e8397e50b7bd888"),
     (256, (16, 16), 0, "e8d41c46f4d0a42fa607255bd1b7cb2b43c09cda3c615c21350938d65f59a670",
-     "d42a32bb47dfee5682bdf08b09654873ad6b74cdedd3b0fcc263d747cc4acd6a"),
+     "36dc7ee544cc9950c80430fa01a47c7a11dc916938f9141b423cf9a4015ea821"),
     (256, (16, 16), 1, "9b9ee6046a11940c5b5e975210e48f7d52c2a5b25d4cdfd194fb52e507751c26",
-     "d2aa2406a0469ec2aaf415ab3d27417278a156704f128422bc0dc120b9cbe308"),
+     "45b1bbd299f0ea838cf78e45aa0d6b75f33e9fd6c6d04e2e3827b8baaf600c18"),
     (256, (16, 16), 2, "74c5c6e489b824c430b2e79c5e2670a9817ba40670bf9cf2748a60a20cedd76c",
-     "7a372781698876964ff115f82fb11b7089b8e1f187d8e90739c53a1ae249747e"),
+     "ddc516561fcc30e20484e1042df69353d0d53fc9f7e02439c83bae9c626a5479"),
     (256, (16, 16), 3, "d17aeccb8611822a153020cf32ad4979185bdd40eb3adcd547d256997d12f31c",
-     "38561fe85135599ce512fc636700cd8e05abb21cd6d6ee7fc4a60211e8bbce19"),
+     "d8b34066db38e03174587ac0bc2f07a72f066c5ca482151aede2c21761165d5b"),
     (512, (24, 24), 0, "babe0427918f74ddab71f12cada3032e1eb384097c735d08dc2acc7242118142",
-     "4a0a7b9c87130de3a20995e360a120ea3154fbc05fd362e6299455a81d766287"),
+     "4ca2ff0eec37db61a4c40ecbfb911fca043dec4024e1719b1ed4513690242abb"),
     (512, (24, 24), 1, "12b523ed94f41319e3de6705b0e17f49127ddd8ce085ee9ca4d7ae434bd12853",
-     "4786f07d69987be2f9039429f3861ebd12fb4c104159c92a5483e9e3fb0862be"),
+     "8b1ca9abaf229d6d5f3cf8b898cba77388d4bfbb5bad45da1b1ea5362e946e38"),
 ]
 
 # SHA-256 of the concatenated bytes of four 256/16² scenes drawn in sequence
 # from default_rng(301), as a dataset set-up draws them: a sampler that draws
 # one value too many or too few moves every scene after the first
-SEQUENCE_DIGEST = "0142ff883a9eb0e64073620aace8a8a7f2a2ab1103a4da931868d7bd43e65823"
+SEQUENCE_DIGEST = "8831c87e93b183a2e3619a9d09ce1e191a2dab7cee8deffde89131b3aa4328e9"
 
 # the same for four 512/24² scenes from default_rng(301), redrawn on
 # GenerationError as the set-up redraws them
-SEQUENCE_DIGEST_512 = "afd98aa9b821575c1579f436a4b4d5862a7763c958749d3702bb459cc48f49c2"
+SEQUENCE_DIGEST_512 = "4605d300e799efb60846c592937b0629d2f5862f2b3e9bc4748035ef20213554"
 
 HEAD_SIZE = 20  # dataset file head: magic, version and count as uint32, seed as uint64
 
@@ -328,9 +341,13 @@ class TestGeneration:
         np.testing.assert_array_equal(aug.point_overlap_gt, sample.point_overlap_gt)
         np.testing.assert_array_equal(aug.pixel_overlap_gt, sample.pixel_overlap_gt)
         assert aug.intrinsics == sample.intrinsics
-        proj = geo.project(aug.raw_pose.apply(aug.points), aug.intrinsics)
-        ok = sample.point_overlap_gt
-        np.testing.assert_allclose(proj[ok], sample.gt_projection[ok], atol=1e-9)
+        np.testing.assert_allclose(aug.gt_projection, sample.gt_projection, rtol=0.0, atol=1e-9)
+        # so every pair label carries over
+        pairs, aug_pairs = sc.build_pairs(sample, 1.0, 4.0), sc.build_pairs(aug, 1.0, 4.0)
+        for name in ("overlap_points", "positives", "near"):
+            np.testing.assert_array_equal(getattr(aug_pairs, name), getattr(pairs, name))
+        assert (aug_pairs.skipped_no_positive, aug_pairs.skipped_no_negative) == \
+            (pairs.skipped_no_positive, pairs.skipped_no_negative)
         # the pixel texture reads each overlapping point's depth under the
         # recomputed pose, which moves it by rounding alone
         texture = enc._pixel_texture(sample)
@@ -391,26 +408,18 @@ SYMMETRY_BASES = [make_scene(seed=seed, n_points=16, grid=(8, 8)) for seed in ra
 
 @st.composite
 def perturbed_scenes(draw):
-    """A generated scene and one change to its fields: a NaN or inf point,
-    one coordinate of an overlapping projection set to NaN or moved (mostly
-    outside the grid), an overlapping point moved along the optical axis
-    (mostly behind the camera), a list or an empty grid, or nothing."""
+    """A generated scene and one change to its fields: a NaN or inf point, an
+    overlapping point moved along the optical axis (mostly behind the
+    camera), a list or an empty grid, or nothing."""
     sample = draw(st.sampled_from(SYMMETRY_BASES))
     (h, w), n = sample.grid, sample.n_points
     i = draw(st.sampled_from(np.flatnonzero(sample.point_overlap_gt).tolist()))
-    kind = draw(st.sampled_from(["point", "projection", "depth", "grid", "none"]))
+    kind = draw(st.sampled_from(["point", "depth", "grid", "none"]))
     if kind == "point":
         points = sample.points.copy()
         points[draw(st.integers(0, n - 1)), draw(st.integers(0, 2))] = \
             draw(st.sampled_from([np.nan, np.inf, -np.inf]))
         return sample, {"points": points}
-    if kind == "projection":
-        proj = sample.gt_projection.copy()
-        edge = float(max(h, w))
-        proj[i, draw(st.integers(0, 1))] = draw(
-            st.sampled_from([np.nan, np.inf, -np.inf, -0.5, np.nextafter(0.0, -1.0), float(h),
-                             float(w), 1e300]) | st.floats(-edge, 2.0 * edge))
-        return sample, {"gt_projection": proj}
     if kind == "depth":
         pose, points = sample.raw_pose, sample.points.copy()
         q = pose.apply(points[i:i + 1])[0]
@@ -437,38 +446,18 @@ class TestSceneRule:
     @given(perturbed_scenes())
     def test_sample_refuses_or_round_trips(self, case):
         """Whatever sample can be built, the writer writes and the reader
-        reads back equal."""
+        reads back equal, and each of its projections is a NaN row or an
+        overlapping point's, in front of the camera and inside the grid."""
         sample, change = case
         try:
             changed = replace(sample, **change)
         except ConfigError:
             return
         assert_same_scene(sc._scene_from_bytes(sc.scene_to_bytes(changed))[0], changed)
-
-    @staticmethod
-    def assert_half_nan_rows_refused(sample, row):
-        """(NaN, v) and (u, NaN) on ``row`` are refused when built and when read:
-        a row that is not all NaN is an overlapping point's, and NaN lies
-        outside the grid."""
-        for col in (0, 1):
-            proj = sample.gt_projection.copy()
-            proj[row] = [3.0, 4.0]
-            proj[row, col] = np.nan
-            with pytest.raises(ConfigError, match="projection row not all NaN"):
-                replace(sample, gt_projection=proj)
-            with pytest.raises(ConfigError, match="projection row not all NaN"):
-                sc._scene_from_bytes(edited_bytes(sample, projection=proj))
-
-    def test_nan_overlapping_projection_refused(self):
-        # pair building would meet it as a NaN distance
-        sample = make_scene(seed=7)
-        self.assert_half_nan_rows_refused(sample, np.flatnonzero(sample.point_overlap_gt)[0])
-
-    def test_number_on_a_non_overlapping_row_refused(self):
-        # NaN marks a point that does not overlap; a reader could take a
-        # lone number there for half a projection
-        sample = make_scene(seed=7)
-        self.assert_half_nan_rows_refused(sample, np.flatnonzero(~sample.point_overlap_gt)[0])
+        (h, w), on = changed.grid, changed.point_overlap_gt
+        uv = changed.gt_projection
+        assert np.isnan(uv[~on]).all() and ((uv[on] >= 0.0) & (uv[on] < [w, h])).all()
+        assert (changed.raw_pose.apply(changed.points[on])[:, 2] > geo.MIN_DEPTH).all()
 
 
 class TestPixelOverlap:
@@ -488,41 +477,35 @@ class TestPixelOverlap:
                 sample.pixel_overlap_gt, brute_force_pixel_overlap(sample))
 
 
-def with_projections(grid, proj) -> sc.SceneSample:
-    """A scene whose points project to ``proj`` (NaN rows do not overlap);
-    build_pairs reads nothing else. Overlapping points sit at depth 1, in
-    front of the camera, as the scene rule requires."""
-    proj = np.asarray(proj, dtype=np.float64).reshape(-1, 2)
-    points = np.zeros((len(proj), 3))
-    points[~np.isnan(proj[:, 0]), 2] = 1.0
-    return sc.SceneSample(points=points, raw_pose=geo.RigidPose(np.eye(3), np.zeros(3)),
-                          grid=grid, gt_projection=proj)
+def label_pairs(grid, proj, r_p, r_n) -> sc.PairSet:
+    """``build_pairs``' labelling of the projections ``proj`` (NaN rows do not
+    overlap) on ``grid``: a derived projection cannot be set to an exact value."""
+    return sc._label_pairs(np.asarray(proj, dtype=np.float64).reshape(-1, 2), grid, r_p, r_n)
 
 
-def dense_pairs(sample: sc.SceneSample, r_p, r_n):
+def dense_pairs(grid, proj, r_p, r_n):
     """Brute-force reference: every (overlapping point, pixel) distance as
     sqrt(dx*dx + dy*dy), positives below r_p, near pairs up to r_n."""
-    centers = sc.pixel_centers(sample.grid)
-    pos = np.zeros((sample.n_points, sample.n_pixels), dtype=bool)
+    centers = sc.pixel_centers(grid)
+    pos = np.zeros((len(proj), len(centers)), dtype=bool)
     near = np.zeros_like(pos)
-    for i in np.flatnonzero(sample.point_overlap_gt):
+    for i in np.flatnonzero(~np.isnan(proj[:, 0])):
         for j, (u, v) in enumerate(centers):
-            dx = sample.gt_projection[i, 0] - u
-            dy = sample.gt_projection[i, 1] - v
+            dx, dy = proj[i, 0] - u, proj[i, 1] - v
             d = np.sqrt(dx * dx + dy * dy)
             pos[i, j], near[i, j] = d < r_p, d <= r_n
     return pos, near
 
 
-def assert_matches_dense(sample, r_p, r_n):
-    pairs = sc.build_pairs(sample, r_p, r_n)
-    pos, near = dense_pairs(sample, r_p, r_n)
-    overlap = sample.point_overlap_gt
+def assert_matches_dense(pairs, grid, proj, r_p, r_n):
+    proj = np.asarray(proj, dtype=np.float64).reshape(-1, 2)
+    pos, near = dense_pairs(grid, proj, r_p, r_n)
+    overlap = ~np.isnan(proj[:, 0])
     # pairs index the block of the overlapping points' rows
     np.testing.assert_array_equal(pairs.positives, np.flatnonzero(pos[overlap]))
     np.testing.assert_array_equal(pairs.near, np.flatnonzero(near[overlap]))
     np.testing.assert_array_equal(pairs.overlap_points, np.flatnonzero(overlap))
-    assert pairs.n_pixels == sample.n_pixels
+    assert pairs.n_pixels == grid[0] * grid[1]
     has_pos = pos.any(axis=1)
     has_neg = overlap & ~near.all(axis=1)
     assert pairs.skipped_no_positive == int((overlap & ~has_pos).sum())
@@ -567,7 +550,7 @@ class TestBuildPairs:
     def test_projection_on_center_single_positive(self):
         proj = np.full((32, 2), np.nan)
         proj[0] = [2.0, 5.0]
-        pairs = sc.build_pairs(with_projections((8, 8), proj), r_p=1.0, r_n=4.0)
+        pairs = label_pairs((8, 8), proj, r_p=1.0, r_n=4.0)
         np.testing.assert_array_equal(pairs.positives, [5 * 8 + 2])
         np.testing.assert_array_equal(pairs.overlap_points, [0])
         assert pairs.skipped_no_positive == pairs.skipped_no_negative == 0
@@ -582,25 +565,27 @@ class TestBuildPairs:
 
     def test_matches_brute_force_filter(self):
         for seed, r_p, r_n in [(5, 1.0, 4.0), (6, 0.5, 2.3), (7, 1.5, 1.6), (8, 2.0, 9.0)]:
-            assert_matches_dense(make_scene(seed=seed, grid=(8, 8), n_points=48), r_p, r_n)
+            sample = make_scene(seed=seed, grid=(8, 8), n_points=48)
+            assert_matches_dense(sc.build_pairs(sample, r_p, r_n), sample.grid,
+                                 sample.gt_projection, r_p, r_n)
 
     @settings(max_examples=300)
     @given(projections_and_margins())
     def test_matches_brute_force_on_edges_and_exact_margins(self, case):
         grid, proj, r_p, r_n = case
-        assert_matches_dense(with_projections(grid, proj), r_p, r_n)
+        assert_matches_dense(label_pairs(grid, proj, r_p, r_n), grid, proj, r_p, r_n)
 
     def test_exact_margins_classified_like_the_distance(self):
         # d == r_p is not a positive, d == r_n is near (not a negative)
         proj = [[3.0, 3.0], [np.nan, np.nan]]
-        pairs = sc.build_pairs(with_projections((8, 8), proj), r_p=1.0, r_n=2.5)
+        pairs = label_pairs((8, 8), proj, r_p=1.0, r_n=2.5)
         pixel = {(u, v): v * 8 + u for v in range(8) for u in range(8)}
         assert pixel[4, 3] not in pairs.positives and pixel[4, 3] in pairs.near
         assert pixel[4, 5] in pairs.near  # (1, 2) away: sqrt(5) < 2.5
         assert pixel[5, 5] not in pairs.near  # sqrt(8) > 2.5
         assert pixel[3, 3] in pairs.positives
         proj = [[2.5, 2.0]]  # 3-4-5 triangles: (1.5, 2) from pixels (1, 0) and (4, 4)
-        pairs = sc.build_pairs(with_projections((8, 8), proj), r_p=1.0, r_n=2.5)
+        pairs = label_pairs((8, 8), proj, r_p=1.0, r_n=2.5)
         assert pixel[4, 4] in pairs.near and pixel[1, 0] in pairs.near
 
     def test_positive_pixels_are_overlap_labeled(self):
@@ -659,15 +644,7 @@ class TestSceneIO:
         # refuses what is left after the last one
         assert sc._scene_from_bytes(blob + b"\x00")[1] == len(blob)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300, -0.5, 16.0])
-    def test_overlapping_projection_outside_grid_rejected(self, bad):
-        sample = make_scene(seed=7)
-        proj = sample.gt_projection.copy()
-        proj[np.flatnonzero(sample.point_overlap_gt)[3], 1] = bad
-        with pytest.raises(ConfigError, match="outside the grid"):
-            sc._scene_from_bytes(edited_bytes(sample, projection=proj))
-
-    def test_overlapping_point_behind_camera_rejected(self):
+    def test_overlapping_point_moved_behind_camera_loads_as_not_overlapping(self):
         sample = make_scene(seed=7)
         i = np.flatnonzero(sample.point_overlap_gt)[0]
         points = sample.points.copy()
@@ -675,8 +652,12 @@ class TestSceneIO:
         pose = sample.raw_pose
         q = pose.apply(points[i:i + 1])[0]
         points[i] = pose.rotation.T @ (np.array([q[0], q[1], -1.0]) - pose.translation)
-        with pytest.raises(ConfigError, match="behind the camera"):
-            sc._scene_from_bytes(edited_bytes(sample, points=points))
+        loaded = sc._scene_from_bytes(edited_bytes(sample, points=points))[0]
+        assert np.flatnonzero(loaded.point_overlap_gt ^ sample.point_overlap_gt).tolist() == [i]
+        assert np.isnan(loaded.gt_projection[i]).all()
+        others = np.arange(sample.n_points) != i
+        assert np.array_equal(loaded.gt_projection[others], sample.gt_projection[others],
+                              equal_nan=True)
 
     @pytest.mark.parametrize("field", ["points", "translation", "rotation", "n", "h", "w",
                                        "empty_grid"])
@@ -713,19 +694,17 @@ class TestSceneIO:
             sc.SceneConfig(grid=(rows + 1, 16))
 
     @pytest.mark.parametrize("case", ["wrong_grid", "negative_grid", "empty_grid",
-                                      "points_n_x_2", "short_projection", "projection_column"])
+                                      "points_n_x_2"])
     def test_inconsistent_sample_rejected_before_packing(self, case):
         """The sample refuses itself, so the writer never sees it."""
         sample = make_scene(seed=7)
         change = {
-            "wrong_grid": dict(grid=(16, 8)),  # too narrow for the projections
+            "wrong_grid": dict(grid=(16, 16, 16)),  # three sides
             "negative_grid": dict(grid=(-16, -16)),
             "empty_grid": dict(grid=(0, 16)),
             "points_n_x_2": dict(points=sample.points[:, :2]),
-            "short_projection": dict(gt_projection=sample.gt_projection[:-1]),
-            "projection_column": dict(gt_projection=sample.gt_projection[:, :1]),
         }[case]
-        with pytest.raises(ConfigError, match="grid"):
+        with pytest.raises(ConfigError, match="grid|points"):
             replace(sample, **change)
 
     @settings(max_examples=300)
@@ -795,11 +774,24 @@ class TestSceneIO:
         """A whole version-1 record is refused alone and inside a dataset file."""
         sample = make_scene(seed=7, n_points=32, grid=(8, 8))
         record = version_1_record(sample)
-        assert (len(record), len(sc.scene_to_bytes(sample))) == (1524, 1396)
+        assert (len(record), len(sc.scene_to_bytes(sample))) == (1524, 884)
         with pytest.raises(ConfigError, match="version 1"):
             sc._scene_from_bytes(record)
         # the head a version-1 writer wrote, and a current head over the old record
         for version in (1, sc.FORMAT_VERSION):
+            head = sc.DATASET_MAGIC + struct.pack("<IIQ", version, 1, 7)
+            (tmp_path / sc.DATASET_FILE).write_bytes(head + record)
+            with pytest.raises(ConfigError, match="version"):
+                sc.load_dataset(tmp_path)
+
+    def test_version_2_record_refused(self, tmp_path):
+        """A whole version-2 record is refused alone and inside a dataset file."""
+        sample = make_scene(seed=7, n_points=32, grid=(8, 8))
+        record = version_2_record(sample)
+        assert len(record) == 1396
+        with pytest.raises(ConfigError, match="version 2"):
+            sc._scene_from_bytes(record)
+        for version in (2, sc.FORMAT_VERSION):
             head = sc.DATASET_MAGIC + struct.pack("<IIQ", version, 1, 7)
             (tmp_path / sc.DATASET_FILE).write_bytes(head + record)
             with pytest.raises(ConfigError, match="version"):
