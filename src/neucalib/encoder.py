@@ -1,15 +1,14 @@
 """Toy feature encoders and one transformer-style bidirectional fusion layer.
 
 The point branch is a two-layer tanh MLP on 3-D coordinates; the pixel
-branch is the same on (u, v, texture), where the texture channel is the
-camera-frame depth of the nearest projected point and stands in for image
-appearance (a coordinate-only pixel branch would make matching
-unlearnable). Fusion runs per-modality self-attention, bidirectional
-cross-attention, and a feed-forward block, each wrapped in a residual
-connection; each attention sublayer is one tape node that adds the
-sinusoidal position encodings to its inputs and its own residual.
-Positions come from coordinates, never indices, so the whole encoder
-commutes with point permutations.
+branch is the same on (u, v, texture), where the texture channel is
+``SceneSample.texture`` and stands in for image appearance (a
+coordinate-only pixel branch would make matching unlearnable). Fusion runs
+per-modality self-attention, bidirectional cross-attention, and a
+feed-forward block, each wrapped in a residual connection; each attention
+sublayer is one tape node that adds the sinusoidal position encodings to its
+inputs and its own residual. Positions come from coordinates, never indices,
+so the whole encoder commutes with point permutations.
 
 An attention node keeps no N x M array. Its forward keeps only each query
 row's log-sum-exp, and its backward recomputes the softmax from it (the
@@ -101,31 +100,12 @@ def _mlp(x: Tensor, p, prefix: str) -> Tensor:
     return ad.dense(hidden, p[prefix + ".l2.w"], p[prefix + ".l2.b"])
 
 
-def _pixel_texture(sample: SceneSample) -> np.ndarray:
-    """Per-pixel depth of the nearest projected point (0 with no overlap)."""
-    h, w = sample.grid
-    overlap = np.flatnonzero(sample.point_overlap_gt)
-    if overlap.size == 0:
-        return np.zeros(h * w)
-    proj = sample.gt_projection[overlap]
-    depth = sample.raw_pose.apply(sample.points[overlap])[:, 2]
-    # squared distances as du^2 + dv^2, from the W' column and H' row offsets
-    du = np.subtract.outer(np.arange(w, dtype=np.float64), proj[:, 0])
-    dv = np.subtract.outer(np.arange(h, dtype=np.float64), proj[:, 1])
-    d2 = (dv * dv)[:, None, :] + (du * du)[None, :, :]  # H' x W' x K
-    return depth[np.argmin(d2.reshape(h * w, -1), axis=1)]
-
-
-def _pixel_inputs(sample: SceneSample) -> np.ndarray:
-    """(u, v, texture) rows, scaled into the tanh-friendly unit range."""
-    uv = pixel_centers(sample.grid) / float(max(sample.grid))
-    return np.column_stack([uv, _pixel_texture(sample) * TEXTURE_SCALE])
-
-
 def encode(sample: SceneSample, p) -> tuple[Tensor, Tensor]:
-    """Per-point and per-pixel features, (N x C, H'W' x C), on the tape."""
+    """Per-point and per-pixel features, (N x C, H'W' x C), on the tape; the
+    pixel rows are (u, v, texture), scaled into the tanh-friendly unit range."""
+    uv = pixel_centers(sample.grid) / float(max(sample.grid))
     f_p = _mlp(ad.constant(sample.points * POINT_INPUT_SCALE), p, "point_enc")
-    f_i = _mlp(ad.constant(_pixel_inputs(sample)), p, "pixel_enc")
+    f_i = _mlp(ad.constant(np.column_stack([uv, sample.texture * TEXTURE_SCALE])), p, "pixel_enc")
     return f_p, f_i
 
 

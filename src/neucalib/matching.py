@@ -197,29 +197,34 @@ def overlap_scores(f_p: Tensor, f_i: Tensor, p) -> tuple[Tensor, Tensor]:
     return head(f_p, "point"), head(f_i, "pixel")
 
 
+def _mask(mask, scores: Tensor, what: str) -> np.ndarray:
+    """``mask``, if it is a bool array of one entry per row of ``scores``."""
+    if not (isinstance(mask, np.ndarray) and mask.dtype == bool
+            and mask.shape == (scores.shape[0],)):
+        raise ParameterError(f"{what} must be a bool array of {scores.shape[0]}")
+    return mask
+
+
 def overlap_bce_loss(s_p: Tensor, s_i: Tensor, point_labels, pixel_labels) -> Tensor:
-    """Mean BCE over points plus mean BCE over pixels.
+    """Mean BCE over points plus mean BCE over pixels, each label a bool mask
+    with one entry per score row.
 
     One ``overlap_bce`` node. Scores are clipped to [PROB_CLAMP,
     1 - PROB_CLAMP] before the logs; the gradient is zero at and beyond
     the clip bounds.
     """
-    point_labels = real_array(point_labels, "point labels", ParameterError).reshape(-1, 1)
-    pixel_labels = real_array(pixel_labels, "pixel labels", ParameterError).reshape(-1, 1)
-    if s_p.shape[0] != point_labels.shape[0] or s_i.shape[0] != pixel_labels.shape[0]:
-        raise ParameterError("overlap label lengths do not match score lengths")
-    if not all(((y >= 0.0) & (y <= 1.0)).all() for y in (point_labels, pixel_labels)):
-        raise ParameterError("overlap labels must lie in [0, 1]")  # NaN fails the test too
-    heads = [(scores.value, labels, np.clip(scores.value, PROB_CLAMP, 1.0 - PROB_CLAMP))
-             for scores, labels in ((s_p, point_labels), (s_i, pixel_labels))]
-    value = sum(-((y * np.log(s) + (1.0 - y) * np.log(1.0 - s)).sum() / y.shape[0])
+    heads = [(scores.value, _mask(labels, scores, f"{what} labels")[:, None],
+              np.clip(scores.value, PROB_CLAMP, 1.0 - PROB_CLAMP))
+             for scores, labels, what in ((s_p, point_labels, "point"),
+                                          (s_i, pixel_labels, "pixel"))]
+    value = sum(-(np.where(y, np.log(s), np.log(1.0 - s)).sum() / y.shape[0])
                 for _, y, s in heads)
 
     def backward(g):
         grads = []
         for raw, y, s in heads:
             inside = (raw > PROB_CLAMP) & (raw < 1.0 - PROB_CLAMP)
-            grads.append(inside * ((1.0 - y) / (1.0 - s) - y / s) * (g[0, 0] / y.shape[0]))
+            grads.append(inside * np.where(y, -1.0 / s, 1.0 / (1.0 - s)) * (g[0, 0] / y.shape[0]))
         return tuple(grads)
 
     return ad.record("overlap_bce", (s_p, s_i), backward, np.array([[value]]))
@@ -259,9 +264,7 @@ def threshold_overlap(s_p: Tensor, s_i: Tensor, theta_p: float, theta_i: float,
     sides = []  # (indices, fallback) of the points, then of the pixels
     for scores, theta, mask, what in ((s_p, theta_p, gt_point_mask, "point"),
                                       (s_i, theta_i, gt_pixel_mask, "pixel")):
-        if not (isinstance(mask, np.ndarray) and mask.dtype == bool
-                and mask.shape == (scores.shape[0],)):
-            raise ParameterError(f"{what} fallback mask must be a bool array of {scores.shape[0]}")
+        _mask(mask, scores, f"{what} fallback mask")
         picked = np.flatnonzero(scores.value[:, 0] > theta)
         sides.append((picked, False) if picked.size else (np.flatnonzero(mask), True))
     (points, point_fallback), (pixels, pixel_fallback) = sides

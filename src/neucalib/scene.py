@@ -10,13 +10,14 @@ patch layout, overlap band and pose spreads are module constants.
 
 A scene is its points, raw pose and grid, and every label follows from them
 by one rule: a point overlaps iff it lies in front of the camera and projects
-inside the grid. Its packed little-endian record, format version 3, is
-declared once by ``_layout``: the magic ``NCLR``; the version, N, H' and W'
-as uint32; then the raw pose's rotation and translation and the N x 3 points
-as float64. A dataset is one file, ``scenes.nclr``: the magic ``NCLD``, the
-version and scene count as uint32 and the seed as uint64, then the records
-back to back, each sized by its own header. The same seed writes a
-bit-identical file.
+inside the grid. ``SceneSample`` derives the labels and the pixel texture,
+and no other library module reads the raw pose or a label. Its packed
+little-endian record, format version 3, is declared once by ``_layout``: the
+magic ``NCLR``; the version, N, H' and W' as uint32; then the raw pose's
+rotation and translation and the N x 3 points as float64. A dataset is one
+file, ``scenes.nclr``: the magic ``NCLD``, the version and scene count as
+uint32 and the seed as uint64, then the records back to back, each sized by
+its own header. The same seed writes a bit-identical file.
 """
 
 from __future__ import annotations
@@ -85,14 +86,17 @@ def _camera(grid: tuple[int, int]) -> geo.CameraIntrinsics:
 @dataclass(frozen=True)
 class SceneSample:
     """One synthetic scene from three inputs: ``points`` (N x 3, sensor
-    frame), ``raw_pose`` and ``grid`` (H', W'). Four attributes are derived:
+    frame), ``raw_pose`` and ``grid`` (H', W'). Five attributes are derived:
     ``intrinsics``, the grid's camera; ``gt_projection``, each point's pixel
     coordinates under the raw pose, a row of NaN where it misses the grid;
-    ``point_overlap_gt``, the N rows of ``gt_projection`` not all NaN; and
-    ``pixel_overlap_gt``, the H'W' pixels within Chebyshev distance 1 of an
-    overlapping projection. Each sample checks the scene rule where it is
-    built, or raises ``ConfigError``: ``grid`` passes ``_is_grid`` with sides
-    >= 1, and ``points`` is an N x 3 float64 array of finite values.
+    ``point_overlap_gt``, the N rows of ``gt_projection`` not all NaN;
+    ``pixel_overlap_gt``, the H'W' pixels within Chebyshev distance 1 of one
+    of those rows; and ``texture``, the image stand-in: for each of the H'W'
+    pixels the camera-frame depth of the overlapping point projected nearest
+    its center (ties to the lower index), or 0 with no overlap. A sample
+    checks the scene rule where it is built, or raises ``ConfigError``:
+    ``grid`` passes ``_is_grid`` with sides >= 1, ``points`` is an N x 3
+    float64 array of finite values, and ``raw_pose`` is a ``RigidPose``.
     """
 
     points: np.ndarray  # N x 3, sensor frame
@@ -107,6 +111,8 @@ class SceneSample:
         if not (isinstance(pts, np.ndarray) and pts.ndim == 2 and pts.shape[1] == 3
                 and pts.dtype == "float64" and np.isfinite(pts).all()):
             raise ConfigError("scene points are not an N x 3 float64 array of finite values")
+        if not isinstance(self.raw_pose, geo.RigidPose):
+            raise ConfigError(f"scene raw pose is not a RigidPose: {type(self.raw_pose).__name__}")
 
     @property
     def intrinsics(self) -> geo.CameraIntrinsics:
@@ -124,13 +130,21 @@ class SceneSample:
     def pixel_overlap_gt(self) -> np.ndarray:  # H'*W' bool
         return _label_pixel_overlap(self.gt_projection[self.point_overlap_gt], self.grid)
 
+    @cached_property
+    def texture(self) -> np.ndarray:  # H'*W' float64
+        (h, w), overlap = self.grid, np.flatnonzero(self.point_overlap_gt)
+        if overlap.size == 0:
+            return np.zeros(h * w)
+        u, v = self.gt_projection[overlap].T
+        depth = self.raw_pose.apply(self.points[overlap])[:, 2]
+        du = np.subtract.outer(np.arange(w, dtype=np.float64), u)  # W' column offsets
+        dv = np.subtract.outer(np.arange(h, dtype=np.float64), v)  # H' row offsets
+        d2 = (dv * dv)[:, None, :] + (du * du)[None, :, :]  # H' x W' x K squared distances
+        return depth[np.argmin(d2.reshape(h * w, -1), axis=1)]
+
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def n_pixels(self) -> int:
-        return self.grid[0] * self.grid[1]
 
 
 def pixel_centers(grid: tuple[int, int]) -> np.ndarray:

@@ -163,8 +163,8 @@ TABLE = {
                     skipped_no_negative)),
     "SceneConfig": (ParameterError, lambda n_points=32, grid=(8, 8):
                     sc.SceneConfig(n_points, grid)),
-    "SceneSample": (ConfigError, lambda points=SCENE.points, grid=SCENE.grid:
-                    sc.SceneSample(points, SCENE.raw_pose, grid)),
+    "SceneSample": (ConfigError, lambda points=SCENE.points, raw_pose=SCENE.raw_pose,
+                    grid=SCENE.grid: sc.SceneSample(points, raw_pose, grid).texture),
     "augment_scene": (ParameterError, lambda rot=np.eye(3), trans=np.zeros(3):
                       sc.augment_scene(SCENE, rot, trans)),
     "build_pairs": (ParameterError, lambda r_p=1.0, r_n=4.0: sc.build_pairs(SCENE, r_p, r_n)),

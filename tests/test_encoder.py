@@ -18,23 +18,6 @@ def small_scene(seed=0, n_points=8, grid=(8, 8)):
                              sc.SceneConfig(n_points=n_points, grid=grid))
 
 
-def brute_force_texture(scene) -> np.ndarray:
-    """Per pixel, the depth of the overlapping point whose projection is
-    nearest its center; ties go to the lower point index."""
-    depth = scene.raw_pose.apply(scene.points)[:, 2]
-    tex = np.zeros(scene.n_pixels)
-    for j, (u, v) in enumerate(sc.pixel_centers(scene.grid)):
-        best = None
-        for i in np.flatnonzero(scene.point_overlap_gt):
-            du, dv = scene.gt_projection[i, 0] - u, scene.gt_projection[i, 1] - v
-            d2 = du * du + dv * dv
-            if best is None or d2 < best[0]:
-                best = (d2, i)
-        if best is not None:
-            tex[j] = depth[best[1]]
-    return tex
-
-
 def small_params(seed=0, channels=8, hidden=8):
     return enc.init_encoder_params(np.random.default_rng(seed), channels, hidden)
 
@@ -74,26 +57,15 @@ class TestEncode:
         assert f_p.shape == (16, 8)
         assert f_i.shape == (64, 8)
 
-    def test_texture_channel_uses_depth(self):
-        for scene in (small_scene(), small_scene(seed=3, n_points=40, grid=(6, 9))):
-            tex = enc._pixel_texture(scene)
-            assert tex.shape == (scene.n_pixels,)
-            assert (tex > 0).any()
-            np.testing.assert_array_equal(tex, brute_force_texture(scene))
-
-    def test_texture_tie_goes_to_lower_overlap_index(self):
-        # pixel (3, 3) is 0.5 from both projections; the first overlapping
-        # point wins even though it is the farther one. The points are dyadic,
-        # so the camera (f = 12, centre (4, 4)) projects them exactly.
-        points = np.array([[0.0, 0.0, -1.0], [-1.5, -1.0, 12.0], [-0.25, -0.5, 6.0]])
-        scene = sc.SceneSample(points=points, raw_pose=geo.RigidPose(np.eye(3), np.zeros(3)),
-                               grid=(8, 8))
-        assert np.array_equal(scene.gt_projection, [[np.nan, np.nan], [2.5, 3.0], [3.5, 3.0]],
-                              equal_nan=True)
-        tex = enc._pixel_texture(scene)
-        assert tex[3 * 8 + 3] == 12.0
-        assert tex[3 * 8 + 4] == 6.0
-        np.testing.assert_array_equal(tex, brute_force_texture(scene))
+    def test_scene_with_no_overlap_encodes_on_a_zero_texture(self):
+        # every point behind the camera: no point overlaps, and no pixel has a depth
+        points = np.array([[0.0, 0.0, -1.0], [1.0, -2.0, -5.0], [-3.0, 0.5, -0.5]])
+        scene = sc.SceneSample(points, geo.RigidPose(np.eye(3), np.zeros(3)), (6, 9))
+        assert not scene.point_overlap_gt.any()
+        np.testing.assert_array_equal(scene.texture, np.zeros(54))
+        f_p, f_i = enc.encode(scene, pstore.bind(ad.Tape(), small_params(channels=8)))
+        assert f_p.shape == (3, 8) and f_i.shape == (54, 8)
+        assert np.isfinite(f_p.value).all() and np.isfinite(f_i.value).all()
 
     def test_first_layer_gradient_matches_finite_differences(self):
         scene = small_scene()
@@ -487,7 +459,7 @@ class TestFuse:
         p0 = small_params(seed=9)
         rng = np.random.default_rng(10)
         probe_p = rng.normal(size=(scene.n_points, 8))
-        probe_i = rng.normal(size=(scene.n_pixels, 8))
+        probe_i = rng.normal(size=(scene.pixel_overlap_gt.size, 8))
         names = list(p0)
 
         def build(tensors):

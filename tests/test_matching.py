@@ -406,12 +406,12 @@ class TestOverlap:
 
     def test_bce_uniform_half(self):
         s = ad.constant(0.5 * np.ones((4, 1)))
-        labels = np.array([1, 0, 1, 0])
+        labels = np.array([True, False, True, False])
         loss = mt.overlap_bce_loss(s, s, labels, labels)
         assert loss.item() == pytest.approx(2 * math.log(2), abs=1e-12)
 
     def test_bce_perfect_scores_near_zero(self):
-        labels = np.array([1.0, 0.0, 1.0])
+        labels = np.array([True, False, True])
         s = ad.constant(np.abs(labels - 1e-9).reshape(-1, 1))
         loss = mt.overlap_bce_loss(s, s, labels, labels)
         assert loss.item() < 1e-6
@@ -439,8 +439,8 @@ class TestOverlap:
         # of the central difference stay clipped
         sp = np.array([[0.02], [0.5], [0.97], [-0.3], [1.4]])
         si = np.array([[0.3], [0.8], [0.03], [0.985]])
-        yp = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
-        yi = np.array([0.0, 1.0, 1.0, 0.0])
+        yp = np.array([True, False, True, True, False])
+        yi = np.array([False, True, True, False])
         err = finite_difference_check(
             lambda ps: mt.overlap_bce_loss(ps[0], ps[1], yp, yi), [sp, si])
         assert err < 1e-6
@@ -459,30 +459,40 @@ class TestOverlap:
         y = yp.reshape(-1, 1)
         np.testing.assert_allclose(s_p.grad, ((1 - y) / (1 - sp) - y / sp) / 5, rtol=1e-14)
 
-    @pytest.mark.parametrize("labels", [["1", "0", "1"]], ids=["strings"])
+    @pytest.mark.parametrize("labels", [np.array(["1", "0", "1"])], ids=["strings"])
     def test_bce_non_real_labels_rejected(self, labels):
         # the contract table refuses every bad value; this pins the messages
-        s = ad.constant(0.5 * np.ones((3, 1)))
+        s, good = ad.constant(0.5 * np.ones((3, 1))), np.array([True, False, True])
         with pytest.raises(ParameterError, match="point labels"):
-            mt.overlap_bce_loss(s, s, labels, [1.0, 0.0, 1.0])
+            mt.overlap_bce_loss(s, s, labels, good)
         with pytest.raises(ParameterError, match="pixel labels"):
-            mt.overlap_bce_loss(s, s, [1.0, 0.0, 1.0], labels)
+            mt.overlap_bce_loss(s, s, good, labels)
 
     @pytest.mark.parametrize("bad", [2.0, -0.5, math.nan, math.inf, -math.inf])
     def test_bce_labels_outside_the_unit_interval_rejected(self, bad):
-        s = ad.constant(0.5 * np.ones((3, 1)))
-        with pytest.raises(ParameterError, match=r"\[0, 1\]"):
-            mt.overlap_bce_loss(s, s, [1.0, bad, 0.0], [1.0, 0.0, 1.0])
-        with pytest.raises(ParameterError, match=r"\[0, 1\]"):
-            mt.overlap_bce_loss(s, s, [1.0, 0.0, 1.0], [bad, 0.0, 1.0])
+        # a label is a bool mask, so no value outside {0, 1} reaches the logs
+        s, good = ad.constant(0.5 * np.ones((3, 1))), np.array([True, False, True])
+        with pytest.raises(ParameterError, match="point labels must be a bool array"):
+            mt.overlap_bce_loss(s, s, np.array([1.0, bad, 0.0]), good)
+        with pytest.raises(ParameterError, match="pixel labels must be a bool array"):
+            mt.overlap_bce_loss(s, s, good, np.array([1.0, bad, 0.0]))
+
+    def test_bce_labels_are_bool_masks_of_one_entry_per_score(self):
+        # a 0/1 float array, a list, a column and a mask of another length are refused too
+        s, good = ad.constant(0.5 * np.ones((3, 1))), np.array([True, False, True])
+        for labels in (good.astype(np.float64), good.tolist(), good[:, None], good[:2]):
+            with pytest.raises(ParameterError, match="point labels must be a bool array of 3"):
+                mt.overlap_bce_loss(s, s, labels, good)
+            with pytest.raises(ParameterError, match="pixel labels must be a bool array of 3"):
+                mt.overlap_bce_loss(s, s, good, labels)
 
     def test_bce_gradient_zero_at_and_beyond_clamp(self):
         lo, hi = mt.PROB_CLAMP, 1.0 - mt.PROB_CLAMP
         scores = np.array([[lo], [hi], [lo / 10], [1.0], [0.0], [hi + 1e-9]])
-        labels = np.array([1.0, 0.0, 0.0, 1.0, 1.0, 0.0])
+        labels = np.array([True, False, False, True, True, False])
         tape = ad.Tape()
         s_p, s_i = tape.parameter(scores), tape.parameter([[0.5]])
-        loss = mt.overlap_bce_loss(s_p, s_i, labels, [1.0])
+        loss = mt.overlap_bce_loss(s_p, s_i, labels, np.array([True]))
         tape.backward(loss)
         np.testing.assert_array_equal(s_p.grad, np.zeros((6, 1)))
         clipped = np.clip(scores[:, 0], lo, hi)
@@ -762,7 +772,7 @@ def rule_base(seed, n_points, grid):
     random logits and the pixel centers that both consumers read."""
     rng = np.random.default_rng(seed)
     scene = sc.generate_scene(rng, sc.SceneConfig(n_points=n_points, grid=grid))
-    n, m = scene.n_points, scene.n_pixels
+    n, m = scene.n_points, scene.pixel_overlap_gt.size
     selection = mt.threshold_overlap(column(rng.uniform(size=n)), column(rng.uniform(size=m)),
                                      0.5, 0.5, scene.point_overlap_gt, scene.pixel_overlap_gt)
     return (sc.build_pairs(scene, 1.0, 2.5), selection, rng.normal(size=(n, m)),
@@ -941,7 +951,7 @@ def test_infonce_of_built_pairs_matches_dense_masks(grid):
     d = scene.gt_projection[:, None, :] - sc.pixel_centers(grid)[None, :, :]
     dist = np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])  # NaN off the overlap
     pos, neg = dist < r_p, overlap[:, None] & ~(dist <= r_n)
-    vals = rng.normal(size=(scene.n_points, scene.n_pixels)) * 3.0
+    vals = rng.normal(size=(scene.n_points, scene.pixel_overlap_gt.size)) * 3.0
     x2p, x2p_grad = dense_infonce(vals.T, pos.T, neg.T)
     for direction, (want, want_grad) in (("point_to_pixel", dense_infonce(vals, pos, neg)),
                                          ("pixel_to_point", (x2p, x2p_grad.T))):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from neucalib import encoder as enc
 from neucalib import geometry as geo
 from neucalib import scene as sc
 from neucalib.errors import ConfigError, GenerationError, NeucalibError, ParameterError
@@ -48,6 +47,23 @@ def brute_force_pixel_overlap(sample: sc.SceneSample, radius=1.0) -> np.ndarray:
                     labels[v * w + u] = True
                     break
     return labels
+
+
+def brute_force_texture(scene) -> np.ndarray:
+    """Per pixel, the depth of the overlapping point whose projection is
+    nearest its center; ties go to the lower point index."""
+    depth = scene.raw_pose.apply(scene.points)[:, 2]
+    tex = np.zeros(scene.pixel_overlap_gt.size)
+    for j, (u, v) in enumerate(sc.pixel_centers(scene.grid)):
+        best = None
+        for i in np.flatnonzero(scene.point_overlap_gt):
+            du, dv = scene.gt_projection[i, 0] - u, scene.gt_projection[i, 1] - v
+            d2 = du * du + dv * dv
+            if best is None or d2 < best[0]:
+                best = (d2, i)
+        if best is not None:
+            tex[j] = depth[best[1]]
+    return tex
 
 
 def version_1_record(sample: sc.SceneSample) -> bytes:
@@ -350,8 +366,8 @@ class TestGeneration:
             (pairs.skipped_no_positive, pairs.skipped_no_negative)
         # the pixel texture reads each overlapping point's depth under the
         # recomputed pose, which moves it by rounding alone
-        texture = enc._pixel_texture(sample)
-        np.testing.assert_allclose(enc._pixel_texture(aug), texture, rtol=0.0,
+        texture = sample.texture
+        np.testing.assert_allclose(aug.texture, texture, rtol=0.0,
                                    atol=8 * np.finfo(np.float64).eps * texture.max())
 
 
@@ -477,6 +493,30 @@ class TestPixelOverlap:
                 sample.pixel_overlap_gt, brute_force_pixel_overlap(sample))
 
 
+class TestTexture:
+    def test_texture_channel_uses_depth(self):
+        for scene in (make_scene(n_points=8, grid=(8, 8)),
+                      make_scene(seed=3, n_points=40, grid=(6, 9))):
+            tex = scene.texture
+            assert tex.shape == (scene.pixel_overlap_gt.size,)
+            assert (tex > 0).any()
+            np.testing.assert_array_equal(tex, brute_force_texture(scene))
+
+    def test_texture_tie_goes_to_lower_overlap_index(self):
+        # pixel (3, 3) is 0.5 from both projections; the first overlapping
+        # point wins even though it is the farther one. The points are dyadic,
+        # so the camera (f = 12, centre (4, 4)) projects them exactly.
+        points = np.array([[0.0, 0.0, -1.0], [-1.5, -1.0, 12.0], [-0.25, -0.5, 6.0]])
+        scene = sc.SceneSample(points=points, raw_pose=geo.RigidPose(np.eye(3), np.zeros(3)),
+                               grid=(8, 8))
+        assert np.array_equal(scene.gt_projection, [[np.nan, np.nan], [2.5, 3.0], [3.5, 3.0]],
+                              equal_nan=True)
+        tex = scene.texture
+        assert tex[3 * 8 + 3] == 12.0
+        assert tex[3 * 8 + 4] == 6.0
+        np.testing.assert_array_equal(tex, brute_force_texture(scene))
+
+
 def label_pairs(grid, proj, r_p, r_n) -> sc.PairSet:
     """``build_pairs``' labelling of the projections ``proj`` (NaN rows do not
     overlap) on ``grid``: a derived projection cannot be set to an exact value."""
@@ -592,7 +632,7 @@ class TestBuildPairs:
         for seed in range(5):
             sample = make_scene(seed=seed)
             pairs = sc.build_pairs(sample, r_p=1.0, r_n=4.0)
-            assert sample.pixel_overlap_gt[pairs.positives % sample.n_pixels].all()
+            assert sample.pixel_overlap_gt[pairs.positives % pairs.n_pixels].all()
 
     def test_margin_validation(self):
         sample = make_scene(seed=4)
@@ -723,7 +763,7 @@ class TestSceneIO:
             return
         try:
             sc.build_pairs(sample, 1.0, 4.0)
-            enc._pixel_texture(sample)
+            sample.texture
         except NeucalibError:
             pass
 

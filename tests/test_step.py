@@ -86,7 +86,7 @@ def test_pair_set_holds_no_dense_array():
     arrays = [v for v in vars(pairs).values() if isinstance(v, np.ndarray)]
     assert len(arrays) == 3
     for arr in arrays:
-        assert arr.ndim == 1 and arr.size < sample.n_points * sample.n_pixels
+        assert arr.ndim == 1 and arr.size < sample.n_points * pairs.n_pixels
 
 
 def test_training_step_records_one_node_per_fused_loss():

@@ -113,6 +113,19 @@ def test_every_public_dataclass_is_frozen():
     assert sorted(cls.__name__ for cls in records if not cls.__dataclass_params__.frozen) == []
 
 
+def test_only_the_scene_reads_labels():
+    # the raw pose and what is derived from it are labels: a scene derives
+    # them, its texture included, and no other library module reads them
+    labels = {"raw_pose", "gt_projection", "point_overlap_gt", "pixel_overlap_gt"}
+    readers = defaultdict(set)
+    for path in sorted(LIBRARY.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in labels:
+                readers[path.stem].add(node.attr)
+    assert readers.pop("scene")  # the guard sees something
+    assert {module: sorted(read) for module, read in readers.items()} == {}
+
+
 def test_every_private_definition_has_a_library_caller():
     # tests may call a private helper too, but only a library caller keeps it
     used = referenced_names(sorted(LIBRARY.glob("*.py")))
