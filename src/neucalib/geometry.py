@@ -1,17 +1,14 @@
-"""Rigid-body algebra, pinhole projection, and training-time augmentation.
+"""Rigid-body algebra and pinhole projection, in numpy on plain arrays; the
+differentiable refinement keeps its own projection in :mod:`neucalib.pnp`.
 
-Everything here is pure numpy on plain arrays; the differentiable pose
-refinement keeps its own projection and its gradient in :mod:`neucalib.pnp`.
-
-Conventions: a pose maps sensor-frame points into the camera frame,
-q = R p + t. ``project`` states the pinhole model once, on the camera
-frame: a caller applies any pose first, and a NaN pixel coordinate marks a
-point the camera cannot see. Its inverse, the private ``_unproject``, serves
-scene generation alone and checks nothing.
-Augmentation translates first, then rotates (p' = R_r (p + t_r)), which is
-the unique order under which the recomputed ground-truth pose
-t_gt = t_raw - R_raw t_r, R_gt = R_raw R_r^-1 reproduces the original
-projections exactly; ``augment`` returns both and the tests pin this identity.
+The public surface is ``RigidPose`` (q = R p + t maps sensor-frame points
+into the camera frame) and ``CameraIntrinsics``, which check their fields
+where they are built, and ``sample_augmentation``. The private kernels serve
+the library and check nothing: ``_project`` states the pinhole model once,
+on N x 3 float64 camera-frame points, a NaN row marking one the camera
+cannot see; ``_unproject`` inverts it for scene generation;
+``_rotation_from_axis_angle`` takes a unit axis and a finite angle;
+``_project_to_so3`` a finite 3 x 3 matrix.
 """
 
 from __future__ import annotations
@@ -53,7 +50,9 @@ class RigidPose:
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform an N x 3 array of points into this pose's target frame."""
-        pts = _points(points)
+        pts = real_array(points, "points", ParameterError)
+        if pts.ndim != 2 or pts.shape[1] != 3:
+            raise ParameterError(f"points must be N x 3, got shape {pts.shape}")
         with np.errstate(all="ignore"):  # non-finite points give NaN
             return pts @ self.rotation.T + self.translation
 
@@ -73,29 +72,19 @@ class CameraIntrinsics:
             raise ParameterError(f"intrinsics must be finite, the focal lengths > 0: {k}")
 
 
-def rotation_from_axis_angle(axis, angle: float) -> np.ndarray:
+def _rotation_from_axis_angle(axis, angle: float) -> np.ndarray:
     """Rodrigues rotation about a unit 3-vector axis by a finite angle."""
-    axis, a = real_array(axis, "axis", ParameterError), real_array(angle, "angle", ParameterError)
-    if not (axis.shape == (3,) and abs(np.linalg.norm(axis) - 1.0) <= ORTHONORMALITY_TOL
-            and a.shape == () and np.isfinite(a)):
-        raise ParameterError(f"axis must be a unit 3-vector and angle finite: {axis}, {angle!r}")
     k = np.array([[0.0, -axis[2], axis[1]],
                   [axis[2], 0.0, -axis[0]],
                   [-axis[1], axis[0], 0.0]])
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
-def invert(a: RigidPose) -> RigidPose:
-    rt = a.rotation.T
-    return RigidPose(rt, -rt @ a.translation)
-
-
-def project(points, k: CameraIntrinsics) -> np.ndarray:
-    """Pinhole projection of N x 3 camera-frame points to N x 2 pixel
+def _project(q: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
+    """Pinhole projection of N x 3 float64 camera-frame points to N x 2 pixel
     coordinates (u along width, v along height). A row is NaN, not an error,
     where its point cannot be seen: the depth is not a finite number above
     MIN_DEPTH, or a coordinate is not finite (a non-finite or huge point)."""
-    q = _points(points)
     depth = q[:, 2]
     with np.errstate(all="ignore"):  # non-finite, huge or zero-depth points give NaN or inf
         coords = q[:, :2] * (k.fx, k.fy) / depth[:, None] + (k.cx, k.cy)
@@ -105,7 +94,7 @@ def project(points, k: CameraIntrinsics) -> np.ndarray:
 
 
 def _unproject(coords: np.ndarray, depth: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
-    """Inverse of :func:`project`: finite N x 2 float64 pixels at N depths to
+    """Inverse of :func:`_project`: finite N x 2 float64 pixels at N depths to
     N x 3 camera-frame points."""
     x = (coords[:, 0] - k.cx) / k.fx * depth
     y = (coords[:, 1] - k.cy) / k.fy * depth
@@ -127,32 +116,7 @@ def sample_augmentation(rng: np.random.Generator, rot_range: float,
     angle = rng.uniform(-rot_range, rot_range)
     tx = rng.uniform(-trans_range, trans_range)
     ty = rng.uniform(-trans_range, trans_range)
-    return rotation_from_axis_angle([0.0, 0.0, 1.0], angle), np.array([tx, ty, 0.0])
-
-
-def augment(points, raw: RigidPose, rot, trans) -> tuple[np.ndarray, RigidPose]:
-    """Points p' = R_r (p + t_r), for a 3 x 3 rotation ``rot`` and 3-vector
-    ``trans``, and the pose under which they project as ``points`` do under
-    ``raw``: t_gt = t_raw - R_raw t_r and R_gt = R_raw R_r^-1, so that
-    R_gt p' + t_gt = R_raw p + t_raw."""
-    pts = _points(points)
-    rot = real_array(rot, "augmentation rotation", ParameterError)
-    trans = real_array(trans, "augmentation translation", ParameterError)
-    if rot.shape != (3, 3) or trans.shape != (3,):
-        raise ParameterError("augmentation rotation must be 3 x 3 and translation 3, "
-                             f"got {rot.shape}, {trans.shape}")
-    with np.errstate(all="ignore"):  # non-finite input gives NaN, which RigidPose refuses
-        moved = (pts + trans) @ rot.T
-        r_gt, t_gt = raw.rotation @ rot.T, raw.translation - raw.rotation @ trans
-    return moved, RigidPose(r_gt, t_gt)
-
-
-def _points(points) -> np.ndarray:
-    """Real N x 3 ``points`` as float64 (not copied if they are), else a ParameterError."""
-    pts = real_array(points, "points", ParameterError)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ParameterError(f"points must be N x 3, got shape {pts.shape}")
-    return pts
+    return _rotation_from_axis_angle([0.0, 0.0, 1.0], angle), np.array([tx, ty, 0.0])
 
 
 def _matrix3(m, what: str) -> np.ndarray:
@@ -172,9 +136,10 @@ def geodesic_angle(r_a: np.ndarray, r_b: np.ndarray) -> float:
     return math.atan2(sine, 0.5 * (np.trace(d) - 1.0))
 
 
-def project_to_so3(m: np.ndarray) -> np.ndarray:
-    """Nearest rotation matrix in the Frobenius sense (SVD projection)."""
-    u, _, vt = np.linalg.svd(_matrix3(m, "matrix"))
+def _project_to_so3(m: np.ndarray) -> np.ndarray:
+    """Nearest rotation matrix to a finite 3 x 3 ``m`` in the Frobenius sense
+    (SVD projection)."""
+    u, _, vt = np.linalg.svd(m)
     r = u @ vt
     if np.linalg.det(r) < 0:
         u = u.copy()

@@ -30,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import SolveError, is_count, real_array
-from .geometry import MIN_DEPTH, CameraIntrinsics, RigidPose, project_to_so3
+from .geometry import MIN_DEPTH, CameraIntrinsics, RigidPose, _project_to_so3
 
 MIN_CORRESPONDENCES = 6
 GN_DAMPING = 1e-6
@@ -129,7 +129,10 @@ def epnp_init(problem: PnPProblem) -> RigidPose:
     # rigid fit cam ~= R p + t (Kabsch, no scale): R is the rotation nearest
     # the cross-covariance sum (cam - cam_c)(p - c)^T
     cam_c = cam.mean(axis=0)
-    rot = project_to_so3((cam - cam_c).T @ centered)
+    cov = (cam - cam_c).T @ centered
+    if not np.isfinite(cov).all():  # huge points overflow; LAPACK's SVD may not return on inf
+        raise SolveError("EPnP cross-covariance is not finite")
+    rot = _project_to_so3(cov)
     return RigidPose(rot, cam_c - rot @ centroid)
 
 
@@ -241,7 +244,7 @@ def gauss_newton_refine(problem: PnPProblem, init: RigidPose,
         return (g_targets.reshape(2, n).T,)
 
     node = ad.record("gauss_newton", (problem.targets,), backward, np.hstack([rot, trans]))
-    estimate = PoseEstimate(pose=RigidPose(project_to_so3(rot), trans[:, 0]))
+    estimate = PoseEstimate(pose=RigidPose(_project_to_so3(rot), trans[:, 0]))
     return RefinedPose(node, estimate, objectives)
 
 

@@ -48,6 +48,7 @@ POSE_TRANS_SPREAD = 1.0  # meters, raw-pose translation magnitude
 PATCH_PLANES = 10  # plane draws per patch before generation gives up
 MIN_OVERLAP = 8  # overlapping points per scene, headroom for the pose solver
 _MAX_PIXELS = 1 << 16  # per grid; a record's header alone sizes its grid
+_TEXTURE_BLOCK = 1 << 19  # squared distances per block of the texture's argmin; 512/24² is one
 
 
 @dataclass(frozen=True)
@@ -93,10 +94,11 @@ class SceneSample:
     ``pixel_overlap_gt``, the H'W' pixels within Chebyshev distance 1 of one
     of those rows; and ``texture``, the image stand-in: for each of the H'W'
     pixels the camera-frame depth of the overlapping point projected nearest
-    its center (ties to the lower index), or 0 with no overlap. A sample
-    checks the scene rule where it is built, or raises ``ConfigError``:
-    ``grid`` passes ``_is_grid`` with sides >= 1, ``points`` is an N x 3
-    float64 array of finite values, and ``raw_pose`` is a ``RigidPose``.
+    its center (ties to the lower index), or 0 with no overlap. Each derived
+    array is computed once and is read-only. A sample checks the scene rule
+    where it is built, or raises ``ConfigError``: ``grid`` passes ``_is_grid``
+    with sides >= 1, ``points`` is an N x 3 float64 array of finite values,
+    and ``raw_pose`` is a ``RigidPose``.
     """
 
     points: np.ndarray  # N x 3, sensor frame
@@ -120,31 +122,42 @@ class SceneSample:
 
     @cached_property
     def gt_projection(self) -> np.ndarray:  # N x 2, NaN where not overlapping
-        return _grid_projection(self.raw_pose.apply(self.points), self.intrinsics, self.grid)
+        cam = self.raw_pose.apply(self.points)
+        return _read_only(_grid_projection(cam, self.intrinsics, self.grid))
 
     @cached_property
     def point_overlap_gt(self) -> np.ndarray:  # N bool
-        return ~np.isnan(self.gt_projection).all(axis=1)
+        return _read_only(~np.isnan(self.gt_projection).all(axis=1))
 
     @cached_property
     def pixel_overlap_gt(self) -> np.ndarray:  # H'*W' bool
-        return _label_pixel_overlap(self.gt_projection[self.point_overlap_gt], self.grid)
+        uv = self.gt_projection[self.point_overlap_gt]
+        return _read_only(_label_pixel_overlap(uv, self.grid))
 
     @cached_property
     def texture(self) -> np.ndarray:  # H'*W' float64
         (h, w), overlap = self.grid, np.flatnonzero(self.point_overlap_gt)
         if overlap.size == 0:
-            return np.zeros(h * w)
+            return _read_only(np.zeros(h * w))
         u, v = self.gt_projection[overlap].T
         depth = self.raw_pose.apply(self.points[overlap])[:, 2]
         du = np.subtract.outer(np.arange(w, dtype=np.float64), u)  # W' column offsets
         dv = np.subtract.outer(np.arange(h, dtype=np.float64), v)  # H' row offsets
-        d2 = (dv * dv)[:, None, :] + (du * du)[None, :, :]  # H' x W' x K squared distances
-        return depth[np.argmin(d2.reshape(h * w, -1), axis=1)]
+        du2, dv2 = du * du, dv * dv
+        rows = max(1, _TEXTURE_BLOCK // (w * overlap.size))  # grid rows per block of distances
+        nearest = [np.argmin((dv2[r:r + rows, None, :] + du2).reshape(-1, overlap.size), axis=1)
+                   for r in range(0, h, rows)]
+        return _read_only(depth[np.concatenate(nearest)])
 
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: a sample's derived arrays are shared by every reader."""
+    a.flags.writeable = False
+    return a
 
 
 def pixel_centers(grid: tuple[int, int]) -> np.ndarray:
@@ -162,7 +175,7 @@ def _grid_projection(cam_pts, k: geo.CameraIntrinsics, grid: tuple[int, int]) ->
     """Projections of N x 3 camera-frame points, a row of NaN for each point
     that does not project into [0, W') x [0, H')."""
     h, w = grid
-    coords = geo.project(cam_pts, k)
+    coords = geo._project(cam_pts, k)
     u, v = coords.T
     with np.errstate(invalid="ignore"):  # a NaN compares as outside the grid
         coords[~((u >= 0) & (u < w) & (v >= 0) & (v < h))] = np.nan
@@ -282,7 +295,7 @@ def _sample_raw_pose(rng: np.random.Generator) -> geo.RigidPose:
     axis /= np.linalg.norm(axis)
     angle = _uniform(rng, -POSE_ROT_SPREAD, POSE_ROT_SPREAD)
     t = rng.uniform(-POSE_TRANS_SPREAD, POSE_TRANS_SPREAD, 3)
-    return geo.RigidPose(geo.rotation_from_axis_angle(axis, angle), t)
+    return geo.RigidPose(geo._rotation_from_axis_angle(axis, angle), t)
 
 
 def _sample_patch(rng: np.random.Generator, k: geo.CameraIntrinsics,
@@ -402,7 +415,7 @@ def generate_scene(rng: np.random.Generator, config: SceneConfig) -> SceneSample
     cam_pts = np.vstack([_sample_in_frustum(rng, k, config.grid, n_in),
                          _sample_out_of_frustum(rng, k, config.grid, config.n_points - n_in)])
     cam_pts = cam_pts[rng.permutation(config.n_points)]
-    points = geo.invert(raw_pose).apply(cam_pts)
+    points = cam_pts @ raw_pose.rotation + -raw_pose.rotation.T @ raw_pose.translation
 
     sample = SceneSample(points, raw_pose, config.grid)
     overlap = np.count_nonzero(sample.point_overlap_gt)
@@ -412,11 +425,22 @@ def generate_scene(rng: np.random.Generator, config: SceneConfig) -> SceneSample
 
 
 def augment_scene(sample: SceneSample, rot: np.ndarray, trans: np.ndarray) -> SceneSample:
-    """Points move, labels stay: the pose is recomputed so that the derived
-    projections move by rounding alone, and the labels carry over unless a
-    projection lies within that rounding of a label's boundary."""
-    points, raw_pose = geo.augment(sample.points, sample.raw_pose, rot, trans)
-    return replace(sample, points=points, raw_pose=raw_pose)
+    """Points move, labels stay: p' = R_r (p + t_r) for a 3 x 3 rotation ``rot``
+    and 3-vector ``trans``, translated first, the one order under which the
+    recomputed pose R_gt = R_raw R_r^-1, t_gt = t_raw - R_raw t_r gives
+    R_gt p' + t_gt = R_raw p + t_raw. The derived projections move by rounding
+    alone, and a label carries over unless a projection lies within that
+    rounding of its boundary."""
+    rot = real_array(rot, "augmentation rotation", ParameterError)
+    trans = real_array(trans, "augmentation translation", ParameterError)
+    if rot.shape != (3, 3) or trans.shape != (3,):
+        raise ParameterError("augmentation rotation must be 3 x 3 and translation 3, "
+                             f"got {rot.shape}, {trans.shape}")
+    raw = sample.raw_pose
+    with np.errstate(all="ignore"):  # non-finite input gives NaN, which RigidPose refuses
+        points = (sample.points + trans) @ rot.T
+        r_gt, t_gt = raw.rotation @ rot.T, raw.translation - raw.rotation @ trans
+    return replace(sample, points=points, raw_pose=geo.RigidPose(r_gt, t_gt))
 
 
 # --- binary scene format -------------------------------------------------

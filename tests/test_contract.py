@@ -104,15 +104,8 @@ TABLE = {
                          geo.CameraIntrinsics(fx, fy, cx, cy)),
     "RigidPose": (ParameterError, lambda rotation=np.eye(3), translation=np.zeros(3),
                   points=ONES: geo.RigidPose(rotation, translation).apply(points)),
-    "augment": (ParameterError, lambda points=ONES, rot=np.eye(3), trans=np.zeros(3):
-                geo.augment(points, EYE, rot, trans)),
     "geodesic_angle": (ParameterError, lambda r_a=np.eye(3), r_b=np.eye(3):
                        geo.geodesic_angle(r_a, r_b)),
-    "invert": (NeucalibError, lambda: geo.invert(SCENE.raw_pose)),
-    "project": (ParameterError, lambda points=ONES: geo.project(points, SCENE.intrinsics)),
-    "project_to_so3": (ParameterError, lambda m=np.eye(3): geo.project_to_so3(m)),
-    "rotation_from_axis_angle": (ParameterError, lambda axis=np.array([0.0, 0.6, 0.8]),
-                                 angle=0.3: geo.rotation_from_axis_angle(axis, angle)),
     "sample_augmentation": (ParameterError, lambda rot_range=0.5, trans_range=1.0:
                             geo.sample_augmentation(_rng(), rot_range, trans_range)),
     # matching

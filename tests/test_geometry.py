@@ -6,39 +6,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neucalib import geometry as geo
+from neucalib import scene as sc
 from neucalib.errors import ParameterError
 
 
 def random_pose(rng) -> geo.RigidPose:
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
-    r = geo.rotation_from_axis_angle(axis, rng.uniform(-math.pi, math.pi))
+    r = geo._rotation_from_axis_angle(axis, rng.uniform(-math.pi, math.pi))
     return geo.RigidPose(r, rng.uniform(-5, 5, 3))
 
 
 INTR = geo.CameraIntrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0)
 EYE = geo.RigidPose(np.eye(3), np.zeros(3))
+GRID = (8, 8)  # a scene's grid; augmentation does not read it
 
 
 class TestRotation:
     def test_zero_angle_is_identity(self):
         np.testing.assert_allclose(
-            geo.rotation_from_axis_angle([0, 0, 1], 0.0), np.eye(3), atol=1e-15)
+            geo._rotation_from_axis_angle([0, 0, 1], 0.0), np.eye(3), atol=1e-15)
 
     def test_quarter_turn_about_z(self):
-        r = geo.rotation_from_axis_angle([0, 0, 1], math.pi / 2)
+        r = geo._rotation_from_axis_angle([0, 0, 1], math.pi / 2)
         np.testing.assert_allclose(r @ [1, 0, 0], [0, 1, 0], atol=1e-15)
-
-    def test_non_unit_axis_rejected(self):
-        with pytest.raises(ParameterError):
-            geo.rotation_from_axis_angle([0, 0, 2], 0.5)
 
     def test_orthonormality_over_many_samples(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
-            r = geo.rotation_from_axis_angle(axis, rng.uniform(-math.pi, math.pi))
+            r = geo._rotation_from_axis_angle(axis, rng.uniform(-math.pi, math.pi))
             np.testing.assert_allclose(r @ r.T, np.eye(3), atol=1e-12)
             assert abs(np.linalg.det(r) - 1.0) < 1e-12
 
@@ -48,13 +46,17 @@ class TestPoseAlgebra:
         rng = np.random.default_rng(12)
         pts = rng.normal(size=(4, 3))
         np.testing.assert_array_equal(EYE.apply(pts), pts)
+        np.testing.assert_array_equal(EYE.apply([[1, 2, 3]]), [[1.0, 2.0, 3.0]])
 
     def test_inverse(self):
+        # q R + -R^T t, which scene generation writes for the inverse pose
         rng = np.random.default_rng(13)
         p = random_pose(rng)
         pts = rng.normal(size=(4, 3))
-        np.testing.assert_allclose(geo.invert(p).apply(p.apply(pts)), pts, atol=1e-10)
-        np.testing.assert_allclose(p.apply(geo.invert(p).apply(pts)), pts, atol=1e-10)
+        back = p.apply(pts) @ p.rotation + -p.rotation.T @ p.translation
+        np.testing.assert_allclose(back, pts, atol=1e-10)
+        np.testing.assert_allclose(p.apply(pts @ p.rotation + -p.rotation.T @ p.translation), pts,
+                                   atol=1e-10)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_translation_rejected(self, bad):
@@ -76,11 +78,6 @@ class TestPoseAlgebra:
         # numpy would read a 2 x 2 x 3 array as four points
         with pytest.raises(ParameterError, match="points"):
             EYE.apply(points)
-
-    def test_points_read_without_a_copy(self):
-        pts = np.ones((4, 3))
-        assert np.shares_memory(geo._points(pts), pts)
-        np.testing.assert_array_equal(EYE.apply([[1, 2, 3]]), [[1.0, 2.0, 3.0]])
 
     @pytest.mark.parametrize("rotation, translation", [
         (np.eye(2), np.zeros(3)), (np.eye(3).ravel(), np.zeros(3)), (np.eye(3), np.zeros(2)),
@@ -128,19 +125,19 @@ class TestIntrinsics:
 
 class TestProject:
     def test_optical_axis(self):
-        np.testing.assert_allclose(geo.project([[0.0, 0.0, 5.0]], INTR), [[50.0, 50.0]])
+        np.testing.assert_allclose(geo._project(np.array([[0.0, 0.0, 5.0]]), INTR), [[50.0, 50.0]])
 
     def test_offset_point(self):
-        np.testing.assert_allclose(geo.project([[1.0, 0.0, 5.0]], INTR), [[70.0, 50.0]])
+        np.testing.assert_allclose(geo._project(np.array([[1.0, 0.0, 5.0]]), INTR), [[70.0, 50.0]])
 
     def test_behind_camera_flagged(self):
-        assert np.isnan(geo.project([[0.0, 0.0, -1.0]], INTR)).all()
+        assert np.isnan(geo._project(np.array([[0.0, 0.0, -1.0]]), INTR)).all()
         # a point at or below MIN_DEPTH, or not all finite, cannot be seen
         # either, and a huge x overflows its pixel coordinate
-        bad = [[0.0, 0.0, 0.0], [0.0, 0.0, geo.MIN_DEPTH], [0.0, 0.0, np.inf],
-               [np.inf, 0.0, 5.0], [0.0, -np.inf, 5.0], [np.nan, 0.0, 5.0], [0.0, 0.0, np.nan],
-               [1e308, 0.0, 5.0], [0.0, 0.0, 5.0]]
-        coords = geo.project(bad, INTR)
+        bad = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, geo.MIN_DEPTH], [0.0, 0.0, np.inf],
+                        [np.inf, 0.0, 5.0], [0.0, -np.inf, 5.0], [np.nan, 0.0, 5.0],
+                        [0.0, 0.0, np.nan], [1e308, 0.0, 5.0], [0.0, 0.0, 5.0]])
+        coords = geo._project(bad, INTR)
         assert np.isnan(coords[:8]).all() and np.isfinite(coords[8]).all()
 
     def test_unproject_round_trip(self):
@@ -149,14 +146,14 @@ class TestProject:
         depth = rng.uniform(1.0, 30.0, 64)
         pts = geo._unproject(coords, depth, INTR)
         np.testing.assert_array_equal(pts[:, 2], depth)
-        np.testing.assert_allclose(geo.project(pts, INTR), coords, atol=1e-9)
+        np.testing.assert_allclose(geo._project(pts, INTR), coords, atol=1e-9)
 
     def test_project_round_trip(self):
         # _unproject inverts project on every point in front of the camera,
         # and a point behind it projects to a NaN row
         rng = np.random.default_rng(17)
         pts = rng.uniform(-3, 3, (32, 3))
-        coords = geo.project(pts, INTR)
+        coords = geo._project(pts, INTR)
         seen = pts[:, 2] > geo.MIN_DEPTH
         assert 0 < seen.sum() < 32
         assert np.isnan(coords[~seen]).all()
@@ -201,7 +198,7 @@ class TestAugmentation:
 
     def test_identity_augmentation_keeps_points(self):
         pts = np.random.default_rng(21).normal(size=(8, 3))
-        out, _ = geo.augment(pts, EYE, np.eye(3), np.zeros(3))
+        out = sc.augment_scene(sc.SceneSample(pts, EYE, GRID), np.eye(3), np.zeros(3)).points
         np.testing.assert_array_equal(out, pts)
 
     @pytest.mark.parametrize("rot, trans", [(np.eye(3).ravel(), np.zeros(3)),
@@ -209,25 +206,30 @@ class TestAugmentation:
                              ids=["flat_rotation", "column_translation"])
     def test_non_real_or_misshapen_augmentation_rejected(self, rot, trans):
         with pytest.raises(ParameterError, match="augmentation"):
-            geo.augment(np.zeros((2, 3)), EYE, rot, trans)
+            sc.augment_scene(sc.SceneSample(np.zeros((2, 3)), EYE, GRID), rot, trans)
 
     def test_pure_translation(self):
-        pts = np.zeros((2, 3))
-        out, _ = geo.augment(pts, EYE, np.eye(3), [1.0, 2.0, 0.0])
+        scene = sc.SceneSample(np.zeros((2, 3)), EYE, GRID)
+        out = sc.augment_scene(scene, np.eye(3), [1.0, 2.0, 0.0]).points
         np.testing.assert_allclose(out, [[1, 2, 0], [1, 2, 0]])
+
+
+def augmented_pose(raw, rot, trans) -> geo.RigidPose:
+    """The raw pose that ``augment_scene`` recomputes for ``raw``."""
+    return sc.augment_scene(sc.SceneSample(np.zeros((1, 3)), raw, GRID), rot, trans).raw_pose
 
 
 class TestRecomputeGtPose:
     def test_identity_rotations(self):
         raw = geo.RigidPose(np.eye(3), np.array([1.0, 2.0, 3.0]))
-        _, gt = geo.augment(np.zeros((1, 3)), raw, np.eye(3), np.array([0.5, 0.0, 0.0]))
+        gt = augmented_pose(raw, np.eye(3), np.array([0.5, 0.0, 0.0]))
         np.testing.assert_allclose(gt.translation, [0.5, 2.0, 3.0])
         np.testing.assert_allclose(gt.rotation, np.eye(3))
 
     def test_trivial_augmentation_is_noop(self):
         rng = np.random.default_rng(22)
         raw = random_pose(rng)
-        _, gt = geo.augment(np.zeros((1, 3)), raw, np.eye(3), np.zeros(3))
+        gt = augmented_pose(raw, np.eye(3), np.zeros(3))
         np.testing.assert_allclose(gt.rotation, raw.rotation, atol=1e-15)
         np.testing.assert_allclose(gt.translation, raw.translation, atol=1e-15)
 
@@ -243,10 +245,10 @@ class TestRecomputeGtPose:
             rot, trans = geo.sample_augmentation(rng, math.pi, 15.0)
             cam = np.stack([rng.uniform(-10, 10, 16), rng.uniform(-10, 10, 16),
                             rng.uniform(1.0, 30.0, 16)], axis=1)
-            pts = geo.invert(raw).apply(cam)
-            aug, gt = geo.augment(pts, raw, rot, trans)
-            before = geo.project(raw.apply(pts), INTR)
-            after = geo.project(gt.apply(aug), INTR)
+            pts = cam @ raw.rotation + -raw.rotation.T @ raw.translation
+            aug = sc.augment_scene(sc.SceneSample(pts, raw, GRID), rot, trans)
+            before = geo._project(raw.apply(pts), INTR)
+            after = geo._project(aug.raw_pose.apply(aug.points), INTR)
             np.testing.assert_array_equal(np.isnan(before), np.isnan(after))
             assert np.max(np.abs(before - after)) < 1e-9
 
@@ -259,7 +261,7 @@ def test_rotation_invariants_hold_for_any_axis_angle(ax, ay, angle):
                      math.sin(ax) * math.cos(ay),
                      math.sin(ay)])
     axis /= np.linalg.norm(axis)
-    r = geo.rotation_from_axis_angle(axis, angle)
+    r = geo._rotation_from_axis_angle(axis, angle)
     np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-9)
     assert abs(np.linalg.det(r) - 1.0) < 1e-9
 
@@ -269,7 +271,7 @@ def test_rotation_invariants_hold_for_any_axis_angle(ax, ay, angle):
 def test_geodesic_angle_to_one_part_in_a_million(angle):
     # acos((tr D - 1) / 2) read 0.0 at 1e-8 rad and 9.88e-8 at 1e-7 rad
     base = random_pose(np.random.default_rng(25)).rotation
-    turn = geo.rotation_from_axis_angle([0.0, 0.6, 0.8], angle)
+    turn = geo._rotation_from_axis_angle([0.0, 0.6, 0.8], angle)
     for r_a, r_b in [(np.eye(3), turn), (base, base @ turn), (base @ turn, base)]:
         assert geo.geodesic_angle(r_a, r_b) == pytest.approx(angle, rel=1e-6)
 
@@ -278,6 +280,6 @@ def test_project_to_so3_restores_rotation():
     rng = np.random.default_rng(24)
     r = random_pose(rng).rotation
     noisy = r + rng.normal(scale=1e-4, size=(3, 3))
-    fixed = geo.project_to_so3(noisy)
+    fixed = geo._project_to_so3(noisy)
     np.testing.assert_allclose(fixed @ fixed.T, np.eye(3), atol=1e-12)
     assert geo.geodesic_angle(fixed, r) < 1e-3

@@ -21,17 +21,17 @@ def random_instance(seed, n=64, intr=INTR):
     rng = np.random.default_rng(seed)
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
-    pose = geo.RigidPose(geo.rotation_from_axis_angle(axis, rng.uniform(-math.pi, math.pi)),
+    pose = geo.RigidPose(geo._rotation_from_axis_angle(axis, rng.uniform(-math.pi, math.pi)),
                          rng.uniform(-3, 3, 3))
     cam = np.stack([rng.uniform(-4, 4, n), rng.uniform(-4, 4, n),
                     rng.uniform(4.0, 20.0, n)], axis=1)
-    points = geo.invert(pose).apply(cam)
-    targets = geo.project(pose.apply(points), intr)
+    points = cam @ pose.rotation + -pose.rotation.T @ pose.translation
+    targets = geo._project(pose.apply(points), intr)
     return pose, points, targets
 
 
 def about_z(angle):
-    return geo.rotation_from_axis_angle([0.0, 0.0, 1.0], angle)
+    return geo._rotation_from_axis_angle([0.0, 0.0, 1.0], angle)
 
 
 def compose(a: geo.RigidPose, b: geo.RigidPose) -> geo.RigidPose:
@@ -64,7 +64,7 @@ class TestEpnpInit:
         rng = np.random.default_rng(1)
         points = np.stack([rng.uniform(-4, 4, 32), rng.uniform(-4, 4, 32),
                            rng.uniform(4, 20, 32)], axis=1)
-        targets = geo.project(points, INTR)
+        targets = geo._project(points, INTR)
         est = pnp.epnp_init(pnp.PnPProblem(points, targets, INTR))
         np.testing.assert_allclose(est.rotation, np.eye(3), atol=1e-6)
         np.testing.assert_allclose(est.translation, np.zeros(3), atol=1e-6)
@@ -73,12 +73,20 @@ class TestEpnpInit:
         # principal extents far apart: the barycentric weights divide by each
         # extent, so the short axes must not lose the recovery
         rng = np.random.default_rng(2)
-        pose = geo.RigidPose(geo.rotation_from_axis_angle([0.0, 0.6, 0.8], 0.7), [0.5, -1.0, 2.0])
+        pose = geo.RigidPose(geo._rotation_from_axis_angle([0.0, 0.6, 0.8], 0.7), [0.5, -1.0, 2.0])
         cam = rng.normal(size=(20, 3)) * [20.0, 1.0, 0.5] + [0.0, 0.0, 30.0]
-        points = geo.invert(pose).apply(cam)
-        targets = geo.project(pose.apply(points), INTR)
+        points = cam @ pose.rotation + -pose.rotation.T @ pose.translation
+        targets = geo._project(pose.apply(points), INTR)
         dt, dr = pose_errors(pnp.epnp_init(pnp.PnPProblem(points, targets, INTR)), pose)
         assert dt < 1e-6 and dr < 1e-6
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_huge_points_refused_as_solve_error(self, scale):
+        # the cross-covariance overflows, and LAPACK's SVD may not return on inf
+        pose, points, targets = random_instance(4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolveError, match="cross-covariance"):
+                pnp.epnp_init(pnp.PnPProblem(points * scale, targets, INTR))
 
     def test_too_few_points_refused(self):
         pose, points, targets = random_instance(3, n=5)
@@ -126,7 +134,7 @@ class TestEpnpInit:
         rng = np.random.default_rng(4)
         points = np.stack([rng.uniform(-3, 3, 16), rng.uniform(-3, 3, 16),
                            np.full(16, 8.0)], axis=1)
-        targets = geo.project(points, INTR)
+        targets = geo._project(points, INTR)
         with pytest.raises(SolveError, match="coplanar|collinear"):
             pnp.epnp_init(pnp.PnPProblem(points, targets, INTR))
 
@@ -147,7 +155,7 @@ class TestGaussNewton:
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
             bad = compose(
-                geo.RigidPose(geo.rotation_from_axis_angle(axis, 0.1),
+                geo.RigidPose(geo._rotation_from_axis_angle(axis, 0.1),
                               0.5 * rng.normal(size=3) / math.sqrt(3)), pose)
             refined = pnp.gauss_newton_refine(
                 pnp.PnPProblem(points, targets, INTR), bad, k_iters=5)
@@ -161,7 +169,7 @@ class TestGaussNewton:
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
             bad = compose(
-                geo.RigidPose(geo.rotation_from_axis_angle(axis, 0.1),
+                geo.RigidPose(geo._rotation_from_axis_angle(axis, 0.1),
                               0.2 * rng.normal(size=3)), pose)
             refined = pnp.gauss_newton_refine(
                 pnp.PnPProblem(points, targets, INTR), bad, k_iters=6)
@@ -329,7 +337,7 @@ class TestCayley:
         axis = self.direction(21)
         for angle in (1e-1, 1e-2, 1e-3):
             rot, _ = pnp._cayley(angle * axis)
-            err = np.linalg.norm(rot - geo.rotation_from_axis_angle(axis, angle))
+            err = np.linalg.norm(rot - geo._rotation_from_axis_angle(axis, angle))
             assert err <= angle ** 3 / 6
 
     @pytest.mark.parametrize("norm", [0.0, 1e-3, 0.5, 3.0])
@@ -402,7 +410,7 @@ class TestPoseNode:
         pose, points, targets = random_instance(10, n=12, intr=intr)
         rng = np.random.default_rng(10)
         noisy = targets + rng.normal(scale=0.5, size=targets.shape)
-        init = compose(geo.RigidPose(geo.rotation_from_axis_angle([0.6, -0.8, 0.0], 0.15),
+        init = compose(geo.RigidPose(geo._rotation_from_axis_angle([0.6, -0.8, 0.0], 0.15),
                                      [0.3, -0.2, 0.4]), pose)
         w_rot, w_trans = rng.normal(size=(3, 3)), rng.normal(size=(3, 1))
 

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -203,6 +204,15 @@ HEAD_SIZE = 20  # dataset file head: magic, version and count as uint32, seed as
 
 
 class TestGeneration:
+    def test_derived_arrays_are_read_only(self):
+        # every reader of a scene shares its cached labels and texture
+        sample = make_scene(seed=2, n_points=32, grid=(8, 8))
+        for name in ("gt_projection", "point_overlap_gt", "pixel_overlap_gt", "texture"):
+            before = getattr(sample, name).copy()
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(sample, name)[:] = 0
+            np.testing.assert_array_equal(getattr(sample, name), before)
+
     @pytest.mark.parametrize("n_points, grid, seed, version_1, digest", SCENE_DIGESTS)
     def test_scene_bytes_pinned(self, n_points, grid, seed, version_1, digest):
         sample = make_scene(seed=seed, n_points=n_points, grid=grid)
@@ -284,7 +294,7 @@ class TestGeneration:
         assert np.isnan(sample.gt_projection[~sample.point_overlap_gt]).all()
 
     def test_behind_camera_not_overlapping(self):
-        coords = sc._grid_projection([[0.0, 0.0, -5.0]], sc._camera((16, 16)), (16, 16))
+        coords = sc._grid_projection(np.array([[0.0, 0.0, -5.0]]), sc._camera((16, 16)), (16, 16))
         assert np.isnan(coords[0]).all()
 
     def test_too_few_points_rejected(self):
@@ -515,6 +525,26 @@ class TestTexture:
         assert tex[3 * 8 + 3] == 12.0
         assert tex[3 * 8 + 4] == 6.0
         np.testing.assert_array_equal(tex, brute_force_texture(scene))
+
+    def test_large_texture_renders_in_blocks(self):
+        # 839 overlapping points on 64 x 64 pixels: the whole distance cube
+        # would take 27.5 MB, against one block of _TEXTURE_BLOCK doubles
+        scene = make_scene(n_points=1024, grid=(64, 64))
+        overlap = np.flatnonzero(scene.point_overlap_gt)
+        assert overlap.size * 64 * 64 > 4 * sc._TEXTURE_BLOCK
+        tracemalloc.start()
+        try:
+            tex = scene.texture
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * sc._TEXTURE_BLOCK
+        # each pixel's argmin over its own row of the cube, as dv^2 + du^2
+        u, v = scene.gt_projection[overlap].T
+        depth = scene.raw_pose.apply(scene.points[overlap])[:, 2]
+        expected = [depth[np.argmin((cv - v) * (cv - v) + (cu - u) * (cu - u))]
+                    for cu, cv in sc.pixel_centers(scene.grid)]
+        np.testing.assert_array_equal(tex, expected)
 
 
 def label_pairs(grid, proj, r_p, r_n) -> sc.PairSet:
