@@ -144,8 +144,7 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self.grads: list[Array | None] | None = None
-        self.consumed = False
+        self.grads: list[Array | None] | None = None  # set by the one backward()
 
     def parameter(self, value) -> Tensor:
         """Create a tracked leaf. Copies the input array."""
@@ -162,13 +161,12 @@ class Tape:
         reaches, accumulating as :func:`record` states, and drops each
         intermediate gradient once propagated, so the sweep frees the tape's
         N x M values as it goes. A tape can be swept only once."""
-        if self.consumed:
+        if self.grads is not None:
             raise StateError("tape already consumed by a previous backward()")
         if loss.tape is not self:
             raise StateError("loss does not belong to this tape")
         if loss.shape != (1, 1):
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-        self.consumed = True
         self.grads = [None] * len(self.nodes)
         self.grads[loss.node_id] = np.ones((1, 1))
         for nid in range(len(self.nodes) - 1, -1, -1):

@@ -36,6 +36,9 @@ MIN_CORRESPONDENCES = 6
 GN_DAMPING = 1e-6
 DEGENERATE_SPREAD = 1e-8  # relative floor on the smallest principal extent
 HUBER_DELTA = 1.0  # pose-loss error at which the Huber penalty turns linear
+# bound on each |coordinate| of a problem's points (m) and targets (px): past any generated point
+# (about 7e4 m at the largest grid) and pixel (below 65536), far below EPnP's overflow
+MAX_MAGNITUDE = 1e6
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,8 @@ class PnPProblem:
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "targets", targets if isinstance(targets, Tensor)
                            else ad.constant(value))
-        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(value))):
-            raise SolveError("points and targets must be finite")
+        if not (np.all(abs(points) <= MAX_MAGNITUDE) and np.all(abs(value) <= MAX_MAGNITUDE)):
+            raise SolveError(f"points and targets must be finite and within +-{MAX_MAGNITUDE:g}")
         if points.shape[0] < MIN_CORRESPONDENCES:
             raise SolveError(f"need at least {MIN_CORRESPONDENCES} points, got {len(points)}")
 

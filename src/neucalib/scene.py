@@ -11,13 +11,13 @@ patch layout, overlap band and pose spreads are module constants.
 A scene is its points, raw pose and grid, and every label follows from them
 by one rule: a point overlaps iff it lies in front of the camera and projects
 inside the grid. ``SceneSample`` derives the labels and the pixel texture,
-and no other library module reads the raw pose or a label. Its packed
-little-endian record, format version 3, is declared once by ``_layout``: the
-magic ``NCLR``; the version, N, H' and W' as uint32; then the raw pose's
-rotation and translation and the N x 3 points as float64. A dataset is one
-file, ``scenes.nclr``: the magic ``NCLD``, the version and scene count as
-uint32 and the seed as uint64, then the records back to back, each sized by
-its own header. The same seed writes a bit-identical file.
+and no other library module reads the raw pose or a label.
+
+A dataset is one little-endian file, ``scenes.nclr``, of format version 4:
+a head of the magic ``NCLD``, the version and scene count as uint32, the seed
+as uint64 and the size N, H' and W' as uint32, then one ``_layout(N)`` record
+a scene, its raw pose's rotation and translation and N x 3 points as float64.
+The same seed writes a bit-identical file.
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ from . import geometry as geo
 from .errors import (ConfigError, GenerationError, ParameterError, index_set, is_count,
                      read_file, real_array, write_file)
 
-MAGIC = b"NCLR"
 DATASET_MAGIC = b"NCLD"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 DATASET_FILE = "scenes.nclr"
-_DATASET_HEAD = np.dtype([("magic", "S4"), ("version", "<u4"), ("count", "<u4"), ("seed", "<u8")])
+_DATASET_HEAD = np.dtype([("magic", "S4"), ("version", "<u4"), ("count", "<u4"), ("seed", "<u8"),
+                          ("n", "<u4"), ("h", "<u4"), ("w", "<u4")])
 
 FOCAL_PX = 12.0
 Z_NEAR, Z_FAR = 4.0, 20.0  # meters, depth band of the in-frustum points
@@ -47,7 +47,7 @@ POSE_ROT_SPREAD = 0.3  # radians, raw-pose rotation magnitude
 POSE_TRANS_SPREAD = 1.0  # meters, raw-pose translation magnitude
 PATCH_PLANES = 10  # plane draws per patch before generation gives up
 MIN_OVERLAP = 8  # overlapping points per scene, headroom for the pose solver
-_MAX_PIXELS = 1 << 16  # per grid; a record's header alone sizes its grid
+_MAX_PIXELS = 1 << 16  # per grid; the dataset head alone sizes its grid
 _TEXTURE_BLOCK = 1 << 19  # squared distances per block of the texture's argmin; 512/24² is one
 
 
@@ -141,17 +141,26 @@ class SceneSample:
             return _read_only(np.zeros(h * w))
         u, v = self.gt_projection[overlap].T
         depth = self.raw_pose.apply(self.points[overlap])[:, 2]
-        du = np.subtract.outer(np.arange(w, dtype=np.float64), u)  # W' column offsets
-        dv = np.subtract.outer(np.arange(h, dtype=np.float64), v)  # H' row offsets
-        du2, dv2 = du * du, dv * dv
-        rows = max(1, _TEXTURE_BLOCK // (w * overlap.size))  # grid rows per block of distances
-        nearest = [np.argmin((dv2[r:r + rows, None, :] + du2).reshape(-1, overlap.size), axis=1)
-                   for r in range(0, h, rows)]
+        rows = max(1, _TEXTURE_BLOCK // (w * overlap.size))  # whole grid rows per block,
+        cols = min(w, max(1, _TEXTURE_BLOCK // overlap.size))  # or parts of a row that exceeds it
+        cu, cv = np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64)
+        nearest = [_nearest(cu[c:c + cols], cv[r:r + rows], u, v)
+                   for r in range(0, h, rows) for c in range(0, w, cols)]
         return _read_only(depth[np.concatenate(nearest)])
 
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
+
+
+def _nearest(cu: np.ndarray, cv: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The index of the point (u, v) nearest each pixel center of columns ``cu``
+    and rows ``cv``, row-major, ties to the lower. A one-row block is as large
+    as its column offsets, so it sums into them in place."""
+    du, dv = np.subtract.outer(cu, u)[None], np.subtract.outer(cv, v)[:, None]
+    du *= du
+    dv *= dv
+    return np.argmin(np.add(dv, du, out=du if cv.size == 1 else None), axis=2).ravel()
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -447,59 +456,38 @@ def augment_scene(sample: SceneSample, rot: np.ndarray, trans: np.ndarray) -> Sc
 
 @lru_cache(maxsize=16)  # a dataset's records share one size
 def _layout(n: int) -> np.dtype:
-    try:
-        return np.dtype([
-            ("magic", "S4"), ("version", "<u4"), ("n", "<u4"), ("h", "<u4"), ("w", "<u4"),
-            ("rotation", "<f8", (3, 3)), ("translation", "<f8", (3,)), ("points", "<f8", (n, 3)),
-        ])
-    except ValueError as err:  # numpy holds each dimension and the record in a C int
-        raise ConfigError(f"a scene of {n} points does not fit the scene format: {err}") from err
+    if (n + 4) * 24 > np.iinfo(np.intc).max:  # N + 4 rows of 3 doubles; numpy sizes it in a C int
+        raise ConfigError(f"a scene of {n} points does not fit the scene format")
+    return np.dtype([("rotation", "<f8", (3, 3)), ("translation", "<f8", (3,)),
+                     ("points", "<f8", (n, 3))])
 
 
 def scene_to_bytes(sample: SceneSample) -> bytes:
-    """The packed ``.nclr`` record of a sample, which checked itself when built."""
-    (h, w), pose, n = sample.grid, sample.raw_pose, sample.n_points
-    return np.array((MAGIC, FORMAT_VERSION, n, h, w, pose.rotation, pose.translation,
-                     sample.points), _layout(n)).tobytes()
-
-
-def _scene_from_bytes(blob) -> tuple[SceneSample, int]:
-    """The scene of the ``.nclr`` record that opens ``blob``, and the record's
-    size; the format is checked here, the scene by ``SceneSample``."""
-    head = _layout(0)
-    if blob[:4] != MAGIC or len(blob) < head.itemsize:
-        raise ConfigError(f"scene record of {len(blob)} bytes opens with no {MAGIC!r} header")
-    version, n, h, w = np.frombuffer(blob, head, 1)[["version", "n", "h", "w"]].item()
-    if version != FORMAT_VERSION:
-        raise ConfigError(f"unsupported scene format version {version}")
-    layout = _layout(n)
-    if len(blob) < layout.itemsize:
-        raise ConfigError(f"scene record of {len(blob)} bytes; its header says {layout.itemsize}")
-    rec = np.frombuffer(blob, layout, 1)[0]
-    with np.errstate(all="ignore"):  # huge values overflow and fail the check
-        try:
-            pose = geo.RigidPose(rec["rotation"].copy(), rec["translation"].copy())
-        except ParameterError as err:
-            raise ConfigError(f"scene file holds an invalid raw pose: {err}") from err
-    return SceneSample(rec["points"].copy(), pose, rec[["h", "w"]].item()), layout.itemsize
+    """A sample's record, its raw pose and points; the sample checked itself when built."""
+    pose = sample.raw_pose
+    return np.array((pose.rotation, pose.translation, sample.points),
+                    _layout(sample.n_points)).tobytes()
 
 
 def write_dataset(out_dir, scenes: list[SceneSample], config: SceneConfig,
                   seed: int) -> None:
-    """Write ``out_dir/scenes.nclr``, once ``config`` is known to be a
-    ``SceneConfig``, ``scenes`` a list of ``SceneSample`` of its size and
-    ``seed`` an integer in [0, 2**64)."""
+    """Write ``out_dir/scenes.nclr`` once ``config`` is a ``SceneConfig`` whose
+    N a record holds, ``scenes`` a list of fewer than 2**32 ``SceneSample`` of
+    its size and ``seed`` an integer in [0, 2**64); the head holds its size."""
     if not (is_count(seed, 0) and seed < 2 ** 64):
         raise ParameterError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     if not isinstance(config, SceneConfig):
         raise ParameterError(f"config must be a SceneConfig, got {type(config).__name__}")
-    if not (isinstance(scenes, list) and all(isinstance(s, SceneSample) for s in scenes)):
-        raise ParameterError("scenes must be a list of SceneSample")
+    if not (isinstance(scenes, list) and len(scenes) < 2 ** 32
+            and all(isinstance(s, SceneSample) for s in scenes)):
+        raise ParameterError("scenes must be a list of fewer than 2**32 SceneSample")
     for i, sample in enumerate(scenes):
         if (sample.n_points, sample.grid) != (config.n_points, config.grid):
             raise ParameterError(f"scene {i} has {sample.n_points} points on a {sample.grid} "
                                  f"grid, the config {config.n_points} on {config.grid}")
-    head = np.array((DATASET_MAGIC, FORMAT_VERSION, len(scenes), seed), _DATASET_HEAD)
+    _layout(config.n_points)  # refuses an N past a C int's record, far below the head's uint32
+    head = np.array((DATASET_MAGIC, FORMAT_VERSION, len(scenes), seed, config.n_points,
+                     *config.grid), _DATASET_HEAD)
     blob = b"".join([head.tobytes(), *map(scene_to_bytes, scenes)])
     try:
         out = Path(out_dir)
@@ -510,25 +498,29 @@ def write_dataset(out_dir, scenes: list[SceneSample], config: SceneConfig,
 
 
 def load_dataset(data_dir) -> list[SceneSample]:
-    """The scenes of ``data_dir/scenes.nclr``, or a ConfigError for a bad
-    head, a short record, or bytes left after the head's count of records."""
+    """The scenes of ``data_dir/scenes.nclr``, or a ConfigError for a head of
+    another magic or version, a length other than that of the head's records,
+    or a record that is no scene."""
     try:
         path = Path(data_dir) / DATASET_FILE
     except TypeError as err:
         raise ConfigError(f"cannot read dataset directory {data_dir!r}: {err}") from err
-    blob = memoryview(read_file(path, "dataset file"))
+    blob = read_file(path, "dataset file")
     at = _DATASET_HEAD.itemsize
     if len(blob) < at:
         raise ConfigError(f"dataset file truncated to {len(blob)} bytes inside its head")
-    magic, version, count, _ = np.frombuffer(blob, _DATASET_HEAD, 1).item()
+    magic, version, count, _, n, h, w = np.frombuffer(blob, _DATASET_HEAD, 1).item()
     if magic != DATASET_MAGIC or version != FORMAT_VERSION:
-        raise ConfigError(f"dataset file is not of magic {DATASET_MAGIC!r} and format "
-                          f"version {FORMAT_VERSION}: {magic!r}, {version}")
-    scenes = []
-    for _ in range(count):
-        scene, size = _scene_from_bytes(blob[at:])
-        scenes.append(scene)
-        at += size
-    if at != len(blob):
-        raise ConfigError(f"dataset file has {len(blob) - at} bytes after its {count} scenes")
-    return scenes
+        raise ConfigError(f"dataset file of magic {magic!r} and format version {version}; "
+                          f"this reader takes {DATASET_MAGIC!r} and version {FORMAT_VERSION}")
+    layout = _layout(n)
+    if len(blob) != at + count * layout.itemsize:
+        raise ConfigError(f"dataset file of {len(blob)} bytes; its head says {count} "
+                          f"records of {layout.itemsize} after {at}")
+    with np.errstate(all="ignore"):  # a huge raw pose overflows in its check and fails it
+        try:
+            return [SceneSample(rec["points"].copy(),
+                                geo.RigidPose(rec["rotation"].copy(), rec["translation"].copy()),
+                                (h, w)) for rec in np.frombuffer(blob, layout, count, at)]
+        except ParameterError as err:
+            raise ConfigError(f"dataset file holds an invalid raw pose: {err}") from err

@@ -9,6 +9,7 @@ import pytest
 from neucalib import autodiff as ad
 from neucalib import geometry as geo
 from neucalib import pnp
+from neucalib import scene as sc
 from neucalib.errors import SolveError
 from tape_probe import finite_difference_check, weighted_sum
 
@@ -82,11 +83,24 @@ class TestEpnpInit:
 
     @pytest.mark.parametrize("scale", [1e160, 1e300])
     def test_huge_points_refused_as_solve_error(self, scale):
-        # the cross-covariance overflows, and LAPACK's SVD may not return on inf
+        # the problem bounds its points, so the cross-covariance cannot overflow
         pose, points, targets = random_instance(4)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(SolveError, match="cross-covariance"):
-                pnp.epnp_init(pnp.PnPProblem(points * scale, targets, INTR))
+        with pytest.raises(SolveError, match="within"):
+            pnp.epnp_init(pnp.PnPProblem(points * scale, targets, INTR))
+
+    @pytest.mark.parametrize("point_scale, target_scale",
+                             [(1.0, 1e300), (1e100, 1e300), (1e300, 1e300), (1e300, 1.0)])
+    def test_huge_finite_input_refused(self, point_scale, target_scale):
+        # on a generated 32-point 8 x 8 scene, EPnP's products overflowed on
+        # these, and numpy's warning or LinAlgError escaped the error contract
+        scene = sc.generate_scene(np.random.default_rng(0), sc.SceneConfig(32, (8, 8)))
+        on = scene.point_overlap_gt
+        with pytest.raises(SolveError, match="within"):
+            pnp.solve_pose(pnp.PnPProblem(scene.points[on] * point_scale,
+                                          scene.gt_projection[on] * target_scale,
+                                          scene.intrinsics))
+        bound = pnp.MAX_MAGNITUDE
+        assert np.abs(scene.points).max() < bound and np.abs(scene.gt_projection[on]).max() < bound
 
     def test_too_few_points_refused(self):
         pose, points, targets = random_instance(3, n=5)

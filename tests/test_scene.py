@@ -1,7 +1,9 @@
 import hashlib
 import struct
+import tempfile
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +95,14 @@ def version_2_record(sample: sc.SceneSample) -> bytes:
                      sample.gt_projection), layout).tobytes()
 
 
+def version_3_record(sample: sc.SceneSample) -> bytes:
+    """``sample`` packed as a record of format version 3: the 20-byte header
+    (magic, version, N, H' and W') that each record carried, then the row
+    that format version 4 writes."""
+    (h, w), n = sample.grid, sample.n_points
+    return b"NCLR" + struct.pack("<4I", 3, n, h, w) + sc.scene_to_bytes(sample)
+
+
 def oracle_in_frustum(rng, cfg, count):
     """The one-attempt-at-a-time patch and noise sampler that the library's
     batched one must replay draw for draw."""
@@ -165,9 +175,10 @@ ORACLE_CASES = [(8, (4, 9), range(60)), (32, (8, 8), range(60)), (100, (5, 17), 
 
 
 # SHA-256 of generate_scene(default_rng(seed), SceneConfig(n, grid)) as a
-# version-1 record and as scene_to_bytes writes it: a change to generation that
-# moves one bit of any scene fails here, and the first shows that the camera,
-# masks and projections the scene derives are the ones that format version 1 stored
+# version-1 and a version-3 record: a change to generation or to the record
+# that moves one bit of any scene fails here, and the first shows that the
+# camera, masks and projections the scene derives are the ones that format
+# version 1 stored
 SCENE_DIGESTS = [
     (32, (8, 8), 0, "34469406193bc3cbc2f397715a8c08d481e97af5aaa97c667d74cd59a6652e12",
      "13087cb0f92d37737afe800f2c7d367440c47d7e7c2db3afcbc7bf96386cc69c"),
@@ -191,8 +202,8 @@ SCENE_DIGESTS = [
      "8b1ca9abaf229d6d5f3cf8b898cba77388d4bfbb5bad45da1b1ea5362e946e38"),
 ]
 
-# SHA-256 of the concatenated bytes of four 256/16² scenes drawn in sequence
-# from default_rng(301), as a dataset set-up draws them: a sampler that draws
+# SHA-256 of the concatenated version-3 records of four 256/16² scenes drawn in
+# sequence from default_rng(301), as a dataset set-up draws them: a sampler that draws
 # one value too many or too few moves every scene after the first
 SEQUENCE_DIGEST = "8831c87e93b183a2e3619a9d09ce1e191a2dab7cee8deffde89131b3aa4328e9"
 
@@ -200,7 +211,20 @@ SEQUENCE_DIGEST = "8831c87e93b183a2e3619a9d09ce1e191a2dab7cee8deffde89131b3aa432
 # GenerationError as the set-up redraws them
 SEQUENCE_DIGEST_512 = "4605d300e799efb60846c592937b0629d2f5862f2b3e9bc4748035ef20213554"
 
-HEAD_SIZE = 20  # dataset file head: magic, version and count as uint32, seed as uint64
+# dataset file head: magic, version and count as uint32, seed as uint64, then
+# N, H' and W' as uint32
+HEAD_SIZE = 32
+
+
+def dataset_head(count, seed, n, grid, version=sc.FORMAT_VERSION) -> bytes:
+    return sc.DATASET_MAGIC + struct.pack("<IIQ3I", version, count, seed, n, *grid)
+
+
+def load_bytes(blob: bytes) -> list[sc.SceneSample]:
+    """``load_dataset`` of a directory whose dataset file is ``blob``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / sc.DATASET_FILE).write_bytes(blob)
+        return sc.load_dataset(tmp)
 
 
 class TestGeneration:
@@ -217,11 +241,11 @@ class TestGeneration:
     def test_scene_bytes_pinned(self, n_points, grid, seed, version_1, digest):
         sample = make_scene(seed=seed, n_points=n_points, grid=grid)
         assert hashlib.sha256(version_1_record(sample)).hexdigest() == version_1
-        assert hashlib.sha256(sc.scene_to_bytes(sample)).hexdigest() == digest
+        assert hashlib.sha256(version_3_record(sample)).hexdigest() == digest
 
     def test_scene_sequence_pinned(self):
         rng, cfg = np.random.default_rng(301), sc.SceneConfig(n_points=256, grid=(16, 16))
-        blob = b"".join(sc.scene_to_bytes(sc.generate_scene(rng, cfg)) for _ in range(4))
+        blob = b"".join(version_3_record(sc.generate_scene(rng, cfg)) for _ in range(4))
         assert hashlib.sha256(blob).hexdigest() == SEQUENCE_DIGEST
 
     def test_scene_sequence_pinned_at_512(self):
@@ -232,7 +256,7 @@ class TestGeneration:
                 scenes.append(sc.generate_scene(rng, cfg))
             except GenerationError:
                 pass
-        blob = b"".join(map(sc.scene_to_bytes, scenes))
+        blob = b"".join(map(version_3_record, scenes))
         assert hashlib.sha256(blob).hexdigest() == SEQUENCE_DIGEST_512
 
     @pytest.mark.parametrize("n_points, grid, seeds", ORACLE_CASES)
@@ -315,7 +339,7 @@ class TestGeneration:
         sc.write_dataset(tmp_path, [sc.generate_scene(np.random.default_rng(0), cfg)], cfg,
                          seed=np.int64(3))
         head = (tmp_path / sc.DATASET_FILE).read_bytes()[:HEAD_SIZE]
-        assert head == sc.DATASET_MAGIC + struct.pack("<IIQ", sc.FORMAT_VERSION, 1, 3)
+        assert head == dataset_head(1, 3, 32, (8, 8))
         assert len(sc.load_dataset(tmp_path)) == 1
 
     @pytest.mark.parametrize("seed", ["3", 3.5, -1, None, True, False, np.True_, 2 ** 64])
@@ -328,11 +352,18 @@ class TestGeneration:
 
     @pytest.mark.parametrize("n_points, grid", [(40, (8, 8)), (32, (8, 9)), (32, (9, 8))])
     def test_scene_of_another_size_rejected_before_writing(self, tmp_path, n_points, grid):
-        # the head records no config, so a scene must have the one it is written under
+        # the head records one size, the config's, so every scene must have it
         scenes = [make_scene(seed=0, n_points=32, grid=(8, 8)),
                   make_scene(seed=1, n_points=n_points, grid=grid)]
         with pytest.raises(ParameterError, match="scene 1 has"):
             sc.write_dataset(tmp_path / "data", scenes, sc.SceneConfig(32, (8, 8)), 0)
+        assert not (tmp_path / "data").exists()
+
+    def test_points_the_format_cannot_hold_rejected_before_writing(self, tmp_path):
+        # the head holds N in a uint32, and numpy sizes a record in a C int
+        for n_points in (2 ** 32, 2 ** 27):
+            with pytest.raises(NeucalibError, match="does not fit"):
+                sc.write_dataset(tmp_path / "data", [], sc.SceneConfig(n_points), 0)
         assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize("config, scene", [(None, "scene"), ("config", None),
@@ -347,15 +378,19 @@ class TestGeneration:
 
     def test_dataset_file_pinned(self, tmp_path):
         """The same seed writes the same file: the head, then the records
-        of the sequence that SEQUENCE_DIGEST pins."""
+        of the sequence that SEQUENCE_DIGEST pins, each a version-3 record
+        without its header."""
         rng, cfg = np.random.default_rng(301), sc.SceneConfig(n_points=256, grid=(16, 16))
         scenes = [sc.generate_scene(rng, cfg) for _ in range(4)]
         for name in ("a", "b"):
             sc.write_dataset(tmp_path / name, scenes, cfg, 301)
         blobs = [(tmp_path / name / sc.DATASET_FILE).read_bytes() for name in ("a", "b")]
         assert blobs[0] == blobs[1]
-        assert blobs[0][:HEAD_SIZE] == b"NCLD" + struct.pack("<IIQ", sc.FORMAT_VERSION, 4, 301)
-        assert hashlib.sha256(blobs[0][HEAD_SIZE:]).hexdigest() == SEQUENCE_DIGEST
+        assert blobs[0][:HEAD_SIZE] == b"NCLD" + struct.pack("<IIQ3I", 4, 4, 301, 256, 16, 16)
+        rows = np.split(np.frombuffer(blobs[0], np.uint8, offset=HEAD_SIZE), 4)
+        header = b"NCLR" + struct.pack("<4I", 3, 256, 16, 16)
+        assert hashlib.sha256(b"".join(header + row.tobytes() for row in rows)).hexdigest() \
+            == SEQUENCE_DIGEST
 
     @pytest.mark.parametrize("n_points, grid", [(256, (16, 16)), (512, (24, 24))])
     def test_augment_scene_preserves_labels_and_projection(self, n_points, grid):
@@ -479,7 +514,9 @@ class TestSceneRule:
             changed = replace(sample, **change)
         except ConfigError:
             return
-        assert_same_scene(sc._scene_from_bytes(sc.scene_to_bytes(changed))[0], changed)
+        (loaded,) = load_bytes(dataset_head(1, 0, changed.n_points, changed.grid)
+                               + sc.scene_to_bytes(changed))
+        assert_same_scene(loaded, changed)
         (h, w), on = changed.grid, changed.point_overlap_gt
         uv = changed.gt_projection
         assert np.isnan(uv[~on]).all() and ((uv[on] >= 0.0) & (uv[on] < [w, h])).all()
@@ -528,23 +565,29 @@ class TestTexture:
 
     def test_large_texture_renders_in_blocks(self):
         # 839 overlapping points on 64 x 64 pixels: the whole distance cube
-        # would take 27.5 MB, against one block of _TEXTURE_BLOCK doubles
-        scene = make_scene(n_points=1024, grid=(64, 64))
-        overlap = np.flatnonzero(scene.point_overlap_gt)
-        assert overlap.size * 64 * 64 > 4 * sc._TEXTURE_BLOCK
-        tracemalloc.start()
-        try:
-            tex = scene.texture
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 8 * sc._TEXTURE_BLOCK
-        # each pixel's argmin over its own row of the cube, as dv^2 + du^2
-        u, v = scene.gt_projection[overlap].T
-        depth = scene.raw_pose.apply(scene.points[overlap])[:, 2]
-        expected = [depth[np.argmin((cv - v) * (cv - v) + (cu - u) * (cu - u))]
-                    for cu, cv in sc.pixel_centers(scene.grid)]
-        np.testing.assert_array_equal(tex, expected)
+        # would take 27.5 MB. One row of 4096 pixels and as many points, a
+        # 98 KB scene: one grid row of it would take 134 MB. Each renders
+        # against one block of _TEXTURE_BLOCK doubles
+        rng = np.random.default_rng(1)
+        wide = sc.SceneSample(np.stack([rng.uniform(-1700, 1700, 4096),
+                                        rng.uniform(-0.4, 0.4, 4096), np.full(4096, 10.0)], 1),
+                              geo.RigidPose(np.eye(3), np.zeros(3)), (1, 4096))
+        for scene in (make_scene(n_points=1024, grid=(64, 64)), wide):
+            overlap = np.flatnonzero(scene.point_overlap_gt)
+            assert overlap.size * scene.pixel_overlap_gt.size > 4 * sc._TEXTURE_BLOCK
+            tracemalloc.start()
+            try:
+                tex = scene.texture
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 8 * sc._TEXTURE_BLOCK
+            # each pixel's argmin over its own row of the cube, as dv^2 + du^2
+            u, v = scene.gt_projection[overlap].T
+            depth = scene.raw_pose.apply(scene.points[overlap])[:, 2]
+            expected = [depth[np.argmin((cv - v) * (cv - v) + (cu - u) * (cu - u))]
+                        for cu, cv in sc.pixel_centers(scene.grid)]
+            np.testing.assert_array_equal(tex, expected)
 
 
 def label_pairs(grid, proj, r_p, r_n) -> sc.PairSet:
@@ -670,16 +713,19 @@ class TestBuildPairs:
             sc.build_pairs(sample, r_p=2.0, r_n=1.0)
 
 
-CORRUPTION_BASE = sc.scene_to_bytes(make_scene(seed=11, n_points=16, grid=(8, 8)))
-
-
-def edited_bytes(sample: sc.SceneSample, **fields) -> bytes:
-    """The bytes of ``sample`` with some record fields overwritten: a file
-    that the writer cannot produce, since every sample checks itself."""
-    rec = np.frombuffer(sc.scene_to_bytes(sample), sc._layout(sample.n_points), 1).copy()
+def edited_file(sample: sc.SceneSample, **fields) -> bytes:
+    """The dataset file of ``sample`` alone, with some fields of its head or
+    record overwritten: a file that the writer cannot produce, since every
+    sample checks itself and the head is written from a SceneConfig."""
+    n = sample.n_points
+    head = np.frombuffer(dataset_head(1, 0, n, sample.grid), sc._DATASET_HEAD).copy()
+    rec = np.frombuffer(sc.scene_to_bytes(sample), sc._layout(n), 1).copy()
     for name, value in fields.items():
-        rec[name] = value
-    return rec.tobytes()
+        (head if name in head.dtype.names else rec)[name] = value
+    return head.tobytes() + rec.tobytes()
+
+
+CORRUPTION_BASE = edited_file(make_scene(seed=11, n_points=16, grid=(8, 8)))
 
 
 class TestSceneIO:
@@ -697,22 +743,32 @@ class TestSceneIO:
         # serialization itself is deterministic
         assert sc.scene_to_bytes(loaded) == (tmp_path / sc.DATASET_FILE).read_bytes()[HEAD_SIZE:]
 
+    def test_empty_dataset_round_trips(self, tmp_path):
+        cfg = sc.SceneConfig(n_points=32, grid=(8, 8))
+        sc.write_dataset(tmp_path, [], cfg, seed=5)
+        assert (tmp_path / sc.DATASET_FILE).read_bytes() == dataset_head(0, 5, 32, (8, 8))
+        assert sc.load_dataset(tmp_path) == []
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             sc.load_dataset(tmp_path)
 
     def test_bad_magic_rejected(self):
-        with pytest.raises(ConfigError):
-            sc._scene_from_bytes(b"XXXX" + b"\x00" * 64)
+        with pytest.raises(ConfigError, match="magic"):
+            load_bytes(b"XXXX" + CORRUPTION_BASE[4:])
 
-    def test_every_truncation_rejected(self):
-        blob = sc.scene_to_bytes(make_scene(seed=7))
-        for cut in range(len(blob)):
+    def test_every_truncation_rejected(self, tmp_path):
+        """A file is exactly its head and the head's count of records: every
+        cut of a two-scene file, and one byte past its end, is refused."""
+        cfg = sc.SceneConfig(n_points=16, grid=(8, 8))
+        scenes = [sc.generate_scene(np.random.default_rng([7, i]), cfg) for i in range(2)]
+        sc.write_dataset(tmp_path, scenes, cfg, seed=7)
+        blob = (tmp_path / sc.DATASET_FILE).read_bytes()
+        assert len(blob) == HEAD_SIZE + 2 * len(sc.scene_to_bytes(scenes[0]))
+        for edited in [*(blob[:cut] for cut in range(len(blob))), blob + b"\0"]:
+            (tmp_path / sc.DATASET_FILE).write_bytes(edited)
             with pytest.raises(ConfigError):
-                sc._scene_from_bytes(blob[:cut])
-        # a record reads as much as its header declares; the dataset reader
-        # refuses what is left after the last one
-        assert sc._scene_from_bytes(blob + b"\x00")[1] == len(blob)
+                sc.load_dataset(tmp_path)
 
     def test_overlapping_point_moved_behind_camera_loads_as_not_overlapping(self):
         sample = make_scene(seed=7)
@@ -722,7 +778,7 @@ class TestSceneIO:
         pose = sample.raw_pose
         q = pose.apply(points[i:i + 1])[0]
         points[i] = pose.rotation.T @ (np.array([q[0], q[1], -1.0]) - pose.translation)
-        loaded = sc._scene_from_bytes(edited_bytes(sample, points=points))[0]
+        (loaded,) = load_bytes(edited_file(sample, points=points))
         assert np.flatnonzero(loaded.point_overlap_gt ^ sample.point_overlap_gt).tolist() == [i]
         assert np.isnan(loaded.gt_projection[i]).all()
         others = np.arange(sample.n_points) != i
@@ -733,35 +789,43 @@ class TestSceneIO:
                                        "empty_grid"])
     def test_non_finite_or_invalid_camera_rejected(self, field):
         sample = make_scene(seed=7)
-        blob = bytearray(sc.scene_to_bytes(sample))
         if field == "points":  # a non-finite point that overlaps nothing
             i = np.flatnonzero(~sample.point_overlap_gt)[0]
             points = sample.points.copy()
             points[i, 2] = np.nan
-            blob = bytearray(edited_bytes(sample, points=points))
+            blob = edited_file(sample, points=points)
         elif field == "translation":
-            blob = bytearray(edited_bytes(sample, translation=[0.0, np.inf, 0.0]))
+            blob = edited_file(sample, translation=[0.0, np.inf, 0.0])
         elif field == "empty_grid":  # a file of the right length with no pixel
-            blob = bytearray(edited_bytes(sample, h=0))
-        elif field == "rotation":  # first rotation entry, header is 20 bytes
-            blob[20:28] = np.array([2.0]).tobytes()
-        elif field in ("n", "h", "w"):  # uint32 header fields after magic and version
-            at = 8 + 4 * "nhw".index(field)
-            blob[at:at + 4] = np.array([2 ** 32 - 1], dtype="<u4").tobytes()
+            blob = edited_file(sample, h=0)
+        elif field == "rotation":  # first rotation entry
+            rotation = sample.raw_pose.rotation.copy()
+            rotation[0, 0] = 2.0
+            blob = edited_file(sample, rotation=rotation)
+        else:  # the head's uint32 N, H' or W'
+            blob = edited_file(sample, **{field: 2 ** 32 - 1})
         with pytest.raises(ConfigError):
-            sc._scene_from_bytes(bytes(blob))
+            load_bytes(blob)
 
     def test_grid_of_more_than_max_pixels_refused(self):
-        # a record's header alone sizes its grid: one edited byte of H' would
+        # the dataset head alone sizes the grid: one edited byte of H' would
         # otherwise ask the texture channel for gigabytes
         sample = make_scene(seed=7)  # 16 x 16
         rows = sc._MAX_PIXELS // 16
-        assert sc._scene_from_bytes(edited_bytes(sample, h=rows))[0].grid == (rows, 16)
+        assert load_bytes(edited_file(sample, h=rows))[0].grid == (rows, 16)
         with pytest.raises(ConfigError, match="pixels"):
-            sc._scene_from_bytes(edited_bytes(sample, h=rows + 1))
+            load_bytes(edited_file(sample, h=rows + 1))
         sc.SceneConfig(grid=(rows, 16))
         with pytest.raises(ParameterError, match="pixels"):
             sc.SceneConfig(grid=(rows + 1, 16))
+
+    @pytest.mark.parametrize("n", [89478482, 89478485])
+    def test_record_past_a_c_int_refused(self, n):
+        # numpy sizes a record in a C int, and checked the points alone: a
+        # header of these N gave a record of negative size, whose read crashed
+        # the interpreter
+        with pytest.raises(ConfigError, match="does not fit"):
+            load_bytes(dataset_head(1, 0, n, (8, 8)) + bytes(96))
 
     @pytest.mark.parametrize("case", ["wrong_grid", "negative_grid", "empty_grid",
                                       "points_n_x_2"])
@@ -782,20 +846,21 @@ class TestSceneIO:
                     min_size=1, max_size=8))
     def test_corrupted_bytes_rejected_or_harmless(self, edits):
         """A corrupted file either fails to load with ConfigError, or loads
-        into a scene that pair building and the texture channel handle,
+        into scenes that pair building and the texture channel handle,
         raising nothing but NeucalibError."""
         blob = bytearray(CORRUPTION_BASE)
         for pos, byte in edits:
             blob[pos % len(blob)] = byte
         try:
-            sample, _ = sc._scene_from_bytes(bytes(blob))
+            scenes = load_bytes(bytes(blob))
         except ConfigError:
             return
-        try:
-            sc.build_pairs(sample, 1.0, 4.0)
-            sample.texture
-        except NeucalibError:
-            pass
+        for sample in scenes:
+            try:
+                sc.build_pairs(sample, 1.0, 4.0)
+                sample.texture
+            except NeucalibError:
+                pass
 
     def test_dataset_round_trip(self, tmp_path):
         cfg = sc.SceneConfig(n_points=32, grid=(8, 8))
@@ -808,7 +873,7 @@ class TestSceneIO:
 
     @pytest.mark.parametrize("case", ["cut_in_head", "cut_at_record", "cut_in_record",
                                       "trailing_byte", "magic", "version", "count_low",
-                                      "count_high", "record_magic", "short_record"])
+                                      "count_high", "record_pose", "short_record"])
     def test_malformed_dataset_rejected(self, tmp_path, case):
         cfg = sc.SceneConfig(n_points=32, grid=(8, 8))
         scenes = [sc.generate_scene(np.random.default_rng([4, i]), cfg) for i in range(3)]
@@ -831,7 +896,8 @@ class TestSceneIO:
             "version": [head(version=sc.FORMAT_VERSION - 1), head(version=sc.FORMAT_VERSION + 1)],
             "count_low": [head(count=0), head(count=2)],
             "count_high": [head(count=4), head(count=2 ** 32 - 1)],
-            "record_magic": [blob[:ends[1]] + b"XXXX" + blob[ends[1] + 4:]],
+            # the middle record's first rotation entry, 2.0: no rotation
+            "record_pose": [blob[:ends[1]] + struct.pack("<d", 2.0) + blob[ends[1] + 8:]],
             # the middle record one byte short, the last one shifted onto its end
             "short_record": [blob[:ends[2] - 1] + blob[ends[2]:]],
         }[case]
@@ -841,31 +907,37 @@ class TestSceneIO:
                 sc.load_dataset(out)
 
     def test_version_1_record_refused(self, tmp_path):
-        """A whole version-1 record is refused alone and inside a dataset file."""
+        """A whole version-1 record is refused inside a dataset file, under
+        the head a version-1 writer wrote and under a current one."""
         sample = make_scene(seed=7, n_points=32, grid=(8, 8))
         record = version_1_record(sample)
-        assert (len(record), len(sc.scene_to_bytes(sample))) == (1524, 884)
-        with pytest.raises(ConfigError, match="version 1"):
-            sc._scene_from_bytes(record)
-        # the head a version-1 writer wrote, and a current head over the old record
-        for version in (1, sc.FORMAT_VERSION):
-            head = sc.DATASET_MAGIC + struct.pack("<IIQ", version, 1, 7)
+        assert (len(record), len(sc.scene_to_bytes(sample))) == (1524, 864)
+        for head, wording in [(sc.DATASET_MAGIC + struct.pack("<IIQ", 1, 1, 7), "version 1"),
+                              (dataset_head(1, 7, 32, (8, 8)), "1 records of 864")]:
             (tmp_path / sc.DATASET_FILE).write_bytes(head + record)
-            with pytest.raises(ConfigError, match="version"):
+            with pytest.raises(ConfigError, match=wording):
                 sc.load_dataset(tmp_path)
 
     def test_version_2_record_refused(self, tmp_path):
-        """A whole version-2 record is refused alone and inside a dataset file."""
+        """A whole version-2 record is refused inside a dataset file, under
+        the head a version-2 writer wrote and under a current one."""
         sample = make_scene(seed=7, n_points=32, grid=(8, 8))
         record = version_2_record(sample)
         assert len(record) == 1396
-        with pytest.raises(ConfigError, match="version 2"):
-            sc._scene_from_bytes(record)
-        for version in (2, sc.FORMAT_VERSION):
-            head = sc.DATASET_MAGIC + struct.pack("<IIQ", version, 1, 7)
+        for head, wording in [(sc.DATASET_MAGIC + struct.pack("<IIQ", 2, 1, 7), "version 2"),
+                              (dataset_head(1, 7, 32, (8, 8)), "1 records of 864")]:
             (tmp_path / sc.DATASET_FILE).write_bytes(head + record)
-            with pytest.raises(ConfigError, match="version"):
+            with pytest.raises(ConfigError, match=wording):
                 sc.load_dataset(tmp_path)
+
+    def test_version_3_file_refused(self, tmp_path):
+        """A whole version-3 file, as a version-3 writer wrote it: a 20-byte
+        head, then records that each open with their own header."""
+        sample = make_scene(seed=7, n_points=32, grid=(8, 8))
+        head = sc.DATASET_MAGIC + struct.pack("<IIQ", 3, 2, 7)
+        (tmp_path / sc.DATASET_FILE).write_bytes(head + 2 * version_3_record(sample))
+        with pytest.raises(ConfigError, match="version 3"):
+            sc.load_dataset(tmp_path)
 
     @pytest.mark.parametrize("case", ["load_nul_byte", "write_nul_byte", "load_missing_parent",
                                       "load_directory", "dataset_onto_file",
