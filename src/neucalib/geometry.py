@@ -1,12 +1,14 @@
 """Rigid-body algebra and pinhole projection, in numpy on plain arrays; the
 differentiable refinement keeps its own projection in :mod:`neucalib.pnp`.
 
-The public surface is ``RigidPose`` (q = R p + t maps sensor-frame points
-into the camera frame) and ``CameraIntrinsics``, which check their fields
-where they are built, and ``sample_augmentation``. The private kernels serve
-the library and check nothing: ``_project`` states the pinhole model once,
-on N x 3 float64 camera-frame points, a NaN row marking one the camera
-cannot see; ``_unproject`` inverts it for scene generation;
+The public surface is ``RigidPose`` (q = R p + t maps sensor-frame points into
+the camera frame) and ``CameraIntrinsics``, which check their fields where
+they are built, and ``sample_augmentation``. A number that enters is bounded
+there, before any arithmetic, so nothing after overflows: by ``MAX_MAGNITUDE``
+(NaN fails too), a rotation entry by 1 + ``ORTHONORMALITY_TOL``. The private
+kernels serve the library and check nothing: ``_project`` states the pinhole
+model once, on N x 3 float64 camera-frame points, a NaN row marking one the
+camera cannot see; ``_unproject`` inverts it for scene generation;
 ``_rotation_from_axis_angle`` takes a unit axis and a finite angle;
 ``_project_to_so3`` a finite 3 x 3 matrix.
 """
@@ -21,8 +23,11 @@ import numpy as np
 from .errors import ParameterError, real_array
 
 ORTHONORMALITY_TOL = 1e-9
+# bound on each |number| that enters, in m or px, and 1 / it on a focal length: past any generated
+# point (about 7e4 m at the largest grid) and pixel (below 65536), far below EPnP's overflow
+MAX_MAGNITUDE = 1e6
 MIN_DEPTH = 1e-6  # meters; at or below this a point projects to NaN
-_EYE = np.eye(3)
+_EYE, _ZERO = np.eye(3), np.zeros(3)
 
 
 @dataclass(frozen=True)
@@ -39,22 +44,20 @@ class RigidPose:
             raise ParameterError(f"rotation must be 3 x 3 and translation 3: {r.shape}, {t.shape}")
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
-        with np.errstate(all="ignore"):  # inf and huge entries fail the test, as NaN does
-            off = np.abs(r.T @ r - _EYE).max()
-        if not off <= ORTHONORMALITY_TOL:
+        if not ((abs(r) <= 1.0 + ORTHONORMALITY_TOL).all()
+                and np.abs(r.T @ r - _EYE).max() <= ORTHONORMALITY_TOL):
             raise ParameterError("rotation is not orthonormal within 1e-9")
         if abs(np.linalg.det(r) - 1.0) > ORTHONORMALITY_TOL:
             raise ParameterError("rotation determinant is not +1 within 1e-9")
-        if not np.isfinite(t).all():
-            raise ParameterError(f"translation must be finite: {t}")
+        if not (abs(t) <= MAX_MAGNITUDE).all():
+            raise ParameterError(f"translation must be within +-{MAX_MAGNITUDE:g}: {t}")
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform an N x 3 array of points into this pose's target frame."""
         pts = real_array(points, "points", ParameterError)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ParameterError(f"points must be N x 3, got shape {pts.shape}")
-        with np.errstate(all="ignore"):  # non-finite points give NaN
-            return pts @ self.rotation.T + self.translation
+        if not (pts.ndim == 2 and pts.shape[1] == 3 and (abs(pts) <= MAX_MAGNITUDE).all()):
+            raise ParameterError(f"points must be N x 3 within +-{MAX_MAGNITUDE:g}: {pts.shape}")
+        return pts @ self.rotation.T + self.translation
 
 
 @dataclass(frozen=True)
@@ -68,8 +71,10 @@ class CameraIntrinsics:
 
     def __post_init__(self):
         k = real_array((self.fx, self.fy, self.cx, self.cy), "intrinsics", ParameterError)
-        if not (k.shape == (4,) and np.isfinite(k).all() and (k[:2] > 0).all()):
-            raise ParameterError(f"intrinsics must be finite, the focal lengths > 0: {k}")
+        if not (k.shape == (4,) and (abs(k) <= MAX_MAGNITUDE).all()
+                and (k[:2] >= 1.0 / MAX_MAGNITUDE).all()):
+            raise ParameterError(f"intrinsics must be within +-{MAX_MAGNITUDE:g}, the focal "
+                                 f"lengths >= {1.0 / MAX_MAGNITUDE:g}: {k}")
 
 
 def _rotation_from_axis_angle(axis, angle: float) -> np.ndarray:
@@ -86,7 +91,7 @@ def _project(q: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
     where its point cannot be seen: the depth is not a finite number above
     MIN_DEPTH, or a coordinate is not finite (a non-finite or huge point)."""
     depth = q[:, 2]
-    with np.errstate(all="ignore"):  # non-finite, huge or zero-depth points give NaN or inf
+    with np.errstate(all="ignore"):  # dividing by a zero or near-zero depth gives NaN or inf
         coords = q[:, :2] * (k.fx, k.fy) / depth[:, None] + (k.cx, k.cy)
     seen = (depth > MIN_DEPTH) & np.isfinite(depth) & np.isfinite(coords).all(axis=1)
     coords[~seen] = np.nan
@@ -111,27 +116,20 @@ def sample_augmentation(rng: np.random.Generator, rot_range: float,
     draws too, and gives 0.0.
     """
     ranges = real_array((rot_range, trans_range), "augmentation ranges", ParameterError)
-    if not (ranges.shape == (2,) and (0 <= ranges).all() and (ranges < np.inf).all()):
-        raise ParameterError(f"augmentation ranges must be finite, >= 0: {rot_range, trans_range}")
+    if not (ranges.shape == (2,) and ((0 <= ranges) & (ranges <= MAX_MAGNITUDE)).all()):
+        raise ParameterError(f"augmentation ranges must lie in [0, {MAX_MAGNITUDE:g}]: {ranges}")
     angle = rng.uniform(-rot_range, rot_range)
     tx = rng.uniform(-trans_range, trans_range)
     ty = rng.uniform(-trans_range, trans_range)
     return _rotation_from_axis_angle([0.0, 0.0, 1.0], angle), np.array([tx, ty, 0.0])
 
 
-def _matrix3(m, what: str) -> np.ndarray:
-    """A finite real 3 x 3 ``m`` as float64, else a ParameterError."""
-    m = real_array(m, what, ParameterError)
-    if m.shape != (3, 3) or not np.isfinite(m).all():
-        raise ParameterError(f"{what} must be a finite 3 x 3 matrix, got shape {m.shape}")
-    return m
-
-
 def geodesic_angle(r_a: np.ndarray, r_b: np.ndarray) -> float:
-    """Rotation angle in [0, pi] of D = r_a^T r_b, in radians, as atan2 of its
-    sine |axial(D - D^T)| / 2 and cosine (tr D - 1) / 2: small angles keep the
-    digits that acos of the cosine alone rounds away (to 0 below about 1e-8)."""
-    d = _matrix3(r_a, "r_a").T @ _matrix3(r_b, "r_b")
+    """Rotation angle in [0, pi] of D = r_a^T r_b for rotations that ``RigidPose``
+    takes, in radians, as atan2 of its sine |axial(D - D^T)| / 2 and cosine
+    (tr D - 1) / 2: small angles keep the digits that acos of the cosine alone
+    rounds away (to 0 below about 1e-8)."""
+    d = RigidPose(r_a, _ZERO).rotation.T @ RigidPose(r_b, _ZERO).rotation
     sine = 0.5 * math.hypot(d[2, 1] - d[1, 2], d[0, 2] - d[2, 0], d[1, 0] - d[0, 1])
     return math.atan2(sine, 0.5 * (np.trace(d) - 1.0))
 

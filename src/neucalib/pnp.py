@@ -29,16 +29,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import SolveError, is_count, real_array
-from .geometry import MIN_DEPTH, CameraIntrinsics, RigidPose, _project_to_so3
+from .errors import ParameterError, SolveError, is_count, real_array
+from .geometry import MAX_MAGNITUDE, MIN_DEPTH, CameraIntrinsics, RigidPose, _project_to_so3
 
 MIN_CORRESPONDENCES = 6
 GN_DAMPING = 1e-6
 DEGENERATE_SPREAD = 1e-8  # relative floor on the smallest principal extent
 HUBER_DELTA = 1.0  # pose-loss error at which the Huber penalty turns linear
-# bound on each |coordinate| of a problem's points (m) and targets (px): past any generated point
-# (about 7e4 m at the largest grid) and pixel (below 65536), far below EPnP's overflow
-MAX_MAGNITUDE = 1e6
 
 
 @dataclass(frozen=True)
@@ -62,10 +59,12 @@ class PnPProblem:
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "targets", targets if isinstance(targets, Tensor)
                            else ad.constant(value))
-        if not (np.all(abs(points) <= MAX_MAGNITUDE) and np.all(abs(value) <= MAX_MAGNITUDE)):
+        if not ((abs(points) <= MAX_MAGNITUDE).all() and (abs(value) <= MAX_MAGNITUDE).all()):
             raise SolveError(f"points and targets must be finite and within +-{MAX_MAGNITUDE:g}")
         if points.shape[0] < MIN_CORRESPONDENCES:
             raise SolveError(f"need at least {MIN_CORRESPONDENCES} points, got {len(points)}")
+        if not isinstance(self.intrinsics, CameraIntrinsics):
+            raise SolveError("intrinsics must be a CameraIntrinsics")
 
     @property
     def n(self) -> int:
@@ -133,10 +132,18 @@ def epnp_init(problem: PnPProblem) -> RigidPose:
     # the cross-covariance sum (cam - cam_c)(p - c)^T
     cam_c = cam.mean(axis=0)
     cov = (cam - cam_c).T @ centered
-    if not np.isfinite(cov).all():  # huge points overflow; LAPACK's SVD may not return on inf
+    if not np.isfinite(cov).all():  # LAPACK's SVD may not return on inf
         raise SolveError("EPnP cross-covariance is not finite")
     rot = _project_to_so3(cov)
-    return RigidPose(rot, cam_c - rot @ centroid)
+    return _solved_pose(rot, cam_c - rot @ centroid)
+
+
+def _solved_pose(rot: np.ndarray, trans: np.ndarray) -> RigidPose:
+    """The solved pose; a SolveError where its translation passes RigidPose's bound."""
+    try:
+        return RigidPose(rot, trans)
+    except ParameterError as err:
+        raise SolveError(f"solved pose out of range: {err}") from err
 
 
 # --- Gauss-Newton refinement -----------------------------------------------
@@ -247,7 +254,7 @@ def gauss_newton_refine(problem: PnPProblem, init: RigidPose,
         return (g_targets.reshape(2, n).T,)
 
     node = ad.record("gauss_newton", (problem.targets,), backward, np.hstack([rot, trans]))
-    estimate = PoseEstimate(pose=RigidPose(_project_to_so3(rot), trans[:, 0]))
+    estimate = PoseEstimate(pose=_solved_pose(_project_to_so3(rot), trans[:, 0]))
     return RefinedPose(node, estimate, objectives)
 
 

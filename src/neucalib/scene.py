@@ -97,8 +97,8 @@ class SceneSample:
     its center (ties to the lower index), or 0 with no overlap. Each derived
     array is computed once and is read-only. A sample checks the scene rule
     where it is built, or raises ``ConfigError``: ``grid`` passes ``_is_grid``
-    with sides >= 1, ``points`` is an N x 3 float64 array of finite values,
-    and ``raw_pose`` is a ``RigidPose``.
+    with sides >= 1, ``points`` is an N x 3 float64 array within
+    ``geo.MAX_MAGNITUDE``, and ``raw_pose`` is a ``RigidPose``.
     """
 
     points: np.ndarray  # N x 3, sensor frame
@@ -111,8 +111,8 @@ class SceneSample:
                               f"{_MAX_PIXELS} pixels")
         pts = self.points
         if not (isinstance(pts, np.ndarray) and pts.ndim == 2 and pts.shape[1] == 3
-                and pts.dtype == "float64" and np.isfinite(pts).all()):
-            raise ConfigError("scene points are not an N x 3 float64 array of finite values")
+                and pts.dtype == "float64" and (abs(pts) <= geo.MAX_MAGNITUDE).all()):
+            raise ConfigError("scene points are not an N x 3 float64 array within MAX_MAGNITUDE")
         if not isinstance(self.raw_pose, geo.RigidPose):
             raise ConfigError(f"scene raw pose is not a RigidPose: {type(self.raw_pose).__name__}")
 
@@ -434,21 +434,15 @@ def generate_scene(rng: np.random.Generator, config: SceneConfig) -> SceneSample
 
 
 def augment_scene(sample: SceneSample, rot: np.ndarray, trans: np.ndarray) -> SceneSample:
-    """Points move, labels stay: p' = R_r (p + t_r) for a 3 x 3 rotation ``rot``
-    and 3-vector ``trans``, translated first, the one order under which the
+    """Points move, labels stay: p' = R_r (p + t_r) for the ``RigidPose`` of
+    ``rot`` and ``trans``, translated first, the one order under which the
     recomputed pose R_gt = R_raw R_r^-1, t_gt = t_raw - R_raw t_r gives
     R_gt p' + t_gt = R_raw p + t_raw. The derived projections move by rounding
     alone, and a label carries over unless a projection lies within that
     rounding of its boundary."""
-    rot = real_array(rot, "augmentation rotation", ParameterError)
-    trans = real_array(trans, "augmentation translation", ParameterError)
-    if rot.shape != (3, 3) or trans.shape != (3,):
-        raise ParameterError("augmentation rotation must be 3 x 3 and translation 3, "
-                             f"got {rot.shape}, {trans.shape}")
-    raw = sample.raw_pose
-    with np.errstate(all="ignore"):  # non-finite input gives NaN, which RigidPose refuses
-        points = (sample.points + trans) @ rot.T
-        r_gt, t_gt = raw.rotation @ rot.T, raw.translation - raw.rotation @ trans
+    aug, raw = geo.RigidPose(rot, trans), sample.raw_pose
+    points = (sample.points + aug.translation) @ aug.rotation.T
+    r_gt, t_gt = raw.rotation @ aug.rotation.T, raw.translation - raw.rotation @ aug.translation
     return replace(sample, points=points, raw_pose=geo.RigidPose(r_gt, t_gt))
 
 
@@ -517,10 +511,9 @@ def load_dataset(data_dir) -> list[SceneSample]:
     if len(blob) != at + count * layout.itemsize:
         raise ConfigError(f"dataset file of {len(blob)} bytes; its head says {count} "
                           f"records of {layout.itemsize} after {at}")
-    with np.errstate(all="ignore"):  # a huge raw pose overflows in its check and fails it
-        try:
-            return [SceneSample(rec["points"].copy(),
-                                geo.RigidPose(rec["rotation"].copy(), rec["translation"].copy()),
-                                (h, w)) for rec in np.frombuffer(blob, layout, count, at)]
-        except ParameterError as err:
-            raise ConfigError(f"dataset file holds an invalid raw pose: {err}") from err
+    try:
+        return [SceneSample(rec["points"].copy(),
+                            geo.RigidPose(rec["rotation"].copy(), rec["translation"].copy()),
+                            (h, w)) for rec in np.frombuffer(blob, layout, count, at)]
+    except ParameterError as err:
+        raise ConfigError(f"dataset file holds an invalid raw pose: {err}") from err

@@ -138,8 +138,9 @@ TABLE = {
     "save_params": (NeucalibError, lambda value=ONES, path="w.nclp":
                     pm.save_params({"w": value}, path)),
     # pnp
-    "PnPProblem": (SolveError, lambda points=PROBLEM.points, targets=PROBLEM.targets.value:
-                   pnp.PnPProblem(points, targets, SCENE.intrinsics)),
+    "PnPProblem": (SolveError, lambda points=PROBLEM.points, targets=PROBLEM.targets.value,
+                   intrinsics=SCENE.intrinsics: pnp.solve_pose(
+                       pnp.PnPProblem(points, targets, intrinsics))),
     "PoseEstimate": (NeucalibError, lambda: pnp.PoseEstimate(EYE)),
     "RefinedPose": (NeucalibError, lambda: pnp.RefinedPose(
         ad.constant(np.zeros((3, 4))), pnp.PoseEstimate(EYE), [])),

@@ -205,7 +205,7 @@ class TestAugmentation:
                                             (np.eye(3), np.zeros((3, 1)))],
                              ids=["flat_rotation", "column_translation"])
     def test_non_real_or_misshapen_augmentation_rejected(self, rot, trans):
-        with pytest.raises(ParameterError, match="augmentation"):
+        with pytest.raises(ParameterError, match="3 x 3"):
             sc.augment_scene(sc.SceneSample(np.zeros((2, 3)), EYE, GRID), rot, trans)
 
     def test_pure_translation(self):

@@ -99,8 +99,22 @@ class TestEpnpInit:
             pnp.solve_pose(pnp.PnPProblem(scene.points[on] * point_scale,
                                           scene.gt_projection[on] * target_scale,
                                           scene.intrinsics))
-        bound = pnp.MAX_MAGNITUDE
+        bound = geo.MAX_MAGNITUDE
         assert np.abs(scene.points).max() < bound and np.abs(scene.gt_projection[on]).max() < bound
+
+    def test_solved_pose_past_the_bound_refused_as_solve_error(self):
+        # points and targets within the bound can place the camera past it,
+        # 1.5e6 m from these points; RigidPose refuses that translation
+        rng = np.random.default_rng(0)
+        k = geo.CameraIntrinsics(fx=12.0, fy=12.0, cx=4.0, cy=4.0)
+        cam = np.stack([rng.uniform(-2e5, 2e5, 32), rng.uniform(-2e5, 2e5, 32),
+                        rng.uniform(8e5, 9.5e5, 32)], axis=1)
+        problem = pnp.PnPProblem(cam - [0.0, 0.0, 1.5e6], geo._project(cam, k), k)
+        with pytest.raises(SolveError, match="out of range"):
+            pnp.epnp_init(problem)
+        start = geo.RigidPose(np.eye(3), [0.0, 0.0, geo.MAX_MAGNITUDE])
+        with pytest.raises(SolveError, match="out of range"):
+            pnp.gauss_newton_refine(problem, start, 1)
 
     def test_too_few_points_refused(self):
         pose, points, targets = random_instance(3, n=5)
