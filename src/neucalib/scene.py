@@ -385,23 +385,57 @@ def _sample_out_of_frustum(rng: np.random.Generator, k: geo.CameraIntrinsics,
 
     No point can overlap: one behind the camera has depth at most -1, below
     ``geo.MIN_DEPTH``, and one in the side cone is unprojected from a pixel
-    column at least 2 px outside [0, W'). The check after the loop guards
-    that argument; the loop stays scalar because the two branches make
-    different numbers of draws. Each value is ``rng.uniform``'s, through
-    ``_uniform``, and the branch coin ``rng.random() < 0.5`` is
-    ``rng.uniform() < 0.5``, whose double is ``0.0 + 1.0 * next_double``.
+    column at least 2 px outside [0, W'). The check at the end guards that
+    argument.
+
+    The draws are those of a loop that, for each point, draws the coin
+    ``rng.random() < 0.5``; then behind the camera x, y and minus the depth
+    through ``_uniform`` over (-Z_FAR, Z_FAR), (-Z_FAR, Z_FAR) and (1, Z_FAR),
+    or in the side cone the column's magnitude over (W' + 2, 3 W'), its sign
+    ``(-1.0, 1.0)[rng.integers(2)]``, v over (-H', 2 H') and the depth over
+    (Z_NEAR, Z_FAR). They are replayed from the raw 64-bit words of a
+    ``PCG64``: a double is ``(word >> 11) * 2**-53``, so the coin is the
+    word's top bit, and ``integers(2)`` is bit 31 of a 32-bit half-word, the
+    one the state holds (``has_uint32``, ``uinteger``), or else the low half
+    of the next word, whose high half the state then holds. So a point takes
+    four words, five in the side cone when no half is held. The words of the
+    longest walk are drawn at once, the generator is then left where the loop
+    leaves it, and each value is ``_uniform``'s ``low + (high - low) * d``.
     """
     h, w = grid
-    pts = np.empty((count, 3))
-    side = np.zeros(count, dtype=bool)
-    for i in range(count):
-        if rng.random() < 0.5:  # behind the camera
-            pts[i] = (_uniform(rng, -Z_FAR, Z_FAR), _uniform(rng, -Z_FAR, Z_FAR),
-                      -_uniform(rng, 1.0, Z_FAR))
-        else:  # positive depth, outside the image cone: (u, v, z) for now
-            u = _uniform(rng, w + 2.0, 3.0 * w) * (-1.0, 1.0)[rng.integers(2)]
-            pts[i] = (u, _uniform(rng, -h, 2.0 * h), _uniform(rng, Z_NEAR, Z_FAR))
-            side[i] = True
+    bits = rng.bit_generator
+    state = bits.state
+    words = bits.random_raw(5 * count)
+    top, low = (words >> 63).tolist(), (words >> 31 & 1).tolist()
+    held, held_bit, held_at = state["has_uint32"], state["uinteger"] >> 31, None
+    side, first, rest, sign = [], [], [], []  # rest: the word of y or v, then depth's
+    at = 0
+    for _ in range(count):
+        side.append(top[at])
+        first.append(at + 1)
+        if top[at]:
+            if not held:
+                held_bit, held_at = top[at + 2], at + 2
+                sign.append(low[at + 2])
+                at += 1
+            else:
+                sign.append(held_bit)
+            held = not held
+        at += 4
+        rest.append(at - 2)
+    if held_at is not None:
+        state["uinteger"] = int(words[held_at]) >> 32
+    state["has_uint32"] = int(held)
+    bits.state = state  # the entry's position, holding the half-word the loop holds
+    bits.random_raw(at)
+
+    side = np.array(side, dtype=bool)
+    lo = np.where(side[:, None], (w + 2.0, -h, Z_NEAR), (-Z_FAR, -Z_FAR, 1.0))
+    hi = np.where(side[:, None], (3.0 * w, 2.0 * h, Z_FAR), Z_FAR)
+    d = ((words >> 11) * 2.0 ** -53)[np.array([first, rest, np.add(rest, 1)], np.intp).T]
+    pts = lo + (hi - lo) * d
+    pts[side, 0] *= np.where(sign, 1.0, -1.0)
+    pts[~side, 2] *= -1.0
     pts[side] = geo._unproject(pts[side, :2], pts[side, 2], k)
     hits = np.count_nonzero(~np.isnan(_grid_projection(pts, k, grid)).all(axis=1))
     if hits:
@@ -414,8 +448,14 @@ def generate_scene(rng: np.random.Generator, config: SceneConfig) -> SceneSample
 
     The in-frustum fraction is drawn from ``OVERLAP_BAND`` and realized
     by construction (in-frustum points are sampled through the camera model),
-    with a floor of ``MIN_OVERLAP`` overlapping points.
+    with a floor of ``MIN_OVERLAP`` overlapping points. ``rng`` is a
+    ``np.random.Generator`` on ``PCG64``, as ``np.random.default_rng`` makes,
+    whose stream ``_sample_out_of_frustum`` replays, or a ``ParameterError``
+    is raised before any draw.
     """
+    if not (isinstance(rng, np.random.Generator) and type(rng.bit_generator) is np.random.PCG64):
+        raise ParameterError(f"rng must be a numpy Generator on PCG64, got "
+                             f"{type(getattr(rng, 'bit_generator', rng)).__name__}")
     k = _camera(config.grid)
     raw_pose = _sample_raw_pose(rng)
     frac = _uniform(rng, *OVERLAP_BAND)
@@ -443,7 +483,10 @@ def augment_scene(sample: SceneSample, rot: np.ndarray, trans: np.ndarray) -> Sc
     aug, raw = geo.RigidPose(rot, trans), sample.raw_pose
     points = (sample.points + aug.translation) @ aug.rotation.T
     r_gt, t_gt = raw.rotation @ aug.rotation.T, raw.translation - raw.rotation @ aug.translation
-    return replace(sample, points=points, raw_pose=geo.RigidPose(r_gt, t_gt))
+    try:
+        return replace(sample, points=points, raw_pose=geo.RigidPose(r_gt, t_gt))
+    except ConfigError as err:  # the moved points pass the scene's bound
+        raise ParameterError(f"augmented scene out of range: {err}") from err
 
 
 # --- binary scene format -------------------------------------------------

@@ -7,10 +7,11 @@ returns: the error class, and a function whose parameters are the call's
 arguments that take outside input, each defaulting to a valid value.
 Arguments of library types (tensors, scenes, poses, pair sets, selections,
 parameter stores, generators) are built inside the function: each of them
-checked its own rule when it was built. Each value that BAD makes from the
-valid one replaces each such argument in turn. Nothing here draws at random,
-and pyproject's ``error::RuntimeWarning`` filter turns a numpy warning into
-a failure.
+checked its own rule when it was built. ``generate_scene`` checks its
+generator, so its entry takes it as an argument. Each value that BAD makes
+from the valid one replaces each such argument in turn. Nothing here draws
+at random, and pyproject's ``error::RuntimeWarning`` filter turns a numpy
+warning into a failure.
 """
 
 import inspect
@@ -162,7 +163,8 @@ TABLE = {
     "augment_scene": (ParameterError, lambda rot=np.eye(3), trans=np.zeros(3):
                       sc.augment_scene(SCENE, rot, trans)),
     "build_pairs": (ParameterError, lambda r_p=1.0, r_n=4.0: sc.build_pairs(SCENE, r_p, r_n)),
-    "generate_scene": (NeucalibError, lambda: sc.generate_scene(_rng(), CFG)),
+    "generate_scene": (ParameterError, lambda rng=np.random.default_rng(0):
+                       sc.generate_scene(rng, CFG)),
     "load_dataset": (ConfigError, _load_dataset),
     "pixel_centers": (ParameterError, lambda grid=(8, 8): sc.pixel_centers(grid)),
     "scene_to_bytes": (NeucalibError, lambda: sc.scene_to_bytes(SCENE)),

@@ -281,6 +281,38 @@ class TestGeneration:
                 compared += 1
         assert compared >= len(seeds)
 
+    @pytest.mark.parametrize("half_word", [False, True], ids=["whole_words", "half_word_held"])
+    @pytest.mark.parametrize("n_points, grid, seeds", ORACLE_CASES)
+    def test_out_of_frustum_replays_from_any_generator_state(self, n_points, grid, seeds,
+                                                              half_word):
+        """The out-of-frustum sampler also replays the loop from a generator
+        that holds half a word, left by an ``integers(2)`` draw on both sides,
+        for counts 0 and 1 too: the same bytes and the same generator state,
+        its held half-word included."""
+        cfg = sc.SceneConfig(n_points=n_points, grid=grid)
+        for seed in seeds:
+            for count in (0, 1, seed * 7 % n_points):
+                ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                if half_word:
+                    ours.integers(2), ref.integers(2)
+                expected = oracle_out_of_frustum(ref, cfg, count)
+                got = sc._sample_out_of_frustum(ours, sc._camera(grid), grid, count)
+                assert got.tobytes() == expected.tobytes()
+                assert ours.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("make", [lambda: None, lambda: np.random.RandomState(0),
+                                      lambda: np.random.Generator(np.random.MT19937(0)),
+                                      lambda: np.random.Generator(np.random.PCG64DXSM(0))],
+                             ids=["none", "random_state", "mt19937", "pcg64dxsm"])
+    def test_generator_not_on_pcg64_refused_before_any_draw(self, make):
+        # the out-of-frustum replay reads PCG64's word layout, so another
+        # generator would silently get another stream
+        rng, twin = make(), make()
+        with pytest.raises(ParameterError, match="PCG64"):
+            sc.generate_scene(rng, sc.SceneConfig(n_points=32, grid=(8, 8)))
+        if twin is not None:
+            assert rng.random() == twin.random()
+
     @pytest.mark.parametrize("n_points, grid, seed",
                              [(256, (16, 16), 6515), (256, (16, 16), 7105), (512, (24, 24), 2873)])
     def test_infeasible_patch_plane_redrawn(self, n_points, grid, seed, monkeypatch):
@@ -391,6 +423,14 @@ class TestGeneration:
         header = b"NCLR" + struct.pack("<4I", 3, 256, 16, 16)
         assert hashlib.sha256(b"".join(header + row.tobytes() for row in rows)).hexdigest() \
             == SEQUENCE_DIGEST
+
+    @pytest.mark.parametrize("trans", [(1e6, 0.0, 0.0), (9.9999e5, 0.0, 0.0)])
+    def test_augmentation_past_the_bound_refused_as_a_parameter(self, trans):
+        # a valid translation that moves the scene's points past MAX_MAGNITUDE
+        # is a bad augmentation, not a bad scene
+        sample = make_scene(seed=0, n_points=32, grid=(8, 8))
+        with pytest.raises(ParameterError, match="MAX_MAGNITUDE"):
+            sc.augment_scene(sample, np.eye(3), np.array(trans))
 
     @pytest.mark.parametrize("n_points, grid", [(256, (16, 16)), (512, (24, 24))])
     def test_augment_scene_preserves_labels_and_projection(self, n_points, grid):
