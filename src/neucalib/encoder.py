@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ParameterError, ShapeError, is_count
+from .errors import ParameterError, ShapeError, check_generator, is_count
 from .scene import SceneSample, pixel_centers
 
 PE_BASE = 10000.0
@@ -65,6 +65,7 @@ def _sinusoidal_pe(coords: np.ndarray, channels: int) -> np.ndarray:
 def init_encoder_params(rng: np.random.Generator, channels: int = 32,
                         hidden: int = 64, fusion_layers: int = 1) -> dict[str, np.ndarray]:
     """Gaussian init scaled by 1/sqrt(fan_in); biases start at zero."""
+    check_generator(rng)
     if not (is_count(channels, 1) and is_count(hidden, 1) and is_count(fusion_layers, 0)):
         raise ParameterError(f"channels and hidden must be integers >= 1, fusion_layers >= 0: "
                              f"{channels, hidden, fusion_layers}")

@@ -6,9 +6,9 @@ library failures to a nonzero exit code in one place, while a private helper
 trusts its library callers and checks nothing. Each input kind is checked
 once, where it enters, by one helper: real arrays, and real scalars read as
 0-d or 1-d arrays, by ``real_array``; index sets by ``index_set``; counts by
-``is_count``; paths by ``read_file`` and ``write_file``, which turn any
-failure into :class:`ConfigError`. ``tests/test_contract.py`` holds every
-public name to this with one table of bad inputs.
+``is_count``; generators by ``check_generator``; paths by ``read_file`` and
+``write_file``, which turn any failure into :class:`ConfigError`.
+``tests/test_contract.py`` holds every public name to this with one table of bad inputs.
 """
 
 from pathlib import Path
@@ -99,3 +99,10 @@ def index_set(x, what: str) -> np.ndarray:
 def is_count(x, least: int) -> bool:
     """Whether ``x`` is a Python or numpy integer, not a bool, of at least ``least``."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= least
+
+
+def check_generator(rng) -> None:
+    """Refuse with ParameterError an ``rng`` other than a ``np.random.Generator`` on
+    ``PCG64``, as ``np.random.default_rng`` makes; scene generation replays its words."""
+    if not (isinstance(rng, np.random.Generator) and type(rng.bit_generator) is np.random.PCG64):
+        raise ParameterError(f"rng must be a numpy Generator on PCG64, got {rng!r}")

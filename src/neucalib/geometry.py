@@ -1,16 +1,13 @@
-"""Rigid-body algebra and pinhole projection, in numpy on plain arrays; the
-differentiable refinement keeps its own projection in :mod:`neucalib.pnp`.
+"""Rigid-body algebra, in numpy on plain arrays. The pinhole model's values are
+stated in ``scene._grid_projection``, its derivative in :mod:`neucalib.pnp`.
 
 The public surface is ``RigidPose`` (q = R p + t maps sensor-frame points into
 the camera frame) and ``CameraIntrinsics``, which check their fields where
 they are built, and ``sample_augmentation``. A number that enters is bounded
 there, before any arithmetic, so nothing after overflows: by ``MAX_MAGNITUDE``
 (NaN fails too), a rotation entry by 1 + ``ORTHONORMALITY_TOL``. The private
-kernels serve the library and check nothing: ``_project`` states the pinhole
-model once, on N x 3 float64 camera-frame points, a NaN row marking one the
-camera cannot see; ``_unproject`` inverts it for scene generation;
-``_rotation_from_axis_angle`` takes a unit axis and a finite angle;
-``_project_to_so3`` a finite 3 x 3 matrix.
+kernels serve the library and check nothing: ``_rotation_from_axis_angle``
+takes a unit axis and a finite angle, ``_project_to_so3`` a finite 3 x 3 matrix.
 """
 
 from __future__ import annotations
@@ -20,13 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, real_array
+from .errors import ParameterError, check_generator, real_array
 
 ORTHONORMALITY_TOL = 1e-9
 # bound on each |number| that enters, in m or px, and 1 / it on a focal length: past any generated
 # point (about 7e4 m at the largest grid) and pixel (below 65536), far below EPnP's overflow
 MAX_MAGNITUDE = 1e6
-MIN_DEPTH = 1e-6  # meters; at or below this a point projects to NaN
+MIN_DEPTH = 1e-6  # meters; at or below this a point cannot be seen
 _EYE, _ZERO = np.eye(3), np.zeros(3)
 
 
@@ -85,27 +82,6 @@ def _rotation_from_axis_angle(axis, angle: float) -> np.ndarray:
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
-def _project(q: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
-    """Pinhole projection of N x 3 float64 camera-frame points to N x 2 pixel
-    coordinates (u along width, v along height). A row is NaN, not an error,
-    where its point cannot be seen: the depth is not a finite number above
-    MIN_DEPTH, or a coordinate is not finite (a non-finite or huge point)."""
-    depth = q[:, 2]
-    with np.errstate(all="ignore"):  # dividing by a zero or near-zero depth gives NaN or inf
-        coords = q[:, :2] * (k.fx, k.fy) / depth[:, None] + (k.cx, k.cy)
-    seen = (depth > MIN_DEPTH) & np.isfinite(depth) & np.isfinite(coords).all(axis=1)
-    coords[~seen] = np.nan
-    return coords
-
-
-def _unproject(coords: np.ndarray, depth: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
-    """Inverse of :func:`_project`: finite N x 2 float64 pixels at N depths to
-    N x 3 camera-frame points."""
-    x = (coords[:, 0] - k.cx) / k.fx * depth
-    y = (coords[:, 1] - k.cy) / k.fy * depth
-    return np.stack([x, y, depth], axis=1)
-
-
 def sample_augmentation(rng: np.random.Generator, rot_range: float,
                         trans_range: float) -> tuple[np.ndarray, np.ndarray]:
     """Draw a random z-axis rotation and in-plane translation.
@@ -115,6 +91,7 @@ def sample_augmentation(rng: np.random.Generator, rot_range: float,
     Draw order (angle, tx, ty) is fixed for reproducibility; a zero range
     draws too, and gives 0.0.
     """
+    check_generator(rng)
     ranges = real_array((rot_range, trans_range), "augmentation ranges", ParameterError)
     if not (ranges.shape == (2,) and ((0 <= ranges) & (ranges <= MAX_MAGNITUDE)).all()):
         raise ParameterError(f"augmentation ranges must lie in [0, {MAX_MAGNITUDE:g}]: {ranges}")

@@ -17,7 +17,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import (DegenerateBatchError, DomainError, NormalizationError, ParameterError,
-                     ShapeError, index_set, is_count, real_array)
+                     ShapeError, check_generator, index_set, is_count, real_array)
+from .geometry import MAX_MAGNITUDE
 from .scene import PairSet
 
 PROB_CLAMP = 1e-7  # BCE probability floor/ceiling before the log
@@ -31,16 +32,20 @@ class AlignmentTransform:
 
     ``raw`` is the unconstrained B; the effective transform (B + B^T)/2 is
     symmetric by construction, so the similarity matrix transposes cleanly
-    between the two modal directions. It is frozen, so its temperature check holds.
+    between the two modal directions. It refuses with ``ParameterError`` a ``raw``
+    that is no ``Tensor`` and a temperature outside [1 / ``MAX_MAGNITUDE``,
+    ``MAX_MAGNITUDE``], as a focal length is bounded; it is frozen, so both hold.
     """
 
     raw: Tensor  # C x C tape parameter
     temperature: float
 
     def __post_init__(self):
+        if not isinstance(self.raw, Tensor):
+            raise ParameterError(f"alignment raw must be a Tensor, got {type(self.raw).__name__}")
         t = real_array(self.temperature, "temperature", ParameterError)
-        if not (t.ndim == 0 and 0.0 < t < np.inf):
-            raise ParameterError(f"temperature must be finite and positive, got {t}")
+        if not (t.ndim == 0 and 1.0 / MAX_MAGNITUDE <= t <= MAX_MAGNITUDE):
+            raise ParameterError(f"temperature must lie in [1 / MAX_MAGNITUDE, MAX_MAGNITUDE]: {t}")
 
     def matrix(self) -> np.ndarray:
         """The effective transform W = (B + B^T) / 2, as a plain array."""
@@ -50,12 +55,14 @@ class AlignmentTransform:
 
 def init_alignment(rng: np.random.Generator, channels: int) -> dict[str, np.ndarray]:
     # start near the identity so early training behaves like cosine mode
+    check_generator(rng)
     if not is_count(channels, 1):
         raise ParameterError(f"channels must be an integer >= 1, got {channels!r}")
     return {"align.b": np.eye(channels) + rng.normal(0.0, 0.01, (channels, channels))}
 
 
 def init_overlap_heads(rng: np.random.Generator, channels: int) -> dict[str, np.ndarray]:
+    check_generator(rng)
     if not is_count(channels, 1):
         raise ParameterError(f"channels must be an integer >= 1, got {channels!r}")
     return {

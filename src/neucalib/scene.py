@@ -10,8 +10,9 @@ patch layout, overlap band and pose spreads are module constants.
 
 A scene is its points, raw pose and grid, and every label follows from them
 by one rule: a point overlaps iff it lies in front of the camera and projects
-inside the grid. ``SceneSample`` derives the labels and the pixel texture,
-and no other library module reads the raw pose or a label.
+inside the grid. ``_grid_projection`` states that rule and ``_unproject``
+inverts it. ``SceneSample`` derives the labels and the pixel texture, and no
+other library module reads the raw pose or a label.
 
 A dataset is one little-endian file, ``scenes.nclr``, of format version 4:
 a head of the magic ``NCLD``, the version and scene count as uint32, the seed
@@ -29,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry as geo
-from .errors import (ConfigError, GenerationError, ParameterError, index_set, is_count,
-                     read_file, real_array, write_file)
+from .errors import (ConfigError, GenerationError, ParameterError, check_generator, index_set,
+                     is_count, read_file, real_array, write_file)
 
 DATASET_MAGIC = b"NCLD"
 FORMAT_VERSION = 4
@@ -181,14 +182,21 @@ def pixel_centers(grid: tuple[int, int]) -> np.ndarray:
 
 
 def _grid_projection(cam_pts, k: geo.CameraIntrinsics, grid: tuple[int, int]) -> np.ndarray:
-    """Projections of N x 3 camera-frame points, a row of NaN for each point
-    that does not project into [0, W') x [0, H')."""
-    h, w = grid
-    coords = geo._project(cam_pts, k)
-    u, v = coords.T
-    with np.errstate(invalid="ignore"):  # a NaN compares as outside the grid
-        coords[~((u >= 0) & (u < w) & (v >= 0) & (v < h))] = np.nan
+    """The pinhole model: N x 2 pixels (u, v) of N x 3 float64 camera-frame points,
+    a NaN row at depth ``geo.MIN_DEPTH`` or less or outside [0, W') x [0, H'). Only
+    rows in front are divided, so bounded points raise no numpy warning."""
+    front = np.flatnonzero(cam_pts[:, 2] > geo.MIN_DEPTH)
+    uv = cam_pts[front, :2] * (k.fx, k.fy) / cam_pts[front, 2:] + (k.cx, k.cy)
+    inside = ((uv >= 0) & (uv < grid[::-1])).all(axis=1)
+    coords = np.full((cam_pts.shape[0], 2), np.nan)
+    coords[front[inside]] = uv[inside]
     return coords
+
+
+def _unproject(coords: np.ndarray, depth: np.ndarray, k: geo.CameraIntrinsics) -> np.ndarray:
+    """Inverse of :func:`_grid_projection`: finite N x 2 float64 pixels at N
+    depths to N x 3 camera-frame points."""
+    return np.column_stack([(coords - (k.cx, k.cy)) / (k.fx, k.fy) * depth[:, None], depth])
 
 
 def _window_pixels(uv: np.ndarray, radius: float,
@@ -314,14 +322,14 @@ def _sample_patch(rng: np.random.Generator, k: geo.CameraIntrinsics,
 
     Each uniform draw, the plane's scalars and a batch's (u, v) offsets in
     [-radius, radius), is ``rng.uniform``'s double through ``_uniform``.
-    A ray is ``geo._unproject`` of its (u, v) at depth 1.0.
+    A ray is ``_unproject`` of its (u, v) at depth 1.0.
     """
     h, w = grid
     edge = np.array([w - 0.1, h - 0.1])
     for _ in range(PATCH_PLANES):
         center_uv = np.array([_uniform(rng, 1.0, w - 1.0), _uniform(rng, 1.0, h - 1.0)])
         z0 = _uniform(rng, Z_NEAR, Z_FAR)
-        q0 = geo._unproject(center_uv[None, :], np.array([z0]), k)[0]
+        q0 = _unproject(center_uv[None, :], np.array([z0]), k)[0]
         normal = q0 / np.linalg.norm(q0) + 0.5 * rng.normal(size=3)
         normal /= np.linalg.norm(normal)
         radius = _uniform(rng, 1.5, max(2.0, min(h, w) / 2.0))
@@ -331,7 +339,7 @@ def _sample_patch(rng: np.random.Generator, k: geo.CameraIntrinsics,
             state, need = rng.bit_generator.state, size - got
             batch = min(2 * need, 100 * size - attempts)
             uv = center_uv + _uniform(rng, -radius, radius, (batch, 2))
-            rays = geo._unproject(uv, np.ones(batch), k)
+            rays = _unproject(uv, np.ones(batch), k)
             denom = np.matmul(rays[:, None, :], normal)[:, 0]
             ok = ((0.1 <= uv) & (uv <= edge)).all(axis=1) & (np.abs(denom) >= 1e-3)
             z = offset / np.where(ok, denom, 1.0)
@@ -375,7 +383,7 @@ def _sample_in_frustum(rng: np.random.Generator, k: geo.CameraIntrinsics,
     sizes[: n_patch - sizes.sum()] += 1
     pts = [_sample_patch(rng, k, grid, size) for size in sizes]
     uvz = rng.uniform([0.1, 0.1, Z_NEAR], [w - 0.1, h - 0.1, Z_FAR], (n_noise, 3))
-    pts.append(geo._unproject(uvz[:, :2], uvz[:, 2], k))
+    pts.append(_unproject(uvz[:, :2], uvz[:, 2], k))
     return np.vstack(pts)
 
 
@@ -436,7 +444,7 @@ def _sample_out_of_frustum(rng: np.random.Generator, k: geo.CameraIntrinsics,
     pts = lo + (hi - lo) * d
     pts[side, 0] *= np.where(sign, 1.0, -1.0)
     pts[~side, 2] *= -1.0
-    pts[side] = geo._unproject(pts[side, :2], pts[side, 2], k)
+    pts[side] = _unproject(pts[side, :2], pts[side, 2], k)
     hits = np.count_nonzero(~np.isnan(_grid_projection(pts, k, grid)).all(axis=1))
     if hits:
         raise GenerationError(f"{hits} out-of-frustum points overlap the grid")
@@ -453,9 +461,7 @@ def generate_scene(rng: np.random.Generator, config: SceneConfig) -> SceneSample
     whose stream ``_sample_out_of_frustum`` replays, or a ``ParameterError``
     is raised before any draw.
     """
-    if not (isinstance(rng, np.random.Generator) and type(rng.bit_generator) is np.random.PCG64):
-        raise ParameterError(f"rng must be a numpy Generator on PCG64, got "
-                             f"{type(getattr(rng, 'bit_generator', rng)).__name__}")
+    check_generator(rng)
     k = _camera(config.grid)
     raw_pose = _sample_raw_pose(rng)
     frac = _uniform(rng, *OVERLAP_BAND)

@@ -6,9 +6,10 @@ TABLE has one entry for every name that ``test_surface.definitions()``
 returns: the error class, and a function whose parameters are the call's
 arguments that take outside input, each defaulting to a valid value.
 Arguments of library types (tensors, scenes, poses, pair sets, selections,
-parameter stores, generators) are built inside the function: each of them
-checked its own rule when it was built. ``generate_scene`` checks its
-generator, so its entry takes it as an argument. Each value that BAD makes
+parameter stores) are built inside the function: each of them checked its own
+rule when it was built. A generator is checked by each public function that
+draws from it, and ``AlignmentTransform`` checks its tensor, so those entries
+take them as arguments. Each value that BAD makes
 from the valid one replaces each such argument in turn. Nothing here draws
 at random, and pyproject's ``error::RuntimeWarning`` filter turns a numpy
 warning into a failure.
@@ -89,6 +90,7 @@ TABLE = {
     # errors
     **{name: _error_entry(cls) for name, cls in vars(errors).items()
        if isinstance(cls, type) and issubclass(cls, NeucalibError)},
+    "check_generator": (ParameterError, lambda rng=_rng(): errors.check_generator(rng)),
     "index_set": (ParameterError, lambda x=np.arange(3): errors.index_set(x, "probe")),
     "is_count": (NeucalibError, lambda x=3: errors.is_count(x, 1)),
     "read_file": (ConfigError, _read_file),
@@ -98,8 +100,9 @@ TABLE = {
     # encoder
     "encode": (NeucalibError, lambda: enc.encode(SCENE, WEIGHTS)),
     "fuse": (NeucalibError, lambda: enc.fuse(*enc.encode(SCENE, WEIGHTS), SCENE, WEIGHTS)),
-    "init_encoder_params": (ParameterError, lambda channels=8, hidden=8, fusion_layers=1:
-                            enc.init_encoder_params(_rng(), channels, hidden, fusion_layers)),
+    "init_encoder_params": (ParameterError, lambda rng=_rng(), channels=8, hidden=8,
+                            fusion_layers=1: enc.init_encoder_params(rng, channels, hidden,
+                                                                     fusion_layers)),
     # geometry
     "CameraIntrinsics": (ParameterError, lambda fx=12.0, fy=12.0, cx=4.0, cy=4.0:
                          geo.CameraIntrinsics(fx, fy, cx, cy)),
@@ -107,19 +110,20 @@ TABLE = {
                   points=ONES: geo.RigidPose(rotation, translation).apply(points)),
     "geodesic_angle": (ParameterError, lambda r_a=np.eye(3), r_b=np.eye(3):
                        geo.geodesic_angle(r_a, r_b)),
-    "sample_augmentation": (ParameterError, lambda rot_range=0.5, trans_range=1.0:
-                            geo.sample_augmentation(_rng(), rot_range, trans_range)),
+    "sample_augmentation": (ParameterError, lambda rng=_rng(), rot_range=0.5, trans_range=1.0:
+                            geo.sample_augmentation(rng, rot_range, trans_range)),
     # matching
-    "AlignmentTransform": (ParameterError, lambda temperature=0.07: mt.AlignmentTransform(
-        WEIGHTS["align.b"], temperature).matrix()),
+    "AlignmentTransform": (ParameterError, lambda raw=WEIGHTS["align.b"], temperature=0.07:
+                           mt.AlignmentTransform(raw, temperature).matrix()),
     "OverlapSelection": (ParameterError, lambda point_indices=OVERLAP, pixel_indices=PIXELS,
                          point_fallback=False, pixel_fallback=False: mt.OverlapSelection(
                              point_indices, pixel_indices, point_fallback, pixel_fallback)),
     "infonce_loss": (ParameterError, lambda direction="pixel_to_point":
                      mt.infonce_loss(LOGITS, PAIRS, direction)),
-    "init_alignment": (ParameterError, lambda channels=8: mt.init_alignment(_rng(), channels)),
-    "init_overlap_heads": (ParameterError, lambda channels=8:
-                           mt.init_overlap_heads(_rng(), channels)),
+    "init_alignment": (ParameterError, lambda rng=_rng(), channels=8:
+                       mt.init_alignment(rng, channels)),
+    "init_overlap_heads": (ParameterError, lambda rng=_rng(), channels=8:
+                           mt.init_overlap_heads(rng, channels)),
     "match_coords": (ParameterError, lambda centers=CENTERS, mode="soft":
                      mt.match_coords(LOGITS, SELECTION, centers, mode)),
     "overlap_bce_loss": (ParameterError, lambda point_labels=SCENE.point_overlap_gt,
@@ -163,7 +167,7 @@ TABLE = {
     "augment_scene": (ParameterError, lambda rot=np.eye(3), trans=np.zeros(3):
                       sc.augment_scene(SCENE, rot, trans)),
     "build_pairs": (ParameterError, lambda r_p=1.0, r_n=4.0: sc.build_pairs(SCENE, r_p, r_n)),
-    "generate_scene": (ParameterError, lambda rng=np.random.default_rng(0):
+    "generate_scene": (ParameterError, lambda rng=_rng():
                        sc.generate_scene(rng, CFG)),
     "load_dataset": (ConfigError, _load_dataset),
     "pixel_centers": (ParameterError, lambda grid=(8, 8): sc.pixel_centers(grid)),

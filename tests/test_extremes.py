@@ -1,7 +1,8 @@
 """Numbers at the edge of what the library takes.
 
 ``test_bound_holds_at_the_edge`` holds each field that takes numbers from
-outside to its bound, ``geometry.MAX_MAGNITUDE`` or, for a rotation entry,
+outside to its bound, ``geometry.MAX_MAGNITUDE`` (and 1 / it from below on a
+focal length or a temperature) or, for a rotation entry,
 1 + ``geometry.ORTHONORMALITY_TOL``: the bound itself passes, the next double
 past it does not. ``test_extreme_record_calibrates_or_raises`` runs
 valid but extreme scenes through every call of the calibration path, with
@@ -27,6 +28,12 @@ BASE = sc.generate_scene(np.random.default_rng(0), sc.SceneConfig(32, (8, 8)))
 ON = BASE.point_overlap_gt
 CAM = BASE.raw_pose.apply(BASE.points)  # camera frame; a scene with pose EYE keeps its labels
 
+PARAMS = {**enc.init_encoder_params(np.random.default_rng(0), 8, 8),
+          **mt.init_alignment(np.random.default_rng(0), 8),
+          **mt.init_overlap_heads(np.random.default_rng(0), 8)}
+WEIGHTS = {name: ad.constant(value) for name, value in PARAMS.items()}
+FEATURES = enc.fuse(*enc.encode(BASE, WEIGHTS), BASE, WEIGHTS)
+
 
 def _with(good: np.ndarray, value: float) -> np.ndarray:
     """A copy of ``good`` with its first entry ``value``."""
@@ -47,6 +54,8 @@ def _intrinsics(field: str):
 
 SYMMETRIC = ((M, -M), (PAST, -PAST))  # the values accepted, then those refused
 FOCAL = ((M, 1 / M), (PAST, np.nextafter(1 / M, 0), 1e-200, 1e-300))
+# a temperature is bounded as a focal length is; similarity's matmul met inf at 1e-320
+TEMPERATURE = (FOCAL[0], (*FOCAL[1], 1e-320))
 RANGE = ((0.0, M), (PAST, 1e308))  # numpy's uniform raised OverflowError on 1e308
 # a rotation entry is bounded by 1 + ORTHONORMALITY_TOL; R^T R overflowed on 1e300
 ROTATION = ((1.0, -1.0), (np.nextafter(1.0 + geo.ORTHONORMALITY_TOL, 2.0), 1e300))
@@ -63,6 +72,8 @@ BOUNDED = {
         np.random.default_rng(0), x, 1.0), RANGE),
     "sample_augmentation.trans_range": (ParameterError, lambda x: geo.sample_augmentation(
         np.random.default_rng(0), 0.5, x), RANGE),
+    "AlignmentTransform.temperature": (ParameterError, lambda x: mt.similarity(
+        *FEATURES, mt.AlignmentTransform(WEIGHTS["align.b"], x)), TEMPERATURE),
     "CameraIntrinsics.fx": (ParameterError, _intrinsics("fx"), FOCAL),
     "CameraIntrinsics.fy": (ParameterError, _intrinsics("fy"), FOCAL),
     "CameraIntrinsics.cx": (ParameterError, _intrinsics("cx"), SYMMETRIC),
@@ -95,7 +106,7 @@ def _grid_scene(grid) -> sc.SceneSample:
     """The overlapping points of BASE squeezed, at their depths, onto a
     smaller grid under its own camera."""
     uv = BASE.gt_projection[ON] * (grid[1] / 8.0, grid[0] / 8.0)
-    return sc.SceneSample(geo._unproject(uv, CAM[ON, 2], sc._camera(grid)), EYE, grid)
+    return sc.SceneSample(sc._unproject(uv, CAM[ON, 2], sc._camera(grid)), EYE, grid)
 
 
 def _huge_scene() -> sc.SceneSample:
@@ -122,10 +133,6 @@ RECORDS = {
                          DegenerateBatchError),
 }
 
-PARAMS = {**enc.init_encoder_params(np.random.default_rng(0), 8, 8),
-          **mt.init_alignment(np.random.default_rng(0), 8),
-          **mt.init_overlap_heads(np.random.default_rng(0), 8)}
-WEIGHTS = {name: ad.constant(value) for name, value in PARAMS.items()}
 THETA = np.nextafter(1.0, 0.0)  # no unsaturated score passes, so the selection is the labels'
 
 

@@ -123,41 +123,91 @@ class TestIntrinsics:
         assert geo.CameraIntrinsics(**self.VALID).fx == 100.0
 
 
+NAN_ROW = (math.nan, math.nan)
+
+
+def pinhole(q: np.ndarray, k: geo.CameraIntrinsics, grid=None) -> np.ndarray:
+    """The reference pinhole, point by point in Python floats: (fx x / z + cx,
+    fy y / z + cy) for a point of depth z > MIN_DEPTH, else a NaN row, and
+    with a ``grid`` (H', W') a NaN row too where (u, v) misses [0, W') x [0, H').
+    With a grid it is ``scene._grid_projection`` bit for bit; ``test_pnp.py``
+    builds its targets with it."""
+    rows = []
+    for x, y, z in q.tolist():
+        u, v = (k.fx * x / z + k.cx, k.fy * y / z + k.cy) if z > geo.MIN_DEPTH else NAN_ROW
+        inside = grid is None or (0 <= u < grid[1] and 0 <= v < grid[0])
+        rows.append((u, v) if inside else NAN_ROW)
+    return np.array(rows, dtype=np.float64).reshape(-1, 2)
+
+
+WIDE = (100, 100)  # INTR's grid
+
+
 class TestProject:
+    """``scene._grid_projection``, the pinhole model that labels every scene."""
+
     def test_optical_axis(self):
-        np.testing.assert_allclose(geo._project(np.array([[0.0, 0.0, 5.0]]), INTR), [[50.0, 50.0]])
+        coords = sc._grid_projection(np.array([[0.0, 0.0, 5.0]]), INTR, WIDE)
+        np.testing.assert_array_equal(coords, [[50.0, 50.0]])
 
     def test_offset_point(self):
-        np.testing.assert_allclose(geo._project(np.array([[1.0, 0.0, 5.0]]), INTR), [[70.0, 50.0]])
+        coords = sc._grid_projection(np.array([[1.0, 0.0, 5.0]]), INTR, WIDE)
+        np.testing.assert_array_equal(coords, [[70.0, 50.0]])
 
     def test_behind_camera_flagged(self):
-        assert np.isnan(geo._project(np.array([[0.0, 0.0, -1.0]]), INTR)).all()
-        # a point at or below MIN_DEPTH, or not all finite, cannot be seen
-        # either, and a huge x overflows its pixel coordinate
-        bad = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, geo.MIN_DEPTH], [0.0, 0.0, np.inf],
-                        [np.inf, 0.0, 5.0], [0.0, -np.inf, 5.0], [np.nan, 0.0, 5.0],
-                        [0.0, 0.0, np.nan], [1e308, 0.0, 5.0], [0.0, 0.0, 5.0]])
-        coords = geo._project(bad, INTR)
-        assert np.isnan(coords[:8]).all() and np.isfinite(coords[8]).all()
+        # a point at or below MIN_DEPTH cannot be seen
+        q = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [0.0, 0.0, geo.MIN_DEPTH],
+                      [0.0, 0.0, 5.0]])
+        coords = sc._grid_projection(q, INTR, WIDE)
+        assert np.isnan(coords[:3]).all() and np.isfinite(coords[3]).all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_edges_give_nan_rows_without_a_warning(self):
+        # under fx = fy = 1 and a zero centre, depth 1 maps (x, y) to (u, v) exactly
+        k, (h, w) = geo.CameraIntrinsics(1.0, 1.0, 0.0, 0.0), (4, 8)
+        tiny = np.nextafter(0.0, 1.0)
+        q = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, geo.MIN_DEPTH], [0.0, 0.0, -1.0],
+                      [0.0, 0.0, -geo.MAX_MAGNITUDE], [w, 1.0, 1.0], [1.0, h, 1.0],
+                      [-tiny, 1.0, 1.0], [1.0, -tiny, 1.0],
+                      # and, at each edge's other side, the rows that are seen
+                      [0.0, 0.0, np.nextafter(geo.MIN_DEPTH, 1.0)],
+                      [np.nextafter(w, 0.0), np.nextafter(h, 0.0), 1.0], [-0.0, -0.0, 1.0]])
+        coords = sc._grid_projection(q, k, (h, w))
+        assert np.isnan(coords[:8]).all()
+        np.testing.assert_array_equal(coords[8:], [[0.0, 0.0], q[9, :2], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("k", [INTR, sc._camera((16, 16)),
+                                   geo.CameraIntrinsics(geo.MAX_MAGNITUDE, 1 / geo.MAX_MAGNITUDE,
+                                                        -geo.MAX_MAGNITUDE, geo.MAX_MAGNITUDE)],
+                             ids=["wide", "scene", "extreme"])
+    def test_matches_the_reference_bit_for_bit(self, k):
+        # bounded points at every scale, a third of them behind the camera
+        rng = np.random.default_rng(15)
+        for scale in (1e-6, 1e-2, 1.0, 1e2, 1e4, geo.MAX_MAGNITUDE):
+            q = rng.uniform(-1.0, 1.0, (256, 3)) * scale
+            q[:, 2] += 0.5 * scale
+            for grid in (WIDE, (16, 16), (1, 1), (10 ** 13, 10 ** 13)):  # the last: any u, v >= 0
+                got = sc._grid_projection(q, k, grid)
+                assert got.tobytes() == pinhole(q, k, grid).tobytes()
 
     def test_unproject_round_trip(self):
         rng = np.random.default_rng(16)
         coords = rng.uniform(0, 100, (64, 2))
         depth = rng.uniform(1.0, 30.0, 64)
-        pts = geo._unproject(coords, depth, INTR)
+        pts = sc._unproject(coords, depth, INTR)
         np.testing.assert_array_equal(pts[:, 2], depth)
-        np.testing.assert_allclose(geo._project(pts, INTR), coords, atol=1e-9)
+        np.testing.assert_allclose(sc._grid_projection(pts, INTR, WIDE), coords, atol=1e-9)
 
     def test_project_round_trip(self):
-        # _unproject inverts project on every point in front of the camera,
-        # and a point behind it projects to a NaN row
+        # _unproject inverts the projection on every point that is seen,
+        # and a point behind the camera projects to a NaN row
         rng = np.random.default_rng(17)
         pts = rng.uniform(-3, 3, (32, 3))
-        coords = geo._project(pts, INTR)
-        seen = pts[:, 2] > geo.MIN_DEPTH
+        coords = sc._grid_projection(pts, INTR, WIDE)
+        seen = ~np.isnan(coords).all(axis=1)
         assert 0 < seen.sum() < 32
-        assert np.isnan(coords[~seen]).all()
-        np.testing.assert_allclose(geo._unproject(coords[seen], pts[seen, 2], INTR), pts[seen],
+        assert not seen[pts[:, 2] <= geo.MIN_DEPTH].any()
+        np.testing.assert_allclose(sc._unproject(coords[seen], pts[seen, 2], INTR), pts[seen],
                                    atol=1e-9)
 
 
@@ -247,8 +297,8 @@ class TestRecomputeGtPose:
                             rng.uniform(1.0, 30.0, 16)], axis=1)
             pts = cam @ raw.rotation + -raw.rotation.T @ raw.translation
             aug = sc.augment_scene(sc.SceneSample(pts, raw, GRID), rot, trans)
-            before = geo._project(raw.apply(pts), INTR)
-            after = geo._project(aug.raw_pose.apply(aug.points), INTR)
+            before = pinhole(raw.apply(pts), INTR)
+            after = pinhole(aug.raw_pose.apply(aug.points), INTR)
             np.testing.assert_array_equal(np.isnan(before), np.isnan(after))
             assert np.max(np.abs(before - after)) < 1e-9
 

@@ -142,6 +142,11 @@ class TestSimilarity:
             transform.temperature = -1.0
         assert transform.temperature == 0.07
 
+    def test_raw_must_be_a_tensor(self):
+        # a plain C x C array built, and similarity then raised AttributeError on its .value
+        with pytest.raises(ParameterError, match="Tensor"):
+            mt.AlignmentTransform(np.eye(2), 0.07)
+
     def test_zero_norm_row_rejected(self):
         f = np.zeros((2, 4))
         f[0] = [1, 0, 0, 0]

@@ -12,6 +12,7 @@ from neucalib import pnp
 from neucalib import scene as sc
 from neucalib.errors import SolveError
 from tape_probe import finite_difference_check, weighted_sum
+from test_geometry import pinhole
 
 INTR = geo.CameraIntrinsics(fx=100.0, fy=100.0, cx=32.0, cy=32.0)
 EYE = geo.RigidPose(np.eye(3), np.zeros(3))
@@ -27,7 +28,7 @@ def random_instance(seed, n=64, intr=INTR):
     cam = np.stack([rng.uniform(-4, 4, n), rng.uniform(-4, 4, n),
                     rng.uniform(4.0, 20.0, n)], axis=1)
     points = cam @ pose.rotation + -pose.rotation.T @ pose.translation
-    targets = geo._project(pose.apply(points), intr)
+    targets = pinhole(pose.apply(points), intr)
     return pose, points, targets
 
 
@@ -65,7 +66,7 @@ class TestEpnpInit:
         rng = np.random.default_rng(1)
         points = np.stack([rng.uniform(-4, 4, 32), rng.uniform(-4, 4, 32),
                            rng.uniform(4, 20, 32)], axis=1)
-        targets = geo._project(points, INTR)
+        targets = pinhole(points, INTR)
         est = pnp.epnp_init(pnp.PnPProblem(points, targets, INTR))
         np.testing.assert_allclose(est.rotation, np.eye(3), atol=1e-6)
         np.testing.assert_allclose(est.translation, np.zeros(3), atol=1e-6)
@@ -77,7 +78,7 @@ class TestEpnpInit:
         pose = geo.RigidPose(geo._rotation_from_axis_angle([0.0, 0.6, 0.8], 0.7), [0.5, -1.0, 2.0])
         cam = rng.normal(size=(20, 3)) * [20.0, 1.0, 0.5] + [0.0, 0.0, 30.0]
         points = cam @ pose.rotation + -pose.rotation.T @ pose.translation
-        targets = geo._project(pose.apply(points), INTR)
+        targets = pinhole(pose.apply(points), INTR)
         dt, dr = pose_errors(pnp.epnp_init(pnp.PnPProblem(points, targets, INTR)), pose)
         assert dt < 1e-6 and dr < 1e-6
 
@@ -109,7 +110,7 @@ class TestEpnpInit:
         k = geo.CameraIntrinsics(fx=12.0, fy=12.0, cx=4.0, cy=4.0)
         cam = np.stack([rng.uniform(-2e5, 2e5, 32), rng.uniform(-2e5, 2e5, 32),
                         rng.uniform(8e5, 9.5e5, 32)], axis=1)
-        problem = pnp.PnPProblem(cam - [0.0, 0.0, 1.5e6], geo._project(cam, k), k)
+        problem = pnp.PnPProblem(cam - [0.0, 0.0, 1.5e6], pinhole(cam, k), k)
         with pytest.raises(SolveError, match="out of range"):
             pnp.epnp_init(problem)
         start = geo.RigidPose(np.eye(3), [0.0, 0.0, geo.MAX_MAGNITUDE])
@@ -162,7 +163,7 @@ class TestEpnpInit:
         rng = np.random.default_rng(4)
         points = np.stack([rng.uniform(-3, 3, 16), rng.uniform(-3, 3, 16),
                            np.full(16, 8.0)], axis=1)
-        targets = geo._project(points, INTR)
+        targets = pinhole(points, INTR)
         with pytest.raises(SolveError, match="coplanar|collinear"):
             pnp.epnp_init(pnp.PnPProblem(points, targets, INTR))
 

@@ -116,7 +116,7 @@ def oracle_in_frustum(rng, cfg, count):
     for size in sizes:
         center_uv = np.array([rng.uniform(1.0, w - 1.0), rng.uniform(1.0, h - 1.0)])
         z0 = rng.uniform(sc.Z_NEAR, sc.Z_FAR)
-        q0 = geo._unproject(center_uv[None, :], np.array([z0]), k)[0]
+        q0 = sc._unproject(center_uv[None, :], np.array([z0]), k)[0]
         normal = q0 / np.linalg.norm(q0) + 0.5 * rng.normal(size=3)
         normal /= np.linalg.norm(normal)
         radius = rng.uniform(1.5, max(2.0, min(h, w) / 2.0))
@@ -141,7 +141,7 @@ def oracle_in_frustum(rng, cfg, count):
     for _ in range(n_noise):
         uv = np.array([rng.uniform(0.1, w - 0.1), rng.uniform(0.1, h - 0.1)])
         z = rng.uniform(sc.Z_NEAR, sc.Z_FAR)
-        pts.append(geo._unproject(uv[None, :], np.array([z]), k)[0])
+        pts.append(sc._unproject(uv[None, :], np.array([z]), k)[0])
     return np.array(pts).reshape(count, 3)
 
 
@@ -160,7 +160,7 @@ def oracle_out_of_frustum(rng, cfg, count):
                 u = rng.uniform(w + 2.0, 3.0 * w) * rng.choice([-1.0, 1.0])
                 v = rng.uniform(-h, 2.0 * h)
                 z = rng.uniform(sc.Z_NEAR, sc.Z_FAR)
-                q = geo._unproject(np.array([[u, v]]), np.array([z]), k)[0]
+                q = sc._unproject(np.array([[u, v]]), np.array([z]), k)[0]
             if np.isnan(sc._grid_projection(q[None, :], k, cfg.grid)).all():
                 pts[i] = q
                 break

@@ -134,6 +134,15 @@ def test_every_private_definition_has_a_library_caller():
     assert sorted(f"{module}.{name}" for name, module in private.items() if name not in used) == []
 
 
+def test_no_floating_point_warning_is_hidden():
+    # each number is bounded where it enters, so no kernel overflows or
+    # divides by zero, and none hides numpy's warnings from the suite's filter
+    hidden = [f"{path.name}:{i}" for path in sorted(LIBRARY.glob("*.py"))
+              for i, line in enumerate(path.read_text().splitlines(), 1)
+              if "errstate(" in line or "seterr(" in line]
+    assert hidden == []
+
+
 def returns_a_value(fn: ast.FunctionDef) -> bool:
     """Whether the body of ``fn``, outside any nested def, class or lambda,
     has a ``return`` of something other than None."""
